@@ -33,7 +33,6 @@ from .hierarchy import (
     TreeNode,
     TreePenalty,
     compute_node_weights,
-    row_regularizer_weights,
     tree_from_nested,
     weight_penalty,
 )

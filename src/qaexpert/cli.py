@@ -190,6 +190,9 @@ def cmd_fit(args) -> int:
         return 1
     serialize.save_model(model, model_path, manifest_hash=manifest_hash, config=cfg)
     serialize.save_history(model.objective_history, os.path.join(out, "objective_history.csv"))
+    if not model.cp.norms.any():
+        print(f"warning: 0 of {joint_cfg.rank} components are live; "
+              "every topic will rank as no-signal", file=sys.stderr)
     print(
         f"fit rank {joint_cfg.rank} in {len(model.objective_history)} sweeps, "
         f"final objective {model.objective_history[-1]:.6g} -> {model_path}"

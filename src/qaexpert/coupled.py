@@ -20,7 +20,7 @@ import numpy as np
 from .cp_als import CpModel, _normalize_columns, _ridge_solve, tensor_objective
 from .errors import ContractViolation, DegenerateGroupError, SolverDiverged
 from .hierarchy import HierarchyTree, TreePenalty, weight_penalty
-from .sparse_tensor import SparseTensor4, gram_hadamard, mttkrp, residual_norm
+from .sparse_tensor import SparseTensor4, gram_hadamard, mttkrp, residual_norm, scatter_rows
 
 __all__ = [
     "MembershipMatrix",
@@ -76,18 +76,14 @@ class MembershipMatrix:
         F = np.atleast_2d(np.asarray(F, dtype=np.float64))
         if F.shape[0] != self.cols:
             raise ContractViolation(f"operand has {F.shape[0]} rows, need {self.cols}")
-        out = np.zeros((self.rows, F.shape[1]))
-        np.add.at(out, self.indices[:, 0], F[self.indices[:, 1]])
-        return out
+        return scatter_rows(self.indices[:, 0], F[self.indices[:, 1]], self.rows)
 
     def tmatmul(self, F: np.ndarray) -> np.ndarray:
         """Dense product ``M.T @ F``."""
         F = np.atleast_2d(np.asarray(F, dtype=np.float64))
         if F.shape[0] != self.rows:
             raise ContractViolation(f"operand has {F.shape[0]} rows, need {self.rows}")
-        out = np.zeros((self.cols, F.shape[1]))
-        np.add.at(out, self.indices[:, 1], F[self.indices[:, 0]])
-        return out
+        return scatter_rows(self.indices[:, 1], F[self.indices[:, 0]], self.cols)
 
 
 def _half_sq_frobenius(M: MembershipMatrix, F: np.ndarray, G: np.ndarray) -> float:
@@ -259,45 +255,133 @@ def _sym_inv(K: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(K, hermitian=True)
 
 
-def _solve_question_block(rhs, V, row_regs, groups, S, lam_site):
-    """Exact minimizer of the joint objective over all question rows.
+# The blocks of one sweep, in update order.
+BLOCKS = ("question", "topic", "voting", "expert", "subsite", "answerer", "topicfactor")
 
-    Within subsite group j of size n, every row l satisfies
-    ``row_l (V + reg_l I) + (lam_site/n²) Σ_{l'} row_{l'} = rhs_l + (lam_site/n) S_j``;
-    summing over the group gives a small linear system for the row total,
-    after which each row follows in closed form.
+# The five objective terms in summation order, each with the blocks it reads.
+_TERM_BLOCKS = (
+    ("tensor", frozenset({"question", "topic", "voting", "expert"})),
+    ("tree", frozenset({"question"})),
+    ("network", frozenset({"subsite", "answerer"})),
+    ("topic", frozenset({"answerer", "topicfactor"})),
+    ("site", frozenset({"question", "subsite"})),
+)
+
+
+class _JointDescent:
+    """Working iterate of :func:`fit_joint`: raw factors and block updates.
+
+    Each :meth:`update` is the exact minimizer of the joint objective in
+    its block.  The five objective terms are cached and each is recomputed
+    only after a block it reads moves; :meth:`objective` sums them in a
+    fixed order, so the total equals a from-scratch evaluation exactly.
     """
-    R = V.shape[0]
-    eye = np.eye(R)
-    inv_by_reg = {float(reg): _sym_inv(V + float(reg) * eye) for reg in np.unique(row_regs)}
-    out = np.empty_like(rhs)
-    if lam_site == 0 or not groups:
-        for reg, inv in inv_by_reg.items():
-            rows = np.flatnonzero(row_regs == reg)
-            out[rows] = rhs[rows] @ inv
+
+    def __init__(self, X, M, N, tree, config):
+        self.X, self.M, self.N = X, M, N
+        self.config = config
+        self.lam_site = config.effective_lambda_site
+        self.tree = tree
+        self.penalty = TreePenalty(tree, config.lambda_w)
+        self.groups = _subsite_groups(tree)
+        rng = np.random.default_rng(config.seed)
+        R = config.rank
+        self.factors = [rng.random((d, R)) for d in X.dims]
+        self.S = rng.random((M.rows, R))
+        self.A = rng.random((M.cols, R))
+        self.T = rng.random((N.rows, R))
+        self.mu = None
+        self.terms = {name: None for name, _ in _TERM_BLOCKS}
+
+        # Question rows grouped by ridge weight once: the distinct weights
+        # ascending, each row's position among them, and the rows of each.
+        row_regs = config.lambda_x + config.lambda_w * self.penalty.row_weights
+        order = np.argsort(row_regs, kind="stable")
+        ranked = row_regs[order]
+        first = np.r_[True, ranked[1:] != ranked[:-1]]
+        self.regs = ranked[first]
+        self.reg_of_row = np.empty_like(order)
+        self.reg_of_row[order] = np.cumsum(first) - 1
+        self.rows_by_reg = np.split(order, np.flatnonzero(first)[1:])
+
+    def update(self, block: str):
+        """Replace one block by its exact minimizer and mark stale terms."""
+        cfg, factors = self.config, self.factors
+        A, lam_site = self.A, self.lam_site
+        if block == "question":
+            V = gram_hadamard(factors, 0)
+            factors[0] = self._solve_question_block(mttkrp(self.X, factors, 0), V)
+            self.mu = group_means(factors[0], self.tree)
+        elif block == "subsite":
+            self.S = _ridge_solve(
+                A.T @ A, self.M.matmul(A) + lam_site * self.mu, cfg.lambda_s + lam_site
+            )
+        elif block == "answerer":
+            S, T = self.S, self.T
+            self.A = _ridge_solve(
+                S.T @ S + T.T @ T, self.M.tmatmul(S) + self.N.tmatmul(T),
+                cfg.lambda_s + cfg.lambda_t,
+            )
+        elif block == "topicfactor":
+            self.T = _ridge_solve(A.T @ A, self.N.matmul(A), cfg.lambda_t)
+        else:
+            mode = BLOCKS.index(block)  # topic, voting or expert tensor mode
+            V = gram_hadamard(factors, mode)
+            factors[mode] = _ridge_solve(V, mttkrp(self.X, factors, mode), cfg.lambda_x)
+        for name, blocks in _TERM_BLOCKS:
+            if block in blocks:
+                self.terms[name] = None
+
+    def objective(self) -> float:
+        """Joint objective of the working iterate, from the cached terms."""
+        value = 0.0  # adding each nonnegative term to 0.0 leaves it exact
+        for name, _ in _TERM_BLOCKS:
+            if self.terms[name] is None:
+                self.terms[name] = self._term(name)
+            value += self.terms[name]
+        return value
+
+    def _term(self, name: str) -> float:
+        cfg, factors = self.config, self.factors
+        if name == "tensor":
+            res = residual_norm(self.X, factors, np.ones(factors[0].shape[1]))
+            value = 0.5 * res * res
+            value += 0.5 * cfg.lambda_x * sum(float(np.sum(U * U)) for U in factors)
+            return value
+        if name == "tree":
+            return weight_penalty(factors[0], self.penalty)
+        if name == "network":
+            return networks_objective(self.S, self.A, self.M, cfg.lambda_s)
+        if name == "topic":
+            return topic_objective(self.T, self.A, self.N, cfg.lambda_t)
+        return 0.5 * self.lam_site * float(np.sum((self.S - self.mu) ** 2))
+
+    def _solve_question_block(self, rhs, V):
+        """Exact minimizer of the joint objective over all question rows.
+
+        Within subsite group j of size n, every row l satisfies
+        ``row_l (V + reg_l I) + (lam_site/n²) Σ_{l'} row_{l'} = rhs_l + (lam_site/n) S_j``;
+        summing over the group gives a small linear system for the row total,
+        after which each row follows in closed form.
+        """
+        eye = np.eye(V.shape[0])
+        lam_site = self.lam_site
+        invs = [_sym_inv(V + float(reg) * eye) for reg in self.regs]
+        out = np.empty_like(rhs)
+        if lam_site == 0 or not self.groups:
+            for rows, inv in zip(self.rows_by_reg, invs):
+                out[rows] = rhs[rows] @ inv
+            return out
+        stacked = np.stack(invs)
+        for j, rows in enumerate(self.groups):
+            n = len(rows)
+            c = lam_site / n**2
+            B = rhs[rows] + (lam_site / n) * self.S[j]
+            Dinv = stacked[self.reg_of_row[rows]]
+            BD = np.einsum("ir,irs->is", B, Dinv)
+            total = np.linalg.solve((eye + c * Dinv.sum(axis=0)).T, BD.sum(axis=0))
+            out[rows] = np.einsum("ir,irs->is", B - c * total, Dinv)
         return out
-    for j, rows in enumerate(groups):
-        n = len(rows)
-        c = lam_site / n**2
-        B = rhs[rows] + (lam_site / n) * S[j]
-        Dinv = np.stack([inv_by_reg[float(row_regs[l])] for l in rows])
-        BD = np.einsum("ir,irs->is", B, Dinv)
-        total = np.linalg.solve((eye + c * Dinv.sum(axis=0)).T, BD.sum(axis=0))
-        out[rows] = np.einsum("ir,irs->is", B - c * total, Dinv)
-    return out
-
-
-def _working_joint_objective(X, M, N, factors, S, A, T, penalty, groups, cfg, lam_site):
-    ones = np.ones(factors[0].shape[1])
-    res = residual_norm(X, factors, ones)
-    value = 0.5 * res * res
-    value += 0.5 * cfg.lambda_x * sum(float(np.sum(U * U)) for U in factors)
-    value += weight_penalty(factors[0], penalty)
-    value += networks_objective(S, A, M, cfg.lambda_s)
-    value += topic_objective(T, A, N, cfg.lambda_t)
-    mu = np.stack([factors[0][rows].mean(axis=0) for rows in groups]) if groups else S
-    value += 0.5 * lam_site * float(np.sum((S - mu) ** 2))
-    return value
 
 
 def fit_joint(
@@ -342,9 +426,7 @@ def fit_joint(
         "lambda_t": config.lambda_t,
         "lambda_site": lam_site,
     }
-    penalty = TreePenalty(tree, config.lambda_w)
     R = config.rank
-    eye = np.eye(R)
 
     if X.nnz == 0 and M.nnz == 0 and N.nnz == 0:
         # The zero model is a global minimizer: every term is nonnegative
@@ -356,52 +438,23 @@ def fit_joint(
             lambdas, [0.0], [],
         )
 
-    rng = np.random.default_rng(config.seed)
-    factors = [rng.random((d, R)) for d in X.dims]
-    S = rng.random((M.rows, R))
-    A = rng.random((M.cols, R))
-    T = rng.random((N.rows, R))
-    row_regs = config.lambda_x + config.lambda_w * penalty.row_weights
-
-    def objective():
-        return _working_joint_objective(
-            X, M, N, factors, S, A, T, penalty, groups, config, lam_site
-        )
-
+    state = _JointDescent(X, M, N, tree, config)
     history: list[float] = []
     blocks: list[tuple[str, float]] = []
     last_finite = None
     prev = None
     for _ in range(config.max_iters):
-        V = gram_hadamard(factors, 0)
-        factors[0] = _solve_question_block(
-            mttkrp(X, factors, 0), V, row_regs, groups, S, lam_site
-        )
-        blocks.append(("question", objective()))
-        for mode in range(1, 4):
-            V = gram_hadamard(factors, mode)
-            factors[mode] = _ridge_solve(V, mttkrp(X, factors, mode), config.lambda_x)
-            blocks.append((("topic", "voting", "expert")[mode - 1], objective()))
-        if groups:
-            mu = np.stack([factors[0][rows].mean(axis=0) for rows in groups])
-        else:
-            mu = np.zeros((0, R))
-        S = _ridge_solve(A.T @ A, M.matmul(A) + lam_site * mu, config.lambda_s + lam_site)
-        blocks.append(("subsite", objective()))
-        A = _ridge_solve(
-            S.T @ S + T.T @ T, M.tmatmul(S) + N.tmatmul(T), config.lambda_s + config.lambda_t
-        )
-        blocks.append(("answerer", objective()))
-        T = _ridge_solve(A.T @ A, N.matmul(A), config.lambda_t)
-        blocks.append(("topicfactor", objective()))
+        for block in BLOCKS:
+            state.update(block)
+            blocks.append((block, state.objective()))
 
         value = blocks[-1][1]
         if not np.isfinite(value):
             raise SolverDiverged("joint objective became non-finite", last_state=last_finite)
         history.append(value)
-        normalized, lam = _normalize_columns([U.copy() for U in factors])
+        normalized, lam = _normalize_columns([U.copy() for U in state.factors])
         last_finite = JointModel(
-            CpModel(normalized, lam), S.copy(), A.copy(), T.copy(),
+            CpModel(normalized, lam), state.S.copy(), state.A.copy(), state.T.copy(),
             dict(lambdas), list(history), list(blocks),
         )
         if prev is not None and (prev - value) < config.tolerance * max(abs(prev), 1e-300):
@@ -411,12 +464,9 @@ def fit_joint(
     # Canonicalize: unit-column factors with scales in norms, then re-solve
     # S, A, T once against the balanced question factor so the stored model
     # is internally consistent under joint_objective.
-    normalized, lam = _normalize_columns(factors)
+    normalized, lam = _normalize_columns(state.factors)
     cp = CpModel(normalized, lam)
-    mu = group_means(cp.balanced_factors()[0], tree)
-    S = _ridge_solve(A.T @ A, M.matmul(A) + lam_site * mu, config.lambda_s + lam_site)
-    A = _ridge_solve(
-        S.T @ S + T.T @ T, M.tmatmul(S) + N.tmatmul(T), config.lambda_s + config.lambda_t
-    )
-    T = _ridge_solve(A.T @ A, N.matmul(A), config.lambda_t)
-    return JointModel(cp, S, A, T, lambdas, history, blocks)
+    state.mu = group_means(cp.balanced_factors()[0], tree)
+    for block in ("subsite", "answerer", "topicfactor"):
+        state.update(block)
+    return JointModel(cp, state.S, state.A, state.T, lambdas, history, blocks)

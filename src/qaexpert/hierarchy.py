@@ -5,7 +5,11 @@ beneath it.  Internal nodes carry a pair ``(s, g)`` summing to one; a
 node's weight is its ``g`` (one for leaves) times the product of ``s``
 over its strict ancestors.  The penalty on a question-mode factor is the
 weighted sum of squared group norms, which decomposes exactly into
-per-row ridge weights because the group norms are squared.
+per-row ridge weights because the group norms are squared: row ``l``
+weighs the summed weights of every group containing it.  The penalty is
+evaluated through those row weights, one dot product with no walk over
+the tree; the group-wise sum is kept in the tests as the oracle it is
+checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ __all__ = [
     "tree_from_nested",
     "compute_node_weights",
     "weight_penalty",
-    "row_regularizer_weights",
 ]
 
 _SG_TOL = 1e-9
@@ -178,7 +181,7 @@ class TreePenalty:
     """Hierarchy tree bundled with its regularizer strength and weights.
 
     ``row_weights[l]`` sums the node weights over every group containing
-    leaf ``l`` (its ancestor chain plus itself).
+    leaf ``l`` (its ancestor chain plus itself); it is read-only.
     """
 
     tree: HierarchyTree
@@ -194,25 +197,20 @@ class TreePenalty:
         for nid, omega in weights.items():
             for row in self.tree.group(nid):
                 rows[row] += omega
+        rows.setflags(write=False)
         object.__setattr__(self, "node_weights", weights)
         object.__setattr__(self, "row_weights", rows)
 
 
 def weight_penalty(U1: np.ndarray, penalty: TreePenalty) -> float:
-    """Weighted sum of squared group norms of the question-mode factor rows."""
+    """Weighted sum of squared group norms of the question-mode factor rows.
+
+    Evaluated as ``lambda_w/2 * sum_l row_weights[l] * ||row l||^2``.
+    """
     U1 = np.asarray(U1, dtype=np.float64)
     if U1.ndim != 2 or U1.shape[0] != penalty.tree.n_rows:
         raise ContractViolation(
             f"factor has {U1.shape[0]} rows but the tree leaves cover {penalty.tree.n_rows}"
         )
     row_sq = np.sum(U1 * U1, axis=1)
-    total = 0.0
-    for nid, omega in penalty.node_weights.items():
-        group = penalty.tree.group(nid)
-        total += omega * float(row_sq[list(group)].sum())
-    return 0.5 * penalty.lambda_w * total
-
-
-def row_regularizer_weights(penalty: TreePenalty) -> np.ndarray:
-    """Per-row weights ``w`` with penalty == lambda_w/2 * sum_l w[l] * ||row l||^2."""
-    return penalty.row_weights.copy()
+    return 0.5 * penalty.lambda_w * float(np.dot(penalty.row_weights, row_sq))

@@ -171,15 +171,24 @@ def mttkrp(X: SparseTensor4, factors, mode: int) -> np.ndarray:
     factors = _check_factors(X, factors)
     if not 0 <= mode < 4:
         raise ContractViolation(f"mode {mode} out of range")
-    rank = factors[0].shape[1]
-    out = np.zeros((X.dims[mode], rank))
-    if X.nnz == 0:
-        return out
     weighted = X.values[:, None].copy()
     for m in range(4):
         if m != mode:
             weighted = weighted * factors[m][X.indices[:, m], :]
-    np.add.at(out, X.indices[:, mode], weighted)
+    return scatter_rows(X.indices[:, mode], weighted, X.dims[mode])
+
+
+def scatter_rows(index, rows, dim: int) -> np.ndarray:
+    """``out[index[k]] += rows[k]`` for every k, into a ``(dim, cols)`` zero array.
+
+    One ``np.bincount`` per column; each output cell adds its terms in
+    input order, so the result equals ``np.add.at`` bit for bit.
+    """
+    index = np.ascontiguousarray(index)
+    rows = np.asfortranarray(rows)
+    out = np.empty((dim, rows.shape[1]))
+    for r in range(rows.shape[1]):
+        out[:, r] = np.bincount(index, weights=rows[:, r], minlength=dim)
     return out
 
 

@@ -18,7 +18,6 @@ from qaexpert.cp_als import AlsConfig, cp_als, fit_metric
 from qaexpert.hierarchy import (
     TreePenalty,
     compute_node_weights,
-    row_regularizer_weights,
     tree_from_nested,
     weight_penalty,
 )
@@ -176,10 +175,13 @@ def test_criterion_4_tree_penalty_identity():
         tree = tree_from_nested(spec, sg_by_level=sg)
         penalty = TreePenalty(tree, lambda_w=float(rng.random() + 0.1))
         U1 = rng.standard_normal((tree.n_rows, int(rng.integers(1, 4))))
-        w = row_regularizer_weights(penalty)
-        rowwise = 0.5 * penalty.lambda_w * float(np.dot(w, np.sum(U1 * U1, axis=1)))
-        scale = max(1.0, abs(rowwise))
-        worst = max(worst, abs(weight_penalty(U1, penalty) - rowwise) / scale)
+        groupwise = 0.0
+        for nid, omega in compute_node_weights(tree).items():
+            for row in tree.group(nid):
+                groupwise += omega * float(np.dot(U1[row], U1[row]))
+        groupwise *= 0.5 * penalty.lambda_w
+        scale = max(1.0, abs(groupwise))
+        worst = max(worst, abs(weight_penalty(U1, penalty) - groupwise) / scale)
 
     tree = tree_from_nested([[0, 1], [2, 3]])
     weights = compute_node_weights(tree)
@@ -187,7 +189,7 @@ def test_criterion_4_tree_penalty_identity():
     for nid, omega in weights.items():
         by_level.setdefault(tree.nodes[nid].level, set()).add(omega)
     exact = by_level == {0: {0.5}, 1: {0.25}, 2: {0.25}}
-    _check(4, f"penalty equals rowwise decomposition on 100 trees "
+    _check(4, f"row-weight penalty equals the group-wise sum on 100 trees "
               f"(max rel err {worst:.2e}) and half-half weights are exact",
            worst <= 1e-12 and exact)
 

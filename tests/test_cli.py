@@ -167,6 +167,28 @@ class TestFit:
             b = open(os.path.join(outs[1], name), "rb").read()
             assert a == b, name
 
+    def test_live_fit_writes_no_warning(self, snapshot, tmp_path, capsys):
+        assert main(["fit", snapshot, "--out-dir", str(tmp_path / "fl"),
+                     "--rank", "2", "--max-iters", "10", "--seed", "0"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_collapsed_fit_warns_and_exits_0(self, snapshot, tmp_path, capsys):
+        # No tensor nonzeros next to non-empty membership matrices: every
+        # CP component norm comes out exactly 0.
+        tensor = os.path.join(snapshot, "tensor.txt")
+        header = open(tensor).readline()
+        with open(tensor, "w") as fh:
+            fh.write(header)
+        capsys.readouterr()
+        out = str(tmp_path / "fz")
+        assert main(["fit", snapshot, "--out-dir", out,
+                     "--rank", "3", "--max-iters", "5", "--seed", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: 0 of 3 components are live; every topic will rank as no-signal"]
+        assert captured.out.startswith("fit rank 3 in 5 sweeps")
+        assert os.path.exists(os.path.join(out, "model.txt"))
+
     def test_config_file_applies_and_flag_wins(self, snapshot, tmp_path, capsys):
         cfg = tmp_path / "fit.json"
         cfg.write_text('{"rank": 3, "max_iters": 10}')

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from qaexpert import coupled
 from qaexpert.coupled import (
+    BLOCKS,
     JointConfig,
     JointModel,
     MembershipMatrix,
@@ -13,11 +15,12 @@ from qaexpert.coupled import (
     networks_objective,
     site_regularizer,
     topic_objective,
+    _JointDescent,
 )
 from qaexpert.cp_als import CpModel, _normalize_columns, tensor_objective
 from qaexpert.errors import ContractViolation, DegenerateGroupError, SolverDiverged
 from qaexpert.hierarchy import TreePenalty, tree_from_nested, weight_penalty
-from qaexpert.sparse_tensor import SparseTensor4
+from qaexpert.sparse_tensor import SparseTensor4, residual_norm
 
 from conftest import dense_model, make_micro_joint, random_sparse
 
@@ -46,6 +49,18 @@ class TestMembershipMatrix:
         G = rng.standard_normal((3, 2))
         np.testing.assert_allclose(M.matmul(F), M.to_dense() @ F, atol=1e-12)
         np.testing.assert_allclose(M.tmatmul(G), M.to_dense().T @ G, atol=1e-12)
+
+    @pytest.mark.parametrize("pairs", [[(0, 1), (1, 0), (1, 1)], []])
+    def test_products_keep_empty_trailing_rows_and_cols(self, pairs):
+        # Rows 2-3 and columns 2-4 hold no pair (or nothing is stored), so
+        # both products end in rows that no pair touches.
+        rng = np.random.default_rng(6)
+        M = MembershipMatrix(4, 5, pairs)
+        F = rng.standard_normal((5, 2))
+        G = rng.standard_normal((4, 2))
+        np.testing.assert_allclose(M.matmul(F), M.to_dense() @ F, atol=1e-12)
+        np.testing.assert_allclose(M.tmatmul(G), M.to_dense().T @ G, atol=1e-12)
+        assert M.matmul(F).shape == (4, 2) and M.tmatmul(G).shape == (5, 2)
 
 
 class TestMembershipObjectives:
@@ -329,3 +344,41 @@ class TestFitJoint:
         penalty = TreePenalty(tree, cfg.lambda_w)
         stored = joint_objective(X, M, N, model, penalty)
         assert stored <= model.objective_history[-1] * (1 + 1e-6) + 1e-9
+
+
+class TestObjectiveTermCache:
+    def test_cached_total_equals_fresh_sum_after_every_block(self):
+        rng = np.random.default_rng(47)
+        for trial in range(20):
+            X, M, N, tree = make_micro_joint(rng)
+            lam = [float(v) for v in rng.random(5) + 0.01]
+            cfg = JointConfig(
+                rank=2, seed=trial, lambda_x=lam[0], lambda_w=lam[1],
+                lambda_s=lam[2], lambda_t=lam[3], lambda_site=lam[4],
+            )
+            penalty = TreePenalty(tree, cfg.lambda_w)
+            state = _JointDescent(X, M, N, tree, cfg)
+            for block in BLOCKS:
+                state.update(block)
+                f, S, A, T = state.factors, state.S, state.A, state.T
+                res = residual_norm(X, f, np.ones(2))
+                fresh = 0.5 * res * res
+                fresh += 0.5 * cfg.lambda_x * sum(float(np.sum(U * U)) for U in f)
+                fresh += weight_penalty(f[0], penalty)
+                fresh += networks_objective(S, A, M, cfg.lambda_s)
+                fresh += topic_objective(T, A, N, cfg.lambda_t)
+                fresh += site_regularizer(S, f[0], tree, cfg.effective_lambda_site)
+                assert state.objective() == fresh, (trial, block)
+
+    def test_each_term_evaluated_once_per_block_that_moves_it(self, monkeypatch):
+        calls = {"residual_norm": 0, "networks_objective": 0, "topic_objective": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(coupled, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(coupled, name, counted)
+        X, M, N, tree = make_micro_joint(np.random.default_rng(53))
+        fit_joint(X, M, N, tree, JointConfig(rank=2, max_iters=3, tolerance=0.0))
+        # Four tensor blocks per sweep; each membership loss once at the
+        # start and after its two blocks in every sweep.
+        assert calls == {"residual_norm": 12, "networks_objective": 7, "topic_objective": 7}

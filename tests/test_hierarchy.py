@@ -11,7 +11,6 @@ from qaexpert.hierarchy import (
     TreeNode,
     TreePenalty,
     compute_node_weights,
-    row_regularizer_weights,
     tree_from_nested,
     weight_penalty,
 )
@@ -221,30 +220,33 @@ class TestWeightPenalty:
 class TestRowWeights:
     def test_flat_tree_rows_weigh_one(self):
         tree = tree_from_nested([0, 1, 2], sg_by_level={0: (0.0, 1.0)})
-        w = row_regularizer_weights(TreePenalty(tree, lambda_w=1.0))
+        w = TreePenalty(tree, lambda_w=1.0).row_weights
         np.testing.assert_allclose(w, np.ones(3))
 
     def test_two_level_default_weights(self):
         tree = tree_from_nested([0, 1])
-        w = row_regularizer_weights(TreePenalty(tree, lambda_w=1.0))
+        w = TreePenalty(tree, lambda_w=1.0).row_weights
         np.testing.assert_allclose(w, np.ones(2))
 
     def test_decomposition_identity(self):
+        # The row-weight form weight_penalty evaluates equals the weighted
+        # sum of squared group norms, walked group by group.
         rng = np.random.default_rng(17)
         for _ in range(25):
             tree = random_tree(rng)
             penalty = TreePenalty(tree, lambda_w=float(rng.random() + 0.1))
             U1 = rng.standard_normal((tree.n_rows, 2))
-            w = row_regularizer_weights(penalty)
-            rowwise = 0.5 * penalty.lambda_w * float(
-                np.dot(w, np.sum(U1 * U1, axis=1))
-            )
+            groupwise = 0.0
+            for nid, omega in compute_node_weights(tree).items():
+                rows = sorted(tree.group(nid))
+                groupwise += omega * float(np.sum(U1[rows] ** 2))
+            groupwise *= 0.5 * penalty.lambda_w
             assert weight_penalty(U1, penalty) == pytest.approx(
-                rowwise, rel=1e-12, abs=1e-12
+                groupwise, rel=1e-12, abs=1e-12
             )
 
-    def test_returns_copy(self):
+    def test_row_weights_are_read_only(self):
         penalty = TreePenalty(tree_from_nested([0, 1]), lambda_w=1.0)
-        w = row_regularizer_weights(penalty)
-        w[0] = 99.0
+        with pytest.raises(ValueError):
+            penalty.row_weights[0] = 99.0
         assert penalty.row_weights[0] != 99.0

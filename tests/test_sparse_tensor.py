@@ -13,6 +13,7 @@ from qaexpert.sparse_tensor import (
     mttkrp,
     reconstruct_entry,
     residual_norm,
+    scatter_rows,
 )
 
 from conftest import (
@@ -188,6 +189,34 @@ class TestMttkrp:
         factors = random_factors(np.random.default_rng(0), (2, 2, 3, 2), 2)
         with pytest.raises(ContractViolation):
             mttkrp(X, factors, 0)
+
+    @pytest.mark.parametrize("filled", ["leading-block", "empty"])
+    def test_matches_dense_oracle_with_empty_trailing_slices(self, filled):
+        # Every stored index stays below dim - 1 in every mode (or nothing is
+        # stored), so the last output rows of each mode see no nonzero and
+        # must still be present, as zeros.
+        rng = np.random.default_rng(19)
+        dims = (5, 4, 3, 6)
+        dense = np.zeros(dims)
+        if filled == "leading-block":
+            dense[:3, :2, :2, :4] = rng.random((3, 2, 2, 4)) + 0.1
+        X = SparseTensor4.from_dense(dense)
+        assert X.nnz == (48 if filled == "leading-block" else 0)
+        factors = random_factors(rng, dims, 3)
+        for mode in range(4):
+            got = mttkrp(X, factors, mode)
+            assert got.shape == (dims[mode], 3)
+            np.testing.assert_allclose(
+                got, dense_mttkrp(dense, factors, mode), rtol=1e-12, atol=1e-12
+            )
+
+    def test_scatter_equals_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        index = rng.integers(0, 7, size=200)
+        rows = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-8, 8, size=(200, 1))
+        want = np.zeros((9, 3))
+        np.add.at(want, index, rows)
+        np.testing.assert_array_equal(scatter_rows(index, rows, 9), want)
 
 
 class TestReconstructEntry:
