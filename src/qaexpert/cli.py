@@ -5,9 +5,6 @@ which override built-in defaults; the effective configuration is echoed
 into every output for provenance.  All randomness flows from the single
 ``--seed`` through NumPy's default PCG64 generator, and output files are
 byte-identical across runs with equal inputs.
-
-``QA_EXPERT_THREADS`` caps the worker threads used to parse subsite
-dumps concurrently.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 from . import serialize
@@ -51,13 +47,6 @@ SNAPSHOT_FILES = {
 
 class UsageError(Exception):
     pass
-
-
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("QA_EXPERT_THREADS")
-    if cap:
-        return max(1, min(n_jobs, int(cap)))
-    return max(1, min(n_jobs, os.cpu_count() or 1))
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
@@ -101,9 +90,7 @@ def cmd_ingest(args) -> int:
                 raise FileNotFoundError(f"missing dump file: {f}")
         jobs.append((files, name))
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(jobs))) as pool:
-        datasets = list(pool.map(lambda j: parse_dump(*j[0], subsite_name=j[1]), jobs))
-    data = merge_datasets(datasets)
+    data = merge_datasets([parse_dump(*files, subsite_name=name) for files, name in jobs])
     if cfg["sample_users"] is not None:
         data = sample_dataset(data, int(cfg["sample_users"]), int(cfg["seed"]))
 

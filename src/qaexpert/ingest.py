@@ -6,15 +6,24 @@ are identified network-wide by their account id when the dump provides
 one, falling back to the per-site id otherwise.  Question tags are
 namespaced ``subsite/tag`` so topics from different subsites never
 collide.
+
+Each file is streamed through expat in one pass: every row becomes a
+user, post or vote as it is read, and no row is kept.  Errors name the
+file and line.  Since rows are handled as they are read, a non-integer
+attribute is reported at its own row even when an XML syntax error comes
+later in the same file.  Each subsite is validated once, when it is
+parsed; `merge_datasets` joins validated subsites without checking them
+again.
 """
 
 from __future__ import annotations
 
 import warnings
-import xml.sax
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from xml.sax.handler import ContentHandler
+from functools import cached_property
+from operator import attrgetter, itemgetter
+from xml.parsers import expat
 
 import numpy as np
 
@@ -40,6 +49,7 @@ __all__ = [
 DEFAULT_BUCKET_EDGES = (0, 1, 3, 10)
 
 _VOTE_KINDS = {"1": "accept", "2": "upvote", "3": "downvote"}
+_QUESTION_VOTE_DELTAS = {"upvote": 1, "downvote": -1}
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,7 @@ class QaDataset:
 
     def __init__(self, users, posts, votes):
         self.users = tuple(sorted(set(int(u) for u in users)))
-        self.posts = tuple(sorted(posts, key=lambda p: (p.subsite, p.post_id)))
+        self.posts = tuple(sorted(posts, key=attrgetter("subsite", "post_id")))
         self.votes = tuple(
             sorted(votes, key=lambda v: (v.subsite, v.post_id, v.kind, v.voter or 0))
         )
@@ -84,6 +94,14 @@ class QaDataset:
                 raise DataError(f"duplicate post id {post.post_id} in subsite {post.subsite}")
             self._by_key[key] = post
         self._validate()
+
+    @classmethod
+    def _assemble(cls, users, posts, votes, by_key):
+        """A dataset from parts already sorted, indexed and validated."""
+        data = cls.__new__(cls)
+        data.users, data.posts, data.votes = tuple(users), tuple(posts), tuple(votes)
+        data._by_key = by_key
+        return data
 
     def _validate(self):
         for post in self.posts:
@@ -132,40 +150,44 @@ class QaDataset:
         return self._by_key[(post.subsite, post.parent_id)]
 
 
-class _RowCollector(ContentHandler):
-    def __init__(self):
-        super().__init__()
-        self.rows = []
-        self._locator = None
-
-    def setDocumentLocator(self, locator):
-        self._locator = locator
-
-    def startElement(self, name, attrs):
-        if name == "row":
-            line = self._locator.getLineNumber() if self._locator else None
-            self.rows.append((line, dict(attrs)))
+class _RowError(Exception):
+    """A bad row; `_stream_rows` adds the file and the row's line."""
 
 
-def _iter_rows(path):
-    handler = _RowCollector()
+def _stream_rows(path, on_element):
+    """Call ``on_element(name, attrs)`` for every element of an XML file.
+
+    Elements are handled as the parser meets them; no row outlives its
+    call.  Syntax errors carry expat's message and line, and a `_RowError`
+    raised by ``on_element`` is reported at the line of its row.
+    """
+    parser = expat.ParserCreate()
+    parser.StartElementHandler = on_element
     try:
-        xml.sax.parse(str(path), handler)
-    except xml.sax.SAXParseException as exc:
-        raise DumpParseError(
-            exc.getMessage(), path=str(path), line=exc.getLineNumber()
-        ) from exc
-    return handler.rows
+        with open(path, "rb") as fh:
+            parser.ParseFile(fh)
+    except expat.ExpatError as exc:
+        raise DumpParseError(expat.ErrorString(exc.code), str(path), exc.lineno) from exc
+    except _RowError as exc:
+        raise DumpParseError(str(exc), path, parser.CurrentLineNumber) from None
 
 
-def _attr_int(attrs, name, path, line):
-    raw = attrs.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise DumpParseError(f"attribute {name}={raw!r} is not an integer", path, line)
+def _not_int(attrs, names):
+    """The message naming the first of ``names`` whose value is no integer."""
+    for name in names:
+        raw = attrs.get(name)
+        if raw is not None:
+            try:
+                int(raw)
+            except ValueError:
+                return f"attribute {name}={raw!r} is not an integer"
+
+
+# Integer attributes in the order a post row of each type converts them.
+_POST_INTS = {
+    "1": ("Id", "OwnerUserId", "AcceptedAnswerId"),
+    "2": ("Id", "OwnerUserId", "ParentId"),
+}
 
 
 def _parse_tags(raw, subsite):
@@ -181,70 +203,99 @@ def _parse_tags(raw, subsite):
 def parse_dump(posts_file, votes_file, users_file, subsite_name: str) -> QaDataset:
     """Parse one subsite's dump files into a validated dataset.
 
-    Unknown vote kinds and non-question/answer post kinds are skipped
-    with a counted warning.  Posts whose owner cannot be resolved against
-    the users file are kept with no owner.
+    Each file is streamed: every row becomes a user, post or vote as it
+    is read.  Unknown vote kinds and non-question/answer post kinds are
+    skipped with a counted warning.  Posts whose owner cannot be resolved
+    against the users file are kept with no owner.
     """
     local_to_canonical = {}
     users = []
-    for line, attrs in _iter_rows(users_file):
-        local = _attr_int(attrs, "Id", users_file, line)
-        if local is None:
-            raise DumpParseError("user row lacks Id", users_file, line)
+
+    def user_row(name, attrs):
+        if name != "row":
+            return
+        try:
+            local = int(attrs["Id"])
+        except KeyError:
+            raise _RowError("user row lacks Id") from None
+        except ValueError:
+            raise _RowError(_not_int(attrs, ("Id",))) from None
         if local in local_to_canonical:
             raise DataError(f"duplicate user id {local} in {users_file}")
-        account = _attr_int(attrs, "AccountId", users_file, line)
-        canonical = account if account is not None else local
+        account = attrs.get("AccountId")
+        try:
+            canonical = local if account is None else int(account)
+        except ValueError:
+            raise _RowError(_not_int(attrs, ("AccountId",))) from None
         local_to_canonical[local] = canonical
         users.append(canonical)
 
-    def resolve(local_id):
-        if local_id is None:
-            return None
-        return local_to_canonical.get(local_id)
-
     posts = []
     skipped_posts = 0
-    for line, attrs in _iter_rows(posts_file):
-        pid = _attr_int(attrs, "Id", posts_file, line)
-        if pid is None:
-            raise DumpParseError("post row lacks Id", posts_file, line)
-        kind_code = attrs.get("PostTypeId")
-        owner = resolve(_attr_int(attrs, "OwnerUserId", posts_file, line))
-        if kind_code == "1":
-            posts.append(Post(
-                post_id=pid,
-                subsite=subsite_name,
-                kind="question",
-                owner=owner,
-                accepted_id=_attr_int(attrs, "AcceptedAnswerId", posts_file, line),
-                tags=_parse_tags(attrs.get("Tags"), subsite_name),
-            ))
-        elif kind_code == "2":
-            posts.append(Post(
-                post_id=pid,
-                subsite=subsite_name,
-                kind="answer",
-                owner=owner,
-                parent_id=_attr_int(attrs, "ParentId", posts_file, line),
-            ))
-        else:
-            skipped_posts += 1
+    resolve = local_to_canonical.get
+
+    def post_row(name, attrs):
+        nonlocal skipped_posts
+        if name != "row":
+            return
+        get = attrs.get
+        kind_code = get("PostTypeId")
+        try:
+            pid = int(attrs["Id"])
+            owner = get("OwnerUserId")
+            if owner is not None:
+                owner = resolve(int(owner))
+            if kind_code == "1":
+                accepted = get("AcceptedAnswerId")
+                posts.append(Post(
+                    pid, subsite_name, "question", owner, None,
+                    None if accepted is None else int(accepted),
+                    _parse_tags(get("Tags"), subsite_name),
+                ))
+            elif kind_code == "2":
+                parent = get("ParentId")
+                posts.append(Post(
+                    pid, subsite_name, "answer", owner,
+                    None if parent is None else int(parent),
+                ))
+            else:
+                skipped_posts += 1
+        except KeyError:
+            raise _RowError("post row lacks Id") from None
+        except ValueError:
+            names = _POST_INTS.get(kind_code, ("Id", "OwnerUserId"))
+            raise _RowError(_not_int(attrs, names)) from None
 
     votes = []
     skipped_votes = 0
-    post_ids = {p.post_id for p in posts}
-    for line, attrs in _iter_rows(votes_file):
-        kind = _VOTE_KINDS.get(attrs.get("VoteTypeId"))
-        if kind is None:
+    post_ids = set()
+
+    def vote_row(name, attrs):
+        nonlocal skipped_votes
+        if name != "row":
+            return
+        get = attrs.get
+        kind = _VOTE_KINDS.get(get("VoteTypeId"))
+        pid = get("PostId")
+        if kind is None or pid is None:
             skipped_votes += 1
-            continue
-        pid = _attr_int(attrs, "PostId", votes_file, line)
-        if pid is None or pid not in post_ids:
-            skipped_votes += 1
-            continue
-        voter = resolve(_attr_int(attrs, "UserId", votes_file, line))
-        votes.append(Vote(subsite=subsite_name, post_id=pid, kind=kind, voter=voter))
+            return
+        try:
+            pid = int(pid)
+            if pid not in post_ids:
+                skipped_votes += 1
+                return
+            voter = get("UserId")
+            if voter is not None:
+                voter = resolve(int(voter))
+        except ValueError:
+            raise _RowError(_not_int(attrs, ("PostId", "UserId"))) from None
+        votes.append(Vote(subsite_name, pid, kind, voter))
+
+    _stream_rows(users_file, user_row)
+    _stream_rows(posts_file, post_row)
+    post_ids.update(p.post_id for p in posts)
+    _stream_rows(votes_file, vote_row)
 
     if skipped_posts:
         warnings.warn(
@@ -259,13 +310,32 @@ def parse_dump(posts_file, votes_file, users_file, subsite_name: str) -> QaDatas
 
 
 def merge_datasets(datasets) -> QaDataset:
-    """Combine per-subsite datasets into one network-wide dataset."""
-    users, posts, votes = [], [], []
+    """Combine datasets of disjoint subsites into one network-wide dataset.
+
+    Each part was sorted and validated when it was built, and no record
+    refers across subsites, so the parts' per-subsite runs are joined in
+    subsite order without sorting or validating again.
+    """
+    datasets = list(datasets)
+    runs = sorted(((s, data) for data in datasets for s in data.subsites), key=itemgetter(0))
+    for (a, _), (b, _) in zip(runs, runs[1:]):
+        if a == b:
+            raise DataError(f"subsite {a} appears in more than one dataset")
+    posts, votes, by_key = [], [], {}
+    for subsite, data in runs:
+        posts.extend(_run(data.posts, subsite))
+        votes.extend(_run(data.votes, subsite))
     for data in datasets:
-        users.extend(data.users)
-        posts.extend(data.posts)
-        votes.extend(data.votes)
-    return QaDataset(users, posts, votes)
+        by_key.update(data._by_key)
+    users = sorted(set().union(*(data.users for data in datasets)))
+    return QaDataset._assemble(users, posts, votes, by_key)
+
+
+def _run(records, subsite):
+    """The slice of subsite-sorted ``records`` that belongs to ``subsite``."""
+    key = attrgetter("subsite")
+    lo = bisect_left(records, subsite, key=key)
+    return records[lo:bisect_right(records, subsite, lo=lo, key=key)]
 
 
 def sample_dataset(data: QaDataset, n_users: int, seed: int) -> QaDataset:
@@ -326,15 +396,21 @@ class ReputationLedger:
     scores: dict
     skipped_voter_events: int = 0
 
+    @cached_property
+    def _ranked(self) -> dict:
+        """Topic -> users with reputation on it, by score descending then id."""
+        ranked = {}
+        for (user, topic), score in self.scores.items():
+            ranked.setdefault(topic, []).append((-score, user))
+        return {topic: [u for _, u in sorted(pairs)] for topic, pairs in ranked.items()}
+
     def top_users(self, topic: str, k: int | None = None) -> list[int]:
         """Users with reputation on a topic, by score descending then id."""
-        scored = [(u, s) for (u, t), s in self.scores.items() if t == topic]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        users = [u for u, _ in scored]
-        return users if k is None else users[:k]
+        users = self._ranked.get(topic, [])
+        return users[:] if k is None else users[:k]
 
     def topics(self) -> list[str]:
-        return sorted({t for (_, t) in self.scores})
+        return sorted(self._ranked)
 
 
 def reputation_scores(data: QaDataset) -> ReputationLedger:
@@ -351,7 +427,7 @@ def reputation_scores(data: QaDataset) -> ReputationLedger:
     skipped = 0
 
     def credit(user, topics, delta):
-        if user is None or user not in users:
+        if user not in users:
             return
         for topic in topics:
             key = (user, topic)
@@ -362,20 +438,26 @@ def reputation_scores(data: QaDataset) -> ReputationLedger:
         if post.kind == "question" and post.accepted_id is not None:
             accepted.add((post.subsite, post.accepted_id))
 
+    # Votes are sorted by post: look each post and its topics up once.
+    by_key = data._by_key
+    subsite = post_id = None
     for vote in data.votes:
-        post = data.post(vote.subsite, vote.post_id)
-        topics = data.governing_question(post).tags
+        if vote.post_id != post_id or vote.subsite != subsite:
+            subsite, post_id = vote.subsite, vote.post_id
+            post = by_key[subsite, post_id]
+            answer = post.kind == "answer"
+            topics = by_key[subsite, post.parent_id].tags if answer else post.tags
         if vote.kind == "upvote":
-            credit(post.owner, topics, 10 if post.kind == "answer" else 5)
+            credit(post.owner, topics, 10 if answer else 5)
         elif vote.kind == "downvote":
             credit(post.owner, topics, -2)
-            if post.kind == "answer":
-                if vote.voter is not None and vote.voter in users:
+            if answer:
+                if vote.voter in users:
                     credit(vote.voter, topics, -1)
                 else:
                     skipped += 1
-        elif vote.kind == "accept" and post.kind == "answer":
-            accepted.add((vote.subsite, vote.post_id))
+        elif vote.kind == "accept" and answer:
+            accepted.add((subsite, post_id))
 
     for subsite, post_id in sorted(accepted):
         post = data.post(subsite, post_id)
@@ -409,16 +491,18 @@ class BuildInputs:
 
 def question_scores(data: QaDataset) -> dict:
     """Net vote score per question key, from the parsed votes."""
+    by_key = data._by_key
     scores = {}
+    # Votes are sorted by post: look each post up once.
+    subsite = post_id = None
     for vote in data.votes:
-        post = data.post(vote.subsite, vote.post_id)
-        if post.kind != "question":
-            continue
-        key = (vote.subsite, vote.post_id)
-        if vote.kind == "upvote":
-            scores[key] = scores.get(key, 0) + 1
-        elif vote.kind == "downvote":
-            scores[key] = scores.get(key, 0) - 1
+        if vote.post_id != post_id or vote.subsite != subsite:
+            subsite, post_id = vote.subsite, vote.post_id
+            question = by_key[subsite, post_id].kind == "question"
+        delta = _QUESTION_VOTE_DELTAS.get(vote.kind)
+        if question and delta is not None:
+            key = (subsite, post_id)
+            scores[key] = scores.get(key, 0) + delta
     return scores
 
 
@@ -470,30 +554,28 @@ def build_inputs(
         if post.kind != "answer" or post.owner not in u_index:
             continue
         key = (post.subsite, post.parent_id)
-        if key not in q_index:
+        i = q_index.get(key)
+        if i is None:
             continue
-        i = q_index[key]
         k = buckets[key]
         l = u_index[post.owner]
         site_pairs.append((s_index[post.subsite], l))
-        for tag in data.post(*key).tags:
+        for tag in questions[i].tags:
             j = t_index[tag]
-            cells.append((i, j, k, l, 1.0))
+            cells.append((i, j, k, l))
             topic_pairs.append((j, l))
 
     tensor = SparseTensor4(
-        (len(questions), len(topics), len(edges) + 1, len(users)), entries=cells
+        (len(questions), len(topics), len(edges) + 1, len(users)),
+        indices=cells, values=np.ones(len(cells)),
     )
     site_matrix = MembershipMatrix(len(subsites), len(users), site_pairs)
     topic_matrix = MembershipMatrix(len(topics), len(users), topic_pairs)
 
-    nested = []
-    for subsite in subsites:
-        primary = {}
-        for q in questions:
-            if q.subsite == subsite:
-                primary.setdefault(q.tags[0], []).append(q_index[(q.subsite, q.post_id)])
-        nested.append([primary[tag] for tag in sorted(primary)])
+    primary = {subsite: {} for subsite in subsites}
+    for i, q in enumerate(questions):
+        primary[q.subsite].setdefault(q.tags[0], []).append(i)
+    nested = [[groups[tag] for tag in sorted(groups)] for groups in primary.values()]
     sg = {level: (tree_s, tree_g) for level in range(3)}
     tree = tree_from_nested(nested, sg_by_level=sg)
 

@@ -48,11 +48,10 @@ def _read_lines(path):
 
 
 def save_tensor(X: SparseTensor4, path):
-    out = io.StringIO()
-    out.write("dims " + " ".join(str(d) for d in X.dims) + "\n")
-    for (i, j, k, l), v in zip(X.indices, X.values):
-        out.write(f"{i} {j} {k} {l} {_fmt(v)}\n")
-    _write_text(path, out.getvalue())
+    values = X.values.tolist()
+    text = {v: _fmt(v) for v in set(values)}
+    lines = [f"{i} {j} {k} {l} {text[v]}\n" for (i, j, k, l), v in zip(X.indices.tolist(), values)]
+    _write_text(path, "dims " + " ".join(str(d) for d in X.dims) + "\n" + "".join(lines))
 
 
 def load_tensor(path) -> SparseTensor4:
@@ -71,11 +70,8 @@ def load_tensor(path) -> SparseTensor4:
 
 
 def save_membership(M: MembershipMatrix, path):
-    out = io.StringIO()
-    out.write(f"{M.rows} {M.cols}\n")
-    for r, c in M.indices:
-        out.write(f"{r} {c}\n")
-    _write_text(path, out.getvalue())
+    lines = [f"{r} {c}\n" for r, c in M.indices.tolist()]
+    _write_text(path, f"{M.rows} {M.cols}\n" + "".join(lines))
 
 
 def load_membership(path) -> MembershipMatrix:
@@ -235,11 +231,9 @@ def load_model(path):
 
 
 def save_reputation(ledger: ReputationLedger, path):
-    out = io.StringIO()
-    out.write("user_id,topic,score\n")
-    for (user, topic), score in sorted(ledger.scores.items()):
-        out.write(f"{user},{topic},{score}\n")
-    _write_text(path, out.getvalue())
+    scores = ledger.scores
+    lines = [f"{user},{topic},{scores[user, topic]}\n" for user, topic in sorted(scores)]
+    _write_text(path, "user_id,topic,score\n" + "".join(lines))
 
 
 def load_reputation(path) -> ReputationLedger:

@@ -124,10 +124,6 @@ class TestIngest:
         dims = [int(t) for t in header.split()[1:]]
         assert dims[2] == 3
 
-    def test_thread_cap_env(self, corpus, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QA_EXPERT_THREADS", "1")
-        assert main(["ingest", *corpus, "--out-dir", str(tmp_path / "s")]) == 0
-
     def test_unknown_config_key_exits_2(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"tree_depth": 3}')

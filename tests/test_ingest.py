@@ -1,7 +1,9 @@
 """Dump parsing, sampling, reputation arithmetic, and model-input assembly."""
 
 import os
+import re
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from qaexpert.errors import ContractViolation, DataError, DumpParseError, EmptyI
 from qaexpert.ingest import (
     Post,
     QaDataset,
+    ReputationLedger,
     Vote,
     build_inputs,
     merge_datasets,
@@ -18,7 +21,7 @@ from qaexpert.ingest import (
     reputation_scores,
     sample_dataset,
 )
-from qaexpert.synthetic import write_subsite_dump
+from qaexpert.synthetic import make_corpus, write_subsite_dump
 
 from conftest import FIXTURE_POSTS, FIXTURE_SITE, FIXTURE_USERS, FIXTURE_VOTES
 
@@ -74,7 +77,7 @@ class TestParseDump:
             fh.write("<posts>\n  <row Id broken\n</posts>\n")
         with pytest.raises(DumpParseError) as err:
             parse_site(site, "s")
-        assert err.value.line is not None
+        assert err.value.line == 2
         assert "Posts.xml" in str(err.value)
 
     def test_duplicate_post_id_rejected(self, tmp_path):
@@ -125,6 +128,192 @@ class TestParseDump:
         write_subsite_dump(site, posts, [], [{"Id": 1}])
         data = parse_site(site, "s")
         assert data.questions()[0].owner is None
+
+
+# A small valid dump, one list of row elements per file.
+ROWS = {
+    "Users.xml": ("users", ['<row Id="1" />', '<row Id="2" AccountId="20" />']),
+    "Posts.xml": ("posts", [
+        '<row Id="1" PostTypeId="1" OwnerUserId="1" Tags="&lt;a&gt;" />',
+        '<row Id="2" PostTypeId="2" ParentId="1" OwnerUserId="2" />',
+    ]),
+    "Votes.xml": ("votes", [
+        '<row Id="1" PostId="2" VoteTypeId="2" UserId="1" />',
+        '<row Id="2" PostId="1" VoteTypeId="3" />',
+    ]),
+}
+
+
+def write_rows(site, extra):
+    """Write the ROWS dump, with ``extra[file]`` rows inserted after the
+    first row of that file.  Line 1 is the XML declaration, line 2 the
+    root element, so the first inserted row sits on line 4."""
+    os.makedirs(site, exist_ok=True)
+    for name, (root, rows) in ROWS.items():
+        lines = ['<?xml version="1.0" encoding="utf-8"?>', f"<{root}>", "  " + rows[0]]
+        lines += ["  " + row for row in extra.get(name, [])]
+        lines += ["  " + row for row in rows[1:]] + [f"</{root}>", ""]
+        with open(os.path.join(site, name), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+
+
+class TestParseErrors:
+    def test_unchanged_rows_parse(self, tmp_path):
+        write_rows(tmp_path, {})
+        data = parse_site(tmp_path, "s")
+        assert data.users == (1, 20)
+        assert len(data.posts) == 2 and len(data.votes) == 2
+
+    @pytest.mark.parametrize("name, row, attr", [
+        ("Users.xml", '<row Id="u3" />', "Id"),
+        ("Users.xml", '<row Id="3" AccountId="a3" />', "AccountId"),
+        ("Posts.xml", '<row Id="3" PostTypeId="2" ParentId="1" OwnerUserId="x7" />',
+         "OwnerUserId"),
+        ("Posts.xml", '<row Id="p3" PostTypeId="1" />', "Id"),
+        ("Posts.xml", '<row Id="3" PostTypeId="1" AcceptedAnswerId="z" />',
+         "AcceptedAnswerId"),
+        # an answer converts ParentId, never AcceptedAnswerId
+        ("Posts.xml", '<row Id="3" PostTypeId="2" AcceptedAnswerId="z" ParentId="y" />',
+         "ParentId"),
+        ("Votes.xml", '<row Id="3" PostId="p1" VoteTypeId="2" />', "PostId"),
+        ("Votes.xml", '<row Id="3" PostId="1" VoteTypeId="2" UserId="v" />', "UserId"),
+    ])
+    def test_bad_integer_names_attribute_and_line(self, tmp_path, name, row, attr):
+        write_rows(tmp_path, {name: [row]})
+        with pytest.raises(DumpParseError) as err:
+            parse_site(tmp_path, "s")
+        assert err.value.line == 4
+        assert f"attribute {attr}=" in str(err.value)
+        assert f"{name}:4]" in str(err.value)
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_syntax_error_gives_expat_message_and_line(self, tmp_path, name):
+        write_rows(tmp_path, {name: ['<row Id="3" />', '<row Id="4" Tags="a & b" />']})
+        with pytest.raises(ET.ParseError) as oracle:
+            ET.parse(os.path.join(tmp_path, name))
+        assert oracle.value.position[0] == 5
+        with pytest.raises(DumpParseError) as err:
+            parse_site(tmp_path, "s")
+        assert err.value.line == 5
+        assert str(err.value).startswith("not well-formed (invalid token) [")
+        assert err.value.path.endswith(name)
+
+    def test_bad_row_reported_before_a_later_syntax_error(self, tmp_path):
+        write_rows(tmp_path, {"Posts.xml": [
+            '<row Id="3" PostTypeId="1" OwnerUserId="x" />', '<row Id="4" broken />',
+        ]})
+        with pytest.raises(DumpParseError) as err:
+            parse_site(tmp_path, "s")
+        assert err.value.line == 4
+        assert "OwnerUserId" in str(err.value)
+
+    def test_missing_id_names_the_row(self, tmp_path):
+        write_rows(tmp_path, {"Posts.xml": ['<row PostTypeId="1" />']})
+        with pytest.raises(DumpParseError, match="post row lacks Id") as err:
+            parse_site(tmp_path, "s")
+        assert err.value.line == 4
+
+
+def _tag_names(raw):
+    if raw.startswith("<"):
+        return re.findall(r"<([^<>]+)>", raw)
+    return [t for t in raw.split("|") if t]
+
+
+def reread_site(site_dir, name):
+    """Users, posts and votes of one subsite, re-read with ElementTree."""
+
+    def rows(filename):
+        root = ET.parse(os.path.join(site_dir, filename)).getroot()
+        return [row.attrib for row in root.iter("row")]
+
+    canonical = {int(a["Id"]): int(a.get("AccountId", a["Id"])) for a in rows("Users.xml")}
+    posts = []
+    for a in rows("Posts.xml"):
+        owner = canonical.get(int(a["OwnerUserId"])) if "OwnerUserId" in a else None
+        if a.get("PostTypeId") == "1":
+            accepted = int(a["AcceptedAnswerId"]) if "AcceptedAnswerId" in a else None
+            tags = tuple(f"{name}/{t}" for t in _tag_names(a.get("Tags", "")))
+            posts.append(Post(int(a["Id"]), name, "question", owner, None, accepted, tags))
+        elif a.get("PostTypeId") == "2":
+            parent = int(a["ParentId"]) if "ParentId" in a else None
+            posts.append(Post(int(a["Id"]), name, "answer", owner, parent))
+    post_ids = {p.post_id for p in posts}
+    kinds = {"1": "accept", "2": "upvote", "3": "downvote"}
+    votes = []
+    for a in rows("Votes.xml"):
+        kind = kinds.get(a.get("VoteTypeId"))
+        if kind is None or "PostId" not in a or int(a["PostId"]) not in post_ids:
+            continue
+        voter = canonical.get(int(a["UserId"])) if "UserId" in a else None
+        votes.append(Vote(name, int(a["PostId"]), kind, voter))
+    return sorted(set(canonical.values())), posts, votes
+
+
+class TestParserAndMergeOracle:
+    @pytest.fixture
+    def sites(self, tmp_path):
+        root = tmp_path / "corpus"
+        make_corpus(str(root), seed=4, n_subsites=3)
+        odd = str(root / "sitez")
+        write_subsite_dump(
+            odd,
+            [
+                {"Id": 1, "PostTypeId": 1, "OwnerUserId": 1, "Tags": "|x|y|"},
+                {"Id": 2, "PostTypeId": 2, "ParentId": 1, "OwnerUserId": 2},
+                {"Id": 3, "PostTypeId": 5, "OwnerUserId": 1},
+                {"Id": 4, "PostTypeId": 1, "AcceptedAnswerId": 5},
+                {"Id": 5, "PostTypeId": 2, "ParentId": 4, "OwnerUserId": 9},
+            ],
+            [
+                {"Id": 1, "PostId": 2, "VoteTypeId": 2, "UserId": 2},
+                {"Id": 2, "PostId": 2, "VoteTypeId": 3, "UserId": 7},
+                {"Id": 3, "PostId": 3, "VoteTypeId": 2},
+                {"Id": 4, "PostId": 1, "VoteTypeId": 9},
+                {"Id": 5, "PostId": 5, "VoteTypeId": 1},
+            ],
+            [{"Id": 1, "AccountId": 101}, {"Id": 2}],
+        )
+        return {name: str(root / name) for name in ("sitea", "siteb", "sitec", "sitez")}
+
+    def test_parse_matches_elementtree(self, sites):
+        for name, path in sites.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                data = parse_site(path, name)
+            users, posts, votes = reread_site(path, name)
+            assert data.users == tuple(users)
+            assert data.posts == tuple(sorted(posts, key=lambda p: p.post_id))
+            assert data.votes == tuple(
+                sorted(votes, key=lambda v: (v.post_id, v.kind, v.voter or 0))
+            )
+
+    def test_merge_equals_one_dataset(self, sites):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            parts = [parse_site(path, name) for name, path in sites.items()]
+        whole = QaDataset(
+            [u for p in parts for u in p.users],
+            [x for p in parts for x in p.posts],
+            [v for p in parts for v in p.votes],
+        )
+        a, b, c, z = parts
+        # parts in any order, and a part spanning non-adjacent subsites
+        spanning = merge_datasets([a, c])
+        for merged in (merge_datasets(parts[::-1]), merge_datasets([spanning, z, b])):
+            assert merged.users == whole.users
+            assert merged.posts == whole.posts
+            assert merged.votes == whole.votes
+            assert merged.subsites == whole.subsites
+            for post in whole.posts:
+                assert merged.post(post.subsite, post.post_id) == post
+            with pytest.raises(KeyError):
+                merged.post("sitea", 10**6)
+
+    def test_merge_rejects_shared_subsite(self, sites):
+        part = parse_site(sites["sitea"], "sitea")
+        with pytest.raises(DataError, match="sitea"):
+            merge_datasets([part, parse_site(sites["siteb"], "siteb"), part])
 
 
 class TestDatasetInvariants:
@@ -288,6 +477,22 @@ class TestReputation:
         data = parse_site(fixture_dump, FIXTURE_SITE)
         ledger = reputation_scores(data)
         assert not any(u == 3 for (u, _) in ledger.scores)
+
+    def test_top_users_matches_full_scan(self):
+        rng = np.random.default_rng(0)
+        scores = {}
+        for u, t, v in zip(rng.integers(0, 40, 300), rng.integers(0, 6, 300),
+                           rng.integers(-4, 5, 300)):
+            scores[(int(u), f"t{t}")] = int(v)
+        ledger = ReputationLedger(scores)
+        assert ledger.topics() == sorted({t for _, t in scores})
+        for topic in ledger.topics() + ["missing"]:
+            scan = sorted((u for u, t in scores if t == topic),
+                          key=lambda u: (-scores[u, topic], u))
+            assert ledger.top_users(topic) == scan
+            assert ledger.top_users(topic, 3) == scan[:3]
+            ledger.top_users(topic).clear()
+            assert ledger.top_users(topic) == scan
 
     def test_multi_tag_question_credits_each_topic(self, tmp_path):
         posts = [
