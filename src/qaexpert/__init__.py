@@ -9,16 +9,20 @@ ledger derived from vote events.
 """
 
 from .coupled import (
+    AlsConfig,
+    CpModel,
     JointConfig,
     JointModel,
     MembershipMatrix,
+    cp_als,
     fit_joint,
+    fit_metric,
     joint_objective,
     networks_objective,
     site_regularizer,
+    tensor_objective,
     topic_objective,
 )
-from .cp_als import AlsConfig, CpModel, cp_als, fit_metric, tensor_objective
 from .errors import (
     ContractViolation,
     DataError,

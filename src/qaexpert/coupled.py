@@ -1,10 +1,20 @@
-"""Joint factorization: evidence tensor coupled with two membership matrices.
+"""Tree-regularized CP factorization, alone or coupled with two membership matrices.
 
-The subsite×answerer matrix M and topic×answerer matrix N are factorized
-with a shared answerer factor A, and the subsite factor S is pulled toward
-the average question-factor row of each subsite's question group.  All
-blocks have closed-form ridge updates, so block coordinate descent
-decreases the joint objective monotonically.
+One block coordinate descent engine fits both models.  :func:`fit_joint`
+factorizes the evidence tensor jointly with the subsite×answerer matrix M
+and the topic×answerer matrix N: they share the answerer factor A, and
+the subsite factor S is pulled toward the average question-factor row of
+each subsite's question group.  :func:`cp_als` sweeps the four tensor
+modes alone, with an optional hierarchy penalty on the question mode.
+All blocks have closed-form ridge updates, so every sweep decreases the
+objective monotonically.
+
+Without a hierarchy penalty, :func:`cp_als` ends each sweep by
+rebalancing the component scales evenly across modes.  For the plain
+ridge objective that rebalancing is itself a descent step (it minimizes
+the ridge over the scale-equivalent models), so the recorded history
+stays non-increasing.  With a penalty the factors are kept raw during
+the iteration and the per-row ridge weights absorb the penalty exactly.
 
 Zeros in M and N are observed zeros: the losses are full-matrix Frobenius
 norms, evaluated without densifying via the Gram identity
@@ -13,16 +23,21 @@ norms, evaluated without densifying via the Gram identity
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cp_als import CpModel, _normalize_columns, _ridge_solve, tensor_objective
 from .errors import ContractViolation, DegenerateGroupError, SolverDiverged
 from .hierarchy import HierarchyTree, TreePenalty, weight_penalty
 from .sparse_tensor import SparseTensor4, gram_hadamard, mttkrp, residual_norm, scatter_rows
 
 __all__ = [
+    "AlsConfig",
+    "CpModel",
+    "tensor_objective",
+    "fit_metric",
+    "cp_als",
     "MembershipMatrix",
     "JointConfig",
     "JointModel",
@@ -32,6 +47,117 @@ __all__ = [
     "joint_objective",
     "fit_joint",
 ]
+
+
+@dataclass(frozen=True)
+class AlsConfig:
+    """Solver settings for :func:`cp_als`.
+
+    ``tolerance`` is relative objective improvement: the loop stops after
+    the first sweep that lowers the objective by less than
+    ``tolerance * |previous objective|``.
+    """
+
+    rank: int
+    max_iters: int = 200
+    tolerance: float = 1e-6
+    lambda_x: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ContractViolation("rank must be >= 1")
+        if self.max_iters < 1:
+            raise ContractViolation("max_iters must be >= 1")
+        if self.tolerance < 0:
+            raise ContractViolation("tolerance must be >= 0")
+        if self.lambda_x < 0:
+            raise ContractViolation("lambda_x must be >= 0")
+
+
+@dataclass
+class CpModel:
+    """Fitted CP model: unit-column factors, component scales, objective trace.
+
+    ``factors[m][:, r]`` has unit Euclidean norm (zero for dead components)
+    and ``norms[r]`` carries the component's full scale, so the model value
+    at a cell is ``sum_r norms[r] * prod_m factors[m][i_m, r]``.
+    """
+
+    factors: list[np.ndarray]
+    norms: np.ndarray
+    fit_history: list[float] = field(default_factory=list)
+
+    @property
+    def rank(self) -> int:
+        return int(self.norms.shape[0])
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(U.shape[0] for U in self.factors)
+
+    def balanced_factors(self) -> list[np.ndarray]:
+        """Factors with each component's scale spread evenly over the modes."""
+        spread = self.norms ** 0.25
+        return [U * spread for U in self.factors]
+
+
+def _normalize_columns(factors):
+    """Pull column norms out of the factors; dead components become all-zero."""
+    norms_per_mode = np.stack([np.linalg.norm(U, axis=0) for U in factors])
+    lam = np.prod(norms_per_mode, axis=0)
+    out = []
+    for U, col_norms in zip(factors, norms_per_mode):
+        scale = np.divide(1.0, col_norms, out=np.zeros_like(col_norms), where=col_norms > 0)
+        out.append(U * scale)
+    dead = lam == 0
+    if np.any(dead):
+        for U in out:
+            U[:, dead] = 0.0
+    return out, lam
+
+
+def _balance_columns(factors):
+    """Rescale so every mode carries the same per-component column norm."""
+    normalized, lam = _normalize_columns(factors)
+    spread = lam ** 0.25
+    return [U * spread for U in normalized]
+
+
+def tensor_objective(X: SparseTensor4, model: CpModel, lambda_x: float) -> float:
+    """Half squared reconstruction error plus the ridge on the factors.
+
+    The ridge is evaluated on the balanced representation (scale spread
+    evenly across modes), the minimal-ridge member of the model's
+    rescaling class; this makes the value well defined for a model stored
+    as unit columns plus scales.
+    """
+    res = residual_norm(X, model.factors, model.norms)
+    ridge = sum(float(np.sum(U * U)) for U in model.balanced_factors())
+    return 0.5 * res * res + 0.5 * lambda_x * ridge
+
+
+def fit_metric(X: SparseTensor4, model: CpModel) -> float:
+    """1 minus the relative residual; 1.0 for an exact fit of a zero tensor."""
+    res = residual_norm(X, model.factors, model.norms)
+    norm_x = X.norm()
+    if norm_x == 0:
+        return 1.0 if res == 0 else float("-inf")
+    return min(1.0 - res / norm_x, 1.0)
+
+
+def _ridge_solve(V, rhs, reg):
+    """Solve ``rows @ (V + reg*I) = rhs``; pseudo-inverse when unregularized."""
+    r = V.shape[0]
+    if reg > 0:
+        A = V + reg * np.eye(r)
+        try:
+            return np.linalg.solve(A, rhs.T).T
+        except np.linalg.LinAlgError:
+            pass
+    else:
+        A = V
+    return rhs @ np.linalg.pinv(A, hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -138,14 +264,16 @@ def _subsite_groups(tree: HierarchyTree) -> list[list[int]]:
     return groups
 
 
-def group_means(U1: np.ndarray, tree: HierarchyTree) -> np.ndarray:
-    """Per-subsite mean of the question-factor rows, in subsite node order."""
-    U1 = np.asarray(U1, dtype=np.float64)
-    groups = _subsite_groups(tree)
+def _group_means(U1: np.ndarray, groups: list[list[int]]) -> np.ndarray:
     out = np.empty((len(groups), U1.shape[1]))
     for j, rows in enumerate(groups):
         out[j] = U1[rows].mean(axis=0)
     return out
+
+
+def group_means(U1: np.ndarray, tree: HierarchyTree) -> np.ndarray:
+    """Per-subsite mean of the question-factor rows, in subsite node order."""
+    return _group_means(np.asarray(U1, dtype=np.float64), _subsite_groups(tree))
 
 
 def site_regularizer(S: np.ndarray, U1: np.ndarray, tree: HierarchyTree, lambda_site: float) -> float:
@@ -165,32 +293,24 @@ def site_regularizer(S: np.ndarray, U1: np.ndarray, tree: HierarchyTree, lambda_
 
 
 @dataclass(frozen=True)
-class JointConfig:
-    """Settings for :func:`fit_joint`.
+class JointConfig(AlsConfig):
+    """Settings for :func:`fit_joint`; the shared fields mean what they do in
+    :class:`AlsConfig`.
 
     ``lambda_site`` weights the subsite-to-question-mean coupling and
     defaults to ``lambda_s`` when left unset, matching the shared symbol
-    in the objective.  ``tolerance`` is relative objective improvement.
+    in the objective.
     """
 
-    rank: int
     max_iters: int = 100
-    tolerance: float = 1e-6
-    lambda_x: float = 0.1
     lambda_w: float = 0.1
     lambda_s: float = 0.1
     lambda_t: float = 0.1
     lambda_site: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ContractViolation("rank must be >= 1")
-        if self.max_iters < 1:
-            raise ContractViolation("max_iters must be >= 1")
-        if self.tolerance < 0:
-            raise ContractViolation("tolerance must be >= 0")
-        for name in ("lambda_x", "lambda_w", "lambda_s", "lambda_t"):
+        super().__post_init__()
+        for name in ("lambda_w", "lambda_s", "lambda_t"):
             if getattr(self, name) < 0:
                 raise ContractViolation(f"{name} must be >= 0")
         if self.lambda_site is not None and self.lambda_site < 0:
@@ -255,47 +375,64 @@ def _sym_inv(K: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(K, hermitian=True)
 
 
-# The blocks of one sweep, in update order.
+# The blocks of one joint sweep, in update order; the first four are the
+# tensor modes.  ``balance`` rescales all four tensor factors at once.
 BLOCKS = ("question", "topic", "voting", "expert", "subsite", "answerer", "topicfactor")
+_TENSOR_BLOCKS = BLOCKS[:4]
 
-# The five objective terms in summation order, each with the blocks it reads.
-_TERM_BLOCKS = (
-    ("tensor", frozenset({"question", "topic", "voting", "expert"})),
-    ("tree", frozenset({"question"})),
-    ("network", frozenset({"subsite", "answerer"})),
-    ("topic", frozenset({"answerer", "topicfactor"})),
-    ("site", frozenset({"question", "subsite"})),
-)
+# The objective terms in summation order, each with the blocks it reads.
+# A sweep carries the terms whose blocks it all runs; ``balance`` rescales
+# every tensor factor and so stales every term.
+_TERM_BLOCKS = {
+    "tensor": frozenset(_TENSOR_BLOCKS),
+    "tree": frozenset({"question"}),
+    "network": frozenset({"subsite", "answerer"}),
+    "topic": frozenset({"answerer", "topicfactor"}),
+    "site": frozenset({"question", "subsite"}),
+}
 
 
-class _JointDescent:
-    """Working iterate of :func:`fit_joint`: raw factors and block updates.
+class _Descent:
+    """Working iterate of the block coordinate descent: raw factors and updates.
 
-    Each :meth:`update` is the exact minimizer of the joint objective in
-    its block.  The five objective terms are cached and each is recomputed
-    only after a block it reads moves; :meth:`objective` sums them in a
-    fixed order, so the total equals a from-scratch evaluation exactly.
+    A configuration is its block list: :func:`fit_joint` sweeps
+    :data:`BLOCKS`, :func:`cp_als` the tensor modes (plus ``balance``
+    without a penalty).  Each :meth:`update` is the exact minimizer of the
+    objective in its block.  The objective terms are cached and each is
+    recomputed only after a block it reads moves; :meth:`objective` sums
+    them in a fixed order, so the total equals a from-scratch evaluation
+    exactly.  Every update assigns fresh arrays, so a sweep's arrays can
+    be kept by reference.
     """
 
-    def __init__(self, X, M, N, tree, config):
+    S = A = T = None
+    lam_site = 0.0
+
+    def __init__(self, X, config, blocks, penalty=None, M=None, N=None, groups=()):
         self.X, self.M, self.N = X, M, N
         self.config = config
-        self.lam_site = config.effective_lambda_site
-        self.tree = tree
-        self.penalty = TreePenalty(tree, config.lambda_w)
-        self.groups = _subsite_groups(tree)
+        self.blocks = blocks
+        self.penalty = penalty
+        self.groups = groups
         rng = np.random.default_rng(config.seed)
         R = config.rank
         self.factors = [rng.random((d, R)) for d in X.dims]
-        self.S = rng.random((M.rows, R))
-        self.A = rng.random((M.cols, R))
-        self.T = rng.random((N.rows, R))
+        if M is not None:
+            self.S = rng.random((M.rows, R))
+            self.A = rng.random((M.cols, R))
+            self.T = rng.random((N.rows, R))
+            self.lam_site = config.effective_lambda_site
         self.mu = None
-        self.terms = {name: None for name, _ in _TERM_BLOCKS}
+        self.terms = {
+            name: None for name, reads in _TERM_BLOCKS.items()
+            if reads <= set(blocks) and (name != "tree" or penalty is not None)
+        }
 
         # Question rows grouped by ridge weight once: the distinct weights
         # ascending, each row's position among them, and the rows of each.
-        row_regs = config.lambda_x + config.lambda_w * self.penalty.row_weights
+        row_regs = np.full(X.dims[0], config.lambda_x)
+        if penalty is not None:
+            row_regs = config.lambda_x + penalty.lambda_w * penalty.row_weights
         order = np.argsort(row_regs, kind="stable")
         ranked = row_regs[order]
         first = np.r_[True, ranked[1:] != ranked[:-1]]
@@ -311,7 +448,9 @@ class _JointDescent:
         if block == "question":
             V = gram_hadamard(factors, 0)
             factors[0] = self._solve_question_block(mttkrp(self.X, factors, 0), V)
-            self.mu = group_means(factors[0], self.tree)
+            self.mu = _group_means(factors[0], self.groups)
+        elif block == "balance":
+            self.factors = _balance_columns(factors)
         elif block == "subsite":
             self.S = _ridge_solve(
                 A.T @ A, self.M.matmul(A) + lam_site * self.mu, cfg.lambda_s + lam_site
@@ -328,17 +467,17 @@ class _JointDescent:
             mode = BLOCKS.index(block)  # topic, voting or expert tensor mode
             V = gram_hadamard(factors, mode)
             factors[mode] = _ridge_solve(V, mttkrp(self.X, factors, mode), cfg.lambda_x)
-        for name, blocks in _TERM_BLOCKS:
-            if block in blocks:
+        for name in self.terms:
+            if block in _TERM_BLOCKS[name] or block == "balance":
                 self.terms[name] = None
 
     def objective(self) -> float:
-        """Joint objective of the working iterate, from the cached terms."""
+        """Objective of the working iterate, from the cached terms."""
         value = 0.0  # adding each nonnegative term to 0.0 leaves it exact
-        for name, _ in _TERM_BLOCKS:
-            if self.terms[name] is None:
-                self.terms[name] = self._term(name)
-            value += self.terms[name]
+        for name, term in self.terms.items():
+            if term is None:
+                term = self.terms[name] = self._term(name)
+            value += term
         return value
 
     def _term(self, name: str) -> float:
@@ -357,16 +496,21 @@ class _JointDescent:
         return 0.5 * self.lam_site * float(np.sum((self.S - self.mu) ** 2))
 
     def _solve_question_block(self, rhs, V):
-        """Exact minimizer of the joint objective over all question rows.
+        """Exact minimizer of the objective over all question rows.
 
-        Within subsite group j of size n, every row l satisfies
+        Each row solves against ``V + reg I`` for its ridge weight ``reg``;
+        a zero weight takes the pseudo-inverse of ``V``.  With the site
+        coupling, within subsite group j of size n every row l satisfies
         ``row_l (V + reg_l I) + (lam_site/n²) Σ_{l'} row_{l'} = rhs_l + (lam_site/n) S_j``;
         summing over the group gives a small linear system for the row total,
         after which each row follows in closed form.
         """
         eye = np.eye(V.shape[0])
         lam_site = self.lam_site
-        invs = [_sym_inv(V + float(reg) * eye) for reg in self.regs]
+        invs = [
+            np.linalg.pinv(V, hermitian=True) if reg == 0 else _sym_inv(V + float(reg) * eye)
+            for reg in self.regs
+        ]
         out = np.empty_like(rhs)
         if lam_site == 0 or not self.groups:
             for rows, inv in zip(self.rows_by_reg, invs):
@@ -382,6 +526,88 @@ class _JointDescent:
             total = np.linalg.solve((eye + c * Dinv.sum(axis=0)).T, BD.sum(axis=0))
             out[rows] = np.einsum("ir,irs->is", B - c * total, Dinv)
         return out
+
+    def descend(self, as_model):
+        """Sweep the blocks until the stop rule holds; return both histories.
+
+        The loop stops after the first sweep whose relative objective
+        improvement falls below ``config.tolerance``, or after
+        ``config.max_iters`` sweeps.  On a non-finite objective it raises
+        :class:`SolverDiverged` carrying
+        ``as_model(factors, S, A, T, history, block_history)`` of the last
+        finite sweep, or ``None`` when the first sweep diverged.
+        """
+        cfg = self.config
+        history: list[float] = []
+        block_history: list[tuple[str, float]] = []
+        last = prev = None
+        for _ in range(cfg.max_iters):
+            for block in self.blocks:
+                self.update(block)
+                block_history.append((block, self.objective()))
+            value = block_history[-1][1]
+            if not np.isfinite(value):
+                raise SolverDiverged(
+                    "objective became non-finite",
+                    last_state=None if last is None else as_model(
+                        *last, history, block_history[:len(history) * len(self.blocks)]
+                    ),
+                )
+            history.append(value)
+            last = (list(self.factors), self.S, self.A, self.T)
+            if prev is not None and (prev - value) < cfg.tolerance * max(abs(prev), 1e-300):
+                break
+            prev = value
+        return history, block_history
+
+
+def cp_als(
+    X: SparseTensor4,
+    config: AlsConfig,
+    tree_penalty: TreePenalty | None = None,
+) -> CpModel:
+    """Fit a rank-``config.rank`` CP model to a sparse 4-mode tensor.
+
+    Parameters
+    ----------
+    X : SparseTensor4
+    config : AlsConfig
+    tree_penalty : TreePenalty, optional
+        Hierarchy-weighted squared-norm penalty on the question-mode rows.
+        Its leaves must index exactly the mode-0 rows of ``X``.
+
+    Returns
+    -------
+    CpModel
+        Unit-column factors with scales in ``norms``; ``fit_history`` holds
+        the objective after every sweep (the tree term included when a
+        penalty is attached).
+
+    Raises
+    ------
+    SolverDiverged
+        If the objective turns non-finite; the last finite model is
+        attached to the exception.
+    """
+    if tree_penalty is not None and tree_penalty.tree.n_rows != X.dims[0]:
+        raise ContractViolation(
+            f"penalty covers {tree_penalty.tree.n_rows} rows, tensor mode 0 has {X.dims[0]}"
+        )
+    if config.rank > min(X.dims):
+        warnings.warn(
+            f"rank {config.rank} exceeds the smallest tensor dimension {min(X.dims)}; "
+            "components cannot all be independent",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+    blocks = _TENSOR_BLOCKS if tree_penalty is not None else (*_TENSOR_BLOCKS, "balance")
+    state = _Descent(X, config, blocks, tree_penalty)
+    history, _ = state.descend(
+        lambda factors, S, A, T, history, block_history:
+            CpModel(*_normalize_columns(factors), history)
+    )
+    return CpModel(*_normalize_columns(state.factors), history)
 
 
 def fit_joint(
@@ -418,13 +644,12 @@ def fit_joint(
             f"subsite membership has {M.rows} rows but the tree has {len(groups)} subsite groups"
         )
 
-    lam_site = config.effective_lambda_site
     lambdas = {
         "lambda_x": config.lambda_x,
         "lambda_w": config.lambda_w,
         "lambda_s": config.lambda_s,
         "lambda_t": config.lambda_t,
-        "lambda_site": lam_site,
+        "lambda_site": config.effective_lambda_site,
     }
     R = config.rank
 
@@ -438,35 +663,18 @@ def fit_joint(
             lambdas, [0.0], [],
         )
 
-    state = _JointDescent(X, M, N, tree, config)
-    history: list[float] = []
-    blocks: list[tuple[str, float]] = []
-    last_finite = None
-    prev = None
-    for _ in range(config.max_iters):
-        for block in BLOCKS:
-            state.update(block)
-            blocks.append((block, state.objective()))
+    def as_model(factors, S, A, T, history, block_history):
+        cp = CpModel(*_normalize_columns(factors))
+        return JointModel(cp, S, A, T, dict(lambdas), history, block_history)
 
-        value = blocks[-1][1]
-        if not np.isfinite(value):
-            raise SolverDiverged("joint objective became non-finite", last_state=last_finite)
-        history.append(value)
-        normalized, lam = _normalize_columns([U.copy() for U in state.factors])
-        last_finite = JointModel(
-            CpModel(normalized, lam), state.S.copy(), state.A.copy(), state.T.copy(),
-            dict(lambdas), list(history), list(blocks),
-        )
-        if prev is not None and (prev - value) < config.tolerance * max(abs(prev), 1e-300):
-            break
-        prev = value
+    state = _Descent(X, config, BLOCKS, TreePenalty(tree, config.lambda_w), M, N, groups)
+    history, blocks = state.descend(as_model)
 
     # Canonicalize: unit-column factors with scales in norms, then re-solve
     # S, A, T once against the balanced question factor so the stored model
     # is internally consistent under joint_objective.
-    normalized, lam = _normalize_columns(state.factors)
-    cp = CpModel(normalized, lam)
-    state.mu = group_means(cp.balanced_factors()[0], tree)
+    cp = CpModel(*_normalize_columns(state.factors))
+    state.mu = _group_means(cp.balanced_factors()[0], groups)
     for block in ("subsite", "answerer", "topicfactor"):
         state.update(block)
     return JointModel(cp, state.S, state.A, state.T, lambdas, history, blocks)

@@ -15,8 +15,7 @@ import os
 
 import numpy as np
 
-from .coupled import JointModel, MembershipMatrix
-from .cp_als import CpModel
+from .coupled import CpModel, JointModel, MembershipMatrix
 from .errors import DataError
 from .hierarchy import HierarchyTree, TreeNode
 from .ingest import ReputationLedger

@@ -13,8 +13,7 @@ import time
 import numpy as np
 
 from qaexpert.cli import main
-from qaexpert.coupled import JointConfig, fit_joint, group_means
-from qaexpert.cp_als import AlsConfig, cp_als, fit_metric
+from qaexpert.coupled import AlsConfig, JointConfig, cp_als, fit_joint, fit_metric, group_means
 from qaexpert.hierarchy import (
     TreePenalty,
     compute_node_weights,
@@ -117,7 +116,7 @@ def test_criterion_2_cp_recovery():
                 truth.append(U)
             X = SparseTensor4.from_dense(dense_model(truth, np.ones(rank)))
             model = cp_als(X, AlsConfig(rank=rank, lambda_x=0.0, max_iters=200,
-                                        fit_tolerance=1e-10, seed=seed))
+                                        tolerance=1e-10, seed=seed))
             if fit_metric(X, model) >= 0.999:
                 hits[rank] += 1
     elapsed = time.monotonic() - start

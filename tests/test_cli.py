@@ -209,8 +209,7 @@ class TestFit:
     def test_diverged_state_saved(self, snapshot, tmp_path, monkeypatch, capsys):
         import numpy as np
 
-        from qaexpert.coupled import JointModel
-        from qaexpert.cp_als import CpModel
+        from qaexpert.coupled import CpModel, JointModel
 
         cp = CpModel([np.ones((1, 1))] * 4, np.ones(1))
         stale = JointModel(cp, np.ones((1, 1)), np.ones((1, 1)),

@@ -6,18 +6,22 @@ import pytest
 from qaexpert import coupled
 from qaexpert.coupled import (
     BLOCKS,
+    AlsConfig,
+    CpModel,
     JointConfig,
     JointModel,
     MembershipMatrix,
+    cp_als,
     fit_joint,
     group_means,
     joint_objective,
     networks_objective,
     site_regularizer,
+    tensor_objective,
     topic_objective,
-    _JointDescent,
+    _normalize_columns,
+    _Descent,
 )
-from qaexpert.cp_als import CpModel, _normalize_columns, tensor_objective
 from qaexpert.errors import ContractViolation, DegenerateGroupError, SolverDiverged
 from qaexpert.hierarchy import TreePenalty, tree_from_nested, weight_penalty
 from qaexpert.sparse_tensor import SparseTensor4, residual_norm
@@ -348,27 +352,39 @@ class TestFitJoint:
 
 class TestObjectiveTermCache:
     def test_cached_total_equals_fresh_sum_after_every_block(self):
-        rng = np.random.default_rng(47)
-        for trial in range(20):
-            X, M, N, tree = make_micro_joint(rng)
-            lam = [float(v) for v in rng.random(5) + 0.01]
-            cfg = JointConfig(
-                rank=2, seed=trial, lambda_x=lam[0], lambda_w=lam[1],
-                lambda_s=lam[2], lambda_t=lam[3], lambda_site=lam[4],
-            )
-            penalty = TreePenalty(tree, cfg.lambda_w)
-            state = _JointDescent(X, M, N, tree, cfg)
-            for block in BLOCKS:
-                state.update(block)
-                f, S, A, T = state.factors, state.S, state.A, state.T
-                res = residual_norm(X, f, np.ones(2))
-                fresh = 0.5 * res * res
-                fresh += 0.5 * cfg.lambda_x * sum(float(np.sum(U * U)) for U in f)
-                fresh += weight_penalty(f[0], penalty)
-                fresh += networks_objective(S, A, M, cfg.lambda_s)
-                fresh += topic_objective(T, A, N, cfg.lambda_t)
-                fresh += site_regularizer(S, f[0], tree, cfg.effective_lambda_site)
-                assert state.objective() == fresh, (trial, block)
+        # fit_joint's configuration, then cp_als's: the tensor modes with the
+        # tree penalty, or else with the closing balance block.
+        for solver in ("fit_joint", "cp_als_tree", "cp_als_balance"):
+            rng = np.random.default_rng(47)
+            for trial in range(20):
+                X, M, N, tree = make_micro_joint(rng)
+                lam = [float(v) for v in rng.random(5) + 0.01]
+                if solver == "fit_joint":
+                    cfg = JointConfig(
+                        rank=2, seed=trial, lambda_x=lam[0], lambda_w=lam[1],
+                        lambda_s=lam[2], lambda_t=lam[3], lambda_site=lam[4],
+                    )
+                    penalty = TreePenalty(tree, cfg.lambda_w)
+                    groups = [sorted(g) for g in tree.level_groups(1)]
+                    state = _Descent(X, cfg, BLOCKS, penalty, M, N, groups)
+                else:
+                    cfg = AlsConfig(rank=2, seed=trial, lambda_x=lam[0])
+                    penalty = TreePenalty(tree, lam[1]) if solver == "cp_als_tree" else None
+                    blocks = BLOCKS[:4] if penalty is not None else (*BLOCKS[:4], "balance")
+                    state = _Descent(X, cfg, blocks, penalty)
+                for block in state.blocks * 2:
+                    state.update(block)
+                    f, S, A, T = state.factors, state.S, state.A, state.T
+                    res = residual_norm(X, f, np.ones(2))
+                    fresh = 0.5 * res * res
+                    fresh += 0.5 * cfg.lambda_x * sum(float(np.sum(U * U)) for U in f)
+                    if penalty is not None:
+                        fresh += weight_penalty(f[0], penalty)
+                    if solver == "fit_joint":
+                        fresh += networks_objective(S, A, M, cfg.lambda_s)
+                        fresh += topic_objective(T, A, N, cfg.lambda_t)
+                        fresh += site_regularizer(S, f[0], tree, cfg.effective_lambda_site)
+                    assert state.objective() == fresh, (solver, trial, block)
 
     def test_each_term_evaluated_once_per_block_that_moves_it(self, monkeypatch):
         calls = {"residual_norm": 0, "networks_objective": 0, "topic_objective": 0}
@@ -382,3 +398,52 @@ class TestObjectiveTermCache:
         # Four tensor blocks per sweep; each membership loss once at the
         # start and after its two blocks in every sweep.
         assert calls == {"residual_norm": 12, "networks_objective": 7, "topic_objective": 7}
+
+
+def _fit_micro(solver, max_iters):
+    X, M, N, tree = make_micro_joint(np.random.default_rng(59))
+    if solver == "cp_als":
+        return cp_als(X, AlsConfig(rank=2, max_iters=max_iters, tolerance=0.0, seed=1))
+    return fit_joint(X, M, N, tree, JointConfig(rank=2, max_iters=max_iters, tolerance=0.0, seed=1))
+
+
+def _parts(model):
+    """The CP part, the sweep history and the membership factors of a model."""
+    if isinstance(model, JointModel):
+        return model.cp, model.objective_history, [model.S, model.A, model.T]
+    return model, model.fit_history, []
+
+
+class TestDivergedState:
+    # residual_norm calls per sweep: one after each tensor block, plus one
+    # after cp_als's balance block.
+    CALLS_PER_SWEEP = {"cp_als": 5, "fit_joint": 4}
+
+    @pytest.mark.parametrize("solver", ["cp_als", "fit_joint"])
+    @pytest.mark.parametrize("k", [1, 7, 14])
+    def test_last_state_holds_exactly_the_finite_sweeps(self, monkeypatch, solver, k):
+        finite_sweeps = (k - 1) // self.CALLS_PER_SWEEP[solver]
+        reference = _fit_micro(solver, max(finite_sweeps, 1))
+        calls = []
+
+        def nan_from_k(*args, _fn=coupled.residual_norm):
+            calls.append(args)
+            return float("nan") if len(calls) >= k else _fn(*args)
+
+        monkeypatch.setattr(coupled, "residual_norm", nan_from_k)
+        with pytest.raises(SolverDiverged) as info:
+            _fit_micro(solver, 10)
+        last = info.value.last_state
+        if finite_sweeps == 0:
+            assert last is None
+            return
+        cp, history, membership = _parts(last)
+        ref_cp, ref_history, _ = _parts(reference)
+        assert history == ref_history and len(history) == finite_sweeps
+        if solver == "fit_joint":
+            assert len(last.block_history) == finite_sweeps * len(BLOCKS)
+            assert all(np.isfinite(v) for _, v in last.block_history)
+        for U, W in zip(cp.factors, ref_cp.factors):
+            np.testing.assert_array_equal(U, W)
+        np.testing.assert_array_equal(cp.norms, ref_cp.norms)
+        assert all(np.isfinite(U).all() for U in [*cp.factors, cp.norms, *membership])

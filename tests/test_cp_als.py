@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qaexpert.cp_als import AlsConfig, CpModel, cp_als, fit_metric, tensor_objective
+from qaexpert.coupled import AlsConfig, CpModel, cp_als, fit_metric, tensor_objective
 from qaexpert.errors import ContractViolation, SolverDiverged
 from qaexpert.hierarchy import TreePenalty, tree_from_nested
 from qaexpert.sparse_tensor import SparseTensor4, reconstruct_entry, residual_norm
@@ -19,7 +19,7 @@ def test_config_validation():
     with pytest.raises(ContractViolation):
         AlsConfig(rank=2, lambda_x=-0.1)
     with pytest.raises(ContractViolation):
-        AlsConfig(rank=2, fit_tolerance=-1e-6)
+        AlsConfig(rank=2, tolerance=-1e-6)
 
 
 class TestTensorObjective:
@@ -103,7 +103,7 @@ class TestCpAls:
         finals = []
         for seed in (1, 2, 3):
             model = cp_als(X, AlsConfig(
-                rank=3, lambda_x=0.1, seed=seed, max_iters=500, fit_tolerance=1e-9,
+                rank=3, lambda_x=0.1, seed=seed, max_iters=500, tolerance=1e-9,
             ))
             finals.append(model.fit_history[-1])
         assert (max(finals) - min(finals)) / min(finals) <= 0.01
@@ -122,6 +122,20 @@ class TestCpAls:
             model = cp_als(X, cfg)
             hist = model.fit_history
             assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
+
+    def test_stops_at_first_sweep_below_relative_tolerance(self):
+        rng = np.random.default_rng(61)
+        X = random_sparse(rng, (4, 3, 3, 4), density=0.5)
+        full = cp_als(X, AlsConfig(rank=2, lambda_x=0.1, seed=3, max_iters=40, tolerance=0.0))
+        hist = full.fit_history
+        assert len(hist) == 40
+        # The relative improvement dips below 3e-3 at sweep 5, then rises
+        # above it again before falling for good.
+        tol = 3e-3
+        stop = next(i for i in range(1, 40) if hist[i - 1] - hist[i] < tol * abs(hist[i - 1]))
+        assert 1 < stop < 39
+        model = cp_als(X, AlsConfig(rank=2, lambda_x=0.1, seed=3, max_iters=40, tolerance=tol))
+        assert model.fit_history == hist[:stop + 1]
 
     def test_final_history_value_equals_objective(self):
         rng = np.random.default_rng(5)

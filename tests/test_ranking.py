@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qaexpert.cp_als import CpModel
+from qaexpert.coupled import CpModel
 from qaexpert.errors import ContractViolation
 from qaexpert.ingest import Post, QaDataset, ReputationLedger, Vote
 from qaexpert.ranking import (

@@ -7,8 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qaexpert.coupled import JointModel, MembershipMatrix
-from qaexpert.cp_als import CpModel
+from qaexpert.coupled import CpModel, JointModel, MembershipMatrix
 from qaexpert.errors import DataError
 from qaexpert.hierarchy import compute_node_weights, tree_from_nested
 from qaexpert.ingest import ReputationLedger
