@@ -24,7 +24,7 @@ from .ranking import evaluate, rank_experts
 _DEFAULTS = {
     "ingest": {
         "sample_users": None, "seed": 0, "vote_buckets": "0,1,3,10",
-        "tree_s": 0.5, "tree_g": 0.5,
+        "tree_s": 0.5,
     },
     "fit": {
         "rank": 8, "lambda_x": 0.1, "lambda_w": 0.1, "lambda_s": 0.1,
@@ -94,9 +94,7 @@ def cmd_ingest(args) -> int:
     if cfg["sample_users"] is not None:
         data = sample_dataset(data, int(cfg["sample_users"]), int(cfg["seed"]))
 
-    tables = build_inputs(
-        data, bucket_edges=edges, tree_s=float(cfg["tree_s"]), tree_g=float(cfg["tree_g"])
-    )
+    tables = build_inputs(data, bucket_edges=edges, tree_s=float(cfg["tree_s"]))
     ledger = reputation_scores(data)
 
     out = args.out_dir
@@ -265,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--vote-buckets", dest="vote_buckets",
                    help="comma-separated question-score bucket edges")
-    p.add_argument("--tree-s", type=float, dest="tree_s")
-    p.add_argument("--tree-g", type=float, dest="tree_g")
+    p.add_argument("--tree-s", type=float, dest="tree_s",
+                   help="tree weight s of every internal node; g is 1 - s")
     p.add_argument("--config", help="JSON file with defaults for these flags")
     p.set_defaults(func=cmd_ingest)
 

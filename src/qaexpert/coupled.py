@@ -7,7 +7,9 @@ the subsite factor S is pulled toward the average question-factor row of
 each subsite's question group.  :func:`cp_als` sweeps the four tensor
 modes alone, with an optional hierarchy penalty on the question mode.
 All blocks have closed-form ridge updates, so every sweep decreases the
-objective monotonically.
+objective monotonically.  :func:`_ridge_solve` holds the one ridge
+policy, and the question block solves each part of its rows (one subsite
+group, one ridge weight) with one matmul by that weight's inverse.
 
 Without a hierarchy penalty, :func:`cp_als` ends each sweep by
 rebalancing the component scales evenly across modes.  For the plain
@@ -30,7 +32,9 @@ import numpy as np
 
 from .errors import ContractViolation, DegenerateGroupError, SolverDiverged
 from .hierarchy import HierarchyTree, TreePenalty, weight_penalty
-from .sparse_tensor import SparseTensor4, gram_hadamard, mttkrp, residual_norm, scatter_rows
+from .sparse_tensor import (
+    SparseTensor4, _split_sq_residual, gram_hadamard, mttkrp, residual_norm, scatter_rows,
+)
 
 __all__ = [
     "AlsConfig",
@@ -147,7 +151,8 @@ def fit_metric(X: SparseTensor4, model: CpModel) -> float:
 
 
 def _ridge_solve(V, rhs, reg):
-    """Solve ``rows @ (V + reg*I) = rhs``; pseudo-inverse when unregularized."""
+    """Solve ``rows @ (V + reg*I) = rhs``; pseudo-inverse when unregularized
+    or singular.  Every ridge update and question-block inverse comes here."""
     r = V.shape[0]
     if reg > 0:
         A = V + reg * np.eye(r)
@@ -213,19 +218,10 @@ class MembershipMatrix:
 
 
 def _half_sq_frobenius(M: MembershipMatrix, F: np.ndarray, G: np.ndarray) -> float:
-    """Half of ||M - F G^T||_F^2 over the full (dense) index space.
-
-    Split into the exact sum over observed ones plus the model's energy on
-    the zero cells; the latter is clamped at zero because it is computed
-    as a difference of two Gram totals.
-    """
+    """Half of ||M - F G^T||_F^2 over the full (dense) index space."""
     pred = np.sum(F[M.indices[:, 0]] * G[M.indices[:, 1]], axis=1)
-    on_ones = float(np.sum((1.0 - pred) ** 2))
     total_energy = float(np.sum((F.T @ F) * (G.T @ G)))
-    off = max(total_energy - float(np.dot(pred, pred)), 0.0)
-    if M.nnz == M.rows * M.cols:
-        off = 0.0
-    return 0.5 * (on_ones + off)
+    return 0.5 * _split_sq_residual(1.0, pred, total_energy, M.nnz == M.rows * M.cols)
 
 
 def _check_pair_shapes(F, G, M, f_name, m_name):
@@ -368,13 +364,6 @@ def joint_objective(
     return value
 
 
-def _sym_inv(K: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(K)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(K, hermitian=True)
-
-
 # The blocks of one joint sweep, in update order; the first four are the
 # tensor modes.  ``balance`` rescales all four tensor factors at once.
 BLOCKS = ("question", "topic", "voting", "expert", "subsite", "answerer", "topicfactor")
@@ -402,7 +391,8 @@ class _Descent:
     recomputed only after a block it reads moves; :meth:`objective` sums
     them in a fixed order, so the total equals a from-scratch evaluation
     exactly.  Every update assigns fresh arrays, so a sweep's arrays can
-    be kept by reference.
+    be kept by reference.  The question rows are split into parts of one
+    subsite group and one ridge weight once, at construction.
     """
 
     S = A = T = None
@@ -428,18 +418,20 @@ class _Descent:
             if reads <= set(blocks) and (name != "tree" or penalty is not None)
         }
 
-        # Question rows grouped by ridge weight once: the distinct weights
-        # ascending, each row's position among them, and the rows of each.
+        # Question rows split into parts once: each subsite group (one group
+        # of every row without subsites) divided by exact ridge weight.
         row_regs = np.full(X.dims[0], config.lambda_x)
         if penalty is not None:
             row_regs = config.lambda_x + penalty.lambda_w * penalty.row_weights
-        order = np.argsort(row_regs, kind="stable")
-        ranked = row_regs[order]
-        first = np.r_[True, ranked[1:] != ranked[:-1]]
-        self.regs = ranked[first]
-        self.reg_of_row = np.empty_like(order)
-        self.reg_of_row[order] = np.cumsum(first) - 1
-        self.rows_by_reg = np.split(order, np.flatnonzero(first)[1:])
+        self.parts = []
+        for rows in groups or [np.arange(X.dims[0])]:
+            rows = np.asarray(rows)
+            order = np.argsort(row_regs[rows], kind="stable")
+            ranked = row_regs[rows][order]
+            first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+            parts = zip(ranked[first].tolist(), np.split(rows[order], first[1:]))
+            self.parts.append((len(rows), list(parts)))
+        self.regs = {reg for _, parts in self.parts for reg, _ in parts}
 
     def update(self, block: str):
         """Replace one block by its exact minimizer and mark stale terms."""
@@ -498,33 +490,28 @@ class _Descent:
     def _solve_question_block(self, rhs, V):
         """Exact minimizer of the objective over all question rows.
 
-        Each row solves against ``V + reg I`` for its ridge weight ``reg``;
-        a zero weight takes the pseudo-inverse of ``V``.  With the site
-        coupling, within subsite group j of size n every row l satisfies
-        ``row_l (V + reg_l I) + (lam_site/n²) Σ_{l'} row_{l'} = rhs_l + (lam_site/n) S_j``;
-        summing over the group gives a small linear system for the row total,
-        after which each row follows in closed form.
+        Row l solves against ``D_l = V + reg_l I`` for its ridge weight;
+        :func:`_ridge_solve` gives each distinct weight's inverse.  Within
+        subsite group j of size n, with ``c = lam_site/n²``, every row satisfies
+        ``row_l D_l + c Σ_{l'} row_{l'} = rhs_l + (lam_site/n) S_j =: B_l``.
+        Summing ``row_l = (B_l − c·total) D_l⁻¹`` over the group gives
+        ``total (I + c Σ_part n_part D_part⁻¹) = Σ_part ΣB_part D_part⁻¹``; each
+        part of equal weight then takes one matmul.  Without the coupling
+        (``cp_als``, or ``lam_site = 0``) the same loop runs with c = 0.
         """
         eye = np.eye(V.shape[0])
-        lam_site = self.lam_site
-        invs = [
-            np.linalg.pinv(V, hermitian=True) if reg == 0 else _sym_inv(V + float(reg) * eye)
-            for reg in self.regs
-        ]
+        inv = {reg: _ridge_solve(V, eye, reg) for reg in self.regs}
         out = np.empty_like(rhs)
-        if lam_site == 0 or not self.groups:
-            for rows, inv in zip(self.rows_by_reg, invs):
-                out[rows] = rhs[rows] @ inv
-            return out
-        stacked = np.stack(invs)
-        for j, rows in enumerate(self.groups):
-            n = len(rows)
-            c = lam_site / n**2
-            B = rhs[rows] + (lam_site / n) * self.S[j]
-            Dinv = stacked[self.reg_of_row[rows]]
-            BD = np.einsum("ir,irs->is", B, Dinv)
-            total = np.linalg.solve((eye + c * Dinv.sum(axis=0)).T, BD.sum(axis=0))
-            out[rows] = np.einsum("ir,irs->is", B - c * total, Dinv)
+        for j, (n, parts) in enumerate(self.parts):
+            c = self.lam_site / n**2
+            shift = (self.lam_site / n) * self.S[j] if c else 0.0
+            B = [rhs[rows] + shift for _, rows in parts]
+            K = eye + c * sum(len(rows) * inv[reg] for reg, rows in parts)
+            total = np.linalg.solve(
+                K.T, sum(b.sum(axis=0) @ inv[reg] for b, (reg, _) in zip(B, parts))
+            )
+            for b, (reg, rows) in zip(B, parts):
+                out[rows] = (b - c * total) @ inv[reg]
         return out
 
     def descend(self, as_model):

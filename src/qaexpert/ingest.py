@@ -413,6 +413,19 @@ class ReputationLedger:
         return sorted(self._ranked)
 
 
+def _accepted_answer_keys(data: QaDataset) -> set[tuple[str, int]]:
+    """(subsite, id) of every answer a question names as accepted or an
+    accept vote targets."""
+    keys = {
+        (p.subsite, p.accepted_id) for p in data.posts
+        if p.kind == "question" and p.accepted_id is not None
+    }
+    return keys | {
+        (v.subsite, v.post_id) for v in data.votes
+        if v.kind == "accept" and data._by_key[v.subsite, v.post_id].kind == "answer"
+    }
+
+
 def reputation_scores(data: QaDataset) -> ReputationLedger:
     """Accumulate the five reputation rules over the dataset's events.
 
@@ -433,11 +446,6 @@ def reputation_scores(data: QaDataset) -> ReputationLedger:
             key = (user, topic)
             scores[key] = scores.get(key, 0) + delta
 
-    accepted: set[tuple[str, int]] = set()
-    for post in data.posts:
-        if post.kind == "question" and post.accepted_id is not None:
-            accepted.add((post.subsite, post.accepted_id))
-
     # Votes are sorted by post: look each post and its topics up once.
     by_key = data._by_key
     subsite = post_id = None
@@ -456,10 +464,8 @@ def reputation_scores(data: QaDataset) -> ReputationLedger:
                     credit(vote.voter, topics, -1)
                 else:
                     skipped += 1
-        elif vote.kind == "accept" and answer:
-            accepted.add((subsite, post_id))
 
-    for subsite, post_id in sorted(accepted):
+    for subsite, post_id in sorted(_accepted_answer_keys(data)):
         post = data.post(subsite, post_id)
         credit(post.owner, data.governing_question(post).tags, 15)
 
@@ -510,7 +516,6 @@ def build_inputs(
     data: QaDataset,
     bucket_edges=DEFAULT_BUCKET_EDGES,
     tree_s: float = 0.5,
-    tree_g: float = 0.5,
 ) -> BuildInputs:
     """Assemble the evidence tensor, membership matrices, and tree.
 
@@ -519,7 +524,8 @@ def build_inputs(
     without tags are left out of the index tables; subsites with no
     tagged questions are dropped with a warning.  Each question's tree
     leaf sits under its first-listed tag so the topic groups partition
-    the questions.
+    the questions.  Every internal tree node weighs ``(s, g)`` with
+    ``s = tree_s`` and ``g = 1 - tree_s``.
     """
     edges = tuple(int(e) for e in bucket_edges)
     if list(edges) != sorted(set(edges)):
@@ -576,6 +582,7 @@ def build_inputs(
     for i, q in enumerate(questions):
         primary[q.subsite].setdefault(q.tags[0], []).append(i)
     nested = [[groups[tag] for tag in sorted(groups)] for groups in primary.values()]
+    tree_g = 1.0 - tree_s
     sg = {level: (tree_s, tree_g) for level in range(3)}
     tree = tree_from_nested(nested, sg_by_level=sg)
 

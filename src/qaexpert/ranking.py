@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .ingest import QaDataset, ReputationLedger
+from .ingest import QaDataset, ReputationLedger, _accepted_answer_keys
 
 __all__ = [
     "RankedList",
@@ -78,17 +78,6 @@ def z_score(a: int, q: int) -> float:
     if a == 0 and q == 0:
         return 0.0
     return (a - q) / math.sqrt(a + q)
-
-
-def _accepted_answer_keys(data: QaDataset) -> set:
-    keys = set()
-    for post in data.posts:
-        if post.kind == "question" and post.accepted_id is not None:
-            keys.add((post.subsite, post.accepted_id))
-    for vote in data.votes:
-        if vote.kind == "accept" and data.post(vote.subsite, vote.post_id).kind == "answer":
-            keys.add((vote.subsite, vote.post_id))
-    return keys
 
 
 def baseline_rank(data: QaDataset, topic: str, kind: str, k: int) -> RankedList:

@@ -133,7 +133,16 @@ def _write_matrix_block(out, U):
         out.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
+def _header(lines, pos, path, expected):
+    """Fields of model line ``pos``; a file that ends first is a DataError."""
+    if pos >= len(lines):
+        raise DataError(f"{path}:{len(lines)}: file ends before {expected}")
+    return lines[pos].split()
+
+
 def _parse_matrix_block(lines, start, rows, rank, path):
+    if start + rows > len(lines):
+        raise DataError(f"{path}:{len(lines)}: file ends inside a {rows}-row block")
     data = np.empty((rows, rank))
     for r in range(rows):
         parts = lines[start + r].split()
@@ -185,16 +194,16 @@ def load_model(path):
     pos = 1
     factors = []
     for mode in range(4):
-        parts = lines[pos].split()
-        if parts[:2] != ["mode", str(mode)]:
+        parts = _header(lines, pos, path, f"'mode {mode} rows N'")
+        if len(parts) != 4 or parts[:2] != ["mode", str(mode)]:
             raise DataError(f"{path}:{pos + 1}: expected 'mode {mode} rows N'")
         rows = int(parts[3])
         if rows != dims[mode]:
             raise DataError(f"{path}:{pos + 1}: mode {mode} rows disagree with header")
         U, pos = _parse_matrix_block(lines, pos + 1, rows, rank, path)
         factors.append(U)
-    parts = lines[pos].split()
-    if parts[0] != "norms" or len(parts) != rank + 1:
+    parts = _header(lines, pos, path, "the norms line")
+    if parts[:1] != ["norms"] or len(parts) != rank + 1:
         raise DataError(f"{path}:{pos + 1}: expected a norms line with {rank} values")
     norms = np.array([float(t) for t in parts[1:]])
     pos += 1
@@ -204,12 +213,12 @@ def load_model(path):
     if head[0] == "joint-model":
         blocks = {}
         for name in ("S", "A", "T"):
-            parts = lines[pos].split()
-            if parts[0] != name:
+            parts = _header(lines, pos, path, f"the {name} block")
+            if len(parts) != 3 or parts[0] != name:
                 raise DataError(f"{path}:{pos + 1}: expected the {name} block")
             blocks[name], pos = _parse_matrix_block(lines, pos + 1, int(parts[2]), rank, path)
-        parts = lines[pos].split()
-        if parts[0] != "lambdas":
+        parts = _header(lines, pos, path, "the lambdas line")
+        if parts[:1] != ["lambdas"]:
             raise DataError(f"{path}:{pos + 1}: expected the lambdas line")
         lambdas = {parts[i]: float(parts[i + 1]) for i in range(1, len(parts), 2)}
         pos += 1

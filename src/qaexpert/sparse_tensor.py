@@ -227,19 +227,19 @@ def _model_cross_terms(X: SparseTensor4, factors, norms):
     return inner, model_sq, model_at_nz
 
 
-def residual_norm(X: SparseTensor4, factors, norms) -> float:
-    """Frobenius norm of (tensor - model) over the full index space.
+def _split_sq_residual(stored, model_at_stored, model_sq, fully_stored) -> float:
+    """Squared residual: exact over stored cells, plus the model's energy on
+    the rest as a difference of totals, clamped at zero and exactly zero when
+    every cell is stored (so an exact fit there reports no cancellation noise)."""
+    on_stored = float(np.sum((stored - model_at_stored) ** 2))
+    if fully_stored:
+        return on_stored
+    return on_stored + max(model_sq - float(np.dot(model_at_stored, model_at_stored)), 0.0)
 
-    Split into an exact sum over stored cells plus the model energy on the
-    complement, so an exact fit on a fully stored tensor reports zero
-    instead of the cancellation noise of the naive three-term expansion.
-    """
+
+def residual_norm(X: SparseTensor4, factors, norms) -> float:
+    """Frobenius norm of (tensor - model) over the full index space."""
     factors = _check_factors(X, factors)
     inner, model_sq, model_at_nz = _model_cross_terms(X, factors, norms)
-    on_nz = float(np.sum((X.values - model_at_nz) ** 2))
     total_cells = int(np.prod(np.asarray(X.dims, dtype=np.int64)))
-    if X.nnz == total_cells:
-        complement = 0.0
-    else:
-        complement = max(model_sq - float(np.dot(model_at_nz, model_at_nz)), 0.0)
-    return float(np.sqrt(on_nz + complement))
+    return float(np.sqrt(_split_sq_residual(X.values, model_at_nz, model_sq, X.nnz == total_cells)))

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -124,6 +126,14 @@ class TestIngest:
         dims = [int(t) for t in header.split()[1:]]
         assert dims[2] == 3
 
+    def test_tree_s_alone_sets_g_to_one_minus_s(self, corpus, tmp_path, capsys):
+        snap = str(tmp_path / "snap2")
+        assert main(["ingest", *corpus, "--out-dir", snap, "--tree-s", "0.3"]) == 0
+        root = open(os.path.join(snap, "tree.txt")).readline().split()
+        assert root[3:] == ["0.29999999999999999", "0.69999999999999996"]
+        manifest = json.load(open(os.path.join(snap, "manifest.json")))
+        assert manifest["tree_g"] == 1 - 0.3 and "tree_g" not in manifest["config"]
+
     def test_unknown_config_key_exits_2(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"tree_depth": 3}')
@@ -150,6 +160,15 @@ class TestFit:
         code = main(["fit", str(tmp_path / "nowhere"),
                      "--out-dir", str(tmp_path / "f")])
         assert code == 1
+
+    def test_fit_process_never_imports_numpy_ma(self, snapshot, tmp_path):
+        # numpy.ma costs a large share of a small fit's time to import.
+        fit = ["fit", snapshot, "--out-dir", str(tmp_path / "f"), "--rank", "2"]
+        code = ("import sys; from qaexpert.cli import main; "
+                f"assert main({fit!r}) == 0; sys.exit('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+        assert run.returncode == 0, run.stderr
 
     def test_deterministic(self, snapshot, tmp_path, capsys):
         outs = []
@@ -273,11 +292,20 @@ class TestRecommend:
     def test_snapshot_mismatch_exits_1(self, fitted, corpus, tmp_path, capsys):
         other = str(tmp_path / "resnap")
         assert main(["ingest", *corpus, "--out-dir", other,
-                     "--tree-s", "0.4", "--tree-g", "0.6"]) == 0
+                     "--tree-s", "0.4"]) == 0
         code = main(["recommend", "--model", fitted, "--snapshot", other,
                      "--topic", "alpha/tensor"])
         assert code == 1
         assert "different snapshot" in capsys.readouterr().err
+
+    def test_truncated_model_exits_1(self, fitted, snapshot, tmp_path, capsys):
+        cut = tmp_path / "cut.txt"
+        with open(fitted) as fh:
+            cut.write_text("".join(fh.readlines()[:3]))
+        code = main(["recommend", "--model", str(cut), "--snapshot", snapshot,
+                     "--topic", "alpha/tensor"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {cut}:3: file ends ")
 
     def test_no_signal_topic_reports_status(self, fitted, snapshot,
                                             monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Coupled membership factorization and the joint block-descent solver."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from qaexpert.coupled import (
 )
 from qaexpert.errors import ContractViolation, DegenerateGroupError, SolverDiverged
 from qaexpert.hierarchy import TreePenalty, tree_from_nested, weight_penalty
-from qaexpert.sparse_tensor import SparseTensor4, residual_norm
+from qaexpert.sparse_tensor import SparseTensor4, gram_hadamard, mttkrp, residual_norm
 
 from conftest import dense_model, make_micro_joint, random_sparse
 
@@ -398,6 +400,70 @@ class TestObjectiveTermCache:
         # Four tensor blocks per sweep; each membership loss once at the
         # start and after its two blocks in every sweep.
         assert calls == {"residual_norm": 12, "networks_objective": 7, "topic_objective": 7}
+
+
+def _dense_question_solve(V, rhs, regs, groups, lam_site, S):
+    """Rows u of the stationarity system, solved as one dense (I·R)² system:
+    ``u_l (V + reg_l I) + (lam_site/n²) Σ_G u = rhs_l + (lam_site/n) S_j``."""
+    I, R = rhs.shape
+    K = np.zeros((I, R, I, R))
+    b = rhs.copy()
+    for l in range(I):
+        K[l, :, l, :] = V.T + regs[l] * np.eye(R)
+    for j, rows in enumerate(groups):
+        n = len(rows)
+        for l in rows:
+            b[l] += (lam_site / n) * S[j]
+            for m in rows:
+                K[l, :, m, :] += (lam_site / n**2) * np.eye(R)
+    return np.linalg.solve(K.reshape(I * R, I * R), b.reshape(-1)).reshape(I, R)
+
+
+class TestQuestionBlockOracle:
+    # Subsite groups {0, 1, 2} and {3, 4, 5, 6} with leaves at depths 2 to 4.
+    NESTED = [[0, [1, 2]], [[3], 4, [5, [6]]]]
+
+    @pytest.mark.parametrize("weights", ["tree", "distinct"])
+    @pytest.mark.parametrize("solver, lambda_x, lambda_w, lambda_site", [
+        ("fit_joint", 0.3, 0.2, 0.0),
+        ("fit_joint", 0.3, 0.2, 0.7),
+        ("fit_joint", 0.3, 0.2, 50.0),
+        ("fit_joint", 0.0, 0.0, 0.7),
+        ("cp_als", 0.3, 0.2, None),
+        ("cp_als", 0.0, 0.0, None),
+    ])
+    def test_update_matches_dense_stationarity_solve(
+        self, weights, solver, lambda_x, lambda_w, lambda_site
+    ):
+        rng = np.random.default_rng(61)
+        sg = {level: (s, 1.0 - s) for level, s in enumerate(rng.random(4))}
+        tree = tree_from_nested(self.NESTED, sg_by_level=sg)
+        penalty = TreePenalty(tree, lambda_w)
+        if weights == "distinct":
+            # Row weights off the s + g = 1 identity, so that every subsite
+            # group holds several ridge weights.
+            row_weights = np.array([0.5, 2.0, 0.5, 1.0, 3.0, 1.0, 0.25])
+            penalty = SimpleNamespace(lambda_w=lambda_w, row_weights=row_weights)
+        X = random_sparse(rng, (7, 3, 2, 4), density=0.5)
+        R, L = 3, 4
+        M = MembershipMatrix(2, L, [(x, z) for x in range(2) for z in range(L)])
+        N = MembershipMatrix(3, L, [(y, z) for y in range(3) for z in range(L)])
+        groups = [sorted(g) for g in tree.level_groups(1)]
+        if solver == "fit_joint":
+            cfg = JointConfig(rank=R, seed=3, lambda_x=lambda_x, lambda_w=lambda_w,
+                              lambda_site=lambda_site)
+            state = _Descent(X, cfg, BLOCKS, penalty, M, N, groups)
+        else:
+            cfg = AlsConfig(rank=R, seed=3, lambda_x=lambda_x)
+            state = _Descent(X, cfg, BLOCKS[:4], penalty)
+            groups, lambda_site = [], 0.0
+        V = gram_hadamard(state.factors, 0)
+        rhs = mttkrp(X, state.factors, 0)
+        regs = lambda_x + lambda_w * penalty.row_weights
+        expected = _dense_question_solve(V, rhs, regs, groups, lambda_site, state.S)
+        state.update("question")
+        err = np.max(np.abs(state.factors[0] - expected)) / np.max(np.abs(expected))
+        assert err < 1e-12
 
 
 def _fit_micro(solver, max_iters):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,6 +221,41 @@ class TestModelFormat:
         p = tmp_path / "model.txt"
         p.write_text("")
         with pytest.raises(DataError):
+            load_model(p)
+
+    @pytest.mark.parametrize("cut", [
+        "after the header", "inside mode 0", "before norms", "inside S", "before lambdas",
+    ])
+    def test_truncated_joint_model_rejected_at_its_last_line(self, tmp_path, cut):
+        rng = np.random.default_rng(7)
+        model = JointModel(random_cp(rng, dims=(3, 2, 3, 4)), rng.random((2, 2)),
+                           rng.random((4, 2)), rng.random((2, 2)), {"x": 1.0})
+        p = tmp_path / "model.txt"
+        save_model(model, p, manifest_hash="00" * 32, config={"rank": 2})
+        lines = p.read_text().splitlines(keepends=True)
+        starts = [line.split()[0] for line in lines]
+        keep = {
+            "after the header": 1,
+            "inside mode 0": lines.index("mode 0 rows 3\n") + 2,
+            "before norms": starts.index("norms"),
+            "inside S": starts.index("S") + 2,
+            "before lambdas": starts.index("lambdas"),
+        }[cut]
+        p.write_text("".join(lines[:keep]))
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{keep}: file ends "):
+            load_model(p)
+
+    @pytest.mark.parametrize("header", ["mode 1 rows 2", "A rows 4"])
+    def test_block_header_cut_before_its_row_count_rejected(self, tmp_path, header):
+        rng = np.random.default_rng(8)
+        model = JointModel(random_cp(rng, dims=(3, 2, 3, 4)), rng.random((2, 2)),
+                           rng.random((4, 2)), rng.random((2, 2)), {"x": 1.0})
+        p = tmp_path / "model.txt"
+        save_model(model, p)
+        lines = p.read_text().splitlines(keepends=True)
+        at = lines.index(header + "\n")
+        p.write_text("".join(lines[:at]) + header.rsplit(" ", 1)[0])
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 1}: expected "):
             load_model(p)
 
     def test_trailing_garbage_rejected(self, tmp_path):
