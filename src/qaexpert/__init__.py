@@ -55,6 +55,7 @@ from .ingest import (
 from .ranking import (
     EvalReport,
     RankedList,
+    RankingFactors,
     baseline_rank,
     evaluate,
     mean_reciprocal_rank,

@@ -215,7 +215,7 @@ def cmd_recommend(args) -> int:
     cfg = _resolve_config("recommend", args)
     if int(cfg["k"]) < 1:
         raise UsageError("--k must be >= 1")
-    model, meta = serialize.load_model(args.model)
+    model, meta = serialize.load_model(args.model, ranking_only=True)
     manifest = _check_model_snapshot(meta, os.path.join(args.snapshot, SNAPSHOT_FILES["manifest"]))
     topic = _resolve_topic(manifest, args.topic)
     ranked = rank_experts(model, topic, int(cfg["k"]))
@@ -232,7 +232,7 @@ def cmd_recommend(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config("evaluate", args)
     k_list = _parse_int_list(cfg["k_list"], "--k-list")
-    model, meta = serialize.load_model(args.model)
+    model, meta = serialize.load_model(args.model, ranking_only=True)
     paths = _snapshot_paths(args.snapshot)
     manifest = _check_model_snapshot(meta, paths["manifest"])
     ledger = serialize.load_reputation(paths["reputation"])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .ingest import QaDataset, ReputationLedger, _accepted_answer_keys
 
 __all__ = [
     "RankedList",
+    "RankingFactors",
     "EvalReport",
     "rank_experts",
     "z_score",
@@ -42,9 +44,37 @@ class RankedList:
         return [u for u, _ in self.entries]
 
 
+class RankingFactors(NamedTuple):
+    """The blocks of a fitted model that ranking reads: the topic factor
+    (mode 1), the expert factor (mode 3) and the component norms.  A
+    NamedTuple, which is cheaper to define than a dataclass on the CLI's
+    import path."""
+
+    topic: np.ndarray
+    expert: np.ndarray
+    norms: np.ndarray
+
+    @classmethod
+    def of(cls, model) -> RankingFactors:
+        """The ranking blocks of a CpModel, a JointModel or a RankingFactors."""
+        if isinstance(model, cls):
+            return model
+        cp = model.cp if hasattr(model, "cp") else model
+        return cls(cp.factors[1], cp.factors[3], cp.norms)
+
+
 def _order_scores(user_ids, scores):
     order = np.lexsort((np.asarray(user_ids), -np.asarray(scores, dtype=np.float64)))
     return order
+
+
+def _topic_scores(f: RankingFactors, topic):
+    """Every user's score for a topic, or None when its factor row is all
+    zeros (no signal)."""
+    row = f.topic[topic]
+    if not row.any():
+        return None
+    return f.expert @ (f.norms * row)
 
 
 def rank_experts(model, topic: int, k: int) -> RankedList:
@@ -52,20 +82,18 @@ def rank_experts(model, topic: int, k: int) -> RankedList:
 
     A user's score contracts the stored component scales with the topic's
     factor row and the user's factor row; question and voting modes are
-    already absorbed into the scales.  Returns at most k entries, fewer
+    already absorbed into the scales.  ``model`` is a CpModel, a
+    JointModel or their RankingFactors.  Returns at most k entries, fewer
     when the expert mode is smaller than k.
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
-    cp = model.cp if hasattr(model, "cp") else model
-    topic_factor = cp.factors[1]
-    expert_factor = cp.factors[3]
-    if not 0 <= topic < topic_factor.shape[0]:
+    f = RankingFactors.of(model)
+    if not 0 <= topic < f.topic.shape[0]:
         raise ContractViolation(f"topic {topic} out of range")
-    row = topic_factor[topic]
-    if not row.any():
+    scores = _topic_scores(f, topic)
+    if scores is None:
         return RankedList(topic, (), status="no-signal")
-    scores = expert_factor @ (cp.norms * row)
     order = _order_scores(np.arange(scores.shape[0]), scores)[:k]
     entries = tuple((int(l), float(scores[l])) for l in order)
     return RankedList(topic, entries)
@@ -132,11 +160,15 @@ def precision_at_k(recommended: RankedList, relevant: set, k: int) -> float:
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
-    if not recommended.entries:
+    return _precision(recommended.users(), len(recommended.entries), relevant, k)
+
+
+def _precision(top, n, relevant, k):
+    """Hits among the first k of ``top``, a best-first user list of
+    length ``n``, over min(k, n); 0 when the list is empty."""
+    if not n:
         return 0.0
-    top = [u for u, _ in recommended.entries[:k]]
-    hits = sum(1 for u in top if u in relevant)
-    return hits / min(k, len(recommended.entries))
+    return sum(1 for u in top[:k] if u in relevant) / min(k, n)
 
 
 def mean_reciprocal_rank(per_query_ranks) -> float:
@@ -171,7 +203,7 @@ def evaluate(model, data: QaDataset, ledger: ReputationLedger, k_list, tables=No
     top-k users (ties by ascending id), and the reciprocal of the
     position at which the model ranks the ledger's top user (0 when the
     model gives the topic no ranking).  Topics absent from the ledger are
-    skipped and counted.
+    skipped and counted.  ``model`` is anything `rank_experts` takes.
     """
     k_list = [int(k) for k in k_list]
     if not k_list or any(k < 1 for k in k_list):
@@ -183,8 +215,8 @@ def evaluate(model, data: QaDataset, ledger: ReputationLedger, k_list, tables=No
             t for p in data.posts if p.kind == "question" for t in p.tags
         }))
         users = tuple(data.users)
-    cp = model.cp if hasattr(model, "cp") else model
-    if cp.factors[1].shape[0] != len(topics) or cp.factors[3].shape[0] != len(users):
+    f = RankingFactors.of(model)
+    if f.topic.shape[0] != len(topics) or f.expert.shape[0] != len(users):
         raise ContractViolation(
             "model factor sizes do not match the dataset's topic/user tables"
         )
@@ -192,29 +224,26 @@ def evaluate(model, data: QaDataset, ledger: ReputationLedger, k_list, tables=No
     report = EvalReport()
     per_k_precision = {k: [] for k in k_list}
     reciprocals = []
+    index = {u: l for l, u in enumerate(users)}
     for j, tag in enumerate(topics):
         ledger_order = ledger.top_users(tag)
         if not ledger_order:
             report.skipped_topics += 1
             continue
-        ranked = rank_experts(model, j, k=len(users)) if users else RankedList(j, ())
-        mapped = RankedList(
-            tag,
-            tuple((users[l], score) for l, score in ranked.entries),
-            ranked.status,
-        )
-        target = ledger_order[0]
-        position = None
-        for pos, (uid, _) in enumerate(mapped.entries, start=1):
-            if uid == target:
-                position = pos
-                break
-        reciprocal = 1.0 / position if position is not None else 0.0
+        scores = _topic_scores(f, j)
+        if scores is None:
+            n, top, reciprocal = 0, [], 0.0
+        else:
+            n = len(users)
+            order = _order_scores(np.arange(n), scores)[:max(k_list)]
+            top = [users[l] for l in order.tolist()]
+            t = index.get(ledger_order[0])
+            reciprocal = 0.0 if t is None else 1.0 / _position(scores, t)
         reciprocals.append(reciprocal)
         for k in k_list:
-            prec = precision_at_k(mapped, set(ledger_order[:k]), k)
+            prec = _precision(top, n, set(ledger_order[:k]), k)
             per_k_precision[k].append(prec)
-            report.rows.append((tag, k, prec, reciprocal, len(mapped.entries)))
+            report.rows.append((tag, k, prec, reciprocal, n))
         report.evaluated_topics += 1
 
     if report.evaluated_topics:
@@ -227,3 +256,11 @@ def evaluate(model, data: QaDataset, ledger: ReputationLedger, k_list, tables=No
                 report.evaluated_topics,
             ))
     return report
+
+
+def _position(scores, t):
+    """1-based place of user index ``t`` in the `_order_scores` order,
+    counted without sorting: higher scores, then equal scores at lower
+    indices, come first."""
+    s_t = scores[t]
+    return 1 + int(np.count_nonzero(scores > s_t)) + int(np.count_nonzero(scores[:t] == s_t))

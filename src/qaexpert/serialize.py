@@ -3,6 +3,13 @@
 Every format is UTF-8 with LF endings and writes floats as ``%.17g``, so
 a save/load round trip reproduces float64 values bit for bit and repeated
 runs with equal inputs produce byte-identical files.
+
+``model.txt`` ends with a ``digest <sha256>`` line over every byte before
+it, so `load_model` can check the whole file yet parse only the blocks
+its caller reads: ranking reads the topic and expert factors and the
+norms.  A model without the digest line is rejected and must be refit.
+Numeric rows are parsed by ``np.loadtxt``; anything it rejects goes to
+the per-line parser, which either accepts it or names the bad line.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -19,6 +27,7 @@ from .coupled import CpModel, JointModel, MembershipMatrix
 from .errors import DataError
 from .hierarchy import HierarchyTree, TreeNode
 from .ingest import ReputationLedger
+from .ranking import RankingFactors
 from .sparse_tensor import SparseTensor4
 
 __all__ = [
@@ -53,11 +62,29 @@ def save_tensor(X: SparseTensor4, path):
     _write_text(path, "dims " + " ".join(str(d) for d in X.dims) + "\n" + "".join(lines))
 
 
+def _table(lines, dtype):
+    """Whitespace-separated rows as a structured array, or None when
+    ``np.loadtxt`` rejects them, warns (on empty input, or where a NumPy
+    would cast an integer through a float) or skips a line (it drops blank
+    ones); the caller's per-line parser then accepts the rows or names
+    the bad one."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return table if len(table) == len(lines) else None
+
+
 def load_tensor(path) -> SparseTensor4:
     lines = _read_lines(path)
     if not lines or not lines[0].startswith("dims "):
         raise DataError(f"{path}: expected a 'dims I J K L' header")
     dims = tuple(int(t) for t in lines[0].split()[1:])
+    table = _table(lines[1:], [("index", np.int64, (4,)), ("value", np.float64)])
+    if table is not None:
+        return SparseTensor4(dims, indices=table["index"], values=table["value"])
     indices, values = [], []
     for n, line in enumerate(lines[1:], start=2):
         parts = line.split()
@@ -78,6 +105,9 @@ def load_membership(path) -> MembershipMatrix:
     if not lines:
         raise DataError(f"{path}: empty membership file")
     rows, cols = (int(t) for t in lines[0].split())
+    table = _table(lines[1:], [("pair", np.int64, (2,))])
+    if table is not None:
+        return MembershipMatrix(rows, cols, table["pair"])
     pairs = []
     for n, line in enumerate(lines[1:], start=2):
         parts = line.split()
@@ -128,9 +158,18 @@ def load_tree(path) -> HierarchyTree:
     return HierarchyTree(nodes)
 
 
-def _write_matrix_block(out, U):
-    for row in np.atleast_2d(U):
-        out.write(" ".join(_fmt(v) for v in row) + "\n")
+def _matrix_text(U) -> str:
+    """Rows of ``U`` as lines of ``%.17g`` values, formatted in one pass."""
+    U = np.atleast_2d(U)
+    line = " ".join(["%.17g"] * U.shape[1]) + "\n"
+    return (line * U.shape[0]) % tuple(U.ravel().tolist())
+
+
+def _numbers(fields, kind, path, line):
+    try:
+        return [kind(t) for t in fields]
+    except ValueError as exc:
+        raise DataError(f"{path}:{line}: {exc}") from None
 
 
 def _header(lines, pos, path, expected):
@@ -140,23 +179,35 @@ def _header(lines, pos, path, expected):
     return lines[pos].split()
 
 
-def _parse_matrix_block(lines, start, rows, rank, path):
+def _block(lines, start, rows, path):
+    """(start, rows) of a matrix block, and the line after it."""
+    if rows < 0:
+        raise DataError(f"{path}:{start}: negative row count")
     if start + rows > len(lines):
         raise DataError(f"{path}:{len(lines)}: file ends inside a {rows}-row block")
+    return (start, rows), start + rows
+
+
+def _parse_matrix_block(lines, block, rank, path):
+    start, rows = block
+    table = _table(lines[start:start + rows], [("row", np.float64, (rank,))])
+    if table is not None:
+        return table["row"]
     data = np.empty((rows, rank))
     for r in range(rows):
         parts = lines[start + r].split()
         if len(parts) != rank:
             raise DataError(f"{path}:{start + r + 1}: expected {rank} values")
-        data[r] = [float(t) for t in parts]
-    return data, start + rows
+        data[r] = _numbers(parts, float, path, start + r + 1)
+    return data
 
 
 def save_model(model, path, manifest_hash=None, config=None):
     """Write a fitted model; joint models extend the tensor-model format.
 
     ``manifest_hash`` and ``config`` are optional provenance lines tying
-    the model to the snapshot it was fit on.
+    the model to the snapshot it was fit on.  The last line is the SHA-256
+    digest of every byte before it.
     """
     joint = isinstance(model, JointModel)
     cp = model.cp if joint else model
@@ -166,76 +217,96 @@ def save_model(model, path, manifest_hash=None, config=None):
     out.write(f"{kind} rank {cp.rank} dims {dims}\n")
     for mode, U in enumerate(cp.factors):
         out.write(f"mode {mode} rows {U.shape[0]}\n")
-        _write_matrix_block(out, U)
-    out.write("norms " + " ".join(_fmt(v) for v in cp.norms) + "\n")
+        out.write(_matrix_text(U))
+    out.write("norms " + _matrix_text(cp.norms))
     if joint:
         for name, U in (("S", model.S), ("A", model.A), ("T", model.T)):
             out.write(f"{name} rows {U.shape[0]}\n")
-            _write_matrix_block(out, U)
+            out.write(_matrix_text(U))
         pairs = " ".join(f"{k} {_fmt(v)}" for k, v in sorted(model.lambdas.items()))
         out.write(f"lambdas {pairs}\n")
     if manifest_hash is not None:
         out.write(f"manifest {manifest_hash}\n")
     if config is not None:
         out.write("config " + json.dumps(config, sort_keys=True) + "\n")
-    _write_text(path, out.getvalue())
+    text = out.getvalue()
+    _write_text(path, f"{text}digest {hashlib.sha256(text.encode('utf-8')).hexdigest()}\n")
 
 
-def load_model(path):
-    """Read a model file; returns (model, meta) with provenance in meta."""
-    lines = _read_lines(path)
+def load_model(path, ranking_only=False):
+    """Read a model file; returns (model, meta) with provenance in meta.
+
+    Every block header, row count and trailing line is checked, then the
+    final digest line against the bytes before it.  With ``ranking_only``
+    just the blocks `ranking` reads are parsed, and the model returned is
+    their `RankingFactors` instead of a CpModel or JointModel.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.decode("utf-8").splitlines()
     if not lines:
         raise DataError(f"{path}: empty model file")
     head = lines[0].split()
     if len(head) != 8 or head[0] not in ("cp-model", "joint-model") or head[1] != "rank":
         raise DataError(f"{path}: unrecognized model header")
-    rank = int(head[2])
-    dims = tuple(int(t) for t in head[4:8])
+    rank, *dims = _numbers(head[2:3] + head[4:8], int, path, 1)
+    blocks = {}
     pos = 1
-    factors = []
     for mode in range(4):
         parts = _header(lines, pos, path, f"'mode {mode} rows N'")
         if len(parts) != 4 or parts[:2] != ["mode", str(mode)]:
             raise DataError(f"{path}:{pos + 1}: expected 'mode {mode} rows N'")
-        rows = int(parts[3])
-        if rows != dims[mode]:
+        if _numbers(parts[3:], int, path, pos + 1)[0] != dims[mode]:
             raise DataError(f"{path}:{pos + 1}: mode {mode} rows disagree with header")
-        U, pos = _parse_matrix_block(lines, pos + 1, rows, rank, path)
-        factors.append(U)
+        blocks[mode], pos = _block(lines, pos + 1, dims[mode], path)
     parts = _header(lines, pos, path, "the norms line")
     if parts[:1] != ["norms"] or len(parts) != rank + 1:
         raise DataError(f"{path}:{pos + 1}: expected a norms line with {rank} values")
-    norms = np.array([float(t) for t in parts[1:]])
-    pos += 1
-    cp = CpModel(factors, norms)
-
-    model = cp
-    if head[0] == "joint-model":
-        blocks = {}
+    norms_at, pos = pos, pos + 1
+    joint = head[0] == "joint-model"
+    if joint:
         for name in ("S", "A", "T"):
             parts = _header(lines, pos, path, f"the {name} block")
             if len(parts) != 3 or parts[0] != name:
                 raise DataError(f"{path}:{pos + 1}: expected the {name} block")
-            blocks[name], pos = _parse_matrix_block(lines, pos + 1, int(parts[2]), rank, path)
+            rows = _numbers(parts[2:], int, path, pos + 1)[0]
+            blocks[name], pos = _block(lines, pos + 1, rows, path)
         parts = _header(lines, pos, path, "the lambdas line")
-        if parts[:1] != ["lambdas"]:
+        if parts[:1] != ["lambdas"] or len(parts) % 2 == 0:
             raise DataError(f"{path}:{pos + 1}: expected the lambdas line")
-        lambdas = {parts[i]: float(parts[i + 1]) for i in range(1, len(parts), 2)}
-        pos += 1
-        model = JointModel(cp, blocks["S"], blocks["A"], blocks["T"], lambdas)
+        lambdas_at, pos = pos, pos + 1
 
-    meta = {}
-    for line in lines[pos:]:
-        parts = line.split(None, 1)
-        if not parts:
+    trailing = {}
+    for n in range(pos, len(lines)):
+        key = lines[n].split(None, 1)[:1]
+        if not key:
             continue
-        if parts[0] == "manifest":
-            meta["manifest"] = parts[1].strip()
-        elif parts[0] == "config":
-            meta["config"] = json.loads(parts[1])
-        else:
-            raise DataError(f"{path}: unexpected trailing line {line!r}")
-    return model, meta
+        if key[0] not in ("manifest", "config", "digest"):
+            raise DataError(f"{path}: unexpected trailing line {lines[n]!r}")
+        trailing[key[0]] = n
+    if trailing.get("digest") != len(lines) - 1:
+        raise DataError(f"{path}:{len(lines)}: expected a final 'digest <sha256>' line; "
+                        "a model written without one must be refit")
+    body = data[:data.rfind(b"\n", 0, len(data) - 1) + 1]  # every byte before the last line
+    if lines[-1].split() != ["digest", hashlib.sha256(body).hexdigest()]:
+        raise DataError(f"{path}:{len(lines)}: digest does not match the file's contents")
+    meta = {}
+    if "manifest" in trailing:
+        meta["manifest"] = lines[trailing["manifest"]].split(None, 1)[1].strip()
+    if "config" in trailing:
+        meta["config"] = json.loads(lines[trailing["config"]].split(None, 1)[1])
+
+    norms = np.array(_numbers(lines[norms_at].split()[1:], float, path, norms_at + 1))
+    if ranking_only:
+        topic, expert = (_parse_matrix_block(lines, blocks[m], rank, path) for m in (1, 3))
+        return RankingFactors(topic, expert, norms), meta
+    cp = CpModel([_parse_matrix_block(lines, blocks[m], rank, path) for m in range(4)], norms)
+    if not joint:
+        return cp, meta
+    parts = lines[lambdas_at].split()
+    lambdas = dict(zip(parts[1::2], _numbers(parts[2::2], float, path, lambdas_at + 1)))
+    S, A, T = (_parse_matrix_block(lines, blocks[name], rank, path) for name in "SAT")
+    return JointModel(cp, S, A, T, lambdas), meta
 
 
 def save_reputation(ledger: ReputationLedger, path):

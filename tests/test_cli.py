@@ -1,5 +1,6 @@
 """Batch CLI behavior: exit codes, file outputs, determinism, provenance."""
 
+import hashlib
 import json
 import os
 import re
@@ -355,6 +356,46 @@ class TestEvaluate:
         code = main(["evaluate", "--model", fitted, "--snapshot", other,
                      "--out-dir", str(tmp_path / "e")])
         assert code == 1
+
+
+def edited_model(fitted, tmp_path, block, edit):
+    """Copy of the fitted model with ``edit`` applied to the first row of
+    ``block`` (the line itself for norms); returns (path, 1-based line)."""
+    lines = open(fitted).read().splitlines(keepends=True)
+    at = next(n for n, line in enumerate(lines) if line.startswith(block))
+    at += block != "norms"
+    lines[at] = edit(lines[at])
+    path = tmp_path / "edited.txt"
+    path.write_text("".join(lines))
+    return str(path), at + 1
+
+
+def flip_last_digit(line):
+    return re.sub(r"\d(?=\D*$)", lambda d: str((int(d.group()) + 1) % 10), line, count=1)
+
+
+class TestModelDigest:
+    @pytest.mark.parametrize("command", ["recommend", "evaluate"])
+    @pytest.mark.parametrize("block", ["mode 0 rows", "A rows", "norms"])
+    def test_flipped_digit_exits_1(self, fitted, snapshot, tmp_path, capsys, block, command):
+        path, _ = edited_model(fitted, tmp_path, block, flip_last_digit)
+        extra = (["--topic", "alpha/tensor"] if command == "recommend"
+                 else ["--out-dir", str(tmp_path / "e")])
+        code = main([command, "--model", path, "--snapshot", snapshot, *extra])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+
+    def test_non_numeric_value_names_path_and_line(self, fitted, snapshot, tmp_path, capsys):
+        path, line = edited_model(fitted, tmp_path, "mode 1 rows",
+                                  lambda row: "abc " + row.split(" ", 1)[1])
+        with open(path) as fh:
+            body = "".join(fh.readlines()[:-1])
+        with open(path, "w") as fh:
+            fh.write(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+        code = main(["recommend", "--model", path, "--snapshot", snapshot,
+                     "--topic", "alpha/tensor"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
 
 
 class TestPipeline:

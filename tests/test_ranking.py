@@ -9,7 +9,9 @@ from qaexpert.coupled import CpModel
 from qaexpert.errors import ContractViolation
 from qaexpert.ingest import Post, QaDataset, ReputationLedger, Vote
 from qaexpert.ranking import (
+    EvalReport,
     RankedList,
+    RankingFactors,
     baseline_rank,
     evaluate,
     mean_reciprocal_rank,
@@ -17,6 +19,7 @@ from qaexpert.ranking import (
     rank_experts,
     z_score,
 )
+from qaexpert.serialize import save_report
 
 
 def model_from_scores(per_topic_scores):
@@ -240,3 +243,65 @@ class TestEvaluate:
         assert report.evaluated_topics == 1
         (_, _, prec, mrr, _), = report.rows
         assert prec == 1.0 and mrr == 1.0
+
+
+def evaluate_by_full_sort(model, ledger, k_list, tables):
+    """Reference evaluate: a full rank_experts list per topic, mapped to
+    user ids and scanned for the ledger leader."""
+    topics, users = tuple(tables.topics), tuple(tables.users)
+    report = EvalReport()
+    per_k_precision = {k: [] for k in k_list}
+    reciprocals = []
+    for j, tag in enumerate(topics):
+        ledger_order = ledger.top_users(tag)
+        if not ledger_order:
+            report.skipped_topics += 1
+            continue
+        ranked = rank_experts(model, j, k=len(users)) if users else RankedList(j, ())
+        mapped = RankedList(tag, tuple((users[l], score) for l, score in ranked.entries),
+                            ranked.status)
+        position = next((pos for pos, (uid, _) in enumerate(mapped.entries, start=1)
+                         if uid == ledger_order[0]), None)
+        reciprocal = 1.0 / position if position is not None else 0.0
+        reciprocals.append(reciprocal)
+        for k in k_list:
+            prec = precision_at_k(mapped, set(ledger_order[:k]), k)
+            per_k_precision[k].append(prec)
+            report.rows.append((tag, k, prec, reciprocal, len(mapped.entries)))
+        report.evaluated_topics += 1
+    if report.evaluated_topics:
+        for k in k_list:
+            report.summary.append(("ALL", k, sum(per_k_precision[k]) / len(per_k_precision[k]),
+                                   sum(reciprocals) / len(reciprocals), report.evaluated_topics))
+    return report
+
+
+class TestEvaluateMatchesFullSort:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_report_bytes_equal(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n_topics, n_users, rank = int(rng.integers(1, 7)), int(rng.integers(1, 12)), 2
+        # small integer factors make many tied scores; zero rows are no-signal topics
+        U2 = rng.integers(0, 3, size=(n_topics, rank)).astype(float)
+        U2[rng.random(n_topics) < 0.3] = 0.0
+        U4 = rng.integers(-1, 3, size=(n_users, rank)).astype(float)
+        model = CpModel([np.ones((1, rank)), U2, np.ones((1, rank)), U4], rng.random(rank) + 0.5)
+        users = sorted(rng.choice(100, size=n_users, replace=False).tolist())
+        topics = [f"s/t{j}" for j in range(n_topics)]
+        # ledger users include some outside the user table, and some topics have none
+        pool = users + [200, 201]
+        scores = {(int(u), t): int(rng.integers(-3, 20))
+                  for t in topics if rng.random() < 0.8
+                  for u in rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False)}
+        ledger = ReputationLedger(scores)
+        k_list = [1, 3, n_users, n_users + 5]
+        tables = tables_for(topics, users)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_report(evaluate(model, None, ledger, k_list, tables=tables), got)
+        save_report(evaluate_by_full_sort(model, ledger, k_list, tables), want)
+        assert got.read_bytes() == want.read_bytes()
+        factors = RankingFactors.of(model)
+        assert evaluate(factors, None, ledger, k_list, tables) == evaluate(model, None, ledger,
+                                                                           k_list, tables)
+        assert all(rank_experts(factors, j, 4) == rank_experts(model, j, 4)
+                   for j in range(n_topics))

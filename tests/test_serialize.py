@@ -2,16 +2,21 @@
 
 import hashlib
 import json
+import os
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from qaexpert import serialize
+from qaexpert.cli import main
 from qaexpert.coupled import CpModel, JointModel, MembershipMatrix
 from qaexpert.errors import DataError
 from qaexpert.hierarchy import compute_node_weights, tree_from_nested
 from qaexpert.ingest import ReputationLedger
+from qaexpert.ranking import RankingFactors
 from qaexpert.serialize import (
     file_digest,
     load_manifest,
@@ -30,6 +35,7 @@ from qaexpert.serialize import (
     write_manifest,
 )
 from qaexpert.sparse_tensor import SparseTensor4
+from qaexpert.synthetic import make_corpus
 
 from conftest import random_sparse
 
@@ -121,6 +127,92 @@ class TestMembershipFormat:
         p.write_text("")
         with pytest.raises(DataError):
             load_membership(p)
+
+
+def load_outcome(load, path):
+    """What a loader returns or raises, and the warnings that escape it,
+    comparable across implementations.  Warning filters stay at their
+    defaults apart from showing every warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            obj = load(path)
+        except Exception as exc:
+            result = type(exc), str(exc)
+        else:
+            if isinstance(obj, SparseTensor4):
+                result = obj.dims, obj.indices.tolist(), obj.values.tobytes()
+            else:
+                result = obj.rows, obj.cols, obj.indices.tolist()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+TENSOR_BODIES = [
+    "0 0 0 0 1.5\n1 1 1 1 2\n",
+    "",
+    "0 0 0 0 1\n\n1 1 1 1 2\n",
+    "0 0 0 0 1\n\n",
+    "\n",
+    "  \n\n",
+    "#\n",
+    "# note\n0 0 0 0 1\n",
+    "1.5 0 0 0 1\n",
+    "1e0 0 0 0 1\n",
+    "1.0 0 0 0 1\n",
+    "9223372036854775807 0 0 0 1\n",
+    "9223372036854775808 0 0 0 1\n",
+    "1_0 0 0 0 1\n",
+    "0 0 0 0 1_0\n",
+    "0\t0\t0\t0\t1\n",
+    "0 0 0 1\n",
+    "0 0 0 0 1 2\n",
+    "+1 -0 0 0 .5\n",
+    "\u0663 0 0 0 1\n",
+    "0 0 0 0 0x1p0\n",
+    "0 0 0 0 nan\n",
+    "0 0 0 0 1e400\n",
+    "0 0 0 0 -1\n",
+    "99999999999999999999 0 0 0 1\n",
+    "30 0 0 0 1\n",
+    "0 0 0 0 1\n0 0 0 0 2\n",
+]
+
+MEMBERSHIP_BODIES = [
+    "0 1\n2 3\n", "", "\n", "0 1\n\n2 3\n", "#\n", "1.5 0\n", "1e0 0\n", "9223372036854775808 0\n", "1_0 0\n", "0\t1\n",
+    "1\n", "1 2 3\n", "+2 -0\n", "5 0\n", "abc 1\n",
+]
+
+
+class TestFastLoaderParity:
+    """``np.loadtxt`` accepts and rejects exactly what the per-line parser
+    does: with ``_table`` stubbed out, every input takes the per-line path."""
+
+    @pytest.mark.parametrize("body", TENSOR_BODIES)
+    def test_tensor(self, tmp_path, monkeypatch, body):
+        p = tmp_path / "t.txt"
+        p.write_text("dims 20 2 2 2\n" + body)
+        fast = load_outcome(load_tensor, p)
+        monkeypatch.setattr(serialize, "_table", lambda lines, dtype: None)
+        assert fast == load_outcome(load_tensor, p)
+
+    @pytest.mark.parametrize("body", MEMBERSHIP_BODIES)
+    def test_membership(self, tmp_path, monkeypatch, body):
+        p = tmp_path / "m.txt"
+        p.write_text("11 4\n" + body)
+        fast = load_outcome(load_membership, p)
+        monkeypatch.setattr(serialize, "_table", lambda lines, dtype: None)
+        assert fast == load_outcome(load_membership, p)
+
+    def test_well_formed_rows_take_the_fast_path(self):
+        assert serialize._table(["0 1", "2 3"], [("pair", np.int64, (2,))]) is not None
+
+    @pytest.mark.parametrize("lines", [[], [""], ["1.5 0"], ["1e0 0"], ["9223372036854775808 0"],
+                                       ["0 1", ""]])
+    def test_rejected_rows_go_to_the_per_line_parser(self, lines):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert serialize._table(lines, [("pair", np.int64, (2,))]) is None
+        assert caught == []
 
 
 class TestTreeFormat:
@@ -266,6 +358,142 @@ class TestModelFormat:
             fh.write("surprise\n")
         with pytest.raises(DataError, match="surprise"):
             load_model(p)
+
+
+def per_float_model_text(model, manifest_hash=None, config=None):
+    """Model text as the per-float f-string writer formatted it: the oracle
+    for the body that save_model formats one block at a time."""
+    f = lambda x: f"{float(x):.17g}"
+    cp = model.cp if isinstance(model, JointModel) else model
+    kind = "joint-model" if isinstance(model, JointModel) else "cp-model"
+    out = [f"{kind} rank {cp.rank} dims {' '.join(str(d) for d in cp.dims)}\n"]
+    blocks = [(f"mode {m} rows", U) for m, U in enumerate(cp.factors)]
+    tail = []
+    if isinstance(model, JointModel):
+        tail = [("S rows", model.S), ("A rows", model.A), ("T rows", model.T)]
+    for name, U in blocks + [("norms", None)] + tail:
+        if U is None:
+            out.append("norms " + " ".join(f(v) for v in cp.norms) + "\n")
+            continue
+        out.append(f"{name} {U.shape[0]}\n")
+        out.extend(" ".join(f(v) for v in row) + "\n" for row in U)
+    if isinstance(model, JointModel):
+        pairs = " ".join(f"{k} {f(v)}" for k, v in sorted(model.lambdas.items()))
+        out.append(f"lambdas {pairs}\n")
+    if manifest_hash is not None:
+        out.append(f"manifest {manifest_hash}\n")
+    if config is not None:
+        out.append("config " + json.dumps(config, sort_keys=True) + "\n")
+    return "".join(out)
+
+
+def random_joint(rng, dims=(3, 2, 3, 4), rank=2):
+    return JointModel(random_cp(rng, dims=dims, rank=rank), rng.random((2, rank)),
+                      rng.random((dims[3], rank)), rng.random((dims[1], rank)),
+                      {"lambda_x": 0.1, "lambda_s": 0.25})
+
+
+def seal(text):
+    return text + f"digest {hashlib.sha256(text.encode()).hexdigest()}\n"
+
+
+def assert_ranking_blocks_equal(path):
+    full, full_meta = load_model(path)
+    part, part_meta = load_model(path, ranking_only=True)
+    want = RankingFactors.of(full)
+    assert isinstance(part, RankingFactors)
+    for name in ("topic", "expert", "norms"):
+        assert getattr(part, name).tobytes() == getattr(want, name).tobytes()
+        assert getattr(part, name).shape == getattr(want, name).shape
+    assert part_meta == full_meta
+
+
+class TestModelDigest:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_body_matches_per_float_writer(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        model = random_joint(rng, rank=3) if seed % 2 else random_cp(rng, rank=3)
+        cp = model.cp if seed % 2 else model
+        cp.factors[0][0] = [np.nan, np.inf, -0.0]
+        cp.factors[2][-1] = [-np.inf, 5e-324, 1e300]
+        p = tmp_path / "model.txt"
+        save_model(model, p, manifest_hash="cd" * 32, config={"rank": 3})
+        assert p.read_text() == seal(per_float_model_text(model, "cd" * 32, {"rank": 3}))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ranking_only_load_is_bit_equal_to_full_parse(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(1, 7, size=4))
+        rank = int(rng.integers(1, 5))
+        model = (random_joint(rng, dims, rank) if seed % 2 else random_cp(rng, dims, rank))
+        cp = model.cp if seed % 2 else model
+        cp.factors[3][0, 0] = -0.0
+        p = tmp_path / "model.txt"
+        save_model(model, p, manifest_hash="ef" * 32)
+        assert_ranking_blocks_equal(p)
+        part, _ = load_model(p, ranking_only=True)
+        assert part.topic.tobytes() == cp.factors[1].tobytes()
+
+    def test_ranking_only_load_of_a_fitted_corpus(self, tmp_path, capsys):
+        make_corpus(str(tmp_path / "corpus"), seed=3)
+        sites = sorted(str(tmp_path / "corpus" / d) for d in os.listdir(tmp_path / "corpus")
+                       if (tmp_path / "corpus" / d).is_dir())
+        snap, fit = str(tmp_path / "snap"), str(tmp_path / "fit")
+        assert main(["ingest", *sites, "--out-dir", snap]) == 0
+        assert main(["fit", snap, "--out-dir", fit, "--rank", "3", "--max-iters", "5"]) == 0
+        assert_ranking_blocks_equal(os.path.join(fit, "model.txt"))
+
+    def test_meta_holds_only_provenance(self, tmp_path):
+        p = tmp_path / "model.txt"
+        save_model(random_joint(np.random.default_rng(1)), p, manifest_hash="aa", config={})
+        assert sorted(load_model(p)[1]) == ["config", "manifest"]
+
+    @pytest.mark.parametrize("ranking_only", [False, True])
+    @pytest.mark.parametrize("block", ["mode 0 rows", "mode 2 rows", "A rows", "norms", "lambdas"])
+    def test_one_flipped_digit_rejected(self, tmp_path, block, ranking_only):
+        p = tmp_path / "model.txt"
+        save_model(random_joint(np.random.default_rng(2)), p, manifest_hash="aa")
+        lines = p.read_text().splitlines(keepends=True)
+        at = next(n for n, line in enumerate(lines) if line.startswith(block))
+        at += 0 if block in ("norms", "lambdas") else 1
+        lines[at] = re.sub(r"\d(?=\d*\s*$)", lambda d: str((int(d.group()) + 1) % 10),
+                           lines[at], count=1)
+        p.write_text("".join(lines))
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{len(lines)}: digest "):
+            load_model(p, ranking_only=ranking_only)
+
+    def test_model_without_digest_rejected(self, tmp_path):
+        p = tmp_path / "model.txt"
+        save_model(random_cp(np.random.default_rng(3)), p)
+        lines = p.read_text().splitlines(keepends=True)
+        p.write_text("".join(lines[:-1]))
+        with pytest.raises(DataError, match="must be refit"):
+            load_model(p)
+
+    def test_digest_must_be_the_last_line(self, tmp_path):
+        p = tmp_path / "model.txt"
+        save_model(random_cp(np.random.default_rng(3)), p)
+        with open(p, "a") as fh:
+            fh.write("\n")
+        with pytest.raises(DataError, match="final 'digest"):
+            load_model(p)
+
+    @pytest.mark.parametrize("target", ["mode 1 rows", "mode 3 rows", "norms", "lambdas", "S rows"])
+    def test_non_numeric_value_names_its_line(self, tmp_path, target):
+        p = tmp_path / "model.txt"
+        save_model(random_joint(np.random.default_rng(4)), p)
+        lines = p.read_text().splitlines(keepends=True)[:-1]
+        at = next(n for n, line in enumerate(lines) if line.startswith(target))
+        at += target.endswith("rows")
+        keep = {"norms": 1, "lambdas": 2}.get(target, 0)
+        parts = lines[at].split(" ")
+        lines[at] = " ".join(parts[:keep] + ["abc"] + parts[keep + 1:])
+        p.write_text(seal("".join(lines)))
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 1}: .*'abc'"):
+            load_model(p)
+        if target not in ("lambdas", "S rows"):
+            with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 1}: "):
+                load_model(p, ranking_only=True)
 
 
 class TestReputationFormat:
