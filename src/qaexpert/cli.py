@@ -10,6 +10,7 @@ byte-identical across runs with equal inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -249,7 +250,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each `parse_args`
+    call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qaexpert",
         description="Find per-topic experts in multi-community Q&A dumps.",
@@ -301,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -7,22 +7,24 @@ one, falling back to the per-site id otherwise.  Question tags are
 namespaced ``subsite/tag`` so topics from different subsites never
 collide.
 
-Each file is streamed through expat in one pass: every row becomes a
-user, post or vote as it is read, and no row is kept.  Errors name the
-file and line.  Since rows are handled as they are read, a non-integer
-attribute is reported at its own row even when an XML syntax error comes
-later in the same file.  Each subsite is validated once, when it is
-parsed; `merge_datasets` joins validated subsites without checking them
-again.
+Each file is streamed through expat in one pass: the handlers append each
+row's ids to integer columns and intern its tags once per subsite, and no
+row is kept as an object.  Errors name the file and line; a bad attribute
+is reported at its own row even when an XML syntax error comes later in
+the same file.  A `QaDataset` is those columns as NumPy arrays, and
+sorting, validation, merging, sampling, vote scores, reputation and
+tensor assembly are array passes over them.  Each subsite is validated
+once, when it is parsed; `merge_datasets` joins validated subsites
+without checking them again.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from xml.parsers import expat
 
 import numpy as np
@@ -33,8 +35,8 @@ from .hierarchy import HierarchyTree, tree_from_nested
 from .sparse_tensor import SparseTensor4
 
 __all__ = [
-    "Post",
-    "Vote",
+    "PostColumns",
+    "VoteColumns",
     "QaDataset",
     "ReputationLedger",
     "BuildInputs",
@@ -48,106 +50,173 @@ __all__ = [
 
 DEFAULT_BUCKET_EDGES = (0, 1, 3, 10)
 
-_VOTE_KINDS = {"1": "accept", "2": "upvote", "3": "downvote"}
-_QUESTION_VOTE_DELTAS = {"upvote": 1, "downvote": -1}
+# An absent owner, parent, accepted answer or voter in an integer column.
+# Not -1: Stack Exchange dumps give the Community user the id -1.
+NONE = np.iinfo(np.int64).min
+QUESTION, ANSWER = 1, 2  # post kinds, as the dump's PostTypeId
+# Vote kinds, numbered in the order of their names so that codes sort as names.
+ACCEPT, DOWNVOTE, UPVOTE = 0, 1, 2
+_VOTE_CODES = {"1": ACCEPT, "2": UPVOTE, "3": DOWNVOTE}
 
 
-@dataclass(frozen=True)
-class Post:
-    post_id: int
-    subsite: str
-    kind: str
-    owner: int | None = None
-    parent_id: int | None = None
-    accepted_id: int | None = None
-    tags: tuple[str, ...] = ()
+@dataclass(frozen=True, eq=False)
+class PostColumns:
+    """One entry per post.  ``site`` and ``tag`` codes index the sorted
+    name tables ``sites`` and ``tags``; post p's tags are
+    ``tag[tag_start[p]:tag_start[p + 1]]``; ``ref`` is a question's
+    accepted answer or an answer's parent, and ``owner`` and ``ref`` hold
+    `NONE` where there is none."""
+
+    sites: tuple
+    tags: tuple
+    site: np.ndarray
+    id: np.ndarray
+    kind: np.ndarray
+    owner: np.ndarray
+    ref: np.ndarray
+    tag_start: np.ndarray
+    tag: np.ndarray
+
+    def __len__(self):
+        return len(self.id)
+
+    def take(self, rows) -> PostColumns:
+        """Posts ``rows``, in that order, with their tags."""
+        start = self.tag_start[rows]
+        count = self.tag_start[rows + 1] - start
+        return PostColumns(
+            self.sites, self.tags, self.site[rows], self.id[rows], self.kind[rows],
+            self.owner[rows], self.ref[rows], np.concatenate(([0], np.cumsum(count))),
+            self.tag[_segments(start, count)],
+        )
 
 
-@dataclass(frozen=True)
-class Vote:
-    subsite: str
-    post_id: int
-    kind: str
-    voter: int | None = None
+@dataclass(frozen=True, eq=False)
+class VoteColumns:
+    """One entry per vote; ``site`` codes index the posts' ``sites``, and
+    ``voter`` holds `NONE` where the voter is unknown."""
+
+    site: np.ndarray
+    post: np.ndarray
+    kind: np.ndarray
+    voter: np.ndarray
+
+    def __len__(self):
+        return len(self.post)
+
+    def take(self, rows) -> VoteColumns:
+        return VoteColumns(self.site[rows], self.post[rows], self.kind[rows], self.voter[rows])
+
+
+def _segments(start, count):
+    """Positions of the runs ``[start[i], start[i] + count[i])``, in order."""
+    ends = np.cumsum(count)
+    return np.repeat(start - ends + count, count) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _user_index(user_ids, ids):
+    """Index of each of ``ids`` in the sorted ``user_ids``, or -1."""
+    at = np.searchsorted(user_ids, ids)
+    hit = at < len(user_ids)
+    hit[hit] = user_ids[at[hit]] == ids[hit]
+    return np.where(hit, at, -1)
+
+
+def _find(posts, site, ids):
+    """Row of post (site[i], ids[i]) in site-and-id sorted ``posts``, or -1.
+    ``site`` is ascending."""
+    rows = np.full(len(ids), -1, dtype=np.int64)
+    codes = np.arange(len(posts.sites) + 1)
+    post_runs, query_runs = np.searchsorted(posts.site, codes), np.searchsorted(site, codes)
+    for a, b, c, d in zip(post_runs[:-1], post_runs[1:], query_runs[:-1], query_runs[1:]):
+        if a < b and c < d:
+            at = a + np.searchsorted(posts.id[a:b], ids[c:d]).clip(max=b - a - 1)
+            rows[c:d] = np.where(posts.id[at] == ids[c:d], at, -1)
+    return rows
 
 
 class QaDataset:
-    """Normalized posts, votes, and users for one or more subsites.
+    """Users, posts, and votes of one or more subsites, as columns.
 
-    ``users`` holds sorted network-wide user ids; posts are sorted by
-    (subsite, post id); votes by (subsite, post id, kind, voter).
-    Construction validates referential integrity: answers need existing
+    ``users`` holds the sorted network-wide user ids, ``posts`` the posts
+    sorted by (subsite, post id), and ``votes`` the votes sorted by
+    (subsite, post id, kind, voter).  ``ref_row`` is the row of each
+    post's parent or accepted answer and ``vote_row`` that of each vote's
+    post (-1: none).  Construction sorts the columns, which may come in
+    any order, and validates referential integrity: answers need existing
     question parents, accepted ids must name answers of their question,
     tags appear on questions only, and votes point at existing posts.
     """
 
-    def __init__(self, users, posts, votes):
-        self.users = tuple(sorted(set(int(u) for u in users)))
-        self.posts = tuple(sorted(posts, key=attrgetter("subsite", "post_id")))
-        self.votes = tuple(
-            sorted(votes, key=lambda v: (v.subsite, v.post_id, v.kind, v.voter or 0))
-        )
-        self._by_key = {}
-        for post in self.posts:
-            key = (post.subsite, post.post_id)
-            if key in self._by_key:
-                raise DataError(f"duplicate post id {post.post_id} in subsite {post.subsite}")
-            self._by_key[key] = post
+    def __init__(self, users, posts: PostColumns, votes: VoteColumns):
+        posts = posts.take(np.lexsort((posts.id, posts.site)))
+        same = (posts.site[1:] == posts.site[:-1]) & (posts.id[1:] == posts.id[:-1])
+        if same.any():
+            p = int(np.argmax(same))
+            raise DataError(
+                f"duplicate post id {posts.id[p]} in subsite {posts.sites[posts.site[p]]}"
+            )
+        voter = np.where(votes.voter == NONE, 0, votes.voter)
+        votes = votes.take(np.lexsort((voter, votes.kind, votes.post, votes.site)))
+        self.users = np.unique(np.asarray(users, dtype=np.int64))
+        self.posts, self.votes = posts, votes
+        self.ref_row = _find(posts, posts.site, posts.ref)
+        self.vote_row = _find(posts, votes.site, votes.post)
         self._validate()
 
     @classmethod
-    def _assemble(cls, users, posts, votes, by_key):
-        """A dataset from parts already sorted, indexed and validated."""
+    def _assemble(cls, users, posts, votes, ref_row, vote_row):
+        """A dataset from columns already sorted, indexed and validated."""
         data = cls.__new__(cls)
-        data.users, data.posts, data.votes = tuple(users), tuple(posts), tuple(votes)
-        data._by_key = by_key
+        data.users, data.posts, data.votes = users, posts, votes
+        data.ref_row, data.vote_row = ref_row, vote_row
         return data
 
+    def _select(self, post_rows, vote_rows, users=None, ref=None) -> QaDataset:
+        """The posts and votes at the given rows, in that order, with the
+        rows they refer to renumbered; ``ref`` replaces the ref column."""
+        posts = self.posts if ref is None else replace(self.posts, ref=ref)
+        # Row -1 (no target) reads the extra last slot, which stays -1.
+        renumber = np.full(len(posts) + 1, -1)
+        renumber[post_rows] = np.arange(len(post_rows))
+        return QaDataset._assemble(
+            self.users if users is None else users,
+            posts.take(post_rows), self.votes.take(vote_rows),
+            renumber[self.ref_row[post_rows]], renumber[self.vote_row[vote_rows]],
+        )
+
     def _validate(self):
-        for post in self.posts:
-            if post.kind == "answer":
-                if post.tags:
-                    raise DataError(f"answer {post.post_id} carries tags")
-                parent = self._by_key.get((post.subsite, post.parent_id))
-                if parent is None or parent.kind != "question":
-                    raise DataError(
-                        f"answer {post.post_id} in subsite {post.subsite} "
-                        f"references missing question {post.parent_id}"
-                    )
-            elif post.kind == "question":
-                if post.accepted_id is not None:
-                    acc = self._by_key.get((post.subsite, post.accepted_id))
-                    if acc is None or acc.kind != "answer" or acc.parent_id != post.post_id:
-                        raise DataError(
-                            f"question {post.post_id} accepts {post.accepted_id}, "
-                            "which is not one of its answers"
-                        )
-            else:
-                raise DataError(f"post {post.post_id} has unknown kind {post.kind!r}")
-        for vote in self.votes:
-            if (vote.subsite, vote.post_id) not in self._by_key:
+        p, ref = self.posts, self.ref_row
+        ref_kind = np.where(ref >= 0, p.kind[ref], 0)
+        answer = p.kind == ANSWER
+        tagged = p.tag_start[1:] > p.tag_start[:-1]
+        bad = answer & (tagged | (ref_kind != QUESTION))
+        bad |= ~answer & (p.ref != NONE) & ((ref_kind != ANSWER) | (p.ref[ref] != p.id))
+        if bad.any():
+            r = int(np.argmax(bad))
+            pid, target = int(p.id[r]), None if p.ref[r] == NONE else int(p.ref[r])
+            if not answer[r]:
                 raise DataError(
-                    f"vote on missing post {vote.post_id} in subsite {vote.subsite}"
+                    f"question {pid} accepts {target}, which is not one of its answers"
                 )
+            if tagged[r]:
+                raise DataError(f"answer {pid} carries tags")
+            raise DataError(f"answer {pid} in subsite {p.sites[p.site[r]]} "
+                            f"references missing question {target}")
+        if (self.vote_row < 0).any():
+            v = int(np.argmax(self.vote_row < 0))
+            raise DataError(f"vote on missing post {self.votes.post[v]} in subsite "
+                            f"{p.sites[self.votes.site[v]]}")
 
-    def post(self, subsite: str, post_id: int) -> Post:
-        return self._by_key[(subsite, post_id)]
-
-    @property
+    @cached_property
     def subsites(self) -> tuple[str, ...]:
-        return tuple(sorted({p.subsite for p in self.posts}))
+        """Names of the subsites with posts."""
+        return tuple(self.posts.sites[c] for c in np.unique(self.posts.site).tolist())
 
-    def questions(self):
-        return [p for p in self.posts if p.kind == "question"]
-
-    def answers(self):
-        return [p for p in self.posts if p.kind == "answer"]
-
-    def governing_question(self, post: Post) -> Post:
-        """The question a post hangs off: itself, or an answer's parent."""
-        if post.kind == "question":
-            return post
-        return self._by_key[(post.subsite, post.parent_id)]
+    def post_keys(self, rows) -> list[tuple[str, int]]:
+        """(subsite, post id) of the posts at ``rows``."""
+        p = self.posts
+        return list(zip([p.sites[c] for c in p.site[rows].tolist()], p.id[rows].tolist()))
 
 
 class _RowError(Exception):
@@ -159,7 +228,8 @@ def _stream_rows(path, on_element):
 
     Elements are handled as the parser meets them; no row outlives its
     call.  Syntax errors carry expat's message and line, and a `_RowError`
-    raised by ``on_element`` is reported at the line of its row.
+    raised by ``on_element`` is reported at the line of its row, as is an
+    id that does not fit in 64 bits.
     """
     parser = expat.ParserCreate()
     parser.StartElementHandler = on_element
@@ -170,6 +240,8 @@ def _stream_rows(path, on_element):
         raise DumpParseError(expat.ErrorString(exc.code), str(path), exc.lineno) from exc
     except _RowError as exc:
         raise DumpParseError(str(exc), path, parser.CurrentLineNumber) from None
+    except OverflowError:
+        raise DumpParseError("id beyond 64 bits", path, parser.CurrentLineNumber) from None
 
 
 def _not_int(attrs, names):
@@ -191,25 +263,26 @@ _POST_INTS = {
 
 
 def _parse_tags(raw, subsite):
+    """Namespaced tags of a Tags value, each once, in first-seen order."""
     if not raw:
         return ()
     if raw.startswith("<"):
         parts = raw.strip("<>").split("><")
     else:
-        parts = [t for t in raw.split("|") if t]
-    return tuple(f"{subsite}/{t}" for t in parts if t)
+        parts = raw.split("|")
+    return tuple(dict.fromkeys(f"{subsite}/{t}" for t in parts if t))
 
 
 def parse_dump(posts_file, votes_file, users_file, subsite_name: str) -> QaDataset:
     """Parse one subsite's dump files into a validated dataset.
 
-    Each file is streamed: every row becomes a user, post or vote as it
-    is read.  Unknown vote kinds and non-question/answer post kinds are
-    skipped with a counted warning.  Posts whose owner cannot be resolved
-    against the users file are kept with no owner.
+    Each file is streamed: every row's ids are appended to integer columns
+    as it is read.  Unknown vote kinds and non-question/answer post kinds
+    are skipped with a counted warning.  Posts whose owner cannot be
+    resolved against the users file are kept with no owner.
     """
     local_to_canonical = {}
-    users = []
+    users = array("q")
 
     def user_row(name, attrs):
         if name != "row":
@@ -227,10 +300,13 @@ def parse_dump(posts_file, votes_file, users_file, subsite_name: str) -> QaDatas
             canonical = local if account is None else int(account)
         except ValueError:
             raise _RowError(_not_int(attrs, ("AccountId",))) from None
-        local_to_canonical[local] = canonical
         users.append(canonical)
+        local_to_canonical[local] = canonical
 
-    posts = []
+    # Per post: id, kind, owner, ref and the end of its run in tag_ids.
+    posts, tag_ids = array("q"), array("q")
+    tag_codes = {}      # namespaced tag -> code, in first-seen order
+    codes_of = {}       # raw Tags value -> its tag codes
     skipped_posts = 0
     resolve = local_to_canonical.get
 
@@ -243,39 +319,38 @@ def parse_dump(posts_file, votes_file, users_file, subsite_name: str) -> QaDatas
         try:
             pid = int(attrs["Id"])
             owner = get("OwnerUserId")
-            if owner is not None:
-                owner = resolve(int(owner))
+            owner = NONE if owner is None else resolve(int(owner), NONE)
             if kind_code == "1":
-                accepted = get("AcceptedAnswerId")
-                posts.append(Post(
-                    pid, subsite_name, "question", owner, None,
-                    None if accepted is None else int(accepted),
-                    _parse_tags(get("Tags"), subsite_name),
-                ))
+                ref, raw = get("AcceptedAnswerId"), get("Tags")
+                codes = codes_of.get(raw)
+                if codes is None:
+                    codes = codes_of[raw] = [tag_codes.setdefault(t, len(tag_codes))
+                                             for t in _parse_tags(raw, subsite_name)]
             elif kind_code == "2":
-                parent = get("ParentId")
-                posts.append(Post(
-                    pid, subsite_name, "answer", owner,
-                    None if parent is None else int(parent),
-                ))
+                ref, codes = get("ParentId"), ()
             else:
                 skipped_posts += 1
+                return
+            ref = NONE if ref is None else int(ref)
         except KeyError:
             raise _RowError("post row lacks Id") from None
         except ValueError:
             names = _POST_INTS.get(kind_code, ("Id", "OwnerUserId"))
             raise _RowError(_not_int(attrs, names)) from None
+        tag_ids.extend(codes)
+        posts.extend((pid, int(kind_code), owner, ref, len(tag_ids)))
 
-    votes = []
-    skipped_votes = 0
+    # Per vote: post id, kind and voter.
+    votes = array("q")
     post_ids = set()
+    skipped_votes = 0
 
     def vote_row(name, attrs):
         nonlocal skipped_votes
         if name != "row":
             return
         get = attrs.get
-        kind = _VOTE_KINDS.get(get("VoteTypeId"))
+        kind = _VOTE_CODES.get(get("VoteTypeId"))
         pid = get("PostId")
         if kind is None or pid is None:
             skipped_votes += 1
@@ -286,15 +361,14 @@ def parse_dump(posts_file, votes_file, users_file, subsite_name: str) -> QaDatas
                 skipped_votes += 1
                 return
             voter = get("UserId")
-            if voter is not None:
-                voter = resolve(int(voter))
+            voter = NONE if voter is None else resolve(int(voter), NONE)
         except ValueError:
             raise _RowError(_not_int(attrs, ("PostId", "UserId"))) from None
-        votes.append(Vote(subsite_name, pid, kind, voter))
+        votes.extend((pid, kind, voter))
 
     _stream_rows(users_file, user_row)
     _stream_rows(posts_file, post_row)
-    post_ids.update(p.post_id for p in posts)
+    post_ids.update(posts[::5])
     _stream_rows(votes_file, vote_row)
 
     if skipped_posts:
@@ -306,36 +380,56 @@ def parse_dump(posts_file, votes_file, users_file, subsite_name: str) -> QaDatas
             f"{subsite_name}: skipped {skipped_votes} votes (unknown kind or missing post)",
             stacklevel=2,
         )
-    return QaDataset(users, posts, votes)
+    tags = sorted(tag_codes)
+    recode = np.empty(len(tags), dtype=np.int64)
+    recode[[tag_codes[t] for t in tags]] = np.arange(len(tags))
+    posts = np.asarray(posts, dtype=np.int64).reshape(-1, 5).T
+    votes = np.asarray(votes, dtype=np.int64).reshape(-1, 3).T
+    return QaDataset(
+        users,
+        PostColumns((subsite_name,), tuple(tags), np.zeros(len(posts[0]), dtype=np.int64),
+                    *posts[:4], np.concatenate(([0], posts[4])),
+                    recode[np.asarray(tag_ids, dtype=np.int64)]),
+        VoteColumns(np.zeros(len(votes[0]), dtype=np.int64), *votes),
+    )
 
 
 def merge_datasets(datasets) -> QaDataset:
     """Combine datasets of disjoint subsites into one network-wide dataset.
 
     Each part was sorted and validated when it was built, and no record
-    refers across subsites, so the parts' per-subsite runs are joined in
-    subsite order without sorting or validating again.
+    refers across subsites, so the parts' columns are joined and put in
+    subsite order by one stable sort, without validating again.
     """
     datasets = list(datasets)
     runs = sorted(((s, data) for data in datasets for s in data.subsites), key=itemgetter(0))
     for (a, _), (b, _) in zip(runs, runs[1:]):
         if a == b:
             raise DataError(f"subsite {a} appears in more than one dataset")
-    posts, votes, by_key = [], [], {}
-    for subsite, data in runs:
-        posts.extend(_run(data.posts, subsite))
-        votes.extend(_run(data.votes, subsite))
+    sites = tuple(s for s, _ in runs)
+    tags = tuple(sorted({t for data in datasets for t in data.posts.tags}))
+    empty = np.zeros(0, dtype=np.int64)
+    posts, votes, tag_cols, offset = [[empty] * 7], [[empty] * 5], [empty], 0
     for data in datasets:
-        by_key.update(data._by_key)
-    users = sorted(set().union(*(data.users for data in datasets)))
-    return QaDataset._assemble(users, posts, votes, by_key)
-
-
-def _run(records, subsite):
-    """The slice of subsite-sorted ``records`` that belongs to ``subsite``."""
-    key = attrgetter("subsite")
-    lo = bisect_left(records, subsite, key=key)
-    return records[lo:bisect_right(records, subsite, lo=lo, key=key)]
+        p, v = data.posts, data.votes
+        # Codes of names without posts are never read, wherever they land.
+        site = np.searchsorted(np.array(sites, dtype=str), np.array(p.sites, dtype=str))
+        tag = np.searchsorted(np.array(tags, dtype=str), np.array(p.tags, dtype=str))
+        posts.append((site[p.site], p.id, p.kind, p.owner, p.ref, np.diff(p.tag_start),
+                      np.where(data.ref_row >= 0, data.ref_row + offset, -1)))
+        votes.append((site[v.site], v.post, v.kind, v.voter, data.vote_row + offset))
+        tag_cols.append(tag[p.tag])
+        offset += len(p)
+    site, pid, kind, owner, ref, count, ref_row = (np.concatenate(c) for c in zip(*posts))
+    *vote_cols, vote_row = (np.concatenate(c) for c in zip(*votes))
+    whole = QaDataset._assemble(
+        np.unique(np.concatenate([empty] + [data.users for data in datasets])),
+        PostColumns(sites, tags, site, pid, kind, owner, ref,
+                    np.concatenate(([0], np.cumsum(count))), np.concatenate(tag_cols)),
+        VoteColumns(*vote_cols), ref_row, vote_row,
+    )
+    return whole._select(np.argsort(site, kind="stable"),
+                         np.argsort(vote_cols[0], kind="stable"))
 
 
 def sample_dataset(data: QaDataset, n_users: int, seed: int) -> QaDataset:
@@ -356,37 +450,19 @@ def sample_dataset(data: QaDataset, n_users: int, seed: int) -> QaDataset:
                 f"requested {n_users} users but only {len(pool)} exist; keeping all",
                 stacklevel=2,
             )
-        return QaDataset(data.users, data.posts, data.votes)
+        return data
     rng = np.random.default_rng(seed)
-    sampled = set(rng.choice(np.array(pool, dtype=np.int64), size=n_users, replace=False).tolist())
+    sampled = np.sort(rng.choice(pool, size=n_users, replace=False))
 
-    questions_with_sampled_answer = {
-        (p.subsite, p.parent_id) for p in data.posts
-        if p.kind == "answer" and p.owner in sampled
-    }
-    kept = []
-    for post in data.posts:
-        if post.owner in sampled:
-            kept.append(post)
-        elif post.kind == "question" and (post.subsite, post.post_id) in questions_with_sampled_answer:
-            kept.append(post)
-        elif post.kind == "answer":
-            parent = data.post(post.subsite, post.parent_id)
-            if parent.owner in sampled:
-                kept.append(post)
-
-    kept_keys = {(p.subsite, p.post_id) for p in kept}
-    fixed = []
-    for post in kept:
-        if post.kind == "question" and post.accepted_id is not None:
-            if (post.subsite, post.accepted_id) not in kept_keys:
-                post = Post(
-                    post.post_id, post.subsite, post.kind, post.owner,
-                    post.parent_id, None, post.tags,
-                )
-        fixed.append(post)
-    votes = [v for v in data.votes if (v.subsite, v.post_id) in kept_keys]
-    return QaDataset(sorted(sampled), fixed, votes)
+    p, ref = data.posts, data.ref_row
+    owned = _user_index(sampled, p.owner) >= 0
+    answer = p.kind == ANSWER
+    answered = np.zeros(len(p), dtype=bool)
+    answered[ref[answer & owned]] = True
+    keep = owned | answered | (answer & owned[ref])
+    dropped_accept = ~answer & (ref >= 0) & ~keep[ref]
+    return data._select(np.flatnonzero(keep), np.flatnonzero(keep[data.vote_row]), sampled,
+                        np.where(dropped_accept, NONE, p.ref))
 
 
 @dataclass(frozen=True)
@@ -413,17 +489,13 @@ class ReputationLedger:
         return sorted(self._ranked)
 
 
-def _accepted_answer_keys(data: QaDataset) -> set[tuple[str, int]]:
-    """(subsite, id) of every answer a question names as accepted or an
-    accept vote targets."""
-    keys = {
-        (p.subsite, p.accepted_id) for p in data.posts
-        if p.kind == "question" and p.accepted_id is not None
-    }
-    return keys | {
-        (v.subsite, v.post_id) for v in data.votes
-        if v.kind == "accept" and data._by_key[v.subsite, v.post_id].kind == "answer"
-    }
+def _accepted_answers(data: QaDataset):
+    """Rows, ascending, of every answer a question names as accepted or
+    an accept vote targets."""
+    p, v = data.posts, data.votes
+    named = data.ref_row[(p.kind == QUESTION) & (p.ref != NONE)]
+    voted = data.vote_row[(v.kind == ACCEPT) & (p.kind[data.vote_row] == ANSWER)]
+    return np.union1d(named, voted)
 
 
 def reputation_scores(data: QaDataset) -> ReputationLedger:
@@ -434,42 +506,35 @@ def reputation_scores(data: QaDataset) -> ReputationLedger:
     event credits the full amount on each of the governing question's
     topics.  Only users present in the users table gain or lose score;
     answer-downvote events without a resolvable voter are counted.
+    The scores come in (user, topic) order.
     """
-    users = set(data.users)
-    scores: dict[tuple[int, str], int] = {}
-    skipped = 0
-
-    def credit(user, topics, delta):
-        if user not in users:
-            return
-        for topic in topics:
-            key = (user, topic)
-            scores[key] = scores.get(key, 0) + delta
-
-    # Votes are sorted by post: look each post and its topics up once.
-    by_key = data._by_key
-    subsite = post_id = None
-    for vote in data.votes:
-        if vote.post_id != post_id or vote.subsite != subsite:
-            subsite, post_id = vote.subsite, vote.post_id
-            post = by_key[subsite, post_id]
-            answer = post.kind == "answer"
-            topics = by_key[subsite, post.parent_id].tags if answer else post.tags
-        if vote.kind == "upvote":
-            credit(post.owner, topics, 10 if answer else 5)
-        elif vote.kind == "downvote":
-            credit(post.owner, topics, -2)
-            if answer:
-                if vote.voter in users:
-                    credit(vote.voter, topics, -1)
-                else:
-                    skipped += 1
-
-    for subsite, post_id in sorted(_accepted_answer_keys(data)):
-        post = data.post(subsite, post_id)
-        credit(post.owner, data.governing_question(post).tags, 15)
-
-    return ReputationLedger(scores, skipped)
+    p, v, row = data.posts, data.votes, data.vote_row
+    answer = p.kind[row] == ANSWER
+    question = np.where(answer, data.ref_row[row], row)
+    up, down = v.kind == UPVOTE, v.kind == DOWNVOTE
+    voted = up | down
+    owner = _user_index(data.users, p.owner)
+    voter = np.full(len(v), -1)
+    voter[down & answer] = _user_index(data.users, v.voter[down & answer])
+    debited = voter >= 0
+    accepted = _accepted_answers(data)
+    # One event per (user index, governing question, delta) ...
+    l = np.concatenate((owner[row[voted]], voter[debited], owner[accepted]))
+    questions = np.concatenate((question[voted], question[debited], data.ref_row[accepted]))
+    deltas = np.concatenate((np.where(down, -2, np.where(answer, 10, 5))[voted],
+                             np.full(debited.sum(), -1), np.full(len(accepted), 15)))
+    # ... credited on each of the question's tags, then summed per (user, tag).
+    known = l >= 0
+    start = p.tag_start[questions[known]]
+    count = p.tag_start[questions[known] + 1] - start
+    n_tags = max(len(p.tags), 1)
+    keys, inverse = np.unique(np.repeat(l[known], count) * n_tags + p.tag[_segments(start, count)],
+                              return_inverse=True)
+    totals = np.bincount(inverse, weights=np.repeat(deltas[known], count), minlength=len(keys))
+    user, tag = np.divmod(keys, n_tags)
+    pairs = zip(data.users[user].tolist(), [p.tags[t] for t in tag.tolist()])
+    return ReputationLedger(dict(zip(pairs, totals.astype(np.int64).tolist())),
+                            int((down & answer).sum() - debited.sum()))
 
 
 @dataclass(frozen=True)
@@ -495,21 +560,14 @@ class BuildInputs:
     tree_g: float
 
 
-def question_scores(data: QaDataset) -> dict:
-    """Net vote score per question key, from the parsed votes."""
-    by_key = data._by_key
-    scores = {}
-    # Votes are sorted by post: look each post up once.
-    subsite = post_id = None
-    for vote in data.votes:
-        if vote.post_id != post_id or vote.subsite != subsite:
-            subsite, post_id = vote.subsite, vote.post_id
-            question = by_key[subsite, post_id].kind == "question"
-        delta = _QUESTION_VOTE_DELTAS.get(vote.kind)
-        if question and delta is not None:
-            key = (subsite, post_id)
-            scores[key] = scores.get(key, 0) + delta
-    return scores
+def question_scores(data: QaDataset) -> np.ndarray:
+    """Net vote score of each post row: upvotes minus downvotes on a
+    question, 0 on an answer."""
+    v, row = data.votes, data.vote_row
+    on_question = data.posts.kind[row] == QUESTION
+    delta = (v.kind == UPVOTE).astype(np.int64) - (v.kind == DOWNVOTE)
+    scores = np.bincount(row[on_question], weights=delta[on_question], minlength=len(data.posts))
+    return scores.astype(np.int64)
 
 
 def build_inputs(
@@ -530,68 +588,63 @@ def build_inputs(
     edges = tuple(int(e) for e in bucket_edges)
     if list(edges) != sorted(set(edges)):
         raise DataError("bucket edges must be strictly increasing")
-    questions = [p for p in data.posts if p.kind == "question" and p.tags]
-    if not questions:
+    p = data.posts
+    n_tags = np.diff(p.tag_start)
+    questions = np.flatnonzero((p.kind == QUESTION) & (n_tags > 0))
+    if not len(questions):
         raise EmptyInputError("no tagged questions in the dataset")
 
-    dropped = [s for s in data.subsites if s not in {q.subsite for q in questions}]
+    question_site = p.site[questions]
+    present = np.unique(question_site)
+    subsites = tuple(p.sites[c] for c in present.tolist())
+    dropped = [s for s in data.subsites if s not in subsites]
     if dropped:
         warnings.warn(
             f"dropping subsites with no tagged questions: {', '.join(dropped)}",
             stacklevel=2,
         )
+    # Only questions carry tags, so every tag in the column is a topic.
+    used_tags = np.unique(p.tag)
+    topics = tuple(p.tags[c] for c in used_tags.tolist())
+    users = tuple(data.users.tolist())
+    row_question = np.full(len(p), -1)
+    row_question[questions] = np.arange(len(questions))
+    buckets = np.searchsorted(edges, question_scores(data)[questions], side="right")
 
-    q_keys = [(q.subsite, q.post_id) for q in questions]
-    q_index = {key: i for i, key in enumerate(q_keys)}
-    topics = tuple(sorted({t for q in questions for t in q.tags}))
-    t_index = {t: j for j, t in enumerate(topics)}
-    users = tuple(data.users)
-    u_index = {u: l for l, u in enumerate(users)}
-    subsites = tuple(sorted({q.subsite for q in questions}))
-    s_index = {s: x for x, s in enumerate(subsites)}
-
-    scores = question_scores(data)
-    buckets = {key: bisect_right(edges, scores.get(key, 0)) for key in q_keys}
-
-    cells = []
-    site_pairs = []
-    topic_pairs = []
-    for post in data.posts:
-        if post.kind != "answer" or post.owner not in u_index:
-            continue
-        key = (post.subsite, post.parent_id)
-        i = q_index.get(key)
-        if i is None:
-            continue
-        k = buckets[key]
-        l = u_index[post.owner]
-        site_pairs.append((s_index[post.subsite], l))
-        for tag in questions[i].tags:
-            j = t_index[tag]
-            cells.append((i, j, k, l))
-            topic_pairs.append((j, l))
-
+    answers = np.flatnonzero(p.kind == ANSWER)
+    l = _user_index(data.users, p.owner[answers])
+    i = row_question[data.ref_row[answers]]
+    kept = (l >= 0) & (i >= 0)
+    answers, l, i = answers[kept], l[kept], i[kept]
+    site_matrix = MembershipMatrix(len(subsites), len(users),
+                                   np.column_stack((np.searchsorted(present, p.site[answers]), l)))
+    # One tensor cell per answer and tag of its question.
+    start, count = p.tag_start[questions[i]], n_tags[questions[i]]
+    j = np.searchsorted(used_tags, p.tag[_segments(start, count)])
+    i, l = np.repeat(i, count), np.repeat(l, count)
     tensor = SparseTensor4(
         (len(questions), len(topics), len(edges) + 1, len(users)),
-        indices=cells, values=np.ones(len(cells)),
+        indices=np.column_stack((i, j, buckets[i], l)), values=np.ones(len(j)),
     )
-    site_matrix = MembershipMatrix(len(subsites), len(users), site_pairs)
-    topic_matrix = MembershipMatrix(len(topics), len(users), topic_pairs)
+    topic_matrix = MembershipMatrix(len(topics), len(users), np.column_stack((j, l)))
 
-    primary = {subsite: {} for subsite in subsites}
-    for i, q in enumerate(questions):
-        primary[q.subsite].setdefault(q.tags[0], []).append(i)
-    nested = [[groups[tag] for tag in sorted(groups)] for groups in primary.values()]
+    # Tree groups: questions by subsite, then by first tag, each ascending.
+    first_tag = p.tag[p.tag_start[questions]]
+    order = np.lexsort((first_tag, question_site))
+    bounds = np.flatnonzero(np.diff(question_site[order]) | np.diff(first_tag[order])) + 1
+    nested = {}
+    for group in np.split(order, bounds):
+        nested.setdefault(int(question_site[group[0]]), []).append(group.tolist())
     tree_g = 1.0 - tree_s
     sg = {level: (tree_s, tree_g) for level in range(3)}
-    tree = tree_from_nested(nested, sg_by_level=sg)
+    tree = tree_from_nested(list(nested.values()), sg_by_level=sg)
 
     return BuildInputs(
         tensor=tensor,
         site_matrix=site_matrix,
         topic_matrix=topic_matrix,
         tree=tree,
-        questions=tuple(q_keys),
+        questions=tuple(data.post_keys(questions)),
         topics=topics,
         users=users,
         subsites=subsites,

@@ -13,7 +13,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation
-from .ingest import QaDataset, ReputationLedger, _accepted_answer_keys
+from .ingest import (
+    ANSWER, QUESTION, QaDataset, ReputationLedger, _accepted_answers, _user_index,
+)
 
 __all__ = [
     "RankedList",
@@ -119,34 +121,32 @@ def baseline_rank(data: QaDataset, topic: str, kind: str, k: int) -> RankedList:
         raise ContractViolation("k must be >= 1")
     if kind not in ("best_answer_ratio", "num_answers", "z_score"):
         raise ContractViolation(f"unknown baseline kind {kind!r}")
-    users = set(data.users)
-    tagged = {
-        (p.subsite, p.post_id): p for p in data.posts
-        if p.kind == "question" and topic in p.tags
-    }
-    accepted = _accepted_answer_keys(data)
-    answers: dict[int, int] = {}
-    accepted_by: dict[int, int] = {}
-    questions_by: dict[int, int] = {}
-    for post in data.posts:
-        if post.kind == "answer" and post.owner in users:
-            if (post.subsite, post.parent_id) in tagged:
-                answers[post.owner] = answers.get(post.owner, 0) + 1
-                if (post.subsite, post.post_id) in accepted:
-                    accepted_by[post.owner] = accepted_by.get(post.owner, 0) + 1
-        elif post.kind == "question" and post.owner in users:
-            if (post.subsite, post.post_id) in tagged:
-                questions_by[post.owner] = questions_by.get(post.owner, 0) + 1
-
-    candidates = sorted(answers)
-    if not candidates:
+    p = data.posts
+    tagged = np.zeros(len(p), dtype=bool)
+    if topic in p.tags:
+        post_of_tag = np.repeat(np.arange(len(p)), np.diff(p.tag_start))
+        tagged[post_of_tag[p.tag == p.tags.index(topic)]] = True
+    accepted = np.zeros(len(p), dtype=bool)
+    accepted[_accepted_answers(data)] = True
+    known = _user_index(data.users, p.owner) >= 0
+    answered = known & (p.kind == ANSWER) & tagged[data.ref_row]
+    candidates = np.unique(p.owner[answered])
+    if not len(candidates):
         return RankedList(topic, ())
+
+    def per_candidate(mask):
+        at = _user_index(candidates, p.owner[mask])
+        return np.bincount(at[at >= 0], minlength=len(candidates)).tolist()
+
+    answers = per_candidate(answered)
     if kind == "num_answers":
-        scores = [float(answers[u]) for u in candidates]
+        scores = [float(a) for a in answers]
     elif kind == "best_answer_ratio":
-        scores = [accepted_by.get(u, 0) / answers[u] for u in candidates]
+        scores = [b / a for a, b in zip(answers, per_candidate(answered & accepted))]
     else:
-        scores = [z_score(answers[u], questions_by.get(u, 0)) for u in candidates]
+        asked = per_candidate(known & (p.kind == QUESTION) & tagged)
+        scores = [z_score(a, q) for a, q in zip(answers, asked)]
+    candidates = candidates.tolist()
     order = _order_scores(candidates, scores)[:k]
     entries = tuple((candidates[i], float(scores[i])) for i in order)
     return RankedList(topic, entries)
@@ -211,10 +211,8 @@ def evaluate(model, data: QaDataset, ledger: ReputationLedger, k_list, tables=No
     if tables is not None:
         topics, users = tuple(tables.topics), tuple(tables.users)
     else:
-        topics = tuple(sorted({
-            t for p in data.posts if p.kind == "question" for t in p.tags
-        }))
-        users = tuple(data.users)
+        topics = tuple(data.posts.tags[c] for c in np.unique(data.posts.tag).tolist())
+        users = tuple(data.users.tolist())
     f = RankingFactors.of(model)
     if f.topic.shape[0] != len(topics) or f.expert.shape[0] != len(users):
         raise ContractViolation(

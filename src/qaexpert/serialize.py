@@ -55,11 +55,19 @@ def _read_lines(path):
         return fh.read().splitlines()
 
 
+def _rows_text(template, columns) -> str:
+    """One ``template`` line per row of the equal-length lists ``columns``,
+    formatted in one pass."""
+    fields = [None] * sum(map(len, columns))
+    for c, column in enumerate(columns):
+        fields[c::len(columns)] = column
+    return (template * len(columns[0])) % tuple(fields)
+
+
 def save_tensor(X: SparseTensor4, path):
-    values = X.values.tolist()
-    text = {v: _fmt(v) for v in set(values)}
-    lines = [f"{i} {j} {k} {l} {text[v]}\n" for (i, j, k, l), v in zip(X.indices.tolist(), values)]
-    _write_text(path, "dims " + " ".join(str(d) for d in X.dims) + "\n" + "".join(lines))
+    columns = [*X.indices.T.tolist(), X.values.tolist()]
+    _write_text(path, "dims " + " ".join(str(d) for d in X.dims) + "\n"
+                + _rows_text("%d %d %d %d %.17g\n", columns))
 
 
 def _table(lines, dtype):
@@ -96,8 +104,7 @@ def load_tensor(path) -> SparseTensor4:
 
 
 def save_membership(M: MembershipMatrix, path):
-    lines = [f"{r} {c}\n" for r, c in M.indices.tolist()]
-    _write_text(path, f"{M.rows} {M.cols}\n" + "".join(lines))
+    _write_text(path, f"{M.rows} {M.cols}\n" + _rows_text("%d %d\n", M.indices.T.tolist()))
 
 
 def load_membership(path) -> MembershipMatrix:
@@ -311,8 +318,9 @@ def load_model(path, ranking_only=False):
 
 def save_reputation(ledger: ReputationLedger, path):
     scores = ledger.scores
-    lines = [f"{user},{topic},{scores[user, topic]}\n" for user, topic in sorted(scores)]
-    _write_text(path, "user_id,topic,score\n" + "".join(lines))
+    keys = sorted(scores)
+    rows = [u for u, _ in keys], [t for _, t in keys], [scores[k] for k in keys]
+    _write_text(path, "user_id,topic,score\n" + _rows_text("%d,%s,%d\n", rows))
 
 
 def load_reputation(path) -> ReputationLedger:

@@ -261,6 +261,19 @@ class TestRecommend:
             assert LINE.match(line), line
             assert line.split(",")[0] == str(n)
 
+    def test_repeated_main_calls_share_no_state(self, fitted, snapshot, tmp_path, capsys):
+        query = ["--model", fitted, "--snapshot", snapshot, "--topic", "alpha/tensor"]
+        assert main(["recommend", *query, "--k", "3"]) == 0
+        assert main(["evaluate", "--model", fitted, "--snapshot", snapshot,
+                     "--out-dir", str(tmp_path / "eval"), "--k-list", "1"]) == 0
+        capsys.readouterr()
+        assert main(["recommend", *query]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert json.loads(lines[0].removeprefix("# config ")) == {
+            "k": 10, "topic": "alpha/tensor",
+        }
+        assert len(lines) == 1 + 6
+
     def test_bare_tag_resolves_unique_suffix(self, fitted, snapshot, capsys):
         code = main(["recommend", "--model", fitted, "--snapshot", snapshot,
                      "--topic", "tensor", "--k", "1"])

@@ -10,10 +10,7 @@ import pytest
 
 from qaexpert.errors import ContractViolation, DataError, DumpParseError, EmptyInputError
 from qaexpert.ingest import (
-    Post,
-    QaDataset,
     ReputationLedger,
-    Vote,
     build_inputs,
     merge_datasets,
     parse_dump,
@@ -21,8 +18,12 @@ from qaexpert.ingest import (
     reputation_scores,
     sample_dataset,
 )
+from qaexpert.serialize import save_reputation
 from qaexpert.synthetic import make_corpus, write_subsite_dump
 
+import ingest_oracles as oracles
+import records as rec
+from records import Post, Vote
 from conftest import FIXTURE_POSTS, FIXTURE_SITE, FIXTURE_USERS, FIXTURE_VOTES
 
 
@@ -38,14 +39,14 @@ def parse_site(site_dir, name):
 class TestParseDump:
     def test_fixture_counts(self, fixture_dump):
         data = parse_site(fixture_dump, FIXTURE_SITE)
-        assert len(data.questions()) == 1
-        assert len(data.answers()) == 2
-        assert len(data.votes) == 3
-        assert data.users == (1, 2, 3)
+        assert len(rec.questions(data)) == 1
+        assert len(rec.answers(data)) == 2
+        assert len(rec.votes(data)) == 3
+        assert rec.users(data) == (1, 2, 3)
 
     def test_tags_are_namespaced(self, fixture_dump):
         data = parse_site(fixture_dump, FIXTURE_SITE)
-        (question,) = data.questions()
+        (question,) = rec.questions(data)
         assert question.tags == (f"{FIXTURE_SITE}/a",)
 
     def test_pipe_separated_tags(self, tmp_path):
@@ -55,13 +56,13 @@ class TestParseDump:
         site = os.path.join(tmp_path, "s")
         write_subsite_dump(site, posts, [], [{"Id": 1}])
         data = parse_site(site, "s")
-        assert data.questions()[0].tags == ("s/alpha", "s/beta")
+        assert rec.questions(data)[0].tags == ("s/alpha", "s/beta")
 
     def test_empty_files_give_empty_dataset(self, tmp_path):
         site = os.path.join(tmp_path, "empty")
         write_subsite_dump(site, [], [], [])
         data = parse_site(site, "empty")
-        assert data.posts == () and data.votes == () and data.users == ()
+        assert rec.posts(data) == () and rec.votes(data) == () and rec.users(data) == ()
 
     def test_orphan_answer_names_the_post(self, tmp_path):
         posts = [{"Id": 5, "PostTypeId": 2, "ParentId": 99, "OwnerUserId": 1}]
@@ -96,8 +97,8 @@ class TestParseDump:
         site = os.path.join(tmp_path, "s")
         write_subsite_dump(site, posts, [], users)
         data = parse_site(site, "s")
-        assert data.users == (4242,)
-        assert data.questions()[0].owner == 4242
+        assert rec.users(data) == (4242,)
+        assert rec.questions(data)[0].owner == 4242
 
     def test_unknown_post_kind_skipped_with_warning(self, tmp_path):
         posts = [
@@ -108,7 +109,7 @@ class TestParseDump:
         write_subsite_dump(site, posts, [], [{"Id": 1}])
         with pytest.warns(UserWarning, match="skipped 1 posts"):
             data = parse_site(site, "s")
-        assert len(data.posts) == 1
+        assert len(rec.posts(data)) == 1
 
     def test_unknown_vote_kind_skipped_with_warning(self, tmp_path):
         posts = [{"Id": 1, "PostTypeId": 1, "OwnerUserId": 1, "Tags": "<a>"}]
@@ -120,14 +121,35 @@ class TestParseDump:
         write_subsite_dump(site, posts, votes, [{"Id": 1}])
         with pytest.warns(UserWarning, match="skipped 1 votes"):
             data = parse_site(site, "s")
-        assert len(data.votes) == 1
+        assert len(rec.votes(data)) == 1
+
+    def test_repeated_tag_counts_once(self, tmp_path):
+        posts = [
+            {"Id": 1, "PostTypeId": 1, "OwnerUserId": 1, "Tags": "<b><a><b>"},
+            {"Id": 2, "PostTypeId": 2, "ParentId": 1, "OwnerUserId": 2},
+            {"Id": 3, "PostTypeId": 1, "OwnerUserId": 1, "Tags": "|c|c|"},
+            {"Id": 4, "PostTypeId": 2, "ParentId": 3, "OwnerUserId": 2},
+        ]
+        votes = [{"Id": 1, "PostId": 2, "VoteTypeId": 2},
+                 {"Id": 2, "PostId": 4, "VoteTypeId": 2}]
+        site = os.path.join(tmp_path, "s")
+        write_subsite_dump(site, posts, votes, [{"Id": 1}, {"Id": 2}])
+        data = parse_site(site, "s")
+        # first-seen order, so the first tag still picks the tree leaf
+        assert [q.tags for q in rec.questions(data)] == [("s/b", "s/a"), ("s/c",)]
+        tables = build_inputs(data)
+        assert tables.tensor.values.tolist() == [1.0, 1.0, 1.0]
+        assert tables.tree.level_groups(2) == [frozenset({0}), frozenset({1})]
+        assert reputation_scores(data).scores == {
+            (2, "s/a"): 10, (2, "s/b"): 10, (2, "s/c"): 10,
+        }
 
     def test_unresolvable_owner_kept_without_owner(self, tmp_path):
         posts = [{"Id": 1, "PostTypeId": 1, "OwnerUserId": 55, "Tags": "<a>"}]
         site = os.path.join(tmp_path, "s")
         write_subsite_dump(site, posts, [], [{"Id": 1}])
         data = parse_site(site, "s")
-        assert data.questions()[0].owner is None
+        assert rec.questions(data)[0].owner is None
 
 
 # A small valid dump, one list of row elements per file.
@@ -161,8 +183,8 @@ class TestParseErrors:
     def test_unchanged_rows_parse(self, tmp_path):
         write_rows(tmp_path, {})
         data = parse_site(tmp_path, "s")
-        assert data.users == (1, 20)
-        assert len(data.posts) == 2 and len(data.votes) == 2
+        assert rec.users(data) == (1, 20)
+        assert len(rec.posts(data)) == 2 and len(rec.votes(data)) == 2
 
     @pytest.mark.parametrize("name, row, attr", [
         ("Users.xml", '<row Id="u3" />', "Id"),
@@ -206,6 +228,69 @@ class TestParseErrors:
             parse_site(tmp_path, "s")
         assert err.value.line == 4
         assert "OwnerUserId" in str(err.value)
+
+    def test_bad_vote_row_reported_before_a_later_syntax_error(self, tmp_path):
+        write_rows(tmp_path, {"Votes.xml": [
+            '<row Id="3" PostId="1" VoteTypeId="3" UserId="u" />', '<row Id="4" broken />',
+        ]})
+        with pytest.raises(DumpParseError) as err:
+            parse_site(tmp_path, "s")
+        assert str(err.value) == (
+            f"attribute UserId='u' is not an integer [{tmp_path}/Votes.xml:4]"
+        )
+
+    @pytest.mark.parametrize("extra, name, message", [
+        # users are read first: their bad row wins over a later file's
+        ({"Users.xml": ['<row Id="x" />'], "Posts.xml": ['<row Id="y" PostTypeId="1" />']},
+         "Users.xml", "attribute Id='x' is not an integer"),
+        ({"Users.xml": ['<row Id="3" />', '<row broken />'],
+          "Posts.xml": ['<row Id="y" PostTypeId="1" />']},
+         "Users.xml", "not well-formed (invalid token)"),
+        # every file is read before the posts are validated
+        ({"Posts.xml": ['<row Id="3" PostTypeId="1" />', '<row Id="3" PostTypeId="1" />'],
+          "Votes.xml": ['<row Id="3" PostId="1" VoteTypeId="2" UserId="q" />']},
+         "Votes.xml", "attribute UserId='q' is not an integer"),
+    ])
+    def test_first_file_fault_wins(self, tmp_path, extra, name, message):
+        write_rows(tmp_path, extra)
+        with pytest.raises(DumpParseError) as err:
+            parse_site(tmp_path, "s")
+        assert err.value.path.endswith(name)
+        assert str(err.value).startswith(message + " [")
+
+    @pytest.mark.parametrize("posts, message", [
+        # duplicate ids are found before any reference is followed
+        ([{"Id": 4, "PostTypeId": 2, "ParentId": 99}, {"Id": 1, "PostTypeId": 1},
+          {"Id": 1, "PostTypeId": 1}],
+         "duplicate post id 1 in subsite s"),
+        # of two faulty posts, the one with the smaller id is reported
+        ([{"Id": 9, "PostTypeId": 2, "ParentId": 98}, {"Id": 8, "PostTypeId": 2, "ParentId": 97}],
+         "answer 8 in subsite s references missing question 97"),
+        ([{"Id": 6, "PostTypeId": 2, "ParentId": 99}, {"Id": 5, "PostTypeId": 2}],
+         "answer 5 in subsite s references missing question None"),
+        ([{"Id": 1, "PostTypeId": 1, "AcceptedAnswerId": 3}, {"Id": 3, "PostTypeId": 1},
+          {"Id": 4, "PostTypeId": 2, "ParentId": 99}],
+         "question 1 accepts 3, which is not one of its answers"),
+        ([{"Id": 2, "PostTypeId": 1, "AcceptedAnswerId": 5},
+          {"Id": 5, "PostTypeId": 2, "ParentId": 1}, {"Id": 1, "PostTypeId": 1}],
+         "question 2 accepts 5, which is not one of its answers"),
+    ])
+    def test_first_faulty_post_wins(self, tmp_path, posts, message):
+        write_subsite_dump(tmp_path, posts, [], [{"Id": 1}])
+        with pytest.raises(DataError) as err:
+            parse_site(tmp_path, "s")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name, row", [
+        ("Posts.xml", '<row Id="3" PostTypeId="1" AcceptedAnswerId="9223372036854775808" />'),
+        ("Posts.xml", '<row Id="-9223372036854775809" PostTypeId="2" ParentId="1" />'),
+        ("Users.xml", '<row Id="3" AccountId="99999999999999999999" />'),
+    ])
+    def test_id_beyond_64_bits_names_its_line(self, tmp_path, name, row):
+        write_rows(tmp_path, {name: [row]})
+        with pytest.raises(DumpParseError) as err:
+            parse_site(tmp_path, "s")
+        assert str(err.value) == f"id beyond 64 bits [{tmp_path}/{name}:4]"
 
     def test_missing_id_names_the_row(self, tmp_path):
         write_rows(tmp_path, {"Posts.xml": ['<row PostTypeId="1" />']})
@@ -282,9 +367,9 @@ class TestParserAndMergeOracle:
                 warnings.simplefilter("ignore")
                 data = parse_site(path, name)
             users, posts, votes = reread_site(path, name)
-            assert data.users == tuple(users)
-            assert data.posts == tuple(sorted(posts, key=lambda p: p.post_id))
-            assert data.votes == tuple(
+            assert rec.users(data) == tuple(users)
+            assert rec.posts(data) == tuple(sorted(posts, key=lambda p: p.post_id))
+            assert rec.votes(data) == tuple(
                 sorted(votes, key=lambda v: (v.post_id, v.kind, v.voter or 0))
             )
 
@@ -292,23 +377,23 @@ class TestParserAndMergeOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             parts = [parse_site(path, name) for name, path in sites.items()]
-        whole = QaDataset(
+        whole = rec.dataset(
             [u for p in parts for u in p.users],
-            [x for p in parts for x in p.posts],
-            [v for p in parts for v in p.votes],
+            [x for p in parts for x in rec.posts(p)],
+            [v for p in parts for v in rec.votes(p)],
         )
         a, b, c, z = parts
         # parts in any order, and a part spanning non-adjacent subsites
         spanning = merge_datasets([a, c])
         for merged in (merge_datasets(parts[::-1]), merge_datasets([spanning, z, b])):
-            assert merged.users == whole.users
-            assert merged.posts == whole.posts
-            assert merged.votes == whole.votes
+            assert rec.users(merged) == rec.users(whole)
+            assert rec.posts(merged) == rec.posts(whole)
+            assert rec.votes(merged) == rec.votes(whole)
             assert merged.subsites == whole.subsites
-            for post in whole.posts:
-                assert merged.post(post.subsite, post.post_id) == post
+            for post in rec.posts(whole):
+                assert rec.post(merged, post.subsite, post.post_id) == post
             with pytest.raises(KeyError):
-                merged.post("sitea", 10**6)
+                rec.post(merged, "sitea", 10**6)
 
     def test_merge_rejects_shared_subsite(self, sites):
         part = parse_site(sites["sitea"], "sitea")
@@ -323,7 +408,7 @@ class TestDatasetInvariants:
             Post(2, "s", "answer", 2, 1, None, ("s/a",)),
         ]
         with pytest.raises(DataError):
-            QaDataset([1, 2], posts, [])
+            rec.dataset([1, 2], posts, [])
 
     def test_accepted_id_must_name_child_answer(self):
         posts = [
@@ -331,13 +416,13 @@ class TestDatasetInvariants:
             Post(2, "s", "answer", 2, 1, None, ()),
         ]
         with pytest.raises(DataError):
-            QaDataset([1, 2], posts, [])
+            rec.dataset([1, 2], posts, [])
 
     def test_vote_on_missing_post_rejected(self):
         posts = [Post(1, "s", "question", 1, None, None, ("s/a",))]
         votes = [Vote("s", 9, "upvote", None)]
         with pytest.raises(DataError):
-            QaDataset([1], posts, votes)
+            rec.dataset([1], posts, votes)
 
     def test_merge_combines_subsites(self, fixture_dump, tmp_path):
         other = os.path.join(tmp_path, "othersite")
@@ -352,46 +437,47 @@ class TestDatasetInvariants:
             parse_site(other, "othersite"),
         ])
         assert merged.subsites == (FIXTURE_SITE, "othersite")
-        assert merged.users == (1, 2, 3, 9)
+        assert rec.users(merged) == (1, 2, 3, 9)
 
 
 class TestSampleDataset:
     def test_full_sample_is_identity(self, fixture_dump):
         data = parse_site(fixture_dump, FIXTURE_SITE)
-        out = sample_dataset(data, len(data.users), seed=0)
-        assert out.users == data.users
-        assert out.posts == data.posts
-        assert out.votes == data.votes
+        out = sample_dataset(data, len(rec.users(data)), seed=0)
+        assert rec.users(out) == rec.users(data)
+        assert rec.posts(out) == rec.posts(data)
+        assert rec.votes(out) == rec.votes(data)
 
     def test_same_seed_same_output(self, fixture_dump):
         data = parse_site(fixture_dump, FIXTURE_SITE)
         a = sample_dataset(data, 2, seed=11)
         b = sample_dataset(data, 2, seed=11)
-        assert a.users == b.users and a.posts == b.posts and a.votes == b.votes
+        assert rec.users(a) == rec.users(b) and rec.posts(a) == rec.posts(b)
+        assert rec.votes(a) == rec.votes(b)
 
     def test_idempotent(self, fixture_dump):
         data = parse_site(fixture_dump, FIXTURE_SITE)
         once = sample_dataset(data, 2, seed=3)
         twice = sample_dataset(once, 2, seed=3)
-        assert once.users == twice.users and once.posts == twice.posts
+        assert rec.users(once) == rec.users(twice) and rec.posts(once) == rec.posts(twice)
 
     def test_sampling_the_questioner_keeps_question_and_answers(self, fixture_dump):
         data = parse_site(fixture_dump, FIXTURE_SITE)
         hit = None
         for seed in range(200):
             out = sample_dataset(data, 1, seed=seed)
-            if out.users == (1,):
+            if rec.users(out) == (1,):
                 hit = out
                 break
         assert hit is not None, "no seed selected the questioner"
-        kinds = sorted(p.kind for p in hit.posts)
+        kinds = sorted(p.kind for p in rec.posts(hit))
         assert kinds == ["answer", "answer", "question"]
 
     def test_oversized_request_clamps_with_warning(self, fixture_dump):
         data = parse_site(fixture_dump, FIXTURE_SITE)
         with pytest.warns(UserWarning, match="keeping all"):
             out = sample_dataset(data, 50, seed=0)
-        assert out.users == data.users
+        assert rec.users(out) == rec.users(data)
 
     def test_accepted_id_cleared_when_answer_dropped(self, tmp_path):
         # Question owner sampled alone: the question survives through its
@@ -409,13 +495,13 @@ class TestSampleDataset:
         hit = None
         for seed in range(200):
             out = sample_dataset(data, 1, seed=seed)
-            if out.users == (3,):
+            if rec.users(out) == (3,):
                 hit = out
                 break
         assert hit is not None
-        (question,) = hit.questions()
+        (question,) = rec.questions(hit)
         assert question.accepted_id is None
-        assert {p.post_id for p in hit.posts} == {1, 3}
+        assert {p.post_id for p in rec.posts(hit)} == {1, 3}
 
 
 class TestReputation:
@@ -573,7 +659,7 @@ class TestBuildInputs:
         site = os.path.join(tmp_path, "s")
         write_subsite_dump(site, posts, votes, [{"Id": 1}])
         data = parse_site(site, "s")
-        assert question_scores(data) == {("s", 1): 1}
+        assert question_scores(data).tolist() == [1]
 
     def test_untagged_questions_left_out(self, tmp_path):
         posts = [
@@ -647,3 +733,136 @@ class TestBuildInputs:
         assert tables.tensor.nnz == 2  # one cell per tag
         # the question's tree leaf sits under its first tag only
         assert len(tables.tree.level_nodes(2)) == 1
+
+
+def random_dataset(seed):
+    """Shuffled records over three random subsites and a fixed one.
+
+    Owners and voters come from the users table, from ids outside it, and
+    from None; questions carry zero to three tags; accept votes land on
+    questions as well as on answers.  The fixed subsite ``sz`` holds each
+    of these cases at least once, and user 2's answer there gets one
+    upvote and five anonymous downvotes: +10 and 5 × −2 on ``sz/zero``.
+    """
+    rng = np.random.default_rng(seed)
+    table = list(range(1, 13))
+    people = table + [50, 51, None]
+
+    def someone():
+        return people[rng.integers(len(people))]
+
+    posts, votes = [], []
+    for site in ("sa", "sb", "sc"):
+        pid = 0
+        for _ in range(rng.integers(2, 8)):
+            pid += 1
+            qid = pid
+            tags = tuple(dict.fromkeys(
+                f"{site}/t{t}" for t in rng.integers(0, 4, rng.integers(0, 4))
+            ))
+            answers = []
+            for _ in range(rng.integers(0, 4)):
+                pid += 1
+                answers.append(Post(pid, site, "answer", someone(), qid))
+            accepted = None
+            if answers and rng.random() < 0.5:
+                accepted = answers[rng.integers(len(answers))].post_id
+            posts.append(Post(qid, site, "question", someone(), None, accepted, tags))
+            posts.extend(answers)
+    for post in list(posts):
+        for _ in range(rng.integers(0, 5)):
+            kind = ("accept", "upvote", "downvote")[rng.integers(3)]
+            votes.append(Vote(post.subsite, post.post_id, kind, someone()))
+    posts += [Post(1, "sz", "question", 1, None, None, ("sz/zero",)),
+              Post(2, "sz", "answer", 2, 1), Post(3, "sz", "answer", 50, 1),
+              Post(4, "sz", "question", 51, None, None, ("sz/x", "sz/zero")),
+              Post(5, "sz", "question", 1)]
+    votes += [Vote("sz", 2, "upvote", 3)] + [Vote("sz", 2, "downvote", None)] * 5
+    votes += [Vote("sz", 3, "upvote", 4), Vote("sz", 3, "downvote", 51),
+              Vote("sz", 4, "accept", 1), Vote("sz", 5, "upvote", None)]
+    posts = [posts[i] for i in rng.permutation(len(posts))]
+    votes = [votes[i] for i in rng.permutation(len(votes))]
+    return rec.dataset(table, posts, votes)
+
+
+def assert_matches_oracles(data, reference=None):
+    """The columnar kernels on ``data`` equal the per-record oracles on
+    ``reference``, records of the same dataset (``data`` by default)."""
+    reference = data if reference is None else reference
+    want = oracles.question_scores(reference)
+    got = question_scores(data)
+    keys = [(p.subsite, p.post_id) for p in rec.posts(data)]
+    assert dict(zip(keys, got.tolist())) == {key: want.get(key, 0) for key in keys}
+
+    ledger = reputation_scores(data)
+    scores, skipped = oracles.reputation_scores(reference)
+    assert ledger.scores == scores
+    assert ledger.skipped_voter_events == skipped
+    assert list(ledger.scores) == sorted(scores)
+
+    try:
+        expected = oracles.build_inputs(reference)
+    except EmptyInputError:
+        with pytest.raises(EmptyInputError):
+            build_inputs(data)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tables = build_inputs(data)
+    for name in ("questions", "topics", "users", "subsites"):
+        assert getattr(tables, name) == expected[name], name
+    assert tables.tensor.dims == expected["tensor"].dims
+    np.testing.assert_array_equal(tables.tensor.indices, expected["tensor"].indices)
+    np.testing.assert_array_equal(tables.tensor.values, expected["tensor"].values)
+    for name in ("site_matrix", "topic_matrix"):
+        got_m, want_m = getattr(tables, name), expected[name]
+        assert (got_m.rows, got_m.cols) == (want_m.rows, want_m.cols)
+        np.testing.assert_array_equal(got_m.indices, want_m.indices)
+    assert tables.tree.nodes == expected["tree"].nodes
+
+
+class TestColumnarAgainstOracles:
+    def test_fixture(self, fixture_dump):
+        assert_matches_oracles(parse_site(fixture_dump, FIXTURE_SITE))
+
+    def test_elementtree_parsed_corpus(self, tmp_path):
+        root = tmp_path / "corpus"
+        make_corpus(str(root), seed=2, n_subsites=3)
+        names = ("sitea", "siteb", "sitec")
+        merged = merge_datasets([parse_site(str(root / name), name) for name in names])
+        users, posts, votes = [], [], []
+        for name in names:
+            site_users, site_posts, site_votes = reread_site(str(root / name), name)
+            users += site_users
+            posts += site_posts
+            votes += site_votes
+        assert_matches_oracles(merged, rec.dataset(users, posts, votes))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_datasets(self, seed):
+        data = random_dataset(seed)
+        assert any(v.kind == "accept" and rec.post(data, v.subsite, v.post_id).kind == "question"
+                   for v in rec.votes(data))
+        assert {len(q.tags) for q in rec.questions(data)} >= {0, 2}
+        assert any(a.owner is not None and a.owner not in rec.users(data)
+                   for a in rec.answers(data))
+        assert any(v.voter is None or v.voter not in rec.users(data) for v in rec.votes(data))
+        assert_matches_oracles(data)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_samples(self, seed):
+        data = random_dataset(seed)
+        for n_users in (1, 4, 9):
+            got = sample_dataset(data, n_users, seed)
+            want = oracles.sample_dataset(data, n_users, seed)
+            for read in (rec.users, rec.posts, rec.votes):
+                assert read(got) == read(want)
+            assert got.subsites == want.subsites
+            assert_matches_oracles(got)
+
+    def test_zero_sum_credit_keeps_its_row(self, tmp_path):
+        ledger = reputation_scores(random_dataset(0))
+        assert ledger.scores[2, "sz/zero"] == 0
+        path = tmp_path / "reputation.csv"
+        save_reputation(ledger, path)
+        assert "\n2,sz/zero,0\n" in path.read_text()

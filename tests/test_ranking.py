@@ -7,7 +7,7 @@ import pytest
 
 from qaexpert.coupled import CpModel
 from qaexpert.errors import ContractViolation
-from qaexpert.ingest import Post, QaDataset, ReputationLedger, Vote
+from qaexpert.ingest import ReputationLedger
 from qaexpert.ranking import (
     EvalReport,
     RankedList,
@@ -20,6 +20,9 @@ from qaexpert.ranking import (
     z_score,
 )
 from qaexpert.serialize import save_report
+
+import records as rec
+from records import Post, Vote
 
 
 def model_from_scores(per_topic_scores):
@@ -100,7 +103,7 @@ def baseline_fixture():
         Post(5, "s", "answer", A, 4, None, ()),
     ]
     votes = [Vote("s", 3, "accept", None)]
-    return QaDataset([asker, A, B], posts, votes)
+    return rec.dataset([asker, A, B], posts, votes)
 
 
 class TestBaselines:
