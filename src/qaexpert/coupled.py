@@ -32,8 +32,11 @@ import numpy as np
 
 from .errors import ContractViolation, DegenerateGroupError, SolverDiverged
 from .hierarchy import HierarchyTree, TreePenalty, weight_penalty
+# ``mttkrp`` and ``gram_hadamard`` are not called here; they stay in this
+# namespace because bench/spans.py wraps them by these names.
 from .sparse_tensor import (
-    SparseTensor4, _split_sq_residual, gram_hadamard, mttkrp, residual_norm, scatter_rows,
+    SparseTensor4, _split_sq_residual, gather_rows, gram_hadamard, hadamard, mttkrp,
+    mttkrp_from_rows, residual_from_rows, residual_norm, scatter_rows,
 )
 
 __all__ = [
@@ -207,14 +210,14 @@ class MembershipMatrix:
         F = np.atleast_2d(np.asarray(F, dtype=np.float64))
         if F.shape[0] != self.cols:
             raise ContractViolation(f"operand has {F.shape[0]} rows, need {self.cols}")
-        return scatter_rows(self.indices[:, 0], F[self.indices[:, 1]], self.rows)
+        return scatter_rows(self.indices[:, 0], gather_rows(F, self.indices[:, 1]), self.rows)
 
     def tmatmul(self, F: np.ndarray) -> np.ndarray:
         """Dense product ``M.T @ F``."""
         F = np.atleast_2d(np.asarray(F, dtype=np.float64))
         if F.shape[0] != self.rows:
             raise ContractViolation(f"operand has {F.shape[0]} rows, need {self.rows}")
-        return scatter_rows(self.indices[:, 1], F[self.indices[:, 0]], self.cols)
+        return scatter_rows(self.indices[:, 1], gather_rows(F, self.indices[:, 0]), self.cols)
 
 
 def _half_sq_frobenius(M: MembershipMatrix, F: np.ndarray, G: np.ndarray) -> float:
@@ -393,6 +396,13 @@ class _Descent:
     exactly.  Every update assigns fresh arrays, so a sweep's arrays can
     be kept by reference.  The question rows are split into parts of one
     subsite group and one ridge weight once, at construction.
+
+    For each tensor factor the engine keeps its rows gathered at the
+    nonzeros in component-major layout, ``(R, nnz)``, and its Gram matrix
+    ``U.T @ U``.  A factor is gathered once per update that moves it: a
+    tensor block refreshes its own factor, ``balance`` all four.  Every
+    MTTKRP, Gram-Hadamard and tensor loss reads the cache, with the index
+    columns made contiguous once per fit.
     """
 
     S = A = T = None
@@ -413,6 +423,10 @@ class _Descent:
             self.T = rng.random((N.rows, R))
             self.lam_site = config.effective_lambda_site
         self.mu = None
+        self.cols = [np.ascontiguousarray(X.indices[:, m]) for m in range(4)]
+        self.rows, self.grams = [None] * 4, [None] * 4
+        for mode in range(4):
+            self._refresh(mode)
         self.terms = {
             name: None for name, reads in _TERM_BLOCKS.items()
             if reads <= set(blocks) and (name != "tree" or penalty is not None)
@@ -438,11 +452,14 @@ class _Descent:
         cfg, factors = self.config, self.factors
         A, lam_site = self.A, self.lam_site
         if block == "question":
-            V = gram_hadamard(factors, 0)
-            factors[0] = self._solve_question_block(mttkrp(self.X, factors, 0), V)
+            V = self._gram_hadamard(0)
+            factors[0] = self._solve_question_block(self._mttkrp(0), V)
+            self._refresh(0)
             self.mu = _group_means(factors[0], self.groups)
         elif block == "balance":
             self.factors = _balance_columns(factors)
+            for mode in range(4):
+                self._refresh(mode)
         elif block == "subsite":
             self.S = _ridge_solve(
                 A.T @ A, self.M.matmul(A) + lam_site * self.mu, cfg.lambda_s + lam_site
@@ -457,11 +474,24 @@ class _Descent:
             self.T = _ridge_solve(A.T @ A, self.N.matmul(A), cfg.lambda_t)
         else:
             mode = BLOCKS.index(block)  # topic, voting or expert tensor mode
-            V = gram_hadamard(factors, mode)
-            factors[mode] = _ridge_solve(V, mttkrp(self.X, factors, mode), cfg.lambda_x)
+            V = self._gram_hadamard(mode)
+            factors[mode] = _ridge_solve(V, self._mttkrp(mode), cfg.lambda_x)
+            self._refresh(mode)
         for name in self.terms:
             if block in _TERM_BLOCKS[name] or block == "balance":
                 self.terms[name] = None
+
+    def _refresh(self, mode: int):
+        """Re-gather one tensor factor's rows at the nonzeros and its Gram."""
+        U = self.factors[mode]
+        self.rows[mode] = gather_rows(U, self.cols[mode])
+        self.grams[mode] = U.T @ U
+
+    def _mttkrp(self, mode: int) -> np.ndarray:
+        return mttkrp_from_rows(self.X, self.rows, mode, self.cols[mode])
+
+    def _gram_hadamard(self, mode: int) -> np.ndarray:
+        return hadamard([G for m, G in enumerate(self.grams) if m != mode], self.config.rank)
 
     def objective(self) -> float:
         """Objective of the working iterate, from the cached terms."""
@@ -475,7 +505,7 @@ class _Descent:
     def _term(self, name: str) -> float:
         cfg, factors = self.config, self.factors
         if name == "tensor":
-            res = residual_norm(self.X, factors, np.ones(factors[0].shape[1]))
+            res = residual_from_rows(self.X, self.rows, self.grams, np.ones(cfg.rank))
             value = 0.5 * res * res
             value += 0.5 * cfg.lambda_x * sum(float(np.sum(U * U)) for U in factors)
             return value

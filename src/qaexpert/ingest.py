@@ -294,7 +294,7 @@ def parse_dump(posts_file, votes_file, users_file, subsite_name: str) -> QaDatas
         except ValueError:
             raise _RowError(_not_int(attrs, ("Id",))) from None
         if local in local_to_canonical:
-            raise DataError(f"duplicate user id {local} in {users_file}")
+            raise _RowError(f"duplicate user id {local}")
         account = attrs.get("AccountId")
         try:
             canonical = local if account is None else int(account)

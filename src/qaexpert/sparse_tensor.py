@@ -6,6 +6,16 @@ duplicate coordinates summed at construction.  Factor matrices are plain
 ``(dim, rank)`` float64 ndarrays; kernels never materialize a dense tensor
 or a dense unfolding.
 
+The kernels work on factor rows gathered at the nonzeros in
+component-major layout: ``gather_rows(U, X.indices[:, m])`` is an
+``(R, nnz)`` array, so each component is one contiguous row for the
+elementwise products and for the one ``np.bincount`` per component that
+scatters an MTTKRP.  ``mttkrp_from_rows`` and ``residual_from_rows`` take
+such rows (and the Gram matrices ``U.T @ U``) from a caller that keeps
+them across updates and gathers a factor once per update that changes it,
+as ``coupled._Descent`` does; ``mttkrp`` and ``residual_norm`` are
+one-shot wrappers that gather them first.
+
 Khatri-Rao convention: in ``khatri_rao(A, B)`` the rows of ``A`` vary
 slowly, the rows of ``B`` vary fast, i.e. entry ``(p * B_rows + q, r)``
 equals ``A[p, r] * B[q, r]``.  Chains are built highest mode leftmost, so
@@ -151,13 +161,25 @@ def gram_hadamard(factors, skip_mode: int) -> np.ndarray:
     if not 0 <= skip_mode < len(factors):
         raise ContractViolation(f"skip_mode {skip_mode} out of range")
     rank = np.asarray(factors[0]).shape[1]
+    checked = [
+        _check_factor(U, rank=rank, name=f"mode-{m} factor")
+        for m, U in enumerate(factors) if m != skip_mode
+    ]
+    return hadamard([U.T @ U for U in checked], rank)
+
+
+def hadamard(grams, rank: int) -> np.ndarray:
+    """Elementwise product of ``(rank, rank)`` Gram matrices, in list order."""
     out = np.ones((rank, rank))
-    for m, U in enumerate(factors):
-        if m == skip_mode:
-            continue
-        U = _check_factor(U, rank=rank, name=f"mode-{m} factor")
-        out *= U.T @ U
+    for G in grams:
+        out *= G
     return out
+
+
+def gather_rows(U, index) -> np.ndarray:
+    """Rows ``U[index]`` in component-major layout: an ``(R, len(index))``
+    array whose row ``r`` is ``U[index, r]``, one ``np.take`` of ``U.T``."""
+    return np.take(np.ascontiguousarray(U.T), index, axis=1)
 
 
 def mttkrp(X: SparseTensor4, factors, mode: int) -> np.ndarray:
@@ -171,24 +193,35 @@ def mttkrp(X: SparseTensor4, factors, mode: int) -> np.ndarray:
     factors = _check_factors(X, factors)
     if not 0 <= mode < 4:
         raise ContractViolation(f"mode {mode} out of range")
-    weighted = X.values[:, None].copy()
-    for m in range(4):
-        if m != mode:
-            weighted = weighted * factors[m][X.indices[:, m], :]
-    return scatter_rows(X.indices[:, mode], weighted, X.dims[mode])
+    rows = [None if m == mode else gather_rows(U, X.indices[:, m]) for m, U in enumerate(factors)]
+    return mttkrp_from_rows(X, rows, mode, X.indices[:, mode])
+
+
+def mttkrp_from_rows(X: SparseTensor4, rows, mode: int, index) -> np.ndarray:
+    """MTTKRP from the other modes' factor rows gathered at the nonzeros.
+
+    ``rows[m]`` is ``gather_rows(factors[m], X.indices[:, m])`` for every
+    ``m != mode``, and ``index`` is ``X.indices[:, mode]``.  Each nonzero's
+    value is multiplied by the other rows in mode order.
+    """
+    others = [rows[m] for m in range(4) if m != mode]
+    weighted = X.values * others[0]
+    for G in others[1:]:
+        weighted *= G
+    return scatter_rows(index, weighted, X.dims[mode])
 
 
 def scatter_rows(index, rows, dim: int) -> np.ndarray:
-    """``out[index[k]] += rows[k]`` for every k, into a ``(dim, cols)`` zero array.
+    """``out[index[k]] += rows[:, k]`` for every k, into a ``(dim, R)`` zero array.
 
-    One ``np.bincount`` per column; each output cell adds its terms in
-    input order, so the result equals ``np.add.at`` bit for bit.
+    ``rows`` is component-major, ``(R, len(index))``.  One ``np.bincount``
+    per component row; each output cell adds its terms in input order, so
+    the result equals ``np.add.at`` bit for bit.
     """
     index = np.ascontiguousarray(index)
-    rows = np.asfortranarray(rows)
-    out = np.empty((dim, rows.shape[1]))
-    for r in range(rows.shape[1]):
-        out[:, r] = np.bincount(index, weights=rows[:, r], minlength=dim)
+    out = np.empty((dim, rows.shape[0]))
+    for r, row in enumerate(rows):
+        out[:, r] = np.bincount(index, weights=row, minlength=dim)
     return out
 
 
@@ -207,26 +240,6 @@ def reconstruct_entry(factors, norms, index) -> float:
     return float(acc.sum())
 
 
-def _model_cross_terms(X: SparseTensor4, factors, norms):
-    """Return (<X, model>, ||model||^2, per-nonzero model values)."""
-    norms = np.asarray(norms, dtype=np.float64)
-    rank = factors[0].shape[1]
-    if X.nnz:
-        rows = np.ones((X.nnz, rank))
-        for m in range(4):
-            rows = rows * factors[m][X.indices[:, m], :]
-        model_at_nz = rows @ norms
-        inner = float(np.dot(X.values, model_at_nz))
-    else:
-        model_at_nz = np.zeros(0)
-        inner = 0.0
-    gram = np.ones((rank, rank))
-    for U in factors:
-        gram *= U.T @ U
-    model_sq = float(norms @ gram @ norms)
-    return inner, model_sq, model_at_nz
-
-
 def _split_sq_residual(stored, model_at_stored, model_sq, fully_stored) -> float:
     """Squared residual: exact over stored cells, plus the model's energy on
     the rest as a difference of totals, clamped at zero and exactly zero when
@@ -240,6 +253,27 @@ def _split_sq_residual(stored, model_at_stored, model_sq, fully_stored) -> float
 def residual_norm(X: SparseTensor4, factors, norms) -> float:
     """Frobenius norm of (tensor - model) over the full index space."""
     factors = _check_factors(X, factors)
-    inner, model_sq, model_at_nz = _model_cross_terms(X, factors, norms)
+    rows = [gather_rows(U, X.indices[:, m]) for m, U in enumerate(factors)]
+    return residual_from_rows(X, rows, [U.T @ U for U in factors], norms)
+
+
+def model_from_rows(rows, norms) -> np.ndarray:
+    """Model values at the nonzeros from the four factors' gathered rows."""
+    product = rows[0] * rows[1]
+    product *= rows[2]
+    product *= rows[3]
+    # Summed over components on a nonzero-major copy, ``(nnz, R)``: the BLAS
+    # matvec every stored objective history was written with, whose
+    # summation order differs from that of any other layout.
+    return np.ascontiguousarray(product.T) @ norms
+
+
+def residual_from_rows(X: SparseTensor4, rows, grams, norms) -> float:
+    """:func:`residual_norm` from the four factors' rows gathered at the
+    nonzeros and their Gram matrices ``U.T @ U``."""
+    norms = np.asarray(norms, dtype=np.float64)
+    model_sq = float(norms @ hadamard(grams, norms.shape[0]) @ norms)
     total_cells = int(np.prod(np.asarray(X.dims, dtype=np.int64)))
-    return float(np.sqrt(_split_sq_residual(X.values, model_at_nz, model_sq, X.nnz == total_cells)))
+    return float(np.sqrt(_split_sq_residual(
+        X.values, model_from_rows(rows, norms), model_sq, X.nnz == total_cells
+    )))

@@ -26,7 +26,9 @@ from qaexpert.coupled import (
 )
 from qaexpert.errors import ContractViolation, DegenerateGroupError, SolverDiverged
 from qaexpert.hierarchy import TreePenalty, tree_from_nested, weight_penalty
-from qaexpert.sparse_tensor import SparseTensor4, gram_hadamard, mttkrp, residual_norm
+from qaexpert.sparse_tensor import (
+    SparseTensor4, gather_rows, gram_hadamard, model_from_rows, mttkrp, residual_norm,
+)
 
 from conftest import dense_model, make_micro_joint, random_sparse
 
@@ -389,7 +391,7 @@ class TestObjectiveTermCache:
                     assert state.objective() == fresh, (solver, trial, block)
 
     def test_each_term_evaluated_once_per_block_that_moves_it(self, monkeypatch):
-        calls = {"residual_norm": 0, "networks_objective": 0, "topic_objective": 0}
+        calls = {"residual_from_rows": 0, "networks_objective": 0, "topic_objective": 0}
         for name in calls:
             def counted(*args, _fn=getattr(coupled, name), _name=name):
                 calls[_name] += 1
@@ -399,7 +401,66 @@ class TestObjectiveTermCache:
         fit_joint(X, M, N, tree, JointConfig(rank=2, max_iters=3, tolerance=0.0))
         # Four tensor blocks per sweep; each membership loss once at the
         # start and after its two blocks in every sweep.
-        assert calls == {"residual_norm": 12, "networks_objective": 7, "topic_objective": 7}
+        assert calls == {"residual_from_rows": 12, "networks_objective": 7, "topic_objective": 7}
+
+    @pytest.mark.parametrize("solver, per_sweep", [
+        ("fit_joint", 4), ("cp_als_tree", 4), ("cp_als_balance", 8),
+    ])
+    def test_each_factor_gathered_once_per_update_that_moves_it(self, monkeypatch, solver, per_sweep):
+        X, M, N, tree = make_micro_joint(np.random.default_rng(53))
+        assert X.nnz not in (M.nnz, N.nnz)
+        gathers = []
+
+        def counted(U, index, _fn=coupled.gather_rows):
+            if len(index) == X.nnz:  # a tensor factor, not a membership product
+                gathers.append(U.shape)
+            return _fn(U, index)
+
+        monkeypatch.setattr(coupled, "gather_rows", counted)
+        if solver == "fit_joint":
+            fit_joint(X, M, N, tree, JointConfig(rank=2, max_iters=3, tolerance=0.0))
+        else:
+            penalty = TreePenalty(tree, 0.1) if solver == "cp_als_tree" else None
+            cp_als(X, AlsConfig(rank=2, max_iters=3, tolerance=0.0), penalty)
+        # Four at the start; one per tensor block, and four per balance block.
+        assert len(gathers) == 4 + 3 * per_sweep
+
+
+def _micro_descent(solver, rng, trial):
+    """A micro instance and a fresh engine in one of the three configurations."""
+    X, M, N, tree = make_micro_joint(rng)
+    lam = [float(v) for v in rng.random(5) + 0.01]
+    if solver == "fit_joint":
+        cfg = JointConfig(
+            rank=2, seed=trial, lambda_x=lam[0], lambda_w=lam[1],
+            lambda_s=lam[2], lambda_t=lam[3], lambda_site=lam[4],
+        )
+        groups = [sorted(g) for g in tree.level_groups(1)]
+        return X, _Descent(X, cfg, BLOCKS, TreePenalty(tree, cfg.lambda_w), M, N, groups)
+    cfg = AlsConfig(rank=2, seed=trial, lambda_x=lam[0])
+    if solver == "cp_als_tree":
+        return X, _Descent(X, cfg, BLOCKS[:4], TreePenalty(tree, lam[1]))
+    return X, _Descent(X, cfg, (*BLOCKS[:4], "balance"))
+
+
+class TestFactorRowCache:
+    @pytest.mark.parametrize("solver", ["fit_joint", "cp_als_tree", "cp_als_balance"])
+    def test_cache_equals_fresh_kernels_after_every_update(self, solver):
+        rng = np.random.default_rng(61)
+        for trial in range(10):
+            X, state = _micro_descent(solver, rng, trial)
+            ones = np.ones(2)
+            for block in state.blocks * 2:
+                state.update(block)
+                f = state.factors
+                for mode in range(4):
+                    np.testing.assert_array_equal(state._mttkrp(mode), mttkrp(X, f, mode))
+                fresh = [gather_rows(U, X.indices[:, m]) for m, U in enumerate(f)]
+                np.testing.assert_array_equal(
+                    model_from_rows(state.rows, ones), model_from_rows(fresh, ones)
+                )
+                for U, G in zip(f, state.grams):
+                    np.testing.assert_array_equal(G, U.T @ U)
 
 
 def _dense_question_solve(V, rhs, regs, groups, lam_site, S):
@@ -481,8 +542,8 @@ def _parts(model):
 
 
 class TestDivergedState:
-    # residual_norm calls per sweep: one after each tensor block, plus one
-    # after cp_als's balance block.
+    # Tensor-loss evaluations per sweep: one after each tensor block, plus
+    # one after cp_als's balance block.
     CALLS_PER_SWEEP = {"cp_als": 5, "fit_joint": 4}
 
     @pytest.mark.parametrize("solver", ["cp_als", "fit_joint"])
@@ -492,11 +553,11 @@ class TestDivergedState:
         reference = _fit_micro(solver, max(finite_sweeps, 1))
         calls = []
 
-        def nan_from_k(*args, _fn=coupled.residual_norm):
+        def nan_from_k(*args, _fn=coupled.residual_from_rows):
             calls.append(args)
             return float("nan") if len(calls) >= k else _fn(*args)
 
-        monkeypatch.setattr(coupled, "residual_norm", nan_from_k)
+        monkeypatch.setattr(coupled, "residual_from_rows", nan_from_k)
         with pytest.raises(SolverDiverged) as info:
             _fit_micro(solver, 10)
         last = info.value.last_state

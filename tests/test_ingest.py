@@ -220,6 +220,13 @@ class TestParseErrors:
         assert str(err.value).startswith("not well-formed (invalid token) [")
         assert err.value.path.endswith(name)
 
+    def test_duplicate_user_id_names_its_line(self, tmp_path):
+        write_rows(tmp_path, {"Users.xml": ['<row Id="1" AccountId="7" />']})
+        with pytest.raises(DumpParseError) as err:
+            parse_site(tmp_path, "s")
+        assert err.value.line == 4
+        assert str(err.value) == f"duplicate user id 1 [{tmp_path}/Users.xml:4]"
+
     def test_bad_row_reported_before_a_later_syntax_error(self, tmp_path):
         write_rows(tmp_path, {"Posts.xml": [
             '<row Id="3" PostTypeId="1" OwnerUserId="x" />', '<row Id="4" broken />',

@@ -216,7 +216,7 @@ class TestMttkrp:
         rows = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-8, 8, size=(200, 1))
         want = np.zeros((9, 3))
         np.add.at(want, index, rows)
-        np.testing.assert_array_equal(scatter_rows(index, rows, 9), want)
+        np.testing.assert_array_equal(scatter_rows(index, rows.T, 9), want)
 
 
 class TestReconstructEntry:
