@@ -79,6 +79,13 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 def cmd_ingest(args) -> int:
     cfg = _resolve_config("ingest", args)
     edges = _parse_int_list(cfg["vote_buckets"], "--vote-buckets")
+    try:
+        sample_users = None if cfg["sample_users"] is None else int(cfg["sample_users"])
+        seed, tree_s = int(cfg["seed"]), float(cfg["tree_s"])
+    except ValueError as exc:  # a config value that is not a number
+        raise UsageError(str(exc)) from None
+    if sample_users is not None and sample_users < 1:
+        raise UsageError("--sample-users must be >= 1")
     dirs = [d.rstrip("/") for d in args.dirs]
     names = [os.path.basename(d) for d in dirs]
     if len(set(names)) != len(names):
@@ -92,10 +99,10 @@ def cmd_ingest(args) -> int:
         jobs.append((files, name))
 
     data = merge_datasets([parse_dump(*files, subsite_name=name) for files, name in jobs])
-    if cfg["sample_users"] is not None:
-        data = sample_dataset(data, int(cfg["sample_users"]), int(cfg["seed"]))
+    if sample_users is not None:
+        data = sample_dataset(data, sample_users, seed)
 
-    tables = build_inputs(data, bucket_edges=edges, tree_s=float(cfg["tree_s"]))
+    tables = build_inputs(data, bucket_edges=edges, tree_s=tree_s)
     ledger = reputation_scores(data)
 
     out = args.out_dir
@@ -138,25 +145,25 @@ def _snapshot_paths(snapshot_dir: str) -> dict:
 
 def cmd_fit(args) -> int:
     cfg = _resolve_config("fit", args)
-    if int(cfg["rank"]) < 1:
-        raise UsageError("--rank must be >= 1")
+    try:
+        joint_cfg = JointConfig(
+            rank=int(cfg["rank"]),
+            max_iters=int(cfg["max_iters"]),
+            tolerance=float(cfg["tol"]),
+            lambda_x=float(cfg["lambda_x"]),
+            lambda_w=float(cfg["lambda_w"]),
+            lambda_s=float(cfg["lambda_s"]),
+            lambda_t=float(cfg["lambda_t"]),
+            lambda_site=None if cfg["lambda_site"] is None else float(cfg["lambda_site"]),
+            seed=int(cfg["seed"]),
+        )
+    except ValueError as exc:  # a flag or config value out of range or not a number
+        raise UsageError(str(exc)) from None
     paths = _snapshot_paths(args.snapshot)
     X = serialize.load_tensor(paths["tensor"])
     M = serialize.load_membership(paths["site"])
     N = serialize.load_membership(paths["topic"])
     tree = serialize.load_tree(paths["tree"])
-
-    joint_cfg = JointConfig(
-        rank=int(cfg["rank"]),
-        max_iters=int(cfg["max_iters"]),
-        tolerance=float(cfg["tol"]),
-        lambda_x=float(cfg["lambda_x"]),
-        lambda_w=float(cfg["lambda_w"]),
-        lambda_s=float(cfg["lambda_s"]),
-        lambda_t=float(cfg["lambda_t"]),
-        lambda_site=None if cfg["lambda_site"] is None else float(cfg["lambda_site"]),
-        seed=int(cfg["seed"]),
-    )
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     model_path = os.path.join(out, "model.txt")
@@ -214,12 +221,16 @@ def _resolve_topic(manifest: dict, query: str) -> int:
 
 def cmd_recommend(args) -> int:
     cfg = _resolve_config("recommend", args)
-    if int(cfg["k"]) < 1:
+    try:
+        k = int(cfg["k"])
+    except ValueError as exc:  # a config value that is not a number
+        raise UsageError(str(exc)) from None
+    if k < 1:
         raise UsageError("--k must be >= 1")
     model, meta = serialize.load_model(args.model, ranking_only=True)
     manifest = _check_model_snapshot(meta, os.path.join(args.snapshot, SNAPSHOT_FILES["manifest"]))
     topic = _resolve_topic(manifest, args.topic)
-    ranked = rank_experts(model, topic, int(cfg["k"]))
+    ranked = rank_experts(model, topic, k)
     print("# config " + json.dumps({**cfg, "topic": manifest["topics"][topic]}, sort_keys=True))
     if ranked.status != "ok":
         print(f"# status {ranked.status}")
@@ -233,6 +244,8 @@ def cmd_recommend(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config("evaluate", args)
     k_list = _parse_int_list(cfg["k_list"], "--k-list")
+    if min(k_list) < 1:
+        raise UsageError("--k-list values must be >= 1")
     model, meta = serialize.load_model(args.model, ranking_only=True)
     paths = _snapshot_paths(args.snapshot)
     manifest = _check_model_snapshot(meta, paths["manifest"])

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateGroupError, SolverDiverged
+from .errors import ContractViolation, SolverDiverged
 from .hierarchy import HierarchyTree, TreePenalty, weight_penalty
 # ``mttkrp`` and ``gram_hadamard`` are not called here; they stay in this
 # namespace because bench/spans.py wraps them by these names.
@@ -255,15 +255,7 @@ def topic_objective(T: np.ndarray, A: np.ndarray, N: MembershipMatrix, lambda_t:
     return _half_sq_frobenius(N, T, A) + 0.5 * lambda_t * ridge
 
 
-def _subsite_groups(tree: HierarchyTree) -> list[list[int]]:
-    groups = [sorted(g) for g in tree.level_groups(1)]
-    for rows in groups:
-        if not rows:
-            raise DegenerateGroupError("a subsite group has no questions")
-    return groups
-
-
-def _group_means(U1: np.ndarray, groups: list[list[int]]) -> np.ndarray:
+def _group_means(U1: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
     out = np.empty((len(groups), U1.shape[1]))
     for j, rows in enumerate(groups):
         out[j] = U1[rows].mean(axis=0)
@@ -272,7 +264,7 @@ def _group_means(U1: np.ndarray, groups: list[list[int]]) -> np.ndarray:
 
 def group_means(U1: np.ndarray, tree: HierarchyTree) -> np.ndarray:
     """Per-subsite mean of the question-factor rows, in subsite node order."""
-    return _group_means(np.asarray(U1, dtype=np.float64), _subsite_groups(tree))
+    return _group_means(np.asarray(U1, dtype=np.float64), tree.level_groups(1))
 
 
 def site_regularizer(S: np.ndarray, U1: np.ndarray, tree: HierarchyTree, lambda_site: float) -> float:
@@ -439,7 +431,6 @@ class _Descent:
             row_regs = config.lambda_x + penalty.lambda_w * penalty.row_weights
         self.parts = []
         for rows in groups or [np.arange(X.dims[0])]:
-            rows = np.asarray(rows)
             order = np.argsort(row_regs[rows], kind="stable")
             ranked = row_regs[rows][order]
             first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
@@ -649,7 +640,7 @@ def fit_joint(
         If the objective turns non-finite; carries the last finite model
         (pre-canonicalization) as ``last_state``.
     """
-    groups = _subsite_groups(tree)
+    groups = tree.level_groups(1)
     if tree.n_rows != X.dims[0]:
         raise ContractViolation(f"tree covers {tree.n_rows} rows, tensor mode 0 has {X.dims[0]}")
     if N.rows != X.dims[1]:

@@ -28,10 +28,6 @@ class EmptyInputError(ValueError):
     """A dataset had nothing to build model inputs from."""
 
 
-class DegenerateGroupError(ValueError):
-    """A subsite group required by a coupling term is empty."""
-
-
 class SolverDiverged(RuntimeError):
     """An iterative solve produced non-finite values.
 

@@ -1,15 +1,21 @@
 """Hierarchy tree over subsites, topics, and questions, with grouped ridge weights.
 
-Every tree node defines a group: the set of question rows at the leaves
-beneath it.  Internal nodes carry a pair ``(s, g)`` summing to one; a
-node's weight is its ``g`` (one for leaves) times the product of ``s``
+The tree is four arrays in preorder: node 0 is the root, every node comes
+after its parent, and ``parent`` is -1 only at the root.  A leaf holds its
+question row in ``leaf_row`` (-1 elsewhere); an internal node holds a pair
+``(s, g)`` summing to one (NaN at leaves).  The depth ``level`` and the
+ancestor table ``ancestors[d, v]``, the node at depth ``d`` above ``v``, are
+derived once; everything else is a pass over these arrays.
+
+Every node defines a group: the question rows at the leaves beneath it.
+A node's weight is its ``g`` (one for leaves) times the product of ``s``
 over its strict ancestors.  The penalty on a question-mode factor is the
 weighted sum of squared group norms, which decomposes exactly into
 per-row ridge weights because the group norms are squared: row ``l``
-weighs the summed weights of every group containing it.  The penalty is
-evaluated through those row weights, one dot product with no walk over
-the tree; the group-wise sum is kept in the tests as the oracle it is
-checked against.
+weighs the summed weights of its ancestor chain.  With s + g = 1 at every
+node that sum telescopes to 1, so the penalty is ½·λ_w·‖U1‖² whatever the
+weights.  It is evaluated as one dot product; the group-wise sum is kept
+in the tests as the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import numpy as np
 from .errors import ContractViolation
 
 __all__ = [
-    "TreeNode",
     "HierarchyTree",
     "TreePenalty",
     "tree_from_nested",
@@ -32,98 +37,67 @@ __all__ = [
 _SG_TOL = 1e-9
 
 
-@dataclass
-class TreeNode:
-    node_id: int
-    level: int
-    parent: int | None
-    children: list[int] = field(default_factory=list)
-    s: float | None = None
-    g: float | None = None
-    leaf_row: int | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf_row is not None
+def _check(bad, message):
+    if bad.any():
+        raise ContractViolation(message.format(np.flatnonzero(bad)[0]))
 
 
 class HierarchyTree:
-    """Validated rooted tree whose leaves partition the question rows.
+    """Validated rooted tree in preorder whose leaves partition the question rows.
 
     Leaf rows must be exactly ``0 .. n_rows-1``, each appearing once.
+    ``s`` and ``g`` are read at internal nodes only.  The arrays are read-only.
     """
 
-    def __init__(self, nodes: dict[int, TreeNode]):
-        self.nodes = dict(nodes)
-        roots = [n.node_id for n in self.nodes.values() if n.parent is None]
-        if len(roots) != 1:
-            raise ContractViolation(f"tree must have exactly one root, found {len(roots)}")
-        self.root_id = roots[0]
-        self._validate()
-        self._groups = self._collect_groups()
-        self.n_rows = len(self._groups[self.root_id])
-
-    def _validate(self):
-        seen = set()
-        stack = [self.root_id]
-        leaf_rows = []
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                raise ContractViolation(f"node {nid} reachable twice; not a tree")
-            seen.add(nid)
-            node = self.nodes[nid]
-            for cid in node.children:
-                child = self.nodes.get(cid)
-                if child is None or child.parent != nid:
-                    raise ContractViolation(f"child link {nid}->{cid} is inconsistent")
-                if child.level != node.level + 1:
-                    raise ContractViolation(f"node {cid} level must be {node.level + 1}")
-                stack.append(cid)
-            if node.is_leaf:
-                if node.children:
-                    raise ContractViolation(f"leaf node {nid} has children")
-                leaf_rows.append(node.leaf_row)
-            else:
-                if not node.children:
-                    raise ContractViolation(f"internal node {nid} has no children")
-                if node.s is None or node.g is None:
-                    raise ContractViolation(f"internal node {nid} lacks (s, g) weights")
-                if not (0.0 <= node.s <= 1.0 and 0.0 <= node.g <= 1.0):
-                    raise ContractViolation(f"(s, g) of node {nid} must lie in [0, 1]")
-                if abs(node.s + node.g - 1.0) > _SG_TOL:
-                    raise ContractViolation(f"(s, g) of node {nid} must sum to 1")
-        if len(seen) != len(self.nodes):
-            raise ContractViolation("tree contains unreachable nodes")
-        if sorted(leaf_rows) != list(range(len(leaf_rows))):
+    def __init__(self, parent, s, g, leaf_row):
+        self.parent, self.leaf_row = (np.array(a, dtype=np.int64) for a in (parent, leaf_row))
+        self.s, self.g = (np.array(a, dtype=np.float64) for a in (s, g))
+        n = self.parent.size
+        if {a.shape for a in (self.parent, self.s, self.g, self.leaf_row)} != {(n,)}:
+            raise ContractViolation("parent, s, g and leaf_row must be 1-D and of equal length")
+        roots = np.count_nonzero(self.parent == -1)
+        if n == 0 or roots != 1 or self.parent[0] != -1:
+            raise ContractViolation(f"tree must have exactly one root, node 0, found {roots}")
+        ids = np.arange(n)
+        _check((self.parent >= ids) | (self.parent < -1), "node {} must come after its parent")
+        leaf = self.leaf_row >= 0
+        has_children = np.bincount(self.parent[1:], minlength=n) > 0
+        _check(leaf & has_children, "leaf node {} has children")
+        _check(~leaf & ~has_children, "internal node {} has no children")
+        s, g = self.s, self.g
+        in_range = (s >= 0) & (s <= 1) & (g >= 0) & (g <= 1)  # NaN fails too
+        _check(~leaf & ~in_range, "(s, g) of node {} must lie in [0, 1]")
+        _check(~leaf & (np.abs(s + g - 1.0) > _SG_TOL), "(s, g) of node {} must sum to 1")
+        self.leaves = np.flatnonzero(leaf)
+        self.n_rows = len(self.leaves)
+        if not np.array_equal(np.sort(self.leaf_row[self.leaves]), np.arange(self.n_rows)):
             raise ContractViolation("leaf rows must be 0..n-1, each exactly once")
 
-    def _collect_groups(self):
-        groups: dict[int, frozenset[int]] = {}
+        # up[k, v] is the k-th ancestor of v, -1 above the root.
+        up = [ids]
+        while (up[-1] >= 0).any():
+            up.append(np.where(up[-1] >= 0, self.parent[up[-1]], -1))
+        up = np.array(up[:-1])
+        self.level = np.count_nonzero(up[1:] >= 0, axis=0)
+        d = np.arange(len(up))[:, None]
+        self.ancestors = np.where(d <= self.level, up[np.maximum(self.level - d, 0), ids], -1)
+        for a in (self.parent, self.s, self.g, self.leaf_row, self.level, self.ancestors):
+            a.setflags(write=False)
 
-        def visit(nid):
-            node = self.nodes[nid]
-            if node.is_leaf:
-                rows = frozenset([node.leaf_row])
-            else:
-                rows = frozenset().union(*(visit(c) for c in node.children))
-            groups[nid] = rows
-            return rows
+    def group(self, node: int) -> np.ndarray:
+        """Question rows at the leaves beneath ``node`` (itself included), ascending."""
+        beneath = self.ancestors[self.level[node], self.leaves] == node
+        return np.sort(self.leaf_row[self.leaves[beneath]])
 
-        visit(self.root_id)
-        return groups
-
-    def group(self, node_id: int) -> frozenset[int]:
-        """Question rows at the leaves beneath ``node_id`` (itself included)."""
-        return self._groups[node_id]
-
-    def level_nodes(self, level: int) -> list[int]:
-        """Node ids at a depth, in ascending id order."""
-        return sorted(n.node_id for n in self.nodes.values() if n.level == level)
-
-    def level_groups(self, level: int) -> list[frozenset[int]]:
-        """Leaf-row groups of the nodes at a depth, in node-id order."""
-        return [self._groups[nid] for nid in self.level_nodes(level)]
+    def level_groups(self, level: int) -> list[np.ndarray]:
+        """Ascending leaf-row groups of the nodes at a depth, in node-id order."""
+        if level >= len(self.ancestors):
+            return []
+        owner = self.ancestors[level, self.leaves]
+        rows = self.leaf_row[self.leaves][owner >= 0]
+        owner = owner[owner >= 0]
+        order = np.lexsort((rows, owner))
+        return np.split(rows[order], np.flatnonzero(np.diff(owner[order])) + 1)
 
 
 def tree_from_nested(nested, sg_by_level=None) -> HierarchyTree:
@@ -132,48 +106,36 @@ def tree_from_nested(nested, sg_by_level=None) -> HierarchyTree:
     ``[[0, 1], [2]]`` is a root with two internal children holding leaf
     rows ``{0, 1}`` and ``{2}``.  A bare int makes a leaf directly.
     ``sg_by_level`` optionally maps a level to its ``(s, g)`` pair;
-    unlisted levels use ``(0.5, 0.5)``.
+    unlisted levels use ``(0.5, 0.5)``.  Nodes are numbered in preorder.
     """
     sg_by_level = sg_by_level or {}
-    nodes: dict[int, TreeNode] = {}
-    counter = [0]
-
-    def add(spec, level, parent):
-        nid = counter[0]
-        counter[0] += 1
+    parent, sg, leaf_row = [], [], []
+    stack = [(nested, -1, 0)]
+    while stack:
+        spec, up, depth = stack.pop()
+        parent.append(up)
         if isinstance(spec, (int, np.integer)):
-            nodes[nid] = TreeNode(nid, level, parent, leaf_row=int(spec))
+            sg.append((np.nan, np.nan))
+            leaf_row.append(int(spec))
         else:
-            s, g = sg_by_level.get(level, (0.5, 0.5))
-            node = TreeNode(nid, level, parent, s=float(s), g=float(g))
-            nodes[nid] = node
-            for child in spec:
-                node.children.append(add(child, level + 1, nid))
-        return nid
-
-    add(nested, 0, None)
-    return HierarchyTree(nodes)
+            sg.append(sg_by_level.get(depth, (0.5, 0.5)))
+            leaf_row.append(-1)
+            stack.extend((child, len(parent) - 1, depth + 1) for child in reversed(spec))
+    s, g = np.array(sg, dtype=np.float64).T
+    return HierarchyTree(parent, s, g, leaf_row)
 
 
-def compute_node_weights(tree: HierarchyTree) -> dict[int, float]:
+def compute_node_weights(tree: HierarchyTree) -> np.ndarray:
     """Per-node group weights: ``g`` at the node times ``s`` over its ancestors.
 
     Leaves take weight one at the node itself, so a leaf's weight is just
     the product of its ancestors' ``s`` values.  All weights lie in [0, 1].
+    The product runs root first, one depth at a time.
     """
-    weights: dict[int, float] = {}
-
-    def visit(nid, ancestor_product):
-        node = tree.nodes[nid]
-        if node.is_leaf:
-            weights[nid] = ancestor_product
-            return
-        weights[nid] = node.g * ancestor_product
-        for cid in node.children:
-            visit(cid, ancestor_product * node.s)
-
-    visit(tree.root_id, 1.0)
-    return weights
+    product = np.ones(len(tree.parent))
+    for d, above in enumerate(tree.ancestors[:-1]):
+        product *= np.where(tree.level > d, tree.s[above], 1.0)
+    return np.where(tree.leaf_row >= 0, product, tree.g * product)
 
 
 @dataclass(frozen=True)
@@ -181,24 +143,24 @@ class TreePenalty:
     """Hierarchy tree bundled with its regularizer strength and weights.
 
     ``row_weights[l]`` sums the node weights over every group containing
-    leaf ``l`` (its ancestor chain plus itself); it is read-only.
+    leaf ``l`` (its ancestor chain plus itself), root first; it is read-only.
     """
 
     tree: HierarchyTree
     lambda_w: float
-    node_weights: dict[int, float] = field(init=False, repr=False)
     row_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.lambda_w < 0:
             raise ContractViolation("lambda_w must be >= 0")
-        weights = compute_node_weights(self.tree)
-        rows = np.zeros(self.tree.n_rows)
-        for nid, omega in weights.items():
-            for row in self.tree.group(nid):
-                rows[row] += omega
+        tree = self.tree
+        # Depths below a leaf hold ancestor -1, which reads the appended
+        # zero; adding it is exact, so each row sums its chain root first.
+        weights = np.append(compute_node_weights(tree), 0.0)
+        rows, order = np.zeros(tree.n_rows), tree.leaf_row[tree.leaves]
+        for above in tree.ancestors[:, tree.leaves]:
+            rows[order] += weights[above]
         rows.setflags(write=False)
-        object.__setattr__(self, "node_weights", weights)
         object.__setattr__(self, "row_weights", rows)
 
 

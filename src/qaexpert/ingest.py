@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 DEFAULT_BUCKET_EDGES = (0, 1, 3, 10)
+# The tree's question leaves sit below the root, a subsite and a topic.
+TREE_LEAF_LEVEL = 3
 
 # An absent owner, parent, accepted answer or voter in an integer column.
 # Not -1: Stack Exchange dumps give the Community user the id -1.
@@ -636,7 +638,7 @@ def build_inputs(
     for group in np.split(order, bounds):
         nested.setdefault(int(question_site[group[0]]), []).append(group.tolist())
     tree_g = 1.0 - tree_s
-    sg = {level: (tree_s, tree_g) for level in range(3)}
+    sg = {level: (tree_s, tree_g) for level in range(TREE_LEAF_LEVEL)}
     tree = tree_from_nested(list(nested.values()), sg_by_level=sg)
 
     return BuildInputs(

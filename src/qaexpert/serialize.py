@@ -24,9 +24,9 @@ import warnings
 import numpy as np
 
 from .coupled import CpModel, JointModel, MembershipMatrix
-from .errors import DataError
-from .hierarchy import HierarchyTree, TreeNode
-from .ingest import ReputationLedger
+from .errors import ContractViolation, DataError
+from .hierarchy import HierarchyTree
+from .ingest import TREE_LEAF_LEVEL, ReputationLedger
 from .ranking import RankingFactors
 from .sparse_tensor import SparseTensor4
 
@@ -85,11 +85,35 @@ def _table(lines, dtype):
     return table if len(table) == len(lines) else None
 
 
+def _numbers(fields, kind, path, line):
+    """``fields`` parsed by ``kind``, int or float; one that does not parse,
+    or an int past int64, is a DataError naming ``line``."""
+    try:
+        values = [kind(t) for t in fields]
+        if kind is int:
+            np.array(values, dtype=np.int64)  # OverflowError past int64
+        return values
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{path}:{line}: {exc}") from None
+
+
+def _column(fields, kind, path, lines):
+    """``fields`` as an int64 or float64 array by ``kind``; the first that
+    `_numbers` rejects is a DataError naming its line, ``lines[i]``."""
+    try:
+        return np.array(fields, dtype=np.int64 if kind is int else np.float64)
+    except (ValueError, OverflowError):
+        for field, n in zip(fields, lines):
+            _numbers([field], kind, path, n)
+        raise
+
+
 def load_tensor(path) -> SparseTensor4:
     lines = _read_lines(path)
-    if not lines or not lines[0].startswith("dims "):
-        raise DataError(f"{path}: expected a 'dims I J K L' header")
-    dims = tuple(int(t) for t in lines[0].split()[1:])
+    head = lines[0].split() if lines else []
+    if len(head) != 5 or head[0] != "dims":
+        raise DataError(f"{path}:1: expected a 'dims I J K L' header")
+    dims = tuple(_numbers(head[1:], int, path, 1))
     table = _table(lines[1:], [("index", np.int64, (4,)), ("value", np.float64)])
     if table is not None:
         return SparseTensor4(dims, indices=table["index"], values=table["value"])
@@ -98,8 +122,8 @@ def load_tensor(path) -> SparseTensor4:
         parts = line.split()
         if len(parts) != 5:
             raise DataError(f"{path}:{n}: expected 'i j k l value'")
-        indices.append([int(t) for t in parts[:4]])
-        values.append(float(parts[4]))
+        indices.append(_numbers(parts[:4], int, path, n))
+        values.extend(_numbers(parts[4:], float, path, n))
     return SparseTensor4(dims, indices=np.array(indices).reshape(-1, 4), values=values)
 
 
@@ -109,9 +133,10 @@ def save_membership(M: MembershipMatrix, path):
 
 def load_membership(path) -> MembershipMatrix:
     lines = _read_lines(path)
-    if not lines:
-        raise DataError(f"{path}: empty membership file")
-    rows, cols = (int(t) for t in lines[0].split())
+    head = lines[0].split() if lines else []
+    if len(head) != 2:
+        raise DataError(f"{path}:1: expected a 'rows cols' header")
+    rows, cols = _numbers(head, int, path, 1)
     table = _table(lines[1:], [("pair", np.int64, (2,))])
     if table is not None:
         return MembershipMatrix(rows, cols, table["pair"])
@@ -120,49 +145,60 @@ def load_membership(path) -> MembershipMatrix:
         parts = line.split()
         if len(parts) != 2:
             raise DataError(f"{path}:{n}: expected 'row col'")
-        pairs.append((int(parts[0]), int(parts[1])))
+        pairs.append(_numbers(parts, int, path, n))
     return MembershipMatrix(rows, cols, pairs)
 
 
 def save_tree(tree: HierarchyTree, path):
-    out = io.StringIO()
-
-    def visit(nid):
-        node = tree.nodes[nid]
-        indent = "  " * node.level
-        parent = -1 if node.parent is None else node.parent
-        if node.is_leaf:
-            out.write(f"{indent}{node.level} {node.node_id} {parent} leaf {node.leaf_row}\n")
-        else:
-            out.write(
-                f"{indent}{node.level} {node.node_id} {parent} {_fmt(node.s)} {_fmt(node.g)}\n"
-            )
-            for cid in node.children:
-                visit(cid)
-
-    visit(tree.root_id)
-    _write_text(path, out.getvalue())
+    """One line per node in preorder, indented two spaces a level:
+    ``level id parent s g``, or ``level id parent leaf row`` at a leaf."""
+    level = tree.level.tolist()
+    tails = [f"leaf {row}" if row >= 0 else f"{_fmt(s)} {_fmt(g)}"
+             for row, s, g in zip(tree.leaf_row.tolist(), tree.s.tolist(), tree.g.tolist())]
+    columns = [["  " * lv for lv in level], level, list(range(len(level))),
+               tree.parent.tolist(), tails]
+    _write_text(path, _rows_text("%s%d %d %d %s\n", columns))
 
 
 def load_tree(path) -> HierarchyTree:
-    nodes: dict[int, TreeNode] = {}
-    for n, raw in enumerate(_read_lines(path), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        if len(parts) != 5:
-            raise DataError(f"{path}:{n}: expected 'level id parent s g' or '... leaf row'")
-        level, nid, parent = int(parts[0]), int(parts[1]), int(parts[2])
-        parent = None if parent == -1 else parent
-        if parts[3] == "leaf":
-            nodes[nid] = TreeNode(nid, level, parent, leaf_row=int(parts[4]))
-        else:
-            nodes[nid] = TreeNode(nid, level, parent, s=float(parts[3]), g=float(parts[4]))
-        if parent is not None:
-            nodes[parent].children.append(nid)
-    if not nodes:
+    """Read a tree file into its preorder arrays, column by column.
+
+    The lines (blank ones aside) must hold ids 0, 1, ... in order, each
+    parent before its children, each level its parent's plus one and none
+    below the question leaves that ingest writes; a line that breaks this
+    is a DataError naming it.
+    """
+    split = [line.split() for line in _read_lines(path)]
+    at = [n for n, parts in enumerate(split, start=1) if parts]
+    wrong = [n for n in at if len(split[n - 1]) != 5]
+    if wrong:
+        raise DataError(f"{path}:{wrong[0]}: expected 'level id parent s g' or '... leaf row'")
+    if not at:
         raise DataError(f"{path}: empty tree file")
-    return HierarchyTree(nodes)
+    table = np.array([split[n - 1] for n in at], dtype=object)
+    at = np.array(at)
+    level, nid, parent = (_column(table[:, k], int, path, at) for k in range(3))
+    ids = np.arange(len(table))
+
+    def reject(bad, what):
+        if bad.any():
+            raise DataError(f"{path}:{at[bad][0]}: {what}")
+
+    reject(nid != ids, "ids must run 0, 1, ... in line order")
+    reject(np.where(ids == 0, parent != -1, (parent < 0) | (parent >= ids)),
+           "the parent must be -1 on the first line and an earlier id on every other")
+    reject(level != np.where(ids == 0, 0, level[parent] + 1), "level must be the parent's plus one")
+    reject(level > TREE_LEAF_LEVEL, f"level must be at most {TREE_LEAF_LEVEL}, the question leaves")
+    s_field, g_field = table[:, 3], table[:, 4]
+    leaf = s_field == "leaf"
+    s, g, leaf_row = np.full(len(ids), np.nan), np.full(len(ids), np.nan), np.full(len(ids), -1)
+    s[~leaf] = _column(s_field[~leaf], float, path, at[~leaf])
+    g[~leaf] = _column(g_field[~leaf], float, path, at[~leaf])
+    leaf_row[leaf] = _column(g_field[leaf], int, path, at[leaf])
+    try:
+        return HierarchyTree(parent, s, g, leaf_row)
+    except ContractViolation as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _matrix_text(U) -> str:
@@ -170,13 +206,6 @@ def _matrix_text(U) -> str:
     U = np.atleast_2d(U)
     line = " ".join(["%.17g"] * U.shape[1]) + "\n"
     return (line * U.shape[0]) % tuple(U.ravel().tolist())
-
-
-def _numbers(fields, kind, path, line):
-    try:
-        return [kind(t) for t in fields]
-    except ValueError as exc:
-        raise DataError(f"{path}:{line}: {exc}") from None
 
 
 def _header(lines, pos, path, expected):
@@ -331,7 +360,12 @@ def load_reputation(path) -> ReputationLedger:
         if header != ["user_id", "topic", "score"]:
             raise DataError(f"{path}: unexpected reputation header {header}")
         for row in reader:
-            scores[(int(row[0]), row[1])] = int(row[2])
+            try:
+                user, topic, score = row
+                scores[(int(user), topic)] = int(score)
+            except ValueError:
+                raise DataError(f"{path}:{reader.line_num}: expected 'user_id,topic,score' "
+                                f"with integer user and score, got {','.join(row)!r}") from None
     return ReputationLedger(scores)
 
 

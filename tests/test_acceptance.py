@@ -175,8 +175,8 @@ def test_criterion_4_tree_penalty_identity():
         penalty = TreePenalty(tree, lambda_w=float(rng.random() + 0.1))
         U1 = rng.standard_normal((tree.n_rows, int(rng.integers(1, 4))))
         groupwise = 0.0
-        for nid, omega in compute_node_weights(tree).items():
-            for row in tree.group(nid):
+        for nid, omega in enumerate(compute_node_weights(tree).tolist()):
+            for row in tree.group(nid).tolist():
                 groupwise += omega * float(np.dot(U1[row], U1[row]))
         groupwise *= 0.5 * penalty.lambda_w
         scale = max(1.0, abs(groupwise))
@@ -185,8 +185,8 @@ def test_criterion_4_tree_penalty_identity():
     tree = tree_from_nested([[0, 1], [2, 3]])
     weights = compute_node_weights(tree)
     by_level = {}
-    for nid, omega in weights.items():
-        by_level.setdefault(tree.nodes[nid].level, set()).add(omega)
+    for level, omega in zip(tree.level.tolist(), weights.tolist()):
+        by_level.setdefault(level, set()).add(omega)
     exact = by_level == {0: {0.5}, 1: {0.25}, 2: {0.25}}
     _check(4, f"row-weight penalty equals the group-wise sum on 100 trees "
               f"(max rel err {worst:.2e}) and half-half weights are exact",

@@ -60,6 +60,15 @@ def micro_corpus(root):
     return alpha, beta
 
 
+def edit_line(path, line, text):
+    """Replace the 1-based ``line`` of the file at ``path`` by ``text``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[line - 1] = text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 @pytest.fixture
 def corpus(tmp_path):
     return micro_corpus(str(tmp_path / "dumps"))
@@ -135,6 +144,24 @@ class TestIngest:
         manifest = json.load(open(os.path.join(snap, "manifest.json")))
         assert manifest["tree_g"] == 1 - 0.3 and "tree_g" not in manifest["config"]
 
+    def test_rejected_flag_value_exits_2(self, corpus, tmp_path, capsys):
+        code = main(["ingest", *corpus, "--out-dir", str(tmp_path / "out"),
+                     "--sample-users", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: --sample-users")
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("entry", ['"sample_users": "ten"', '"seed": "x"',
+                                       '"tree_s": "half"'])
+    def test_non_numeric_config_value_exits_2(self, corpus, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{" + entry + "}")
+        code = main(["ingest", *corpus, "--out-dir", str(tmp_path / "out"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not os.path.exists(tmp_path / "out")
+
     def test_unknown_config_key_exits_2(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"tree_depth": 3}')
@@ -151,11 +178,39 @@ class TestFit:
         assert open(hist).readline() == "sweep,objective\n"
         assert open(fitted).readline().startswith("joint-model rank 2")
 
-    def test_rank_zero_exits_2(self, snapshot, tmp_path, capsys):
-        code = main(["fit", snapshot, "--out-dir", str(tmp_path / "f"),
-                     "--rank", "0"])
+    @pytest.mark.parametrize("flags", [
+        ["--rank", "0"], ["--max-iters", "0"], ["--tol", "-1"], ["--lambda-x", "-1"],
+        ["--lambda-w", "-0.5"], ["--lambda-s", "-1"], ["--lambda-t", "-2"],
+    ])
+    def test_rejected_flag_value_exits_2(self, snapshot, tmp_path, capsys, flags):
+        code = main(["fit", snapshot, "--out-dir", str(tmp_path / "f"), *flags])
         assert code == 2
-        assert "rank" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and flags[0][2:].replace("-", "_") in err
+        assert not os.path.exists(tmp_path / "f")
+
+    def test_rejected_config_value_exits_2(self, snapshot, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lambda_site": -1}')
+        code = main(["fit", snapshot, "--out-dir", str(tmp_path / "f"), "--config", str(cfg)])
+        assert code == 2
+        assert "lambda_site" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, line, text", [
+        ("tree.txt", 3, "    2 2 9 leaf 0"),
+        ("tree.txt", 1, "0 0 -1 half 0.5"),
+        ("tensor.txt", 1, "dims 1 2 x 4"),
+        ("tensor.txt", 1, "dims 1 2 3"),
+        ("site_matrix.txt", 1, "2 2 2"),
+        ("topic_matrix.txt", 1, "four 6"),
+    ])
+    def test_malformed_snapshot_file_names_path_and_line(self, snapshot, tmp_path, capsys,
+                                                         name, line, text):
+        path = os.path.join(snapshot, name)
+        edit_line(path, line, text)
+        code = main(["fit", snapshot, "--out-dir", str(tmp_path / "f")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
 
     def test_missing_snapshot_exits_1(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nowhere"),
@@ -281,6 +336,15 @@ class TestRecommend:
         out = capsys.readouterr().out
         assert '"topic": "alpha/tensor"' in out
 
+    @pytest.mark.parametrize("entry", ['"k": 0', '"k": "three"'])
+    def test_rejected_config_k_exits_2(self, fitted, snapshot, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{" + entry + "}")
+        code = main(["recommend", "--model", fitted, "--snapshot", snapshot,
+                     "--topic", "alpha/tensor", "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     def test_ambiguous_bare_tag_exits_2(self, fitted, snapshot, capsys):
         code = main(["recommend", "--model", fitted, "--snapshot", snapshot,
                      "--topic", "common", "--k", "1"])
@@ -356,10 +420,22 @@ class TestEvaluate:
         assert "evaluated 4 topics" in stdout
         assert "ALL k=1:" in stdout
 
-    def test_bad_k_list_exits_2(self, fitted, snapshot, tmp_path, capsys):
+    @pytest.mark.parametrize("k_list", ["one,two", "0,3", "3,-1"])
+    def test_bad_k_list_exits_2(self, fitted, snapshot, tmp_path, capsys, k_list):
         code = main(["evaluate", "--model", fitted, "--snapshot", snapshot,
-                     "--out-dir", str(tmp_path / "e"), "--k-list", "one,two"])
+                     "--out-dir", str(tmp_path / "e"), "--k-list", k_list])
         assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: --k-list")
+
+    @pytest.mark.parametrize("row", ["201,alpha/tensor", "x,alpha/tensor,3", "201,alpha/tensor,"])
+    def test_malformed_reputation_row_names_path_and_line(self, fitted, snapshot, tmp_path,
+                                                          capsys, row):
+        path = os.path.join(snapshot, "reputation.csv")
+        edit_line(path, 2, row)
+        code = main(["evaluate", "--model", fitted, "--snapshot", snapshot,
+                     "--out-dir", str(tmp_path / "e")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
 
     def test_model_from_other_snapshot_exits_1(self, fitted, corpus,
                                                tmp_path, capsys):

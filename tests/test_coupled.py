@@ -24,7 +24,7 @@ from qaexpert.coupled import (
     _normalize_columns,
     _Descent,
 )
-from qaexpert.errors import ContractViolation, DegenerateGroupError, SolverDiverged
+from qaexpert.errors import ContractViolation, SolverDiverged
 from qaexpert.hierarchy import TreePenalty, tree_from_nested, weight_penalty
 from qaexpert.sparse_tensor import (
     SparseTensor4, gather_rows, gram_hadamard, model_from_rows, mttkrp, residual_norm,
@@ -134,9 +134,9 @@ class TestSiteRegularizer:
         want = 0.5 * lam * np.sum((S - mu) ** 2)
         assert site_regularizer(S, U1, tree, lam) == pytest.approx(want, rel=1e-12)
 
-    def test_no_subsite_level_raises_degenerate(self):
+    def test_no_subsite_level_rejected(self):
         tree = tree_from_nested(0)
-        with pytest.raises((DegenerateGroupError, ContractViolation)):
+        with pytest.raises(ContractViolation):
             site_regularizer(np.zeros((1, 2)), np.zeros((1, 2)), tree, 1.0)
 
     def test_shape_mismatch_rejected(self):
@@ -369,7 +369,7 @@ class TestObjectiveTermCache:
                         lambda_s=lam[2], lambda_t=lam[3], lambda_site=lam[4],
                     )
                     penalty = TreePenalty(tree, cfg.lambda_w)
-                    groups = [sorted(g) for g in tree.level_groups(1)]
+                    groups = tree.level_groups(1)
                     state = _Descent(X, cfg, BLOCKS, penalty, M, N, groups)
                 else:
                     cfg = AlsConfig(rank=2, seed=trial, lambda_x=lam[0])
@@ -435,7 +435,7 @@ def _micro_descent(solver, rng, trial):
             rank=2, seed=trial, lambda_x=lam[0], lambda_w=lam[1],
             lambda_s=lam[2], lambda_t=lam[3], lambda_site=lam[4],
         )
-        groups = [sorted(g) for g in tree.level_groups(1)]
+        groups = tree.level_groups(1)
         return X, _Descent(X, cfg, BLOCKS, TreePenalty(tree, cfg.lambda_w), M, N, groups)
     cfg = AlsConfig(rank=2, seed=trial, lambda_x=lam[0])
     if solver == "cp_als_tree":
@@ -509,7 +509,7 @@ class TestQuestionBlockOracle:
         R, L = 3, 4
         M = MembershipMatrix(2, L, [(x, z) for x in range(2) for z in range(L)])
         N = MembershipMatrix(3, L, [(y, z) for y in range(3) for z in range(L)])
-        groups = [sorted(g) for g in tree.level_groups(1)]
+        groups = tree.level_groups(1)
         if solver == "fit_joint":
             cfg = JointConfig(rank=R, seed=3, lambda_x=lambda_x, lambda_w=lambda_w,
                               lambda_site=lambda_site)

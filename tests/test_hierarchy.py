@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from qaexpert.errors import ContractViolation
 from qaexpert.hierarchy import (
     HierarchyTree,
-    TreeNode,
     TreePenalty,
     compute_node_weights,
     tree_from_nested,
     weight_penalty,
 )
+
+NAN = float("nan")
 
 
 def random_nested(rng, max_depth=3, max_children=3):
@@ -32,29 +33,57 @@ def random_nested(rng, max_depth=3, max_children=3):
     return spec
 
 
-def random_tree(rng):
+def random_spec(rng):
+    """A random mixed-depth spec and its per-level ``(s, g)`` pairs."""
     spec = random_nested(rng)
     sg = {}
     for level in range(4):
         s = float(rng.random())
         sg[level] = (s, 1.0 - s)
+    return spec, sg
+
+
+def random_tree(rng):
+    spec, sg = random_spec(rng)
     return tree_from_nested(spec, sg_by_level=sg)
 
 
-def oracle_penalty(U1, tree, lambda_w):
-    """Penalty recomputed from scratch: own recursion, explicit double sum."""
+def walk_spec(spec, sg_by_level):
+    """The tree's quantities by a recursive preorder walk of the nested spec.
 
-    def omega(nid, prod):
-        node = tree.nodes[nid]
-        out = {nid: prod if node.is_leaf else node.g * prod}
-        for cid in node.children:
-            out.update(omega(cid, prod * node.s))
-        return out
+    Returns per-node levels, weights and sorted leaf-row groups, in node-id
+    order, and per-row weights: each row sums its chain's node weights,
+    root first.
+    """
+    levels, weights, groups, row_weights = [], [], [], {}
 
-    weights = omega(tree.root_id, 1.0)
+    def visit(spec, level, product, chain):
+        nid = len(levels)
+        levels.append(level)
+        groups.append([])
+        if isinstance(spec, int):
+            weights.append(product)
+            groups[nid] = [spec]
+            row_weights[spec] = chain + product
+            return groups[nid]
+        s, g = sg_by_level.get(level, (0.5, 0.5))
+        weights.append(g * product)
+        for child in spec:
+            groups[nid] += visit(child, level + 1, product * s, chain + weights[nid])
+        groups[nid].sort()
+        return groups[nid]
+
+    visit(spec, 0, 1.0, 0.0)
+    rows = np.array([row_weights[r] for r in range(len(row_weights))])
+    return levels, weights, groups, rows
+
+
+def oracle_penalty(U1, spec, sg_by_level, lambda_w):
+    """Penalty recomputed from the spec: own recursion, explicit double sum."""
+    _, weights, groups, _ = walk_spec(spec, sg_by_level)
     total = 0.0
-    for nid, w in weights.items():
-        for row in tree.group(nid):
+    for w, rows in zip(weights, groups):
+        for row in rows:
             total += w * float(np.dot(U1[row], U1[row]))
     return 0.5 * lambda_w * total
 
@@ -63,93 +92,93 @@ class TestTreeStructure:
     def test_nested_builder_levels_and_groups(self):
         tree = tree_from_nested([[0, 1], [2]])
         assert tree.n_rows == 3
-        assert tree.nodes[tree.root_id].level == 0
-        assert tree.level_groups(1) == [frozenset({0, 1}), frozenset({2})]
-        assert tree.group(tree.root_id) == frozenset({0, 1, 2})
+        assert tree.parent.tolist() == [-1, 0, 1, 1, 0, 4]
+        assert tree.level.tolist() == [0, 1, 2, 2, 1, 2]
+        assert [g.tolist() for g in tree.level_groups(1)] == [[0, 1], [2]]
+        assert tree.group(0).tolist() == [0, 1, 2]
 
     def test_single_leaf_root_allowed(self):
         tree = tree_from_nested(0)
         assert tree.n_rows == 1
-        assert tree.nodes[tree.root_id].is_leaf
+        assert tree.leaf_row.tolist() == [0]
+        assert tree.level_groups(1) == []
 
-    def test_two_roots_rejected(self):
-        nodes = {
-            0: TreeNode(0, 0, None, leaf_row=0),
-            1: TreeNode(1, 0, None, leaf_row=1),
-        }
-        with pytest.raises(ContractViolation):
-            HierarchyTree(nodes)
+    def test_arrays_are_read_only(self):
+        tree = tree_from_nested([0, 1])
+        with pytest.raises(ValueError):
+            tree.parent[1] = 2
 
-    def test_duplicate_leaf_row_rejected(self):
-        nodes = {
-            0: TreeNode(0, 0, None, children=[1, 2], s=0.5, g=0.5),
-            1: TreeNode(1, 1, 0, leaf_row=0),
-            2: TreeNode(2, 1, 0, leaf_row=0),
-        }
+    @pytest.mark.parametrize("parent, s, g, leaf_row", [
+        # two roots
+        ([-1, -1], [NAN, NAN], [NAN, NAN], [0, 1]),
+        # a duplicate leaf row
+        ([-1, 0, 0], [0.5, NAN, NAN], [0.5, NAN, NAN], [-1, 0, 0]),
+        # s + g != 1
+        ([-1, 0], [0.9, NAN], [0.5, NAN], [-1, 0]),
+        # an internal node without children
+        ([-1], [0.5], [0.5], [-1]),
+        # a parent after its child
+        ([-1, 2, 0], [0.5, NAN, 0.5], [0.5, NAN, 0.5], [-1, 0, -1]),
+        # a leaf with children
+        ([-1, 0, 1], [0.5, NAN, NAN], [0.5, NAN, NAN], [-1, 0, 1]),
+        # no weights at an internal node
+        ([-1, 0], [NAN, NAN], [NAN, NAN], [-1, 0]),
+        # unequal lengths
+        ([-1, 0], [0.5], [0.5, NAN], [-1, 0]),
+    ])
+    def test_rejected(self, parent, s, g, leaf_row):
         with pytest.raises(ContractViolation):
-            HierarchyTree(nodes)
+            HierarchyTree(parent, s, g, leaf_row)
 
-    def test_weights_must_sum_to_one(self):
-        nodes = {
-            0: TreeNode(0, 0, None, children=[1], s=0.9, g=0.5),
-            1: TreeNode(1, 1, 0, leaf_row=0),
-        }
-        with pytest.raises(ContractViolation):
-            HierarchyTree(nodes)
+    def test_levels_and_ancestors_derived_from_parents(self):
+        tree = HierarchyTree([-1, 0, 1, 1, 0], [0.3, 0.5, NAN, NAN, NAN],
+                             [0.7, 0.5, NAN, NAN, NAN], [-1, -1, 1, 0, 2])
+        assert tree.level.tolist() == [0, 1, 2, 2, 1]
+        assert tree.ancestors.tolist() == [[0, 0, 0, 0, 0], [-1, 1, 1, 1, 4],
+                                           [-1, -1, 2, 3, -1]]
+        assert tree.group(1).tolist() == [0, 1]
 
-    def test_internal_node_needs_children(self):
-        nodes = {0: TreeNode(0, 0, None, s=0.5, g=0.5)}
-        with pytest.raises(ContractViolation):
-            HierarchyTree(nodes)
 
-    def test_child_level_must_increment(self):
-        nodes = {
-            0: TreeNode(0, 0, None, children=[1], s=0.5, g=0.5),
-            1: TreeNode(1, 2, 0, leaf_row=0),
-        }
-        with pytest.raises(ContractViolation):
-            HierarchyTree(nodes)
+class TestAgainstSpecWalk:
+    """Every array pass against a recursive walk of the nested spec."""
 
-    def test_unreachable_node_rejected(self):
-        nodes = {
-            0: TreeNode(0, 0, None, children=[1], s=0.5, g=0.5),
-            1: TreeNode(1, 1, 0, leaf_row=0),
-            7: TreeNode(7, 1, 0, leaf_row=1),
-        }
-        with pytest.raises(ContractViolation):
-            HierarchyTree(nodes)
+    def test_random_mixed_depth_trees(self):
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            spec, sg = random_spec(rng)
+            tree = tree_from_nested(spec, sg_by_level=sg)
+            levels, weights, groups, rows = walk_spec(spec, sg)
+            assert tree.level.tolist() == levels
+            assert compute_node_weights(tree).tolist() == weights
+            assert [tree.group(v).tolist() for v in range(len(levels))] == groups
+            for level in range(max(levels) + 2):
+                want = [rows for lv, rows in zip(levels, groups) if lv == level]
+                assert [g.tolist() for g in tree.level_groups(level)] == want
+            got = TreePenalty(tree, lambda_w=1.0).row_weights
+            assert got.tobytes() == rows.tobytes()
 
 
 class TestNodeWeights:
     def test_root_with_two_leaves(self):
         tree = tree_from_nested([0, 1])
-        weights = compute_node_weights(tree)
-        assert weights[tree.root_id] == 0.5
-        for nid in tree.level_nodes(1):
-            assert weights[nid] == 0.5
+        assert compute_node_weights(tree).tolist() == [0.5, 0.5, 0.5]
 
     def test_zero_s_at_root_kills_descendants(self):
         tree = tree_from_nested([0, 1], sg_by_level={0: (0.0, 1.0)})
-        weights = compute_node_weights(tree)
-        assert weights[tree.root_id] == 1.0
-        for nid in tree.level_nodes(1):
-            assert weights[nid] == 0.0
+        assert compute_node_weights(tree).tolist() == [1.0, 0.0, 0.0]
 
     def test_three_level_half_half_exact(self):
         tree = tree_from_nested([[0, 1], [2, 3]])
         weights = compute_node_weights(tree)
-        assert weights[tree.root_id] == 0.5
-        for nid in tree.level_nodes(1):
-            assert weights[nid] == 0.25
-        for nid in tree.level_nodes(2):
-            assert weights[nid] == 0.25
+        assert weights[tree.level == 0].tolist() == [0.5]
+        assert set(weights[tree.level == 1].tolist()) == {0.25}
+        assert set(weights[tree.level == 2].tolist()) == {0.25}
 
     def test_all_weights_within_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            tree = random_tree(rng)
-            for w in compute_node_weights(tree).values():
-                assert 0.0 <= w <= 1.0
+            weights = compute_node_weights(random_tree(rng))
+            assert np.all((weights >= 0.0) & (weights <= 1.0))
 
 
 class TestWeightPenalty:
@@ -177,11 +206,12 @@ class TestWeightPenalty:
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            tree = random_tree(rng)
+            spec, sg = random_spec(rng)
+            tree = tree_from_nested(spec, sg_by_level=sg)
             U1 = rng.standard_normal((tree.n_rows, int(rng.integers(1, 4))))
             lam = float(rng.random() * 2)
             got = weight_penalty(U1, TreePenalty(tree, lambda_w=lam))
-            want = oracle_penalty(U1, tree, lam)
+            want = oracle_penalty(U1, spec, sg, lam)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     @given(st.floats(-3, 3, allow_nan=False), st.integers(0, 2**31 - 1))
@@ -206,8 +236,8 @@ class TestWeightPenalty:
         full = weight_penalty(U1, penalty)
         row_sq = np.sum(U1 * U1, axis=1)
         running = 0.0
-        for nid, omega in penalty.node_weights.items():
-            running += 0.5 * omega * float(row_sq[list(tree.group(nid))].sum())
+        for nid, omega in enumerate(compute_node_weights(tree).tolist()):
+            running += 0.5 * omega * float(row_sq[tree.group(nid)].sum())
             assert running <= full + 1e-12
 
     def test_degenerate_tree_is_plain_ridge(self):
@@ -237,9 +267,8 @@ class TestRowWeights:
             penalty = TreePenalty(tree, lambda_w=float(rng.random() + 0.1))
             U1 = rng.standard_normal((tree.n_rows, 2))
             groupwise = 0.0
-            for nid, omega in compute_node_weights(tree).items():
-                rows = sorted(tree.group(nid))
-                groupwise += omega * float(np.sum(U1[rows] ** 2))
+            for nid, omega in enumerate(compute_node_weights(tree).tolist()):
+                groupwise += omega * float(np.sum(U1[tree.group(nid)] ** 2))
             groupwise *= 0.5 * penalty.lambda_w
             assert weight_penalty(U1, penalty) == pytest.approx(
                 groupwise, rel=1e-12, abs=1e-12

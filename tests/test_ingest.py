@@ -139,7 +139,7 @@ class TestParseDump:
         assert [q.tags for q in rec.questions(data)] == [("s/b", "s/a"), ("s/c",)]
         tables = build_inputs(data)
         assert tables.tensor.values.tolist() == [1.0, 1.0, 1.0]
-        assert tables.tree.level_groups(2) == [frozenset({0}), frozenset({1})]
+        assert [g.tolist() for g in tables.tree.level_groups(2)] == [[0], [1]]
         assert reputation_scores(data).scores == {
             (2, "s/a"): 10, (2, "s/b"): 10, (2, "s/c"): 10,
         }
@@ -621,9 +621,8 @@ class TestBuildInputs:
         data = parse_site(fixture_dump, FIXTURE_SITE)
         tree = build_inputs(data).tree
         assert tree.n_rows == 1
-        assert len(tree.level_nodes(1)) == 1
-        assert len(tree.level_nodes(2)) == 1
-        assert tree.level_groups(1) == [frozenset({0})]
+        assert tree.level.tolist() == [0, 1, 2, 3]
+        assert [g.tolist() for g in tree.level_groups(1)] == [[0]]
 
     def test_vote_bucket_assignment(self, tmp_path):
         # scores 0, 1, 3, 10 and a downvoted question cover all five bands
@@ -739,7 +738,7 @@ class TestBuildInputs:
         tables = build_inputs(parse_site(site, "s"))
         assert tables.tensor.nnz == 2  # one cell per tag
         # the question's tree leaf sits under its first tag only
-        assert len(tables.tree.level_nodes(2)) == 1
+        assert np.count_nonzero(tables.tree.level == 2) == 1
 
 
 def random_dataset(seed):
@@ -825,7 +824,8 @@ def assert_matches_oracles(data, reference=None):
         got_m, want_m = getattr(tables, name), expected[name]
         assert (got_m.rows, got_m.cols) == (want_m.rows, want_m.cols)
         np.testing.assert_array_equal(got_m.indices, want_m.indices)
-    assert tables.tree.nodes == expected["tree"].nodes
+    for name in ("parent", "s", "g", "leaf_row"):
+        np.testing.assert_array_equal(getattr(tables.tree, name), getattr(expected["tree"], name))
 
 
 class TestColumnarAgainstOracles:

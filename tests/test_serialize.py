@@ -14,7 +14,7 @@ from qaexpert import serialize
 from qaexpert.cli import main
 from qaexpert.coupled import CpModel, JointModel, MembershipMatrix
 from qaexpert.errors import DataError
-from qaexpert.hierarchy import compute_node_weights, tree_from_nested
+from qaexpert.hierarchy import HierarchyTree, compute_node_weights, tree_from_nested
 from qaexpert.ingest import ReputationLedger
 from qaexpert.ranking import RankingFactors
 from qaexpert.serialize import (
@@ -105,6 +105,20 @@ class TestTensorFormat:
         with pytest.raises(DataError, match=":2"):
             load_tensor(p)
 
+    @pytest.mark.parametrize("text, line", [
+        ("dims 2 x 2 2\n", 1),
+        ("dims 2 2 2\n", 1),
+        ("dims 2 2 2 2 2\n", 1),
+        ("dims 2 2 2 2\n0 0 0 0 1\n0 x 0 0 1\n", 3),
+        ("dims 2 2 2 2\n0 0 0 0 y\n", 2),
+        ("dims 2 2 2 2\n0 0 0 0 1\n9223372036854775808 0 0 0 1\n", 3),
+    ])
+    def test_malformed_field_names_path_and_line(self, tmp_path, text, line):
+        p = tmp_path / "t.txt"
+        p.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: "):
+            load_tensor(p)
+
 
 class TestMembershipFormat:
     def test_round_trip(self, tmp_path):
@@ -128,6 +142,19 @@ class TestMembershipFormat:
         with pytest.raises(DataError):
             load_membership(p)
 
+    @pytest.mark.parametrize("text, line", [
+        ("2 x\n", 1),
+        ("2\n", 1),
+        ("2 3 4\n", 1),
+        ("2 2\n0 1\n1 z\n", 3),
+        ("2 2\n0 1\n9223372036854775808 0\n", 3),
+    ])
+    def test_malformed_field_names_path_and_line(self, tmp_path, text, line):
+        p = tmp_path / "m.txt"
+        p.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: "):
+            load_membership(p)
+
 
 def load_outcome(load, path):
     """What a loader returns or raises, and the warnings that escape it,
@@ -142,6 +169,8 @@ def load_outcome(load, path):
         else:
             if isinstance(obj, SparseTensor4):
                 result = obj.dims, obj.indices.tolist(), obj.values.tobytes()
+            elif isinstance(obj, HierarchyTree):
+                result = tuple(getattr(obj, a).tobytes() for a in ("parent", "s", "g", "leaf_row"))
             else:
                 result = obj.rows, obj.cols, obj.indices.tolist()
     return result, [(w.category, str(w.message)) for w in caught]
@@ -215,6 +244,27 @@ class TestFastLoaderParity:
         assert caught == []
 
 
+TREE_ARRAYS = ("parent", "s", "g", "leaf_row", "level")
+
+# A root over two topics, rows {0, 1} and {2}; the file save_tree writes.
+TREE_TEXT = """0 0 -1 0.5 0.5
+  1 1 0 0.25 0.75
+    2 2 1 leaf 0
+    2 3 1 leaf 1
+  1 4 0 0.25 0.75
+    2 5 4 leaf 2
+"""
+
+
+def edited_tree(tmp_path, line, text):
+    """TREE_TEXT with its 1-based ``line`` replaced by ``text``."""
+    lines = TREE_TEXT.splitlines()
+    lines[line - 1] = text
+    p = tmp_path / "tree.txt"
+    p.write_text("\n".join(lines) + "\n")
+    return p
+
+
 class TestTreeFormat:
     def test_round_trip_three_levels(self, tmp_path):
         tree = tree_from_nested([[0, 1], [2, [3, 4]]],
@@ -222,15 +272,14 @@ class TestTreeFormat:
         p = tmp_path / "tree.txt"
         save_tree(tree, p)
         back = load_tree(p)
-        assert set(back.nodes) == set(tree.nodes)
-        for nid, node in tree.nodes.items():
-            other = back.nodes[nid]
-            assert (other.level, other.parent, other.is_leaf) == (
-                node.level, node.parent, node.is_leaf)
-            if node.is_leaf:
-                assert other.leaf_row == node.leaf_row
-            else:
-                assert (other.s, other.g) == (node.s, node.g)
+        for name in TREE_ARRAYS:
+            np.testing.assert_array_equal(getattr(back, name), getattr(tree, name))
+
+    def test_writes_the_indented_preorder_lines(self, tmp_path):
+        tree = tree_from_nested([[0, 1], [2]], sg_by_level={1: (0.25, 0.75)})
+        p = tmp_path / "tree.txt"
+        save_tree(tree, p)
+        assert p.read_text() == TREE_TEXT
 
     def test_random_trees_keep_weights(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -242,7 +291,8 @@ class TestTreeFormat:
             tree = tree_from_nested(random_nested(rng), sg_by_level=levels)
             p = tmp_path / f"tree{trial}.txt"
             save_tree(tree, p)
-            assert compute_node_weights(load_tree(p)) == compute_node_weights(tree)
+            got = compute_node_weights(load_tree(p))
+            assert got.tobytes() == compute_node_weights(tree).tobytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         tree = tree_from_nested([[0], [1, 2]])
@@ -255,6 +305,43 @@ class TestTreeFormat:
         p = tmp_path / "tree.txt"
         p.write_text("")
         with pytest.raises(DataError):
+            load_tree(p)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "tree.txt"
+        p.write_text(TREE_TEXT.replace("\n", "\n\n", 2))
+        assert load_tree(p).parent.tolist() == [-1, 0, 1, 1, 0, 4]
+
+    @pytest.mark.parametrize("line, text", [
+        (3, "    2 2 4 leaf 0"),       # a forward parent
+        (1, "0 0 0 0.5 0.5"),         # a root with a parent
+        (4, "    2 3 x leaf 1"),       # a non-integer parent
+        (4, "    2 99999999999999999999 1 leaf 1"),  # an id past int64
+        (2, "  1 1 0 0.3 zero"),      # a non-numeric g
+        (5, "  1 4 0 0.3"),           # a short line
+        (6, "    2 5 4 leaf 2.0"),     # a non-integer leaf row
+        (6, "    2 5 4 leaf 9223372036854775808"),  # a leaf row past int64
+        (4, "    2 7 1 leaf 1"),       # an id out of line order
+        (5, "  2 4 0 0.3 0.7"),        # a level that disagrees with the parent
+    ])
+    def test_malformed_line_names_path_and_line(self, tmp_path, line, text):
+        p = edited_tree(tmp_path, line, text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: "):
+            load_tree(p)
+
+    def test_level_below_the_question_leaves_names_its_line(self, tmp_path):
+        p = edited_tree(tmp_path, 6, "    2 5 4 0.5 0.5\n      3 6 5 0.5 0.5\n        4 7 6 leaf 2")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:8: level must be at most 3"):
+            load_tree(p)
+
+    @pytest.mark.parametrize("line, text", [
+        (2, "  1 1 0 0.9 0.7"),        # s + g != 1
+        (6, "    2 5 4 leaf 1"),       # a duplicate leaf row
+        (6, "    2 5 4 0.5 0.5"),      # an internal node without children
+    ])
+    def test_broken_tree_names_path(self, tmp_path, line, text):
+        p = edited_tree(tmp_path, line, text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: "):
             load_tree(p)
 
 
@@ -509,6 +596,13 @@ class TestReputationFormat:
         p = tmp_path / "rep.csv"
         p.write_text("user,tag,points\n1,a,2\n")
         with pytest.raises(DataError):
+            load_reputation(p)
+
+    @pytest.mark.parametrize("row", ["2,s/a", "x,s/a,3", "2,s/a,3.5", "2,s/a,3,4"])
+    def test_malformed_row_names_path_and_line(self, tmp_path, row):
+        p = tmp_path / "rep.csv"
+        p.write_text(f"user_id,topic,score\n1,s/a,2\n{row}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:3: "):
             load_reputation(p)
 
 
