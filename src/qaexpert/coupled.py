@@ -7,9 +7,9 @@ the subsite factor S is pulled toward the average question-factor row of
 each subsite's question group.  :func:`cp_als` sweeps the four tensor
 modes alone, with an optional hierarchy penalty on the question mode.
 All blocks have closed-form ridge updates, so every sweep decreases the
-objective monotonically.  :func:`_ridge_solve` holds the one ridge
-policy, and the question block solves each part of its rows (one subsite
-group, one ridge weight) with one matmul by that weight's inverse.
+objective monotonically.  :func:`_ridge_solve` holds the ridge policy of
+every block but the question block, whose per-row ridge weights and
+subsite coupling are both diagonal in the eigenbasis of its Gram matrix.
 
 Without a hierarchy penalty, :func:`cp_als` ends each sweep by
 rebalancing the component scales evenly across modes.  For the plain
@@ -155,10 +155,9 @@ def fit_metric(X: SparseTensor4, model: CpModel) -> float:
 
 def _ridge_solve(V, rhs, reg):
     """Solve ``rows @ (V + reg*I) = rhs``; pseudo-inverse when unregularized
-    or singular.  Every ridge update and question-block inverse comes here."""
-    r = V.shape[0]
+    or singular.  Every update but the question block's comes here."""
     if reg > 0:
-        A = V + reg * np.eye(r)
+        A = V + reg * np.eye(V.shape[0])
         try:
             return np.linalg.solve(A, rhs.T).T
         except np.linalg.LinAlgError:
@@ -255,11 +254,12 @@ def topic_objective(T: np.ndarray, A: np.ndarray, N: MembershipMatrix, lambda_t:
     return _half_sq_frobenius(N, T, A) + 0.5 * lambda_t * ridge
 
 
+def _group_sums(F: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+    return np.array([F[rows].sum(axis=0) for rows in groups]).reshape(len(groups), F.shape[1])
+
+
 def _group_means(U1: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
-    out = np.empty((len(groups), U1.shape[1]))
-    for j, rows in enumerate(groups):
-        out[j] = U1[rows].mean(axis=0)
-    return out
+    return _group_sums(U1, groups) / np.array([len(rows) for rows in groups])[:, None]
 
 
 def group_means(U1: np.ndarray, tree: HierarchyTree) -> np.ndarray:
@@ -386,8 +386,8 @@ class _Descent:
     recomputed only after a block it reads moves; :meth:`objective` sums
     them in a fixed order, so the total equals a from-scratch evaluation
     exactly.  Every update assigns fresh arrays, so a sweep's arrays can
-    be kept by reference.  The question rows are split into parts of one
-    subsite group and one ridge weight once, at construction.
+    be kept by reference.  Each question row's ridge weight and subsite
+    group are fixed at construction.
 
     For each tensor factor the engine keeps its rows gathered at the
     nonzeros in component-major layout, ``(R, nnz)``, and its Gram matrix
@@ -424,19 +424,12 @@ class _Descent:
             if reads <= set(blocks) and (name != "tree" or penalty is not None)
         }
 
-        # Question rows split into parts once: each subsite group (one group
-        # of every row without subsites) divided by exact ridge weight.
-        row_regs = np.full(X.dims[0], config.lambda_x)
-        if penalty is not None:
-            row_regs = config.lambda_x + penalty.lambda_w * penalty.row_weights
-        self.parts = []
-        for rows in groups or [np.arange(X.dims[0])]:
-            order = np.argsort(row_regs[rows], kind="stable")
-            ranked = row_regs[rows][order]
-            first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-            parts = zip(ranked[first].tolist(), np.split(rows[order], first[1:]))
-            self.parts.append((len(rows), list(parts)))
-        self.regs = {reg for _, parts in self.parts for reg, _ in parts}
+        tree_regs = 0.0 if penalty is None else penalty.lambda_w * penalty.row_weights
+        self.row_regs = np.full(X.dims[0], config.lambda_x) + tree_regs
+        self.site = np.zeros(X.dims[0], dtype=np.int64)
+        for j, rows in enumerate(groups):
+            self.site[rows] = j
+        self.sizes = np.array([len(rows) for rows in groups], dtype=np.float64)[:, None]
 
     def update(self, block: str):
         """Replace one block by its exact minimizer and mark stale terms."""
@@ -511,37 +504,38 @@ class _Descent:
     def _solve_question_block(self, rhs, V):
         """Exact minimizer of the objective over all question rows.
 
-        Row l solves against ``D_l = V + reg_l I`` for its ridge weight;
-        :func:`_ridge_solve` gives each distinct weight's inverse.  Within
-        subsite group j of size n, with ``c = lam_site/n²``, every row satisfies
-        ``row_l D_l + c Σ_{l'} row_{l'} = rhs_l + (lam_site/n) S_j =: B_l``.
-        Summing ``row_l = (B_l − c·total) D_l⁻¹`` over the group gives
-        ``total (I + c Σ_part n_part D_part⁻¹) = Σ_part ΣB_part D_part⁻¹``; each
-        part of equal weight then takes one matmul.  Without the coupling
-        (``cp_als``, or ``lam_site = 0``) the same loop runs with c = 0.
+        Row l of subsite group j, of n rows, satisfies
+        ``row_l (V + reg_l I) + c Σ_{l' in j} row_{l'} = rhs_l + (lam_site/n) S_j
+        =: B_l`` with ``c = lam_site/n²``.  With ``V = Q diag(w) Qᵀ`` the
+        system is diagonal in the rotated rows ``y_l = row_l Q``: with the
+        elementwise ``inv_l = 1/(w + reg_l)``, ``y_l = (B_l Q − c·t) inv_l``,
+        where the group total ``t = Σ_l (B_l Q) inv_l / (1 + c Σ_l inv_l)``.
+        Like ``pinv``, ``inv_l`` is 0 where ``|w + reg_l|`` is at most 1e-15
+        times the row's largest.  Without the coupling (``cp_als``, or
+        ``lam_site = 0``) c is 0 and every row is solved on its own.
         """
-        eye = np.eye(V.shape[0])
-        inv = {reg: _ridge_solve(V, eye, reg) for reg in self.regs}
-        out = np.empty_like(rhs)
-        for j, (n, parts) in enumerate(self.parts):
-            c = self.lam_site / n**2
-            shift = (self.lam_site / n) * self.S[j] if c else 0.0
-            B = [rhs[rows] + shift for _, rows in parts]
-            K = eye + c * sum(len(rows) * inv[reg] for reg, rows in parts)
-            total = np.linalg.solve(
-                K.T, sum(b.sum(axis=0) @ inv[reg] for b, (reg, _) in zip(B, parts))
-            )
-            for b, (reg, rows) in zip(B, parts):
-                out[rows] = (b - c * total) @ inv[reg]
-        return out
+        w, Q = np.linalg.eigh(V)
+        d = w + self.row_regs[:, None]
+        # w ascends, so a row's largest |d| is at one of its ends.
+        cut = 1e-15 * np.maximum(np.abs(d[:, :1]), np.abs(d[:, -1:]))
+        inv = np.divide(1.0, d, out=np.zeros_like(d), where=np.abs(d) > cut)
+        BQ = rhs @ Q
+        if self.lam_site and self.groups:
+            n = self.sizes
+            c, shift = self.lam_site / n**2, (self.lam_site / n) * self.S @ Q
+            inv_sum = _group_sums(inv, self.groups)
+            t = (_group_sums(BQ * inv, self.groups) + shift * inv_sum) / (1 + c * inv_sum)
+            BQ += (shift - c * t)[self.site]
+        return (BQ * inv) @ Q.T
 
     def descend(self, as_model):
         """Sweep the blocks until the stop rule holds; return both histories.
 
         The loop stops after the first sweep whose relative objective
         improvement falls below ``config.tolerance``, or after
-        ``config.max_iters`` sweeps.  On a non-finite objective it raises
-        :class:`SolverDiverged` carrying
+        ``config.max_iters`` sweeps.  On a non-finite objective, or a
+        ``LinAlgError`` from a decomposition of non-finite factors, it
+        raises :class:`SolverDiverged` carrying
         ``as_model(factors, S, A, T, history, block_history)`` of the last
         finite sweep, or ``None`` when the first sweep diverged.
         """
@@ -550,10 +544,13 @@ class _Descent:
         block_history: list[tuple[str, float]] = []
         last = prev = None
         for _ in range(cfg.max_iters):
-            for block in self.blocks:
-                self.update(block)
-                block_history.append((block, self.objective()))
-            value = block_history[-1][1]
+            try:
+                for block in self.blocks:
+                    self.update(block)
+                    block_history.append((block, self.objective()))
+                value = block_history[-1][1]
+            except np.linalg.LinAlgError:
+                value = np.nan
             if not np.isfinite(value):
                 raise SolverDiverged(
                     "objective became non-finite",

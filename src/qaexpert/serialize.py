@@ -108,6 +108,15 @@ def _column(fields, kind, path, lines):
         raise
 
 
+def _build(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ContractViolation it raises is a
+    DataError naming ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ContractViolation as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def load_tensor(path) -> SparseTensor4:
     lines = _read_lines(path)
     head = lines[0].split() if lines else []
@@ -116,7 +125,7 @@ def load_tensor(path) -> SparseTensor4:
     dims = tuple(_numbers(head[1:], int, path, 1))
     table = _table(lines[1:], [("index", np.int64, (4,)), ("value", np.float64)])
     if table is not None:
-        return SparseTensor4(dims, indices=table["index"], values=table["value"])
+        return _build(path, SparseTensor4, dims, indices=table["index"], values=table["value"])
     indices, values = [], []
     for n, line in enumerate(lines[1:], start=2):
         parts = line.split()
@@ -124,7 +133,8 @@ def load_tensor(path) -> SparseTensor4:
             raise DataError(f"{path}:{n}: expected 'i j k l value'")
         indices.append(_numbers(parts[:4], int, path, n))
         values.extend(_numbers(parts[4:], float, path, n))
-    return SparseTensor4(dims, indices=np.array(indices).reshape(-1, 4), values=values)
+    return _build(path, SparseTensor4, dims,
+                  indices=np.array(indices).reshape(-1, 4), values=values)
 
 
 def save_membership(M: MembershipMatrix, path):
@@ -139,14 +149,14 @@ def load_membership(path) -> MembershipMatrix:
     rows, cols = _numbers(head, int, path, 1)
     table = _table(lines[1:], [("pair", np.int64, (2,))])
     if table is not None:
-        return MembershipMatrix(rows, cols, table["pair"])
+        return _build(path, MembershipMatrix, rows, cols, table["pair"])
     pairs = []
     for n, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != 2:
             raise DataError(f"{path}:{n}: expected 'row col'")
         pairs.append(_numbers(parts, int, path, n))
-    return MembershipMatrix(rows, cols, pairs)
+    return _build(path, MembershipMatrix, rows, cols, pairs)
 
 
 def save_tree(tree: HierarchyTree, path):
@@ -195,10 +205,7 @@ def load_tree(path) -> HierarchyTree:
     s[~leaf] = _column(s_field[~leaf], float, path, at[~leaf])
     g[~leaf] = _column(g_field[~leaf], float, path, at[~leaf])
     leaf_row[leaf] = _column(g_field[leaf], int, path, at[leaf])
-    try:
-        return HierarchyTree(parent, s, g, leaf_row)
-    except ContractViolation as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return _build(path, HierarchyTree, parent, s, g, leaf_row)
 
 
 def _matrix_text(U) -> str:

@@ -212,6 +212,21 @@ class TestFit:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
 
+    @pytest.mark.parametrize("name, line, text", [
+        ("tensor.txt", 2, "0 999 0 0 1"),
+        ("tensor.txt", 2, "0 0 0 0 nan"),
+        ("tensor.txt", 1, "dims 0 2 3 4"),
+        ("site_matrix.txt", 2, "0 999"),
+        ("topic_matrix.txt", 1, "-1 6"),
+    ])
+    def test_snapshot_content_error_names_path(self, snapshot, tmp_path, capsys,
+                                               name, line, text):
+        path = os.path.join(snapshot, name)
+        edit_line(path, line, text)
+        code = main(["fit", snapshot, "--out-dir", str(tmp_path / "f")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_missing_snapshot_exits_1(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nowhere"),
                      "--out-dir", str(tmp_path / "f")])

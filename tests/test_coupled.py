@@ -484,7 +484,7 @@ class TestQuestionBlockOracle:
     # Subsite groups {0, 1, 2} and {3, 4, 5, 6} with leaves at depths 2 to 4.
     NESTED = [[0, [1, 2]], [[3], 4, [5, [6]]]]
 
-    @pytest.mark.parametrize("weights", ["tree", "distinct"])
+    @pytest.mark.parametrize("weights", ["tree", "distinct", "per_row"])
     @pytest.mark.parametrize("solver, lambda_x, lambda_w, lambda_site", [
         ("fit_joint", 0.3, 0.2, 0.0),
         ("fit_joint", 0.3, 0.2, 0.7),
@@ -500,11 +500,13 @@ class TestQuestionBlockOracle:
         sg = {level: (s, 1.0 - s) for level, s in enumerate(rng.random(4))}
         tree = tree_from_nested(self.NESTED, sg_by_level=sg)
         penalty = TreePenalty(tree, lambda_w)
-        if weights == "distinct":
-            # Row weights off the s + g = 1 identity, so that every subsite
-            # group holds several ridge weights.
-            row_weights = np.array([0.5, 2.0, 0.5, 1.0, 3.0, 1.0, 0.25])
-            penalty = SimpleNamespace(lambda_w=lambda_w, row_weights=row_weights)
+        if weights != "tree":
+            # Row weights off the s + g = 1 identity: each subsite group
+            # mixes rows of equal and of different ridge weights, or every
+            # row has a weight of its own.
+            row_weights = {"distinct": [0.5, 2.0, 0.5, 1.0, 3.0, 1.0, 0.25],
+                           "per_row": [0.5, 2.0, 0.75, 1.0, 3.0, 1.5, 0.25]}[weights]
+            penalty = SimpleNamespace(lambda_w=lambda_w, row_weights=np.array(row_weights))
         X = random_sparse(rng, (7, 3, 2, 4), density=0.5)
         R, L = 3, 4
         M = MembershipMatrix(2, L, [(x, z) for x in range(2) for z in range(L)])
@@ -526,12 +528,29 @@ class TestQuestionBlockOracle:
         err = np.max(np.abs(state.factors[0] - expected)) / np.max(np.abs(expected))
         assert err < 1e-12
 
+    def test_singular_gram_matches_pseudo_inverse(self):
+        # Two identical components make V exactly singular; at zero weights
+        # the block must keep pinv's cutoff on the null direction.
+        rng = np.random.default_rng(67)
+        X = random_sparse(rng, (7, 3, 2, 4), density=0.5)
+        state = _Descent(X, AlsConfig(rank=3, seed=5, lambda_x=0.0), BLOCKS[:4])
+        for mode, U in enumerate(state.factors):
+            U[:, 1] = U[:, 0]
+            state._refresh(mode)
+        V = gram_hadamard(state.factors, 0)
+        assert np.linalg.matrix_rank(V) == 2
+        expected = mttkrp(X, state.factors, 0) @ np.linalg.pinv(V, hermitian=True)
+        state.update("question")
+        err = np.max(np.abs(state.factors[0] - expected)) / np.max(np.abs(expected))
+        assert err < 1e-12
 
-def _fit_micro(solver, max_iters):
+
+def _fit_micro(solver, max_iters, rank=2):
     X, M, N, tree = make_micro_joint(np.random.default_rng(59))
     if solver == "cp_als":
-        return cp_als(X, AlsConfig(rank=2, max_iters=max_iters, tolerance=0.0, seed=1))
-    return fit_joint(X, M, N, tree, JointConfig(rank=2, max_iters=max_iters, tolerance=0.0, seed=1))
+        return cp_als(X, AlsConfig(rank=rank, max_iters=max_iters, tolerance=0.0, seed=1))
+    cfg = JointConfig(rank=rank, max_iters=max_iters, tolerance=0.0, seed=1)
+    return fit_joint(X, M, N, tree, cfg)
 
 
 def _parts(model):
@@ -574,3 +593,48 @@ class TestDivergedState:
             np.testing.assert_array_equal(U, W)
         np.testing.assert_array_equal(cp.norms, ref_cp.norms)
         assert all(np.isfinite(U).all() for U in [*cp.factors, cp.norms, *membership])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("solver", ["cp_als", "fit_joint"])
+    def test_failed_decomposition_keeps_the_finite_sweeps(self, monkeypatch, solver):
+        # The question block's V turns all NaN in sweep 2, its fifth
+        # Gram-Hadamard; at rank 3 eigh raises on it instead of returning NaN.
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(np.full((3, 3), np.nan))
+        reference = _fit_micro(solver, 1, rank=3)
+        calls = []
+
+        def nan_at_5(*args, _fn=coupled.hadamard):
+            calls.append(args)
+            V = _fn(*args)
+            return np.full_like(V, np.nan) if len(calls) == 5 else V
+
+        monkeypatch.setattr(coupled, "hadamard", nan_at_5)
+        with pytest.raises(SolverDiverged) as info:
+            _fit_micro(solver, 10, rank=3)
+        last = info.value.last_state
+        cp, history, _ = _parts(last)
+        ref_cp, ref_history, _ = _parts(reference)
+        assert history == ref_history and len(history) == 1
+        if solver == "fit_joint":
+            assert last.block_history == reference.block_history
+        for U, W in zip(cp.factors, ref_cp.factors):
+            np.testing.assert_array_equal(U, W)
+        np.testing.assert_array_equal(cp.norms, ref_cp.norms)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("solver", ["cp_als", "fit_joint"])
+    def test_overflowed_gram_at_zero_lambdas_diverges(self, solver):
+        # At rank 3 and every lambda 0 the overflowed Gram reaches eigh as NaN.
+        X = SparseTensor4(
+            (2, 2, 2, 2), entries=[(0, 0, 0, 0, 1e200), (1, 1, 1, 1, 1e200)]
+        )
+        with pytest.raises(SolverDiverged):
+            if solver == "cp_als":
+                cp_als(X, AlsConfig(rank=3, lambda_x=0.0, seed=0, max_iters=5))
+            else:
+                M = MembershipMatrix(2, 2, [(0, 0)])
+                N = MembershipMatrix(2, 2, [(0, 1)])
+                cfg = JointConfig(rank=3, max_iters=5, seed=0, lambda_x=0.0, lambda_w=0.0,
+                                  lambda_s=0.0, lambda_t=0.0)
+                fit_joint(X, M, N, tree_from_nested([[0], [1]]), cfg)

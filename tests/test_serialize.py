@@ -119,6 +119,18 @@ class TestTensorFormat:
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: "):
             load_tensor(p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("dims 2 2 2 2\n0 0 0 0 1\n0 2 0 0 1\n", "tensor index out of range"),
+        ("dims 2 2 2 2\n0 0 0 0 -1\n", "finite and nonnegative"),
+        ("dims 2 2 2 2\n0 0 0 0 nan\n", "finite and nonnegative"),
+        ("dims 0 2 2 2\n", "dims must be four positive integers"),
+    ])
+    def test_content_error_names_path(self, tmp_path, text, message):
+        p = tmp_path / "t.txt"
+        p.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: .*{message}"):
+            load_tensor(p)
+
 
 class TestMembershipFormat:
     def test_round_trip(self, tmp_path):
@@ -153,6 +165,16 @@ class TestMembershipFormat:
         p = tmp_path / "m.txt"
         p.write_text(text)
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: "):
+            load_membership(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 2\n0 1\n2 0\n", "membership pair out of bounds"),
+        ("-1 2\n", "matrix dimensions must be nonnegative"),
+    ])
+    def test_content_error_names_path(self, tmp_path, text, message):
+        p = tmp_path / "m.txt"
+        p.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: {message}"):
             load_membership(p)
 
 
