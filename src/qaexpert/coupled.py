@@ -21,6 +21,19 @@ the iteration and the per-row ridge weights absorb the penalty exactly.
 Zeros in M and N are observed zeros: the losses are full-matrix Frobenius
 norms, evaluated without densifying via the Gram identity
 ``||F G^T||^2 = trace((F^T F)(G^T G))``.
+
+The engine scores each loss term from products its updates already form,
+by ``||X − model||² = ||X||² − 2⟨X, model⟩ + ||model||²``.  ⟨X, model⟩ is
+⟨K, U⟩ for the MTTKRP K that a tensor-mode update solved against and its
+solution U (for the question block, K before the subsite shift), and
+||model||² comes from the cached Gram matrices.  For the membership
+losses ||M||² = nnz, as M and N are binary, and ⟨M, S Aᵀ⟩ is read off
+``M @ A`` (subsite update) or ``Mᵀ @ S`` (answerer update); likewise
+⟨N, T Aᵀ⟩.  Each ridge is half its lambda times the traces of the Gram
+matrices.  A difference of totals loses digits when the residual is
+small against the data, so a term is clamped at zero; the public
+objective functions below evaluate every term directly and are the
+oracles the engine is checked against.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from .hierarchy import HierarchyTree, TreePenalty, weight_penalty
 # namespace because bench/spans.py wraps them by these names.
 from .sparse_tensor import (
     SparseTensor4, _split_sq_residual, gather_rows, gram_hadamard, hadamard, mttkrp,
-    mttkrp_from_rows, residual_from_rows, residual_norm, scatter_rows,
+    mttkrp_from_rows, residual_norm, scatter_rows, sq_residual_from_inner,
 )
 
 __all__ = [
@@ -226,6 +239,11 @@ def _half_sq_frobenius(M: MembershipMatrix, F: np.ndarray, G: np.ndarray) -> flo
     return 0.5 * _split_sq_residual(1.0, pred, total_energy, M.nnz == M.rows * M.cols)
 
 
+def _inner(F: np.ndarray, G: np.ndarray) -> float:
+    """Frobenius inner product ``sum(F * G)``."""
+    return float(np.sum(F * G))
+
+
 def _check_pair_shapes(F, G, M, f_name, m_name):
     if F.ndim != 2 or G.ndim != 2 or F.shape[1] != G.shape[1]:
         raise ContractViolation(f"{f_name} and answerer factor must share the rank")
@@ -254,12 +272,9 @@ def topic_objective(T: np.ndarray, A: np.ndarray, N: MembershipMatrix, lambda_t:
     return _half_sq_frobenius(N, T, A) + 0.5 * lambda_t * ridge
 
 
-def _group_sums(F: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
-    return np.array([F[rows].sum(axis=0) for rows in groups]).reshape(len(groups), F.shape[1])
-
-
 def _group_means(U1: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
-    return _group_sums(U1, groups) / np.array([len(rows) for rows in groups])[:, None]
+    sums = np.array([U1[rows].sum(axis=0) for rows in groups]).reshape(len(groups), U1.shape[1])
+    return sums / np.array([len(rows) for rows in groups])[:, None]
 
 
 def group_means(U1: np.ndarray, tree: HierarchyTree) -> np.ndarray:
@@ -384,17 +399,26 @@ class _Descent:
     without a penalty).  Each :meth:`update` is the exact minimizer of the
     objective in its block.  The objective terms are cached and each is
     recomputed only after a block it reads moves; :meth:`objective` sums
-    them in a fixed order, so the total equals a from-scratch evaluation
-    exactly.  Every update assigns fresh arrays, so a sweep's arrays can
-    be kept by reference.  Each question row's ridge weight and subsite
-    group are fixed at construction.
+    them in a fixed order.  Every update assigns fresh arrays, so a
+    sweep's arrays can be kept by reference.  Each question row's ridge
+    weight and subsite group are fixed at construction.
+
+    The three loss terms are read from products the updates form, not
+    from the model at the nonzeros (see the module docstring).  ``inner``
+    holds each term's ⟨data, model⟩: the tensor's from the MTTKRP of the
+    last tensor-mode update (``balance`` only rescales, so it carries
+    over), the membership terms' from ``M @ A``, ``Mᵀ @ S``, ``Nᵀ @ T``
+    or ``N @ A`` of the update that moved them, seeded once at
+    construction.  The totals agree with the direct evaluations to
+    rounding, except when a residual is tiny against its data, where the
+    difference of totals cancels and is clamped at zero.
 
     For each tensor factor the engine keeps its rows gathered at the
     nonzeros in component-major layout, ``(R, nnz)``, and its Gram matrix
     ``U.T @ U``.  A factor is gathered once per update that moves it: a
     tensor block refreshes its own factor, ``balance`` all four.  Every
-    MTTKRP, Gram-Hadamard and tensor loss reads the cache, with the index
-    columns made contiguous once per fit.
+    MTTKRP and Gram-Hadamard reads the cache, with the index columns made
+    contiguous once per fit, and the tensor loss reads the Grams.
     """
 
     S = A = T = None
@@ -409,12 +433,18 @@ class _Descent:
         rng = np.random.default_rng(config.seed)
         R = config.rank
         self.factors = [rng.random((d, R)) for d in X.dims]
+        self.mu = None
+        self.data_sq = {"tensor": float(np.dot(X.values, X.values))}
+        self.inner = {"tensor": None}  # set by every tensor-mode update
         if M is not None:
             self.S = rng.random((M.rows, R))
             self.A = rng.random((M.cols, R))
             self.T = rng.random((N.rows, R))
             self.lam_site = config.effective_lambda_site
-        self.mu = None
+            self.data_sq.update(network=float(M.nnz), topic=float(N.nnz))
+            self.inner.update(
+                network=_inner(self.S, M.matmul(self.A)), topic=_inner(self.T, N.matmul(self.A))
+            )
         self.cols = [np.ascontiguousarray(X.indices[:, m]) for m in range(4)]
         self.rows, self.grams = [None] * 4, [None] * 4
         for mode in range(4):
@@ -436,31 +466,34 @@ class _Descent:
         cfg, factors = self.config, self.factors
         A, lam_site = self.A, self.lam_site
         if block == "question":
-            V = self._gram_hadamard(0)
-            factors[0] = self._solve_question_block(self._mttkrp(0), V)
+            K = self._mttkrp(0)
+            factors[0] = self._solve_question_block(K, self._gram_hadamard(0))
             self._refresh(0)
+            self.inner["tensor"] = _inner(K, factors[0])
             self.mu = _group_means(factors[0], self.groups)
         elif block == "balance":
             self.factors = _balance_columns(factors)
             for mode in range(4):
                 self._refresh(mode)
         elif block == "subsite":
-            self.S = _ridge_solve(
-                A.T @ A, self.M.matmul(A) + lam_site * self.mu, cfg.lambda_s + lam_site
-            )
+            MA = self.M.matmul(A)
+            self.S = _ridge_solve(A.T @ A, MA + lam_site * self.mu, cfg.lambda_s + lam_site)
+            self.inner["network"] = _inner(self.S, MA)
         elif block == "answerer":
             S, T = self.S, self.T
-            self.A = _ridge_solve(
-                S.T @ S + T.T @ T, self.M.tmatmul(S) + self.N.tmatmul(T),
-                cfg.lambda_s + cfg.lambda_t,
-            )
+            MS, NT = self.M.tmatmul(S), self.N.tmatmul(T)
+            self.A = _ridge_solve(S.T @ S + T.T @ T, MS + NT, cfg.lambda_s + cfg.lambda_t)
+            self.inner["network"], self.inner["topic"] = _inner(self.A, MS), _inner(self.A, NT)
         elif block == "topicfactor":
-            self.T = _ridge_solve(A.T @ A, self.N.matmul(A), cfg.lambda_t)
+            NA = self.N.matmul(A)
+            self.T = _ridge_solve(A.T @ A, NA, cfg.lambda_t)
+            self.inner["topic"] = _inner(self.T, NA)
         else:
             mode = BLOCKS.index(block)  # topic, voting or expert tensor mode
-            V = self._gram_hadamard(mode)
-            factors[mode] = _ridge_solve(V, self._mttkrp(mode), cfg.lambda_x)
+            K = self._mttkrp(mode)
+            factors[mode] = _ridge_solve(self._gram_hadamard(mode), K, cfg.lambda_x)
             self._refresh(mode)
+            self.inner["tensor"] = _inner(K, factors[mode])
         for name in self.terms:
             if block in _TERM_BLOCKS[name] or block == "balance":
                 self.terms[name] = None
@@ -477,6 +510,12 @@ class _Descent:
     def _gram_hadamard(self, mode: int) -> np.ndarray:
         return hadamard([G for m, G in enumerate(self.grams) if m != mode], self.config.rank)
 
+    def _group_sums(self, F: np.ndarray) -> np.ndarray:
+        """Per-subsite sums of the rows of ``F``: one pass over the row-to-group
+        index, adding each group's rows in ascending order as ``_group_means``
+        does."""
+        return scatter_rows(self.site, F.T, len(self.groups))
+
     def objective(self) -> float:
         """Objective of the working iterate, from the cached terms."""
         value = 0.0  # adding each nonnegative term to 0.0 leaves it exact
@@ -487,19 +526,18 @@ class _Descent:
         return value
 
     def _term(self, name: str) -> float:
-        cfg, factors = self.config, self.factors
-        if name == "tensor":
-            res = residual_from_rows(self.X, self.rows, self.grams, np.ones(cfg.rank))
-            value = 0.5 * res * res
-            value += 0.5 * cfg.lambda_x * sum(float(np.sum(U * U)) for U in factors)
-            return value
+        cfg = self.config
         if name == "tree":
-            return weight_penalty(factors[0], self.penalty)
-        if name == "network":
-            return networks_objective(self.S, self.A, self.M, cfg.lambda_s)
-        if name == "topic":
-            return topic_objective(self.T, self.A, self.N, cfg.lambda_t)
-        return 0.5 * self.lam_site * float(np.sum((self.S - self.mu) ** 2))
+            return weight_penalty(self.factors[0], self.penalty)
+        if name == "site":
+            return 0.5 * self.lam_site * float(np.sum((self.S - self.mu) ** 2))
+        if name == "tensor":
+            grams, lam = self.grams, cfg.lambda_x
+        else:
+            F, lam = (self.S, cfg.lambda_s) if name == "network" else (self.T, cfg.lambda_t)
+            grams = [F.T @ F, self.A.T @ self.A]
+        sq = sq_residual_from_inner(self.data_sq[name], self.inner[name], grams)
+        return 0.5 * sq + 0.5 * lam * sum(float(np.trace(G)) for G in grams)
 
     def _solve_question_block(self, rhs, V):
         """Exact minimizer of the objective over all question rows.
@@ -523,8 +561,8 @@ class _Descent:
         if self.lam_site and self.groups:
             n = self.sizes
             c, shift = self.lam_site / n**2, (self.lam_site / n) * self.S @ Q
-            inv_sum = _group_sums(inv, self.groups)
-            t = (_group_sums(BQ * inv, self.groups) + shift * inv_sum) / (1 + c * inv_sum)
+            inv_sum = self._group_sums(inv)
+            t = (self._group_sums(BQ * inv) + shift * inv_sum) / (1 + c * inv_sum)
             BQ += (shift - c * t)[self.site]
         return (BQ * inv) @ Q.T
 

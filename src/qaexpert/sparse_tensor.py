@@ -10,11 +10,12 @@ The kernels work on factor rows gathered at the nonzeros in
 component-major layout: ``gather_rows(U, X.indices[:, m])`` is an
 ``(R, nnz)`` array, so each component is one contiguous row for the
 elementwise products and for the one ``np.bincount`` per component that
-scatters an MTTKRP.  ``mttkrp_from_rows`` and ``residual_from_rows`` take
-such rows (and the Gram matrices ``U.T @ U``) from a caller that keeps
-them across updates and gathers a factor once per update that changes it,
-as ``coupled._Descent`` does; ``mttkrp`` and ``residual_norm`` are
-one-shot wrappers that gather them first.
+scatters an MTTKRP.  ``mttkrp_from_rows`` takes such rows from a caller
+that keeps them across updates and gathers a factor once per update that
+changes it, as ``coupled._Descent`` does; ``mttkrp`` is the one-shot
+wrapper that gathers them first.  ``residual_norm`` evaluates the model at
+every nonzero; a solver that already holds an MTTKRP and its solution
+reads the residual off them with ``sq_residual_from_inner`` instead.
 
 Khatri-Rao convention: in ``khatri_rao(A, B)`` the rows of ``A`` vary
 slowly, the rows of ``B`` vary fast, i.e. entry ``(p * B_rows + q, r)``
@@ -250,11 +251,32 @@ def _split_sq_residual(stored, model_at_stored, model_sq, fully_stored) -> float
     return on_stored + max(model_sq - float(np.dot(model_at_stored, model_at_stored)), 0.0)
 
 
+def sq_residual_from_inner(norm_sq, inner, grams) -> float:
+    """Squared residual ``||X − model||²`` of a unit-scale model, from products
+    a solver already holds: ``||X||² − 2⟨X, model⟩ + 1ᵀ(⊛ grams)1``.
+
+    ``grams`` are the factors' Gram matrices ``U.T @ U``: the four tensor
+    factors of a CP model, or ``F`` and ``G`` of a matrix model ``F Gᵀ``.
+    This is the fit identity of Kolda & Bader (SIAM Review, 2009), as in the
+    Tensor Toolbox ``cp_als``.  It is a difference of totals, so it keeps
+    fewer digits than :func:`residual_norm` when the residual is small
+    against ``||X||``; the result is clamped at zero.
+    """
+    model_sq = float(np.sum(hadamard(grams, grams[0].shape[0])))
+    return max(norm_sq - 2.0 * inner + model_sq, 0.0)
+
+
 def residual_norm(X: SparseTensor4, factors, norms) -> float:
-    """Frobenius norm of (tensor - model) over the full index space."""
+    """Frobenius norm of (tensor - model) over the full index space, with the
+    model evaluated at every nonzero."""
     factors = _check_factors(X, factors)
+    norms = np.asarray(norms, dtype=np.float64)
     rows = [gather_rows(U, X.indices[:, m]) for m, U in enumerate(factors)]
-    return residual_from_rows(X, rows, [U.T @ U for U in factors], norms)
+    model_sq = float(norms @ hadamard([U.T @ U for U in factors], norms.shape[0]) @ norms)
+    total_cells = int(np.prod(np.asarray(X.dims, dtype=np.int64)))
+    return float(np.sqrt(_split_sq_residual(
+        X.values, model_from_rows(rows, norms), model_sq, X.nnz == total_cells
+    )))
 
 
 def model_from_rows(rows, norms) -> np.ndarray:
@@ -262,18 +284,4 @@ def model_from_rows(rows, norms) -> np.ndarray:
     product = rows[0] * rows[1]
     product *= rows[2]
     product *= rows[3]
-    # Summed over components on a nonzero-major copy, ``(nnz, R)``: the BLAS
-    # matvec every stored objective history was written with, whose
-    # summation order differs from that of any other layout.
-    return np.ascontiguousarray(product.T) @ norms
-
-
-def residual_from_rows(X: SparseTensor4, rows, grams, norms) -> float:
-    """:func:`residual_norm` from the four factors' rows gathered at the
-    nonzeros and their Gram matrices ``U.T @ U``."""
-    norms = np.asarray(norms, dtype=np.float64)
-    model_sq = float(norms @ hadamard(grams, norms.shape[0]) @ norms)
-    total_cells = int(np.prod(np.asarray(X.dims, dtype=np.int64)))
-    return float(np.sqrt(_split_sq_residual(
-        X.values, model_from_rows(rows, norms), model_sq, X.nnz == total_cells
-    )))
+    return norms @ product
