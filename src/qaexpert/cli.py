@@ -5,6 +5,12 @@ which override built-in defaults; the effective configuration is echoed
 into every output for provenance.  All randomness flows from the single
 ``--seed`` through NumPy's default PCG64 generator, and output files are
 byte-identical across runs with equal inputs.
+
+``ingest`` parses the subsites in forked worker processes, one per usable
+CPU and at most one per subsite, and merges what they send back over
+pipes.  Each subsite's warnings are shown and the first error in subsite
+order is raised, as a loop over the subsites would; with one subsite, one
+usable CPU or no ``os.fork``, that loop is what runs.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import argparse
 import functools
 import json
 import os
+import pickle
 import sys
+import warnings
 from types import SimpleNamespace
 
 from . import serialize
@@ -76,6 +84,119 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return values
 
 
+def _worker_count(n_subsites: int) -> int:
+    """Processes that parse ``n_subsites``: one per usable CPU, at most one
+    per subsite, and 1 (no fork) where the platform has no ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_subsites, cpus))
+
+
+def _parse_subsite(job):
+    """Parse one subsite: its dataset or the exception it raised, plus the
+    warnings it issued as ``(message, filename, lineno)``."""
+    files, name = job
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse_dump(*files, subsite_name=name)
+        except Exception as exc:
+            result = exc
+    return result, [(w.message, w.filename, w.lineno) for w in caught]
+
+
+def _parse_subsites(jobs) -> list:
+    """The datasets of ``jobs``, in order.  Each subsite's warnings are
+    re-emitted and the first error in subsite order is raised; the plain
+    loop stops there, and forked workers parse every subsite first."""
+    workers = _worker_count(len(jobs))
+    outcomes = _parse_in_workers(jobs, workers) if workers > 1 else map(_parse_subsite, jobs)
+    datasets = []
+    for result, caught in outcomes:
+        for message, filename, lineno in caught:
+            warnings.warn_explicit(message, type(message), filename, lineno)
+        if isinstance(result, BaseException):
+            raise result
+        datasets.append(result)
+    return datasets
+
+
+def _deal(sizes, workers: int) -> list[list[int]]:
+    """Job indices per worker: largest job first, each to the least loaded."""
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += sizes[i]
+    return [sorted(share) for share in shares]
+
+
+def _portable(outcome):
+    """``outcome`` with an exception that does not survive pickling replaced
+    by a `ChildProcessError` holding its type name and message."""
+    result, caught = outcome
+    if isinstance(result, BaseException):
+        try:
+            pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        except Exception:
+            result = ChildProcessError(f"{type(result).__name__}: {result}")
+    return result, caught
+
+
+def _parse_in_workers(jobs, workers: int) -> list:
+    """`_parse_subsite` of every job, in forked worker processes.
+
+    Each worker pickles its outcomes into a pipe and leaves with
+    ``os._exit``; the parent reads the pipes in turn and reaps every
+    worker, also when it fails.  The subsites of a worker that exits
+    without a result get a `ChildProcessError`.
+    """
+    sizes = [sum(os.path.getsize(f) for f in files) for files, _ in jobs]
+    children = []  # (pid, read end, share)
+    try:
+        for share in _deal(sizes, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    outcomes = [_portable(_parse_subsite(jobs[i])) for i in share]
+                    with os.fdopen(write_fd, "wb") as fh:
+                        pickle.dump(outcomes, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, read_fd, share))
+        received = []
+        for _, read_fd, _ in children:
+            with os.fdopen(read_fd, "rb", closefd=False) as fh:
+                try:
+                    received.append(pickle.load(fh))
+                except Exception:  # the worker left before writing all of it
+                    received.append(None)
+    finally:
+        statuses = []
+        for pid, read_fd, _ in children:
+            os.close(read_fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+    outcomes = [None] * len(jobs)
+    for (_, _, share), got, status in zip(children, received, statuses):
+        if got is None or status != 0:
+            names = ", ".join(jobs[i][1] for i in share)
+            code = os.waitstatus_to_exitcode(status)
+            got = [(ChildProcessError(f"ingest worker for subsites {names} exited "
+                                      f"with code {code} without a result"), [])] * len(share)
+        for i, outcome in zip(share, got):
+            outcomes[i] = outcome
+    return outcomes
+
+
 def cmd_ingest(args) -> int:
     cfg = _resolve_config("ingest", args)
     edges = _parse_int_list(cfg["vote_buckets"], "--vote-buckets")
@@ -98,7 +219,7 @@ def cmd_ingest(args) -> int:
                 raise FileNotFoundError(f"missing dump file: {f}")
         jobs.append((files, name))
 
-    data = merge_datasets([parse_dump(*files, subsite_name=name) for files, name in jobs])
+    data = merge_datasets(_parse_subsites(jobs))
     if sample_users is not None:
         data = sample_dataset(data, sample_users, seed)
 

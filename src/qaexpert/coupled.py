@@ -49,7 +49,7 @@ from .hierarchy import HierarchyTree, TreePenalty, weight_penalty
 # namespace because bench/spans.py wraps them by these names.
 from .sparse_tensor import (
     SparseTensor4, _split_sq_residual, gather_rows, gram_hadamard, hadamard, mttkrp,
-    mttkrp_from_rows, residual_norm, scatter_rows, sq_residual_from_inner,
+    mttkrp_from_rows, residual_norm, scatter_rows, sq_residual_from_inner, strictly_increasing,
 )
 
 __all__ = [
@@ -184,7 +184,9 @@ def _ridge_solve(V, rhs, reg):
 class MembershipMatrix:
     """Binary sparse matrix: entry (r, c) is 1 when the pair was observed.
 
-    Duplicate pairs collapse to a single entry (presence, not counts).
+    Duplicate pairs collapse to a single entry (presence, not counts), and
+    the pairs are kept in (row, col) order; pairs that come in strictly
+    increasing order, as a saved snapshot's do, are not sorted.
     """
 
     rows: int
@@ -198,11 +200,13 @@ class MembershipMatrix:
         if idx.size:
             if idx.min() < 0 or idx[:, 0].max() >= rows or idx[:, 1].max() >= cols:
                 raise ContractViolation("membership pair out of bounds")
-            order = np.lexsort((idx[:, 1], idx[:, 0]))
-            idx = idx[order]
-            keep = np.ones(len(idx), dtype=bool)
-            keep[1:] = np.any(idx[1:] != idx[:-1], axis=1)
-            idx = idx[keep]
+            if strictly_increasing(idx):
+                idx = idx.copy()
+            else:
+                idx = idx[np.lexsort((idx[:, 1], idx[:, 0]))]
+                keep = np.ones(len(idx), dtype=bool)
+                keep[1:] = np.any(idx[1:] != idx[:-1], axis=1)
+                idx = idx[keep]
         idx.setflags(write=False)
         object.__setattr__(self, "rows", int(rows))
         object.__setattr__(self, "cols", int(cols))

@@ -15,7 +15,9 @@ the same file.  A `QaDataset` is those columns as NumPy arrays, and
 sorting, validation, merging, sampling, vote scores, reputation and
 tensor assembly are array passes over them.  Each subsite is validated
 once, when it is parsed; `merge_datasets` joins validated subsites
-without checking them again.
+without checking them again.  `parse_dump` reads one subsite and shares
+nothing with the parse of another, so the command line runs it in a
+separate worker process per share of the subsites and merges the results.
 """
 
 from __future__ import annotations

@@ -52,7 +52,8 @@ class SparseTensor4:
     values : (nnz,) nonnegative float array
 
     Entries are canonicalized at construction: sorted lexicographically,
-    duplicate coordinates summed, exact zeros dropped.
+    duplicate coordinates summed, exact zeros dropped.  Entries that come
+    in strictly increasing order, as a saved snapshot's do, are not sorted.
     """
 
     dims: tuple[int, int, int, int]
@@ -100,10 +101,24 @@ class SparseTensor4:
         return cls(arr.shape, indices=idx, values=arr[tuple(idx.T)])
 
 
+def strictly_increasing(idx) -> bool:
+    """Whether the rows of the 2-d ``idx`` strictly increase
+    lexicographically: each row's first column that differs from the
+    previous row's is larger.  Such rows are sorted and hold no duplicates."""
+    step = np.diff(idx, axis=0)
+    moved = step != 0
+    first = moved.argmax(axis=1)
+    return bool(moved.any(axis=1).all() and (step[np.arange(len(step)), first] > 0).all())
+
+
 def _canonicalize(idx, val):
-    """Sort lexicographically, merge duplicate coordinates, drop zeros."""
+    """Sort lexicographically, merge duplicate coordinates, drop zeros.
+    Rows already in strictly increasing order skip the sort and the merge."""
     if idx.shape[0] == 0:
         return idx.reshape(0, 4), val
+    if strictly_increasing(idx):
+        keep = val != 0
+        return idx[keep], val[keep]
     order = np.lexsort((idx[:, 3], idx[:, 2], idx[:, 1], idx[:, 0]))
     idx, val = idx[order], val[order]
     new_group = np.empty(idx.shape[0], dtype=bool)

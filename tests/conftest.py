@@ -125,3 +125,21 @@ def make_micro_joint(rng, I=4, J=2, K=3, L=3, rank=2):
     M = MembershipMatrix(2, L, m_pairs)
     N = MembershipMatrix(J, L, n_pairs)
     return X, M, N, tree
+
+
+def coo_input(kind, rng, dims=(3, 2, 3, 4), n=30):
+    """Index rows and values of one input ``kind``: strictly increasing
+    rows, the same shuffled, with repeated rows, or with zero values."""
+    idx = np.unique(np.stack([rng.integers(0, d, n) for d in dims], axis=1), axis=0)
+    val = rng.random(len(idx)) + 0.5
+    if kind in ("shuffled", "duplicated"):
+        order = rng.permutation(len(idx))
+        if kind == "duplicated":
+            order = np.concatenate((order, order[:7]))
+        idx, val = idx[order], rng.random(len(order)) + 0.5
+    elif kind == "zero-valued":
+        val[::4] = 0.0
+    return idx, val
+
+
+COO_KINDS = ["sorted", "shuffled", "duplicated", "zero-valued"]

@@ -3,16 +3,18 @@
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
 
 import pytest
 
+from qaexpert import cli
 from qaexpert.cli import main
-from qaexpert.errors import SolverDiverged
+from qaexpert.errors import DataError, DumpParseError, SolverDiverged
 from qaexpert.ranking import RankedList
-from qaexpert.synthetic import write_subsite_dump
+from qaexpert.synthetic import make_corpus, write_subsite_dump
 
 LINE = re.compile(r"^\d+,\d+,[0-9eE+.-]+$")
 
@@ -500,6 +502,150 @@ class TestModelDigest:
                      "--topic", "alpha/tensor"])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+
+
+SNAPSHOT_NAMES = ("tensor.txt", "site_matrix.txt", "topic_matrix.txt",
+                  "tree.txt", "reputation.csv", "manifest.json")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def noisy_corpus(root, names=("s1", "s2", "s3", "s4"), bad=None):
+    """Small subsites, each with one post and one vote that ingest skips.
+    Subsite ``bad`` has a vote whose PostId is not an integer."""
+    dirs = []
+    for n, name in enumerate(names):
+        posts = [{"Id": 1, "PostTypeId": 1, "OwnerUserId": 1, "Tags": f"<t{n}>"},
+                 {"Id": 2, "PostTypeId": 2, "ParentId": 1, "OwnerUserId": 2},
+                 {"Id": 3, "PostTypeId": 5, "OwnerUserId": 1}]
+        votes = [{"Id": 1, "PostId": 2, "VoteTypeId": 2},
+                 {"Id": 2, "PostId": 2, "VoteTypeId": 15}]
+        if name == bad:
+            votes.append({"Id": 3, "PostId": "x", "VoteTypeId": 2})
+        users = [{"Id": 1, "AccountId": 10 * n + 1}, {"Id": 2, "AccountId": 10 * n + 2}]
+        dirs.append(os.path.join(root, name))
+        write_subsite_dump(dirs[-1], posts, votes, users)
+    return dirs
+
+
+def skipped_messages(name):
+    return [f"{name}: skipped 1 posts of other kinds",
+            f"{name}: skipped 1 votes (unknown kind or missing post)"]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def with_workers(monkeypatch, workers):
+    monkeypatch.setattr(cli, "_worker_count", lambda n_subsites: min(n_subsites, workers))
+
+
+class TestPooledIngest:
+    @needs_fork
+    def test_worker_counts_write_identical_snapshots(self, tmp_path, monkeypatch, capsys):
+        make_corpus(str(tmp_path / "dumps"), seed=2, n_subsites=4)
+        dirs = [str(tmp_path / "dumps" / f"site{x}") for x in "abcd"]
+        assert all(os.path.isdir(d) for d in dirs)
+        written = []
+        for workers in (1, 2, 3):
+            with_workers(monkeypatch, workers)
+            snap = tmp_path / f"snap{workers}"
+            assert main(["ingest", *dirs, "--out-dir", str(snap)]) == 0
+            written.append({f: (snap / f).read_bytes() for f in SNAPSHOT_NAMES})
+            assert_no_child_left()
+        assert written[0] == written[1] == written[2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_warnings_in_subsite_order(self, tmp_path, monkeypatch, recwarn, capsys, workers):
+        if workers > 1 and not hasattr(os, "fork"):
+            pytest.skip("no os.fork")
+        with_workers(monkeypatch, workers)
+        names = ("s1", "s2", "s3", "s4")
+        dirs = noisy_corpus(str(tmp_path / "dumps"), names)
+        assert main(["ingest", *dirs, "--out-dir", str(tmp_path / "snap")]) == 0
+        assert [str(w.message) for w in recwarn] == sum(map(skipped_messages, names), [])
+        assert {w.category for w in recwarn} == {UserWarning}
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_error_in_subsite_k_matches_plain_loop(self, tmp_path, monkeypatch, recwarn,
+                                                   capsys, workers):
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork")
+        dirs = noisy_corpus(str(tmp_path / "dumps"), bad="s2")
+        argv = ["ingest", *dirs, "--out-dir", str(tmp_path / "snap")]
+        results = []
+        for count in (1, workers):
+            with_workers(monkeypatch, count)
+            recwarn.clear()
+            code = main(argv)
+            results.append((code, capsys.readouterr().err, [str(w.message) for w in recwarn]))
+            assert_no_child_left()
+        assert results[0] == results[1]
+        code, err, messages = results[1]
+        assert code == 1
+        assert err.startswith("error: attribute PostId='x' is not an integer [")
+        assert err.rstrip().endswith("Votes.xml:5]")
+        # the first subsite's warnings are shown, the later subsites' are not
+        assert messages == skipped_messages("s1")
+        assert not os.path.exists(tmp_path / "snap")
+
+    @needs_fork
+    def test_worker_that_exits_without_result_is_an_error(self, tmp_path, monkeypatch,
+                                                          capsys):
+        with_workers(monkeypatch, 2)
+        dirs = noisy_corpus(str(tmp_path / "dumps"))
+        parse = cli.parse_dump
+
+        def dies_on_s3(*files, subsite_name):
+            if subsite_name == "s3":
+                os._exit(3)
+            return parse(*files, subsite_name=subsite_name)
+
+        monkeypatch.setattr(cli, "parse_dump", dies_on_s3)
+        code = main(["ingest", *dirs, "--out-dir", str(tmp_path / "snap")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ingest worker for subsites ")
+        assert "s3" in err and "exited with code 3 without a result" in err
+        assert_no_child_left()
+
+    @needs_fork
+    def test_unpicklable_error_sent_as_type_name_and_message(self, tmp_path, monkeypatch,
+                                                             capsys):
+        with_workers(monkeypatch, 2)
+        dirs = noisy_corpus(str(tmp_path / "dumps"))
+
+        class LocalError(DataError):  # a local class does not pickle
+            pass
+
+        def fails(*files, subsite_name):
+            raise LocalError(f"no {subsite_name}")
+
+        monkeypatch.setattr(cli, "parse_dump", fails)
+        code = main(["ingest", *dirs, "--out-dir", str(tmp_path / "snap")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: LocalError: no s1\n"
+        assert_no_child_left()
+
+    def test_dump_parse_error_survives_pickling(self):
+        exc = DumpParseError("attribute Id='x' is not an integer", "/d/Posts.xml", 7)
+        back = pickle.loads(pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(back) is DumpParseError
+        assert (back.path, back.line, str(back)) == (exc.path, exc.line, str(exc))
+
+    def test_subsites_dealt_largest_first_to_least_loaded(self):
+        assert cli._deal([1, 10, 3, 8], 2) == [[0, 1], [2, 3]]
+        assert cli._deal([5, 5, 5], 3) == [[0], [1], [2]]
+        assert sorted(sum(cli._deal([4, 1, 7, 2, 9, 3], 4), [])) == list(range(6))
+
+    def test_worker_count_rule(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        if hasattr(os, "fork"):
+            assert [cli._worker_count(n) for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert cli._worker_count(8) == 1
 
 
 class TestPipeline:

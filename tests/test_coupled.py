@@ -32,7 +32,7 @@ from qaexpert.sparse_tensor import (
 )
 from qaexpert.synthetic import make_corpus
 
-from conftest import dense_model, make_micro_joint, random_sparse
+from conftest import COO_KINDS, coo_input, dense_model, make_micro_joint, random_sparse
 
 
 class TestMembershipMatrix:
@@ -59,6 +59,29 @@ class TestMembershipMatrix:
         G = rng.standard_normal((3, 2))
         np.testing.assert_allclose(M.matmul(F), M.to_dense() @ F, atol=1e-12)
         np.testing.assert_allclose(M.tmatmul(G), M.to_dense().T @ G, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", COO_KINDS)
+    def test_both_paths_give_identical_pairs(self, kind, monkeypatch):
+        idx, _ = coo_input(kind, np.random.default_rng(COO_KINDS.index(kind)), dims=(5, 7))
+        fast = MembershipMatrix(5, 7, idx)
+        monkeypatch.setattr(coupled, "strictly_increasing", lambda rows: False)
+        sorted_path = MembershipMatrix(5, 7, idx)
+        a, b = fast.indices, sorted_path.indices
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+    def test_canonical_pairs_are_not_sorted_and_not_aliased(self, monkeypatch):
+        idx, _ = coo_input("sorted", np.random.default_rng(9), dims=(5, 7))
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("canonical pairs were sorted")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        M = MembershipMatrix(5, 7, idx)
+        assert M.nnz == len(idx)
+        assert not np.shares_memory(M.indices, idx)
+        assert idx.flags.writeable
 
     @pytest.mark.parametrize("pairs", [[(0, 1), (1, 0), (1, 1)], []])
     def test_products_keep_empty_trailing_rows_and_cols(self, pairs):

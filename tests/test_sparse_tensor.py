@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qaexpert import sparse_tensor
 from qaexpert.errors import ContractViolation
 from qaexpert.sparse_tensor import (
     SparseTensor4,
@@ -14,9 +15,12 @@ from qaexpert.sparse_tensor import (
     reconstruct_entry,
     residual_norm,
     scatter_rows,
+    strictly_increasing,
 )
 
 from conftest import (
+    COO_KINDS,
+    coo_input,
     dense_kr_chain,
     dense_model,
     dense_mttkrp,
@@ -93,6 +97,43 @@ class TestConstruction:
         if X.nnz:
             rebuilt[tuple(X.indices.T)] = X.values
         np.testing.assert_allclose(rebuilt, dense, atol=1e-12)
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("rows, expected", [
+        ([[0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [2, 0, 0, 0]], True),
+        ([[0, 5, 9, 9], [1, 0, 0, 0]], True),
+        ([[0, 0, 0, 1], [0, 0, 0, 1]], False),
+        ([[0, 1, 0, 0], [0, 0, 9, 9]], False),
+        ([[1, 0], [0, 5]], False),
+        ([[3, 3]], True),
+    ])
+    def test_strictly_increasing(self, rows, expected):
+        assert strictly_increasing(np.array(rows)) is expected
+
+    @pytest.mark.parametrize("kind", COO_KINDS)
+    def test_both_paths_give_identical_arrays(self, kind, monkeypatch):
+        idx, val = coo_input(kind, np.random.default_rng(COO_KINDS.index(kind)))
+        dims = (3, 2, 3, 4)
+        fast = SparseTensor4(dims, indices=idx, values=val)
+        monkeypatch.setattr(sparse_tensor, "strictly_increasing", lambda rows: False)
+        sorted_path = SparseTensor4(dims, indices=idx, values=val)
+        for a, b in ((fast.indices, sorted_path.indices), (fast.values, sorted_path.values)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+
+    def test_canonical_input_is_not_sorted_and_not_aliased(self, monkeypatch):
+        idx, val = coo_input("zero-valued", np.random.default_rng(9))
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("canonical input was sorted")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        X = SparseTensor4((3, 2, 3, 4), indices=idx, values=val)
+        assert X.nnz == np.count_nonzero(val)
+        assert not np.shares_memory(X.indices, idx)
+        assert not np.shares_memory(X.values, val)
 
 
 class TestKhatriRao:
