@@ -118,21 +118,12 @@ def _parse_subsites(jobs) -> list:
     datasets = []
     for result, caught in outcomes:
         for message, filename, lineno in caught:
-            warnings.warn_explicit(message, type(message), filename, lineno)
+            warnings.warn_explicit(message, type(message), filename, lineno, module=__name__,
+                                   registry=globals().setdefault("__warningregistry__", {}))
         if isinstance(result, BaseException):
             raise result
         datasets.append(result)
     return datasets
-
-
-def _deal(sizes, workers: int) -> list[list[int]]:
-    """Job indices per worker: largest job first, each to the least loaded."""
-    shares, loads = [[] for _ in range(workers)], [0] * workers
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        w = loads.index(min(loads))
-        shares[w].append(i)
-        loads[w] += sizes[i]
-    return [sorted(share) for share in shares]
 
 
 def _portable(outcome):
@@ -151,19 +142,29 @@ def _parse_in_workers(jobs, workers: int) -> list:
     """`_parse_subsite` of every job, in forked worker processes.
 
     Each worker pickles its outcomes into a pipe and leaves with
-    ``os._exit``; the parent reads the pipes in turn and reaps every
-    worker, also when it fails.  The subsites of a worker that exits
+    ``os._exit``; worker ``w`` takes jobs ``w``, ``w + workers``, ….  The
+    parent reads the pipes in turn and, also when it fails, closes them
+    all before it reaps every worker.  The subsites of a worker that exits
     without a result get a `ChildProcessError`.
     """
-    sizes = [sum(os.path.getsize(f) for f in files) for files, _ in jobs]
     children = []  # (pid, read end, share)
     try:
-        for share in _deal(sizes, workers):
+        for w in range(workers):
+            share = range(w, len(jobs), workers)
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 status = 1
                 try:
+                    # no read end stays open here, so a worker blocked on a
+                    # full pipe gets EPIPE once the parent closes its end
+                    for _, fd, _ in children:
+                        os.close(fd)
                     os.close(read_fd)
                     outcomes = [_portable(_parse_subsite(jobs[i])) for i in share]
                     with os.fdopen(write_fd, "wb") as fh:
@@ -181,10 +182,9 @@ def _parse_in_workers(jobs, workers: int) -> list:
                 except Exception:  # the worker left before writing all of it
                     received.append(None)
     finally:
-        statuses = []
-        for pid, read_fd, _ in children:
+        for _, read_fd, _ in children:
             os.close(read_fd)
-            statuses.append(os.waitpid(pid, 0)[1])
+        statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
     outcomes = [None] * len(jobs)
     for (_, _, share), got, status in zip(children, received, statuses):
         if got is None or status != 0:

@@ -5,8 +5,10 @@ import json
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -635,10 +637,60 @@ class TestPooledIngest:
         assert type(back) is DumpParseError
         assert (back.path, back.line, str(back)) == (exc.path, exc.line, str(exc))
 
-    def test_subsites_dealt_largest_first_to_least_loaded(self):
-        assert cli._deal([1, 10, 3, 8], 2) == [[0, 1], [2, 3]]
-        assert cli._deal([5, 5, 5], 3) == [[0], [1], [2]]
-        assert sorted(sum(cli._deal([4, 1, 7, 2, 9, 3], 4), [])) == list(range(6))
+    @needs_fork
+    def test_parent_failure_reaps_workers_blocked_on_full_pipes(self, monkeypatch):
+        # each worker's result overflows its pipe buffer, so a worker can
+        # only exit once every read end of its pipe is closed
+        monkeypatch.setattr(cli, "_parse_subsite", lambda job: ("x" * (1 << 20), []))
+
+        def interrupted(fh):
+            raise KeyboardInterrupt
+
+        def timed_out(signum, frame):
+            raise TimeoutError("workers were not reaped")
+
+        monkeypatch.setattr(pickle, "load", interrupted)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(20)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                cli._parse_in_workers([([], name) for name in "abcd"], 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_warnings_formatted_as_by_the_plain_loop(self, tmp_path, monkeypatch, capsys,
+                                                     workers):
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork")
+        dirs = noisy_corpus(str(tmp_path / "dumps"))
+        argv = ["ingest", *dirs, "--out-dir", str(tmp_path / "snap")]
+        source = open(cli.__file__, encoding="utf-8").read().splitlines()
+        lineno = 1 + next(i for i, text in enumerate(source)
+                          if "result = parse_dump(" in text)
+        shown = []
+        for count in (1, workers):
+            with_workers(monkeypatch, count)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv) == 0
+            shown.append([warnings.formatwarning(w.message, w.category, w.filename,
+                                                 w.lineno, w.line) for w in caught])
+        assert shown[0] == shown[1]
+        assert shown[1][0] == (f"{cli.__file__}:{lineno}: UserWarning: "
+                               f"s1: skipped 1 posts of other kinds\n"
+                               f"  {source[lineno - 1].strip()}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", module=r"qaexpert\.cli$")
+            assert main(argv) == 0
+        assert caught == []
+        with warnings.catch_warnings(record=True) as caught:  # once per location
+            warnings.simplefilter("default")
+            assert main(argv) == 0 and main(argv) == 0
+        assert len(caught) == len(shown[1])
 
     def test_worker_count_rule(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
