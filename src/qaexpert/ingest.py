@@ -13,11 +13,14 @@ row is kept as an object.  Errors name the file and line; a bad attribute
 is reported at its own row even when an XML syntax error comes later in
 the same file.  A `QaDataset` is those columns as NumPy arrays, and
 sorting, validation, merging, sampling, vote scores, reputation and
-tensor assembly are array passes over them.  Each subsite is validated
-once, when it is parsed; `merge_datasets` joins validated subsites
-without checking them again.  `parse_dump` reads one subsite and shares
-nothing with the parse of another, so the command line runs it in a
-separate worker process per share of the subsites and merges the results.
+tensor assembly are array passes over them.  The reputation ledger is
+columns too, user id, topic and score in (user, topic) order, and its
+per-topic rankings come from one sort of all its rows.  Each subsite is
+validated once, when it is parsed; `merge_datasets` joins validated
+subsites without checking them again.  `parse_dump` reads one subsite
+and shares nothing with the parse of another, so the command line runs
+it in a separate worker process per share of the subsites and merges the
+results.
 """
 
 from __future__ import annotations
@@ -469,28 +472,46 @@ def sample_dataset(data: QaDataset, n_users: int, seed: int) -> QaDataset:
                         np.where(dropped_accept, NONE, p.ref))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReputationLedger:
-    """Per (user, topic) reputation totals plus a skipped-voter counter."""
+    """Per (user, topic) reputation totals as columns, plus a skipped-voter
+    counter.
 
-    scores: dict
+    Row r credits ``score[r]`` to user id ``user[r]`` on the topic named
+    ``topic_names[topic[r]]``.  Ingest writes the rows in (user, topic) order,
+    and a loaded ledger keeps the order of its file.
+    """
+
+    topic_names: tuple
+    user: np.ndarray
+    topic: np.ndarray
+    score: np.ndarray
     skipped_voter_events: int = 0
 
     @cached_property
-    def _ranked(self) -> dict:
-        """Topic -> users with reputation on it, by score descending then id."""
-        ranked = {}
-        for (user, topic), score in self.scores.items():
-            ranked.setdefault(topic, []).append((-score, user))
-        return {topic: [u for _, u in sorted(pairs)] for topic, pairs in ranked.items()}
+    def _ranked(self):
+        """Every row's user id, grouped by topic and ordered by score
+        descending then id within each, and each topic name's (start,
+        end) in that list."""
+        # ~score runs opposite to score without wrapping at the int64 minimum
+        order = np.lexsort((self.user, ~self.score, self.topic))
+        topic = self.topic[order]
+        starts = np.flatnonzero(np.diff(topic, prepend=-1))
+        ends = np.append(starts[1:], len(topic))
+        bounds = {self.topic_names[c]: (a, b) for c, a, b in
+                  zip(topic[starts].tolist(), starts.tolist(), ends.tolist())}
+        return self.user[order].tolist(), bounds
 
     def top_users(self, topic: str, k: int | None = None) -> list[int]:
-        """Users with reputation on a topic, by score descending then id."""
-        users = self._ranked.get(topic, [])
-        return users[:] if k is None else users[:k]
+        """Users with reputation on a topic, by score descending then id;
+        the first ``k`` of them when ``k`` is given."""
+        users, bounds = self._ranked
+        start, end = bounds.get(topic, (0, 0))
+        return users[start:end if k is None else min(end, start + k)]
 
     def topics(self) -> list[str]:
-        return sorted(self._ranked)
+        """Names of the topics with reputation rows, sorted."""
+        return sorted(self._ranked[1])
 
 
 def _accepted_answers(data: QaDataset):
@@ -510,7 +531,7 @@ def reputation_scores(data: QaDataset) -> ReputationLedger:
     event credits the full amount on each of the governing question's
     topics.  Only users present in the users table gain or lose score;
     answer-downvote events without a resolvable voter are counted.
-    The scores come in (user, topic) order.
+    The ledger's rows come in (user, topic) order, one per pair credited.
     """
     p, v, row = data.posts, data.votes, data.vote_row
     answer = p.kind[row] == ANSWER
@@ -521,24 +542,34 @@ def reputation_scores(data: QaDataset) -> ReputationLedger:
     voter = np.full(len(v), -1)
     voter[down & answer] = _user_index(data.users, v.voter[down & answer])
     debited = voter >= 0
+    skipped = int((down & answer).sum() - debited.sum())
     accepted = _accepted_answers(data)
     # One event per (user index, governing question, delta) ...
     l = np.concatenate((owner[row[voted]], voter[debited], owner[accepted]))
     questions = np.concatenate((question[voted], question[debited], data.ref_row[accepted]))
     deltas = np.concatenate((np.where(down, -2, np.where(answer, 10, 5))[voted],
                              np.full(debited.sum(), -1), np.full(len(accepted), 15)))
-    # ... credited on each of the question's tags, then summed per (user, tag).
+    del answer, question, up, down, voted, owner, voter, debited, accepted
     known = l >= 0
-    start = p.tag_start[questions[known]]
-    count = p.tag_start[questions[known] + 1] - start
+    l, questions, deltas = l[known], questions[known], deltas[known]
+    # ... credited on each of the question's tags, then summed per (user, tag)
+    # key over one sort, each array freed once it has gone into the keys.
+    start = p.tag_start[questions]
+    count = p.tag_start[questions + 1] - start
+    del questions, known
     n_tags = max(len(p.tags), 1)
-    keys, inverse = np.unique(np.repeat(l[known], count) * n_tags + p.tag[_segments(start, count)],
-                              return_inverse=True)
-    totals = np.bincount(inverse, weights=np.repeat(deltas[known], count), minlength=len(keys))
-    user, tag = np.divmod(keys, n_tags)
-    pairs = zip(data.users[user].tolist(), [p.tags[t] for t in tag.tolist()])
-    return ReputationLedger(dict(zip(pairs, totals.astype(np.int64).tolist())),
-                            int((down & answer).sum() - debited.sum()))
+    keys = np.repeat(l * n_tags, count)
+    del l
+    keys += p.tag[_segments(start, count)]
+    deltas = np.repeat(deltas, count)
+    del start, count
+    order = np.argsort(keys)
+    keys, deltas = keys[order], deltas[order]
+    del order
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    totals = np.add.reduceat(deltas, first) if len(first) else deltas
+    user, tag = np.divmod(keys[first], n_tags)
+    return ReputationLedger(p.tags, data.users[user], tag, totals, skipped)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,12 @@ its caller reads: ranking reads the topic and expert factors and the
 norms.  A model without the digest line is rejected and must be refit.
 Numeric rows are parsed by ``np.loadtxt``; anything it rejects goes to
 the per-line parser, which either accepts it or names the bad line.
+
+``reputation.csv`` is the exception to the whitespace-separated layout:
+CSV rows ``user_id,topic,score`` in (user, topic) order under that
+header, with a topic quoted as ``csv.writer`` quotes it when it holds a
+comma, a quote or a line break.  Its rows are split with whole-text
+passes, and a file that path does not take goes to ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -352,28 +358,96 @@ def load_model(path, ranking_only=False):
     return JointModel(cp, S, A, T, lambdas), meta
 
 
+_REPUTATION_HEADER = "user_id,topic,score\n"
+_INT64 = np.iinfo(np.int64)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer's QUOTE_MINIMAL writes a field: in double
+    quotes, each quote doubled, when it holds a comma, a quote or a line
+    break, and as it is otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def save_reputation(ledger: ReputationLedger, path):
-    scores = ledger.scores
-    keys = sorted(scores)
-    rows = [u for u, _ in keys], [t for _, t in keys], [scores[k] for k in keys]
-    _write_text(path, "user_id,topic,score\n" + _rows_text("%d,%s,%d\n", rows))
+    """One ``user_id,topic,score`` row per ledger row, in the ledger's order."""
+    names = [_csv_field(t) for t in ledger.topic_names]
+    rows = ledger.user.tolist(), [names[c] for c in ledger.topic.tolist()], ledger.score.tolist()
+    _write_text(path, _REPUTATION_HEADER + _rows_text("%d,%s,%d\n", rows))
 
 
-def load_reputation(path) -> ReputationLedger:
-    scores = {}
-    with open(path, encoding="utf-8") as fh:
+def _split_reputation(data: bytes):
+    """The user, topic and score columns of a reputation file's rows, split
+    with whole-text passes; None unless the file is the header line and
+    rows of exactly two commas each, with no quote or carriage return, and
+    every user and score parses into int64."""
+    head = _REPUTATION_HEADER.encode()
+    if not data.startswith(head) or b'"' in data or b"\r" in data:
+        return None
+    body = data[len(head):]
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    chars = np.frombuffer(body, dtype=np.uint8)
+    separators = chars[(chars == ord(",")) | (chars == ord("\n"))]
+    if len(separators) % 3 or (separators.reshape(-1, 3) != tuple(b",,\n")).any():
+        return None
+    try:
+        fields = body.decode("utf-8").replace("\n", ",").split(",")[:-1]
+        users, scores = (np.array(fields[c::3], dtype=np.int64) for c in (0, 2))
+    except (ValueError, OverflowError):
+        return None
+    return users, fields[1::3], scores, None
+
+
+def _read_reputation_rows(path):
+    """The user, topic and score columns of a reputation file and each row's
+    last line, read by ``csv.reader``; a bad header, or a row that is not
+    an int64 user, a topic and an int64 score, is a DataError naming it."""
+    users, topics, scores, lines = [], [], [], []
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["user_id", "topic", "score"]:
+        if header != _REPUTATION_HEADER.strip().split(","):
             raise DataError(f"{path}: unexpected reputation header {header}")
         for row in reader:
             try:
                 user, topic, score = row
-                scores[(int(user), topic)] = int(score)
+                user, score = int(user), int(score)
+                if not (_INT64.min <= user <= _INT64.max and _INT64.min <= score <= _INT64.max):
+                    raise ValueError
             except ValueError:
                 raise DataError(f"{path}:{reader.line_num}: expected 'user_id,topic,score' "
-                                f"with integer user and score, got {','.join(row)!r}") from None
-    return ReputationLedger(scores)
+                                f"with int64 user and score, got {','.join(row)!r}") from None
+            users.append(user)
+            topics.append(topic)
+            scores.append(score)
+            lines.append(reader.line_num)
+    return np.array(users, dtype=np.int64), topics, np.array(scores, dtype=np.int64), lines
+
+
+def load_reputation(path) -> ReputationLedger:
+    """Read a reputation file into ledger columns.
+
+    Rows are split with whole-text passes; a file that path does not take
+    (a quoted topic, CRLF endings, a blank line, a bad field) goes through
+    ``csv.reader``, which accepts it or names the bad line.  Rows must come
+    in ascending (user, topic) order, each pair once, as ingest writes them.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    user, topics, score, lines = _split_reputation(data) or _read_reputation_rows(path)
+    names = sorted(set(topics))
+    code = dict(zip(names, range(len(names))))
+    topic = np.fromiter(map(code.__getitem__, topics), dtype=np.int64, count=len(topics))
+    step = np.diff(user)
+    bad = (step < 0) | ((step == 0) & (np.diff(topic) <= 0))
+    if bad.any():
+        r = int(np.argmax(bad)) + 1
+        raise DataError(f"{path}:{r + 2 if lines is None else lines[r]}: rows must be in "
+                        "ascending (user, topic) order, each pair once")
+    return ReputationLedger(tuple(names), user, topic, score)
 
 
 def save_report(report, path, config=None):

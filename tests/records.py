@@ -3,6 +3,8 @@
 `dataset` builds a dataset from records, and `users`, `posts`, `votes`,
 `questions`, `answers` and `post` read records back from its columns, so
 that tests can state datasets and expectations one record at a time.
+`ledger` and `ledger_scores` do the same for a `ReputationLedger` and its
+``{(user, topic): score}`` totals.
 """
 
 import weakref
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qaexpert.ingest import NONE, PostColumns, QaDataset, VoteColumns
+from qaexpert.ingest import NONE, PostColumns, QaDataset, ReputationLedger, VoteColumns
 
 KINDS = ("question", "answer")  # kind codes 1 and 2
 VOTE_KINDS = ("accept", "downvote", "upvote")  # vote codes 0, 1 and 2
@@ -111,3 +113,26 @@ def answers(data) -> list:
 def post(data, subsite, post_id) -> Post:
     """The record of one post; a KeyError when there is none."""
     return {(p.subsite, p.post_id): p for p in posts(data)}[subsite, post_id]
+
+
+def ledger(scores: dict) -> ReputationLedger:
+    """The ledger of ``{(user, topic): score}`` totals, rows in (user, topic)
+    order."""
+    keys = sorted(scores)
+    names = sorted({t for _, t in keys})
+    return ReputationLedger(
+        tuple(names), np.array([u for u, _ in keys], dtype=np.int64),
+        np.array([names.index(t) for _, t in keys], dtype=np.int64),
+        np.array([scores[k] for k in keys], dtype=np.int64),
+    )
+
+
+def ledger_rows(ledger) -> list:
+    """(user, topic, score) of each ledger row, in order."""
+    names = [ledger.topic_names[c] for c in ledger.topic.tolist()]
+    return list(zip(ledger.user.tolist(), names, ledger.score.tolist()))
+
+
+def ledger_scores(ledger) -> dict:
+    """``{(user, topic): score}`` of the ledger's rows, in their order."""
+    return {(u, t): s for u, t, s in ledger_rows(ledger)}

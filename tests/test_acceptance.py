@@ -31,6 +31,7 @@ from qaexpert.sparse_tensor import (
 )
 from qaexpert.synthetic import make_corpus
 
+import records as rec
 from conftest import (
     dense_khatri_rao,
     dense_model,
@@ -209,8 +210,8 @@ def test_criterion_6_reputation_arithmetic(fixture_dump):
     data = parse_dump(*files, subsite_name="fixsite")
     ledger = reputation_scores(data)
     want = {(2, "fixsite/a"): 35}
-    _check(6, f"two upvotes plus an accept yield {ledger.scores} "
-              f"(expected {want})", ledger.scores == want)
+    got = rec.ledger_scores(ledger)
+    _check(6, f"two upvotes plus an accept yield {got} (expected {want})", got == want)
 
 
 def test_criterion_7_metric_fixtures():

@@ -1,5 +1,6 @@
 """Batch CLI behavior: exit codes, file outputs, determinism, provenance."""
 
+import csv
 import hashlib
 import json
 import os
@@ -724,3 +725,21 @@ class TestPipeline:
         lines = capsys.readouterr().out.splitlines()
         top_users = [int(line.split(",")[1]) for line in lines[1:]]
         assert 201 in top_users[:2]
+
+    def test_topics_with_comma_quote_and_line_break(self, tmp_path, capsys):
+        root = tmp_path / "dumps"
+        make_corpus(str(root), seed=0)
+        posts = root / "sitea" / "Posts.xml"
+        text = posts.read_text(encoding="utf-8")
+        for tag, odd in (("topic0", "c,d"), ("topic1", "a&quot;b"), ("topic2", "c&#10;d")):
+            assert f"&lt;{tag}&gt;" in text
+            text = text.replace(f"&lt;{tag}&gt;", f"&lt;{odd}&gt;")
+        posts.write_text(text, encoding="utf-8")
+        snap, fit, ev = (str(tmp_path / d) for d in ("snap", "fit", "eval"))
+        assert main(["ingest", str(root / "sitea"), str(root / "siteb"), "--out-dir", snap]) == 0
+        assert main(["fit", snap, "--out-dir", fit, "--rank", "3", "--seed", "0"]) == 0
+        assert main(["evaluate", "--model", os.path.join(fit, "model.txt"),
+                     "--snapshot", snap, "--out-dir", ev]) == 0
+        with open(os.path.join(ev, "report.csv"), encoding="utf-8", newline="") as fh:
+            topics = {row[0] for row in csv.reader(line for line in fh if line[0] != "#")}
+        assert {"sitea/c,d", 'sitea/a"b', "sitea/c\nd"} <= topics

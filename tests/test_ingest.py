@@ -140,7 +140,7 @@ class TestParseDump:
         tables = build_inputs(data)
         assert tables.tensor.values.tolist() == [1.0, 1.0, 1.0]
         assert [g.tolist() for g in tables.tree.level_groups(2)] == [[0], [1]]
-        assert reputation_scores(data).scores == {
+        assert rec.ledger_scores(reputation_scores(data)) == {
             (2, "s/a"): 10, (2, "s/b"): 10, (2, "s/c"): 10,
         }
 
@@ -516,7 +516,7 @@ class TestReputation:
         data = parse_site(fixture_dump, FIXTURE_SITE)
         ledger = reputation_scores(data)
         topic = f"{FIXTURE_SITE}/a"
-        assert ledger.scores == {(2, topic): 35}
+        assert rec.ledger_scores(ledger) == {(2, topic): 35}
         assert ledger.top_users(topic) == [2]
 
     def test_question_votes(self, tmp_path):
@@ -528,7 +528,7 @@ class TestReputation:
         site = os.path.join(tmp_path, "s")
         write_subsite_dump(site, posts, votes, [{"Id": 1}])
         ledger = reputation_scores(parse_site(site, "s"))
-        assert ledger.scores == {(1, "s/t"): 3}
+        assert rec.ledger_scores(ledger) == {(1, "s/t"): 3}
 
     def test_answer_downvote_debits_voter_and_owner(self, tmp_path):
         posts = [
@@ -539,7 +539,7 @@ class TestReputation:
         site = os.path.join(tmp_path, "s")
         write_subsite_dump(site, posts, votes, [{"Id": 1}, {"Id": 2}, {"Id": 3}])
         ledger = reputation_scores(parse_site(site, "s"))
-        assert ledger.scores == {(2, "s/t"): -2, (3, "s/t"): -1}
+        assert rec.ledger_scores(ledger) == {(2, "s/t"): -2, (3, "s/t"): -1}
         assert ledger.skipped_voter_events == 0
 
     def test_anonymous_answer_downvote_counts_skip(self, tmp_path):
@@ -551,7 +551,7 @@ class TestReputation:
         site = os.path.join(tmp_path, "s")
         write_subsite_dump(site, posts, votes, [{"Id": 1}, {"Id": 2}])
         ledger = reputation_scores(parse_site(site, "s"))
-        assert ledger.scores == {(2, "s/t"): -2}
+        assert rec.ledger_scores(ledger) == {(2, "s/t"): -2}
         assert ledger.skipped_voter_events == 1
 
     def test_accept_marker_and_vote_count_once(self, tmp_path):
@@ -564,12 +564,12 @@ class TestReputation:
         site = os.path.join(tmp_path, "s")
         write_subsite_dump(site, posts, votes, [{"Id": 1}, {"Id": 2}])
         ledger = reputation_scores(parse_site(site, "s"))
-        assert ledger.scores == {(2, "s/t"): 15}
+        assert rec.ledger_scores(ledger) == {(2, "s/t"): 15}
 
     def test_uninvolved_user_has_no_entry(self, fixture_dump):
         data = parse_site(fixture_dump, FIXTURE_SITE)
         ledger = reputation_scores(data)
-        assert not any(u == 3 for (u, _) in ledger.scores)
+        assert not any(u == 3 for (u, _) in rec.ledger_scores(ledger))
 
     def test_top_users_matches_full_scan(self):
         rng = np.random.default_rng(0)
@@ -577,7 +577,7 @@ class TestReputation:
         for u, t, v in zip(rng.integers(0, 40, 300), rng.integers(0, 6, 300),
                            rng.integers(-4, 5, 300)):
             scores[(int(u), f"t{t}")] = int(v)
-        ledger = ReputationLedger(scores)
+        ledger = rec.ledger(scores)
         assert ledger.topics() == sorted({t for _, t in scores})
         for topic in ledger.topics() + ["missing"]:
             scan = sorted((u for u, t in scores if t == topic),
@@ -586,6 +586,40 @@ class TestReputation:
             assert ledger.top_users(topic, 3) == scan[:3]
             ledger.top_users(topic).clear()
             assert ledger.top_users(topic) == scan
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_top_users_matches_sorted_oracle(self, seed):
+        """The ranked order against the per-topic sort of (-score, user) pairs,
+        on scores with ties, zeros, negatives and both int64 extremes."""
+        rng = np.random.default_rng(seed)
+        info = np.iinfo(np.int64)
+        extremes = [info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max]
+        scores = {}
+        for u, t in zip(rng.integers(0, 30, 200), rng.integers(0, 5, 200)):
+            v = rng.choice(extremes) if rng.random() < 0.3 else rng.integers(-3, 4)
+            scores[(int(u), f"t{t}")] = int(v)
+        ledger = rec.ledger(scores)
+        by_topic = {}
+        for (user, topic), score in scores.items():
+            by_topic.setdefault(topic, []).append((-score, user))
+        assert ledger.topics() == sorted(by_topic)
+        for topic in sorted(by_topic) + ["missing"]:
+            want = [u for _, u in sorted(by_topic.get(topic, []))]
+            got = ledger.top_users(topic)
+            assert got == want
+            assert all(type(u) is int for u in got)
+            for k in (0, 1, 3, len(want) + 2):
+                assert ledger.top_users(topic, k) == want[:k]
+            got.append(-1)
+            assert ledger.top_users(topic) == want and ledger.top_users(topic) is not got
+
+    def test_top_users_skips_names_without_rows(self):
+        ledger = ReputationLedger(("s/a", "s/b", "s/c"), np.array([1, 1, 2]), np.array([2, 0, 2]),
+                                  np.array([5, 7, 9]))
+        assert ledger.topics() == ["s/a", "s/c"]
+        assert ledger.top_users("s/c") == [2, 1]
+        assert ledger.top_users("s/a") == [1]
+        assert ledger.top_users("s/b") == []
 
     def test_multi_tag_question_credits_each_topic(self, tmp_path):
         posts = [
@@ -596,7 +630,7 @@ class TestReputation:
         site = os.path.join(tmp_path, "s")
         write_subsite_dump(site, posts, votes, [{"Id": 1}, {"Id": 2}])
         ledger = reputation_scores(parse_site(site, "s"))
-        assert ledger.scores == {(2, "s/a"): 10, (2, "s/b"): 10}
+        assert rec.ledger_scores(ledger) == {(2, "s/a"): 10, (2, "s/b"): 10}
 
 
 class TestBuildInputs:
@@ -802,9 +836,8 @@ def assert_matches_oracles(data, reference=None):
 
     ledger = reputation_scores(data)
     scores, skipped = oracles.reputation_scores(reference)
-    assert ledger.scores == scores
+    assert rec.ledger_rows(ledger) == [(u, t, v) for (u, t), v in sorted(scores.items())]
     assert ledger.skipped_voter_events == skipped
-    assert list(ledger.scores) == sorted(scores)
 
     try:
         expected = oracles.build_inputs(reference)
@@ -869,7 +902,7 @@ class TestColumnarAgainstOracles:
 
     def test_zero_sum_credit_keeps_its_row(self, tmp_path):
         ledger = reputation_scores(random_dataset(0))
-        assert ledger.scores[2, "sz/zero"] == 0
+        assert rec.ledger_scores(ledger)[2, "sz/zero"] == 0
         path = tmp_path / "reputation.csv"
         save_reputation(ledger, path)
         assert "\n2,sz/zero,0\n" in path.read_text()

@@ -7,7 +7,6 @@ import pytest
 
 from qaexpert.coupled import CpModel
 from qaexpert.errors import ContractViolation
-from qaexpert.ingest import ReputationLedger
 from qaexpert.ranking import (
     EvalReport,
     RankedList,
@@ -177,7 +176,7 @@ def tables_for(topics, users):
 class TestEvaluate:
     def test_perfect_agreement(self):
         users = [5, 6, 7]
-        ledger = ReputationLedger({(5, "t"): 30, (6, "t"): 20, (7, "t"): 10})
+        ledger = rec.ledger({(5, "t"): 30, (6, "t"): 20, (7, "t"): 10})
         model = model_from_scores([[3.0, 2.0, 1.0]])
         report = evaluate(model, None, ledger, [1, 2, 3], tables=tables_for(["t"], users))
         assert report.evaluated_topics == 1
@@ -187,7 +186,7 @@ class TestEvaluate:
 
     def test_reversed_ranking_on_five_users(self):
         users = [1, 2, 3, 4, 5]
-        ledger = ReputationLedger({(u, "t"): 10 * (6 - u) for u in users})
+        ledger = rec.ledger({(u, "t"): 10 * (6 - u) for u in users})
         model = model_from_scores([[1.0, 2.0, 3.0, 4.0, 5.0]])
         report = evaluate(model, None, ledger, [5], tables=tables_for(["t"], users))
         (_, _, prec, mrr, _), = report.rows
@@ -195,7 +194,7 @@ class TestEvaluate:
         assert mrr == pytest.approx(0.2)
 
     def test_empty_ledger_skips_everything(self):
-        ledger = ReputationLedger({})
+        ledger = rec.ledger({})
         model = model_from_scores([[1.0, 2.0]])
         report = evaluate(model, None, ledger, [1], tables=tables_for(["t"], [1, 2]))
         assert report.evaluated_topics == 0
@@ -204,7 +203,7 @@ class TestEvaluate:
 
     def test_k_list_gives_row_per_k(self):
         users = [1, 2]
-        ledger = ReputationLedger({(1, "t"): 5})
+        ledger = rec.ledger({(1, "t"): 5})
         model = model_from_scores([[2.0, 1.0]])
         report = evaluate(model, None, ledger, [1, 3, 5, 10],
                           tables=tables_for(["t"], users))
@@ -214,7 +213,7 @@ class TestEvaluate:
 
     def test_no_signal_topic_scores_zero(self):
         users = [1, 2]
-        ledger = ReputationLedger({(1, "a"): 5, (1, "b"): 5})
+        ledger = rec.ledger({(1, "a"): 5, (1, "b"): 5})
         U2 = np.array([[1.0], [0.0]])
         U4 = np.array([[2.0], [1.0]])
         model = CpModel([np.ones((1, 1)), U2, np.ones((1, 1)), U4], np.ones(1))
@@ -226,13 +225,13 @@ class TestEvaluate:
 
     def test_mismatched_tables_rejected(self):
         model = model_from_scores([[1.0, 2.0]])
-        ledger = ReputationLedger({(1, "t"): 5})
+        ledger = rec.ledger({(1, "t"): 5})
         with pytest.raises(ContractViolation):
             evaluate(model, None, ledger, [1], tables=tables_for(["t", "u"], [1, 2]))
 
     def test_bad_k_list_rejected(self):
         model = model_from_scores([[1.0]])
-        ledger = ReputationLedger({})
+        ledger = rec.ledger({})
         with pytest.raises(ContractViolation):
             evaluate(model, None, ledger, [], tables=tables_for(["t"], [1]))
         with pytest.raises(ContractViolation):
@@ -240,7 +239,7 @@ class TestEvaluate:
 
     def test_data_tables_used_when_no_manifest(self):
         data = baseline_fixture()
-        ledger = ReputationLedger({(20, "s/t"): 15})
+        ledger = rec.ledger({(20, "s/t"): 15})
         model = model_from_scores([[0.0, 1.0, 2.0]])  # users sorted: 1, 10, 20
         report = evaluate(model, data, ledger, [1])
         assert report.evaluated_topics == 1
@@ -296,7 +295,7 @@ class TestEvaluateMatchesFullSort:
         scores = {(int(u), t): int(rng.integers(-3, 20))
                   for t in topics if rng.random() < 0.8
                   for u in rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False)}
-        ledger = ReputationLedger(scores)
+        ledger = rec.ledger(scores)
         k_list = [1, 3, n_users, n_users + 5]
         tables = tables_for(topics, users)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"

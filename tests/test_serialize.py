@@ -1,6 +1,8 @@
 """Text formats round-trip bit-faithfully and rewrite byte-identically."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -37,6 +39,7 @@ from qaexpert.serialize import (
 from qaexpert.sparse_tensor import SparseTensor4
 from qaexpert.synthetic import make_corpus
 
+import records as rec
 from conftest import random_sparse
 
 
@@ -193,6 +196,9 @@ def load_outcome(load, path):
                 result = obj.dims, obj.indices.tolist(), obj.values.tobytes()
             elif isinstance(obj, HierarchyTree):
                 result = tuple(getattr(obj, a).tobytes() for a in ("parent", "s", "g", "leaf_row"))
+            elif isinstance(obj, ReputationLedger):
+                assert {obj.user.dtype, obj.topic.dtype, obj.score.dtype} == {np.dtype(np.int64)}
+                result = rec.ledger_rows(obj), obj.skipped_voter_events
             else:
                 result = obj.rows, obj.cols, obj.indices.tolist()
     return result, [(w.category, str(w.message)) for w in caught]
@@ -605,14 +611,64 @@ class TestModelDigest:
                 load_model(p, ranking_only=True)
 
 
+REPUTATION_HEADER = "user_id,topic,score\n"
+
+REPUTATION_FILES = [
+    REPUTATION_HEADER + "1,s/a,2\n1,s/b,-3\n2,s/a,0\n",
+    REPUTATION_HEADER + "1,s/a,2\n\n2,s/a,3\n",
+    REPUTATION_HEADER + "1,s/a,2\n2,s/a,3\n\n",
+    "user_id,topic,score\r\n1,s/a,2\r\n2,s/b,3\r\n",
+    REPUTATION_HEADER + "1,s/a,2\n2,s/a,3",
+    REPUTATION_HEADER,
+    "user_id,topic,score",
+    "",
+    "user,tag,points\n1,a,2\n",
+    REPUTATION_HEADER + "1,s/a,+5\n",
+    REPUTATION_HEADER + " 5,s/a,1\n",
+    REPUTATION_HEADER + "1_0,s/a,1\n",
+    REPUTATION_HEADER + "1,s/a,5.0\n",
+    REPUTATION_HEADER + "1,s/a,5 \n",
+    REPUTATION_HEADER + "1,s/a,\n",
+    REPUTATION_HEADER + "9223372036854775808,s/a,1\n",
+    REPUTATION_HEADER + "1,s/a,9223372036854775808\n",
+    REPUTATION_HEADER + "1,s/a,-9223372036854775809\n",
+    REPUTATION_HEADER + "-9223372036854775808,s/a,9223372036854775807\n",
+    REPUTATION_HEADER + "1,s/a\n",
+    REPUTATION_HEADER + "1,s/a,2,3\n",
+    REPUTATION_HEADER + "1,2\n3,4,5,6\n",
+    REPUTATION_HEADER + '1,"s/c\nd",3\n1,"s/c,d",2\n2,"s/a""b",4\n',
+    REPUTATION_HEADER + '1,"s/a",3\n',
+    REPUTATION_HEADER + "1,s/a b,2\n1,s/\u00e9,2\n",
+    REPUTATION_HEADER + "1,s/b,1\n1,s/a,1\n",
+    REPUTATION_HEADER + "1,s/a,1\n1,s/a,2\n",
+    REPUTATION_HEADER + "2,s/a,1\n1,s/b,1\n",
+]
+
+
 class TestReputationFormat:
     def test_round_trip_sorted(self, tmp_path):
-        ledger = ReputationLedger({(3, "s/b"): 5, (1, "s/a"): 35, (1, "s/b"): -2})
+        ledger = rec.ledger({(3, "s/b"): 5, (1, "s/a"): 35, (1, "s/b"): -2})
         p = tmp_path / "rep.csv"
         save_reputation(ledger, p)
         text = p.read_text()
         assert text.splitlines()[0] == "user_id,topic,score"
-        assert load_reputation(p).scores == ledger.scores
+        assert rec.ledger_rows(load_reputation(p)) == rec.ledger_rows(ledger)
+
+    def test_topics_quoted_as_csv_writer_quotes_them(self, tmp_path):
+        ledger = rec.ledger({(1, "s/c,d"): 2, (1, 's/a"b'): 3, (2, "s/c\nd"): -1,
+                             (2, "s/c\rd"): 4, (3, "s/plain"): 5})
+        p = tmp_path / "rep.csv"
+        save_reputation(ledger, p)
+        # csv.writer's default dialect, whose "\r\n" line ends make it quote
+        # fields holding either character, with each row ended by "\n"
+        want = ""
+        for row in [("user_id", "topic", "score")] + rec.ledger_rows(ledger):
+            out = io.StringIO()
+            csv.writer(out).writerow(row)
+            want += out.getvalue().removesuffix("\r\n") + "\n"
+        assert p.read_bytes() == want.encode()
+        assert "\n3,s/plain,5\n" in want and '"s/c\rd"' in want
+        assert rec.ledger_rows(load_reputation(p)) == rec.ledger_rows(ledger)
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "rep.csv"
@@ -620,12 +676,34 @@ class TestReputationFormat:
         with pytest.raises(DataError):
             load_reputation(p)
 
-    @pytest.mark.parametrize("row", ["2,s/a", "x,s/a,3", "2,s/a,3.5", "2,s/a,3,4"])
+    @pytest.mark.parametrize("row", ["2,s/a", "x,s/a,3", "2,s/a,3.5", "2,s/a,3,4",
+                                     "9223372036854775808,s/a,3", "2,s/a,-9223372036854775809",
+                                     "0,s/b,3", "1,s/a,3"])
     def test_malformed_row_names_path_and_line(self, tmp_path, row):
         p = tmp_path / "rep.csv"
         p.write_text(f"user_id,topic,score\n1,s/a,2\n{row}\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:3: "):
             load_reputation(p)
+
+    @pytest.mark.parametrize("text", REPUTATION_FILES)
+    def test_split_and_csv_reader_agree(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "rep.csv"
+        p.write_bytes(text.encode())
+        fast = load_outcome(load_reputation, p)
+        monkeypatch.setattr(serialize, "_split_reputation", lambda data: None)
+        assert fast == load_outcome(load_reputation, p)
+
+    def test_plain_rows_take_the_split(self):
+        rows = serialize._split_reputation(REPUTATION_FILES[0].encode())
+        assert rows is not None
+        assert [r.tolist() if isinstance(r, np.ndarray) else r for r in rows[:3]] == [
+            [1, 1, 2], ["s/a", "s/b", "s/a"], [2, -3, 0]]
+
+    @pytest.mark.parametrize("body", ["1,s/a,2\n\n2,s/a,3\n", "1,s/a,2\r\n", "1,s/a,2,3\n",
+                                      "1,2\n3,4,5,6\n", '1,"s/c,d",2\n', "1,s/a,5.0\n",
+                                      "9223372036854775808,s/a,1\n"])
+    def test_odd_rows_go_to_the_csv_reader(self, body):
+        assert serialize._split_reputation((REPUTATION_HEADER + body).encode()) is None
 
 
 class TestReportAndHistory:
