@@ -207,6 +207,8 @@ def cmd_ingest(args) -> int:
         raise UsageError(str(exc)) from None
     if sample_users is not None and sample_users < 1:
         raise UsageError("--sample-users must be >= 1")
+    if not 0 <= tree_s <= 1:
+        raise UsageError("--tree-s must lie in [0, 1]")
     dirs = [d.rstrip("/") for d in args.dirs]
     names = [os.path.basename(d) for d in dirs]
     if len(set(names)) != len(names):

@@ -48,8 +48,8 @@ from .hierarchy import HierarchyTree, TreePenalty, weight_penalty
 # ``mttkrp`` and ``gram_hadamard`` are not called here; they stay in this
 # namespace because bench/spans.py wraps them by these names.
 from .sparse_tensor import (
-    SparseTensor4, _split_sq_residual, gather_rows, gram_hadamard, hadamard, mttkrp,
-    mttkrp_from_rows, residual_norm, scatter_rows, sq_residual_from_inner, strictly_increasing,
+    SparseTensor4, _split_sq_residual, fiber_sums, gather_rows, gram_hadamard, hadamard, mttkrp,
+    mttkrp_from_fibers, residual_norm, scatter_rows, sq_residual_from_inner, strictly_increasing,
 )
 
 __all__ = [
@@ -67,6 +67,13 @@ __all__ = [
     "joint_objective",
     "fit_joint",
 ]
+
+
+def _check_finite_nonnegative(config, name: str):
+    # NaN fails every comparison, so a NaN tolerance would never stop the
+    # loop and a NaN or infinite lambda would make the first sweep diverge.
+    if not 0 <= getattr(config, name) < float("inf"):
+        raise ContractViolation(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -89,10 +96,8 @@ class AlsConfig:
             raise ContractViolation("rank must be >= 1")
         if self.max_iters < 1:
             raise ContractViolation("max_iters must be >= 1")
-        if self.tolerance < 0:
-            raise ContractViolation("tolerance must be >= 0")
-        if self.lambda_x < 0:
-            raise ContractViolation("lambda_x must be >= 0")
+        for name in ("tolerance", "lambda_x"):
+            _check_finite_nonnegative(self, name)
 
 
 @dataclass
@@ -321,10 +326,9 @@ class JointConfig(AlsConfig):
     def __post_init__(self):
         super().__post_init__()
         for name in ("lambda_w", "lambda_s", "lambda_t"):
-            if getattr(self, name) < 0:
-                raise ContractViolation(f"{name} must be >= 0")
-        if self.lambda_site is not None and self.lambda_site < 0:
-            raise ContractViolation("lambda_site must be >= 0")
+            _check_finite_nonnegative(self, name)
+        if self.lambda_site is not None:
+            _check_finite_nonnegative(self, "lambda_site")
 
     @property
     def effective_lambda_site(self) -> float:
@@ -417,12 +421,17 @@ class _Descent:
     rounding, except when a residual is tiny against its data, where the
     difference of totals cancels and is clamped at zero.
 
-    For each tensor factor the engine keeps its rows gathered at the
-    nonzeros in component-major layout, ``(R, nnz)``, and its Gram matrix
-    ``U.T @ U``.  A factor is gathered once per update that moves it: a
-    tensor block refreshes its own factor, ``balance`` all four.  Every
-    MTTKRP and Gram-Hadamard reads the cache, with the index columns made
-    contiguous once per fit, and the tensor loss reads the Grams.
+    The MTTKRPs run over the tensor's (i, j, k) fibers (see
+    :mod:`.sparse_tensor`).  For each of the question, topic and band
+    factors the engine keeps its rows gathered at the fibers in
+    component-major layout, ``(R, fibers)``.  The expert factor is gathered
+    at the nonzeros and kept only as its fiber sums ``Y``, which the
+    question, topic and voting MTTKRPs all reuse; the expert MTTKRP reads
+    the three fiber rows.  Each factor also keeps its Gram matrix
+    ``U.T @ U``.  A factor is gathered once per update that moves it, and
+    ``Y`` is formed once per update that moves the expert factor: a tensor
+    block refreshes its own factor, ``balance`` all four.  Every MTTKRP and
+    Gram-Hadamard reads the cache, and the tensor loss reads the Grams.
     """
 
     S = A = T = None
@@ -449,8 +458,7 @@ class _Descent:
             self.inner.update(
                 network=_inner(self.S, M.matmul(self.A)), topic=_inner(self.T, N.matmul(self.A))
             )
-        self.cols = [np.ascontiguousarray(X.indices[:, m]) for m in range(4)]
-        self.rows, self.grams = [None] * 4, [None] * 4
+        self.rows, self.grams = [None] * 3, [None] * 4
         for mode in range(4):
             self._refresh(mode)
         self.terms = {
@@ -503,13 +511,17 @@ class _Descent:
                 self.terms[name] = None
 
     def _refresh(self, mode: int):
-        """Re-gather one tensor factor's rows at the nonzeros and its Gram."""
-        U = self.factors[mode]
-        self.rows[mode] = gather_rows(U, self.cols[mode])
+        """Re-gather one tensor factor's rows, at the fibers for modes 0-2 and
+        as the fiber sums ``Y`` for the expert mode, and its Gram."""
+        U, fib = self.factors[mode], self.X.fibers
+        if mode < 3:
+            self.rows[mode] = gather_rows(U, fib.coords[mode])
+        else:
+            self.sums = fiber_sums(self.X, gather_rows(U, fib.expert))
         self.grams[mode] = U.T @ U
 
     def _mttkrp(self, mode: int) -> np.ndarray:
-        return mttkrp_from_rows(self.X, self.rows, mode, self.cols[mode])
+        return mttkrp_from_fibers(self.X, self.rows, self.sums, mode)
 
     def _gram_hadamard(self, mode: int) -> np.ndarray:
         return hadamard([G for m, G in enumerate(self.grams) if m != mode], self.config.rank)

@@ -6,16 +6,25 @@ duplicate coordinates summed at construction.  Factor matrices are plain
 ``(dim, rank)`` float64 ndarrays; kernels never materialize a dense tensor
 or a dense unfolding.
 
-The kernels work on factor rows gathered at the nonzeros in
-component-major layout: ``gather_rows(U, X.indices[:, m])`` is an
-``(R, nnz)`` array, so each component is one contiguous row for the
-elementwise products and for the one ``np.bincount`` per component that
-scatters an MTTKRP.  ``mttkrp_from_rows`` takes such rows from a caller
-that keeps them across updates and gathers a factor once per update that
-changes it, as ``coupled._Descent`` does; ``mttkrp`` is the one-shot
-wrapper that gathers them first.  ``residual_norm`` evaluates the model at
-every nonzero; a solver that already holds an MTTKRP and its solution
-reads the residual off them with ``sq_residual_from_inner`` instead.
+The MTTKRP kernel works on compressed sparse fibers (Smith & Karypis,
+SPLATT, 2015).  A fiber is one run of nonzeros that share their question,
+topic and band coordinates ``(i, j, k)``; in the canonical order each run
+is contiguous, and :attr:`SparseTensor4.fibers` finds the runs once per
+tensor.  Factor rows are gathered in component-major layout,
+``gather_rows(U, index)`` being an ``(R, len(index))`` array, so each
+component is one contiguous row for the elementwise products and for the
+one ``np.bincount`` per component that scatters an MTTKRP.  The three
+leading factors are gathered at the fibers, the expert factor at the
+nonzeros, and ``fiber_sums`` folds the expert rows into one row per fiber,
+``Y[f] = Σ_{nz ∈ f} x · D[l]``.  The modes 0-2 MTTKRPs then each take two
+products at fiber level and one scatter; the expert MTTKRP spreads the
+fiber product ``A[i]⊙B[j]⊙C[k]`` back to the nonzeros, weighs it by the
+values and scatters it by answerer.  ``mttkrp_from_fibers`` takes such rows
+from a caller that keeps them across updates, as ``coupled._Descent``
+does; ``mttkrp`` is the one-shot wrapper that gathers them first.
+``residual_norm`` evaluates the model at every nonzero; a solver that
+already holds an MTTKRP and its solution reads the residual off them with
+``sq_residual_from_inner`` instead.
 
 Khatri-Rao convention: in ``khatri_rao(A, B)`` the rows of ``A`` vary
 slowly, the rows of ``B`` vary fast, i.e. entry ``(p * B_rows + q, r)``
@@ -26,6 +35,7 @@ the lowest mode varies fastest, matching a Fortran-order unfolding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +109,38 @@ class SparseTensor4:
             raise ContractViolation("from_dense expects a 4-d array")
         idx = np.argwhere(arr != 0)
         return cls(arr.shape, indices=idx, values=arr[tuple(idx.T)])
+
+    @cached_property
+    def fibers(self) -> "Fibers":
+        """The tensor's (i, j, k) fibers, found on first use."""
+        idx = self.indices
+        new = np.ones(self.nnz, dtype=bool)
+        new[1:] = np.any(idx[1:, :3] != idx[:-1, :3], axis=1)
+        starts = np.flatnonzero(new)
+        return Fibers(
+            coords=tuple(np.ascontiguousarray(idx[starts, m]) for m in range(3)),
+            of_nz=np.cumsum(new) - 1,
+            expert=np.ascontiguousarray(idx[:, 3]),
+        )
+
+
+@dataclass(frozen=True)
+class Fibers:
+    """Compressed sparse fibers of a canonical tensor.
+
+    A fiber is a maximal run of nonzeros with one ``(i, j, k)`` prefix; the
+    canonical order keeps each run contiguous.  ``coords[m]`` holds every
+    fiber's mode-``m`` coordinate (m < 3), ``of_nz`` each nonzero's fiber,
+    and ``expert`` each nonzero's mode-3 coordinate.
+    """
+
+    coords: tuple[np.ndarray, np.ndarray, np.ndarray]
+    of_nz: np.ndarray
+    expert: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return self.coords[0].shape[0]
 
 
 def strictly_increasing(idx) -> bool:
@@ -202,29 +244,48 @@ def mttkrp(X: SparseTensor4, factors, mode: int) -> np.ndarray:
     """Matricized tensor times Khatri-Rao product, over nonzeros only.
 
     Equals the mode-``mode`` unfolding of ``X`` multiplied by the Khatri-Rao
-    chain of the remaining factors (highest mode leftmost), computed by
-    accumulating ``value * prod_of_other_factor_rows`` per nonzero without
-    ever forming the unfolding.
+    chain of the remaining factors (highest mode leftmost), computed over
+    the tensor's fibers without ever forming the unfolding.
     """
     factors = _check_factors(X, factors)
     if not 0 <= mode < 4:
         raise ContractViolation(f"mode {mode} out of range")
-    rows = [None if m == mode else gather_rows(U, X.indices[:, m]) for m, U in enumerate(factors)]
-    return mttkrp_from_rows(X, rows, mode, X.indices[:, mode])
+    fib = X.fibers
+    rows = [None if m == mode else gather_rows(U, fib.coords[m]) for m, U in enumerate(factors[:3])]
+    sums = None if mode == 3 else fiber_sums(X, gather_rows(factors[3], fib.expert))
+    return mttkrp_from_fibers(X, rows, sums, mode)
 
 
-def mttkrp_from_rows(X: SparseTensor4, rows, mode: int, index) -> np.ndarray:
-    """MTTKRP from the other modes' factor rows gathered at the nonzeros.
+def fiber_sums(X: SparseTensor4, expert_rows) -> np.ndarray:
+    """``Y[:, f] = Σ_{nz ∈ f} x_nz · expert_rows[:, nz]``, an ``(R, fibers)``
+    array, from the expert factor's rows gathered at the nonzeros."""
+    fib = X.fibers
+    out = np.empty((expert_rows.shape[0], fib.count))
+    _bincount_rows(out, fib.of_nz, X.values * expert_rows)
+    return out
 
-    ``rows[m]`` is ``gather_rows(factors[m], X.indices[:, m])`` for every
-    ``m != mode``, and ``index`` is ``X.indices[:, mode]``.  Each nonzero's
-    value is multiplied by the other rows in mode order.
+
+def mttkrp_from_fibers(X: SparseTensor4, rows, sums, mode: int) -> np.ndarray:
+    """MTTKRP from factor rows gathered at the fibers.
+
+    ``rows[m]`` is ``gather_rows(factors[m], X.fibers.coords[m])`` for
+    every ``m < 3`` other than ``mode``.  For modes 0-2, ``sums`` is
+    ``fiber_sums`` of the expert factor's rows: the mode's MTTKRP scatters
+    the product of the two other fiber rows, in mode order, times ``sums``.
+    For mode 3 ``sums`` is unused: the product of the three fiber rows is
+    taken at the nonzeros, weighed by the values and scattered by answerer.
     """
-    others = [rows[m] for m in range(4) if m != mode]
-    weighted = X.values * others[0]
-    for G in others[1:]:
-        weighted *= G
-    return scatter_rows(index, weighted, X.dims[mode])
+    fib = X.fibers
+    if mode == 3:
+        fiber_product = rows[0] * rows[1]
+        fiber_product *= rows[2]
+        weighted = np.take(fiber_product, fib.of_nz, axis=1)
+        weighted *= X.values
+        return scatter_rows(fib.expert, weighted, X.dims[3])
+    first, second = (rows[m] for m in range(3) if m != mode)
+    weighted = first * second
+    weighted *= sums
+    return scatter_rows(fib.coords[mode], weighted, X.dims[mode])
 
 
 def scatter_rows(index, rows, dim: int) -> np.ndarray:
@@ -234,11 +295,15 @@ def scatter_rows(index, rows, dim: int) -> np.ndarray:
     per component row; each output cell adds its terms in input order, so
     the result equals ``np.add.at`` bit for bit.
     """
-    index = np.ascontiguousarray(index)
     out = np.empty((dim, rows.shape[0]))
-    for r, row in enumerate(rows):
-        out[:, r] = np.bincount(index, weights=row, minlength=dim)
+    _bincount_rows(out.T, np.ascontiguousarray(index), rows)
     return out
+
+
+def _bincount_rows(out, index, rows):
+    """``out[r] = bincount(index, weights=rows[r])`` for each component row r."""
+    for r, row in enumerate(rows):
+        out[r] = np.bincount(index, weights=row, minlength=out.shape[1])
 
 
 def reconstruct_entry(factors, norms, index) -> float:

@@ -149,11 +149,13 @@ class TestIngest:
         manifest = json.load(open(os.path.join(snap, "manifest.json")))
         assert manifest["tree_g"] == 1 - 0.3 and "tree_g" not in manifest["config"]
 
-    def test_rejected_flag_value_exits_2(self, corpus, tmp_path, capsys):
-        code = main(["ingest", *corpus, "--out-dir", str(tmp_path / "out"),
-                     "--sample-users", "0"])
+    @pytest.mark.parametrize("flags", [
+        ["--sample-users", "0"], ["--tree-s", "1.5"], ["--tree-s", "-0.1"], ["--tree-s", "nan"],
+    ])
+    def test_rejected_flag_value_exits_2(self, corpus, tmp_path, capsys, flags):
+        code = main(["ingest", *corpus, "--out-dir", str(tmp_path / "out"), *flags])
         assert code == 2
-        assert capsys.readouterr().err.startswith("usage error: --sample-users")
+        assert capsys.readouterr().err.startswith(f"usage error: {flags[0]}")
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("entry", ['"sample_users": "ten"', '"seed": "x"',
@@ -186,6 +188,8 @@ class TestFit:
     @pytest.mark.parametrize("flags", [
         ["--rank", "0"], ["--max-iters", "0"], ["--tol", "-1"], ["--lambda-x", "-1"],
         ["--lambda-w", "-0.5"], ["--lambda-s", "-1"], ["--lambda-t", "-2"],
+        ["--tol", "nan"], ["--tol", "inf"], ["--lambda-x", "nan"], ["--lambda-x", "inf"],
+        ["--lambda-w", "nan"], ["--lambda-s", "nan"], ["--lambda-t", "inf"],
     ])
     def test_rejected_flag_value_exits_2(self, snapshot, tmp_path, capsys, flags):
         code = main(["fit", snapshot, "--out-dir", str(tmp_path / "f"), *flags])
@@ -194,9 +198,10 @@ class TestFit:
         assert err.startswith("usage error: ") and flags[0][2:].replace("-", "_") in err
         assert not os.path.exists(tmp_path / "f")
 
-    def test_rejected_config_value_exits_2(self, snapshot, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["-1", "NaN", "Infinity"])
+    def test_rejected_config_value_exits_2(self, snapshot, tmp_path, capsys, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"lambda_site": -1}')
+        cfg.write_text('{"lambda_site": %s}' % value)
         code = main(["fit", snapshot, "--out-dir", str(tmp_path / "f"), "--config", str(cfg)])
         assert code == 2
         assert "lambda_site" in capsys.readouterr().err

@@ -28,7 +28,7 @@ from qaexpert.errors import ContractViolation, SolverDiverged
 from qaexpert.hierarchy import TreePenalty, tree_from_nested, weight_penalty
 from qaexpert.ingest import build_inputs, merge_datasets, parse_dump
 from qaexpert.sparse_tensor import (
-    SparseTensor4, gather_rows, gram_hadamard, model_from_rows, mttkrp, residual_norm,
+    SparseTensor4, gram_hadamard, mttkrp, residual_norm,
 )
 from qaexpert.synthetic import make_corpus
 
@@ -446,23 +446,35 @@ class TestObjectiveTermCache:
         ("fit_joint", 4), ("cp_als_tree", 4), ("cp_als_balance", 8),
     ])
     def test_each_factor_gathered_once_per_update_that_moves_it(self, monkeypatch, solver, per_sweep):
+        # per_sweep counts the factor updates of a sweep: one per tensor
+        # block, and four more for a balance block.
         X, M, N, tree = make_micro_joint(np.random.default_rng(53))
-        assert X.nnz not in (M.nnz, N.nnz)
-        gathers = []
+        kinds = {X.fibers.count: "fiber", X.nnz: "nonzero"}
+        assert len({*kinds, M.nnz, N.nnz}) == 4
+        gathers = {"fiber": 0, "nonzero": 0, "sums": 0}
 
         def counted(U, index, _fn=coupled.gather_rows):
-            if len(index) == X.nnz:  # a tensor factor, not a membership product
-                gathers.append(U.shape)
+            if len(index) in kinds:  # a tensor factor, not a membership product
+                gathers[kinds[len(index)]] += 1
             return _fn(U, index)
 
+        def counted_sums(X, rows, _fn=coupled.fiber_sums):
+            gathers["sums"] += 1
+            return _fn(X, rows)
+
         monkeypatch.setattr(coupled, "gather_rows", counted)
+        monkeypatch.setattr(coupled, "fiber_sums", counted_sums)
         if solver == "fit_joint":
             fit_joint(X, M, N, tree, JointConfig(rank=2, max_iters=3, tolerance=0.0))
         else:
             penalty = TreePenalty(tree, 0.1) if solver == "cp_als_tree" else None
             cp_als(X, AlsConfig(rank=2, max_iters=3, tolerance=0.0), penalty)
-        # Four at the start; one per tensor block, and four per balance block.
-        assert len(gathers) == 4 + 3 * per_sweep
+        # Each factor once at the start, then once per update that moves it:
+        # modes 0-2 at the fibers; the expert factor at the nonzeros, summed
+        # into one Y per update.
+        expert_moves = 1 + 3 * per_sweep // 4
+        assert gathers == {"fiber": 3 * expert_moves, "nonzero": expert_moves,
+                           "sums": expert_moves}
 
 
 def _corpus_joint(tmp_path):
@@ -571,16 +583,18 @@ class TestFactorRowCache:
         rng = np.random.default_rng(61)
         for trial in range(10):
             X, state = _micro_descent(solver, rng, trial)
-            ones = np.ones(2)
+            prefixes, fiber_of = np.unique(X.indices[:, :3], axis=0, return_inverse=True)
             for block in state.blocks * 2:
                 state.update(block)
                 f = state.factors
                 for mode in range(4):
                     np.testing.assert_array_equal(state._mttkrp(mode), mttkrp(X, f, mode))
-                fresh = [gather_rows(U, X.indices[:, m]) for m, U in enumerate(f)]
-                np.testing.assert_array_equal(
-                    model_from_rows(state.rows, ones), model_from_rows(fresh, ones)
-                )
+                for m in range(3):
+                    np.testing.assert_array_equal(state.rows[m], f[m][prefixes[:, m]].T)
+                # Y adds each fiber's terms in nonzero order, as np.add.at does.
+                sums = np.zeros((len(prefixes), 2))
+                np.add.at(sums, fiber_of.ravel(), X.values[:, None] * f[3][X.indices[:, 3]])
+                np.testing.assert_array_equal(state.sums, sums.T)
                 for U, G in zip(f, state.grams):
                     np.testing.assert_array_equal(G, U.T @ U)
 

@@ -251,6 +251,49 @@ class TestMttkrp:
                 got, dense_mttkrp(dense, factors, mode), rtol=1e-12, atol=1e-12
             )
 
+    @pytest.mark.parametrize("build", ["shuffled-entries", "from-dense"])
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("fibers", ["shared", "unshared", "mixed"])
+    def test_matches_dense_oracle_over_fiber_patterns(self, fibers, rank, build):
+        # The kernel sums over (i, j, k) fibers: runs of nonzeros that share
+        # a prefix.  Prefixes shared by many nonzeros, by none, and a mix of
+        # both that leaves the last slice of every mode empty.
+        rng = np.random.default_rng(29)
+        dims = (4, 3, 3, 6)
+        dense = np.zeros(dims)
+        if fibers == "shared":
+            for prefix in [(0, 0, 0), (0, 2, 1), (1, 1, 2), (3, 0, 0), (3, 2, 2)]:
+                dense[prefix][rng.choice(6, size=rng.integers(4, 7), replace=False)] = 1.0
+        elif fibers == "unshared":
+            for prefix in np.ndindex(dims[:3]):
+                if rng.random() < 0.6:
+                    dense[prefix][rng.integers(6)] = 1.0
+        else:
+            for prefix in np.ndindex(tuple(d - 1 for d in dims[:3])):
+                dense[prefix][rng.choice(5, size=rng.choice([0, 1, 1, 5]), replace=False)] = 1.0
+        dense *= rng.random(dims) + 0.1
+        if build == "from-dense":
+            X = SparseTensor4.from_dense(dense)
+        else:
+            idx = np.argwhere(dense)[rng.permutation(np.count_nonzero(dense))]
+            X = SparseTensor4(dims, entries=[(*ijkl, dense[tuple(ijkl)]) for ijkl in idx])
+        sizes = np.unique(X.indices[:, :3], axis=0, return_counts=True)[1]
+        assert X.fibers.count == len(sizes)
+        if fibers == "shared":
+            assert sizes.min() >= 4
+        elif fibers == "unshared":
+            assert sizes.max() == 1
+        else:
+            assert sizes.min() == 1 and sizes.max() == 5
+            assert (X.indices.max(axis=0) < np.array(dims) - 1).all()
+        factors = random_factors(rng, dims, rank)
+        for mode in range(4):
+            got = mttkrp(X, factors, mode)
+            assert got.shape == (dims[mode], rank)
+            np.testing.assert_allclose(
+                got, dense_mttkrp(dense, factors, mode), rtol=1e-12, atol=1e-12
+            )
+
     def test_scatter_equals_add_at_bit_for_bit(self):
         rng = np.random.default_rng(23)
         index = rng.integers(0, 7, size=200)
