@@ -8,8 +8,13 @@ runs with equal inputs produce byte-identical files.
 it, so `load_model` can check the whole file yet parse only the blocks
 its caller reads: ranking reads the topic and expert factors and the
 norms.  A model without the digest line is rejected and must be refit.
-Numeric rows are parsed by ``np.loadtxt``; anything it rejects goes to
-the per-line parser, which either accepts it or names the bad line.
+Numeric rows are parsed by ``np.loadtxt``, which reads a snapshot's
+tensor, membership and tree files itself in one pass; anything it
+rejects goes to the per-line parser, which either accepts it or names
+the bad line.  ``tree.txt`` mixes numbers and ``leaf`` in its last two
+fields, so they are read as bytes as wide as the file's longest line and
+converted by ``astype``.  A line number counts LF-terminated lines, a
+CRLF counting as one LF.
 
 ``reputation.csv`` is the exception to the whitespace-separated layout:
 CSV rows ``user_id,topic,score`` in (user, topic) order under that
@@ -56,9 +61,22 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
-def _read_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` split at LF only, a CRLF counting as one LF, so that line n
+    is the one ``<path>:<n>`` names.  ``str.splitlines`` also breaks at a
+    lone CR, a vertical tab, a form feed, the separators 0x1c-0x1e, NEL,
+    U+2028 and U+2029."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _rows_text(template, columns) -> str:
@@ -76,19 +94,35 @@ def save_tensor(X: SparseTensor4, path):
                 + _rows_text("%d %d %d %d %.17g\n", columns))
 
 
-def _table(lines, dtype):
-    """Whitespace-separated rows as a structured array, or None when
+def _table(source, dtype, rows, skiprows=0):
+    """Whitespace-separated rows of ``source``, a file or a list of lines,
+    after its first ``skiprows`` lines, as a structured array; None when
     ``np.loadtxt`` rejects them, warns (on empty input, or where a NumPy
-    would cast an integer through a float) or skips a line (it drops blank
-    ones); the caller's per-line parser then accepts the rows or names
-    the bad one."""
+    would cast an integer through a float) or reads other than ``rows``
+    rows (it drops blank lines).  The caller's per-line parser then accepts
+    the rows or names the bad one.  An integer field must be ASCII:
+    ``np.loadtxt`` reads some other characters as digits, ``1\u01fe`` as
+    472."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+            table = np.loadtxt(source, dtype=dtype, comments=None, ndmin=1,
+                               skiprows=skiprows, encoding="utf-8")
     except (ValueError, Warning):
         return None
-    return table if len(table) == len(lines) else None
+    return table if len(table) == rows else None
+
+
+def _file_table(path, text, dtype, skiprows=0):
+    """`_table` over the file at ``path`` itself, whose text is ``text``;
+    None also for non-ASCII text, and where a CR stands outside a CRLF,
+    since ``np.loadtxt`` reads the file with universal newlines and would
+    end a line there."""
+    if not text.isascii() or ("\r" in text and text.count("\r") != text.count("\r\n")):
+        return None
+    ends = np.count_nonzero(np.frombuffer(text.encode(), dtype=np.uint8) == ord("\n"))
+    lines = ends + (text[-1:] not in ("", "\n"))  # the last line may lack its LF
+    return _table(path, dtype, lines - skiprows, skiprows)
 
 
 def _numbers(fields, kind, path, line):
@@ -124,16 +158,16 @@ def _build(path, make, *args, **kwargs):
 
 
 def load_tensor(path) -> SparseTensor4:
-    lines = _read_lines(path)
-    head = lines[0].split() if lines else []
+    text = _read_text(path)
+    head = text.partition("\n")[0].split()
     if len(head) != 5 or head[0] != "dims":
         raise DataError(f"{path}:1: expected a 'dims I J K L' header")
     dims = tuple(_numbers(head[1:], int, path, 1))
-    table = _table(lines[1:], [("index", np.int64, (4,)), ("value", np.float64)])
+    table = _file_table(path, text, [("index", np.int64, (4,)), ("value", np.float64)], skiprows=1)
     if table is not None:
         return _build(path, SparseTensor4, dims, indices=table["index"], values=table["value"])
     indices, values = [], []
-    for n, line in enumerate(lines[1:], start=2):
+    for n, line in enumerate(_lines(text)[1:], start=2):
         parts = line.split()
         if len(parts) != 5:
             raise DataError(f"{path}:{n}: expected 'i j k l value'")
@@ -148,16 +182,16 @@ def save_membership(M: MembershipMatrix, path):
 
 
 def load_membership(path) -> MembershipMatrix:
-    lines = _read_lines(path)
-    head = lines[0].split() if lines else []
+    text = _read_text(path)
+    head = text.partition("\n")[0].split()
     if len(head) != 2:
         raise DataError(f"{path}:1: expected a 'rows cols' header")
     rows, cols = _numbers(head, int, path, 1)
-    table = _table(lines[1:], [("pair", np.int64, (2,))])
+    table = _file_table(path, text, [("pair", np.int64, (2,))], skiprows=1)
     if table is not None:
         return _build(path, MembershipMatrix, rows, cols, table["pair"])
     pairs = []
-    for n, line in enumerate(lines[1:], start=2):
+    for n, line in enumerate(_lines(text)[1:], start=2):
         parts = line.split()
         if len(parts) != 2:
             raise DataError(f"{path}:{n}: expected 'row col'")
@@ -176,15 +210,51 @@ def save_tree(tree: HierarchyTree, path):
     _write_text(path, _rows_text("%s%d %d %d %s\n", columns))
 
 
-def load_tree(path) -> HierarchyTree:
-    """Read a tree file into its preorder arrays, column by column.
+def _tree_faults(level, nid, parent):
+    """(bad lines, message) of each line-order check on the tree columns,
+    in the order they are reported; each needs the ones before it to pass."""
+    ids = np.arange(len(nid))
+    yield nid != ids, "ids must run 0, 1, ... in line order"
+    yield (np.where(ids == 0, parent != -1, (parent < 0) | (parent >= ids)),
+           "the parent must be -1 on the first line and an earlier id on every other")
+    yield level != np.where(ids == 0, 0, level[parent] + 1), "level must be the parent's plus one"
+    yield level > TREE_LEAF_LEVEL, f"level must be at most {TREE_LEAF_LEVEL}, the question leaves"
 
-    The lines (blank ones aside) must hold ids 0, 1, ... in order, each
-    parent before its children, each level its parent's plus one and none
-    below the question leaves that ingest writes; a line that breaks this
-    is a DataError naming it.
-    """
-    split = [line.split() for line in _read_lines(path)]
+
+def _tree_table(path, text: str):
+    """The tree file's parent, s, g and leaf_row columns read by one
+    ``np.loadtxt`` pass, or None for the per-line parser: where `_file_table`
+    gives None, a line-order check fails, or a tail field does not convert.
+    The tail fields are read as bytes as wide as the longest line, so none
+    is cut short; a file holding a NUL is not read so, as a bytes field
+    drops its trailing NULs."""
+    if "\0" in text:
+        return None
+    data = text.encode()
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    field = f"S{np.diff(ends, prepend=-1, append=len(data)).max()}"
+    table = _file_table(path, text, [("level", np.int64), ("id", np.int64), ("parent", np.int64),
+                                     ("s", field), ("g", field)])
+    if table is None:
+        return None
+    parent = table["parent"]
+    if any(bad.any() for bad, _ in _tree_faults(table["level"], table["id"], parent)):
+        return None
+    leaf, n = table["s"] == b"leaf", len(table)
+    s, g, leaf_row = np.full(n, np.nan), np.full(n, np.nan), np.full(n, -1)
+    try:
+        s[~leaf] = table["s"][~leaf].astype(np.float64)
+        g[~leaf] = table["g"][~leaf].astype(np.float64)
+        leaf_row[leaf] = table["g"][leaf].astype(np.int64)
+    except (ValueError, OverflowError):
+        return None
+    return parent, s, g, leaf_row
+
+
+def _parse_tree(path, text: str):
+    """The tree file's columns by the per-line parser, which names the first
+    bad line."""
+    split = [line.split() for line in _lines(text)]
     at = [n for n, parts in enumerate(split, start=1) if parts]
     wrong = [n for n in at if len(split[n - 1]) != 5]
     if wrong:
@@ -194,24 +264,30 @@ def load_tree(path) -> HierarchyTree:
     table = np.array([split[n - 1] for n in at], dtype=object)
     at = np.array(at)
     level, nid, parent = (_column(table[:, k], int, path, at) for k in range(3))
-    ids = np.arange(len(table))
-
-    def reject(bad, what):
+    for bad, what in _tree_faults(level, nid, parent):
         if bad.any():
             raise DataError(f"{path}:{at[bad][0]}: {what}")
-
-    reject(nid != ids, "ids must run 0, 1, ... in line order")
-    reject(np.where(ids == 0, parent != -1, (parent < 0) | (parent >= ids)),
-           "the parent must be -1 on the first line and an earlier id on every other")
-    reject(level != np.where(ids == 0, 0, level[parent] + 1), "level must be the parent's plus one")
-    reject(level > TREE_LEAF_LEVEL, f"level must be at most {TREE_LEAF_LEVEL}, the question leaves")
     s_field, g_field = table[:, 3], table[:, 4]
     leaf = s_field == "leaf"
-    s, g, leaf_row = np.full(len(ids), np.nan), np.full(len(ids), np.nan), np.full(len(ids), -1)
+    s, g, leaf_row = np.full(len(at), np.nan), np.full(len(at), np.nan), np.full(len(at), -1)
     s[~leaf] = _column(s_field[~leaf], float, path, at[~leaf])
     g[~leaf] = _column(g_field[~leaf], float, path, at[~leaf])
     leaf_row[leaf] = _column(g_field[leaf], int, path, at[leaf])
-    return _build(path, HierarchyTree, parent, s, g, leaf_row)
+    return parent, s, g, leaf_row
+
+
+def load_tree(path) -> HierarchyTree:
+    """Read a tree file into its preorder arrays, column by column.
+
+    The lines (blank ones aside) must hold ids 0, 1, ... in order, each
+    parent before its children, each level its parent's plus one and none
+    below the question leaves that ingest writes; a line that breaks this
+    is a DataError naming it.  One ``np.loadtxt`` pass reads a well-formed
+    file; anything it does not take goes to the per-line parser.
+    """
+    text = _read_text(path)
+    columns = _tree_table(path, text) or _parse_tree(path, text)
+    return _build(path, HierarchyTree, *columns)
 
 
 def _matrix_text(U) -> str:
@@ -239,7 +315,7 @@ def _block(lines, start, rows, path):
 
 def _parse_matrix_block(lines, block, rank, path):
     start, rows = block
-    table = _table(lines[start:start + rows], [("row", np.float64, (rank,))])
+    table = _table(lines[start:start + rows], [("row", np.float64, (rank,))], rows)
     if table is not None:
         return table["row"]
     data = np.empty((rows, rank))
@@ -292,7 +368,7 @@ def load_model(path, ranking_only=False):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    lines = data.decode("utf-8").splitlines()
+    lines = _lines(data.decode("utf-8"))
     if not lines:
         raise DataError(f"{path}: empty model file")
     head = lines[0].split()

@@ -232,44 +232,19 @@ TENSOR_BODIES = [
     "99999999999999999999 0 0 0 1\n",
     "30 0 0 0 1\n",
     "0 0 0 0 1\n0 0 0 0 2\n",
+    "0 0 0 0 1\r\n1 1 1 1 2\r\n",
+    "0 0 0 0 1\r1 1 1 1 2\n\n",
+    "0 0 0 0 1\x0c\n1 1 1 1 2\n",
+    "0 0 0 0 1\x00\n",
+    "1\u01fe 0 0 0 1\n",
+    "\u0661 0 0 0 1\n",
 ]
 
 MEMBERSHIP_BODIES = [
     "0 1\n2 3\n", "", "\n", "0 1\n\n2 3\n", "#\n", "1.5 0\n", "1e0 0\n", "9223372036854775808 0\n", "1_0 0\n", "0\t1\n",
     "1\n", "1 2 3\n", "+2 -0\n", "5 0\n", "abc 1\n",
+    "0 1\r\n2 3\r\n", "0 1\r2 3\n\n", "0 1\x0c\n", "0 1\x00\n", "0 1\u01fe\n", "0 \u0661\n",
 ]
-
-
-class TestFastLoaderParity:
-    """``np.loadtxt`` accepts and rejects exactly what the per-line parser
-    does: with ``_table`` stubbed out, every input takes the per-line path."""
-
-    @pytest.mark.parametrize("body", TENSOR_BODIES)
-    def test_tensor(self, tmp_path, monkeypatch, body):
-        p = tmp_path / "t.txt"
-        p.write_text("dims 20 2 2 2\n" + body)
-        fast = load_outcome(load_tensor, p)
-        monkeypatch.setattr(serialize, "_table", lambda lines, dtype: None)
-        assert fast == load_outcome(load_tensor, p)
-
-    @pytest.mark.parametrize("body", MEMBERSHIP_BODIES)
-    def test_membership(self, tmp_path, monkeypatch, body):
-        p = tmp_path / "m.txt"
-        p.write_text("11 4\n" + body)
-        fast = load_outcome(load_membership, p)
-        monkeypatch.setattr(serialize, "_table", lambda lines, dtype: None)
-        assert fast == load_outcome(load_membership, p)
-
-    def test_well_formed_rows_take_the_fast_path(self):
-        assert serialize._table(["0 1", "2 3"], [("pair", np.int64, (2,))]) is not None
-
-    @pytest.mark.parametrize("lines", [[], [""], ["1.5 0"], ["1e0 0"], ["9223372036854775808 0"],
-                                       ["0 1", ""]])
-    def test_rejected_rows_go_to_the_per_line_parser(self, lines):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert serialize._table(lines, [("pair", np.int64, (2,))]) is None
-        assert caught == []
 
 
 TREE_ARRAYS = ("parent", "s", "g", "leaf_row", "level")
@@ -284,13 +259,106 @@ TREE_TEXT = """0 0 -1 0.5 0.5
 """
 
 
-def edited_tree(tmp_path, line, text):
+def edited_tree_text(line, text):
     """TREE_TEXT with its 1-based ``line`` replaced by ``text``."""
     lines = TREE_TEXT.splitlines()
     lines[line - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+def edited_tree(tmp_path, line, text):
     p = tmp_path / "tree.txt"
-    p.write_text("\n".join(lines) + "\n")
+    p.write_text(edited_tree_text(line, text))
     return p
+
+
+# Lines that break the format, each with the line the error names.
+MALFORMED_TREE_LINES = [
+    (3, "    2 2 4 leaf 0"),       # a forward parent
+    (1, "0 0 0 0.5 0.5"),         # a root with a parent
+    (4, "    2 3 x leaf 1"),       # a non-integer parent
+    (4, "    2 99999999999999999999 1 leaf 1"),  # an id past int64
+    (2, "  1 1 0 0.3 zero"),      # a non-numeric g
+    (5, "  1 4 0 0.3"),           # a short line
+    (6, "    2 5 4 leaf 2.0"),     # a non-integer leaf row
+    (6, "    2 5 4 leaf 9223372036854775808"),  # a leaf row past int64
+    (4, "    2 7 1 leaf 1"),       # an id out of line order
+    (5, "  2 4 0 0.3 0.7"),        # a level that disagrees with the parent
+]
+
+# Lines that make a tree HierarchyTree rejects, named by path alone.
+BROKEN_TREE_LINES = [
+    (2, "  1 1 0 0.9 0.7"),        # s + g != 1
+    (6, "    2 5 4 leaf 1"),       # a duplicate leaf row
+    (6, "    2 5 4 0.5 0.5"),      # an internal node without children
+]
+
+TREE_FILES = [
+    TREE_TEXT,
+    "",
+    "\n\n",
+    TREE_TEXT.replace("\n", "\n\n", 2),
+    TREE_TEXT + "  \n\n",
+    TREE_TEXT.replace("\n", "\r\n"),
+    TREE_TEXT.replace("\n", "\r", 1) + "\n",
+    TREE_TEXT.replace("\n", "\x0c\n", 1),
+    TREE_TEXT.rstrip("\n"),
+    *(edited_tree_text(line, text) for line, text in MALFORMED_TREE_LINES + BROKEN_TREE_LINES),
+    edited_tree_text(6, "    2 5 4 0.5 0.5\n      3 6 5 0.5 0.5\n        4 7 6 leaf 2"),
+    # wider than any fixed field width a reader might pick
+    edited_tree_text(2, "  1 1 0 " + "0" * 40 + ".25 0.75"),
+    edited_tree_text(3, "    2 2 1 leaf " + "0" * 40),
+    edited_tree_text(3, "    2 2 1 leaf " + "0" * 40 + "1"),
+    # leaf in the wrong column
+    edited_tree_text(3, "    2 2 1 0 leaf"),
+    edited_tree_text(3, "    2 2 1 leaf leaf"),
+    edited_tree_text(3, "    leaf 2 1 0.5 0.5"),
+    edited_tree_text(3, "    2 2 1 leaf\x00 0"),
+    edited_tree_text(3, "    2 2 1 leaf \u0660"),
+    edited_tree_text(3, "    2 2 1 leaf 0\u01fe"),
+    edited_tree_text(2, "  1 1 0 1_0 -9"),
+    edited_tree_text(2, "  1 1 0 nan nan"),
+]
+
+
+class TestFastLoaderParity:
+    """``np.loadtxt`` accepts and rejects exactly what the per-line parser
+    does: with ``_table`` stubbed out, every input takes the per-line path."""
+
+    @pytest.mark.parametrize("body", TENSOR_BODIES)
+    def test_tensor(self, tmp_path, monkeypatch, body):
+        p = tmp_path / "t.txt"
+        p.write_text("dims 20 2 2 2\n" + body)
+        fast = load_outcome(load_tensor, p)
+        monkeypatch.setattr(serialize, "_table", lambda *args, **kwargs: None)
+        assert fast == load_outcome(load_tensor, p)
+
+    @pytest.mark.parametrize("body", MEMBERSHIP_BODIES)
+    def test_membership(self, tmp_path, monkeypatch, body):
+        p = tmp_path / "m.txt"
+        p.write_text("11 4\n" + body)
+        fast = load_outcome(load_membership, p)
+        monkeypatch.setattr(serialize, "_table", lambda *args, **kwargs: None)
+        assert fast == load_outcome(load_membership, p)
+
+    @pytest.mark.parametrize("text", TREE_FILES)
+    def test_tree(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "tree.txt"
+        p.write_bytes(text.encode("utf-8"))
+        fast = load_outcome(load_tree, p)
+        monkeypatch.setattr(serialize, "_table", lambda *args, **kwargs: None)
+        assert fast == load_outcome(load_tree, p)
+
+    def test_well_formed_rows_take_the_fast_path(self):
+        assert serialize._table(["0 1", "2 3"], [("pair", np.int64, (2,))], 2) is not None
+
+    @pytest.mark.parametrize("lines", [[], [""], ["1.5 0"], ["1e0 0"], ["9223372036854775808 0"],
+                                       ["0 1", ""]])
+    def test_rejected_rows_go_to_the_per_line_parser(self, lines):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert serialize._table(lines, [("pair", np.int64, (2,))], len(lines)) is None
+        assert caught == []
 
 
 class TestTreeFormat:
@@ -340,18 +408,7 @@ class TestTreeFormat:
         p.write_text(TREE_TEXT.replace("\n", "\n\n", 2))
         assert load_tree(p).parent.tolist() == [-1, 0, 1, 1, 0, 4]
 
-    @pytest.mark.parametrize("line, text", [
-        (3, "    2 2 4 leaf 0"),       # a forward parent
-        (1, "0 0 0 0.5 0.5"),         # a root with a parent
-        (4, "    2 3 x leaf 1"),       # a non-integer parent
-        (4, "    2 99999999999999999999 1 leaf 1"),  # an id past int64
-        (2, "  1 1 0 0.3 zero"),      # a non-numeric g
-        (5, "  1 4 0 0.3"),           # a short line
-        (6, "    2 5 4 leaf 2.0"),     # a non-integer leaf row
-        (6, "    2 5 4 leaf 9223372036854775808"),  # a leaf row past int64
-        (4, "    2 7 1 leaf 1"),       # an id out of line order
-        (5, "  2 4 0 0.3 0.7"),        # a level that disagrees with the parent
-    ])
+    @pytest.mark.parametrize("line, text", MALFORMED_TREE_LINES)
     def test_malformed_line_names_path_and_line(self, tmp_path, line, text):
         p = edited_tree(tmp_path, line, text)
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: "):
@@ -362,11 +419,7 @@ class TestTreeFormat:
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:8: level must be at most 3"):
             load_tree(p)
 
-    @pytest.mark.parametrize("line, text", [
-        (2, "  1 1 0 0.9 0.7"),        # s + g != 1
-        (6, "    2 5 4 leaf 1"),       # a duplicate leaf row
-        (6, "    2 5 4 0.5 0.5"),      # an internal node without children
-    ])
+    @pytest.mark.parametrize("line, text", BROKEN_TREE_LINES)
     def test_broken_tree_names_path(self, tmp_path, line, text):
         p = edited_tree(tmp_path, line, text)
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}: "):
@@ -609,6 +662,74 @@ class TestModelDigest:
         if target not in ("lambdas", "S rows"):
             with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 1}: "):
                 load_model(p, ranking_only=True)
+
+
+# Characters at which str.splitlines breaks a line but a file's line count,
+# which counts LF-terminated lines, does not; str.split takes each as whitespace.
+SPLITLINES_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineNumbers:
+    """``<path>:<line>`` counts LF-terminated lines, and CRLF files load as
+    LF ones do."""
+
+    @pytest.mark.parametrize("sep", SPLITLINES_BREAKS)
+    def test_tensor(self, tmp_path, sep):
+        p = tmp_path / "tensor.txt"
+        p.write_bytes(f"dims 20 2 2 2\n0 0 0 0 1\n1 1 1 1 2{sep}\n1 0 0 0 1\nx\n".encode())
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:5: expected 'i j k l value'"):
+            load_tensor(p)
+
+    @pytest.mark.parametrize("sep", SPLITLINES_BREAKS)
+    def test_membership(self, tmp_path, sep):
+        p = tmp_path / "site_matrix.txt"
+        p.write_bytes(f"11 4\n0 1\n2 3{sep}\n1 1\nx\n".encode())
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:5: expected 'row col'"):
+            load_membership(p)
+
+    @pytest.mark.parametrize("sep", SPLITLINES_BREAKS)
+    def test_tree(self, tmp_path, sep):
+        p = tmp_path / "tree.txt"
+        p.write_bytes(f"0 0 -1 0.5 0.5\n  1 1 0 0.5 0.5{sep}\n    2 2 1 leaf 0\n"
+                      f"    2 3 1 leaf x\n".encode())
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:4: .*'x'"):
+            load_tree(p)
+
+    @pytest.mark.parametrize("sep", SPLITLINES_BREAKS)
+    def test_model(self, tmp_path, sep):
+        p = tmp_path / "model.txt"
+        save_model(random_joint(np.random.default_rng(4)), p)
+        lines = p.read_text().splitlines(keepends=True)[:-1]
+        lines[2] = lines[2].replace("\n", f"{sep}\n")
+        at = next(n for n, line in enumerate(lines) if line.startswith("mode 3 rows")) + 1
+        lines[at] = "abc" + lines[at][lines[at].index(" "):]
+        p.write_bytes(seal("".join(lines)).encode())
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 1}: .*'abc'"):
+            load_model(p)
+
+    def test_crlf_files_load_as_lf_ones(self, tmp_path):
+        X = random_sparse(np.random.default_rng(5), (4, 3, 5, 2))
+        M = MembershipMatrix(4, 3, [(0, 1), (2, 0), (3, 2)])
+        tree = tree_from_nested([[0, 1], [2, [3, 4]]])
+        model = random_joint(np.random.default_rng(6))
+        cases = [(save_tensor, load_tensor, X), (save_membership, load_membership, M),
+                 (save_tree, load_tree, tree)]
+        for n, (save, load, obj) in enumerate(cases):
+            lf, crlf = tmp_path / f"lf{n}.txt", tmp_path / f"crlf{n}.txt"
+            save(obj, lf)
+            crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+            assert load_outcome(load, crlf) == load_outcome(load, lf)
+        lf, crlf = tmp_path / "model.txt", tmp_path / "crlf_model.txt"
+        save_model(model, lf, manifest_hash="ab", config={"rank": 2})
+        body = lf.read_text().splitlines(keepends=True)[:-1]
+        crlf_body = "".join(body).replace("\n", "\r\n")
+        digest = hashlib.sha256(crlf_body.encode()).hexdigest()
+        crlf.write_bytes(f"{crlf_body}digest {digest}\r\n".encode())
+        (a, a_meta), (b, b_meta) = load_model(lf), load_model(crlf)
+        assert a_meta == b_meta and a.lambdas == b.lambdas
+        for x, y in zip([*a.cp.factors, a.cp.norms, a.S, a.A, a.T],
+                        [*b.cp.factors, b.cp.norms, b.S, b.A, b.T]):
+            assert x.tobytes() == y.tobytes()
 
 
 REPUTATION_HEADER = "user_id,topic,score\n"

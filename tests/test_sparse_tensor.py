@@ -1,5 +1,7 @@
 """Sparse tensor kernels against dense brute-force oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,55 @@ class TestCanonicalOrder:
     ])
     def test_strictly_increasing(self, rows, expected):
         assert strictly_increasing(np.array(rows)) is expected
+
+    @staticmethod
+    def increasing_oracle(rows):
+        rows = [tuple(row) for row in rows.tolist()]
+        return all(a < b for a, b in zip(rows, rows[1:]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_flat_key_agrees_with_a_row_by_row_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        # Entries are negative or not, and spread little around offsets up
+        # to 2**62, which the key must shift away.
+        for cols, n, offset in itertools.product((1, 2, 3, 4), (0, 1, 2, 3, 40),
+                                                 (0, 2**62, -(2**62))):
+            low, high = sorted(rng.integers(-6, 9, size=2))
+            rows = rng.integers(low, high + 1, size=(n, cols)) + offset
+            canonical = np.unique(rows, axis=0)
+            with_duplicate = np.insert(canonical, min(1, n), canonical[:1], axis=0)
+            for case in (rows, canonical, canonical[::-1], with_duplicate):
+                assert (sparse_tensor._flat_key(case) is None) == (len(case) == 0)
+                assert strictly_increasing(case) is self.increasing_oracle(case)
+
+    @pytest.mark.parametrize("top", [2**62, 2**63 - 1])
+    def test_keys_past_int64_take_the_row_by_row_path(self, top):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            rows = rng.integers(0, 4, size=(12, 3))
+            rows[rng.integers(12), rng.integers(3)] = top
+            for case in (rows, np.unique(rows, axis=0), np.unique(rows, axis=0)[::-1]):
+                assert sparse_tensor._flat_key(case) is None
+                assert strictly_increasing(case) is self.increasing_oracle(case)
+        big = np.array([[-(2**62), 0], [0, 5], [2**62, 0]])
+        assert sparse_tensor._flat_key(big) is None and strictly_increasing(big)
+
+    @pytest.mark.parametrize("dims", [(3, 2, 3, 4), (2**21, 2**21, 2**21, 9)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fibers_match_a_unique_prefix_oracle(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        idx = np.stack([rng.choice(rng.integers(0, d, size=3), size=n) for d in dims], axis=1)
+        idx[:2] = [0, 0, 0, 0], np.array(dims) - 1  # each column spans its dim
+        X = SparseTensor4(dims, indices=idx, values=rng.random(n) + 0.5)
+        prefixes, inverse = np.unique(X.indices[:, :3], axis=0, return_inverse=True)
+        assert (sparse_tensor._flat_key(X.indices[:, :3]) is None) == (dims[0] == 2**21)
+        fib = X.fibers
+        assert fib.count == len(prefixes)
+        for m in range(3):
+            assert fib.coords[m].tolist() == prefixes[:, m].tolist()
+        assert fib.of_nz.tolist() == inverse.ravel().tolist()
+        assert fib.expert.tolist() == X.indices[:, 3].tolist()
 
     @pytest.mark.parametrize("kind", COO_KINDS)
     def test_both_paths_give_identical_arrays(self, kind, monkeypatch):
