@@ -369,6 +369,8 @@ def cmd_evaluate(args) -> int:
     k_list = _parse_int_list(cfg["k_list"], "--k-list")
     if min(k_list) < 1:
         raise UsageError("--k-list values must be >= 1")
+    if len(set(k_list)) < len(k_list):
+        raise UsageError("--k-list values must be distinct")
     model, meta = serialize.load_model(args.model, ranking_only=True)
     paths = _snapshot_paths(args.snapshot)
     manifest = _check_model_snapshot(meta, paths["manifest"])

@@ -37,7 +37,7 @@ import numpy as np
 from .coupled import MembershipMatrix
 from .errors import DataError, DumpParseError, EmptyInputError
 from .hierarchy import HierarchyTree, tree_from_nested
-from .sparse_tensor import SparseTensor4
+from .sparse_tensor import SparseTensor4, _flat_key
 
 __all__ = [
     "PostColumns",
@@ -492,22 +492,25 @@ class ReputationLedger:
     def _ranked(self):
         """Every row's user id, grouped by topic and ordered by score
         descending then id within each, and each topic name's (start,
-        end) in that list."""
-        # ~score runs opposite to score without wrapping at the int64 minimum
-        order = np.lexsort((self.user, ~self.score, self.topic))
+        end) in that array."""
+        # ~score runs opposite to score without wrapping at the int64 minimum.
+        # Rows with equal keys hold the same user, so the sort need not be stable.
+        columns = np.stack((self.topic, ~self.score, self.user))
+        key = _flat_key(columns.T)
+        order = np.lexsort(columns[::-1]) if key is None else np.argsort(key)
         topic = self.topic[order]
         starts = np.flatnonzero(np.diff(topic, prepend=-1))
         ends = np.append(starts[1:], len(topic))
         bounds = {self.topic_names[c]: (a, b) for c, a, b in
                   zip(topic[starts].tolist(), starts.tolist(), ends.tolist())}
-        return self.user[order].tolist(), bounds
+        return self.user[order], bounds
 
     def top_users(self, topic: str, k: int | None = None) -> list[int]:
         """Users with reputation on a topic, by score descending then id;
         the first ``k`` of them when ``k`` is given."""
         users, bounds = self._ranked
         start, end = bounds.get(topic, (0, 0))
-        return users[start:end if k is None else min(end, start + k)]
+        return users[start:end if k is None else min(end, start + k)].tolist()
 
     def topics(self) -> list[str]:
         """Names of the topics with reputation rows, sorted."""

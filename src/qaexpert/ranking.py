@@ -223,8 +223,9 @@ def evaluate(model, data: QaDataset, ledger: ReputationLedger, k_list, tables=No
     per_k_precision = {k: [] for k in k_list}
     reciprocals = []
     index = {u: l for l, u in enumerate(users)}
+    k_max = max(k_list)
     for j, tag in enumerate(topics):
-        ledger_order = ledger.top_users(tag)
+        ledger_order = ledger.top_users(tag, k_max)
         if not ledger_order:
             report.skipped_topics += 1
             continue
@@ -233,7 +234,7 @@ def evaluate(model, data: QaDataset, ledger: ReputationLedger, k_list, tables=No
             n, top, reciprocal = 0, [], 0.0
         else:
             n = len(users)
-            order = _order_scores(np.arange(n), scores)[:max(k_list)]
+            order = _order_scores(np.arange(n), scores)[:k_max]
             top = [users[l] for l in order.tolist()]
             t = index.get(ledger_order[0])
             reciprocal = 0.0 if t is None else 1.0 / _position(scores, t)

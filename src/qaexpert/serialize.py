@@ -19,8 +19,13 @@ CRLF counting as one LF.
 ``reputation.csv`` is the exception to the whitespace-separated layout:
 CSV rows ``user_id,topic,score`` in (user, topic) order under that
 header, with a topic quoted as ``csv.writer`` quotes it when it holds a
-comma, a quote or a line break.  Its rows are split with whole-text
-passes, and a file that path does not take goes to ``csv.reader``.
+comma, a quote or a line break.  One ``np.loadtxt`` pass reads a file of
+ASCII rows with exactly two commas each, its topics as bytes as wide as
+the widest topic field; a file holding a quote, a CR, a NUL or 0x1c-0x1f,
+or one that pass rejects, goes to ``csv.reader``, which accepts it or
+names the bad line.  Only the distinct topic names become ``str``.
+``report.csv`` quotes its topics the same way and is written in one
+format pass.
 """
 
 from __future__ import annotations
@@ -94,20 +99,20 @@ def save_tensor(X: SparseTensor4, path):
                 + _rows_text("%d %d %d %d %.17g\n", columns))
 
 
-def _table(source, dtype, rows, skiprows=0):
-    """Whitespace-separated rows of ``source``, a file or a list of lines,
-    after its first ``skiprows`` lines, as a structured array; None when
-    ``np.loadtxt`` rejects them, warns (on empty input, or where a NumPy
-    would cast an integer through a float) or reads other than ``rows``
-    rows (it drops blank lines).  The caller's per-line parser then accepts
-    the rows or names the bad one.  An integer field must be ASCII:
-    ``np.loadtxt`` reads some other characters as digits, ``1\u01fe`` as
-    472."""
+def _table(source, dtype, rows, skiprows=0, delimiter=None):
+    """Rows of ``source``, a file or a list of lines, after its first
+    ``skiprows`` lines, split at ``delimiter`` (at whitespace by default),
+    as a structured array; None when ``np.loadtxt`` rejects them, warns (on
+    empty input, or where a NumPy would cast an integer through a float) or
+    reads other than ``rows`` rows (it drops blank lines).  The caller's
+    per-line parser then accepts the rows or names the bad one.  An integer
+    field must be ASCII: ``np.loadtxt`` reads some other characters as
+    digits, ``1\u01fe`` as 472."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(source, dtype=dtype, comments=None, ndmin=1,
-                               skiprows=skiprows, encoding="utf-8")
+            table = np.loadtxt(source, dtype=dtype, comments=None, ndmin=1, skiprows=skiprows,
+                               delimiter=delimiter, quotechar=None, encoding="utf-8")
     except (ValueError, Warning):
         return None
     return table if len(table) == rows else None
@@ -442,7 +447,7 @@ def _csv_field(text: str) -> str:
     """``text`` as csv.writer's QUOTE_MINIMAL writes a field: in double
     quotes, each quote doubled, when it holds a comma, a quote or a line
     break, and as it is otherwise."""
-    if any(c in text for c in ',"\r\n'):
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -454,33 +459,53 @@ def save_reputation(ledger: ReputationLedger, path):
     _write_text(path, _REPUTATION_HEADER + _rows_text("%d,%s,%d\n", rows))
 
 
-def _split_reputation(data: bytes):
-    """The user, topic and score columns of a reputation file's rows, split
-    with whole-text passes; None unless the file is the header line and
-    rows of exactly two commas each, with no quote or carriage return, and
-    every user and score parses into int64."""
+# Bytes with which the np.loadtxt pass could read a reputation file other than
+# csv.reader and int() do: a quote or CR (CSV syntax), a NUL (a bytes field drops
+# its trailing NULs), and 0x1c-0x1f, which np.loadtxt skips around an integer.
+_NOT_SPLIT = (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _topic_codes(topics):
+    """The sorted distinct names in ``topics``, and each one's index among
+    them as an int64 array."""
+    names = sorted(set(topics))
+    code = dict(zip(names, range(len(names))))
+    return names, np.fromiter(map(code.__getitem__, topics), dtype=np.int64, count=len(topics))
+
+
+def _split_reputation(path, data: bytes):
+    """The user column, topic names, topic codes and score column of the
+    reputation file at ``path``, whose bytes are ``data``, read by one
+    ``np.loadtxt`` pass; None unless the file is the header line and ASCII
+    rows of exactly two commas each, holding none of `_NOT_SPLIT`, that the
+    pass reads as int64 users and scores.  The topic is read as bytes as
+    wide as the widest topic field, so none is cut short."""
     head = _REPUTATION_HEADER.encode()
-    if not data.startswith(head) or b'"' in data or b"\r" in data:
+    if not data.startswith(head) or not data.isascii() or any(c in data for c in _NOT_SPLIT):
         return None
     body = data[len(head):]
     if body and not body.endswith(b"\n"):
         body += b"\n"
     chars = np.frombuffer(body, dtype=np.uint8)
-    separators = chars[(chars == ord(",")) | (chars == ord("\n"))]
-    if len(separators) % 3 or (separators.reshape(-1, 3) != tuple(b",,\n")).any():
+    at = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
+    if len(at) % 3 or (chars[at].reshape(-1, 3) != tuple(b",,\n")).any():
         return None
-    try:
-        fields = body.decode("utf-8").replace("\n", ",").split(",")[:-1]
-        users, scores = (np.array(fields[c::3], dtype=np.int64) for c in (0, 2))
-    except (ValueError, OverflowError):
+    at = at.reshape(-1, 3)
+    width = int(np.max(at[:, 1] - at[:, 0], initial=2)) - 1  # at least 1 byte
+    table = _table(path, [("user", np.int64), ("topic", f"S{width}"), ("score", np.int64)],
+                   len(at), skiprows=1, delimiter=",")
+    if table is None:
         return None
-    return users, fields[1::3], scores, None
+    names, topic = _topic_codes(table["topic"].tolist())
+    return (np.ascontiguousarray(table["user"]), [name.decode() for name in names], topic,
+            np.ascontiguousarray(table["score"]), None)
 
 
 def _read_reputation_rows(path):
-    """The user, topic and score columns of a reputation file and each row's
-    last line, read by ``csv.reader``; a bad header, or a row that is not
-    an int64 user, a topic and an int64 score, is a DataError naming it."""
+    """The user column, topic names, topic codes and score column of a
+    reputation file, and each row's last line, read by ``csv.reader``; a
+    bad header, or a row that is not an int64 user, a topic and an int64
+    score, is a DataError naming it."""
     users, topics, scores, lines = [], [], [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -500,23 +525,24 @@ def _read_reputation_rows(path):
             topics.append(topic)
             scores.append(score)
             lines.append(reader.line_num)
-    return np.array(users, dtype=np.int64), topics, np.array(scores, dtype=np.int64), lines
+    names, topic = _topic_codes(topics)
+    return (np.array(users, dtype=np.int64), names, topic, np.array(scores, dtype=np.int64),
+            lines)
 
 
 def load_reputation(path) -> ReputationLedger:
     """Read a reputation file into ledger columns.
 
-    Rows are split with whole-text passes; a file that path does not take
-    (a quoted topic, CRLF endings, a blank line, a bad field) goes through
-    ``csv.reader``, which accepts it or names the bad line.  Rows must come
-    in ascending (user, topic) order, each pair once, as ingest writes them.
+    One ``np.loadtxt`` pass reads plain rows; a file that pass does not
+    take (a quoted topic, CRLF endings, a blank line, non-ASCII text, a
+    bad field) goes through ``csv.reader``, which accepts it or names the
+    bad line.  Rows must come in ascending (user, topic) order, each pair
+    once, as ingest writes them.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    user, topics, score, lines = _split_reputation(data) or _read_reputation_rows(path)
-    names = sorted(set(topics))
-    code = dict(zip(names, range(len(names))))
-    topic = np.fromiter(map(code.__getitem__, topics), dtype=np.int64, count=len(topics))
+    user, names, topic, score, lines = (_split_reputation(path, data)
+                                        or _read_reputation_rows(path))
     step = np.diff(user)
     bad = (step < 0) | ((step == 0) & (np.diff(topic) <= 0))
     if bad.any():
@@ -527,15 +553,12 @@ def load_reputation(path) -> ReputationLedger:
 
 
 def save_report(report, path, config=None):
-    """Write the evaluation report CSV, per-topic rows then ALL rows."""
-    out = io.StringIO()
-    if config is not None:
-        out.write("# config " + json.dumps(config, sort_keys=True) + "\n")
-    out.write("topic,k,precision,mrr,n_candidates\n")
-    writer = csv.writer(out, lineterminator="\n")
-    for topic, k, prec, mrr, n in list(report.rows) + list(report.summary):
-        writer.writerow([topic, k, _fmt(prec), _fmt(mrr), n])
-    _write_text(path, out.getvalue())
+    """Write the evaluation report CSV, per-topic rows then ALL rows, in one
+    format pass, each topic quoted as `_csv_field` quotes it."""
+    topic, *rest = list(zip(*report.rows, *report.summary)) or [()] * 5
+    head = "" if config is None else "# config " + json.dumps(config, sort_keys=True) + "\n"
+    _write_text(path, head + "topic,k,precision,mrr,n_candidates\n"
+                + _rows_text("%s,%s,%.17g,%.17g,%s\n", [[_csv_field(t) for t in topic], *rest]))
 
 
 def save_history(values, path):

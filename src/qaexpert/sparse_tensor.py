@@ -83,12 +83,12 @@ class SparseTensor4:
             val = np.asarray(values, dtype=np.float64).reshape(-1)
         if idx.shape[0] != val.shape[0]:
             raise ContractViolation("index and value counts differ")
-        if idx.size:
-            if idx.min() < 0 or np.any(idx >= np.asarray(dims, dtype=np.int64)):
-                raise ContractViolation("tensor index out of range")
+        bounds = _column_bounds(idx)
+        if bounds and (min(bounds[0]) < 0 or any(hi >= d for hi, d in zip(bounds[1], dims))):
+            raise ContractViolation("tensor index out of range")
         if np.any(val < 0) or not np.all(np.isfinite(val)):
             raise ContractViolation("tensor values must be finite and nonnegative")
-        idx, val = _canonicalize(idx, val)
+        idx, val = _canonicalize(idx, val, bounds)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
@@ -147,18 +147,29 @@ class Fibers:
         return self.coords[0].shape[0]
 
 
-def _flat_key(idx):
+def _column_bounds(idx):
+    """The column minima and the column maxima of the 2-d ``idx`` as int
+    lists, by one reduction per column (NumPy reduces axis 0 of a narrow
+    array slowly); None for no rows."""
+    if not len(idx):
+        return None
+    columns = idx.T
+    return [int(column.min()) for column in columns], [int(column.max()) for column in columns]
+
+
+def _flat_key(idx, bounds=None):
     """One int64 per row of the 2-d ``idx`` that orders the rows
     lexicographically: the mixed-radix number whose digits are the columns
     less their minima.  None for no rows, or when that number could pass
-    int64."""
+    int64.  ``bounds`` are ``idx``'s `_column_bounds` where the caller has
+    them."""
     if not len(idx):
         return None
-    columns = idx.T  # one reduction per column: NumPy reduces axis 0 of a narrow array slowly
-    low = [int(column.min()) for column in columns]
-    radix = [int(column.max()) - lo + 1 for column, lo in zip(columns, low)]
+    low, high = bounds or _column_bounds(idx)
+    radix = [hi - lo + 1 for lo, hi in zip(low, high)]
     if np.prod(radix, dtype=object) > np.iinfo(np.int64).max:
         return None
+    columns = idx.T
     key = columns[0] - low[0]
     for column, lo, base in zip(columns[1:], low[1:], radix[1:]):
         key *= base
@@ -166,11 +177,12 @@ def _flat_key(idx):
     return key
 
 
-def strictly_increasing(idx) -> bool:
+def strictly_increasing(idx, bounds=None) -> bool:
     """Whether the rows of the 2-d ``idx`` strictly increase
     lexicographically: each row's first column that differs from the
-    previous row's is larger.  Such rows are sorted and hold no duplicates."""
-    key = _flat_key(idx)
+    previous row's is larger.  Such rows are sorted and hold no duplicates.
+    ``bounds`` are ``idx``'s `_column_bounds` where the caller has them."""
+    key = _flat_key(idx, bounds)
     if key is not None:
         return bool((key[1:] > key[:-1]).all())
     step = np.diff(idx, axis=0)
@@ -179,12 +191,16 @@ def strictly_increasing(idx) -> bool:
     return bool(moved.any(axis=1).all() and (step[np.arange(len(step)), first] > 0).all())
 
 
-def _canonicalize(idx, val):
+def _canonicalize(idx, val, bounds=None):
     """Sort lexicographically, merge duplicate coordinates, drop zeros.
-    Rows already in strictly increasing order skip the sort and the merge."""
+    Rows already in strictly increasing order skip the sort and the merge,
+    and are copied only to drop a zero or to make them contiguous.
+    ``bounds`` are ``idx``'s `_column_bounds` where the caller has them."""
     if idx.shape[0] == 0:
         return idx.reshape(0, 4), val
-    if strictly_increasing(idx):
+    if strictly_increasing(idx, bounds):
+        if val.all():
+            return np.ascontiguousarray(idx), np.ascontiguousarray(val)
         keep = val != 0
         return idx[keep], val[keep]
     order = np.lexsort((idx[:, 3], idx[:, 2], idx[:, 1], idx[:, 0]))

@@ -445,10 +445,15 @@ class TestEvaluate:
         assert "evaluated 4 topics" in stdout
         assert "ALL k=1:" in stdout
 
-    @pytest.mark.parametrize("k_list", ["one,two", "0,3", "3,-1"])
+    @pytest.mark.parametrize("k_list", ["one,two", "0,3", "3,-1", "1,1,3"])
     def test_bad_k_list_exits_2(self, fitted, snapshot, tmp_path, capsys, k_list):
         code = main(["evaluate", "--model", fitted, "--snapshot", snapshot,
                      "--out-dir", str(tmp_path / "e"), "--k-list", k_list])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: --k-list")
+        # reported before any input is read: a missing model does not change it
+        code = main(["evaluate", "--model", str(tmp_path / "missing.txt"), "--snapshot",
+                     snapshot, "--out-dir", str(tmp_path / "e"), "--k-list", k_list])
         assert code == 2
         assert capsys.readouterr().err.startswith("usage error: --k-list")
 

@@ -613,6 +613,28 @@ class TestReputation:
             got.append(-1)
             assert ledger.top_users(topic) == want and ledger.top_users(topic) is not got
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("order", ["shuffled", "reversed", "by topic, users descending"])
+    def test_top_users_matches_oracle_on_rows_in_any_order(self, seed, order):
+        """Ties go to the lower user id however the ledger's rows are ordered,
+        also where the flat sort key would pass int64."""
+        rng = np.random.default_rng(seed)
+        info = np.iinfo(np.int64)
+        scores = {}
+        for u, t in zip(rng.integers(0, 25, 150), rng.integers(0, 4, 150)):
+            v = info.max if rng.random() < 0.05 * (seed % 2) else rng.integers(-2, 3)
+            scores[(int(u), f"t{t}")] = int(v)
+        ranked = rec.ledger(scores)
+        n = len(ranked.user)
+        perm = {"shuffled": rng.permutation(n), "reversed": np.arange(n)[::-1],
+                "by topic, users descending": np.lexsort((-ranked.user, ranked.topic))}[order]
+        ledger = ReputationLedger(ranked.topic_names, ranked.user[perm], ranked.topic[perm],
+                                  ranked.score[perm])
+        for topic in ledger.topic_names + ("missing",):
+            want = sorted((u for u, t in scores if t == topic), key=lambda u: (-scores[u, topic], u))
+            assert ledger.top_users(topic) == want
+            assert ledger.top_users(topic, 2) == want[:2]
+
     def test_top_users_skips_names_without_rows(self):
         ledger = ReputationLedger(("s/a", "s/b", "s/c"), np.array([1, 1, 2]), np.array([2, 0, 2]),
                                   np.array([5, 7, 9]))

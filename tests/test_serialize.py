@@ -734,6 +734,17 @@ class TestLineNumbers:
 
 REPUTATION_HEADER = "user_id,topic,score\n"
 
+# Plain files, which the np.loadtxt pass reads, with fields it could read
+# other than csv.reader and int() do
+SPLIT_FILES = [
+    REPUTATION_HEADER + "1, s/a,1\n1,\ts/b,2\n1,s/c ,3\n1,s/d\t,4\n",
+    REPUTATION_HEADER + "1,,2\n2,s/a,3\n",
+    REPUTATION_HEADER + "1,s/a,1\n1,s/" + "w" * 200 + ",2\n2,s/b,3\n",
+    REPUTATION_HEADER + "007,s/a,-0\n 8,s/a,+5\n",
+    REPUTATION_HEADER + "-9223372036854775808,s/a,-9223372036854775808\n"
+    "9223372036854775807,s/a,9223372036854775807",
+]
+
 REPUTATION_FILES = [
     REPUTATION_HEADER + "1,s/a,2\n1,s/b,-3\n2,s/a,0\n",
     REPUTATION_HEADER + "1,s/a,2\n\n2,s/a,3\n",
@@ -763,6 +774,14 @@ REPUTATION_FILES = [
     REPUTATION_HEADER + "1,s/b,1\n1,s/a,1\n",
     REPUTATION_HEADER + "1,s/a,1\n1,s/a,2\n",
     REPUTATION_HEADER + "2,s/a,1\n1,s/b,1\n",
+    # files the np.loadtxt pass does not take, where it would read a field
+    # other than csv.reader and int() do
+    REPUTATION_HEADER + "1,s/a\0,2\n2,s/a,1\n",
+    REPUTATION_HEADER + "1,s/a,2\n1,s/\u00e9t\u00e9,3\n",
+    REPUTATION_HEADER + "1,s/a,1_0\n",
+    REPUTATION_HEADER + "\x1c7,s/a,1\n",
+    REPUTATION_HEADER + "7,s/a,1\x1f\n",
+    *SPLIT_FILES,
 ]
 
 
@@ -811,20 +830,40 @@ class TestReputationFormat:
         p = tmp_path / "rep.csv"
         p.write_bytes(text.encode())
         fast = load_outcome(load_reputation, p)
-        monkeypatch.setattr(serialize, "_split_reputation", lambda data: None)
+        monkeypatch.setattr(serialize, "_split_reputation", lambda *args: None)
         assert fast == load_outcome(load_reputation, p)
 
-    def test_plain_rows_take_the_split(self):
-        rows = serialize._split_reputation(REPUTATION_FILES[0].encode())
-        assert rows is not None
-        assert [r.tolist() if isinstance(r, np.ndarray) else r for r in rows[:3]] == [
-            [1, 1, 2], ["s/a", "s/b", "s/a"], [2, -3, 0]]
+    def test_plain_rows_take_the_split(self, tmp_path):
+        p = tmp_path / "rep.csv"
+        p.write_bytes(REPUTATION_FILES[0].encode())
+        user, names, topic, score, lines = serialize._split_reputation(p, p.read_bytes())
+        assert (user.tolist(), names, topic.tolist(), score.tolist(), lines) == (
+            [1, 1, 2], ["s/a", "s/b"], [0, 1, 0], [2, -3, 0], None)
+
+    @pytest.mark.parametrize("text", SPLIT_FILES)
+    def test_plain_files_take_the_split(self, tmp_path, text):
+        p = tmp_path / "rep.csv"
+        p.write_bytes(text.encode())
+        assert serialize._split_reputation(p, p.read_bytes()) is not None
+
+    def test_ingest_written_file_takes_the_split(self, tmp_path, monkeypatch):
+        make_corpus(str(tmp_path / "corpus"), seed=4)
+        sites = sorted(str(d) for d in (tmp_path / "corpus").iterdir() if d.is_dir())
+        assert main(["ingest", *sites, "--out-dir", str(tmp_path / "snap")]) == 0
+        p = tmp_path / "snap" / "reputation.csv"
+        user, names, topic, score, lines = serialize._split_reputation(p, p.read_bytes())
+        assert len(user) > 50 and len(names) > 1 and lines is None
+        fast = load_outcome(load_reputation, p)
+        monkeypatch.setattr(serialize, "_split_reputation", lambda *args: None)
+        assert fast == load_outcome(load_reputation, p)
 
     @pytest.mark.parametrize("body", ["1,s/a,2\n\n2,s/a,3\n", "1,s/a,2\r\n", "1,s/a,2,3\n",
                                       "1,2\n3,4,5,6\n", '1,"s/c,d",2\n', "1,s/a,5.0\n",
                                       "9223372036854775808,s/a,1\n"])
-    def test_odd_rows_go_to_the_csv_reader(self, body):
-        assert serialize._split_reputation((REPUTATION_HEADER + body).encode()) is None
+    def test_odd_rows_go_to_the_csv_reader(self, tmp_path, body):
+        p = tmp_path / "rep.csv"
+        p.write_bytes((REPUTATION_HEADER + body).encode())
+        assert serialize._split_reputation(p, p.read_bytes()) is None
 
 
 class TestReportAndHistory:
@@ -840,6 +879,31 @@ class TestReportAndHistory:
         assert lines[1] == "topic,k,precision,mrr,n_candidates"
         assert lines[2] == "s/a,1,1,1,4"
         assert lines[-1] == "ALL,1,0.75,0.625,2"
+
+    def test_report_bytes_equal_csv_writer_rows(self, tmp_path):
+        topics = ["s/a", "s/c,d", 's/a"b', "s/c\nd", "", " s/e\t", "s/\u00e9", "s/x y"]
+        values = [0.0, 1.0, 0.1, 1 / 3, 2 / 3, 0.25, 1e-300, 0.5]
+        rows = [(t, k, v, values[-1 - i], 7 * i) for i, (t, v) in enumerate(zip(topics, values))
+                for k in (1, 10)]
+        report = SimpleNamespace(rows=rows, summary=[("ALL", 1, 0.5, 1 / 7, 8),
+                                                     ("ALL", 10, 0.375, 1 / 7, 8)])
+        p = tmp_path / "report.csv"
+        save_report(report, p, config={"k_list": "1,10"})
+        out = io.StringIO()
+        out.write('# config {"k_list": "1,10"}\ntopic,k,precision,mrr,n_candidates\n')
+        writer = csv.writer(out, lineterminator="\n")
+        for topic, k, prec, mrr, n in rows + report.summary:
+            writer.writerow([topic, k, f"{prec:.17g}", f"{mrr:.17g}", n])
+        assert p.read_bytes() == out.getvalue().encode()
+
+    def test_report_quotes_a_carriage_return_as_reputation_csv_does(self, tmp_path):
+        # csv.writer with "\n" line ends would leave it bare, and a CSV reader
+        # would end the row there
+        p = tmp_path / "report.csv"
+        save_report(SimpleNamespace(rows=[("s/c\rd", 1, 1.0, 0.5, 3)], summary=[]), p)
+        assert p.read_bytes().split(b"\n")[1] == b'"s/c\rd",1,1,0.5,3'
+        with open(p, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1] == ["s/c\rd", "1", "1", "0.5", "3"]
 
     def test_report_without_config_starts_at_header(self, tmp_path):
         report = SimpleNamespace(rows=[], summary=[])

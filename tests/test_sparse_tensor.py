@@ -60,6 +60,54 @@ class TestConstruction:
         with pytest.raises(ContractViolation):
             SparseTensor4((2, 2, 2, 2), entries=[(0, 0, 0, -1, 1.0)])
 
+    @pytest.mark.parametrize("column", range(4))
+    def test_index_bounds_checked_per_column(self, column):
+        """Each column may run from 0 to its dim less one; a negative index, or
+        one equal to its dim, is out of range."""
+        dims = (2, 3, 4, 5)
+        idx = np.array([[0, 0, 0, 0], [1, 2, 3, 4]])
+        assert SparseTensor4(dims, indices=idx, values=[1.0, 2.0]).nnz == 2
+        for bad in (-1, dims[column]):
+            edited = idx.copy()
+            edited[1, column] = bad
+            with pytest.raises(ContractViolation, match="^tensor index out of range$"):
+                SparseTensor4(dims, indices=edited, values=[1.0, 2.0])
+
+    def test_contract_checks_run_in_order(self):
+        """Counts first, then index bounds, then values."""
+        dims = (2, 2, 2, 2)
+        with pytest.raises(ContractViolation, match="^index and value counts differ$"):
+            SparseTensor4(dims, indices=[[5, 0, 0, -1]], values=[-1.0, np.nan])
+        with pytest.raises(ContractViolation, match="^tensor index out of range$"):
+            SparseTensor4(dims, indices=[[5, 0, 0, -1]], values=[-1.0])
+        with pytest.raises(ContractViolation, match="^tensor values must be finite"):
+            SparseTensor4(dims, indices=[[1, 0, 0, 1]], values=[np.nan])
+
+    def test_zero_value_dropped_from_canonical_rows(self):
+        idx = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]])
+        X = SparseTensor4((2, 2, 2, 2), indices=idx, values=[1.0, 0.0, 2.0, 0.0])
+        assert X.indices.tolist() == [[0, 0, 0, 0], [1, 0, 1, 0]]
+        assert X.values.tolist() == [1.0, 2.0]
+        assert not np.shares_memory(X.indices, idx)
+
+    @pytest.mark.parametrize("kind", COO_KINDS)
+    def test_strided_input_gives_the_same_arrays(self, kind):
+        """Columns of a structured array, as the snapshot reader passes them,
+        build the tensor that contiguous copies of them build."""
+        idx, val = coo_input(kind, np.random.default_rng(COO_KINDS.index(kind)))
+        table = np.zeros(len(val), dtype=[("index", np.int64, (4,)), ("value", np.float64)])
+        table["index"], table["value"] = idx, val
+        assert not table["index"].flags.c_contiguous
+        dims = (3, 2, 3, 4)
+        want = SparseTensor4(dims, indices=idx, values=val)
+        got = SparseTensor4(dims, indices=table["index"], values=table["value"])
+        for a, b in ((got.indices, want.indices), (got.values, want.values)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+            assert not np.shares_memory(a, table)
+        # contiguous canonical rows without a zero are kept as they are
+        assert np.shares_memory(want.indices, idx) == (kind == "sorted")
+
     def test_bad_dims_rejected(self):
         with pytest.raises(ContractViolation):
             SparseTensor4((2, 2, 2), entries=[])
@@ -167,7 +215,7 @@ class TestCanonicalOrder:
         idx, val = coo_input(kind, np.random.default_rng(COO_KINDS.index(kind)))
         dims = (3, 2, 3, 4)
         fast = SparseTensor4(dims, indices=idx, values=val)
-        monkeypatch.setattr(sparse_tensor, "strictly_increasing", lambda rows: False)
+        monkeypatch.setattr(sparse_tensor, "strictly_increasing", lambda *args: False)
         sorted_path = SparseTensor4(dims, indices=idx, values=val)
         for a, b in ((fast.indices, sorted_path.indices), (fast.values, sorted_path.values)):
             assert a.dtype == b.dtype and a.shape == b.shape
