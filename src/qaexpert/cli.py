@@ -22,7 +22,6 @@ import os
 import pickle
 import sys
 import warnings
-from types import SimpleNamespace
 
 from . import serialize
 from .coupled import JointConfig, fit_joint
@@ -375,8 +374,7 @@ def cmd_evaluate(args) -> int:
     paths = _snapshot_paths(args.snapshot)
     manifest = _check_model_snapshot(meta, paths["manifest"])
     ledger = serialize.load_reputation(paths["reputation"])
-    tables = SimpleNamespace(topics=manifest["topics"], users=manifest["users"])
-    report = evaluate(model, None, ledger, k_list, tables=tables)
+    report = evaluate(model, ledger, k_list, manifest["topics"], manifest["users"])
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, "report.csv")

@@ -18,8 +18,11 @@ the ridge over the scale-equivalent models), so the recorded history
 stays non-increasing.  With a penalty the factors are kept raw during
 the iteration and the per-row ridge weights absorb the penalty exactly.
 
-Zeros in M and N are observed zeros: the losses are full-matrix Frobenius
-norms, evaluated without densifying via the Gram identity
+M and N are :class:`MembershipMatrix` pairs, kept in the canonical COO
+order of :mod:`.sparse_tensor`, whose bounds check and ``_canonicalize``
+pass serve them as they serve the tensor's coordinates.  Zeros in M and N
+are observed zeros: the losses are full-matrix Frobenius norms, evaluated
+without densifying via the Gram identity
 ``||F G^T||^2 = trace((F^T F)(G^T G))``.
 
 The engine scores each loss term from products its updates already form,
@@ -44,12 +47,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, SolverDiverged
-from .hierarchy import HierarchyTree, TreePenalty, weight_penalty
+from .hierarchy import HierarchyTree, TreePenalty, _check_finite_nonnegative, weight_penalty
 # ``mttkrp`` and ``gram_hadamard`` are not called here; they stay in this
 # namespace because bench/spans.py wraps them by these names.
 from .sparse_tensor import (
-    SparseTensor4, _split_sq_residual, fiber_sums, gather_rows, gram_hadamard, hadamard, mttkrp,
-    mttkrp_from_fibers, residual_norm, scatter_rows, sq_residual_from_inner, strictly_increasing,
+    SparseTensor4, _canonicalize, _checked_bounds, _split_sq_residual, fiber_sums, gather_rows,
+    gram_hadamard, hadamard, mttkrp, mttkrp_from_fibers, residual_norm, scatter_rows,
+    sq_residual_from_inner,
 )
 
 __all__ = [
@@ -67,13 +71,6 @@ __all__ = [
     "joint_objective",
     "fit_joint",
 ]
-
-
-def _check_finite_nonnegative(config, name: str):
-    # NaN fails every comparison, so a NaN tolerance would never stop the
-    # loop and a NaN or infinite lambda would make the first sweep diverge.
-    if not 0 <= getattr(config, name) < float("inf"):
-        raise ContractViolation(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,6 @@ def _normalize_columns(factors):
     return out, lam
 
 
-def _balance_columns(factors):
-    """Rescale so every mode carries the same per-component column norm."""
-    normalized, lam = _normalize_columns(factors)
-    spread = lam ** 0.25
-    return [U * spread for U in normalized]
-
-
 def tensor_objective(X: SparseTensor4, model: CpModel, lambda_x: float) -> float:
     """Half squared reconstruction error plus the ridge on the factors.
 
@@ -190,8 +180,10 @@ class MembershipMatrix:
     """Binary sparse matrix: entry (r, c) is 1 when the pair was observed.
 
     Duplicate pairs collapse to a single entry (presence, not counts), and
-    the pairs are kept in (row, col) order; pairs that come in strictly
-    increasing order, as a saved snapshot's do, are not sorted.
+    the pairs are kept in (row, col) order, the canonical order of
+    :class:`.sparse_tensor.SparseTensor4`; pairs that come in strictly
+    increasing order, as a saved snapshot's do, are not sorted.  ``indices``
+    is a read-only copy, never the caller's array.
     """
 
     rows: int
@@ -201,17 +193,9 @@ class MembershipMatrix:
     def __init__(self, rows: int, cols: int, pairs):
         if rows < 0 or cols < 0:
             raise ContractViolation("matrix dimensions must be nonnegative")
-        idx = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if idx.size:
-            if idx.min() < 0 or idx[:, 0].max() >= rows or idx[:, 1].max() >= cols:
-                raise ContractViolation("membership pair out of bounds")
-            if strictly_increasing(idx):
-                idx = idx.copy()
-            else:
-                idx = idx[np.lexsort((idx[:, 1], idx[:, 0]))]
-                keep = np.ones(len(idx), dtype=bool)
-                keep[1:] = np.any(idx[1:] != idx[:-1], axis=1)
-                idx = idx[keep]
+        idx = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        bounds = _checked_bounds(idx, (rows, cols), "membership pair out of bounds")
+        idx, _ = _canonicalize(idx, np.ones(len(idx)), bounds)
         idx.setflags(write=False)
         object.__setattr__(self, "rows", int(rows))
         object.__setattr__(self, "cols", int(cols))
@@ -281,14 +265,13 @@ def topic_objective(T: np.ndarray, A: np.ndarray, N: MembershipMatrix, lambda_t:
     return _half_sq_frobenius(N, T, A) + 0.5 * lambda_t * ridge
 
 
-def _group_means(U1: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+def group_means(U1: np.ndarray, tree: HierarchyTree) -> np.ndarray:
+    """Per-subsite mean of the question-factor rows, in subsite node order,
+    one group at a time."""
+    U1 = np.asarray(U1, dtype=np.float64)
+    groups = tree.level_groups(1)
     sums = np.array([U1[rows].sum(axis=0) for rows in groups]).reshape(len(groups), U1.shape[1])
     return sums / np.array([len(rows) for rows in groups])[:, None]
-
-
-def group_means(U1: np.ndarray, tree: HierarchyTree) -> np.ndarray:
-    """Per-subsite mean of the question-factor rows, in subsite node order."""
-    return _group_means(np.asarray(U1, dtype=np.float64), tree.level_groups(1))
 
 
 def site_regularizer(S: np.ndarray, U1: np.ndarray, tree: HierarchyTree, lambda_site: float) -> float:
@@ -442,7 +425,6 @@ class _Descent:
         self.config = config
         self.blocks = blocks
         self.penalty = penalty
-        self.groups = groups
         rng = np.random.default_rng(config.seed)
         R = config.rank
         self.factors = [rng.random((d, R)) for d in X.dims]
@@ -482,9 +464,9 @@ class _Descent:
             factors[0] = self._solve_question_block(K, self._gram_hadamard(0))
             self._refresh(0)
             self.inner["tensor"] = _inner(K, factors[0])
-            self.mu = _group_means(factors[0], self.groups)
+            self.mu = self._group_sums(factors[0]) / self.sizes
         elif block == "balance":
-            self.factors = _balance_columns(factors)
+            self.factors = CpModel(*_normalize_columns(factors)).balanced_factors()
             for mode in range(4):
                 self._refresh(mode)
         elif block == "subsite":
@@ -528,9 +510,11 @@ class _Descent:
 
     def _group_sums(self, F: np.ndarray) -> np.ndarray:
         """Per-subsite sums of the rows of ``F``: one pass over the row-to-group
-        index, adding each group's rows in ascending order as ``_group_means``
-        does."""
-        return scatter_rows(self.site, F.T, len(self.groups))
+        index, adding each group's rows in ascending order, as the per-group
+        loop of :func:`group_means` does.  Without groups (``cp_als``, or a
+        tree whose root is its only leaf) every row's index is 0, and each
+        component's one-cell count broadcasts into the empty ``(0, R)`` sums."""
+        return scatter_rows(self.site, F.T, len(self.sizes))
 
     def objective(self) -> float:
         """Objective of the working iterate, from the cached terms."""
@@ -574,7 +558,7 @@ class _Descent:
         cut = 1e-15 * np.maximum(np.abs(d[:, :1]), np.abs(d[:, -1:]))
         inv = np.divide(1.0, d, out=np.zeros_like(d), where=np.abs(d) > cut)
         BQ = rhs @ Q
-        if self.lam_site and self.groups:
+        if self.lam_site and len(self.sizes):
             n = self.sizes
             c, shift = self.lam_site / n**2, (self.lam_site / n) * self.S @ Q
             inv_sum = self._group_sums(inv)
@@ -733,7 +717,7 @@ def fit_joint(
     # S, A, T once against the balanced question factor so the stored model
     # is internally consistent under joint_objective.
     cp = CpModel(*_normalize_columns(state.factors))
-    state.mu = _group_means(cp.balanced_factors()[0], groups)
+    state.mu = state._group_sums(cp.balanced_factors()[0]) / state.sizes
     for block in ("subsite", "answerer", "topicfactor"):
         state.update(block)
     return JointModel(cp, state.S, state.A, state.T, lambdas, history, blocks)

@@ -42,6 +42,14 @@ def _check(bad, message):
         raise ContractViolation(message.format(np.flatnonzero(bad)[0]))
 
 
+def _check_finite_nonnegative(owner, name: str):
+    """Raise unless ``owner.<name>`` is finite and >= 0.  NaN fails every
+    comparison, so a NaN tolerance would never stop a solver's loop, and a
+    NaN or infinite lambda would make its first sweep diverge."""
+    if not 0 <= getattr(owner, name) < float("inf"):
+        raise ContractViolation(f"{name} must be finite and >= 0")
+
+
 class HierarchyTree:
     """Validated rooted tree in preorder whose leaves partition the question rows.
 
@@ -151,8 +159,7 @@ class TreePenalty:
     row_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.lambda_w < 0:
-            raise ContractViolation("lambda_w must be >= 0")
+        _check_finite_nonnegative(self, "lambda_w")
         tree = self.tree
         # Depths below a leaf hold ancestor -1, which reads the appended
         # zero; adding it is exact, so each row sums its chain root first.

@@ -196,23 +196,20 @@ class EvalReport:
     skipped_topics: int = 0
 
 
-def evaluate(model, data: QaDataset, ledger: ReputationLedger, k_list, tables=None) -> EvalReport:
+def evaluate(model, ledger: ReputationLedger, k_list, topics, users) -> EvalReport:
     """Score the model's per-topic rankings against reputation ground truth.
 
-    For each topic with ledger entries: precision@k against the ledger's
-    top-k users (ties by ascending id), and the reciprocal of the
-    position at which the model ranks the ledger's top user (0 when the
-    model gives the topic no ranking).  Topics absent from the ledger are
-    skipped and counted.  ``model`` is anything `rank_experts` takes.
+    ``topics`` and ``users`` are the model's topic and user tables, in
+    factor row order, as the snapshot manifest holds them.  For each topic
+    with ledger entries: precision@k against the ledger's top-k users (ties
+    by ascending id), and the reciprocal of the position at which the model
+    ranks the ledger's top user (0 when the model gives the topic no
+    ranking).  Topics absent from the ledger are skipped and counted.
+    ``model`` is anything `rank_experts` takes; each k is evaluated once.
     """
     k_list = [int(k) for k in k_list]
-    if not k_list or any(k < 1 for k in k_list):
-        raise ContractViolation("k_list must be nonempty positive integers")
-    if tables is not None:
-        topics, users = tuple(tables.topics), tuple(tables.users)
-    else:
-        topics = tuple(data.posts.tags[c] for c in np.unique(data.posts.tag).tolist())
-        users = tuple(data.users.tolist())
+    if not k_list or any(k < 1 for k in k_list) or len(set(k_list)) < len(k_list):
+        raise ContractViolation("k_list must be nonempty distinct positive integers")
     f = RankingFactors.of(model)
     if f.topic.shape[0] != len(topics) or f.expert.shape[0] != len(users):
         raise ContractViolation(

@@ -562,11 +562,9 @@ def save_report(report, path, config=None):
 
 
 def save_history(values, path):
-    out = io.StringIO()
-    out.write("sweep,objective\n")
-    for sweep, value in enumerate(values, start=1):
-        out.write(f"{sweep},{_fmt(value)}\n")
-    _write_text(path, out.getvalue())
+    values = [float(v) for v in values]
+    _write_text(path, "sweep,objective\n"
+                + _rows_text("%d,%.17g\n", [list(range(1, len(values) + 1)), values]))
 
 
 def file_digest(path) -> str:

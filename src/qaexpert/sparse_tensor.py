@@ -2,7 +2,9 @@
 
 A tensor is stored in coordinate (COO) form: an ``(nnz, 4)`` integer index
 array plus an ``(nnz,)`` value array, lexicographically sorted with
-duplicate coordinates summed at construction.  Factor matrices are plain
+duplicate coordinates summed at construction.  The same canonical order,
+from the same bounds check and ``_canonicalize`` pass, serves
+``coupled.MembershipMatrix``'s ``(nnz, 2)`` pairs.  Factor matrices are plain
 ``(dim, rank)`` float64 ndarrays; kernels never materialize a dense tensor
 or a dense unfolding.
 
@@ -83,9 +85,7 @@ class SparseTensor4:
             val = np.asarray(values, dtype=np.float64).reshape(-1)
         if idx.shape[0] != val.shape[0]:
             raise ContractViolation("index and value counts differ")
-        bounds = _column_bounds(idx)
-        if bounds and (min(bounds[0]) < 0 or any(hi >= d for hi, d in zip(bounds[1], dims))):
-            raise ContractViolation("tensor index out of range")
+        bounds = _checked_bounds(idx, dims, "tensor index out of range")
         if np.any(val < 0) or not np.all(np.isfinite(val)):
             raise ContractViolation("tensor values must be finite and nonnegative")
         idx, val = _canonicalize(idx, val, bounds)
@@ -157,6 +157,15 @@ def _column_bounds(idx):
     return [int(column.min()) for column in columns], [int(column.max()) for column in columns]
 
 
+def _checked_bounds(idx, dims, message):
+    """``idx``'s `_column_bounds`, after checking that every column lies in
+    ``[0, dims[c])``; a `ContractViolation` with ``message`` otherwise."""
+    bounds = _column_bounds(idx)
+    if bounds and (min(bounds[0]) < 0 or any(hi >= d for hi, d in zip(bounds[1], dims))):
+        raise ContractViolation(message)
+    return bounds
+
+
 def _flat_key(idx, bounds=None):
     """One int64 per row of the 2-d ``idx`` that orders the rows
     lexicographically: the mixed-radix number whose digits are the columns
@@ -192,18 +201,20 @@ def strictly_increasing(idx, bounds=None) -> bool:
 
 
 def _canonicalize(idx, val, bounds=None):
-    """Sort lexicographically, merge duplicate coordinates, drop zeros.
-    Rows already in strictly increasing order skip the sort and the merge,
-    and are copied only to drop a zero or to make them contiguous.
-    ``bounds`` are ``idx``'s `_column_bounds` where the caller has them."""
+    """The rows of the 2-d ``idx``, of any width, sorted lexicographically,
+    with the ``val`` of duplicate rows summed and rows whose sum is zero
+    dropped.  Rows already in strictly increasing order skip the sort and
+    the merge, and are copied only to drop a zero or to make them
+    contiguous.  ``bounds`` are ``idx``'s `_column_bounds` where the caller
+    has them."""
     if idx.shape[0] == 0:
-        return idx.reshape(0, 4), val
+        return idx, val
     if strictly_increasing(idx, bounds):
         if val.all():
             return np.ascontiguousarray(idx), np.ascontiguousarray(val)
         keep = val != 0
         return idx[keep], val[keep]
-    order = np.lexsort((idx[:, 3], idx[:, 2], idx[:, 1], idx[:, 0]))
+    order = np.lexsort(idx.T[::-1])
     idx, val = idx[order], val[order]
     new_group = np.empty(idx.shape[0], dtype=bool)
     new_group[0] = True

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qaexpert import coupled
+from qaexpert import coupled, sparse_tensor
 from qaexpert.coupled import (
     BLOCKS,
     AlsConfig,
@@ -64,7 +64,7 @@ class TestMembershipMatrix:
     def test_both_paths_give_identical_pairs(self, kind, monkeypatch):
         idx, _ = coo_input(kind, np.random.default_rng(COO_KINDS.index(kind)), dims=(5, 7))
         fast = MembershipMatrix(5, 7, idx)
-        monkeypatch.setattr(coupled, "strictly_increasing", lambda rows: False)
+        monkeypatch.setattr(sparse_tensor, "strictly_increasing", lambda *args: False)
         sorted_path = MembershipMatrix(5, 7, idx)
         a, b = fast.indices, sorted_path.indices
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -253,6 +253,14 @@ class TestJointConfig:
             JointConfig(rank=2, lambda_site=-0.5)
         with pytest.raises(ContractViolation):
             JointConfig(rank=2, tolerance=-1e-9)
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name", ["tolerance", "lambda_x", "lambda_w", "lambda_s", "lambda_t", "lambda_site"]
+    )
+    def test_fields_must_be_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ContractViolation, match=f"^{name} must be finite and >= 0$"):
+            JointConfig(rank=2, **{name: value})
 
 
 class TestFitJoint:
@@ -677,6 +685,28 @@ class TestQuestionBlockOracle:
         F = rng.standard_normal((10, 3)) * 10.0 ** rng.integers(-8, 8, (10, 1))
         expected = np.array([F[rows].sum(axis=0) for rows in groups])
         np.testing.assert_array_equal(state._group_sums(F), expected)
+
+    def test_question_update_sets_the_group_means_bit_for_bit(self):
+        rng = np.random.default_rng(83)
+        # groups of 3, 5 and 2 rows: dividing by 3 or 5 rounds
+        tree = tree_from_nested([[0, 3, 8], [[1, 2], 4, 6, 5], [7, 9]])
+        X = random_sparse(rng, (10, 3, 2, 4), density=0.5)
+        M = MembershipMatrix(3, 4, [(0, 0), (1, 1), (2, 2)])
+        N = MembershipMatrix(3, 4, [(0, 3)])
+        state = _Descent(X, JointConfig(rank=3, seed=4), BLOCKS, TreePenalty(tree, 0.1), M, N,
+                         tree.level_groups(1))
+        for block in BLOCKS * 2:
+            state.update(block)
+            assert np.array_equal(state.mu, group_means(state.factors[0], tree))
+
+    def test_tree_without_subsite_groups(self):
+        # A root that is its only leaf has no subsite level: the engine's
+        # group sums are empty and the coupling drops out.
+        X = SparseTensor4((1, 2, 2, 3), indices=[[0, 0, 0, 0], [0, 1, 1, 2]], values=[1.0, 2.0])
+        M, N = MembershipMatrix(0, 3, []), MembershipMatrix(2, 3, [(0, 0), (1, 2)])
+        model = fit_joint(X, M, N, tree_from_nested(0), JointConfig(rank=2, max_iters=3))
+        assert model.S.shape == (0, 2) and len(model.objective_history) == 3
+        assert all(b <= a for a, b in zip(model.objective_history, model.objective_history[1:]))
 
     def test_singular_gram_matches_pseudo_inverse(self):
         # Two identical components make V exactly singular; at zero weights

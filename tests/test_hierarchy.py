@@ -198,6 +198,11 @@ class TestWeightPenalty:
         with pytest.raises(ContractViolation):
             TreePenalty(tree_from_nested([0, 1]), lambda_w=-1.0)
 
+    @pytest.mark.parametrize("value", [NAN, float("inf")])
+    def test_non_finite_lambda_rejected(self, value):
+        with pytest.raises(ContractViolation, match="^lambda_w must be finite and >= 0$"):
+            TreePenalty(tree_from_nested([0, 1]), lambda_w=value)
+
     def test_row_count_mismatch_rejected(self):
         penalty = TreePenalty(tree_from_nested([0, 1]), lambda_w=1.0)
         with pytest.raises(ContractViolation):

@@ -1,7 +1,5 @@
 """Expert ranking, baselines, and the precision/MRR evaluation harness."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -169,16 +167,12 @@ class TestMetrics:
             mean_reciprocal_rank([1, 0])
 
 
-def tables_for(topics, users):
-    return SimpleNamespace(topics=tuple(topics), users=tuple(users))
-
-
 class TestEvaluate:
     def test_perfect_agreement(self):
         users = [5, 6, 7]
         ledger = rec.ledger({(5, "t"): 30, (6, "t"): 20, (7, "t"): 10})
         model = model_from_scores([[3.0, 2.0, 1.0]])
-        report = evaluate(model, None, ledger, [1, 2, 3], tables=tables_for(["t"], users))
+        report = evaluate(model, ledger, [1, 2, 3], ["t"], users)
         assert report.evaluated_topics == 1
         for _, k, prec, mrr, _ in report.rows:
             assert prec == 1.0
@@ -188,7 +182,7 @@ class TestEvaluate:
         users = [1, 2, 3, 4, 5]
         ledger = rec.ledger({(u, "t"): 10 * (6 - u) for u in users})
         model = model_from_scores([[1.0, 2.0, 3.0, 4.0, 5.0]])
-        report = evaluate(model, None, ledger, [5], tables=tables_for(["t"], users))
+        report = evaluate(model, ledger, [5], ["t"], users)
         (_, _, prec, mrr, _), = report.rows
         assert prec == 1.0
         assert mrr == pytest.approx(0.2)
@@ -196,7 +190,7 @@ class TestEvaluate:
     def test_empty_ledger_skips_everything(self):
         ledger = rec.ledger({})
         model = model_from_scores([[1.0, 2.0]])
-        report = evaluate(model, None, ledger, [1], tables=tables_for(["t"], [1, 2]))
+        report = evaluate(model, ledger, [1], ["t"], [1, 2])
         assert report.evaluated_topics == 0
         assert report.skipped_topics == 1
         assert report.rows == [] and report.summary == []
@@ -205,8 +199,7 @@ class TestEvaluate:
         users = [1, 2]
         ledger = rec.ledger({(1, "t"): 5})
         model = model_from_scores([[2.0, 1.0]])
-        report = evaluate(model, None, ledger, [1, 3, 5, 10],
-                          tables=tables_for(["t"], users))
+        report = evaluate(model, ledger, [1, 3, 5, 10], ["t"], users)
         assert len(report.rows) == 4
         assert len(report.summary) == 4
         assert all(label == "ALL" for label, *_ in report.summary)
@@ -217,7 +210,7 @@ class TestEvaluate:
         U2 = np.array([[1.0], [0.0]])
         U4 = np.array([[2.0], [1.0]])
         model = CpModel([np.ones((1, 1)), U2, np.ones((1, 1)), U4], np.ones(1))
-        report = evaluate(model, None, ledger, [1], tables=tables_for(["a", "b"], users))
+        report = evaluate(model, ledger, [1], ["a", "b"], users)
         by_topic = {row[0]: row for row in report.rows}
         assert by_topic["a"][2] == 1.0
         assert by_topic["b"][2] == 0.0  # empty ranking, zero precision
@@ -227,30 +220,35 @@ class TestEvaluate:
         model = model_from_scores([[1.0, 2.0]])
         ledger = rec.ledger({(1, "t"): 5})
         with pytest.raises(ContractViolation):
-            evaluate(model, None, ledger, [1], tables=tables_for(["t", "u"], [1, 2]))
+            evaluate(model, ledger, [1], ["t", "u"], [1, 2])
 
     def test_bad_k_list_rejected(self):
         model = model_from_scores([[1.0]])
         ledger = rec.ledger({})
         with pytest.raises(ContractViolation):
-            evaluate(model, None, ledger, [], tables=tables_for(["t"], [1]))
+            evaluate(model, ledger, [], ["t"], [1])
         with pytest.raises(ContractViolation):
-            evaluate(model, None, ledger, [0], tables=tables_for(["t"], [1]))
+            evaluate(model, ledger, [0], ["t"], [1])
 
-    def test_data_tables_used_when_no_manifest(self):
-        data = baseline_fixture()
+    def test_repeated_k_rejected(self):
+        model = model_from_scores([[1.0]])
+        ledger = rec.ledger({(1, "t"): 5})
+        with pytest.raises(ContractViolation, match="distinct"):
+            evaluate(model, ledger, [1, 1], ["t"], [1])
+
+    def test_user_table_names_the_expert_rows(self):
         ledger = rec.ledger({(20, "s/t"): 15})
-        model = model_from_scores([[0.0, 1.0, 2.0]])  # users sorted: 1, 10, 20
-        report = evaluate(model, data, ledger, [1])
-        assert report.evaluated_topics == 1
-        (_, _, prec, mrr, _), = report.rows
+        model = model_from_scores([[0.0, 1.0, 2.0]])
+        (_, _, prec, mrr, _), = evaluate(model, ledger, [1], ["s/t"], [1, 10, 20]).rows
         assert prec == 1.0 and mrr == 1.0
+        # the same factors with the table reversed put user 20 last
+        (_, _, prec, mrr, _), = evaluate(model, ledger, [1], ["s/t"], [20, 10, 1]).rows
+        assert prec == 0.0 and mrr == pytest.approx(1 / 3)
 
 
-def evaluate_by_full_sort(model, ledger, k_list, tables):
+def evaluate_by_full_sort(model, ledger, k_list, topics, users):
     """Reference evaluate: a full rank_experts list per topic, mapped to
     user ids and scanned for the ledger leader."""
-    topics, users = tuple(tables.topics), tuple(tables.users)
     report = EvalReport()
     per_k_precision = {k: [] for k in k_list}
     reciprocals = []
@@ -296,14 +294,13 @@ class TestEvaluateMatchesFullSort:
                   for t in topics if rng.random() < 0.8
                   for u in rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False)}
         ledger = rec.ledger(scores)
-        k_list = [1, 3, n_users, n_users + 5]
-        tables = tables_for(topics, users)
+        k_list = sorted({1, 3, n_users, n_users + 5})  # each k once
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        save_report(evaluate(model, None, ledger, k_list, tables=tables), got)
-        save_report(evaluate_by_full_sort(model, ledger, k_list, tables), want)
+        save_report(evaluate(model, ledger, k_list, topics, users), got)
+        save_report(evaluate_by_full_sort(model, ledger, k_list, topics, users), want)
         assert got.read_bytes() == want.read_bytes()
         factors = RankingFactors.of(model)
-        assert evaluate(factors, None, ledger, k_list, tables) == evaluate(model, None, ledger,
-                                                                           k_list, tables)
+        assert (evaluate(factors, ledger, k_list, topics, users)
+                == evaluate(model, ledger, k_list, topics, users))
         assert all(rank_experts(factors, j, 4) == rank_experts(model, j, 4)
                    for j in range(n_topics))
