@@ -53,6 +53,10 @@ SNAPSHOT_FILES = {
 }
 
 
+# Where a key's default is None, the type its other config values take.
+_NULLABLE = {"sample_users": int, "lambda_site": float}
+
+
 class UsageError(Exception):
     pass
 
@@ -62,9 +66,20 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise UsageError(f"--config must hold a JSON object, got {json.dumps(loaded)}")
         unknown = sorted(set(loaded) - set(merged))
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            # Any number for a float, an integer but no bool for an int.
+            kind = _NULLABLE.get(key, type(merged[key]))
+            if not ((value is None and key in _NULLABLE) or (
+                    isinstance(value, (int, float) if kind is float else kind)
+                    and not isinstance(value, bool))):
+                null = " or null" if key in _NULLABLE else ""
+                raise UsageError(f"config {key} takes {kind.__name__}{null}, "
+                                 f"not {json.dumps(value)}")
         merged.update(loaded)
     for key in _DEFAULTS[command]:
         value = getattr(args, key, None)
@@ -199,11 +214,7 @@ def _parse_in_workers(jobs, workers: int) -> list:
 def cmd_ingest(args) -> int:
     cfg = _resolve_config("ingest", args)
     edges = _parse_int_list(cfg["vote_buckets"], "--vote-buckets")
-    try:
-        sample_users = None if cfg["sample_users"] is None else int(cfg["sample_users"])
-        seed, tree_s = int(cfg["seed"]), float(cfg["tree_s"])
-    except ValueError as exc:  # a config value that is not a number
-        raise UsageError(str(exc)) from None
+    sample_users, seed, tree_s = cfg["sample_users"], cfg["seed"], float(cfg["tree_s"])
     if sample_users is not None and sample_users < 1:
         raise UsageError("--sample-users must be >= 1")
     if not 0 <= tree_s <= 1:
@@ -279,7 +290,7 @@ def cmd_fit(args) -> int:
             lambda_site=None if cfg["lambda_site"] is None else float(cfg["lambda_site"]),
             seed=int(cfg["seed"]),
         )
-    except ValueError as exc:  # a flag or config value out of range or not a number
+    except ValueError as exc:  # a flag or config value out of range
         raise UsageError(str(exc)) from None
     paths = _snapshot_paths(args.snapshot)
     X = serialize.load_tensor(paths["tensor"])
@@ -343,10 +354,7 @@ def _resolve_topic(manifest: dict, query: str) -> int:
 
 def cmd_recommend(args) -> int:
     cfg = _resolve_config("recommend", args)
-    try:
-        k = int(cfg["k"])
-    except ValueError as exc:  # a config value that is not a number
-        raise UsageError(str(exc)) from None
+    k = cfg["k"]
     if k < 1:
         raise UsageError("--k must be >= 1")
     model, meta = serialize.load_model(args.model, ranking_only=True)

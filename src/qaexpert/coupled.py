@@ -51,7 +51,7 @@ from .hierarchy import HierarchyTree, TreePenalty, _check_finite_nonnegative, we
 # ``mttkrp`` and ``gram_hadamard`` are not called here; they stay in this
 # namespace because bench/spans.py wraps them by these names.
 from .sparse_tensor import (
-    SparseTensor4, _canonicalize, _checked_bounds, _split_sq_residual, fiber_sums, gather_rows,
+    SparseTensor4, _canonicalize, _check_bounds, _split_sq_residual, fiber_sums, gather_rows,
     gram_hadamard, hadamard, mttkrp, mttkrp_from_fibers, residual_norm, scatter_rows,
     sq_residual_from_inner,
 )
@@ -194,8 +194,8 @@ class MembershipMatrix:
         if rows < 0 or cols < 0:
             raise ContractViolation("matrix dimensions must be nonnegative")
         idx = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        bounds = _checked_bounds(idx, (rows, cols), "membership pair out of bounds")
-        idx, _ = _canonicalize(idx, np.ones(len(idx)), bounds)
+        _check_bounds(idx, (rows, cols), "membership pair out of bounds")
+        idx, _ = _canonicalize(idx, np.ones(len(idx)))
         idx.setflags(write=False)
         object.__setattr__(self, "rows", int(rows))
         object.__setattr__(self, "cols", int(cols))

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
+from .sparse_tensor import lex_order, row_changes
 
 __all__ = [
     "HierarchyTree",
@@ -104,8 +105,8 @@ class HierarchyTree:
         owner = self.ancestors[level, self.leaves]
         rows = self.leaf_row[self.leaves][owner >= 0]
         owner = owner[owner >= 0]
-        order = np.lexsort((rows, owner))
-        return np.split(rows[order], np.flatnonzero(np.diff(owner[order])) + 1)
+        order = lex_order((owner, rows))
+        return np.split(rows[order], np.flatnonzero(row_changes((owner[order],)))[1:])
 
 
 def tree_from_nested(nested, sg_by_level=None) -> HierarchyTree:

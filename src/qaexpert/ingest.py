@@ -13,14 +13,15 @@ row is kept as an object.  Errors name the file and line; a bad attribute
 is reported at its own row even when an XML syntax error comes later in
 the same file.  A `QaDataset` is those columns as NumPy arrays, and
 sorting, validation, merging, sampling, vote scores, reputation and
-tensor assembly are array passes over them.  The reputation ledger is
-columns too, user id, topic and score in (user, topic) order, and its
-per-topic rankings come from one sort of all its rows.  Each subsite is
-validated once, when it is parsed; `merge_datasets` joins validated
-subsites without checking them again.  `parse_dump` reads one subsite
-and shares nothing with the parse of another, so the command line runs
-it in a separate worker process per share of the subsites and merges the
-results.
+tensor assembly are array passes over them.  Posts, votes and tree
+groups are sorted by ``sparse_tensor.lex_order``, which takes any int64
+ids.  The reputation ledger is columns too, user id, topic and score in
+(user, topic) order, ranked per topic by one ``lex_order`` of its rows.
+Each subsite is validated once, when it is parsed; `merge_datasets`
+joins validated subsites without checking them again.  `parse_dump`
+reads one subsite and shares nothing with the parse of another, so the
+command line runs it in a separate worker process per share of the
+subsites and merges the results.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .coupled import MembershipMatrix
 from .errors import DataError, DumpParseError, EmptyInputError
 from .hierarchy import HierarchyTree, tree_from_nested
-from .sparse_tensor import SparseTensor4, _flat_key
+from .sparse_tensor import SparseTensor4, lex_order, row_changes
 
 __all__ = [
     "PostColumns",
@@ -156,15 +157,15 @@ class QaDataset:
     """
 
     def __init__(self, users, posts: PostColumns, votes: VoteColumns):
-        posts = posts.take(np.lexsort((posts.id, posts.site)))
-        same = (posts.site[1:] == posts.site[:-1]) & (posts.id[1:] == posts.id[:-1])
-        if same.any():
-            p = int(np.argmax(same))
+        posts = posts.take(lex_order((posts.site, posts.id)))
+        repeated = ~row_changes((posts.site, posts.id))
+        if repeated.any():
+            p = int(np.argmax(repeated))
             raise DataError(
                 f"duplicate post id {posts.id[p]} in subsite {posts.sites[posts.site[p]]}"
             )
         voter = np.where(votes.voter == NONE, 0, votes.voter)
-        votes = votes.take(np.lexsort((voter, votes.kind, votes.post, votes.site)))
+        votes = votes.take(lex_order((votes.site, votes.post, votes.kind, voter)))
         self.users = np.unique(np.asarray(users, dtype=np.int64))
         self.posts, self.votes = posts, votes
         self.ref_row = _find(posts, posts.site, posts.ref)
@@ -435,8 +436,7 @@ def merge_datasets(datasets) -> QaDataset:
                     np.concatenate(([0], np.cumsum(count))), np.concatenate(tag_cols)),
         VoteColumns(*vote_cols), ref_row, vote_row,
     )
-    return whole._select(np.argsort(site, kind="stable"),
-                         np.argsort(vote_cols[0], kind="stable"))
+    return whole._select(lex_order((site,)), lex_order((vote_cols[0],)))
 
 
 def sample_dataset(data: QaDataset, n_users: int, seed: int) -> QaDataset:
@@ -494,12 +494,9 @@ class ReputationLedger:
         descending then id within each, and each topic name's (start,
         end) in that array."""
         # ~score runs opposite to score without wrapping at the int64 minimum.
-        # Rows with equal keys hold the same user, so the sort need not be stable.
-        columns = np.stack((self.topic, ~self.score, self.user))
-        key = _flat_key(columns.T)
-        order = np.lexsort(columns[::-1]) if key is None else np.argsort(key)
+        order = lex_order((self.topic, ~self.score, self.user))
         topic = self.topic[order]
-        starts = np.flatnonzero(np.diff(topic, prepend=-1))
+        starts = np.flatnonzero(row_changes((topic,)))
         ends = np.append(starts[1:], len(topic))
         bounds = {self.topic_names[c]: (a, b) for c, a, b in
                   zip(topic[starts].tolist(), starts.tolist(), ends.tolist())}
@@ -569,7 +566,7 @@ def reputation_scores(data: QaDataset) -> ReputationLedger:
     order = np.argsort(keys)
     keys, deltas = keys[order], deltas[order]
     del order
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    first = np.flatnonzero(row_changes((keys,)))
     totals = np.add.reduceat(deltas, first) if len(first) else deltas
     user, tag = np.divmod(keys[first], n_tags)
     return ReputationLedger(p.tags, data.users[user], tag, totals, skipped)
@@ -668,10 +665,10 @@ def build_inputs(
 
     # Tree groups: questions by subsite, then by first tag, each ascending.
     first_tag = p.tag[p.tag_start[questions]]
-    order = np.lexsort((first_tag, question_site))
-    bounds = np.flatnonzero(np.diff(question_site[order]) | np.diff(first_tag[order])) + 1
+    order = lex_order((question_site, first_tag))
+    starts = np.flatnonzero(row_changes((question_site[order], first_tag[order])))
     nested = {}
-    for group in np.split(order, bounds):
+    for group in np.split(order, starts[1:]):
         nested.setdefault(int(question_site[group[0]]), []).append(group.tolist())
     tree_g = 1.0 - tree_s
     sg = {level: (tree_s, tree_g) for level in range(TREE_LEAF_LEVEL)}

@@ -44,7 +44,7 @@ from .errors import ContractViolation, DataError
 from .hierarchy import HierarchyTree
 from .ingest import TREE_LEAF_LEVEL, ReputationLedger
 from .ranking import RankingFactors
-from .sparse_tensor import SparseTensor4
+from .sparse_tensor import SparseTensor4, row_increases
 
 __all__ = [
     "save_tensor", "load_tensor",
@@ -543,8 +543,7 @@ def load_reputation(path) -> ReputationLedger:
         data = fh.read()
     user, names, topic, score, lines = (_split_reputation(path, data)
                                         or _read_reputation_rows(path))
-    step = np.diff(user)
-    bad = (step < 0) | ((step == 0) & (np.diff(topic) <= 0))
+    bad = ~row_increases((user, topic))
     if bad.any():
         r = int(np.argmax(bad)) + 1
         raise DataError(f"{path}:{r + 2 if lines is None else lines[r]}: rows must be in "
@@ -590,8 +589,10 @@ def write_manifest(path, tables, config, files):
 
 
 def load_manifest(path) -> dict:
+    """A snapshot manifest: a format-1 JSON object with topics and users lists."""
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != 1:
-        raise DataError(f"{path}: unsupported manifest format")
+    if not (isinstance(manifest, dict) and manifest.get("format") == 1
+            and all(isinstance(manifest.get(k), list) for k in ("topics", "users"))):
+        raise DataError(f"{path}: not a format-1 manifest with topics and users lists")
     return manifest

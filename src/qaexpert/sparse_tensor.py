@@ -8,6 +8,11 @@ from the same bounds check and ``_canonicalize`` pass, serves
 ``(dim, rank)`` float64 ndarrays; kernels never materialize a dense tensor
 or a dense unfolding.
 
+Every integer table in the package orders its rows, given as columns,
+by three primitives that take any int64 values: ``lex_order`` (the
+stable sort), ``row_changes`` (where runs of equal rows start) and
+``row_increases`` (strict lexicographic order).
+
 The MTTKRP kernel works on compressed sparse fibers (Smith & Karypis,
 SPLATT, 2015).  A fiber is one run of nonzeros that share their question,
 topic and band coordinates ``(i, j, k)``; in the canonical order each run
@@ -85,10 +90,10 @@ class SparseTensor4:
             val = np.asarray(values, dtype=np.float64).reshape(-1)
         if idx.shape[0] != val.shape[0]:
             raise ContractViolation("index and value counts differ")
-        bounds = _checked_bounds(idx, dims, "tensor index out of range")
+        _check_bounds(idx, dims, "tensor index out of range")
         if np.any(val < 0) or not np.all(np.isfinite(val)):
             raise ContractViolation("tensor values must be finite and nonnegative")
-        idx, val = _canonicalize(idx, val, bounds)
+        idx, val = _canonicalize(idx, val)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
@@ -114,12 +119,7 @@ class SparseTensor4:
     def fibers(self) -> "Fibers":
         """The tensor's (i, j, k) fibers, found on first use."""
         idx = self.indices
-        new = np.ones(self.nnz, dtype=bool)
-        key = _flat_key(idx[:, :3])
-        if key is not None:
-            np.not_equal(key[1:], key[:-1], out=new[1:])
-        else:
-            new[1:] = np.any(idx[1:, :3] != idx[:-1, :3], axis=1)
+        new = row_changes(idx.T[:3])
         starts = np.flatnonzero(new)
         return Fibers(
             coords=tuple(np.ascontiguousarray(idx[starts, m]) for m in range(3)),
@@ -147,83 +147,75 @@ class Fibers:
         return self.coords[0].shape[0]
 
 
-def _column_bounds(idx):
-    """The column minima and the column maxima of the 2-d ``idx`` as int
-    lists, by one reduction per column (NumPy reduces axis 0 of a narrow
-    array slowly); None for no rows."""
-    if not len(idx):
-        return None
-    columns = idx.T
-    return [int(column.min()) for column in columns], [int(column.max()) for column in columns]
+def _check_bounds(idx, dims, message):
+    """A `ContractViolation` with ``message`` unless every column c of the
+    2-d ``idx`` lies in ``[0, dims[c])``."""
+    for column, d in zip(idx.T, dims):
+        if len(column) and (column.min() < 0 or column.max() >= d):
+            raise ContractViolation(message)
 
 
-def _checked_bounds(idx, dims, message):
-    """``idx``'s `_column_bounds`, after checking that every column lies in
-    ``[0, dims[c])``; a `ContractViolation` with ``message`` otherwise."""
-    bounds = _column_bounds(idx)
-    if bounds and (min(bounds[0]) < 0 or any(hi >= d for hi, d in zip(bounds[1], dims))):
-        raise ContractViolation(message)
-    return bounds
-
-
-def _flat_key(idx, bounds=None):
-    """One int64 per row of the 2-d ``idx`` that orders the rows
-    lexicographically: the mixed-radix number whose digits are the columns
-    less their minima.  None for no rows, or when that number could pass
-    int64.  ``bounds`` are ``idx``'s `_column_bounds` where the caller has
-    them."""
-    if not len(idx):
-        return None
-    low, high = bounds or _column_bounds(idx)
-    radix = [hi - lo + 1 for lo, hi in zip(low, high)]
-    if np.prod(radix, dtype=object) > np.iinfo(np.int64).max:
-        return None
-    columns = idx.T
-    key = columns[0] - low[0]
+def lex_order(columns) -> np.ndarray:
+    """The stable order that sorts the rows of ``columns``, first column
+    most significant: one ``np.argsort`` of the mixed-radix key whose
+    digits are the columns less their minima and, last, the row position,
+    so every key is distinct.  Where that key could pass int64, as for a
+    whole Stack Overflow tensor, ``np.lexsort`` sorts the columns."""
+    n = len(columns[0])
+    low = [int(column.min()) if n else 0 for column in columns]
+    radix = [int(column.max()) - lo + 1 if n else 1 for column, lo in zip(columns, low)]
+    if np.prod(radix + [n], dtype=object) > np.iinfo(np.int64).max:
+        return np.lexsort(columns[::-1])
+    key = np.subtract(columns[0], low[0], dtype=np.int64)
     for column, lo, base in zip(columns[1:], low[1:], radix[1:]):
         key *= base
-        key += column - lo
-    return key
+        key += column  # may wrap; less ``lo``, the digit is back in range
+        key -= lo
+    key *= n
+    key += np.arange(n)
+    return np.argsort(key)
 
 
-def strictly_increasing(idx, bounds=None) -> bool:
-    """Whether the rows of the 2-d ``idx`` strictly increase
-    lexicographically: each row's first column that differs from the
-    previous row's is larger.  Such rows are sorted and hold no duplicates.
-    ``bounds`` are ``idx``'s `_column_bounds` where the caller has them."""
-    key = _flat_key(idx, bounds)
-    if key is not None:
-        return bool((key[1:] > key[:-1]).all())
-    step = np.diff(idx, axis=0)
-    moved = step != 0
-    first = moved.argmax(axis=1)
-    return bool(moved.any(axis=1).all() and (step[np.arange(len(step)), first] > 0).all())
+def row_changes(columns) -> np.ndarray:
+    """Whether each row of ``columns`` differs from the row above it; True
+    for the first row, so the True rows start the runs of equal rows."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
+    return new
 
 
-def _canonicalize(idx, val, bounds=None):
+def row_increases(columns) -> np.ndarray:
+    """Whether each row of ``columns`` is lexicographically above the one
+    before, per step: ``(a > b) | ((a == b) & later)`` from the last column."""
+    *head, last = columns
+    later = last[1:] > last[:-1]
+    for column in reversed(head):
+        a, b = column[1:], column[:-1]
+        later = (a > b) | ((a == b) & later)
+    return later
+
+
+def _canonicalize(idx, val):
     """The rows of the 2-d ``idx``, of any width, sorted lexicographically,
     with the ``val`` of duplicate rows summed and rows whose sum is zero
     dropped.  Rows already in strictly increasing order skip the sort and
     the merge, and are copied only to drop a zero or to make them
-    contiguous.  ``bounds`` are ``idx``'s `_column_bounds` where the caller
-    has them."""
+    contiguous."""
     if idx.shape[0] == 0:
         return idx, val
-    if strictly_increasing(idx, bounds):
+    if row_increases(idx.T).all():
         if val.all():
             return np.ascontiguousarray(idx), np.ascontiguousarray(val)
         keep = val != 0
         return idx[keep], val[keep]
-    order = np.lexsort(idx.T[::-1])
+    order = lex_order(idx.T)
     idx, val = idx[order], val[order]
-    new_group = np.empty(idx.shape[0], dtype=bool)
-    new_group[0] = True
-    new_group[1:] = np.any(idx[1:] != idx[:-1], axis=1)
-    starts = np.flatnonzero(new_group)
+    starts = np.flatnonzero(row_changes(idx.T))
     merged = np.add.reduceat(val, starts)
-    idx = idx[starts]
     keep = merged != 0
-    return np.ascontiguousarray(idx[keep]), merged[keep]
+    return idx[starts[keep]], merged[keep]
 
 
 def _check_factor(U, rows=None, rank=None, name="factor"):

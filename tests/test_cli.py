@@ -6,11 +6,13 @@ import json
 import os
 import pickle
 import re
+import shutil
 import signal
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from qaexpert import cli
@@ -132,6 +134,42 @@ class TestIngest:
             pa = os.path.join(a, name)
             pb = os.path.join(b, name)
             assert open(pa, "rb").read() == open(pb, "rb").read(), name
+
+    def test_post_ids_near_int64_limits_write_the_same_snapshot(
+            self, tmp_path, monkeypatch, capsys):
+        # Post ids spread monotonically toward -2**62 and 2**62 put the keys
+        # of the post and vote sorts past int64, so both take np.lexsort;
+        # rows listed in reverse give the sorts work to do.
+        make_corpus(str(tmp_path / "plain"), seed=5, n_subsites=1)
+        plain, spread = tmp_path / "plain" / "sitea", tmp_path / "spread" / "sitea"
+        spread.mkdir(parents=True)
+        posts = (plain / "Posts.xml").read_text()
+        top = max(int(i) for i in re.findall(r' Id="(\d+)"', posts))
+        step = 2**63 // (top + 1)
+
+        def respread(text, names):
+            text = re.sub(f' ({names})="(\\d+)"',
+                          lambda m: f' {m[1]}="{-(2**62) + int(m[2]) * step}"', text)
+            lines = text.splitlines(keepends=True)
+            rows = [n for n, line in enumerate(lines) if line.startswith("  <row ")]
+            lines[rows[0]:rows[-1] + 1] = lines[rows[0]:rows[-1] + 1][::-1]
+            return "".join(lines)
+
+        (spread / "Posts.xml").write_text(respread(posts, "Id|ParentId|AcceptedAnswerId"))
+        (spread / "Votes.xml").write_text(respread((plain / "Votes.xml").read_text(), "PostId"))
+        (spread / "Users.xml").write_bytes((plain / "Users.xml").read_bytes())
+        lexsort, calls = np.lexsort, []
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        written = []
+        for site in (plain, spread):
+            del calls[:]
+            snap = tmp_path / f"snap-{site.parent.name}"
+            assert main(["ingest", str(site), "--out-dir", str(snap)]) == 0
+            written.append({f: (snap / f).read_bytes() for f in (
+                "tensor.txt", "site_matrix.txt", "topic_matrix.txt", "tree.txt",
+                "reputation.csv")})
+            assert len(calls) == (2 if site == spread else 0)
+        assert written[0] == written[1]
 
     def test_vote_buckets_flag_changes_tensor_dim(self, corpus, tmp_path, capsys):
         snap = str(tmp_path / "snap2")
@@ -307,8 +345,6 @@ class TestFit:
         assert "site 5" in text
 
     def test_diverged_state_saved(self, snapshot, tmp_path, monkeypatch, capsys):
-        import numpy as np
-
         from qaexpert.coupled import CpModel, JointModel
 
         cp = CpModel([np.ones((1, 1))] * 4, np.ones(1))
@@ -475,6 +511,72 @@ class TestEvaluate:
         code = main(["evaluate", "--model", fitted, "--snapshot", other,
                      "--out-dir", str(tmp_path / "e")])
         assert code == 1
+
+
+class TestConfigTypes:
+    """A config value has its key's type, checked before any input is read."""
+
+    @pytest.mark.parametrize("command, text", [
+        ("fit", "[1]"), ("fit", "5"), ("fit", '"rank"'), ("fit", '{"tol": null}'),
+        ("fit", '{"rank": null}'), ("fit", '{"rank": 2.7}'), ("fit", '{"max_iters": true}'),
+        ("fit", '{"seed": 1.9}'), ("fit", '{"rank": 2.0}'), ("fit", '{"lambda_x": true}'),
+        ("fit", '{"lambda_x": "0.1"}'), ("fit", '{"lambda_site": false}'),
+        ("ingest", '{"sample_users": 2.5}'), ("ingest", '{"sample_users": true}'),
+        ("ingest", '{"seed": null}'), ("ingest", '{"vote_buckets": [0, 1]}'),
+        ("ingest", '{"tree_s": "0.5"}'), ("recommend", '{"k": 2.0}'),
+        ("recommend", '{"k": null}'), ("evaluate", '{"k_list": 5}'),
+    ])
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        # Every input path is missing: the config is rejected before any is read.
+        missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+        argv = {"ingest": ["ingest", missing, "--out-dir", out],
+                "fit": ["fit", missing, "--out-dir", out],
+                "recommend": ["recommend", "--model", missing, "--snapshot", missing,
+                              "--topic", "t"],
+                "evaluate": ["evaluate", "--model", missing, "--snapshot", missing,
+                             "--out-dir", out]}[command]
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    def test_numbers_and_nulls_where_the_defaults_take_them(self, snapshot, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lambda_x": 1, "lambda_site": null, "tol": 0, "rank": 2, '
+                       '"max_iters": 3}')
+        out = tmp_path / "fit"
+        assert main(["fit", snapshot, "--out-dir", str(out), "--config", str(cfg)]) == 0
+        assert (out / "model.txt").read_text().startswith("joint-model rank 2")
+        cfg.write_text('{"sample_users": null, "tree_s": 1}')
+        assert main(["ingest", *micro_corpus(str(tmp_path / "dumps")),
+                     "--out-dir", str(tmp_path / "snap"), "--config", str(cfg)]) == 0
+
+
+class TestManifestShape:
+    @pytest.mark.parametrize("command", ["recommend", "evaluate"])
+    @pytest.mark.parametrize("text", ["[]", '"x"', '{"format": 1}',
+                                      '{"format": 1, "topics": "t", "users": []}',
+                                      '{"format": 1, "topics": [], "users": {}}'])
+    def test_refit_on_a_broken_manifest_exits_1(self, snapshot, tmp_path, capsys,
+                                                command, text):
+        # fit reads only the manifest's digest, so the model matches it.
+        broken = tmp_path / "broken"
+        shutil.copytree(snapshot, broken)
+        (broken / "manifest.json").write_text(text)
+        fit = tmp_path / "fit"
+        assert main(["fit", str(broken), "--out-dir", str(fit), "--rank", "2",
+                     "--max-iters", "2"]) == 0
+        capsys.readouterr()
+        argv = {"recommend": ["--topic", "alpha/tensor"],
+                "evaluate": ["--out-dir", str(tmp_path / "eval")]}[command]
+        code = main([command, "--model", str(fit / "model.txt"), "--snapshot", str(broken),
+                     *argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {broken / 'manifest.json'}: ") and "Traceback" not in err
 
 
 def edited_model(fitted, tmp_path, block, edit):

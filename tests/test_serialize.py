@@ -950,6 +950,15 @@ class TestManifest:
         with pytest.raises(DataError):
             load_manifest(p)
 
+    @pytest.mark.parametrize("payload", [[], "x", 1, {"format": 1},
+                                         {"format": 1, "topics": [], "users": None},
+                                         {"format": 1, "topics": "ab", "users": [1]}])
+    def test_manifest_without_its_tables_rejected(self, tmp_path, payload):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=re.escape(str(p))):
+            load_manifest(p)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         extra = tmp_path / "tensor.txt"
         extra.write_text("dims 1 1 1 1\n")

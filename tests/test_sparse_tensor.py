@@ -1,6 +1,7 @@
 """Sparse tensor kernels against dense brute-force oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from qaexpert.sparse_tensor import (
     mttkrp,
     reconstruct_entry,
     residual_norm,
+    lex_order,
+    row_changes,
+    row_increases,
     scatter_rows,
-    strictly_increasing,
 )
 
 from conftest import (
@@ -159,18 +162,29 @@ class TestCanonicalOrder:
         ([[3, 3]], True),
     ])
     def test_strictly_increasing(self, rows, expected):
-        assert strictly_increasing(np.array(rows)) is expected
+        assert bool(row_increases(np.array(rows).T).all()) is expected
 
     @staticmethod
     def increasing_oracle(rows):
         rows = [tuple(row) for row in rows.tolist()]
         return all(a < b for a, b in zip(rows, rows[1:]))
 
+    @classmethod
+    def check_row_steps(cls, rows):
+        """`row_increases` and `row_changes` of ``rows`` against tuple
+        comparisons of each row with the one above it."""
+        tuples = [tuple(row) for row in rows.tolist()]
+        steps = list(zip(tuples, tuples[1:]))
+        increases = row_increases(rows.T)
+        assert increases.tolist() == [a < b for a, b in steps]
+        assert bool(increases.all()) is cls.increasing_oracle(rows)
+        assert row_changes(rows.T).tolist() == [True][:len(rows)] + [a != b for a, b in steps]
+
     @pytest.mark.parametrize("seed", range(8))
-    def test_flat_key_agrees_with_a_row_by_row_oracle(self, seed):
+    def test_row_steps_agree_with_a_row_by_row_oracle(self, seed):
         rng = np.random.default_rng(seed)
         # Entries are negative or not, and spread little around offsets up
-        # to 2**62, which the key must shift away.
+        # to 2**62.
         for cols, n, offset in itertools.product((1, 2, 3, 4), (0, 1, 2, 3, 40),
                                                  (0, 2**62, -(2**62))):
             low, high = sorted(rng.integers(-6, 9, size=2))
@@ -178,20 +192,64 @@ class TestCanonicalOrder:
             canonical = np.unique(rows, axis=0)
             with_duplicate = np.insert(canonical, min(1, n), canonical[:1], axis=0)
             for case in (rows, canonical, canonical[::-1], with_duplicate):
-                assert (sparse_tensor._flat_key(case) is None) == (len(case) == 0)
-                assert strictly_increasing(case) is self.increasing_oracle(case)
+                self.check_row_steps(case)
 
     @pytest.mark.parametrize("top", [2**62, 2**63 - 1])
-    def test_keys_past_int64_take_the_row_by_row_path(self, top):
+    def test_row_steps_past_int64_agree_with_the_oracle(self, top):
         rng = np.random.default_rng(3)
         for _ in range(20):
             rows = rng.integers(0, 4, size=(12, 3))
             rows[rng.integers(12), rng.integers(3)] = top
             for case in (rows, np.unique(rows, axis=0), np.unique(rows, axis=0)[::-1]):
-                assert sparse_tensor._flat_key(case) is None
-                assert strictly_increasing(case) is self.increasing_oracle(case)
+                self.check_row_steps(case)
         big = np.array([[-(2**62), 0], [0, 5], [2**62, 0]])
-        assert sparse_tensor._flat_key(big) is None and strictly_increasing(big)
+        self.check_row_steps(big)
+        assert row_increases(big.T).all()
+
+    @staticmethod
+    def lexsort_calls(monkeypatch):
+        """A list that gains an entry on each `np.lexsort` call."""
+        calls, lexsort = [], np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        return calls
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lex_order_is_the_stable_sort(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        calls = self.lexsort_calls(monkeypatch)
+        sides = set()
+        for cols, n, offset, spread in itertools.product(
+                (1, 2, 4), (0, 1, 2, 40), (0, 2**62, -(2**62)), (3, 2**61)):
+            rows = rng.integers(0, spread, size=(n, cols)) + offset
+            rows[n // 2:] = rows[:n - n // 2]  # half the rows repeat the first half
+            rows = rows[rng.permutation(n)]
+            del calls[:]
+            order = lex_order(rows.T)
+            tuples = [tuple(row) for row in rows.tolist()]
+            assert order.tolist() == sorted(range(n), key=tuples.__getitem__)
+            # The key's digits: each column's span, then the row position.
+            spans = [max(c) - min(c) + 1 for c in zip(*tuples)] if n else []
+            past = math.prod(spans) * n > 2**63 - 1
+            assert len(calls) == past
+            sides.add(past)
+        assert sides == {False, True}
+
+    @pytest.mark.parametrize("columns, past", [
+        # The radices times the row count end just below, or just past, 2**63 - 1.
+        ([[0, 2**62 - 2]], False),
+        ([[0, 2**62 - 1]], True),
+        ([[-(2**62), -2]], False),
+        ([[2**62 - 2, 0]], False),
+        # Digits that wrap while they are summed, and come back in range.
+        ([[5, 3, 5], [2**63 - 1, 2**63 - 2, 2**63 - 2]], False),
+        ([[1, 0, 1, 0], [-(2**63), 2**63 - 1, 2**63 - 1, -(2**63)]], True),
+    ])
+    def test_lex_order_at_the_int64_switch(self, columns, past, monkeypatch):
+        calls = self.lexsort_calls(monkeypatch)
+        columns = np.array(columns, dtype=np.int64)
+        tuples = list(zip(*columns.tolist()))
+        assert lex_order(columns).tolist() == sorted(range(len(tuples)), key=tuples.__getitem__)
+        assert len(calls) == past
 
     @pytest.mark.parametrize("dims", [(3, 2, 3, 4), (2**21, 2**21, 2**21, 9)])
     @pytest.mark.parametrize("seed", range(3))
@@ -202,7 +260,6 @@ class TestCanonicalOrder:
         idx[:2] = [0, 0, 0, 0], np.array(dims) - 1  # each column spans its dim
         X = SparseTensor4(dims, indices=idx, values=rng.random(n) + 0.5)
         prefixes, inverse = np.unique(X.indices[:, :3], axis=0, return_inverse=True)
-        assert (sparse_tensor._flat_key(X.indices[:, :3]) is None) == (dims[0] == 2**21)
         fib = X.fibers
         assert fib.count == len(prefixes)
         for m in range(3):
@@ -215,7 +272,7 @@ class TestCanonicalOrder:
         idx, val = coo_input(kind, np.random.default_rng(COO_KINDS.index(kind)))
         dims = (3, 2, 3, 4)
         fast = SparseTensor4(dims, indices=idx, values=val)
-        monkeypatch.setattr(sparse_tensor, "strictly_increasing", lambda *args: False)
+        monkeypatch.setattr(sparse_tensor, "row_increases", lambda columns: np.zeros(1, bool))
         sorted_path = SparseTensor4(dims, indices=idx, values=val)
         for a, b in ((fast.indices, sorted_path.indices), (fast.values, sorted_path.values)):
             assert a.dtype == b.dtype and a.shape == b.shape
@@ -228,7 +285,7 @@ class TestCanonicalOrder:
         def no_sort(*args, **kwargs):
             raise AssertionError("canonical input was sorted")
 
-        monkeypatch.setattr(np, "lexsort", no_sort)
+        monkeypatch.setattr(sparse_tensor, "lex_order", no_sort)
         X = SparseTensor4((3, 2, 3, 4), indices=idx, values=val)
         assert X.nnz == np.count_nonzero(val)
         assert not np.shares_memory(X.indices, idx)
