@@ -85,6 +85,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    if merged.get("seed", 0) < 0:  # NumPy's generator takes no negative seed
+        raise UsageError("--seed must be >= 0")
     return merged
 
 

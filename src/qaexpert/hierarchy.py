@@ -116,6 +116,8 @@ def tree_from_nested(nested, sg_by_level=None) -> HierarchyTree:
     rows ``{0, 1}`` and ``{2}``.  A bare int makes a leaf directly.
     ``sg_by_level`` optionally maps a level to its ``(s, g)`` pair;
     unlisted levels use ``(0.5, 0.5)``.  Nodes are numbered in preorder.
+    The command line does not use it: `ingest.build_inputs` computes its
+    tree's arrays directly.
     """
     sg_by_level = sg_by_level or {}
     parent, sg, leaf_row = [], [], []

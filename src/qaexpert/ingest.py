@@ -18,10 +18,13 @@ groups are sorted by ``sparse_tensor.lex_order``, which takes any int64
 ids.  The reputation ledger is columns too, user id, topic and score in
 (user, topic) order, ranked per topic by one ``lex_order`` of its rows.
 Each subsite is validated once, when it is parsed; `merge_datasets`
-joins validated subsites without checking them again.  `parse_dump`
-reads one subsite and shares nothing with the parse of another, so the
-command line runs it in a separate worker process per share of the
-subsites and merges the results.
+joins validated subsites without checking them again, and sorts them
+only when they do not come in subsite order.  `build_inputs` computes the
+tree's preorder arrays from the sorted groups, each node id by counting
+the nodes before it, with no nested lists.  `parse_dump` reads one
+subsite and shares nothing with the parse of another, so the command
+line runs it in a separate worker process per share of the subsites and
+merges the results.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import numpy as np
 
 from .coupled import MembershipMatrix
 from .errors import DataError, DumpParseError, EmptyInputError
-from .hierarchy import HierarchyTree, tree_from_nested
-from .sparse_tensor import SparseTensor4, lex_order, row_changes
+from .hierarchy import HierarchyTree
+from .sparse_tensor import SparseTensor4, distinct, lex_order, row_changes
 
 __all__ = [
     "PostColumns",
@@ -166,7 +169,7 @@ class QaDataset:
             )
         voter = np.where(votes.voter == NONE, 0, votes.voter)
         votes = votes.take(lex_order((votes.site, votes.post, votes.kind, voter)))
-        self.users = np.unique(np.asarray(users, dtype=np.int64))
+        self.users = distinct(np.asarray(users, dtype=np.int64))
         self.posts, self.votes = posts, votes
         self.ref_row = _find(posts, posts.site, posts.ref)
         self.vote_row = _find(posts, votes.site, votes.post)
@@ -219,7 +222,7 @@ class QaDataset:
     @cached_property
     def subsites(self) -> tuple[str, ...]:
         """Names of the subsites with posts."""
-        return tuple(self.posts.sites[c] for c in np.unique(self.posts.site).tolist())
+        return tuple(self.posts.sites[c] for c in distinct(self.posts.site).tolist())
 
     def post_keys(self, rows) -> list[tuple[str, int]]:
         """(subsite, post id) of the posts at ``rows``."""
@@ -407,7 +410,9 @@ def merge_datasets(datasets) -> QaDataset:
 
     Each part was sorted and validated when it was built, and no record
     refers across subsites, so the parts' columns are joined and put in
-    subsite order by one stable sort, without validating again.
+    subsite order by one stable sort, without validating again.  Parts
+    that come in subsite order, as the command line gives them, are kept
+    as joined: the sort would not move a row.
     """
     datasets = list(datasets)
     runs = sorted(((s, data) for data in datasets for s in data.subsites), key=itemgetter(0))
@@ -431,11 +436,14 @@ def merge_datasets(datasets) -> QaDataset:
     site, pid, kind, owner, ref, count, ref_row = (np.concatenate(c) for c in zip(*posts))
     *vote_cols, vote_row = (np.concatenate(c) for c in zip(*votes))
     whole = QaDataset._assemble(
-        np.unique(np.concatenate([empty] + [data.users for data in datasets])),
+        distinct(np.concatenate([empty] + [data.users for data in datasets])),
         PostColumns(sites, tags, site, pid, kind, owner, ref,
                     np.concatenate(([0], np.cumsum(count))), np.concatenate(tag_cols)),
         VoteColumns(*vote_cols), ref_row, vote_row,
     )
+    # Votes follow their posts' subsites: posts in order leave nothing to sort.
+    if (site[1:] >= site[:-1]).all():
+        return whole
     return whole._select(lex_order((site,)), lex_order((vote_cols[0],)))
 
 
@@ -520,7 +528,7 @@ def _accepted_answers(data: QaDataset):
     p, v = data.posts, data.votes
     named = data.ref_row[(p.kind == QUESTION) & (p.ref != NONE)]
     voted = data.vote_row[(v.kind == ACCEPT) & (p.kind[data.vote_row] == ANSWER)]
-    return np.union1d(named, voted)
+    return distinct(np.concatenate((named, voted)))
 
 
 def reputation_scores(data: QaDataset) -> ReputationLedger:
@@ -630,7 +638,7 @@ def build_inputs(
         raise EmptyInputError("no tagged questions in the dataset")
 
     question_site = p.site[questions]
-    present = np.unique(question_site)
+    present = distinct(question_site)
     subsites = tuple(p.sites[c] for c in present.tolist())
     dropped = [s for s in data.subsites if s not in subsites]
     if dropped:
@@ -639,7 +647,7 @@ def build_inputs(
             stacklevel=2,
         )
     # Only questions carry tags, so every tag in the column is a topic.
-    used_tags = np.unique(p.tag)
+    used_tags = distinct(p.tag)
     topics = tuple(p.tags[c] for c in used_tags.tolist())
     users = tuple(data.users.tolist())
     row_question = np.full(len(p), -1)
@@ -663,16 +671,26 @@ def build_inputs(
     )
     topic_matrix = MembershipMatrix(len(topics), len(users), np.column_stack((j, l)))
 
-    # Tree groups: questions by subsite, then by first tag, each ascending.
+    # The tree in preorder: the root, then each subsite, each of its groups
+    # of questions sharing a first tag and each group's questions, ascending.
     first_tag = p.tag[p.tag_start[questions]]
     order = lex_order((question_site, first_tag))
-    starts = np.flatnonzero(row_changes((question_site[order], first_tag[order])))
-    nested = {}
-    for group in np.split(order, starts[1:]):
-        nested.setdefault(int(question_site[group[0]]), []).append(group.tolist())
+    sorted_site = question_site[order]
+    new_site = row_changes((sorted_site,))
+    new_group = row_changes((sorted_site, first_tag[order]))
+    # Each question's leaf comes right after the subsite and group nodes it opens.
+    leaf = np.cumsum(1 + new_site + new_group)
+    group_node = np.maximum.accumulate(np.where(new_group, leaf - 1, 0))
+    site_node = np.maximum.accumulate(np.where(new_site, leaf - 2, 0))
+    parent = np.zeros(leaf[-1] + 1, dtype=np.int64)  # a subsite's parent is the root
+    parent[0] = -1
+    parent[leaf], parent[group_node] = group_node, site_node
+    leaf_row = np.full(len(parent), -1)
+    leaf_row[leaf] = order
     tree_g = 1.0 - tree_s
-    sg = {level: (tree_s, tree_g) for level in range(TREE_LEAF_LEVEL)}
-    tree = tree_from_nested(list(nested.values()), sg_by_level=sg)
+    internal = leaf_row < 0
+    tree = HierarchyTree(parent, np.where(internal, tree_s, np.nan),
+                         np.where(internal, tree_g, np.nan), leaf_row)
 
     return BuildInputs(
         tensor=tensor,

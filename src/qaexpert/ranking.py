@@ -16,6 +16,7 @@ from .errors import ContractViolation
 from .ingest import (
     ANSWER, QUESTION, QaDataset, ReputationLedger, _accepted_answers, _user_index,
 )
+from .sparse_tensor import distinct
 
 __all__ = [
     "RankedList",
@@ -130,7 +131,7 @@ def baseline_rank(data: QaDataset, topic: str, kind: str, k: int) -> RankedList:
     accepted[_accepted_answers(data)] = True
     known = _user_index(data.users, p.owner) >= 0
     answered = known & (p.kind == ANSWER) & tagged[data.ref_row]
-    candidates = np.unique(p.owner[answered])
+    candidates = distinct(p.owner[answered])
     if not len(candidates):
         return RankedList(topic, ())
 

@@ -11,7 +11,8 @@ or a dense unfolding.
 Every integer table in the package orders its rows, given as columns,
 by three primitives that take any int64 values: ``lex_order`` (the
 stable sort), ``row_changes`` (where runs of equal rows start) and
-``row_increases`` (strict lexicographic order).
+``row_increases`` (strict lexicographic order).  ``distinct`` is the
+sorted set of one column, one sort and one ``row_changes``.
 
 The MTTKRP kernel works on compressed sparse fibers (Smith & Karypis,
 SPLATT, 2015).  A fiber is one run of nonzeros that share their question,
@@ -184,6 +185,14 @@ def row_changes(columns) -> np.ndarray:
     for column in columns:
         new[1:] |= column[1:] != column[:-1]
     return new
+
+
+def distinct(values) -> np.ndarray:
+    """The distinct entries of the 1-d ``values``, ascending, by one
+    ``np.sort`` and one run split.  NumPy's own ``unique`` gives the same
+    but imports ``numpy.ma`` on first use, which no stage needs."""
+    values = np.sort(values)
+    return values[row_changes((values,))]
 
 
 def row_increases(columns) -> np.ndarray:

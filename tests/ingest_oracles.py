@@ -3,7 +3,9 @@
 Each function walks `Post` and `Vote` records through dict lookups, one
 record at a time, the way `qaexpert.ingest` computed vote scores,
 reputation, model inputs and samples before it kept datasets as columns.
-The tests check the columnar kernels against them.
+`nested_tree` is the nested-list tree construction `build_inputs` used
+before it computed the tree's arrays directly.  The tests check the
+columnar kernels against them.
 """
 
 from bisect import bisect_right
@@ -13,7 +15,8 @@ import numpy as np
 from qaexpert.coupled import MembershipMatrix
 from qaexpert.errors import EmptyInputError
 from qaexpert.hierarchy import tree_from_nested
-from qaexpert.sparse_tensor import SparseTensor4
+from qaexpert.ingest import QUESTION
+from qaexpert.sparse_tensor import SparseTensor4, lex_order, row_changes
 
 import records as rec
 from records import Post
@@ -130,6 +133,22 @@ def build_inputs(data, bucket_edges=(0, 1, 3, 10), tree_s=0.5) -> dict:
         "users": users,
         "subsites": subsites,
     }
+
+
+def nested_tree(data, tree_s=0.5):
+    """`build_inputs`' tree built the way it was before the arrays were
+    computed directly: the (subsite, first tag) groups of the tagged
+    questions, from one sort, as nested lists walked by `tree_from_nested`."""
+    p = data.posts
+    questions = np.flatnonzero((p.kind == QUESTION) & (np.diff(p.tag_start) > 0))
+    question_site, first_tag = p.site[questions], p.tag[p.tag_start[questions]]
+    order = lex_order((question_site, first_tag))
+    starts = np.flatnonzero(row_changes((question_site[order], first_tag[order])))
+    nested = {}
+    for group in np.split(order, starts[1:]):
+        nested.setdefault(int(question_site[group[0]]), []).append(group.tolist())
+    sg = {level: (tree_s, 1.0 - tree_s) for level in range(3)}
+    return tree_from_nested(list(nested.values()), sg_by_level=sg)
 
 
 def sample_dataset(data, n_users, seed):

@@ -189,9 +189,12 @@ class TestIngest:
 
     @pytest.mark.parametrize("flags", [
         ["--sample-users", "0"], ["--tree-s", "1.5"], ["--tree-s", "-0.1"], ["--tree-s", "nan"],
+        ["--seed", "-1"], ["--seed", "-1", "--sample-users", "5"],
     ])
-    def test_rejected_flag_value_exits_2(self, corpus, tmp_path, capsys, flags):
-        code = main(["ingest", *corpus, "--out-dir", str(tmp_path / "out"), *flags])
+    def test_rejected_flag_value_exits_2(self, tmp_path, capsys, flags):
+        # The dump is missing: the flag is rejected before any input is read.
+        code = main(["ingest", str(tmp_path / "missing"), "--out-dir", str(tmp_path / "out"),
+                     *flags])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"usage error: {flags[0]}")
         assert not os.path.exists(tmp_path / "out")
@@ -227,10 +230,11 @@ class TestFit:
         ["--rank", "0"], ["--max-iters", "0"], ["--tol", "-1"], ["--lambda-x", "-1"],
         ["--lambda-w", "-0.5"], ["--lambda-s", "-1"], ["--lambda-t", "-2"],
         ["--tol", "nan"], ["--tol", "inf"], ["--lambda-x", "nan"], ["--lambda-x", "inf"],
-        ["--lambda-w", "nan"], ["--lambda-s", "nan"], ["--lambda-t", "inf"],
+        ["--lambda-w", "nan"], ["--lambda-s", "nan"], ["--lambda-t", "inf"], ["--seed", "-1"],
     ])
-    def test_rejected_flag_value_exits_2(self, snapshot, tmp_path, capsys, flags):
-        code = main(["fit", snapshot, "--out-dir", str(tmp_path / "f"), *flags])
+    def test_rejected_flag_value_exits_2(self, tmp_path, capsys, flags):
+        # The snapshot is missing: the flag is rejected before any input is read.
+        code = main(["fit", str(tmp_path / "missing"), "--out-dir", str(tmp_path / "f"), *flags])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and flags[0][2:].replace("-", "_") in err
@@ -279,15 +283,6 @@ class TestFit:
         code = main(["fit", str(tmp_path / "nowhere"),
                      "--out-dir", str(tmp_path / "f")])
         assert code == 1
-
-    def test_fit_process_never_imports_numpy_ma(self, snapshot, tmp_path):
-        # numpy.ma costs a large share of a small fit's time to import.
-        fit = ["fit", snapshot, "--out-dir", str(tmp_path / "f"), "--rank", "2"]
-        code = ("import sys; from qaexpert.cli import main; "
-                f"assert main({fit!r}) == 0; sys.exit('numpy.ma' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-        assert run.returncode == 0, run.stderr
 
     def test_deterministic(self, snapshot, tmp_path, capsys):
         outs = []
@@ -514,7 +509,8 @@ class TestEvaluate:
 
 
 class TestConfigTypes:
-    """A config value has its key's type, checked before any input is read."""
+    """A config value has its key's type, and a seed is not negative,
+    checked before any input is read."""
 
     @pytest.mark.parametrize("command, text", [
         ("fit", "[1]"), ("fit", "5"), ("fit", '"rank"'), ("fit", '{"tol": null}'),
@@ -525,6 +521,7 @@ class TestConfigTypes:
         ("ingest", '{"seed": null}'), ("ingest", '{"vote_buckets": [0, 1]}'),
         ("ingest", '{"tree_s": "0.5"}'), ("recommend", '{"k": 2.0}'),
         ("recommend", '{"k": null}'), ("evaluate", '{"k_list": 5}'),
+        ("fit", '{"seed": -1}'), ("ingest", '{"seed": -1}'),
     ])
     def test_mistyped_config_exits_2(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "cfg.json"
@@ -814,6 +811,38 @@ class TestPooledIngest:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("stage", ["ingest-one", "ingest-two", "fit", "evaluate",
+                                       "recommend"])
+    def test_stage_process_never_imports_numpy_ma(self, stage, corpus, tmp_path, request):
+        # numpy.ma costs a large share of a small stage's time to import.
+        out = str(tmp_path / "out")
+        if stage.startswith("ingest"):
+            # One subsite is parsed in the process itself, two in forked workers.
+            argv = ["ingest", *corpus[:1 if stage == "ingest-one" else 2], "--out-dir", out]
+        else:
+            snap, model = request.getfixturevalue("snapshot"), request.getfixturevalue("fitted")
+            argv = {"fit": ["fit", snap, "--out-dir", out, "--rank", "2"],
+                    "evaluate": ["evaluate", "--model", model, "--snapshot", snap,
+                                 "--out-dir", out],
+                    "recommend": ["recommend", "--model", model, "--snapshot", snap,
+                                  "--topic", "beta/trees"]}[stage]
+        # parse_dump checks the process that parsed, a forked worker or this one.
+        code = (
+            "import sys\n"
+            "from qaexpert import cli\n"
+            "parse = cli.parse_dump\n"
+            "def parse_dump(*args, **kwargs):\n"
+            "    data = parse(*args, **kwargs)\n"
+            "    assert 'numpy.ma' not in sys.modules, 'the parse imported numpy.ma'\n"
+            "    return data\n"
+            "cli.parse_dump = parse_dump\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+        assert run.returncode == 0, run.stderr
+
     def test_end_to_end_byte_determinism(self, corpus, tmp_path, capsys):
         reports = []
         for run in ("r1", "r2"):

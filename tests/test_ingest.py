@@ -10,6 +10,7 @@ import pytest
 
 from qaexpert.errors import ContractViolation, DataError, DumpParseError, EmptyInputError
 from qaexpert.ingest import (
+    QaDataset,
     ReputationLedger,
     build_inputs,
     merge_datasets,
@@ -342,6 +343,19 @@ def reread_site(site_dir, name):
     return sorted(set(canonical.values())), posts, votes
 
 
+def assert_same_columns(got, want):
+    """Every column of two datasets, ``ref_row`` and ``vote_row`` included,
+    holds the same values of the same type."""
+    assert got.posts.sites == want.posts.sites and got.posts.tags == want.posts.tags
+    columns = [(got.users, want.users), (got.ref_row, want.ref_row),
+               (got.vote_row, want.vote_row)]
+    columns += [(vars(got.posts)[k], v) for k, v in vars(want.posts).items()
+                if k not in ("sites", "tags")]
+    columns += [(vars(got.votes)[k], v) for k, v in vars(want.votes).items()]
+    for g, w in columns:
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+
 class TestParserAndMergeOracle:
     @pytest.fixture
     def sites(self, tmp_path):
@@ -401,6 +415,31 @@ class TestParserAndMergeOracle:
                 assert rec.post(merged, post.subsite, post.post_id) == post
             with pytest.raises(KeyError):
                 rec.post(merged, "sitea", 10**6)
+
+    def test_merge_in_subsite_order_keeps_the_join(self, sites, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            a, b, c, z = (parse_site(path, name) for name, path in sites.items())
+        spanning = merge_datasets([a, c])
+        selects = []
+        select = QaDataset._select
+        monkeypatch.setattr(QaDataset, "_select",
+                            lambda *args, **kw: selects.append(1) or select(*args, **kw))
+        # parts out of subsite order, interleaved multi-subsite parts included
+        sorted_merges = [(merge_datasets([c, z, a, b]), 4), (merge_datasets([spanning, z, b]), 4),
+                         (merge_datasets([spanning, b]), 3), (merge_datasets([z, a]), 2)]
+        assert len(selects) == len(sorted_merges)
+
+        def no_select(*args, **kwargs):
+            raise AssertionError("parts in subsite order were taken again")
+
+        monkeypatch.setattr(QaDataset, "_select", no_select)
+        joined = {4: merge_datasets([a, b, c, z]), 3: merge_datasets([a, b, c]),
+                  2: merge_datasets([a, z])}
+        for merged, n in sorted_merges:
+            assert_same_columns(merged, joined[n])
+        assert_same_columns(merge_datasets([a]), a)
+        assert_same_columns(merge_datasets([spanning, z]), merge_datasets([a, c, z]))
 
     def test_merge_rejects_shared_subsite(self, sites):
         part = parse_site(sites["sitea"], "sitea")
@@ -679,6 +718,31 @@ class TestBuildInputs:
         assert tree.n_rows == 1
         assert tree.level.tolist() == [0, 1, 2, 3]
         assert [g.tolist() for g in tree.level_groups(1)] == [[0]]
+
+    @pytest.mark.parametrize("tree_s", [0, 0.3, 1])
+    @pytest.mark.parametrize("n_sites", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tree_arrays_equal_the_nested_list_tree(self, seed, n_sites, tree_s):
+        rng = np.random.default_rng(seed)
+        posts = []
+        for site in ("sa", "sb", "sc")[:n_sites]:
+            for pid in range(1, rng.integers(2, 12)):
+                # few tags, so some topics hold a single question
+                tags = tuple(dict.fromkeys(
+                    f"{site}/t{t}" for t in rng.integers(0, 5, rng.integers(0, 3))))
+                posts.append(Post(pid, site, "question", 1, None, None, tags))
+            posts.append(Post(100, site, "question", 1, None, None, (f"{site}/only",)))
+        # a subsite without tagged questions, dropped from the tree
+        posts += [Post(1, "sd", "question", 1), Post(2, "sd", "answer", 1, 1)]
+        posts = [posts[i] for i in rng.permutation(len(posts))]
+        data = rec.dataset([1], posts, [])
+        with pytest.warns(UserWarning, match="sd"):
+            tree = build_inputs(data, tree_s=tree_s).tree
+        want = oracles.nested_tree(data, tree_s)
+        for name in ("parent", "s", "g", "leaf_row"):
+            got_a, want_a = getattr(tree, name), getattr(want, name)
+            assert got_a.dtype == want_a.dtype
+            np.testing.assert_array_equal(got_a, want_a, err_msg=name)
 
     def test_vote_bucket_assignment(self, tmp_path):
         # scores 0, 1, 3, 10 and a downvoted question cover all five bands

@@ -12,6 +12,7 @@ from qaexpert import sparse_tensor
 from qaexpert.errors import ContractViolation
 from qaexpert.sparse_tensor import (
     SparseTensor4,
+    distinct,
     gram_hadamard,
     khatri_rao,
     mttkrp,
@@ -266,6 +267,23 @@ class TestCanonicalOrder:
             assert fib.coords[m].tolist() == prefixes[:, m].tolist()
         assert fib.of_nz.tolist() == inverse.ravel().tolist()
         assert fib.expert.tolist() == X.indices[:, 3].tolist()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distinct_equals_numpy_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        cases = [
+            np.zeros(0, dtype=np.int64), np.array([seed - 3]), np.full(7, seed - 3),
+            np.array([hi, lo, 0, hi, lo, -1, 1, hi - 1, lo + 1]),
+            rng.integers(-5, 5, size=50), rng.integers(lo, hi, size=50, endpoint=True),
+            rng.choice(np.array([lo, hi, 0]), size=20),
+        ]
+        for values in cases:
+            values = np.asarray(values, dtype=np.int64)
+            before = values.copy()
+            got, want = distinct(values), np.unique(values)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert values.tolist() == before.tolist()  # the input is left as it was
 
     @pytest.mark.parametrize("kind", COO_KINDS)
     def test_both_paths_give_identical_arrays(self, kind, monkeypatch):
