@@ -295,6 +295,7 @@ def cmd_fit(args) -> int:
     except ValueError as exc:  # a flag or config value out of range
         raise UsageError(str(exc)) from None
     paths = _snapshot_paths(args.snapshot)
+    serialize.load_manifest(paths["manifest"])  # its shape, as recommend and evaluate read it
     X = serialize.load_tensor(paths["tensor"])
     M = serialize.load_membership(paths["site"])
     N = serialize.load_membership(paths["topic"])
@@ -318,9 +319,10 @@ def cmd_fit(args) -> int:
         return 1
     serialize.save_model(model, model_path, manifest_hash=manifest_hash, config=cfg)
     serialize.save_history(model.objective_history, os.path.join(out, "objective_history.csv"))
-    if not model.cp.norms.any():
-        print(f"warning: 0 of {joint_cfg.rank} components are live; "
-              "every topic will rank as no-signal", file=sys.stderr)
+    live = int((model.cp.norms != 0).sum())
+    if live < joint_cfg.rank:
+        print(f"warning: {live} of {joint_cfg.rank} components are live"
+              + ("" if live else "; every topic will rank as no-signal"), file=sys.stderr)
     print(
         f"fit rank {joint_cfg.rank} in {len(model.objective_history)} sweeps, "
         f"final objective {model.objective_history[-1]:.6g} -> {model_path}"

@@ -4,17 +4,17 @@ Every format is UTF-8 with LF endings and writes floats as ``%.17g``, so
 a save/load round trip reproduces float64 values bit for bit and repeated
 runs with equal inputs produce byte-identical files.
 
+A snapshot table (``tensor.txt``, the two membership files, ``tree.txt``)
+or a matrix block of ``model.txt`` has one reader: a ``np.loadtxt`` pass
+over ASCII text in LF or CRLF lines, a row a line, none of them blank.
+Input that pass rejects is a DataError naming the first line it rejects,
+found by bisecting the line prefixes with the same pass.  A line number
+counts LF-terminated lines, a CRLF counting as one LF.
+
 ``model.txt`` ends with a ``digest <sha256>`` line over every byte before
 it, so `load_model` can check the whole file yet parse only the blocks
 its caller reads: ranking reads the topic and expert factors and the
 norms.  A model without the digest line is rejected and must be refit.
-Numeric rows are parsed by ``np.loadtxt``, which reads a snapshot's
-tensor, membership and tree files itself in one pass; anything it
-rejects goes to the per-line parser, which either accepts it or names
-the bad line.  ``tree.txt`` mixes numbers and ``leaf`` in its last two
-fields, so they are read as bytes as wide as the file's longest line and
-converted by ``astype``.  A line number counts LF-terminated lines, a
-CRLF counting as one LF.
 
 ``reputation.csv`` is the exception to the whitespace-separated layout:
 CSV rows ``user_id,topic,score`` in (user, topic) order under that
@@ -31,6 +31,7 @@ format pass.
 from __future__ import annotations
 
 import csv
+import bisect
 import hashlib
 import io
 import json
@@ -66,22 +67,9 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
-def _read_text(path) -> str:
+def _read(path) -> bytes:
     with open(path, "rb") as fh:
-        return fh.read().decode("utf-8")
-
-
-def _lines(text: str) -> list[str]:
-    """``text`` split at LF only, a CRLF counting as one LF, so that line n
-    is the one ``<path>:<n>`` names.  ``str.splitlines`` also breaks at a
-    lone CR, a vertical tab, a form feed, the separators 0x1c-0x1e, NEL,
-    U+2028 and U+2029."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+        return fh.read()
 
 
 def _rows_text(template, columns) -> str:
@@ -100,34 +88,84 @@ def save_tensor(X: SparseTensor4, path):
 
 
 def _table(source, dtype, rows, skiprows=0, delimiter=None):
-    """Rows of ``source``, a file or a list of lines, after its first
-    ``skiprows`` lines, split at ``delimiter`` (at whitespace by default),
-    as a structured array; None when ``np.loadtxt`` rejects them, warns (on
-    empty input, or where a NumPy would cast an integer through a float) or
-    reads other than ``rows`` rows (it drops blank lines).  The caller's
-    per-line parser then accepts the rows or names the bad one.  An integer
-    field must be ASCII: ``np.loadtxt`` reads some other characters as
+    """Rows of the file ``source`` after its first ``skiprows`` lines, split
+    at ``delimiter`` (at whitespace by default), as a structured array read
+    by one ``np.loadtxt`` pass; a ValueError where the pass rejects them,
+    warns (on empty input, or where a NumPy would cast an integer through a
+    float) or reads other than ``rows`` rows (it drops blank lines).  The
+    text must be ASCII: ``np.loadtxt`` reads some other characters as
     digits, ``1\u01fe`` as 472."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
             table = np.loadtxt(source, dtype=dtype, comments=None, ndmin=1, skiprows=skiprows,
                                delimiter=delimiter, quotechar=None, encoding="utf-8")
-    except (ValueError, Warning):
-        return None
-    return table if len(table) == rows else None
+        except Warning as exc:
+            raise ValueError(exc) from None
+    if len(table) != rows:
+        raise ValueError(f"read {len(table)} of {rows} rows")
+    return table
 
 
-def _file_table(path, text, dtype, skiprows=0):
-    """`_table` over the file at ``path`` itself, whose text is ``text``;
-    None also for non-ASCII text, and where a CR stands outside a CRLF,
-    since ``np.loadtxt`` reads the file with universal newlines and would
-    end a line there."""
-    if not text.isascii() or ("\r" in text and text.count("\r") != text.count("\r\n")):
-        return None
-    ends = np.count_nonzero(np.frombuffer(text.encode(), dtype=np.uint8) == ord("\n"))
-    lines = ends + (text[-1:] not in ("", "\n"))  # the last line may lack its LF
-    return _table(path, dtype, lines - skiprows, skiprows)
+def _line_bounds(data: bytes) -> np.ndarray:
+    """Where each line of ``data`` starts, then where the last one ends:
+    line n, the one ``<path>:<n>`` names, is ``data[bounds[n - 1]:bounds[n]]``.
+    A line ends past an LF (a CRLF ending one line) or at the end of the
+    data; no other character, a lone CR, a form feed or U+2028, ends one."""
+    bounds = np.r_[0, np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1]
+    return bounds if data[-1:] in (b"", b"\n") else np.append(bounds, len(data))
+
+
+def _rows(data: bytes, dtype, skip=0, source=None):
+    """The lines of ``data`` after its first ``skip``, a row of ``dtype``
+    each, read by `_table` from ``source`` (``data`` itself by default; a
+    file reads faster by its path).  A ValueError unless ``data`` is ASCII
+    without a NUL (a bytes field drops its trailing NULs), an ``_`` (NumPy
+    casts bytes to numbers as Python does, ``1_0`` to 10) or a CR outside a
+    CRLF (``np.loadtxt`` ends a line there), and `_table` takes it."""
+    if (not data.isascii() or b"\0" in data or b"_" in data
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        raise ValueError("expected ASCII text in LF or CRLF lines")
+    lines = (np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+             + (data[-1:] not in (b"", b"\n")))
+    if lines <= skip:
+        return np.zeros(0, dtype)
+    return _table(io.BytesIO(data) if source is None else source, dtype, lines - skip, skip)
+
+
+def _first_rejected(count: int, read) -> int:
+    """The least n in 1..``count`` for which ``read(n)`` raises a ValueError
+    or an OverflowError, found by bisection: ``read(count)`` raises, and so
+    does every ``read(n)`` past one that raises."""
+    def rejects(n):
+        try:
+            read(n)
+        except (ValueError, OverflowError):
+            return True
+        return False
+    return bisect.bisect_left(range(1, count + 1), True, key=rejects) + 1
+
+
+def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first=1):
+    """`_rows` of ``data``, the text of ``path`` from its line ``first`` on.
+    Where they are rejected, the first line whose prefix `_rows` rejects is
+    a DataError naming it, and quoting the field that ``np.loadtxt`` does
+    not convert in it or else the line, which does not follow ``layout``."""
+    try:
+        return _rows(data, dtype, skip, source)
+    except ValueError:
+        pass
+    bounds = _line_bounds(data)
+    n = _first_rejected(len(bounds) - 1, lambda n: _rows(data[:bounds[n]], dtype, skip))
+    line, why = data[bounds[n - 1]:bounds[n]], ""
+    try:
+        _rows(line, dtype)
+    except ValueError as exc:
+        why = str(exc).partition(" at row")[0]
+    text = line.decode("utf-8", "replace").rstrip("\r\n")
+    if not why.startswith("could not convert"):
+        why = f"expected {layout}, got {text!r}"
+    raise DataError(f"{path}:{first + n - 1}: {why}")
 
 
 def _numbers(fields, kind, path, line):
@@ -142,17 +180,6 @@ def _numbers(fields, kind, path, line):
         raise DataError(f"{path}:{line}: {exc}") from None
 
 
-def _column(fields, kind, path, lines):
-    """``fields`` as an int64 or float64 array by ``kind``; the first that
-    `_numbers` rejects is a DataError naming its line, ``lines[i]``."""
-    try:
-        return np.array(fields, dtype=np.int64 if kind is int else np.float64)
-    except (ValueError, OverflowError):
-        for field, n in zip(fields, lines):
-            _numbers([field], kind, path, n)
-        raise
-
-
 def _build(path, make, *args, **kwargs):
     """``make(*args, **kwargs)``; a ContractViolation it raises is a
     DataError naming ``path``."""
@@ -163,23 +190,14 @@ def _build(path, make, *args, **kwargs):
 
 
 def load_tensor(path) -> SparseTensor4:
-    text = _read_text(path)
-    head = text.partition("\n")[0].split()
+    data = _read(path)
+    head = data.partition(b"\n")[0].decode("ascii", "replace").split()
     if len(head) != 5 or head[0] != "dims":
         raise DataError(f"{path}:1: expected a 'dims I J K L' header")
     dims = tuple(_numbers(head[1:], int, path, 1))
-    table = _file_table(path, text, [("index", np.int64, (4,)), ("value", np.float64)], skiprows=1)
-    if table is not None:
-        return _build(path, SparseTensor4, dims, indices=table["index"], values=table["value"])
-    indices, values = [], []
-    for n, line in enumerate(_lines(text)[1:], start=2):
-        parts = line.split()
-        if len(parts) != 5:
-            raise DataError(f"{path}:{n}: expected 'i j k l value'")
-        indices.append(_numbers(parts[:4], int, path, n))
-        values.extend(_numbers(parts[4:], float, path, n))
-    return _build(path, SparseTensor4, dims,
-                  indices=np.array(indices).reshape(-1, 4), values=values)
+    table = _read_rows(path, data, [("index", np.int64, (4,)), ("value", np.float64)],
+                       "'i j k l value'", skip=1, source=path)
+    return _build(path, SparseTensor4, dims, indices=table["index"], values=table["value"])
 
 
 def save_membership(M: MembershipMatrix, path):
@@ -187,21 +205,13 @@ def save_membership(M: MembershipMatrix, path):
 
 
 def load_membership(path) -> MembershipMatrix:
-    text = _read_text(path)
-    head = text.partition("\n")[0].split()
+    data = _read(path)
+    head = data.partition(b"\n")[0].decode("ascii", "replace").split()
     if len(head) != 2:
         raise DataError(f"{path}:1: expected a 'rows cols' header")
     rows, cols = _numbers(head, int, path, 1)
-    table = _file_table(path, text, [("pair", np.int64, (2,))], skiprows=1)
-    if table is not None:
-        return _build(path, MembershipMatrix, rows, cols, table["pair"])
-    pairs = []
-    for n, line in enumerate(_lines(text)[1:], start=2):
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataError(f"{path}:{n}: expected 'row col'")
-        pairs.append(_numbers(parts, int, path, n))
-    return _build(path, MembershipMatrix, rows, cols, pairs)
+    table = _read_rows(path, data, [("pair", np.int64, (2,))], "'row col'", skip=1, source=path)
+    return _build(path, MembershipMatrix, rows, cols, table["pair"])
 
 
 def save_tree(tree: HierarchyTree, path):
@@ -216,7 +226,7 @@ def save_tree(tree: HierarchyTree, path):
 
 
 def _tree_faults(level, nid, parent):
-    """(bad lines, message) of each line-order check on the tree columns,
+    """(bad rows, message) of each line-order check on the tree columns,
     in the order they are reported; each needs the ones before it to pass."""
     ids = np.arange(len(nid))
     yield nid != ids, "ids must run 0, 1, ... in line order"
@@ -226,73 +236,43 @@ def _tree_faults(level, nid, parent):
     yield level > TREE_LEAF_LEVEL, f"level must be at most {TREE_LEAF_LEVEL}, the question leaves"
 
 
-def _tree_table(path, text: str):
-    """The tree file's parent, s, g and leaf_row columns read by one
-    ``np.loadtxt`` pass, or None for the per-line parser: where `_file_table`
-    gives None, a line-order check fails, or a tail field does not convert.
-    The tail fields are read as bytes as wide as the longest line, so none
-    is cut short; a file holding a NUL is not read so, as a bytes field
-    drops its trailing NULs."""
-    if "\0" in text:
-        return None
-    data = text.encode()
-    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-    field = f"S{np.diff(ends, prepend=-1, append=len(data)).max()}"
-    table = _file_table(path, text, [("level", np.int64), ("id", np.int64), ("parent", np.int64),
-                                     ("s", field), ("g", field)])
-    if table is None:
-        return None
-    parent = table["parent"]
-    if any(bad.any() for bad, _ in _tree_faults(table["level"], table["id"], parent)):
-        return None
-    leaf, n = table["s"] == b"leaf", len(table)
-    s, g, leaf_row = np.full(n, np.nan), np.full(n, np.nan), np.full(n, -1)
+def _cast(path, column, rows, kind):
+    """The bytes fields ``column[rows]`` cast to ``kind`` by ``astype``;
+    the first that does not cast is a DataError naming its line."""
+    at = np.flatnonzero(rows)
     try:
-        s[~leaf] = table["s"][~leaf].astype(np.float64)
-        g[~leaf] = table["g"][~leaf].astype(np.float64)
-        leaf_row[leaf] = table["g"][leaf].astype(np.int64)
+        return column[at].astype(kind)
     except (ValueError, OverflowError):
-        return None
-    return parent, s, g, leaf_row
-
-
-def _parse_tree(path, text: str):
-    """The tree file's columns by the per-line parser, which names the first
-    bad line."""
-    split = [line.split() for line in _lines(text)]
-    at = [n for n, parts in enumerate(split, start=1) if parts]
-    wrong = [n for n in at if len(split[n - 1]) != 5]
-    if wrong:
-        raise DataError(f"{path}:{wrong[0]}: expected 'level id parent s g' or '... leaf row'")
-    if not at:
-        raise DataError(f"{path}: empty tree file")
-    table = np.array([split[n - 1] for n in at], dtype=object)
-    at = np.array(at)
-    level, nid, parent = (_column(table[:, k], int, path, at) for k in range(3))
-    for bad, what in _tree_faults(level, nid, parent):
-        if bad.any():
-            raise DataError(f"{path}:{at[bad][0]}: {what}")
-    s_field, g_field = table[:, 3], table[:, 4]
-    leaf = s_field == "leaf"
-    s, g, leaf_row = np.full(len(at), np.nan), np.full(len(at), np.nan), np.full(len(at), -1)
-    s[~leaf] = _column(s_field[~leaf], float, path, at[~leaf])
-    g[~leaf] = _column(g_field[~leaf], float, path, at[~leaf])
-    leaf_row[leaf] = _column(g_field[leaf], int, path, at[leaf])
-    return parent, s, g, leaf_row
+        r = at[_first_rejected(len(at), lambda n: column[at[:n]].astype(kind)) - 1]
+        raise DataError(f"{path}:{r + 1}: could not convert string "
+                        f"{column[r].decode()!r} to {np.dtype(kind)}") from None
 
 
 def load_tree(path) -> HierarchyTree:
     """Read a tree file into its preorder arrays, column by column.
 
-    The lines (blank ones aside) must hold ids 0, 1, ... in order, each
-    parent before its children, each level its parent's plus one and none
-    below the question leaves that ingest writes; a line that breaks this
-    is a DataError naming it.  One ``np.loadtxt`` pass reads a well-formed
-    file; anything it does not take goes to the per-line parser.
+    One `_rows` pass reads the lines, a node each, with the ``s g`` or
+    ``leaf row`` fields as bytes as wide as the longest line, so none is
+    cut short, which ``astype`` then casts.  The lines must hold ids 0, 1,
+    ... in order, each parent before its children, each level its parent's
+    plus one and none below the question leaves that ingest writes; the
+    first line that breaks this, or whose field does not cast, is a
+    DataError naming it.
     """
-    text = _read_text(path)
-    columns = _tree_table(path, text) or _parse_tree(path, text)
-    return _build(path, HierarchyTree, *columns)
+    data = _read(path)
+    field = f"S{np.diff(_line_bounds(data)).max(initial=1)}"
+    table = _read_rows(path, data, [("level", np.int64), ("id", np.int64), ("parent", np.int64),
+                                    ("s", field), ("g", field)],
+                       "'level id parent s g' or '... leaf row'", source=path)
+    for bad, what in _tree_faults(table["level"], table["id"], table["parent"]):
+        if bad.any():
+            raise DataError(f"{path}:{np.argmax(bad) + 1}: {what}")
+    leaf, n = table["s"] == b"leaf", len(table)
+    s, g, leaf_row = np.full(n, np.nan), np.full(n, np.nan), np.full(n, -1)
+    s[~leaf] = _cast(path, table["s"], ~leaf, np.float64)
+    g[~leaf] = _cast(path, table["g"], ~leaf, np.float64)
+    leaf_row[leaf] = _cast(path, table["g"], leaf, np.int64)
+    return _build(path, HierarchyTree, table["parent"], s, g, leaf_row)
 
 
 def _matrix_text(U) -> str:
@@ -302,34 +282,14 @@ def _matrix_text(U) -> str:
     return (line * U.shape[0]) % tuple(U.ravel().tolist())
 
 
-def _header(lines, pos, path, expected):
-    """Fields of model line ``pos``; a file that ends first is a DataError."""
-    if pos >= len(lines):
-        raise DataError(f"{path}:{len(lines)}: file ends before {expected}")
-    return lines[pos].split()
-
-
-def _block(lines, start, rows, path):
-    """(start, rows) of a matrix block, and the line after it."""
+def _block(count, start, rows, path):
+    """(start, rows) of a matrix block in a model of ``count`` lines, and
+    the line after it."""
     if rows < 0:
         raise DataError(f"{path}:{start}: negative row count")
-    if start + rows > len(lines):
-        raise DataError(f"{path}:{len(lines)}: file ends inside a {rows}-row block")
+    if start + rows > count:
+        raise DataError(f"{path}:{count}: file ends inside a {rows}-row block")
     return (start, rows), start + rows
-
-
-def _parse_matrix_block(lines, block, rank, path):
-    start, rows = block
-    table = _table(lines[start:start + rows], [("row", np.float64, (rank,))], rows)
-    if table is not None:
-        return table["row"]
-    data = np.empty((rows, rank))
-    for r in range(rows):
-        parts = lines[start + r].split()
-        if len(parts) != rank:
-            raise DataError(f"{path}:{start + r + 1}: expected {rank} values")
-        data[r] = _numbers(parts, float, path, start + r + 1)
-    return data
 
 
 def save_model(model, path, manifest_hash=None, config=None):
@@ -371,71 +331,84 @@ def load_model(path, ranking_only=False):
     just the blocks `ranking` reads are parsed, and the model returned is
     their `RankingFactors` instead of a CpModel or JointModel.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    lines = _lines(data.decode("utf-8"))
-    if not lines:
+    data = _read(path)
+    bounds = _line_bounds(data)
+    count = len(bounds) - 1
+
+    def line(n):  # from 0
+        return data[bounds[n]:bounds[n + 1]].decode("utf-8", "replace").rstrip("\r\n")
+
+    def fields(n, expected):
+        if n >= count:
+            raise DataError(f"{path}:{count}: file ends before {expected}")
+        return line(n).split()
+
+    def matrix(block):
+        start, rows = block
+        return _read_rows(path, data[bounds[start]:bounds[start + rows]],
+                          [("row", np.float64, (rank,))], f"{rank} values", first=start + 1)["row"]
+
+    if not count:
         raise DataError(f"{path}: empty model file")
-    head = lines[0].split()
+    head = line(0).split()
     if len(head) != 8 or head[0] not in ("cp-model", "joint-model") or head[1] != "rank":
         raise DataError(f"{path}: unrecognized model header")
     rank, *dims = _numbers(head[2:3] + head[4:8], int, path, 1)
     blocks = {}
     pos = 1
     for mode in range(4):
-        parts = _header(lines, pos, path, f"'mode {mode} rows N'")
+        parts = fields(pos, f"'mode {mode} rows N'")
         if len(parts) != 4 or parts[:2] != ["mode", str(mode)]:
             raise DataError(f"{path}:{pos + 1}: expected 'mode {mode} rows N'")
         if _numbers(parts[3:], int, path, pos + 1)[0] != dims[mode]:
             raise DataError(f"{path}:{pos + 1}: mode {mode} rows disagree with header")
-        blocks[mode], pos = _block(lines, pos + 1, dims[mode], path)
-    parts = _header(lines, pos, path, "the norms line")
+        blocks[mode], pos = _block(count, pos + 1, dims[mode], path)
+    parts = fields(pos, "the norms line")
     if parts[:1] != ["norms"] or len(parts) != rank + 1:
         raise DataError(f"{path}:{pos + 1}: expected a norms line with {rank} values")
     norms_at, pos = pos, pos + 1
     joint = head[0] == "joint-model"
     if joint:
         for name in ("S", "A", "T"):
-            parts = _header(lines, pos, path, f"the {name} block")
+            parts = fields(pos, f"the {name} block")
             if len(parts) != 3 or parts[0] != name:
                 raise DataError(f"{path}:{pos + 1}: expected the {name} block")
             rows = _numbers(parts[2:], int, path, pos + 1)[0]
-            blocks[name], pos = _block(lines, pos + 1, rows, path)
-        parts = _header(lines, pos, path, "the lambdas line")
+            blocks[name], pos = _block(count, pos + 1, rows, path)
+        parts = fields(pos, "the lambdas line")
         if parts[:1] != ["lambdas"] or len(parts) % 2 == 0:
             raise DataError(f"{path}:{pos + 1}: expected the lambdas line")
         lambdas_at, pos = pos, pos + 1
 
     trailing = {}
-    for n in range(pos, len(lines)):
-        key = lines[n].split(None, 1)[:1]
+    for n in range(pos, count):
+        key = line(n).split(None, 1)[:1]
         if not key:
             continue
         if key[0] not in ("manifest", "config", "digest"):
-            raise DataError(f"{path}: unexpected trailing line {lines[n]!r}")
+            raise DataError(f"{path}: unexpected trailing line {line(n)!r}")
         trailing[key[0]] = n
-    if trailing.get("digest") != len(lines) - 1:
-        raise DataError(f"{path}:{len(lines)}: expected a final 'digest <sha256>' line; "
+    if trailing.get("digest") != count - 1:
+        raise DataError(f"{path}:{count}: expected a final 'digest <sha256>' line; "
                         "a model written without one must be refit")
-    body = data[:data.rfind(b"\n", 0, len(data) - 1) + 1]  # every byte before the last line
-    if lines[-1].split() != ["digest", hashlib.sha256(body).hexdigest()]:
-        raise DataError(f"{path}:{len(lines)}: digest does not match the file's contents")
+    body = data[:bounds[count - 1]]  # every byte before the last line
+    if line(count - 1).split() != ["digest", hashlib.sha256(body).hexdigest()]:
+        raise DataError(f"{path}:{count}: digest does not match the file's contents")
     meta = {}
     if "manifest" in trailing:
-        meta["manifest"] = lines[trailing["manifest"]].split(None, 1)[1].strip()
+        meta["manifest"] = line(trailing["manifest"]).split(None, 1)[1].strip()
     if "config" in trailing:
-        meta["config"] = json.loads(lines[trailing["config"]].split(None, 1)[1])
+        meta["config"] = json.loads(line(trailing["config"]).split(None, 1)[1])
 
-    norms = np.array(_numbers(lines[norms_at].split()[1:], float, path, norms_at + 1))
+    norms = np.array(_numbers(line(norms_at).split()[1:], float, path, norms_at + 1))
     if ranking_only:
-        topic, expert = (_parse_matrix_block(lines, blocks[m], rank, path) for m in (1, 3))
-        return RankingFactors(topic, expert, norms), meta
-    cp = CpModel([_parse_matrix_block(lines, blocks[m], rank, path) for m in range(4)], norms)
+        return RankingFactors(matrix(blocks[1]), matrix(blocks[3]), norms), meta
+    cp = CpModel([matrix(blocks[m]) for m in range(4)], norms)
     if not joint:
         return cp, meta
-    parts = lines[lambdas_at].split()
+    parts = line(lambdas_at).split()
     lambdas = dict(zip(parts[1::2], _numbers(parts[2::2], float, path, lambdas_at + 1)))
-    S, A, T = (_parse_matrix_block(lines, blocks[name], rank, path) for name in "SAT")
+    S, A, T = (matrix(blocks[name]) for name in "SAT")
     return JointModel(cp, S, A, T, lambdas), meta
 
 
@@ -492,9 +465,10 @@ def _split_reputation(path, data: bytes):
         return None
     at = at.reshape(-1, 3)
     width = int(np.max(at[:, 1] - at[:, 0], initial=2)) - 1  # at least 1 byte
-    table = _table(path, [("user", np.int64), ("topic", f"S{width}"), ("score", np.int64)],
-                   len(at), skiprows=1, delimiter=",")
-    if table is None:
+    try:
+        table = _table(path, [("user", np.int64), ("topic", f"S{width}"), ("score", np.int64)],
+                       len(at), skiprows=1, delimiter=",")
+    except ValueError:
         return None
     names, topic = _topic_codes(table["topic"].tolist())
     return (np.ascontiguousarray(table["user"]), [name.decode() for name in names], topic,

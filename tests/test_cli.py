@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qaexpert import cli
+from qaexpert import cli, serialize
 from qaexpert.cli import main
 from qaexpert.errors import DataError, DumpParseError, SolverDiverged
 from qaexpert.ranking import RankedList
@@ -318,6 +318,16 @@ class TestFit:
         assert captured.out.startswith("fit rank 3 in 5 sweeps")
         assert os.path.exists(os.path.join(out, "model.txt"))
 
+    def test_partly_collapsed_fit_warns_with_the_live_count(self, snapshot, tmp_path, capsys):
+        # At rank 6 the micro corpus keeps some components and loses others.
+        out = tmp_path / "fp"
+        assert main(["fit", snapshot, "--out-dir", str(out),
+                     "--rank", "6", "--max-iters", "10", "--seed", "0"]) == 0
+        norms = serialize.load_model(str(out / "model.txt"))[0].cp.norms
+        live = int(np.count_nonzero(norms))
+        assert 0 < live < 6
+        assert capsys.readouterr().err.splitlines() == [f"warning: {live} of 6 components are live"]
+
     def test_config_file_applies_and_flag_wins(self, snapshot, tmp_path, capsys):
         cfg = tmp_path / "fit.json"
         cfg.write_text('{"rank": 3, "max_iters": 10}')
@@ -557,23 +567,24 @@ class TestManifestShape:
     @pytest.mark.parametrize("text", ["[]", '"x"', '{"format": 1}',
                                       '{"format": 1, "topics": "t", "users": []}',
                                       '{"format": 1, "topics": [], "users": {}}'])
-    def test_refit_on_a_broken_manifest_exits_1(self, snapshot, tmp_path, capsys,
+    def test_refit_on_a_broken_manifest_exits_1(self, fitted, snapshot, tmp_path, capsys,
                                                 command, text):
-        # fit reads only the manifest's digest, so the model matches it.
         broken = tmp_path / "broken"
         shutil.copytree(snapshot, broken)
-        (broken / "manifest.json").write_text(text)
-        fit = tmp_path / "fit"
-        assert main(["fit", str(broken), "--out-dir", str(fit), "--rank", "2",
-                     "--max-iters", "2"]) == 0
-        capsys.readouterr()
+        manifest = broken / "manifest.json"
+        manifest.write_text(text)
+        refit = tmp_path / "refit"
+        assert main(["fit", str(broken), "--out-dir", str(refit), "--rank", "2",
+                     "--max-iters", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ") and "Traceback" not in err
+        assert not refit.exists()
+        # recommend and evaluate read the manifest before they compare its digest
         argv = {"recommend": ["--topic", "alpha/tensor"],
                 "evaluate": ["--out-dir", str(tmp_path / "eval")]}[command]
-        code = main([command, "--model", str(fit / "model.txt"), "--snapshot", str(broken),
-                     *argv])
-        assert code == 1
+        assert main([command, "--model", fitted, "--snapshot", str(broken), *argv]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {broken / 'manifest.json'}: ") and "Traceback" not in err
+        assert err.startswith(f"error: {manifest}: ") and "Traceback" not in err
 
 
 def edited_model(fitted, tmp_path, block, edit):

@@ -204,47 +204,59 @@ def load_outcome(load, path):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+# Each body after the header line, with the line its error names, or None
+# where it loads as the per-line reading of `per_line_rows` does (to the
+# same arrays, or to the same content error, named by path alone).
 TENSOR_BODIES = [
-    "0 0 0 0 1.5\n1 1 1 1 2\n",
-    "",
-    "0 0 0 0 1\n\n1 1 1 1 2\n",
-    "0 0 0 0 1\n\n",
-    "\n",
-    "  \n\n",
-    "#\n",
-    "# note\n0 0 0 0 1\n",
-    "1.5 0 0 0 1\n",
-    "1e0 0 0 0 1\n",
-    "1.0 0 0 0 1\n",
-    "9223372036854775807 0 0 0 1\n",
-    "9223372036854775808 0 0 0 1\n",
-    "1_0 0 0 0 1\n",
-    "0 0 0 0 1_0\n",
-    "0\t0\t0\t0\t1\n",
-    "0 0 0 1\n",
-    "0 0 0 0 1 2\n",
-    "+1 -0 0 0 .5\n",
-    "\u0663 0 0 0 1\n",
-    "0 0 0 0 0x1p0\n",
-    "0 0 0 0 nan\n",
-    "0 0 0 0 1e400\n",
-    "0 0 0 0 -1\n",
-    "99999999999999999999 0 0 0 1\n",
-    "30 0 0 0 1\n",
-    "0 0 0 0 1\n0 0 0 0 2\n",
-    "0 0 0 0 1\r\n1 1 1 1 2\r\n",
-    "0 0 0 0 1\r1 1 1 1 2\n\n",
-    "0 0 0 0 1\x0c\n1 1 1 1 2\n",
-    "0 0 0 0 1\x00\n",
-    "1\u01fe 0 0 0 1\n",
-    "\u0661 0 0 0 1\n",
+    ("0 0 0 0 1.5\n1 1 1 1 2\n", None),
+    ("", None),
+    ("0 0 0 0 1\n\n1 1 1 1 2\n", 3),
+    ("0 0 0 0 1\n\n", 3),
+    ("\n", 2),
+    ("  \n\n", 2),
+    ("#\n", 2),
+    ("# note\n0 0 0 0 1\n", 2),
+    ("1.5 0 0 0 1\n", 2),
+    ("1e0 0 0 0 1\n", 2),
+    ("1.0 0 0 0 1\n", 2),
+    ("9223372036854775807 0 0 0 1\n", None),
+    ("9223372036854775808 0 0 0 1\n", 2),
+    ("1_0 0 0 0 1\n", 2),
+    ("0 0 0 0 1_0\n", 2),
+    ("0\t0\t0\t0\t1\n", None),
+    ("0 0 0 1\n", 2),
+    ("0 0 0 0 1 2\n", 2),
+    ("+1 -0 0 0 .5\n", None),
+    ("\u0663 0 0 0 1\n", 2),
+    ("0 0 0 0 0x1p0\n", 2),
+    ("0 0 0 0 nan\n", None),
+    ("0 0 0 0 1e400\n", None),
+    ("0 0 0 0 -1\n", None),
+    ("99999999999999999999 0 0 0 1\n", 2),
+    ("30 0 0 0 1\n", None),
+    ("0 0 0 0 1\n0 0 0 0 2\n", None),
+    ("0 0 0 0 1\r\n1 1 1 1 2\r\n", None),
+    ("0 0 0 0 1\r1 1 1 1 2\n\n", 2),
+    ("0 0 0 0 1\x0c\n1 1 1 1 2\n", None),
+    ("0 0 0 0 1\x00\n", 2),
+    ("1\u01fe 0 0 0 1\n", 2),
+    ("\u0661 0 0 0 1\n", 2),
 ]
 
 MEMBERSHIP_BODIES = [
-    "0 1\n2 3\n", "", "\n", "0 1\n\n2 3\n", "#\n", "1.5 0\n", "1e0 0\n", "9223372036854775808 0\n", "1_0 0\n", "0\t1\n",
-    "1\n", "1 2 3\n", "+2 -0\n", "5 0\n", "abc 1\n",
-    "0 1\r\n2 3\r\n", "0 1\r2 3\n\n", "0 1\x0c\n", "0 1\x00\n", "0 1\u01fe\n", "0 \u0661\n",
+    ("0 1\n2 3\n", None), ("", None), ("\n", 2), ("0 1\n\n2 3\n", 3), ("#\n", 2),
+    ("1.5 0\n", 2), ("1e0 0\n", 2), ("9223372036854775808 0\n", 2), ("1_0 0\n", 2),
+    ("0\t1\n", None), ("1\n", 2), ("1 2 3\n", 2), ("+2 -0\n", None), ("5 0\n", None),
+    ("abc 1\n", 2), ("0 1\r\n2 3\r\n", None), ("0 1\r2 3\n\n", 2), ("0 1\x0c\n", None),
+    ("0 1\x00\n", 2), ("0 1\u01fe\n", 2), ("0 \u0661\n", 2),
 ]
+
+
+def per_line_rows(text):
+    """The whitespace-split fields of each line of ``text`` that holds any,
+    a CRLF ending one line: the per-line reading of a body that has no bad
+    line."""
+    return [line.split() for line in text.split("\n") if line.strip()]
 
 
 TREE_ARRAYS = ("parent", "s", "g", "leaf_row", "level")
@@ -294,71 +306,141 @@ BROKEN_TREE_LINES = [
 ]
 
 TREE_FILES = [
-    TREE_TEXT,
-    "",
-    "\n\n",
-    TREE_TEXT.replace("\n", "\n\n", 2),
-    TREE_TEXT + "  \n\n",
-    TREE_TEXT.replace("\n", "\r\n"),
-    TREE_TEXT.replace("\n", "\r", 1) + "\n",
-    TREE_TEXT.replace("\n", "\x0c\n", 1),
-    TREE_TEXT.rstrip("\n"),
-    *(edited_tree_text(line, text) for line, text in MALFORMED_TREE_LINES + BROKEN_TREE_LINES),
-    edited_tree_text(6, "    2 5 4 0.5 0.5\n      3 6 5 0.5 0.5\n        4 7 6 leaf 2"),
+    (TREE_TEXT, None),
+    ("", None),
+    ("\n\n", 1),
+    (TREE_TEXT.replace("\n", "\n\n", 2), 2),
+    (TREE_TEXT + "  \n\n", 7),
+    (TREE_TEXT.replace("\n", "\r\n"), None),
+    (TREE_TEXT.replace("\n", "\r", 1) + "\n", 1),
+    (TREE_TEXT.replace("\n", "\x0c\n", 1), None),
+    (TREE_TEXT.rstrip("\n"), None),
+    *((edited_tree_text(line, text), line) for line, text in MALFORMED_TREE_LINES),
+    *((edited_tree_text(line, text), None) for line, text in BROKEN_TREE_LINES),
+    (edited_tree_text(6, "    2 5 4 0.5 0.5\n      3 6 5 0.5 0.5\n        4 7 6 leaf 2"), 8),
     # wider than any fixed field width a reader might pick
-    edited_tree_text(2, "  1 1 0 " + "0" * 40 + ".25 0.75"),
-    edited_tree_text(3, "    2 2 1 leaf " + "0" * 40),
-    edited_tree_text(3, "    2 2 1 leaf " + "0" * 40 + "1"),
+    (edited_tree_text(2, "  1 1 0 " + "0" * 40 + ".25 0.75"), None),
+    (edited_tree_text(3, "    2 2 1 leaf " + "0" * 40), None),
+    (edited_tree_text(3, "    2 2 1 leaf " + "0" * 40 + "1"), None),
     # leaf in the wrong column
-    edited_tree_text(3, "    2 2 1 0 leaf"),
-    edited_tree_text(3, "    2 2 1 leaf leaf"),
-    edited_tree_text(3, "    leaf 2 1 0.5 0.5"),
-    edited_tree_text(3, "    2 2 1 leaf\x00 0"),
-    edited_tree_text(3, "    2 2 1 leaf \u0660"),
-    edited_tree_text(3, "    2 2 1 leaf 0\u01fe"),
-    edited_tree_text(2, "  1 1 0 1_0 -9"),
-    edited_tree_text(2, "  1 1 0 nan nan"),
+    (edited_tree_text(3, "    2 2 1 0 leaf"), 3),
+    (edited_tree_text(3, "    2 2 1 leaf leaf"), 3),
+    (edited_tree_text(3, "    leaf 2 1 0.5 0.5"), 3),
+    (edited_tree_text(3, "    2 2 1 leaf\x00 0"), 3),
+    (edited_tree_text(3, "    2 2 1 leaf \u0660"), 3),
+    (edited_tree_text(3, "    2 2 1 leaf 0\u01fe"), 3),
+    (edited_tree_text(2, "  1 1 0 1_0 -9"), 2),
+    (edited_tree_text(2, "  1 1 0 nan nan"), None),
 ]
 
 
-class TestFastLoaderParity:
-    """``np.loadtxt`` accepts and rejects exactly what the per-line parser
-    does: with ``_table`` stubbed out, every input takes the per-line path."""
+def per_line_tree(rows):
+    """The parent, s, g and leaf_row columns of the per-line reading
+    ``rows`` of a tree file."""
+    leaf = [r[3] == "leaf" for r in rows]
+    return ([int(r[2]) for r in rows],
+            [np.nan if lf else float(r[3]) for lf, r in zip(leaf, rows)],
+            [np.nan if lf else float(r[4]) for lf, r in zip(leaf, rows)],
+            [int(r[4]) if lf else -1 for lf, r in zip(leaf, rows)])
 
-    @pytest.mark.parametrize("body", TENSOR_BODIES)
-    def test_tensor(self, tmp_path, monkeypatch, body):
+
+# Input that no save_* function writes but that a per-line reading by int()
+# and float() would take, each with the line the reader names, quoted whole.
+NEWLY_REJECTED = {
+    "underscore in an index": (load_tensor, "dims 20 2 2 2\n1_0 0 0 0 1\n", 2),
+    "underscore in a value": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\n0 0 0 0 1_0\n", 3),
+    "underscore in a pair": (load_membership, "11 4\n1_0 0\n", 2),
+    "underscore in s": (load_tree, edited_tree_text(2, "  1 1 0 1_0 -9"), 2),
+    "U+0660 as a leaf row": (load_tree, edited_tree_text(3, "    2 2 1 leaf \u0660"), 3),
+    "U+0661 in a pair": (load_membership, "11 4\n0 \u0661\n", 2),
+    "U+0663 in an index": (load_tensor, "dims 20 2 2 2\n\u0663 0 0 0 1\n", 2),
+    "blank tree line": (load_tree, TREE_TEXT.replace("\n", "\n\n", 2), 2),
+    "whitespace-only tree line": (load_tree, TREE_TEXT + "  \n\n", 7),
+    "U+0085 in a tensor line": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\x85\n", 2),
+    "U+2028 in a membership line": (load_membership, "11 4\n0 1\n2 3\u2028\n", 3),
+    "U+2029 in a tree line": (load_tree, edited_tree_text(4, "    2 3 1 leaf 1\u2029"), 4),
+}
+
+
+class TestOneReader:
+    """One ``np.loadtxt`` pass is the only reader of each snapshot table: a
+    body it rejects is a DataError naming the first bad line, and any other
+    loads as the per-line reading of it does."""
+
+    @staticmethod
+    def check(load, path, line, want):
+        if line is None:
+            assert load_outcome(load, path) == load_outcome(lambda _: want(), path)
+        else:
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: "):
+                load(path)
+
+    @pytest.mark.parametrize("body, line", TENSOR_BODIES)
+    def test_tensor(self, tmp_path, body, line):
         p = tmp_path / "t.txt"
         p.write_text("dims 20 2 2 2\n" + body)
-        fast = load_outcome(load_tensor, p)
-        monkeypatch.setattr(serialize, "_table", lambda *args, **kwargs: None)
-        assert fast == load_outcome(load_tensor, p)
 
-    @pytest.mark.parametrize("body", MEMBERSHIP_BODIES)
-    def test_membership(self, tmp_path, monkeypatch, body):
+        def want():
+            rows = per_line_rows(body)
+            index = np.array([[int(f) for f in r[:4]] for r in rows], dtype=np.int64)
+            return serialize._build(p, SparseTensor4, (20, 2, 2, 2), indices=index.reshape(-1, 4),
+                                    values=[float(r[4]) for r in rows])
+        self.check(load_tensor, p, line, want)
+
+    @pytest.mark.parametrize("body, line", MEMBERSHIP_BODIES)
+    def test_membership(self, tmp_path, body, line):
         p = tmp_path / "m.txt"
         p.write_text("11 4\n" + body)
-        fast = load_outcome(load_membership, p)
-        monkeypatch.setattr(serialize, "_table", lambda *args, **kwargs: None)
-        assert fast == load_outcome(load_membership, p)
+        self.check(load_membership, p, line, lambda: serialize._build(
+            p, MembershipMatrix, 11, 4, [[int(f) for f in r] for r in per_line_rows(body)]))
 
-    @pytest.mark.parametrize("text", TREE_FILES)
-    def test_tree(self, tmp_path, monkeypatch, text):
+    @pytest.mark.parametrize("text, line", TREE_FILES)
+    def test_tree(self, tmp_path, text, line):
         p = tmp_path / "tree.txt"
         p.write_bytes(text.encode("utf-8"))
-        fast = load_outcome(load_tree, p)
-        monkeypatch.setattr(serialize, "_table", lambda *args, **kwargs: None)
-        assert fast == load_outcome(load_tree, p)
+        self.check(load_tree, p, line, lambda: serialize._build(
+            p, HierarchyTree, *per_line_tree(per_line_rows(text))))
 
-    def test_well_formed_rows_take_the_fast_path(self):
-        assert serialize._table(["0 1", "2 3"], [("pair", np.int64, (2,))], 2) is not None
+    @pytest.mark.parametrize("name", NEWLY_REJECTED)
+    def test_newly_rejected_input_names_its_line(self, tmp_path, name):
+        load, text, line = NEWLY_REJECTED[name]
+        p = tmp_path / "table.txt"
+        p.write_bytes(text.encode("utf-8"))
+        got = re.escape(repr(text.split("\n")[line - 1]))
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: expected .*, got {got}$"):
+            load(p)
 
-    @pytest.mark.parametrize("lines", [[], [""], ["1.5 0"], ["1e0 0"], ["9223372036854775808 0"],
-                                       ["0 1", ""]])
-    def test_rejected_rows_go_to_the_per_line_parser(self, lines):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert serialize._table(lines, [("pair", np.int64, (2,))], len(lines)) is None
-        assert caught == []
+    @pytest.mark.parametrize("at", [0, 1, 499, 998, 999])
+    @pytest.mark.parametrize("bad", ["0 0 0 0 x", "", "0 0 0 0 1\r1 1 1 1 2", "0 0 0 0 1\u00e9"],
+                             ids=["field", "blank", "lone-CR", "non-ASCII"])
+    def test_bisection_names_the_one_bad_row(self, tmp_path, bad, at):
+        rows = [f"{i % 20} {i % 2} {i % 3 % 2} 1 {i}.5" for i in range(1000)]
+        rows[at] = bad
+        p = tmp_path / "tensor.txt"
+        p.write_bytes(("dims 20 2 2 2\n" + "\n".join(rows) + "\n").encode("utf-8"))
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 2}: "):
+            load_tensor(p)
+
+    @pytest.mark.parametrize("at", [0, 1, 499, 998, 999])
+    def test_bisection_names_the_one_tail_that_does_not_convert(self, tmp_path, at):
+        lines = ["0 0 -1 0.5 0.5"] + [f"  1 {i} 0 leaf {i - 1}" for i in range(1, 1000)]
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " y"
+        p = tmp_path / "tree.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 1}: .*'y'"):
+            load_tree(p)
+
+    def test_well_formed_files_never_reach_the_locator(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(9)
+        files = [(save_tensor, load_tensor, random_sparse(rng, (4, 3, 5, 2))),
+                 (save_membership, load_membership, MembershipMatrix(4, 3, [(0, 1), (3, 2)])),
+                 (save_membership, load_membership, MembershipMatrix(4, 3, [])),
+                 (save_tree, load_tree, tree_from_nested([[0, 1], [2, [3, 4]]])),
+                 (save_model, load_model, random_joint(rng))]
+        monkeypatch.setattr(serialize, "_first_rejected", None)
+        for n, (save, load, obj) in enumerate(files):
+            save(obj, tmp_path / f"{n}.txt")
+            load(tmp_path / f"{n}.txt")
 
 
 class TestTreeFormat:
@@ -403,10 +485,11 @@ class TestTreeFormat:
         with pytest.raises(DataError):
             load_tree(p)
 
-    def test_blank_lines_are_skipped(self, tmp_path):
+    def test_blank_line_is_named(self, tmp_path):
         p = tmp_path / "tree.txt"
         p.write_text(TREE_TEXT.replace("\n", "\n\n", 2))
-        assert load_tree(p).parent.tolist() == [-1, 0, 1, 1, 0, 4]
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:2: expected "):
+            load_tree(p)
 
     @pytest.mark.parametrize("line, text", MALFORMED_TREE_LINES)
     def test_malformed_line_names_path_and_line(self, tmp_path, line, text):
@@ -665,38 +748,44 @@ class TestModelDigest:
 
 
 # Characters at which str.splitlines breaks a line but a file's line count,
-# which counts LF-terminated lines, does not; str.split takes each as whitespace.
-SPLITLINES_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# which counts LF-terminated lines, does not.  The ASCII ones are whitespace
+# to the reader, so the error names the later bad line; a line holding a
+# Unicode one is itself the bad line.
+ASCII_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+UNICODE_BREAKS = ["\x85", "\u2028", "\u2029"]
+SPLITLINES_BREAKS = [(sep, None) for sep in ASCII_BREAKS] + [(sep, 3) for sep in UNICODE_BREAKS]
 
 
 class TestLineNumbers:
     """``<path>:<line>`` counts LF-terminated lines, and CRLF files load as
     LF ones do."""
 
-    @pytest.mark.parametrize("sep", SPLITLINES_BREAKS)
-    def test_tensor(self, tmp_path, sep):
+    @pytest.mark.parametrize("sep, line", SPLITLINES_BREAKS)
+    def test_tensor(self, tmp_path, sep, line):
         p = tmp_path / "tensor.txt"
         p.write_bytes(f"dims 20 2 2 2\n0 0 0 0 1\n1 1 1 1 2{sep}\n1 0 0 0 1\nx\n".encode())
-        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:5: expected 'i j k l value'"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line or 5}: expected "
+                                            "'i j k l value'"):
             load_tensor(p)
 
-    @pytest.mark.parametrize("sep", SPLITLINES_BREAKS)
-    def test_membership(self, tmp_path, sep):
+    @pytest.mark.parametrize("sep, line", SPLITLINES_BREAKS)
+    def test_membership(self, tmp_path, sep, line):
         p = tmp_path / "site_matrix.txt"
         p.write_bytes(f"11 4\n0 1\n2 3{sep}\n1 1\nx\n".encode())
-        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:5: expected 'row col'"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line or 5}: expected 'row col'"):
             load_membership(p)
 
-    @pytest.mark.parametrize("sep", SPLITLINES_BREAKS)
-    def test_tree(self, tmp_path, sep):
+    @pytest.mark.parametrize("sep, line", SPLITLINES_BREAKS)
+    def test_tree(self, tmp_path, sep, line):
         p = tmp_path / "tree.txt"
         p.write_bytes(f"0 0 -1 0.5 0.5\n  1 1 0 0.5 0.5{sep}\n    2 2 1 leaf 0\n"
                       f"    2 3 1 leaf x\n".encode())
-        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:4: .*'x'"):
+        want = ":2: expected " if line else ":4: .*'x'"
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}{want}"):
             load_tree(p)
 
-    @pytest.mark.parametrize("sep", SPLITLINES_BREAKS)
-    def test_model(self, tmp_path, sep):
+    @pytest.mark.parametrize("sep, line", SPLITLINES_BREAKS)
+    def test_model(self, tmp_path, sep, line):
         p = tmp_path / "model.txt"
         save_model(random_joint(np.random.default_rng(4)), p)
         lines = p.read_text().splitlines(keepends=True)[:-1]
@@ -704,7 +793,8 @@ class TestLineNumbers:
         at = next(n for n, line in enumerate(lines) if line.startswith("mode 3 rows")) + 1
         lines[at] = "abc" + lines[at][lines[at].index(" "):]
         p.write_bytes(seal("".join(lines)).encode())
-        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 1}: .*'abc'"):
+        want = ":3: expected " if line else f":{at + 1}: .*'abc'"
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}{want}"):
             load_model(p)
 
     def test_crlf_files_load_as_lf_ones(self, tmp_path):
