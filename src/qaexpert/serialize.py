@@ -4,12 +4,14 @@ Every format is UTF-8 with LF endings and writes floats as ``%.17g``, so
 a save/load round trip reproduces float64 values bit for bit and repeated
 runs with equal inputs produce byte-identical files.
 
-A snapshot table (``tensor.txt``, the two membership files, ``tree.txt``)
-or a matrix block of ``model.txt`` has one reader: a ``np.loadtxt`` pass
-over ASCII text in LF or CRLF lines, a row a line, none of them blank.
-Input that pass rejects is a DataError naming the first line it rejects,
-found by bisecting the line prefixes with the same pass.  A line number
-counts LF-terminated lines, a CRLF counting as one LF.
+Every table has one reader: one ``np.loadtxt`` pass, a row a line, none
+of them blank.  A snapshot table (``tensor.txt``, the two membership
+files, ``tree.txt``) or a matrix block of ``model.txt`` is ASCII text in
+LF or CRLF lines, split at whitespace.  Input that pass rejects is a
+DataError naming the first line it rejects, found by bisecting the line
+prefixes with the same pass, and the character that breaks it where one
+does.  A line number counts LF-terminated lines, a CRLF counting as one
+LF; a number in a header line follows the same rule.
 
 ``model.txt`` ends with a ``digest <sha256>`` line over every byte before
 it, so `load_model` can check the whole file yet parse only the blocks
@@ -18,19 +20,16 @@ norms.  A model without the digest line is rejected and must be refit.
 
 ``reputation.csv`` is the exception to the whitespace-separated layout:
 CSV rows ``user_id,topic,score`` in (user, topic) order under that
-header, with a topic quoted as ``csv.writer`` quotes it when it holds a
-comma, a quote or a line break.  One ``np.loadtxt`` pass reads a file of
-ASCII rows with exactly two commas each, its topics as bytes as wide as
-the widest topic field; a file holding a quote, a CR, a NUL or 0x1c-0x1f,
-or one that pass rejects, goes to ``csv.reader``, which accepts it or
-names the bad line.  Only the distinct topic names become ``str``.
-``report.csv`` quotes its topics the same way and is written in one
-format pass.
+header, in UTF-8 text with LF or CRLF lines, with a topic quoted as
+``csv.writer`` quotes it when it holds a comma, a quote or a line break.
+The same pass and locator read it, with an LF inside a quoted field
+ending no line, so an error names the line on which the rejected record
+ends.  ``report.csv`` quotes its topics the same way and is written in
+one format pass.
 """
 
 from __future__ import annotations
 
-import csv
 import bisect
 import hashlib
 import io
@@ -87,50 +86,87 @@ def save_tensor(X: SparseTensor4, path):
                 + _rows_text("%d %d %d %d %.17g\n", columns))
 
 
-def _table(source, dtype, rows, skiprows=0, delimiter=None):
-    """Rows of the file ``source`` after its first ``skiprows`` lines, split
-    at ``delimiter`` (at whitespace by default), as a structured array read
-    by one ``np.loadtxt`` pass; a ValueError where the pass rejects them,
-    warns (on empty input, or where a NumPy would cast an integer through a
-    float) or reads other than ``rows`` rows (it drops blank lines).  The
-    text must be ASCII: ``np.loadtxt`` reads some other characters as
-    digits, ``1\u01fe`` as 472."""
+# Bytes a table may not hold: a NUL, as a bytes field drops its trailing NULs,
+# and, in whitespace text, an ``_`` (NumPy casts bytes to numbers as Python
+# does, ``1_0`` to 10) or, in CSV text, 0x1c-0x1f (``np.loadtxt`` skips them
+# around an integer, where ``csv.reader`` and ``int()`` reject them).
+_BARRED = {False: b"\0_", True: b"\0\x1c\x1d\x1e\x1f"}
+
+
+def _barred(data: bytes, csv=False) -> bool:
+    """Whether ``data`` holds a byte of `_BARRED`, or is whitespace text that
+    is not ASCII: ``np.loadtxt`` reads some other characters as digits,
+    ``1\u01fe`` as 472."""
+    return not (csv or data.isascii()) or any(b in data for b in _BARRED[csv])
+
+
+def _stray(line: bytes, csv=False):
+    """The first character of the record ``line`` that `_rows` rejects
+    whatever its fields hold, named: a `_barred` one, a byte that is not
+    UTF-8, or a CR outside a CRLF and outside a quoted CSV field; None if
+    there is none."""
+    text, quoted = line.decode("utf-8", "surrogateescape"), False
+    for at, c in enumerate(text):
+        quoted ^= csv and c == '"'
+        if "\udc80" <= c <= "\udcff":
+            return f"the byte {ord(c) - 0xdc00:#04x}"
+        if _barred(c.encode(), csv) or c == "\r" and text[at + 1:at + 2] != "\n" and not quoted:
+            return repr(c)
+    return None
+
+
+def _line_bounds(data: bytes, csv=False) -> np.ndarray:
+    """Where each line of ``data`` starts, then where the last one ends:
+    line n is ``data[bounds[n - 1]:bounds[n]]``.  A line ends past an LF (a
+    CRLF ending one line) or at the end of the data; no other character, a
+    lone CR, a form feed or U+2028, ends one, and in ``csv`` text neither
+    does an LF inside a quoted field, one after an odd count of quotes, so
+    that a line there is one record."""
+    chars = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(chars == ord("\n")) + 1
+    if csv and b'"' in data:
+        ends = ends[np.searchsorted(np.flatnonzero(chars == ord('"')), ends) % 2 == 0]
+    bounds = np.r_[0, ends]
+    return bounds if bounds[-1] == len(data) else np.append(bounds, len(data))
+
+
+def _rows(data: bytes, dtype, skip=0, source=None, csv=False):
+    """The lines of ``data`` after its first ``skip``, a row of ``dtype``
+    each, as a structured array read by one ``np.loadtxt`` pass from
+    ``source`` (a file reads faster by its path) or, where ``data`` holds a
+    CR, which a read by path turns into an LF, from ``data`` itself.  Fields
+    split at whitespace or, in ``csv`` text, at commas, where a field may be
+    quoted as ``csv.writer`` quotes it.  The pass reads the text as latin-1,
+    which keeps each byte of a UTF-8 field in a bytes column and makes no
+    byte of a non-ASCII character a digit.  A ValueError unless ``data`` is
+    ASCII text (UTF-8 in CSV) without a `_barred` byte, and the pass takes
+    it without a warning (on empty input, or where NumPy would cast an
+    integer through a float) as one row a line: ``np.loadtxt`` drops blank
+    lines, and rejects a CR that is neither in a CRLF nor in a quoted field."""
+    if _barred(data, csv):
+        raise ValueError("holds a barred byte")
+    if csv:
+        data.decode("utf-8")  # a UnicodeDecodeError, a ValueError, unless UTF-8
+    if csv and b'"' in data:
+        lines = len(_line_bounds(data, csv)) - 1
+    else:
+        lines = (np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+                 + (data[-1:] not in (b"", b"\n")))
+    if lines <= skip:
+        return np.zeros(0, dtype)
+    if source is None or b"\r" in data:
+        source = io.BytesIO(data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            table = np.loadtxt(source, dtype=dtype, comments=None, ndmin=1, skiprows=skiprows,
-                               delimiter=delimiter, quotechar=None, encoding="utf-8")
+            table = np.loadtxt(source, dtype=dtype, comments=None, ndmin=1, skiprows=skip,
+                               delimiter="," if csv else None, quotechar='"' if csv else None,
+                               encoding="latin-1")
         except Warning as exc:
             raise ValueError(exc) from None
-    if len(table) != rows:
-        raise ValueError(f"read {len(table)} of {rows} rows")
+    if len(table) != lines - skip:
+        raise ValueError(f"read {len(table)} of {lines - skip} rows")
     return table
-
-
-def _line_bounds(data: bytes) -> np.ndarray:
-    """Where each line of ``data`` starts, then where the last one ends:
-    line n, the one ``<path>:<n>`` names, is ``data[bounds[n - 1]:bounds[n]]``.
-    A line ends past an LF (a CRLF ending one line) or at the end of the
-    data; no other character, a lone CR, a form feed or U+2028, ends one."""
-    bounds = np.r_[0, np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1]
-    return bounds if data[-1:] in (b"", b"\n") else np.append(bounds, len(data))
-
-
-def _rows(data: bytes, dtype, skip=0, source=None):
-    """The lines of ``data`` after its first ``skip``, a row of ``dtype``
-    each, read by `_table` from ``source`` (``data`` itself by default; a
-    file reads faster by its path).  A ValueError unless ``data`` is ASCII
-    without a NUL (a bytes field drops its trailing NULs), an ``_`` (NumPy
-    casts bytes to numbers as Python does, ``1_0`` to 10) or a CR outside a
-    CRLF (``np.loadtxt`` ends a line there), and `_table` takes it."""
-    if (not data.isascii() or b"\0" in data or b"_" in data
-            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
-        raise ValueError("expected ASCII text in LF or CRLF lines")
-    lines = (np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-             + (data[-1:] not in (b"", b"\n")))
-    if lines <= skip:
-        return np.zeros(0, dtype)
-    return _table(io.BytesIO(data) if source is None else source, dtype, lines - skip, skip)
 
 
 def _first_rejected(count: int, read) -> int:
@@ -146,32 +182,42 @@ def _first_rejected(count: int, read) -> int:
     return bisect.bisect_left(range(1, count + 1), True, key=rejects) + 1
 
 
-def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first=1):
+def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first=1, csv=False):
     """`_rows` of ``data``, the text of ``path`` from its line ``first`` on.
     Where they are rejected, the first line whose prefix `_rows` rejects is
-    a DataError naming it, and quoting the field that ``np.loadtxt`` does
-    not convert in it or else the line, which does not follow ``layout``."""
+    a DataError naming the line it ends on, and quoting the field that
+    ``np.loadtxt`` does not convert in it, or else the line, which does not
+    follow ``layout``, with the character `_stray` names in it."""
     try:
-        return _rows(data, dtype, skip, source)
+        return _rows(data, dtype, skip, source, csv)
     except ValueError:
         pass
-    bounds = _line_bounds(data)
-    n = _first_rejected(len(bounds) - 1, lambda n: _rows(data[:bounds[n]], dtype, skip))
+    bounds = _line_bounds(data, csv)
+    n = _first_rejected(len(bounds) - 1, lambda n: _rows(data[:bounds[n]], dtype, skip, csv=csv))
     line, why = data[bounds[n - 1]:bounds[n]], ""
     try:
-        _rows(line, dtype)
+        _rows(line, dtype, csv=csv)
     except ValueError as exc:
         why = str(exc).partition(" at row")[0]
-    text = line.decode("utf-8", "replace").rstrip("\r\n")
-    if not why.startswith("could not convert"):
+    if why.startswith("could not convert"):  # the field as latin-1 text
+        why = why.encode("latin-1", "replace").decode("utf-8", "replace")
+    else:
+        text = line.decode("utf-8", "replace").rstrip("\r\n")
         why = f"expected {layout}, got {text!r}"
-    raise DataError(f"{path}:{first + n - 1}: {why}")
+        if stray := _stray(line, csv):
+            why += f", which holds {stray}"
+    last = first + data.count(b"\n", 0, bounds[n] - 1)
+    raise DataError(f"{path}:{last}: {why}")
 
 
 def _numbers(fields, kind, path, line):
-    """``fields`` parsed by ``kind``, int or float; one that does not parse,
-    or an int past int64, is a DataError naming ``line``."""
+    """``fields`` parsed by ``kind``, int or float; one that `_barred` bars,
+    as it bars the text of a table, one that does not parse, or an int past
+    int64, is a DataError naming ``line``."""
     try:
+        if _barred(" ".join(fields).encode()):
+            t = next(t for t in fields if _barred(t.encode()))
+            raise ValueError(f"could not convert {t!r}, which holds {_stray(t.encode())}")
         values = [kind(t) for t in fields]
         if kind is int:
             np.array(values, dtype=np.int64)  # OverflowError past int64
@@ -191,7 +237,7 @@ def _build(path, make, *args, **kwargs):
 
 def load_tensor(path) -> SparseTensor4:
     data = _read(path)
-    head = data.partition(b"\n")[0].decode("ascii", "replace").split()
+    head = data.partition(b"\n")[0].decode("utf-8", "replace").split()
     if len(head) != 5 or head[0] != "dims":
         raise DataError(f"{path}:1: expected a 'dims I J K L' header")
     dims = tuple(_numbers(head[1:], int, path, 1))
@@ -206,7 +252,7 @@ def save_membership(M: MembershipMatrix, path):
 
 def load_membership(path) -> MembershipMatrix:
     data = _read(path)
-    head = data.partition(b"\n")[0].decode("ascii", "replace").split()
+    head = data.partition(b"\n")[0].decode("utf-8", "replace").split()
     if len(head) != 2:
         raise DataError(f"{path}:1: expected a 'rows cols' header")
     rows, cols = _numbers(head, int, path, 1)
@@ -413,7 +459,6 @@ def load_model(path, ranking_only=False):
 
 
 _REPUTATION_HEADER = "user_id,topic,score\n"
-_INT64 = np.iinfo(np.int64)
 
 
 def _csv_field(text: str) -> str:
@@ -432,97 +477,37 @@ def save_reputation(ledger: ReputationLedger, path):
     _write_text(path, _REPUTATION_HEADER + _rows_text("%d,%s,%d\n", rows))
 
 
-# Bytes with which the np.loadtxt pass could read a reputation file other than
-# csv.reader and int() do: a quote or CR (CSV syntax), a NUL (a bytes field drops
-# its trailing NULs), and 0x1c-0x1f, which np.loadtxt skips around an integer.
-_NOT_SPLIT = (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _topic_codes(topics):
-    """The sorted distinct names in ``topics``, and each one's index among
-    them as an int64 array."""
-    names = sorted(set(topics))
-    code = dict(zip(names, range(len(names))))
-    return names, np.fromiter(map(code.__getitem__, topics), dtype=np.int64, count=len(topics))
-
-
-def _split_reputation(path, data: bytes):
-    """The user column, topic names, topic codes and score column of the
-    reputation file at ``path``, whose bytes are ``data``, read by one
-    ``np.loadtxt`` pass; None unless the file is the header line and ASCII
-    rows of exactly two commas each, holding none of `_NOT_SPLIT`, that the
-    pass reads as int64 users and scores.  The topic is read as bytes as
-    wide as the widest topic field, so none is cut short."""
-    head = _REPUTATION_HEADER.encode()
-    if not data.startswith(head) or not data.isascii() or any(c in data for c in _NOT_SPLIT):
-        return None
-    body = data[len(head):]
-    if body and not body.endswith(b"\n"):
-        body += b"\n"
-    chars = np.frombuffer(body, dtype=np.uint8)
-    at = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
-    if len(at) % 3 or (chars[at].reshape(-1, 3) != tuple(b",,\n")).any():
-        return None
-    at = at.reshape(-1, 3)
-    width = int(np.max(at[:, 1] - at[:, 0], initial=2)) - 1  # at least 1 byte
-    try:
-        table = _table(path, [("user", np.int64), ("topic", f"S{width}"), ("score", np.int64)],
-                       len(at), skiprows=1, delimiter=",")
-    except ValueError:
-        return None
-    names, topic = _topic_codes(table["topic"].tolist())
-    return (np.ascontiguousarray(table["user"]), [name.decode() for name in names], topic,
-            np.ascontiguousarray(table["score"]), None)
-
-
-def _read_reputation_rows(path):
-    """The user column, topic names, topic codes and score column of a
-    reputation file, and each row's last line, read by ``csv.reader``; a
-    bad header, or a row that is not an int64 user, a topic and an int64
-    score, is a DataError naming it."""
-    users, topics, scores, lines = [], [], [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _REPUTATION_HEADER.strip().split(","):
-            raise DataError(f"{path}: unexpected reputation header {header}")
-        for row in reader:
-            try:
-                user, topic, score = row
-                user, score = int(user), int(score)
-                if not (_INT64.min <= user <= _INT64.max and _INT64.min <= score <= _INT64.max):
-                    raise ValueError
-            except ValueError:
-                raise DataError(f"{path}:{reader.line_num}: expected 'user_id,topic,score' "
-                                f"with int64 user and score, got {','.join(row)!r}") from None
-            users.append(user)
-            topics.append(topic)
-            scores.append(score)
-            lines.append(reader.line_num)
-    names, topic = _topic_codes(topics)
-    return (np.array(users, dtype=np.int64), names, topic, np.array(scores, dtype=np.int64),
-            lines)
-
-
 def load_reputation(path) -> ReputationLedger:
     """Read a reputation file into ledger columns.
 
-    One ``np.loadtxt`` pass reads plain rows; a file that pass does not
-    take (a quoted topic, CRLF endings, a blank line, non-ASCII text, a
-    bad field) goes through ``csv.reader``, which accepts it or names the
-    bad line.  Rows must come in ascending (user, topic) order, each pair
-    once, as ingest writes them.
+    After the header line, one `_rows` pass reads the CSV records, the
+    topic as bytes as wide as the longest record, so none is cut short;
+    only the distinct topic names are decoded.  Rows must come in
+    ascending (user, topic) order, each pair once, as ingest writes them;
+    a record that breaks this, or that the pass rejects, is a DataError
+    naming the line it ends on.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    user, names, topic, score, lines = (_split_reputation(path, data)
-                                        or _read_reputation_rows(path))
+    data = _read(path)
+    head = data.partition(b"\n")[0]
+    if head.removesuffix(b"\r") != _REPUTATION_HEADER.strip().encode():
+        raise DataError(f"{path}:1: expected the header {_REPUTATION_HEADER.strip()!r}, "
+                        f"got {head.decode('utf-8', 'replace')!r}")
+    bounds = _line_bounds(data, csv=True)
+    table = _read_rows(path, data, [("user", np.int64), ("topic", f"S{np.diff(bounds).max()}"),
+                                    ("score", np.int64)],
+                       "'user_id,topic,score' with int64 user and score", skip=1, source=path,
+                       csv=True)
+    topics = table["topic"].tolist()
+    names = sorted(set(topics))
+    code = dict(zip(names, range(len(names))))
+    topic = np.fromiter(map(code.__getitem__, topics), dtype=np.int64, count=len(topics))
+    user, score = np.ascontiguousarray(table["user"]), np.ascontiguousarray(table["score"])
     bad = ~row_increases((user, topic))
     if bad.any():
-        r = int(np.argmax(bad)) + 1
-        raise DataError(f"{path}:{r + 2 if lines is None else lines[r]}: rows must be in "
-                        "ascending (user, topic) order, each pair once")
-    return ReputationLedger(tuple(names), user, topic, score)
+        line = data.count(b"\n", 0, bounds[np.argmax(bad) + 3] - 1) + 1
+        raise DataError(f"{path}:{line}: rows must be in ascending (user, topic) order, "
+                        "each pair once")
+    return ReputationLedger(tuple(name.decode() for name in names), user, topic, score)
 
 
 def save_report(report, path, config=None):

@@ -17,7 +17,6 @@ from qaexpert.cli import main
 from qaexpert.coupled import CpModel, JointModel, MembershipMatrix
 from qaexpert.errors import DataError
 from qaexpert.hierarchy import HierarchyTree, compute_node_weights, tree_from_nested
-from qaexpert.ingest import ReputationLedger
 from qaexpert.ranking import RankingFactors
 from qaexpert.serialize import (
     file_digest,
@@ -196,9 +195,6 @@ def load_outcome(load, path):
                 result = obj.dims, obj.indices.tolist(), obj.values.tobytes()
             elif isinstance(obj, HierarchyTree):
                 result = tuple(getattr(obj, a).tobytes() for a in ("parent", "s", "g", "leaf_row"))
-            elif isinstance(obj, ReputationLedger):
-                assert {obj.user.dtype, obj.topic.dtype, obj.score.dtype} == {np.dtype(np.int64)}
-                result = rec.ledger_rows(obj), obj.skipped_voter_events
             else:
                 result = obj.rows, obj.cols, obj.indices.tolist()
     return result, [(w.category, str(w.message)) for w in caught]
@@ -345,21 +341,41 @@ def per_line_tree(rows):
 
 
 # Input that no save_* function writes but that a per-line reading by int()
-# and float() would take, each with the line the reader names, quoted whole.
+# and float() would take, each with the line the reader names, quoted whole,
+# and the character it names in that line, where one breaks it.
 NEWLY_REJECTED = {
-    "underscore in an index": (load_tensor, "dims 20 2 2 2\n1_0 0 0 0 1\n", 2),
-    "underscore in a value": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\n0 0 0 0 1_0\n", 3),
-    "underscore in a pair": (load_membership, "11 4\n1_0 0\n", 2),
-    "underscore in s": (load_tree, edited_tree_text(2, "  1 1 0 1_0 -9"), 2),
-    "U+0660 as a leaf row": (load_tree, edited_tree_text(3, "    2 2 1 leaf \u0660"), 3),
-    "U+0661 in a pair": (load_membership, "11 4\n0 \u0661\n", 2),
-    "U+0663 in an index": (load_tensor, "dims 20 2 2 2\n\u0663 0 0 0 1\n", 2),
-    "blank tree line": (load_tree, TREE_TEXT.replace("\n", "\n\n", 2), 2),
-    "whitespace-only tree line": (load_tree, TREE_TEXT + "  \n\n", 7),
-    "U+0085 in a tensor line": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\x85\n", 2),
-    "U+2028 in a membership line": (load_membership, "11 4\n0 1\n2 3\u2028\n", 3),
-    "U+2029 in a tree line": (load_tree, edited_tree_text(4, "    2 3 1 leaf 1\u2029"), 4),
+    "underscore in an index": (load_tensor, "dims 20 2 2 2\n1_0 0 0 0 1\n", 2, "_"),
+    "underscore in a value": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\n0 0 0 0 1_0\n", 3, "_"),
+    "underscore in a pair": (load_membership, "11 4\n1_0 0\n", 2, "_"),
+    "underscore in s": (load_tree, edited_tree_text(2, "  1 1 0 1_0 -9"), 2, "_"),
+    "U+0660 as a leaf row": (load_tree, edited_tree_text(3, "    2 2 1 leaf \u0660"), 3, "\u0660"),
+    "U+0661 in a pair": (load_membership, "11 4\n0 \u0661\n", 2, "\u0661"),
+    "U+0663 in an index": (load_tensor, "dims 20 2 2 2\n\u0663 0 0 0 1\n", 2, "\u0663"),
+    "blank tree line": (load_tree, TREE_TEXT.replace("\n", "\n\n", 2), 2, None),
+    "whitespace-only tree line": (load_tree, TREE_TEXT + "  \n\n", 7, None),
+    "U+0085 in a tensor line": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\x85\n", 2, "\x85"),
+    "U+2028 in a membership line": (load_membership, "11 4\n0 1\n2 3\u2028\n", 3, "\u2028"),
+    "U+2029 in a tree line": (load_tree, edited_tree_text(4, "    2 3 1 leaf 1\u2029"), 4,
+                              "\u2029"),
+    "NUL in a pair": (load_membership, "11 4\n0 1\x00\n", 2, "\x00"),
+    "lone CR in a tensor line": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\r1 1 1 1 2\n", 2, "\r"),
 }
+
+# Where a number in a line that `_numbers` reads sits: the line's start and
+# the field's index.  What the table reader rejects is rejected there too.
+HEADER_NUMBERS = {
+    "tensor header": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\n", 1),
+    "membership header": (load_membership, "11 4\n0 1\n", 0),
+}
+MODEL_NUMBERS = {"model header": ("joint-model", 2), "block count": ("mode 1 rows", 3),
+                 "S block count": ("S rows", 2), "norms": ("norms", 1), "lambdas": ("lambdas", 2)}
+
+
+def unruly(number, style):
+    """``number`` written as Python's int() and float() still read it: with
+    an ``_``, or in Arabic-Indic digits."""
+    return "0_" + number if style == "_" else number.translate(str.maketrans(
+        "0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"))
 
 
 class TestOneReader:
@@ -403,12 +419,44 @@ class TestOneReader:
 
     @pytest.mark.parametrize("name", NEWLY_REJECTED)
     def test_newly_rejected_input_names_its_line(self, tmp_path, name):
-        load, text, line = NEWLY_REJECTED[name]
+        load, text, line, char = NEWLY_REJECTED[name]
         p = tmp_path / "table.txt"
         p.write_bytes(text.encode("utf-8"))
         got = re.escape(repr(text.split("\n")[line - 1]))
+        if char is not None:
+            got += re.escape(f", which holds {char!r}")
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: expected .*, got {got}$"):
             load(p)
+
+    @pytest.mark.parametrize("style", ["_", "Arabic-Indic"])
+    @pytest.mark.parametrize("name", HEADER_NUMBERS)
+    def test_header_numbers_follow_the_table_rule(self, tmp_path, name, style):
+        load, text, field = HEADER_NUMBERS[name]
+        head, rest = text.split("\n", 1)
+        parts = head.split()
+        parts[field] = unruly(parts[field], style)
+        p = tmp_path / "table.txt"
+        p.write_bytes((" ".join(parts) + "\n" + rest).encode())
+        char = parts[field][1 if style == "_" else 0]
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:1: .*, which holds {char!r}$"):
+            load(p)
+
+    @pytest.mark.parametrize("style", ["_", "Arabic-Indic"])
+    @pytest.mark.parametrize("name", MODEL_NUMBERS)
+    def test_model_numbers_follow_the_table_rule(self, tmp_path, name, style):
+        start, field = MODEL_NUMBERS[name]
+        p = tmp_path / "model.txt"
+        save_model(random_joint(np.random.default_rng(4)), p)
+        lines = p.read_text().splitlines(keepends=True)[:-1]
+        at = next(n for n, line in enumerate(lines) if line.startswith(start))
+        parts = lines[at].split()
+        parts[field] = unruly(parts[field], style)
+        lines[at] = " ".join(parts) + "\n"
+        p.write_text(seal("".join(lines)))
+        char = parts[field][1 if style == "_" else 0]
+        want = f"^{re.escape(str(p))}:{at + 1}: .*, which holds {char!r}$"
+        with pytest.raises(DataError, match=want):
+            load_model(p)
 
     @pytest.mark.parametrize("at", [0, 1, 499, 998, 999])
     @pytest.mark.parametrize("bad", ["0 0 0 0 x", "", "0 0 0 0 1\r1 1 1 1 2", "0 0 0 0 1\u00e9"],
@@ -436,7 +484,11 @@ class TestOneReader:
                  (save_membership, load_membership, MembershipMatrix(4, 3, [(0, 1), (3, 2)])),
                  (save_membership, load_membership, MembershipMatrix(4, 3, [])),
                  (save_tree, load_tree, tree_from_nested([[0, 1], [2, [3, 4]]])),
-                 (save_model, load_model, random_joint(rng))]
+                 (save_model, load_model, random_joint(rng)),
+                 (save_reputation, load_reputation, rec.ledger({(1, "s/a"): 2, (3, "s/b"): -1})),
+                 (save_reputation, load_reputation,
+                  rec.ledger({(1, t): n for n, t in enumerate(AWKWARD_TOPICS)})),
+                 (save_reputation, load_reputation, rec.ledger({}))]
         monkeypatch.setattr(serialize, "_first_rejected", None)
         for n, (save, load, obj) in enumerate(files):
             save(obj, tmp_path / f"{n}.txt")
@@ -824,55 +876,106 @@ class TestLineNumbers:
 
 REPUTATION_HEADER = "user_id,topic,score\n"
 
-# Plain files, which the np.loadtxt pass reads, with fields it could read
-# other than csv.reader and int() do
-SPLIT_FILES = [
-    REPUTATION_HEADER + "1, s/a,1\n1,\ts/b,2\n1,s/c ,3\n1,s/d\t,4\n",
-    REPUTATION_HEADER + "1,,2\n2,s/a,3\n",
-    REPUTATION_HEADER + "1,s/a,1\n1,s/" + "w" * 200 + ",2\n2,s/b,3\n",
-    REPUTATION_HEADER + "007,s/a,-0\n 8,s/a,+5\n",
-    REPUTATION_HEADER + "-9223372036854775808,s/a,-9223372036854775808\n"
-    "9223372036854775807,s/a,9223372036854775807",
+
+def csv_reader_rows(path):
+    """The (user, topic, score) rows that ``csv.reader`` and ``int()`` read
+    from the reputation file at ``path``: the reference the one reader is
+    held to where it takes a file."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == REPUTATION_HEADER.strip().split(",")
+    return [(int(user), topic, int(score)) for user, topic, score in rows]
+
+
+# Each file with the line its error names, or None where it loads to the rows
+# `csv_reader_rows` reads from it.
+REPUTATION_FILES = [
+    (REPUTATION_HEADER + "1,s/a,2\n1,s/b,-3\n2,s/a,0\n", None),
+    (REPUTATION_HEADER + "1,s/a,2\n\n2,s/a,3\n", 3),
+    (REPUTATION_HEADER + "1,s/a,2\n2,s/a,3\n\n", 4),
+    (REPUTATION_HEADER + "1,s/a,2\n\r\n2,s/a,3\n", 3),
+    (REPUTATION_HEADER + "1,s/a,2\n \n", 3),
+    ("user_id,topic,score\r\n1,s/a,2\r\n2,s/b,3\r\n", None),
+    (REPUTATION_HEADER + "1,s/a,2\n2,s/a,3", None),
+    (REPUTATION_HEADER, None),
+    ("user_id,topic,score", None),
+    ("", 1),
+    ("user,tag,points\n1,a,2\n", 1),
+    ("\ufeff" + REPUTATION_HEADER + "1,s/a,2\n", 1),
+    (REPUTATION_HEADER + "1,s/a,+5\n", None),
+    (REPUTATION_HEADER + " 5,s/a,1\n", None),
+    (REPUTATION_HEADER + "1,s/a,5 \n", None),
+    (REPUTATION_HEADER + "1,s/a,\x0b5\n", None),
+    (REPUTATION_HEADER + "007,s/a,-0\n 8,s/a,+5\n", None),
+    (REPUTATION_HEADER + "1,s/a,5.0\n", 2),
+    (REPUTATION_HEADER + "1,s/a,\n", 2),
+    (REPUTATION_HEADER + "9223372036854775808,s/a,1\n", 2),
+    (REPUTATION_HEADER + "1,s/a,9223372036854775808\n", 2),
+    (REPUTATION_HEADER + "1,s/a,-9223372036854775809\n", 2),
+    (REPUTATION_HEADER + "-9223372036854775808,s/a,9223372036854775807\n", None),
+    (REPUTATION_HEADER + "-9223372036854775808,s/a,-9223372036854775808\n"
+     "9223372036854775807,s/a,9223372036854775807", None),
+    (REPUTATION_HEADER + "1,s/a\n", 2),
+    (REPUTATION_HEADER + "1,s/a,2,3\n", 2),
+    (REPUTATION_HEADER + "1,2\n3,4,5,6\n", 2),
+    (REPUTATION_HEADER + "1,,2\n2,s/a,3\n", None),
+    (REPUTATION_HEADER + "1,#a,2\n", None),
+    (REPUTATION_HEADER + "1,s/a,1\n1,s/" + "w" * 200 + ",2\n2,s/b,3\n", None),
+    (REPUTATION_HEADER + "1, s/a,1\n1,\ts/b,2\n1,s/c ,3\n1,s/d\t,4\n", 3),
+    (REPUTATION_HEADER + "1,s/a b,2\n1,s/\u00e9,2\n", None),
+    (REPUTATION_HEADER + "1,s/a,2\n1,s/\u00e9t\u00e9,3\n", None),
+    (REPUTATION_HEADER + "1,s/\x85,2\n", None),
+    (REPUTATION_HEADER + "1,s/b,1\n1,s/a,1\n", 3),
+    (REPUTATION_HEADER + "1,s/a,1\n1,s/a,2\n", 3),
+    (REPUTATION_HEADER + "2,s/a,1\n1,s/b,1\n", 3),
+    # quoted fields, as csv.reader reads them
+    (REPUTATION_HEADER + '1,"s/c\nd",3\n1,"s/c,d",2\n2,"s/a""b",4\n', None),
+    (REPUTATION_HEADER + '1,"s/a",3\n', None),
+    (REPUTATION_HEADER + '1,"",2\n', None),
+    (REPUTATION_HEADER + '1,"s/c\r\nd",3\n1,"s/c\rd",2\n', None),
+    (REPUTATION_HEADER + '1,"a\n",3\n1,"a\n\nb",2\n', None),
+    (REPUTATION_HEADER + '1,"s/a"b,2\n2, "s/a",2\n3,"s/a" ,2\n', None),
+    # a quote inside an unquoted field, which csv.writer never writes, opens
+    # a quoted field that runs to the next quote or the end of the file
+    (REPUTATION_HEADER + '1,s/a,2\n3,s/a"b,2\n4,s/b,3\n', 4),
+    (REPUTATION_HEADER + '1,"a\n\nb",2\nx,s/a,3\n', 5),
+    (REPUTATION_HEADER + '1,"a\nb",2\n1,"c\nd",3\n1,"b",4\n', 6),
+    (REPUTATION_HEADER + '1,"s/a\n', 2),
+    (REPUTATION_HEADER + '1,"s/a,2\n2,s/b,3\n', 3),
+    # fields np.loadtxt would read other than csv.reader and int() do, and
+    # files csv.reader and int() read that are rejected
+    (REPUTATION_HEADER + "1,s/a\0,2\n2,s/a,1\n", 2),
+    (REPUTATION_HEADER + "\x1c7,s/a,1\n", 2),
+    (REPUTATION_HEADER + "7,s/a,1\x1f\n", 2),
+    (REPUTATION_HEADER + '1,"s/a",2\n2,"s/\x1c",3\n', 3),
+    (REPUTATION_HEADER + "1_0,s/a,1\n", 2),
+    (REPUTATION_HEADER + "1,s/a,1_0\n", 2),
+    (REPUTATION_HEADER + "\u0661,s/a,2\n", 2),
+    (REPUTATION_HEADER + "1\x85,s/a,2\n", 2),
+    (REPUTATION_HEADER + "1,s/a,2\r2,s/b,3\r", 2),
+    (REPUTATION_HEADER + '1,"x",2\n2,s/a,3\r4,s/a,5\n', 3),
+    ("user_id,topic,score\r1,s/a,2\r", 1),
+    (REPUTATION_HEADER.encode() + b"1,s/a,2\n2,s/\xff,3\n", 3),
+    (REPUTATION_HEADER.encode() + b'1,"s/\xe9\n",2\n', 3),
 ]
 
-REPUTATION_FILES = [
-    REPUTATION_HEADER + "1,s/a,2\n1,s/b,-3\n2,s/a,0\n",
-    REPUTATION_HEADER + "1,s/a,2\n\n2,s/a,3\n",
-    REPUTATION_HEADER + "1,s/a,2\n2,s/a,3\n\n",
-    "user_id,topic,score\r\n1,s/a,2\r\n2,s/b,3\r\n",
-    REPUTATION_HEADER + "1,s/a,2\n2,s/a,3",
-    REPUTATION_HEADER,
-    "user_id,topic,score",
-    "",
-    "user,tag,points\n1,a,2\n",
-    REPUTATION_HEADER + "1,s/a,+5\n",
-    REPUTATION_HEADER + " 5,s/a,1\n",
-    REPUTATION_HEADER + "1_0,s/a,1\n",
-    REPUTATION_HEADER + "1,s/a,5.0\n",
-    REPUTATION_HEADER + "1,s/a,5 \n",
-    REPUTATION_HEADER + "1,s/a,\n",
-    REPUTATION_HEADER + "9223372036854775808,s/a,1\n",
-    REPUTATION_HEADER + "1,s/a,9223372036854775808\n",
-    REPUTATION_HEADER + "1,s/a,-9223372036854775809\n",
-    REPUTATION_HEADER + "-9223372036854775808,s/a,9223372036854775807\n",
-    REPUTATION_HEADER + "1,s/a\n",
-    REPUTATION_HEADER + "1,s/a,2,3\n",
-    REPUTATION_HEADER + "1,2\n3,4,5,6\n",
-    REPUTATION_HEADER + '1,"s/c\nd",3\n1,"s/c,d",2\n2,"s/a""b",4\n',
-    REPUTATION_HEADER + '1,"s/a",3\n',
-    REPUTATION_HEADER + "1,s/a b,2\n1,s/\u00e9,2\n",
-    REPUTATION_HEADER + "1,s/b,1\n1,s/a,1\n",
-    REPUTATION_HEADER + "1,s/a,1\n1,s/a,2\n",
-    REPUTATION_HEADER + "2,s/a,1\n1,s/b,1\n",
-    # files the np.loadtxt pass does not take, where it would read a field
-    # other than csv.reader and int() do
-    REPUTATION_HEADER + "1,s/a\0,2\n2,s/a,1\n",
-    REPUTATION_HEADER + "1,s/a,2\n1,s/\u00e9t\u00e9,3\n",
-    REPUTATION_HEADER + "1,s/a,1_0\n",
-    REPUTATION_HEADER + "\x1c7,s/a,1\n",
-    REPUTATION_HEADER + "7,s/a,1\x1f\n",
-    *SPLIT_FILES,
-]
+# Input that csv.reader and int() take, or, for the byte that is not UTF-8,
+# reject with no line named, each with the line the reader names and the end
+# of its message.
+REPUTATION_REJECTED = {
+    "a byte that is not UTF-8": (REPUTATION_HEADER.encode() + b"1,s/a,2\n2,s/\xff,3\n", 3,
+                                 "got '2,s/\ufffd,3', which holds the byte 0xff"),
+    "lone-CR line ends": (REPUTATION_HEADER.encode() + b"1,s/a,2\r2,s/b,3\r", 2,
+                          "got '1,s/a,2\\r2,s/b,3', which holds '\\r'"),
+    "U+0661 as a user id": ((REPUTATION_HEADER + "\u0661,s/a,2\n").encode(), 2,
+                            "could not convert string '\u0661' to int64"),
+    "a NUL after a quoted CR": ((REPUTATION_HEADER + '1,"s/\rx\0",2\n').encode(), 2,
+                                "which holds '\\x00'"),
+}
+
+# Topics that save_reputation quotes, or writes as they are, that must come back
+AWKWARD_TOPICS = ["s/c,d", 's/a"b', '"', 's/c\rd', "s/c\nd", "s/c\r\nd", "\n", "s/snake_case",
+                  "s/\u00e9t\u00e9", "s/\u4e2d\u6587", "s/\u0661", "", " s/pad ", "s/#x"]
 
 
 class TestReputationFormat:
@@ -900,6 +1003,19 @@ class TestReputationFormat:
         assert "\n3,s/plain,5\n" in want and '"s/c\rd"' in want
         assert rec.ledger_rows(load_reputation(p)) == rec.ledger_rows(ledger)
 
+    @pytest.mark.parametrize("topic", AWKWARD_TOPICS)
+    def test_saved_topics_load_back(self, tmp_path, topic):
+        ledger = rec.ledger({(1, topic): 2, (1, "s/z"): -3, (2, topic): 9_000_000_000})
+        p = tmp_path / "rep.csv"
+        save_reputation(ledger, p)
+        assert rec.ledger_rows(load_reputation(p)) == rec.ledger_rows(ledger)
+        assert csv_reader_rows(p) == rec.ledger_rows(ledger)
+        out = io.StringIO()
+        csv.writer(out).writerows([REPUTATION_HEADER.strip().split(","), *rec.ledger_rows(ledger)])
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(out.getvalue().encode())
+        assert rec.ledger_rows(load_reputation(crlf)) == rec.ledger_rows(ledger)
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "rep.csv"
         p.write_text("user,tag,points\n1,a,2\n")
@@ -915,45 +1031,48 @@ class TestReputationFormat:
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:3: "):
             load_reputation(p)
 
-    @pytest.mark.parametrize("text", REPUTATION_FILES)
-    def test_split_and_csv_reader_agree(self, tmp_path, monkeypatch, text):
+    @pytest.mark.parametrize("text, line", REPUTATION_FILES)
+    def test_loads_as_the_csv_reader_does(self, tmp_path, text, line):
         p = tmp_path / "rep.csv"
-        p.write_bytes(text.encode())
-        fast = load_outcome(load_reputation, p)
-        monkeypatch.setattr(serialize, "_split_reputation", lambda *args: None)
-        assert fast == load_outcome(load_reputation, p)
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
+        if line is None:
+            ledger = load_reputation(p)
+            columns = ledger.user, ledger.topic, ledger.score
+            assert {column.dtype for column in columns} == {np.dtype(np.int64)}
+            assert rec.ledger_rows(ledger) == csv_reader_rows(p)
+        else:
+            with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: "):
+                load_reputation(p)
 
-    def test_plain_rows_take_the_split(self, tmp_path):
-        p = tmp_path / "rep.csv"
-        p.write_bytes(REPUTATION_FILES[0].encode())
-        user, names, topic, score, lines = serialize._split_reputation(p, p.read_bytes())
-        assert (user.tolist(), names, topic.tolist(), score.tolist(), lines) == (
-            [1, 1, 2], ["s/a", "s/b"], [0, 1, 0], [2, -3, 0], None)
-
-    @pytest.mark.parametrize("text", SPLIT_FILES)
-    def test_plain_files_take_the_split(self, tmp_path, text):
-        p = tmp_path / "rep.csv"
-        p.write_bytes(text.encode())
-        assert serialize._split_reputation(p, p.read_bytes()) is not None
-
-    def test_ingest_written_file_takes_the_split(self, tmp_path, monkeypatch):
+    def test_ingest_written_file_loads_as_the_csv_reader_does(self, tmp_path):
         make_corpus(str(tmp_path / "corpus"), seed=4)
         sites = sorted(str(d) for d in (tmp_path / "corpus").iterdir() if d.is_dir())
         assert main(["ingest", *sites, "--out-dir", str(tmp_path / "snap")]) == 0
         p = tmp_path / "snap" / "reputation.csv"
-        user, names, topic, score, lines = serialize._split_reputation(p, p.read_bytes())
-        assert len(user) > 50 and len(names) > 1 and lines is None
-        fast = load_outcome(load_reputation, p)
-        monkeypatch.setattr(serialize, "_split_reputation", lambda *args: None)
-        assert fast == load_outcome(load_reputation, p)
+        ledger = load_reputation(p)
+        assert len(ledger.user) > 50 and len(ledger.topic_names) > 1
+        assert rec.ledger_rows(ledger) == csv_reader_rows(p)
 
-    @pytest.mark.parametrize("body", ["1,s/a,2\n\n2,s/a,3\n", "1,s/a,2\r\n", "1,s/a,2,3\n",
-                                      "1,2\n3,4,5,6\n", '1,"s/c,d",2\n', "1,s/a,5.0\n",
-                                      "9223372036854775808,s/a,1\n"])
-    def test_odd_rows_go_to_the_csv_reader(self, tmp_path, body):
+    @pytest.mark.parametrize("name", REPUTATION_REJECTED)
+    def test_newly_rejected_input_names_its_line(self, tmp_path, name):
+        data, line, tail = REPUTATION_REJECTED[name]
         p = tmp_path / "rep.csv"
-        p.write_bytes((REPUTATION_HEADER + body).encode())
-        assert serialize._split_reputation(p, p.read_bytes()) is None
+        p.write_bytes(data)
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: .*{re.escape(tail)}$"):
+            load_reputation(p)
+
+    @pytest.mark.parametrize("at", [0, 1, 499, 998, 999])
+    @pytest.mark.parametrize("bad", ["x,s/a,1", "", "7,s/a,1\r8,s/b,2", "7,s/\x00,1", "7,s/a"],
+                             ids=["field", "blank", "lone-CR", "NUL", "short"])
+    def test_bisection_names_the_one_bad_row(self, tmp_path, bad, at):
+        rows = [f"{i},s/a,{i}" for i in range(1000)]
+        if at:  # a quoted topic over two lines just before the bad row
+            rows[at - 1] = f'{at - 1},"s/q\nuoted",1'
+        rows[at] = bad
+        p = tmp_path / "rep.csv"
+        p.write_bytes((REPUTATION_HEADER + "\n".join(rows) + "\n").encode())
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 2 + (at > 0)}: "):
+            load_reputation(p)
 
 
 class TestReportAndHistory:
