@@ -6,11 +6,16 @@ into every output for provenance.  All randomness flows from the single
 ``--seed`` through NumPy's default PCG64 generator, and output files are
 byte-identical across runs with equal inputs.
 
-``ingest`` parses the subsites in forked worker processes, one per usable
-CPU and at most one per subsite, and merges what they send back over
-pipes.  Each subsite's warnings are shown and the first error in subsite
-order is raised, as a loop over the subsites would; with one subsite, one
-usable CPU or no ``os.fork``, that loop is what runs.
+``ingest`` runs on every usable CPU, in one process per CPU.  It deals
+the subsites out in turn, at most one process per subsite: the ``ingest``
+process parses the last share and a forked child each other share, which
+sends what it parsed back over a pipe.  Each subsite's warnings are shown
+and the first error in subsite order is raised, as a loop over the
+subsites would.  After the merge a forked child builds the reputation
+ledger and the text of ``reputation.csv`` while the ``ingest`` process
+builds the model inputs; the snapshot is written once both have
+succeeded.  With one usable CPU or no ``os.fork``, the loop over the
+subsites, the model inputs and the ledger all run in the one process.
 """
 
 from __future__ import annotations
@@ -100,73 +105,120 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return values
 
 
-def _worker_count(n_subsites: int) -> int:
-    """Processes that parse ``n_subsites``: one per usable CPU, at most one
-    per subsite, and 1 (no fork) where the platform has no ``os.fork``."""
+def _worker_count(tasks: int) -> int:
+    """Processes that share ``tasks``: one per usable CPU, at most one per
+    task, and 1 (no fork) where the platform has no ``os.fork``."""
     if not hasattr(os, "fork"):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, min(n_subsites, cpus))
+    return max(1, min(tasks, cpus))
+
+
+# The once-per-location registry of the warnings workers hold back, which
+# this process filters as it shows them.  A warning issued in this process
+# is registered in the module's own ``__warningregistry__`` as it passes the
+# filters; the two are kept apart so that a subsite one run parses here does
+# not count as shown the warnings a worker holds for it in a later run.
+_WORKER_WARNINGS: dict = {}
 
 
 def _parse_subsite(job):
     """Parse one subsite: its dataset or the exception it raised, plus the
-    warnings it issued as ``(message, filename, lineno)``."""
+    warnings shown meanwhile, held back as ``(message, category, filename,
+    lineno)``.  They pass this process's filters as they are issued; holding
+    them swaps `warnings.showwarning`, where `warnings.catch_warnings` would
+    change the filters and so reset every once-per-location registry."""
     files, name = job
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = parse_dump(*files, subsite_name=name)
-        except Exception as exc:
-            result = exc
-    return result, [(w.message, w.filename, w.lineno) for w in caught]
+    held = []
+    show, warnings.showwarning = warnings.showwarning, lambda *shown: held.append(shown[:4])
+    try:
+        result = parse_dump(*files, subsite_name=name)
+    except Exception as exc:
+        result = exc
+    finally:
+        warnings.showwarning = show
+    return result, held
 
 
 def _parse_subsites(jobs) -> list:
     """The datasets of ``jobs``, in order.  Each subsite's warnings are
-    re-emitted and the first error in subsite order is raised; the plain
-    loop stops there, and forked workers parse every subsite first."""
+    shown and the first error in subsite order is raised; the plain loop
+    stops there, and a pooled parse parses every subsite first."""
     workers = _worker_count(len(jobs))
-    outcomes = _parse_in_workers(jobs, workers) if workers > 1 else map(_parse_subsite, jobs)
+    outcomes = (_parse_in_workers(jobs, workers) if workers > 1
+                else ((*_parse_subsite(job), False) for job in jobs))
     datasets = []
-    for result, caught in outcomes:
-        for message, filename, lineno in caught:
-            warnings.warn_explicit(message, type(message), filename, lineno, module=__name__,
-                                   registry=globals().setdefault("__warningregistry__", {}))
+    for result, held, from_worker in outcomes:
+        for message, category, filename, lineno in held:
+            if from_worker:  # held unfiltered: this process filters it now
+                warnings.warn_explicit(message, category, filename, lineno, module=__name__,
+                                       registry=_WORKER_WARNINGS)
+            else:
+                warnings.showwarning(message, category, filename, lineno)
         if isinstance(result, BaseException):
             raise result
         datasets.append(result)
     return datasets
 
 
-def _portable(outcome):
-    """``outcome`` with an exception that does not survive pickling replaced
-    by a `ChildProcessError` holding its type name and message."""
-    result, caught = outcome
+def _portable(result):
+    """``result``, or for an exception that does not survive pickling a
+    `ChildProcessError` holding its type name and message."""
     if isinstance(result, BaseException):
         try:
             pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:
             result = ChildProcessError(f"{type(result).__name__}: {result}")
-    return result, caught
+    return result
+
+
+def _worker_share(jobs, share) -> list:
+    """`_parse_subsite` of each job in ``share``, in a forked worker, which
+    holds back every warning for the parent to filter and sends exceptions
+    that survive pickling."""
+    warnings.simplefilter("always")
+    return [(_portable(result), held) for result, held in (_parse_subsite(jobs[i]) for i in share)]
 
 
 def _parse_in_workers(jobs, workers: int) -> list:
-    """`_parse_subsite` of every job, in forked worker processes.
+    """Each job's `_parse_subsite` outcome plus whether a worker held its
+    warnings, parsed by `_fork_join` in ``workers`` processes.
 
-    Each worker pickles its outcomes into a pipe and leaves with
-    ``os._exit``; worker ``w`` takes jobs ``w``, ``w + workers``, ….  The
-    parent reads the pipes in turn and, also when it fails, closes them
-    all before it reaps every worker.  The subsites of a worker that exits
-    without a result get a `ChildProcessError`.
+    Share ``w`` holds jobs ``w``, ``w + workers``, …; this process parses
+    the last share and a forked worker each other.  The subsites of a
+    worker that fails get its error.
     """
-    children = []  # (pid, read end, share)
+    shares = [range(w, len(jobs), workers) for w in range(workers)]
+    tasks = [(f"subsites {', '.join(jobs[i][1] for i in share)}",
+              functools.partial(_worker_share, jobs, share)) for share in shares[:-1]]
+    results = _fork_join(tasks, lambda: [_parse_subsite(jobs[i]) for i in shares[-1]])
+    outcomes = [None] * len(jobs)
+    for w, (share, got) in enumerate(zip(shares, results)):
+        if isinstance(got, BaseException):
+            got = [(got, [])] * len(share)
+        for i, (result, held) in zip(share, got):
+            outcomes[i] = result, held, w < workers - 1
+    return outcomes
+
+
+def _fork_join(tasks, own) -> list:
+    """The results of ``tasks``, ``(label, function)`` pairs, each run in a
+    forked child, then of ``own``, run in this process meanwhile; every
+    function is called with no arguments.
+
+    A child pickles its function's result, or the exception it raised, into
+    a pipe and leaves with ``os._exit``.  This process runs ``own``, then
+    reads the pipes in turn and, also when it fails, closes them all before
+    it reaps every child.  A child's exception takes the place of its
+    result, as does a `ChildProcessError` naming the label of a child that
+    exits without one.
+    """
+    children = []  # (pid, read end)
     try:
-        for w in range(workers):
-            share = range(w, len(jobs), workers)
+        for _, task in tasks:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -177,40 +229,41 @@ def _parse_in_workers(jobs, workers: int) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    # no read end stays open here, so a worker blocked on a
+                    # no read end stays open here, so a child blocked on a
                     # full pipe gets EPIPE once the parent closes its end
-                    for _, fd, _ in children:
+                    for _, fd in children:
                         os.close(fd)
                     os.close(read_fd)
-                    outcomes = [_portable(_parse_subsite(jobs[i])) for i in share]
+                    try:
+                        result = task()
+                    except Exception as exc:
+                        result = _portable(exc)
                     with os.fdopen(write_fd, "wb") as fh:
-                        pickle.dump(outcomes, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
-            children.append((pid, read_fd, share))
-        received = []
-        for _, read_fd, _ in children:
+            children.append((pid, read_fd))
+        mine = own()
+        received, missing = [], object()
+        for _, read_fd in children:
             with os.fdopen(read_fd, "rb", closefd=False) as fh:
                 try:
                     received.append(pickle.load(fh))
-                except Exception:  # the worker left before writing all of it
-                    received.append(None)
+                except Exception:  # the child left before writing all of it
+                    received.append(missing)
     finally:
-        for _, read_fd, _ in children:
+        for _, read_fd in children:
             os.close(read_fd)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
-    outcomes = [None] * len(jobs)
-    for (_, _, share), got, status in zip(children, received, statuses):
-        if got is None or status != 0:
-            names = ", ".join(jobs[i][1] for i in share)
-            code = os.waitstatus_to_exitcode(status)
-            got = [(ChildProcessError(f"ingest worker for subsites {names} exited "
-                                      f"with code {code} without a result"), [])] * len(share)
-        for i, outcome in zip(share, got):
-            outcomes[i] = outcome
-    return outcomes
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    results = []
+    for (label, _), got, status in zip(tasks, received, statuses):
+        if got is missing or status != 0:
+            got = ChildProcessError(f"ingest worker for {label} exited with code "
+                                    f"{os.waitstatus_to_exitcode(status)} without a result")
+        results.append(got)
+    return [*results, mine]
 
 
 def cmd_ingest(args) -> int:
@@ -237,8 +290,18 @@ def cmd_ingest(args) -> int:
     if sample_users is not None:
         data = sample_dataset(data, sample_users, seed)
 
-    tables = build_inputs(data, bucket_edges=edges, tree_s=tree_s)
-    ledger = reputation_scores(data)
+    def build_tables():
+        return build_inputs(data, bucket_edges=edges, tree_s=tree_s)
+
+    def build_ledger():  # reputation.csv's bytes
+        return serialize.reputation_text(reputation_scores(data)).encode()
+
+    if _worker_count(2) > 1:  # a child for the ledger, this process for the tables
+        ledger, tables = _fork_join([("the reputation ledger", build_ledger)], build_tables)
+        if isinstance(ledger, BaseException):
+            raise ledger
+    else:
+        tables, ledger = build_tables(), build_ledger()
 
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
@@ -253,7 +316,8 @@ def cmd_ingest(args) -> int:
         written.append(targets["topic"])
         serialize.save_tree(tables.tree, targets["tree"])
         written.append(targets["tree"])
-        serialize.save_reputation(ledger, targets["reputation"])
+        with open(targets["reputation"], "wb") as fh:
+            fh.write(ledger)
         written.append(targets["reputation"])
         serialize.write_manifest(targets["manifest"], tables, cfg, written)
         written.append(targets["manifest"])

@@ -51,7 +51,7 @@ __all__ = [
     "save_membership", "load_membership",
     "save_tree", "load_tree",
     "save_model", "load_model",
-    "save_reputation", "load_reputation",
+    "save_reputation", "reputation_text", "load_reputation",
     "save_report", "save_history",
     "write_manifest", "load_manifest", "file_digest",
 ]
@@ -182,12 +182,22 @@ def _first_rejected(count: int, read) -> int:
     return bisect.bisect_left(range(1, count + 1), True, key=rejects) + 1
 
 
+def _fields(line: bytes, dtype, csv=False) -> list:
+    """The fields of the record ``line``, laid out as ``dtype``, each as
+    its own bytes."""
+    spec = np.dtype(dtype)
+    row = _rows(line, [(name, f"S{len(line)}", spec[name].shape) for name in spec.names],
+                csv=csv)[0]
+    return [field for name in spec.names for field in np.ravel(row[name])]
+
+
 def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first=1, csv=False):
     """`_rows` of ``data``, the text of ``path`` from its line ``first`` on.
     Where they are rejected, the first line whose prefix `_rows` rejects is
     a DataError naming the line it ends on, and quoting the field that
-    ``np.loadtxt`` does not convert in it, or else the line, which does not
-    follow ``layout``, with the character `_stray` names in it."""
+    ``np.loadtxt`` does not convert in it, decoded from the line's own UTF-8
+    bytes, or else the line, which does not follow ``layout``, with the
+    character `_stray` names in it."""
     try:
         return _rows(data, dtype, skip, source, csv)
     except ValueError:
@@ -198,9 +208,11 @@ def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first
     try:
         _rows(line, dtype, csv=csv)
     except ValueError as exc:
-        why = str(exc).partition(" at row")[0]
-    if why.startswith("could not convert"):  # the field as latin-1 text
-        why = why.encode("latin-1", "replace").decode("utf-8", "replace")
+        why = str(exc)
+    if why.startswith("could not convert"):  # "... to int64 at row 0, column 2."
+        field = _fields(line, dtype, csv)[int(why.rpartition("column ")[2].rstrip(".")) - 1]
+        kind = why.partition(" at row")[0].rpartition(" to ")[2]
+        why = f"could not convert string {field.decode('utf-8', 'replace')!r} to {kind}"
     else:
         text = line.decode("utf-8", "replace").rstrip("\r\n")
         why = f"expected {layout}, got {text!r}"
@@ -470,11 +482,17 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def save_reputation(ledger: ReputationLedger, path):
-    """One ``user_id,topic,score`` row per ledger row, in the ledger's order."""
+def reputation_text(ledger: ReputationLedger) -> str:
+    """The header, then one ``user_id,topic,score`` row per ledger row, in
+    the ledger's order."""
     names = [_csv_field(t) for t in ledger.topic_names]
     rows = ledger.user.tolist(), [names[c] for c in ledger.topic.tolist()], ledger.score.tolist()
-    _write_text(path, _REPUTATION_HEADER + _rows_text("%d,%s,%d\n", rows))
+    return _REPUTATION_HEADER + _rows_text("%d,%s,%d\n", rows)
+
+
+def save_reputation(ledger: ReputationLedger, path):
+    """Write `reputation_text` of ``ledger`` to ``path``."""
+    _write_text(path, reputation_text(ledger))
 
 
 def load_reputation(path) -> ReputationLedger:

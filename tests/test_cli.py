@@ -781,14 +781,15 @@ class TestPooledIngest:
             signal.signal(signal.SIGALRM, previous)
         assert_no_child_left()
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_warnings_formatted_as_by_the_plain_loop(self, tmp_path, monkeypatch, capsys,
                                                      workers):
-        if not hasattr(os, "fork"):
+        if workers > 1 and not hasattr(os, "fork"):
             pytest.skip("no os.fork")
         dirs = noisy_corpus(str(tmp_path / "dumps"))
         argv = ["ingest", *dirs, "--out-dir", str(tmp_path / "snap")]
-        source = open(cli.__file__, encoding="utf-8").read().splitlines()
+        with open(cli.__file__, encoding="utf-8") as fh:
+            source = fh.read().splitlines()
         lineno = 1 + next(i for i, text in enumerate(source)
                           if "result = parse_dump(" in text)
         shown = []
@@ -812,6 +813,66 @@ class TestPooledIngest:
             warnings.simplefilter("default")
             assert main(argv) == 0 and main(argv) == 0
         assert len(caught) == len(shown[1])
+
+    @pytest.mark.parametrize("n_subsites", [3, 5])
+    def test_uneven_shares_write_identical_snapshots(self, tmp_path, monkeypatch, capsys,
+                                                     n_subsites):
+        # with 2 workers on 3 subsites this process parses 1 and the worker
+        # 2; with 3 workers on 5 subsites, 1 against 2 and 2
+        make_corpus(str(tmp_path / "dumps"), seed=3, n_subsites=n_subsites)
+        dirs = sorted(str(d) for d in (tmp_path / "dumps").iterdir() if d.is_dir())
+        assert len(dirs) == n_subsites
+        written = []
+        for workers in (1, 2, 3):
+            if workers > 1 and not hasattr(os, "fork"):
+                continue
+            with_workers(monkeypatch, workers)
+            snap = tmp_path / f"snap{workers}"
+            assert main(["ingest", *dirs, "--out-dir", str(snap)]) == 0
+            written.append({f: (snap / f).read_bytes() for f in SNAPSHOT_NAMES})
+            assert_no_child_left()
+        assert all(w == written[0] for w in written)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fault", ["no tagged question", "ledger raises"])
+    def test_failed_tail_leaves_nothing_behind(self, tmp_path, monkeypatch, capsys, workers,
+                                               fault):
+        if workers > 1 and not hasattr(os, "fork"):
+            pytest.skip("no os.fork")
+        with_workers(monkeypatch, workers)
+        dirs = noisy_corpus(str(tmp_path / "dumps"), ("s1", "s2"))
+        if fault == "no tagged question":
+            for d in dirs:
+                write_subsite_dump(d, [{"Id": 1, "PostTypeId": 1, "OwnerUserId": 1}],
+                                   [], [{"Id": 1, "AccountId": 1}])
+            message = "error: no tagged questions in the dataset\n"
+        else:
+            def fails(data):
+                raise DataError("no ledger")
+
+            monkeypatch.setattr(cli, "reputation_scores", fails)
+            message = "error: no ledger\n"
+        out = tmp_path / "out" / "snap"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["ingest", *dirs, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+        assert_no_child_left()
+
+    @needs_fork
+    def test_fork_join_runs_own_task_here(self):
+        def fails():
+            raise DataError("no result")
+
+        got = cli._fork_join([("a", lambda: ("a", os.getpid())), ("b", fails),
+                              ("c", lambda: os._exit(4))], lambda: ("d", os.getpid()))
+        assert_no_child_left()
+        (a, pid_a), b, c, (d, pid_d) = got
+        assert (a, d, pid_d) == ("a", "d", os.getpid()) and pid_a != os.getpid()
+        assert type(b) is DataError and str(b) == "no result"
+        assert type(c) is ChildProcessError
+        assert str(c) == "ingest worker for c exited with code 4 without a result"
 
     def test_worker_count_rule(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)

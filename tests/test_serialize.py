@@ -971,6 +971,8 @@ REPUTATION_REJECTED = {
                             "could not convert string '\u0661' to int64"),
     "a NUL after a quoted CR": ((REPUTATION_HEADER + '1,"s/\rx\0",2\n').encode(), 2,
                                 "which holds '\\x00'"),
+    "U+0085 after a user id": ((REPUTATION_HEADER + "1\x85,s/a,2\n").encode(), 2,
+                               "could not convert string '1\\x85' to int64"),
 }
 
 # Topics that save_reputation quotes, or writes as they are, that must come back
