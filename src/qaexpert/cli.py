@@ -11,11 +11,14 @@ the subsites out in turn, at most one process per subsite: the ``ingest``
 process parses the last share and a forked child each other share, which
 sends what it parsed back over a pipe.  Each subsite's warnings are shown
 and the first error in subsite order is raised, as a loop over the
-subsites would.  After the merge a forked child builds the reputation
-ledger and the text of ``reputation.csv`` while the ``ingest`` process
-builds the model inputs; the snapshot is written once both have
-succeeded.  With one usable CPU or no ``os.fork``, the loop over the
-subsites, the model inputs and the ledger all run in the one process.
+subsites would.  After the merge the ``ingest`` process builds the model
+inputs, then forks a child that builds the reputation ledger and the
+bytes of ``reputation.csv`` and their digest, while the ``ingest`` process
+renders the tensor, membership and tree files to bytes and digests them.
+Once both have succeeded it creates the output directory and writes the
+five files, then the manifest.  With one usable CPU or no ``os.fork``,
+the loop over the subsites, the model inputs, the tables and the ledger
+all run in the one process, in that order.
 """
 
 from __future__ import annotations
@@ -289,38 +292,36 @@ def cmd_ingest(args) -> int:
     data = merge_datasets(_parse_subsites(jobs))
     if sample_users is not None:
         data = sample_dataset(data, sample_users, seed)
+    tables = build_inputs(data, bucket_edges=edges, tree_s=tree_s)
 
-    def build_tables():
-        return build_inputs(data, bucket_edges=edges, tree_s=tree_s)
+    def render_tables():  # each table file's bytes and digest, by SNAPSHOT_FILES key
+        return {"tensor": serialize.encoded(serialize.tensor_text(tables.tensor)),
+                "site": serialize.encoded(serialize.membership_text(tables.site_matrix)),
+                "topic": serialize.encoded(serialize.membership_text(tables.topic_matrix)),
+                "tree": serialize.encoded(serialize.tree_text(tables.tree))}
 
-    def build_ledger():  # reputation.csv's bytes
-        return serialize.reputation_text(reputation_scores(data)).encode()
+    def render_ledger():  # reputation.csv's bytes and digest
+        return serialize.encoded(serialize.reputation_text(reputation_scores(data)))
 
     if _worker_count(2) > 1:  # a child for the ledger, this process for the tables
-        ledger, tables = _fork_join([("the reputation ledger", build_ledger)], build_tables)
+        ledger, files = _fork_join([("the reputation ledger", render_ledger)], render_tables)
         if isinstance(ledger, BaseException):
             raise ledger
     else:
-        tables, ledger = build_tables(), build_ledger()
+        files, ledger = render_tables(), render_ledger()
+    files["reputation"] = ledger
 
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     written = []
     try:
-        targets = {k: os.path.join(out, v) for k, v in SNAPSHOT_FILES.items()}
-        serialize.save_tensor(tables.tensor, targets["tensor"])
-        written.append(targets["tensor"])
-        serialize.save_membership(tables.site_matrix, targets["site"])
-        written.append(targets["site"])
-        serialize.save_membership(tables.topic_matrix, targets["topic"])
-        written.append(targets["topic"])
-        serialize.save_tree(tables.tree, targets["tree"])
-        written.append(targets["tree"])
-        with open(targets["reputation"], "wb") as fh:
-            fh.write(ledger)
-        written.append(targets["reputation"])
-        serialize.write_manifest(targets["manifest"], tables, cfg, written)
-        written.append(targets["manifest"])
+        for key, (content, _) in files.items():
+            written.append(os.path.join(out, SNAPSHOT_FILES[key]))
+            with open(written[-1], "wb") as fh:
+                fh.write(content)
+        written.append(os.path.join(out, SNAPSHOT_FILES["manifest"]))
+        serialize.write_manifest(written[-1], tables, cfg,
+                                 {SNAPSHOT_FILES[key]: digest for key, (_, digest) in files.items()})
     except Exception:
         for path in written:
             if os.path.exists(path):

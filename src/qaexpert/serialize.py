@@ -8,10 +8,11 @@ Every table has one reader: one ``np.loadtxt`` pass, a row a line, none
 of them blank.  A snapshot table (``tensor.txt``, the two membership
 files, ``tree.txt``) or a matrix block of ``model.txt`` is ASCII text in
 LF or CRLF lines, split at whitespace.  Input that pass rejects is a
-DataError naming the first line it rejects, found by bisecting the line
-prefixes with the same pass, and the character that breaks it where one
-does.  A line number counts LF-terminated lines, a CRLF counting as one
-LF; a number in a header line follows the same rule.
+DataError naming the first line it rejects, found by bisecting the lines
+with the same pass, each step reading the first half of the lines still
+under test, and the character that breaks it where one does.  A line
+number counts LF-terminated lines, a CRLF counting as one LF; a number in
+a header line follows the same rule.
 
 ``model.txt`` ends with a ``digest <sha256>`` line over every byte before
 it, so `load_model` can check the whole file yet parse only the blocks
@@ -30,11 +31,9 @@ one format pass.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import io
 import json
-import os
 import warnings
 
 import numpy as np
@@ -47,13 +46,13 @@ from .ranking import RankingFactors
 from .sparse_tensor import SparseTensor4, row_increases
 
 __all__ = [
-    "save_tensor", "load_tensor",
-    "save_membership", "load_membership",
-    "save_tree", "load_tree",
+    "tensor_text", "save_tensor", "load_tensor",
+    "membership_text", "save_membership", "load_membership",
+    "tree_text", "save_tree", "load_tree",
     "save_model", "load_model",
     "save_reputation", "reputation_text", "load_reputation",
     "save_report", "save_history",
-    "write_manifest", "load_manifest", "file_digest",
+    "encoded", "write_manifest", "load_manifest", "file_digest",
 ]
 
 
@@ -80,10 +79,17 @@ def _rows_text(template, columns) -> str:
     return (template * len(columns[0])) % tuple(fields)
 
 
-def save_tensor(X: SparseTensor4, path):
+def tensor_text(X: SparseTensor4) -> str:
+    """The ``dims I J K L`` header, then one ``i j k l value`` line per
+    nonzero, in the tensor's order."""
     columns = [*X.indices.T.tolist(), X.values.tolist()]
-    _write_text(path, "dims " + " ".join(str(d) for d in X.dims) + "\n"
-                + _rows_text("%d %d %d %d %.17g\n", columns))
+    return ("dims " + " ".join(str(d) for d in X.dims) + "\n"
+            + _rows_text("%d %d %d %d %.17g\n", columns))
+
+
+def save_tensor(X: SparseTensor4, path):
+    """Write `tensor_text` of ``X`` to ``path``."""
+    _write_text(path, tensor_text(X))
 
 
 # Bytes a table may not hold: a NUL, as a bytes field drops its trailing NULs,
@@ -170,16 +176,21 @@ def _rows(data: bytes, dtype, skip=0, source=None, csv=False):
 
 
 def _first_rejected(count: int, read) -> int:
-    """The least n in 1..``count`` for which ``read(n)`` raises a ValueError
-    or an OverflowError, found by bisection: ``read(count)`` raises, and so
-    does every ``read(n)`` past one that raises."""
-    def rejects(n):
+    """The least n in 1..``count`` whose item is rejected, where ``read(lo,
+    hi)`` reads items ``lo + 1`` to ``hi`` and raises a ValueError or an
+    OverflowError just where one of them is rejected, and ``read(0, count)``
+    raises.  Found by bisection, each step reading only the first half of
+    the items still under test, so the reads add up to about ``count``."""
+    lo, hi = 0, count  # items 1..lo are taken; the first rejected lies in lo+1..hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            read(n)
+            read(lo, mid)
         except (ValueError, OverflowError):
-            return True
-        return False
-    return bisect.bisect_left(range(1, count + 1), True, key=rejects) + 1
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _fields(line: bytes, dtype, csv=False) -> list:
@@ -202,8 +213,12 @@ def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first
         return _rows(data, dtype, skip, source, csv)
     except ValueError:
         pass
+    # `_rows` rejects a run of whole lines just where it rejects one of them,
+    # so the locator reads runs of them, skipping lines only in a run from
+    # the first line
     bounds = _line_bounds(data, csv)
-    n = _first_rejected(len(bounds) - 1, lambda n: _rows(data[:bounds[n]], dtype, skip, csv=csv))
+    n = _first_rejected(len(bounds) - 1, lambda lo, hi: _rows(
+        data[bounds[lo]:bounds[hi]], dtype, max(skip - lo, 0), csv=csv))
     line, why = data[bounds[n - 1]:bounds[n]], ""
     try:
         _rows(line, dtype, csv=csv)
@@ -258,8 +273,14 @@ def load_tensor(path) -> SparseTensor4:
     return _build(path, SparseTensor4, dims, indices=table["index"], values=table["value"])
 
 
+def membership_text(M: MembershipMatrix) -> str:
+    """The ``rows cols`` header, then one ``row col`` line per pair."""
+    return f"{M.rows} {M.cols}\n" + _rows_text("%d %d\n", M.indices.T.tolist())
+
+
 def save_membership(M: MembershipMatrix, path):
-    _write_text(path, f"{M.rows} {M.cols}\n" + _rows_text("%d %d\n", M.indices.T.tolist()))
+    """Write `membership_text` of ``M`` to ``path``."""
+    _write_text(path, membership_text(M))
 
 
 def load_membership(path) -> MembershipMatrix:
@@ -272,7 +293,7 @@ def load_membership(path) -> MembershipMatrix:
     return _build(path, MembershipMatrix, rows, cols, table["pair"])
 
 
-def save_tree(tree: HierarchyTree, path):
+def tree_text(tree: HierarchyTree) -> str:
     """One line per node in preorder, indented two spaces a level:
     ``level id parent s g``, or ``level id parent leaf row`` at a leaf."""
     level = tree.level.tolist()
@@ -280,7 +301,12 @@ def save_tree(tree: HierarchyTree, path):
              for row, s, g in zip(tree.leaf_row.tolist(), tree.s.tolist(), tree.g.tolist())]
     columns = [["  " * lv for lv in level], level, list(range(len(level))),
                tree.parent.tolist(), tails]
-    _write_text(path, _rows_text("%s%d %d %d %s\n", columns))
+    return _rows_text("%s%d %d %d %s\n", columns)
+
+
+def save_tree(tree: HierarchyTree, path):
+    """Write `tree_text` of ``tree`` to ``path``."""
+    _write_text(path, tree_text(tree))
 
 
 def _tree_faults(level, nid, parent):
@@ -301,7 +327,7 @@ def _cast(path, column, rows, kind):
     try:
         return column[at].astype(kind)
     except (ValueError, OverflowError):
-        r = at[_first_rejected(len(at), lambda n: column[at[:n]].astype(kind)) - 1]
+        r = at[_first_rejected(len(at), lambda lo, hi: column[at[lo:hi]].astype(kind)) - 1]
         raise DataError(f"{path}:{r + 1}: could not convert string "
                         f"{column[r].decode()!r} to {np.dtype(kind)}") from None
 
@@ -543,13 +569,21 @@ def save_history(values, path):
                 + _rows_text("%d,%.17g\n", [list(range(1, len(values) + 1)), values]))
 
 
+def encoded(text: str) -> tuple[bytes, str]:
+    """The bytes a ``save_*`` function writes for ``text``, and their SHA-256
+    hex digest, as `write_manifest` records it."""
+    data = text.encode("utf-8")
+    return data, hashlib.sha256(data).hexdigest()
+
+
 def file_digest(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def write_manifest(path, tables, config, files):
-    """Write the snapshot manifest: index tables, config echo, file digests."""
+def write_manifest(path, tables, config, digests):
+    """Write the snapshot manifest: index tables, config echo, and
+    ``digests``, the SHA-256 hex digest of each snapshot file by its name."""
     payload = {
         "format": 1,
         "subsites": list(tables.subsites),
@@ -560,7 +594,7 @@ def write_manifest(path, tables, config, files):
         "tree_s": tables.tree_s,
         "tree_g": tables.tree_g,
         "config": config,
-        "files": {os.path.basename(p): file_digest(p) for p in files},
+        "files": digests,
     }
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 

@@ -679,6 +679,22 @@ class TestPooledIngest:
             assert_no_child_left()
         assert written[0] == written[1] == written[2]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_manifest_digests_are_those_of_the_written_files(self, tmp_path, monkeypatch,
+                                                             capsys, workers):
+        if workers > 1 and not hasattr(os, "fork"):
+            pytest.skip("no os.fork")
+        with_workers(monkeypatch, workers)
+        make_corpus(str(tmp_path / "dumps"), seed=5, n_subsites=3)
+        dirs = sorted(str(d) for d in (tmp_path / "dumps").iterdir() if d.is_dir())
+        snap = tmp_path / "snap"
+        assert main(["ingest", *dirs, "--out-dir", str(snap)]) == 0
+        assert_no_child_left()
+        files = serialize.load_manifest(snap / "manifest.json")["files"]
+        assert sorted(files) == sorted(SNAPSHOT_NAMES[:-1])
+        for name, digest in files.items():
+            assert digest == serialize.file_digest(snap / name)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_warnings_in_subsite_order(self, tmp_path, monkeypatch, recwarn, capsys, workers):
         if workers > 1 and not hasattr(os, "fork"):
@@ -834,7 +850,7 @@ class TestPooledIngest:
         assert all(w == written[0] for w in written)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("fault", ["no tagged question", "ledger raises"])
+    @pytest.mark.parametrize("fault", ["no tagged question", "ledger raises", "table raises"])
     def test_failed_tail_leaves_nothing_behind(self, tmp_path, monkeypatch, capsys, workers,
                                                fault):
         if workers > 1 and not hasattr(os, "fork"):
@@ -847,11 +863,16 @@ class TestPooledIngest:
                                    [], [{"Id": 1, "AccountId": 1}])
             message = "error: no tagged questions in the dataset\n"
         else:
-            def fails(data):
-                raise DataError("no ledger")
+            what = "ledger" if fault == "ledger raises" else "tree text"
 
-            monkeypatch.setattr(cli, "reputation_scores", fails)
-            message = "error: no ledger\n"
+            def fails(data):
+                raise DataError(f"no {what}")
+
+            if fault == "ledger raises":
+                monkeypatch.setattr(cli, "reputation_scores", fails)
+            else:  # while the ledger child runs, on more than one CPU
+                monkeypatch.setattr(serialize, "tree_text", fails)
+            message = f"error: no {what}\n"
         out = tmp_path / "out" / "snap"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

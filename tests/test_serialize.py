@@ -378,6 +378,39 @@ def unruly(number, style):
         "0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"))
 
 
+# Each table the locator serves: its loader, a well-formed file of 300 rows
+# as lines without their LFs, the index of the first of those rows, the layout
+# its errors name, and the type of its last field.
+LOCATED_TABLES = {
+    "tensor": (load_tensor, ["dims 300 2 2 2"] + [f"{i} {i % 2} 0 1 {i}.5" for i in range(300)],
+               1, "'i j k l value'", "float64"),
+    "membership": (load_membership, ["300 3"] + [f"{i} {i % 3}" for i in range(300)], 1,
+                   "'row col'", "int64"),
+    "tree": (load_tree, ["0 0 -1 0.5 0.5"] + [f"  1 {i} 0 leaf {i - 1}" for i in range(1, 301)],
+             1, "'level id parent s g' or '... leaf row'", "int64"),
+    "model block": (load_model, None, 2, "2 values", "float64"),
+    "reputation": (load_reputation,
+                   ["user_id,topic,score"] + [f"{i},s/a,{i}" for i in range(300)], 1,
+                   "'user_id,topic,score' with int64 user and score", "int64"),
+}
+
+# Each way to break a row, given the row, its field separator and the type of
+# its last field: the row that replaces it, the lines that row ends past the
+# one it replaces, and the end of the error's message.
+BROKEN_ROWS = {
+    "field": (lambda row, sep, kind: row.rsplit(sep, 1)[0] + sep + "x", 0,
+              lambda layout, kind: f"could not convert string 'x' to {kind}"),
+    "blank": (lambda row, sep, kind: "", 0, lambda layout, kind: f"expected {layout}, got ''"),
+    # the last field where it is an integer, else the first
+    "int64 overflow": (lambda row, sep, kind: (row.rsplit(sep, 1)[0] + sep + str(2**63)
+                                               if kind == "int64"
+                                               else str(2**63) + row[row.index(sep):]), 0,
+                       lambda layout, kind: f"could not convert string '{2**63}' to int64"),
+    "quoted record": (lambda row, sep, kind: row.split(sep)[0] + ',"s/a\nb",x', 1,
+                      lambda layout, kind: "could not convert string 'x' to int64"),
+}
+
+
 class TestOneReader:
     """One ``np.loadtxt`` pass is the only reader of each snapshot table: a
     body it rejects is a DataError naming the first bad line, and any other
@@ -477,6 +510,27 @@ class TestOneReader:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 1}: .*'y'"):
             load_tree(p)
+
+    @pytest.mark.parametrize("at", [0, 150, 299], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("table, broken", [
+        (table, broken) for table in LOCATED_TABLES for broken in BROKEN_ROWS
+        if not (broken == "int64 overflow" and table == "model block"
+                or broken == "quoted record" and table != "reputation")])
+    def test_locator_names_the_broken_row(self, tmp_path, table, broken, at):
+        load, lines, start, layout, kind = LOCATED_TABLES[table]
+        edit, spans, message = BROKEN_ROWS[broken]
+        if lines is None:  # the first factor block of a model, its rows two values each
+            save_model(random_cp(np.random.default_rng(2), dims=(300, 2, 3, 2)), tmp_path / "m")
+            lines = (tmp_path / "m").read_text().splitlines()[:-1]
+        lines = list(lines)
+        lines[start + at] = edit(lines[start + at], "," if table == "reputation" else " ", kind)
+        text = "\n".join(lines) + "\n"
+        p = tmp_path / "table.txt"
+        p.write_text(seal(text) if table == "model block" else text)
+        want = f"{p}:{start + at + 1 + spans}: {message(layout, kind)}"
+        with pytest.raises(DataError) as caught:
+            load(p)
+        assert str(caught.value) == want
 
     def test_well_formed_files_never_reach_the_locator(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(9)
@@ -1145,9 +1199,10 @@ def tables_fixture():
 class TestManifest:
     def test_round_trip_and_basename_keys(self, tmp_path):
         extra = tmp_path / "tensor.txt"
-        extra.write_text("dims 1 1 1 1\n")
+        content, digest = serialize.encoded("dims 1 1 1 1\n")
+        extra.write_bytes(content)
         p = tmp_path / "manifest.json"
-        write_manifest(p, tables_fixture(), {"rank": 6}, [str(extra)])
+        write_manifest(p, tables_fixture(), {"rank": 6}, {"tensor.txt": digest})
         back = load_manifest(p)
         assert back["format"] == 1
         assert back["users"] == [1, 2, 9]
@@ -1171,12 +1226,37 @@ class TestManifest:
             load_manifest(p)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        extra = tmp_path / "tensor.txt"
-        extra.write_text("dims 1 1 1 1\n")
+        digests = {"tensor.txt": serialize.encoded("dims 1 1 1 1\n")[1]}
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_manifest(a, tables_fixture(), {"rank": 6}, [str(extra)])
-        write_manifest(b, tables_fixture(), {"rank": 6}, [str(extra)])
+        write_manifest(a, tables_fixture(), {"rank": 6}, digests)
+        write_manifest(b, tables_fixture(), {"rank": 6}, digests)
         assert read_bytes(a) == read_bytes(b)
+
+
+class TestEncodedTables:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_encoded_text_is_what_save_writes(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(r, int(rng.integers(4))) for r in range(6) if rng.random() < 0.7]
+        topics = rng.permutation(AWKWARD_TOPICS).tolist()
+        tables = [
+            (serialize.tensor_text, save_tensor, random_sparse(rng, (4, 3, 5, 2))),
+            (serialize.tensor_text, save_tensor,
+             SparseTensor4((4, 3, 5, 2), indices=np.zeros((0, 4), dtype=np.int64), values=[])),
+            (serialize.membership_text, save_membership, MembershipMatrix(6, 4, pairs)),
+            (serialize.membership_text, save_membership, MembershipMatrix(6, 4, [])),
+            (serialize.tree_text, save_tree, tree_from_nested(random_nested(rng))),
+            (serialize.tree_text, save_tree, tree_from_nested(0)),
+            (serialize.reputation_text, save_reputation,
+             rec.ledger({(n % 3, t): n - 5 for n, t in enumerate(topics)})),
+            (serialize.reputation_text, save_reputation, rec.ledger({})),
+        ]
+        for n, (text, save, table) in enumerate(tables):
+            p = tmp_path / f"{n}.txt"
+            save(table, p)
+            content, digest = serialize.encoded(text(table))
+            assert content == p.read_bytes()
+            assert digest == file_digest(p)
 
 
 class TestFileDigest:
