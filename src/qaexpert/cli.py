@@ -73,7 +73,10 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS[command])
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+                raise UsageError(f"--config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError(f"--config must hold a JSON object, got {json.dumps(loaded)}")
         unknown = sorted(set(loaded) - set(merged))
@@ -277,6 +280,8 @@ def cmd_ingest(args) -> int:
         raise UsageError("--sample-users must be >= 1")
     if not 0 <= tree_s <= 1:
         raise UsageError("--tree-s must lie in [0, 1]")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise UsageError("--vote-buckets must be strictly increasing")
     dirs = [d.rstrip("/") for d in args.dirs]
     names = [os.path.basename(d) for d in dirs]
     if len(set(names)) != len(names):

@@ -34,9 +34,9 @@ losses ||M||² = nnz, as M and N are binary, and ⟨M, S Aᵀ⟩ is read off
 ``M @ A`` (subsite update) or ``Mᵀ @ S`` (answerer update); likewise
 ⟨N, T Aᵀ⟩.  Each ridge is half its lambda times the traces of the Gram
 matrices.  A difference of totals loses digits when the residual is
-small against the data, so a term is clamped at zero; the public
-objective functions below evaluate every term directly and are the
-oracles the engine is checked against.
+small against the data, so a term is clamped at zero.  The tests check
+the engine against direct evaluations of every term, which live in
+``tests/model_oracles.py``.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ import numpy as np
 
 from .errors import ContractViolation, SolverDiverged
 from .hierarchy import HierarchyTree, TreePenalty, _check_finite_nonnegative, weight_penalty
-# ``mttkrp`` and ``gram_hadamard`` are not called here; they stay in this
-# namespace because bench/spans.py wraps them by these names.
+# ``mttkrp``, ``gram_hadamard`` and ``residual_norm`` are not called here,
+# nor are ``networks_objective`` and ``topic_objective`` below; all five stay
+# in this namespace because bench/spans.py wraps them by these names.
 from .sparse_tensor import (
     SparseTensor4, _canonicalize, _check_bounds, _split_sq_residual, fiber_sums, gather_rows,
     gram_hadamard, hadamard, mttkrp, mttkrp_from_fibers, residual_norm, scatter_rows,
@@ -59,16 +60,12 @@ from .sparse_tensor import (
 __all__ = [
     "AlsConfig",
     "CpModel",
-    "tensor_objective",
-    "fit_metric",
     "cp_als",
     "MembershipMatrix",
     "JointConfig",
     "JointModel",
     "networks_objective",
     "topic_objective",
-    "site_regularizer",
-    "joint_objective",
     "fit_joint",
 ]
 
@@ -139,28 +136,6 @@ def _normalize_columns(factors):
     return out, lam
 
 
-def tensor_objective(X: SparseTensor4, model: CpModel, lambda_x: float) -> float:
-    """Half squared reconstruction error plus the ridge on the factors.
-
-    The ridge is evaluated on the balanced representation (scale spread
-    evenly across modes), the minimal-ridge member of the model's
-    rescaling class; this makes the value well defined for a model stored
-    as unit columns plus scales.
-    """
-    res = residual_norm(X, model.factors, model.norms)
-    ridge = sum(float(np.sum(U * U)) for U in model.balanced_factors())
-    return 0.5 * res * res + 0.5 * lambda_x * ridge
-
-
-def fit_metric(X: SparseTensor4, model: CpModel) -> float:
-    """1 minus the relative residual; 1.0 for an exact fit of a zero tensor."""
-    res = residual_norm(X, model.factors, model.norms)
-    norm_x = X.norm()
-    if norm_x == 0:
-        return 1.0 if res == 0 else float("-inf")
-    return min(1.0 - res / norm_x, 1.0)
-
-
 def _ridge_solve(V, rhs, reg):
     """Solve ``rows @ (V + reg*I) = rhs``; pseudo-inverse when unregularized
     or singular.  Every update but the question block's comes here."""
@@ -204,11 +179,6 @@ class MembershipMatrix:
     @property
     def nnz(self) -> int:
         return int(self.indices.shape[0])
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.rows, self.cols))
-        dense[self.indices[:, 0], self.indices[:, 1]] = 1.0
-        return dense
 
     def matmul(self, F: np.ndarray) -> np.ndarray:
         """Dense product ``M @ F`` accumulated over the stored pairs."""
@@ -265,31 +235,6 @@ def topic_objective(T: np.ndarray, A: np.ndarray, N: MembershipMatrix, lambda_t:
     return _half_sq_frobenius(N, T, A) + 0.5 * lambda_t * ridge
 
 
-def group_means(U1: np.ndarray, tree: HierarchyTree) -> np.ndarray:
-    """Per-subsite mean of the question-factor rows, in subsite node order,
-    one group at a time."""
-    U1 = np.asarray(U1, dtype=np.float64)
-    groups = tree.level_groups(1)
-    sums = np.array([U1[rows].sum(axis=0) for rows in groups]).reshape(len(groups), U1.shape[1])
-    return sums / np.array([len(rows) for rows in groups])[:, None]
-
-
-def site_regularizer(S: np.ndarray, U1: np.ndarray, tree: HierarchyTree, lambda_site: float) -> float:
-    """Half the summed squared distance of subsite rows to their group means."""
-    S = np.asarray(S, dtype=np.float64)
-    U1 = np.asarray(U1, dtype=np.float64)
-    if U1.shape[0] != tree.n_rows:
-        raise ContractViolation(
-            f"question factor has {U1.shape[0]} rows, tree covers {tree.n_rows}"
-        )
-    mu = group_means(U1, tree)
-    if S.shape != mu.shape:
-        raise ContractViolation(
-            f"subsite factor {S.shape} does not match {mu.shape[0]} subsite groups"
-        )
-    return 0.5 * lambda_site * float(np.sum((S - mu) ** 2))
-
-
 @dataclass(frozen=True)
 class JointConfig(AlsConfig):
     """Settings for :func:`fit_joint`; the shared fields mean what they do in
@@ -340,29 +285,6 @@ class JointModel:
     @property
     def rank(self) -> int:
         return self.cp.rank
-
-
-def joint_objective(
-    X: SparseTensor4,
-    M: MembershipMatrix,
-    N: MembershipMatrix,
-    model: JointModel,
-    penalty: TreePenalty,
-) -> float:
-    """Sum of the five objective components for a stored model.
-
-    Evaluated on the balanced factor representation, the same one the
-    component operations see individually, so this equals their sum
-    exactly.
-    """
-    lam = model.lambdas
-    balanced = model.cp.balanced_factors()
-    value = tensor_objective(X, model.cp, lam["lambda_x"])
-    value += weight_penalty(balanced[0], penalty)
-    value += networks_objective(model.S, model.A, M, lam["lambda_s"])
-    value += topic_objective(model.T, model.A, N, lam["lambda_t"])
-    value += site_regularizer(model.S, balanced[0], penalty.tree, lam["lambda_site"])
-    return value
 
 
 # The blocks of one joint sweep, in update order; the first four are the
@@ -510,10 +432,11 @@ class _Descent:
 
     def _group_sums(self, F: np.ndarray) -> np.ndarray:
         """Per-subsite sums of the rows of ``F``: one pass over the row-to-group
-        index, adding each group's rows in ascending order, as the per-group
-        loop of :func:`group_means` does.  Without groups (``cp_als``, or a
-        tree whose root is its only leaf) every row's index is 0, and each
-        component's one-cell count broadcasts into the empty ``(0, R)`` sums."""
+        index, adding each group's rows in ascending order, as a loop over the
+        groups of ``tree.level_groups(1)`` does (the tests' ``group_means``).
+        Without groups (``cp_als``, or a tree whose root is its only leaf)
+        every row's index is 0, and each component's one-cell count
+        broadcasts into the empty ``(0, R)`` sums."""
         return scatter_rows(self.site, F.T, len(self.sizes))
 
     def objective(self) -> float:
@@ -715,7 +638,8 @@ def fit_joint(
 
     # Canonicalize: unit-column factors with scales in norms, then re-solve
     # S, A, T once against the balanced question factor so the stored model
-    # is internally consistent under joint_objective.
+    # is internally consistent under the joint objective evaluated term by
+    # term on its balanced factors.
     cp = CpModel(*_normalize_columns(state.factors))
     state.mu = state._group_sums(cp.balanced_factors()[0]) / state.sizes
     for block in ("subsite", "answerer", "topicfactor"):

@@ -14,8 +14,9 @@ weighted sum of squared group norms, which decomposes exactly into
 per-row ridge weights because the group norms are squared: row ``l``
 weighs the summed weights of its ancestor chain.  With s + g = 1 at every
 node that sum telescopes to 1, so the penalty is ½·λ_w·‖U1‖² whatever the
-weights.  It is evaluated as one dot product; the group-wise sum is kept
-in the tests as the oracle it is checked against.
+weights.  It is evaluated as one dot product.  The group-wise sum it is
+checked against, with ``group(tree, node)`` and the nested-list tree
+constructor ``tree_from_nested``, lives in ``tests/model_oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .sparse_tensor import lex_order, row_changes
 __all__ = [
     "HierarchyTree",
     "TreePenalty",
-    "tree_from_nested",
     "compute_node_weights",
     "weight_penalty",
 ]
@@ -93,11 +93,6 @@ class HierarchyTree:
         for a in (self.parent, self.s, self.g, self.leaf_row, self.level, self.ancestors):
             a.setflags(write=False)
 
-    def group(self, node: int) -> np.ndarray:
-        """Question rows at the leaves beneath ``node`` (itself included), ascending."""
-        beneath = self.ancestors[self.level[node], self.leaves] == node
-        return np.sort(self.leaf_row[self.leaves[beneath]])
-
     def level_groups(self, level: int) -> list[np.ndarray]:
         """Ascending leaf-row groups of the nodes at a depth, in node-id order."""
         if level >= len(self.ancestors):
@@ -107,33 +102,6 @@ class HierarchyTree:
         owner = owner[owner >= 0]
         order = lex_order((owner, rows))
         return np.split(rows[order], np.flatnonzero(row_changes((owner[order],)))[1:])
-
-
-def tree_from_nested(nested, sg_by_level=None) -> HierarchyTree:
-    """Build a tree from nested lists whose innermost items are row indices.
-
-    ``[[0, 1], [2]]`` is a root with two internal children holding leaf
-    rows ``{0, 1}`` and ``{2}``.  A bare int makes a leaf directly.
-    ``sg_by_level`` optionally maps a level to its ``(s, g)`` pair;
-    unlisted levels use ``(0.5, 0.5)``.  Nodes are numbered in preorder.
-    The command line does not use it: `ingest.build_inputs` computes its
-    tree's arrays directly.
-    """
-    sg_by_level = sg_by_level or {}
-    parent, sg, leaf_row = [], [], []
-    stack = [(nested, -1, 0)]
-    while stack:
-        spec, up, depth = stack.pop()
-        parent.append(up)
-        if isinstance(spec, (int, np.integer)):
-            sg.append((np.nan, np.nan))
-            leaf_row.append(int(spec))
-        else:
-            sg.append(sg_by_level.get(depth, (0.5, 0.5)))
-            leaf_row.append(-1)
-            stack.extend((child, len(parent) - 1, depth + 1) for child in reversed(spec))
-    s, g = np.array(sg, dtype=np.float64).T
-    return HierarchyTree(parent, s, g, leaf_row)
 
 
 def compute_node_weights(tree: HierarchyTree) -> np.ndarray:

@@ -25,8 +25,6 @@ __all__ = [
     "rank_experts",
     "z_score",
     "baseline_rank",
-    "precision_at_k",
-    "mean_reciprocal_rank",
     "evaluate",
 ]
 
@@ -153,33 +151,12 @@ def baseline_rank(data: QaDataset, topic: str, kind: str, k: int) -> RankedList:
     return RankedList(topic, entries)
 
 
-def precision_at_k(recommended: RankedList, relevant: set, k: int) -> float:
-    """Fraction of the top-k recommendations that are relevant.
-
-    The denominator is min(k, list length) so short lists are not
-    penalized for missing padding; an empty list scores 0.
-    """
-    if k < 1:
-        raise ContractViolation("k must be >= 1")
-    return _precision(recommended.users(), len(recommended.entries), relevant, k)
-
-
 def _precision(top, n, relevant, k):
     """Hits among the first k of ``top``, a best-first user list of
     length ``n``, over min(k, n); 0 when the list is empty."""
     if not n:
         return 0.0
     return sum(1 for u in top[:k] if u in relevant) / min(k, n)
-
-
-def mean_reciprocal_rank(per_query_ranks) -> float:
-    """Mean of 1/rank over queries; ranks are 1-based positions."""
-    ranks = list(per_query_ranks)
-    if not ranks:
-        raise ContractViolation("rank list must be nonempty")
-    if any(r < 1 for r in ranks):
-        raise ContractViolation("ranks must be >= 1")
-    return sum(1.0 / r for r in ranks) / len(ranks)
 
 
 @dataclass

@@ -33,11 +33,6 @@ does; ``mttkrp`` is the one-shot wrapper that gathers them first.
 ``residual_norm`` evaluates the model at every nonzero; a solver that
 already holds an MTTKRP and its solution reads the residual off them with
 ``sq_residual_from_inner`` instead.
-
-Khatri-Rao convention: in ``khatri_rao(A, B)`` the rows of ``A`` vary
-slowly, the rows of ``B`` vary fast, i.e. entry ``(p * B_rows + q, r)``
-equals ``A[p, r] * B[q, r]``.  Chains are built highest mode leftmost, so
-the lowest mode varies fastest, matching a Fortran-order unfolding.
 """
 
 from __future__ import annotations
@@ -51,10 +46,8 @@ from .errors import ContractViolation
 
 __all__ = [
     "SparseTensor4",
-    "khatri_rao",
     "gram_hadamard",
     "mttkrp",
-    "reconstruct_entry",
     "residual_norm",
 ]
 
@@ -78,17 +71,12 @@ class SparseTensor4:
     indices: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
-    def __init__(self, dims, entries=None, indices=None, values=None):
+    def __init__(self, dims, indices, values):
         dims = tuple(int(d) for d in dims)
         if len(dims) != 4 or any(d < 1 for d in dims):
             raise ContractViolation(f"dims must be four positive integers, got {dims}")
-        if entries is not None:
-            entries = list(entries)
-            idx = np.array([e[:4] for e in entries], dtype=np.int64).reshape(-1, 4)
-            val = np.array([e[4] for e in entries], dtype=np.float64)
-        else:
-            idx = np.asarray(indices, dtype=np.int64).reshape(-1, 4)
-            val = np.asarray(values, dtype=np.float64).reshape(-1)
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1, 4)
+        val = np.asarray(values, dtype=np.float64).reshape(-1)
         if idx.shape[0] != val.shape[0]:
             raise ContractViolation("index and value counts differ")
         _check_bounds(idx, dims, "tensor index out of range")
@@ -106,15 +94,6 @@ class SparseTensor4:
     def norm(self) -> float:
         """Frobenius norm of the tensor."""
         return float(np.sqrt(np.dot(self.values, self.values)))
-
-    @classmethod
-    def from_dense(cls, array) -> "SparseTensor4":
-        """Build from a small dense 4-d array, keeping nonzero cells."""
-        arr = np.asarray(array, dtype=np.float64)
-        if arr.ndim != 4:
-            raise ContractViolation("from_dense expects a 4-d array")
-        idx = np.argwhere(arr != 0)
-        return cls(arr.shape, indices=idx, values=arr[tuple(idx.T)])
 
     @cached_property
     def fibers(self) -> "Fibers":
@@ -248,22 +227,6 @@ def _check_factors(X: SparseTensor4, factors):
     ]
 
 
-def khatri_rao(A, B) -> np.ndarray:
-    """Columnwise Kronecker product of two factor matrices.
-
-    Column ``r`` of the result is ``kron(A[:, r], B[:, r])``: the result has
-    ``A_rows * B_rows`` rows and entry ``(p * B_rows + q, r)`` equal to
-    ``A[p, r] * B[q, r]``.
-    """
-    A = _check_factor(A, name="A")
-    B = _check_factor(B, name="B")
-    if A.shape[1] != B.shape[1]:
-        raise ContractViolation(
-            f"rank mismatch: {A.shape[1]} vs {B.shape[1]} columns"
-        )
-    return np.repeat(A, B.shape[0], axis=0) * np.tile(B, (A.shape[0], 1))
-
-
 def gram_hadamard(factors, skip_mode: int) -> np.ndarray:
     """Hadamard product of the factor Gram matrices, skipping one mode.
 
@@ -358,21 +321,6 @@ def _bincount_rows(out, index, rows):
     """``out[r] = bincount(index, weights=rows[r])`` for each component row r."""
     for r, row in enumerate(rows):
         out[r] = np.bincount(index, weights=row, minlength=out.shape[1])
-
-
-def reconstruct_entry(factors, norms, index) -> float:
-    """Model value at one cell: sum over components of the scaled factor products."""
-    norms = np.asarray(norms, dtype=np.float64)
-    index = tuple(int(i) for i in index)
-    if len(index) != 4:
-        raise ContractViolation("index must have four coordinates")
-    acc = norms.copy()
-    for m, U in enumerate(factors):
-        U = np.asarray(U, dtype=np.float64)
-        if not 0 <= index[m] < U.shape[0]:
-            raise ContractViolation(f"index {index[m]} out of range for mode {m}")
-        acc = acc * U[index[m], :]
-    return float(acc.sum())
 
 
 def _split_sq_residual(stored, model_at_stored, model_sq, fully_stored) -> float:

@@ -113,7 +113,7 @@ def fixture_dump(tmp_path):
 def make_micro_joint(rng, I=4, J=2, K=3, L=3, rank=2):
     """Small random joint-fit instance: tensor, memberships, two-subsite tree."""
     from qaexpert.coupled import MembershipMatrix
-    from qaexpert.hierarchy import tree_from_nested
+    from model_oracles import tree_from_nested
 
     X = random_sparse(rng, (I, J, K, L), density=0.5)
     rows = list(range(I))

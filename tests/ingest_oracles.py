@@ -14,11 +14,11 @@ import numpy as np
 
 from qaexpert.coupled import MembershipMatrix
 from qaexpert.errors import EmptyInputError
-from qaexpert.hierarchy import tree_from_nested
 from qaexpert.ingest import QUESTION
 from qaexpert.sparse_tensor import SparseTensor4, lex_order, row_changes
 
 import records as rec
+from model_oracles import tree_from_nested
 from records import Post
 
 QUESTION_VOTE_DELTAS = {"upvote": 1, "downvote": -1}

@@ -13,25 +13,24 @@ import time
 import numpy as np
 
 from qaexpert.cli import main
-from qaexpert.coupled import AlsConfig, JointConfig, cp_als, fit_joint, fit_metric, group_means
-from qaexpert.hierarchy import (
-    TreePenalty,
-    compute_node_weights,
-    tree_from_nested,
-    weight_penalty,
-)
+from qaexpert.coupled import AlsConfig, JointConfig, cp_als, fit_joint
+from qaexpert.hierarchy import TreePenalty, compute_node_weights, weight_penalty
 from qaexpert.ingest import parse_dump, reputation_scores
-from qaexpert.ranking import RankedList, mean_reciprocal_rank, precision_at_k
-from qaexpert.sparse_tensor import (
-    SparseTensor4,
-    gram_hadamard,
-    khatri_rao,
-    mttkrp,
-    residual_norm,
-)
+from qaexpert.ranking import RankedList
+from qaexpert.sparse_tensor import gram_hadamard, mttkrp, residual_norm
 from qaexpert.synthetic import make_corpus
 
 import records as rec
+from model_oracles import (
+    fit_metric,
+    group,
+    group_means,
+    khatri_rao,
+    mean_reciprocal_rank,
+    precision_at_k,
+    tensor_from_dense,
+    tree_from_nested,
+)
 from conftest import (
     dense_khatri_rao,
     dense_model,
@@ -115,7 +114,7 @@ def test_criterion_2_cp_recovery():
                 for r in range(rank):
                     U[r % d, r] += 1.5
                 truth.append(U)
-            X = SparseTensor4.from_dense(dense_model(truth, np.ones(rank)))
+            X = tensor_from_dense(dense_model(truth, np.ones(rank)))
             model = cp_als(X, AlsConfig(rank=rank, lambda_x=0.0, max_iters=200,
                                         tolerance=1e-10, seed=seed))
             if fit_metric(X, model) >= 0.999:
@@ -177,7 +176,7 @@ def test_criterion_4_tree_penalty_identity():
         U1 = rng.standard_normal((tree.n_rows, int(rng.integers(1, 4))))
         groupwise = 0.0
         for nid, omega in enumerate(compute_node_weights(tree).tolist()):
-            for row in tree.group(nid).tolist():
+            for row in group(tree, nid).tolist():
                 groupwise += omega * float(np.dot(U1[row], U1[row]))
         groupwise *= 0.5 * penalty.lambda_w
         scale = max(1.0, abs(groupwise))

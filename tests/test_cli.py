@@ -190,6 +190,7 @@ class TestIngest:
     @pytest.mark.parametrize("flags", [
         ["--sample-users", "0"], ["--tree-s", "1.5"], ["--tree-s", "-0.1"], ["--tree-s", "nan"],
         ["--seed", "-1"], ["--seed", "-1", "--sample-users", "5"],
+        ["--vote-buckets", "3,1"], ["--vote-buckets", "0,1,1"],
     ])
     def test_rejected_flag_value_exits_2(self, tmp_path, capsys, flags):
         # The dump is missing: the flag is rejected before any input is read.
@@ -518,6 +519,19 @@ class TestEvaluate:
         assert code == 1
 
 
+def missing_inputs(command, tmp_path):
+    """``command``'s arguments with every input path missing, and the output
+    directory they would write (``recommend`` prints instead)."""
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+    argv = {"ingest": ["ingest", missing, "--out-dir", out],
+            "fit": ["fit", missing, "--out-dir", out],
+            "recommend": ["recommend", "--model", missing, "--snapshot", missing,
+                          "--topic", "t"],
+            "evaluate": ["evaluate", "--model", missing, "--snapshot", missing,
+                         "--out-dir", out]}[command]
+    return argv, out
+
+
 class TestConfigTypes:
     """A config value has its key's type, and a seed is not negative,
     checked before any input is read."""
@@ -532,21 +546,31 @@ class TestConfigTypes:
         ("ingest", '{"tree_s": "0.5"}'), ("recommend", '{"k": 2.0}'),
         ("recommend", '{"k": null}'), ("evaluate", '{"k_list": 5}'),
         ("fit", '{"seed": -1}'), ("ingest", '{"seed": -1}'),
+        ("ingest", '{"vote_buckets": "0,3,3"}'),
     ])
     def test_mistyped_config_exits_2(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         # Every input path is missing: the config is rejected before any is read.
-        missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
-        argv = {"ingest": ["ingest", missing, "--out-dir", out],
-                "fit": ["fit", missing, "--out-dir", out],
-                "recommend": ["recommend", "--model", missing, "--snapshot", missing,
-                              "--topic", "t"],
-                "evaluate": ["evaluate", "--model", missing, "--snapshot", missing,
-                             "--out-dir", out]}[command]
+        argv, out = missing_inputs(command, tmp_path)
         assert main([*argv, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["ingest", "fit", "recommend", "evaluate"])
+    @pytest.mark.parametrize("data, message", [
+        (b'{"rank": 3,', "Expecting property name"),
+        (b'{"rank": 3, "x": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ])
+    def test_config_that_is_not_json_exits_2(self, tmp_path, capsys, command, data, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        argv, out = missing_inputs(command, tmp_path)
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --config {cfg}: {message}")
         assert not os.path.exists(out)
 
     def test_numbers_and_nulls_where_the_defaults_take_them(self, snapshot, tmp_path,

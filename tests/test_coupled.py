@@ -15,17 +15,13 @@ from qaexpert.coupled import (
     MembershipMatrix,
     cp_als,
     fit_joint,
-    group_means,
-    joint_objective,
     networks_objective,
-    site_regularizer,
-    tensor_objective,
     topic_objective,
     _normalize_columns,
     _Descent,
 )
 from qaexpert.errors import ContractViolation, SolverDiverged
-from qaexpert.hierarchy import TreePenalty, tree_from_nested, weight_penalty
+from qaexpert.hierarchy import TreePenalty, weight_penalty
 from qaexpert.ingest import build_inputs, merge_datasets, parse_dump
 from qaexpert.sparse_tensor import (
     SparseTensor4, gram_hadamard, mttkrp, residual_norm,
@@ -33,6 +29,16 @@ from qaexpert.sparse_tensor import (
 from qaexpert.synthetic import make_corpus
 
 from conftest import COO_KINDS, coo_input, dense_model, make_micro_joint, random_sparse
+from model_oracles import (
+    group_means,
+    joint_objective,
+    site_regularizer,
+    tensor_from_dense,
+    tensor_from_entries,
+    tensor_objective,
+    to_dense,
+    tree_from_nested,
+)
 
 
 class TestMembershipMatrix:
@@ -49,7 +55,7 @@ class TestMembershipMatrix:
     def test_to_dense_is_binary(self):
         M = MembershipMatrix(2, 3, [(0, 0), (1, 2)])
         expected = np.array([[1.0, 0, 0], [0, 0, 1.0]])
-        np.testing.assert_array_equal(M.to_dense(), expected)
+        np.testing.assert_array_equal(to_dense(M), expected)
 
     def test_matmul_and_tmatmul_match_dense(self):
         rng = np.random.default_rng(5)
@@ -57,8 +63,8 @@ class TestMembershipMatrix:
         M = MembershipMatrix(3, 4, pairs)
         F = rng.standard_normal((4, 2))
         G = rng.standard_normal((3, 2))
-        np.testing.assert_allclose(M.matmul(F), M.to_dense() @ F, atol=1e-12)
-        np.testing.assert_allclose(M.tmatmul(G), M.to_dense().T @ G, atol=1e-12)
+        np.testing.assert_allclose(M.matmul(F), to_dense(M) @ F, atol=1e-12)
+        np.testing.assert_allclose(M.tmatmul(G), to_dense(M).T @ G, atol=1e-12)
 
     @pytest.mark.parametrize("kind", COO_KINDS)
     def test_both_paths_give_identical_pairs(self, kind, monkeypatch):
@@ -91,8 +97,8 @@ class TestMembershipMatrix:
         M = MembershipMatrix(4, 5, pairs)
         F = rng.standard_normal((5, 2))
         G = rng.standard_normal((4, 2))
-        np.testing.assert_allclose(M.matmul(F), M.to_dense() @ F, atol=1e-12)
-        np.testing.assert_allclose(M.tmatmul(G), M.to_dense().T @ G, atol=1e-12)
+        np.testing.assert_allclose(M.matmul(F), to_dense(M) @ F, atol=1e-12)
+        np.testing.assert_allclose(M.tmatmul(G), to_dense(M).T @ G, atol=1e-12)
         assert M.matmul(F).shape == (4, 2) and M.tmatmul(G).shape == (5, 2)
 
 
@@ -118,7 +124,7 @@ class TestMembershipObjectives:
         S = rng.standard_normal((3, 2))
         A = rng.standard_normal((5, 2))
         lam = 0.3
-        want = 0.5 * np.linalg.norm(M.to_dense() - S @ A.T) ** 2
+        want = 0.5 * np.linalg.norm(to_dense(M) - S @ A.T) ** 2
         want += 0.5 * lam * (np.sum(S * S) + np.sum(A * A))
         assert networks_objective(S, A, M, lam) == pytest.approx(want, rel=1e-12)
         assert topic_objective(S, A, M, lam) == pytest.approx(want, rel=1e-12)
@@ -185,7 +191,7 @@ def _zero_model(dims, R, m_rows, n_rows, lam=0.1):
 class TestJointObjective:
     def test_everything_zero(self):
         dims = (4, 2, 2, 3)
-        X = SparseTensor4(dims, entries=[])
+        X = tensor_from_entries(dims, [])
         M = MembershipMatrix(2, 3, [])
         N = MembershipMatrix(2, 3, [])
         tree = tree_from_nested([[0, 1], [2, 3]])
@@ -227,12 +233,12 @@ class TestJointObjective:
         tree = tree_from_nested([[0], [1]])
         penalty = TreePenalty(tree, 0.0)
         model = _zero_model(dims, 2, 2, 2, lam=0.0)
-        X = SparseTensor4(dims, entries=[(0, 0, 0, 0, 2.0)])
+        X = tensor_from_entries(dims, [(0, 0, 0, 0, 2.0)])
         empty = MembershipMatrix(2, 2, [])
         got = joint_objective(X, empty, empty, model, penalty)
         assert got == tensor_objective(X, model.cp, 0.0)
         M = MembershipMatrix(2, 2, [(0, 0), (1, 1)])
-        zero_x = SparseTensor4(dims, entries=[])
+        zero_x = tensor_from_entries(dims, [])
         got = joint_objective(zero_x, M, empty, model, penalty)
         assert got == networks_objective(model.S, model.A, M, 0.0)
 
@@ -280,7 +286,7 @@ class TestFitJoint:
 
     def test_zero_inputs_give_zero_model(self):
         dims = (4, 2, 2, 3)
-        X = SparseTensor4(dims, entries=[])
+        X = tensor_from_entries(dims, [])
         M = MembershipMatrix(2, 3, [])
         N = MembershipMatrix(2, 3, [])
         tree = tree_from_nested([[0, 1], [2, 3]])
@@ -330,14 +336,14 @@ class TestFitJoint:
         T = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         gen = [U1, rng.random((J, R)) + 0.2, rng.random((K, R)) + 0.2,
                rng.random((L, R)) + 0.2]
-        X = SparseTensor4.from_dense(dense_model(gen, np.ones(R)))
+        X = tensor_from_dense(dense_model(gen, np.ones(R)))
         tree = tree_from_nested([[list(range(3))], [list(range(3, 6))]])
         M = MembershipMatrix(2, L, [(0, 0), (0, 1), (1, 2), (1, 3)])
         N = MembershipMatrix(J, L, [
             (0, 0), (0, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3),
         ])
-        np.testing.assert_array_equal(M.to_dense(), S @ A.T)
-        np.testing.assert_array_equal(N.to_dense(), T @ A.T)
+        np.testing.assert_array_equal(to_dense(M), S @ A.T)
+        np.testing.assert_array_equal(to_dense(N), T @ A.T)
 
         lam = 0.05
         normalized, norms = _normalize_columns([U.copy() for U in gen])
@@ -365,8 +371,8 @@ class TestFitJoint:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_solver_error(self):
-        X = SparseTensor4(
-            (2, 2, 2, 2), entries=[(0, 0, 0, 0, 1e200), (1, 1, 1, 1, 1e200)]
+        X = tensor_from_entries(
+            (2, 2, 2, 2), [(0, 0, 0, 0, 1e200), (1, 1, 1, 1, 1e200)]
         )
         M = MembershipMatrix(2, 2, [(0, 0)])
         N = MembershipMatrix(2, 2, [(0, 1)])
@@ -554,7 +560,7 @@ class TestFitIdentity:
         rng = np.random.default_rng(3)
         dims = (6, 5, 4, 5)
         planted = [rng.random((d, 2)) ** 3 for d in dims]
-        X = SparseTensor4.from_dense(100.0 * np.einsum("ir,jr,kr,lr->ijkl", *planted))
+        X = tensor_from_dense(100.0 * np.einsum("ir,jr,kr,lr->ijkl", *planted))
         norm_sq = X.norm() ** 2
         state = _Descent(X, AlsConfig(rank=2, seed=0, lambda_x=0.0), (*BLOCKS[:4], "balance"))
         values = []
@@ -808,8 +814,8 @@ class TestDivergedState:
     @pytest.mark.parametrize("solver", ["cp_als", "fit_joint"])
     def test_overflowed_gram_at_zero_lambdas_diverges(self, solver):
         # At rank 3 and every lambda 0 the overflowed Gram reaches eigh as NaN.
-        X = SparseTensor4(
-            (2, 2, 2, 2), entries=[(0, 0, 0, 0, 1e200), (1, 1, 1, 1, 1e200)]
+        X = tensor_from_entries(
+            (2, 2, 2, 2), [(0, 0, 0, 0, 1e200), (1, 1, 1, 1, 1e200)]
         )
         with pytest.raises(SolverDiverged):
             if solver == "cp_als":

@@ -3,12 +3,20 @@
 import numpy as np
 import pytest
 
-from qaexpert.coupled import AlsConfig, CpModel, cp_als, fit_metric, tensor_objective
+from qaexpert.coupled import AlsConfig, CpModel, cp_als
 from qaexpert.errors import ContractViolation, SolverDiverged
-from qaexpert.hierarchy import TreePenalty, tree_from_nested
-from qaexpert.sparse_tensor import SparseTensor4, reconstruct_entry, residual_norm
+from qaexpert.hierarchy import TreePenalty
+from qaexpert.sparse_tensor import residual_norm
 
 from conftest import dense_model, random_factors, random_sparse
+from model_oracles import (
+    fit_metric,
+    reconstruct_entry,
+    tensor_from_dense,
+    tensor_from_entries,
+    tensor_objective,
+    tree_from_nested,
+)
 
 
 def test_config_validation():
@@ -24,14 +32,14 @@ def test_config_validation():
 
 class TestTensorObjective:
     def test_zero_tensor_zero_factors(self):
-        X = SparseTensor4((2, 2, 2, 2), entries=[])
+        X = tensor_from_entries((2, 2, 2, 2), [])
         model = CpModel([np.zeros((2, 1)) for _ in range(4)], np.zeros(1))
         assert tensor_objective(X, model, 0.7) == 0.0
 
     def test_exact_rank_one_fit_no_ridge(self):
         rng = np.random.default_rng(2)
         gen = [rng.random((d, 1)) + 0.3 for d in (3, 2, 2, 4)]
-        X = SparseTensor4.from_dense(dense_model(gen, np.ones(1)))
+        X = tensor_from_dense(dense_model(gen, np.ones(1)))
         norms = np.array([float(np.prod([np.linalg.norm(U) for U in gen]))])
         unit = [U / np.linalg.norm(U) for U in gen]
         model = CpModel(unit, norms)
@@ -61,13 +69,13 @@ class TestFitMetric:
     def test_exact_reconstruction(self):
         rng = np.random.default_rng(4)
         gen = [rng.random((d, 1)) + 0.3 for d in (3, 2, 2, 4)]
-        X = SparseTensor4.from_dense(dense_model(gen, np.ones(1)))
+        X = tensor_from_dense(dense_model(gen, np.ones(1)))
         norms = np.array([float(np.prod([np.linalg.norm(U) for U in gen]))])
         model = CpModel([U / np.linalg.norm(U) for U in gen], norms)
         assert fit_metric(X, model) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_factors_nonzero_tensor(self):
-        X = SparseTensor4((2, 2, 2, 2), entries=[(0, 0, 0, 0, 2.0)])
+        X = tensor_from_entries((2, 2, 2, 2), [(0, 0, 0, 0, 2.0)])
         model = CpModel([np.zeros((2, 1)) for _ in range(4)], np.zeros(1))
         assert fit_metric(X, model) == 0.0
 
@@ -84,12 +92,12 @@ class TestCpAls:
     def test_rank_one_recovery(self):
         rng = np.random.default_rng(21)
         gen = [rng.random((d, 1)) + 0.1 for d in (4, 3, 2, 5)]
-        X = SparseTensor4.from_dense(dense_model(gen, np.ones(1)))
+        X = tensor_from_dense(dense_model(gen, np.ones(1)))
         model = cp_als(X, AlsConfig(rank=1, lambda_x=0.0, seed=0))
         assert fit_metric(X, model) >= 0.999999
 
     def test_zero_tensor_gives_zero_model(self):
-        X = SparseTensor4((3, 2, 2, 3), entries=[])
+        X = tensor_from_entries((3, 2, 2, 3), [])
         model = cp_als(X, AlsConfig(rank=2, lambda_x=0.5, seed=1))
         assert all(not U.any() for U in model.factors)
         assert not model.norms.any()
@@ -99,7 +107,7 @@ class TestCpAls:
         # Multi-seed harness: three inits land on objectives within 1%.
         rng = np.random.default_rng(1)
         gen = [rng.random((d, 3)) + 0.2 for d in (4, 3, 3, 5)]
-        X = SparseTensor4.from_dense(dense_model(gen, np.ones(3)))
+        X = tensor_from_dense(dense_model(gen, np.ones(3)))
         finals = []
         for seed in (1, 2, 3):
             model = cp_als(X, AlsConfig(
@@ -178,8 +186,8 @@ class TestCpAls:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_solver_error(self):
-        X = SparseTensor4(
-            (2, 2, 2, 2), entries=[(0, 0, 0, 0, 1e200), (1, 1, 1, 1, 1e200)]
+        X = tensor_from_entries(
+            (2, 2, 2, 2), [(0, 0, 0, 0, 1e200), (1, 1, 1, 1, 1e200)]
         )
         with pytest.raises(SolverDiverged):
             cp_als(X, AlsConfig(rank=2, lambda_x=0.1, seed=0, max_iters=5))

@@ -24,6 +24,7 @@ from qaexpert.synthetic import make_corpus, write_subsite_dump
 
 import ingest_oracles as oracles
 import records as rec
+from model_oracles import to_dense
 from records import Post, Vote
 from conftest import FIXTURE_POSTS, FIXTURE_SITE, FIXTURE_USERS, FIXTURE_VOTES
 
@@ -706,10 +707,10 @@ class TestBuildInputs:
         # both answerers participate in the one subsite and the one topic
         assert tables.site_matrix.rows == 1
         np.testing.assert_array_equal(
-            tables.site_matrix.to_dense(), [[0.0, 1.0, 1.0]]
+            to_dense(tables.site_matrix), [[0.0, 1.0, 1.0]]
         )
         np.testing.assert_array_equal(
-            tables.topic_matrix.to_dense(), [[0.0, 1.0, 1.0]]
+            to_dense(tables.topic_matrix), [[0.0, 1.0, 1.0]]
         )
 
     def test_fixture_tree_is_single_chain(self, fixture_dump):
@@ -833,7 +834,7 @@ class TestBuildInputs:
             )
             sites.append(parse_site(d, name))
         tables = build_inputs(merge_datasets(sites))
-        dense = tables.site_matrix.to_dense()
+        dense = to_dense(tables.site_matrix)
         assert float(dense[0] @ dense[1]) == 0.0
 
     def test_bucket_edges_must_increase(self, fixture_dump):

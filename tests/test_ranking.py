@@ -11,14 +11,13 @@ from qaexpert.ranking import (
     RankingFactors,
     baseline_rank,
     evaluate,
-    mean_reciprocal_rank,
-    precision_at_k,
     rank_experts,
     z_score,
 )
 from qaexpert.serialize import save_report
 
 import records as rec
+from model_oracles import mean_reciprocal_rank, precision_at_k
 from records import Post, Vote
 
 

@@ -16,7 +16,7 @@ from qaexpert import serialize
 from qaexpert.cli import main
 from qaexpert.coupled import CpModel, JointModel, MembershipMatrix
 from qaexpert.errors import DataError
-from qaexpert.hierarchy import HierarchyTree, compute_node_weights, tree_from_nested
+from qaexpert.hierarchy import HierarchyTree, compute_node_weights
 from qaexpert.ranking import RankingFactors
 from qaexpert.serialize import (
     file_digest,
@@ -40,6 +40,7 @@ from qaexpert.synthetic import make_corpus
 
 import records as rec
 from conftest import random_sparse
+from model_oracles import to_dense, tree_from_nested
 
 
 def read_bytes(path):
@@ -141,7 +142,7 @@ class TestMembershipFormat:
         save_membership(M, p)
         N = load_membership(p)
         assert (N.rows, N.cols) == (4, 3)
-        assert np.array_equal(N.to_dense(), M.to_dense())
+        assert np.array_equal(to_dense(N), to_dense(M))
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         M = MembershipMatrix(2, 2, [(0, 0), (1, 1)])

@@ -14,9 +14,7 @@ from qaexpert.sparse_tensor import (
     SparseTensor4,
     distinct,
     gram_hadamard,
-    khatri_rao,
     mttkrp,
-    reconstruct_entry,
     residual_norm,
     lex_order,
     row_changes,
@@ -33,36 +31,37 @@ from conftest import (
     random_factors,
     random_sparse,
 )
+from model_oracles import khatri_rao, reconstruct_entry, tensor_from_dense, tensor_from_entries
 
 
 class TestConstruction:
     def test_duplicates_are_summed(self):
-        X = SparseTensor4((2, 2, 2, 2), entries=[(0, 0, 0, 0, 1.5), (0, 0, 0, 0, 2.0)])
+        X = tensor_from_entries((2, 2, 2, 2), [(0, 0, 0, 0, 1.5), (0, 0, 0, 0, 2.0)])
         assert X.nnz == 1
         assert X.values[0] == 3.5
 
     def test_entries_sorted_lexicographically(self):
-        X = SparseTensor4(
+        X = tensor_from_entries(
             (2, 2, 2, 2),
-            entries=[(1, 1, 1, 1, 1.0), (0, 0, 0, 1, 2.0), (0, 0, 0, 0, 3.0)],
+            [(1, 1, 1, 1, 1.0), (0, 0, 0, 1, 2.0), (0, 0, 0, 0, 3.0)],
         )
         assert X.indices.tolist() == [[0, 0, 0, 0], [0, 0, 0, 1], [1, 1, 1, 1]]
 
     def test_exact_zero_entries_dropped(self):
-        X = SparseTensor4((2, 2, 2, 2), entries=[(0, 0, 0, 0, 1.0), (1, 0, 0, 0, 0.0)])
+        X = tensor_from_entries((2, 2, 2, 2), [(0, 0, 0, 0, 1.0), (1, 0, 0, 0, 0.0)])
         assert X.nnz == 1
 
     def test_negative_and_nonfinite_values_rejected(self):
         with pytest.raises(ContractViolation):
-            SparseTensor4((2, 2, 2, 2), entries=[(0, 1, 0, 1, -2.0)])
+            tensor_from_entries((2, 2, 2, 2), [(0, 1, 0, 1, -2.0)])
         with pytest.raises(ContractViolation):
-            SparseTensor4((2, 2, 2, 2), entries=[(0, 1, 0, 1, float("nan"))])
+            tensor_from_entries((2, 2, 2, 2), [(0, 1, 0, 1, float("nan"))])
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ContractViolation):
-            SparseTensor4((2, 2, 2, 2), entries=[(2, 0, 0, 0, 1.0)])
+            tensor_from_entries((2, 2, 2, 2), [(2, 0, 0, 0, 1.0)])
         with pytest.raises(ContractViolation):
-            SparseTensor4((2, 2, 2, 2), entries=[(0, 0, 0, -1, 1.0)])
+            tensor_from_entries((2, 2, 2, 2), [(0, 0, 0, -1, 1.0)])
 
     @pytest.mark.parametrize("column", range(4))
     def test_index_bounds_checked_per_column(self, column):
@@ -114,15 +113,15 @@ class TestConstruction:
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ContractViolation):
-            SparseTensor4((2, 2, 2), entries=[])
+            tensor_from_entries((2, 2, 2), [])
         with pytest.raises(ContractViolation):
-            SparseTensor4((2, 0, 2, 2), entries=[])
+            tensor_from_entries((2, 0, 2, 2), [])
 
     def test_from_dense_round_trip(self):
         rng = np.random.default_rng(3)
         dense = rng.random((2, 3, 2, 2)) + 0.25
         dense[rng.random(dense.shape) < 0.5] = 0.0
-        X = SparseTensor4.from_dense(dense)
+        X = tensor_from_dense(dense)
         rebuilt = np.zeros(dense.shape)
         rebuilt[tuple(X.indices.T)] = X.values
         np.testing.assert_array_equal(rebuilt, dense)
@@ -143,7 +142,7 @@ class TestConstruction:
     ))
     @settings(max_examples=60, deadline=None)
     def test_construction_equals_dense_accumulation(self, raw):
-        X = SparseTensor4((2, 2, 2, 2), entries=raw)
+        X = tensor_from_entries((2, 2, 2, 2), raw)
         dense = np.zeros((2, 2, 2, 2))
         for i, j, k, l, v in raw:
             dense[i, j, k, l] += v
@@ -367,7 +366,7 @@ class TestGramHadamard:
 
 class TestMttkrp:
     def test_zero_tensor_gives_zero(self):
-        X = SparseTensor4((2, 3, 2, 2), entries=[])
+        X = tensor_from_entries((2, 3, 2, 2), [])
         factors = random_factors(np.random.default_rng(0), (2, 3, 2, 2), 2)
         for mode in range(4):
             out = mttkrp(X, factors, mode)
@@ -380,7 +379,7 @@ class TestMttkrp:
         u = [np.array([[1.0], [2.0]]), np.array([[3.0], [1.0]]),
              np.array([[1.0], [4.0]]), np.array([[2.0], [5.0]])]
         dense = dense_model(u, np.array([1.0]))
-        X = SparseTensor4.from_dense(dense)
+        X = tensor_from_dense(dense)
         out = mttkrp(X, u, 0)
         expected = np.zeros((2, 1))
         for (i, j, k, l), v in zip(X.indices, X.values):
@@ -400,7 +399,7 @@ class TestMttkrp:
             assert err <= 1e-10
 
     def test_dimension_mismatch_rejected(self):
-        X = SparseTensor4((2, 2, 2, 2), entries=[(0, 0, 0, 0, 1.0)])
+        X = tensor_from_entries((2, 2, 2, 2), [(0, 0, 0, 0, 1.0)])
         factors = random_factors(np.random.default_rng(0), (2, 2, 3, 2), 2)
         with pytest.raises(ContractViolation):
             mttkrp(X, factors, 0)
@@ -415,7 +414,7 @@ class TestMttkrp:
         dense = np.zeros(dims)
         if filled == "leading-block":
             dense[:3, :2, :2, :4] = rng.random((3, 2, 2, 4)) + 0.1
-        X = SparseTensor4.from_dense(dense)
+        X = tensor_from_dense(dense)
         assert X.nnz == (48 if filled == "leading-block" else 0)
         factors = random_factors(rng, dims, 3)
         for mode in range(4):
@@ -447,10 +446,10 @@ class TestMttkrp:
                 dense[prefix][rng.choice(5, size=rng.choice([0, 1, 1, 5]), replace=False)] = 1.0
         dense *= rng.random(dims) + 0.1
         if build == "from-dense":
-            X = SparseTensor4.from_dense(dense)
+            X = tensor_from_dense(dense)
         else:
             idx = np.argwhere(dense)[rng.permutation(np.count_nonzero(dense))]
-            X = SparseTensor4(dims, entries=[(*ijkl, dense[tuple(ijkl)]) for ijkl in idx])
+            X = tensor_from_entries(dims, [(*ijkl, dense[tuple(ijkl)]) for ijkl in idx])
         sizes = np.unique(X.indices[:, :3], axis=0, return_counts=True)[1]
         assert X.fibers.count == len(sizes)
         if fibers == "shared":
@@ -512,7 +511,7 @@ class TestResidualNorm:
         rng = np.random.default_rng(17)
         factors = [rng.random((d, 1)) + 0.5 for d in (4, 3, 2, 5)]
         dense = dense_model(factors, np.array([1.0]))
-        X = SparseTensor4.from_dense(dense)
+        X = tensor_from_dense(dense)
         assert residual_norm(X, factors, np.array([1.0])) <= 1e-9
 
     def test_zero_factors_give_tensor_norm(self):
