@@ -9,16 +9,19 @@ byte-identical across runs with equal inputs.
 ``ingest`` runs on every usable CPU, in one process per CPU.  It deals
 the subsites out in turn, at most one process per subsite: the ``ingest``
 process parses the last share and a forked child each other share, which
-sends what it parsed back over a pipe.  Each subsite's warnings are shown
-and the first error in subsite order is raised, as a loop over the
-subsites would.  After the merge the ``ingest`` process builds the model
-inputs, then forks a child that builds the reputation ledger and the
-bytes of ``reputation.csv`` and their digest, while the ``ingest`` process
-renders the tensor, membership and tree files to bytes and digests them.
-Once both have succeeded it creates the output directory and writes the
-five files, then the manifest.  With one usable CPU or no ``os.fork``,
-the loop over the subsites, the model inputs, the tables and the ledger
-all run in the one process, in that order.
+sends what it parsed back over a pipe; with one usable CPU or no
+``os.fork`` there is one share, and no child.  Each dataset counts the
+rows its parse skipped, and once every share is back ``ingest`` warns
+those counts and raises the first error, in subsite order.  The warnings
+come from one line of this module, so Python's filters show each text
+once per location there, whatever the process count.  After the merge
+the ``ingest`` process builds the model inputs, then forks a child that
+builds the reputation ledger and the bytes of ``reputation.csv`` and
+their digest, while the ``ingest`` process renders the tensor, membership
+and tree files to bytes and digests them.  Once both have succeeded it
+creates the output directory and writes the five files, then the
+manifest.  With one usable CPU or no ``os.fork``, the model inputs, the
+tables and the ledger run in the one process, in that order.
 """
 
 from __future__ import annotations
@@ -123,51 +126,45 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(tasks, cpus))
 
 
-# The once-per-location registry of the warnings workers hold back, which
-# this process filters as it shows them.  A warning issued in this process
-# is registered in the module's own ``__warningregistry__`` as it passes the
-# filters; the two are kept apart so that a subsite one run parses here does
-# not count as shown the warnings a worker holds for it in a later run.
-_WORKER_WARNINGS: dict = {}
-
-
 def _parse_subsite(job):
-    """Parse one subsite: its dataset or the exception it raised, plus the
-    warnings shown meanwhile, held back as ``(message, category, filename,
-    lineno)``.  They pass this process's filters as they are issued; holding
-    them swaps `warnings.showwarning`, where `warnings.catch_warnings` would
-    change the filters and so reset every once-per-location registry."""
+    """One subsite's dataset, or the exception its parse raised."""
     files, name = job
-    held = []
-    show, warnings.showwarning = warnings.showwarning, lambda *shown: held.append(shown[:4])
     try:
-        result = parse_dump(*files, subsite_name=name)
+        return parse_dump(*files, subsite_name=name)
     except Exception as exc:
-        result = exc
-    finally:
-        warnings.showwarning = show
-    return result, held
+        return exc
 
 
 def _parse_subsites(jobs) -> list:
-    """The datasets of ``jobs``, in order.  Each subsite's warnings are
-    shown and the first error in subsite order is raised; the plain loop
-    stops there, and a pooled parse parses every subsite first."""
+    """The datasets of ``jobs``, in order, parsed by `_fork_join` in
+    `_worker_count` processes.
+
+    Share ``w`` holds jobs ``w``, ``w + workers``, …; this process parses
+    the last share and a forked child each other, so with one worker no
+    child is forked.  Then, in subsite order, each dataset's skipped rows
+    are warned, and the first error is raised: a parse's own, or that of
+    the child whose share holds the subsite.
+    """
     workers = _worker_count(len(jobs))
-    outcomes = (_parse_in_workers(jobs, workers) if workers > 1
-                else ((*_parse_subsite(job), False) for job in jobs))
-    datasets = []
-    for result, held, from_worker in outcomes:
-        for message, category, filename, lineno in held:
-            if from_worker:  # held unfiltered: this process filters it now
-                warnings.warn_explicit(message, category, filename, lineno, module=__name__,
-                                       registry=_WORKER_WARNINGS)
-            else:
-                warnings.showwarning(message, category, filename, lineno)
-        if isinstance(result, BaseException):
-            raise result
-        datasets.append(result)
-    return datasets
+    shares = [jobs[w::workers] for w in range(workers)]
+
+    def parse(share, send=lambda outcome: outcome):  # a child sends through _portable
+        return [send(_parse_subsite(job)) for job in share]
+
+    results = _fork_join([(f"subsites {', '.join(name for _, name in share)}",
+                           functools.partial(parse, share, _portable)) for share in shares[:-1]],
+                         functools.partial(parse, shares[-1]))
+    outcomes = [None] * len(jobs)
+    for w, got in enumerate(results):
+        outcomes[w::workers] = [got] * len(shares[w]) if isinstance(got, BaseException) else got
+    for (_, name), data in zip(jobs, outcomes):
+        if isinstance(data, BaseException):
+            raise data
+        for count, rows in ((data.skipped_posts, "posts of other kinds"),
+                            (data.skipped_votes, "votes (unknown kind or missing post)")):
+            if count:
+                warnings.warn(f"{name}: skipped {count} {rows}")
+    return outcomes
 
 
 def _portable(result):
@@ -179,35 +176,6 @@ def _portable(result):
         except Exception:
             result = ChildProcessError(f"{type(result).__name__}: {result}")
     return result
-
-
-def _worker_share(jobs, share) -> list:
-    """`_parse_subsite` of each job in ``share``, in a forked worker, which
-    holds back every warning for the parent to filter and sends exceptions
-    that survive pickling."""
-    warnings.simplefilter("always")
-    return [(_portable(result), held) for result, held in (_parse_subsite(jobs[i]) for i in share)]
-
-
-def _parse_in_workers(jobs, workers: int) -> list:
-    """Each job's `_parse_subsite` outcome plus whether a worker held its
-    warnings, parsed by `_fork_join` in ``workers`` processes.
-
-    Share ``w`` holds jobs ``w``, ``w + workers``, …; this process parses
-    the last share and a forked worker each other.  The subsites of a
-    worker that fails get its error.
-    """
-    shares = [range(w, len(jobs), workers) for w in range(workers)]
-    tasks = [(f"subsites {', '.join(jobs[i][1] for i in share)}",
-              functools.partial(_worker_share, jobs, share)) for share in shares[:-1]]
-    results = _fork_join(tasks, lambda: [_parse_subsite(jobs[i]) for i in shares[-1]])
-    outcomes = [None] * len(jobs)
-    for w, (share, got) in enumerate(zip(shares, results)):
-        if isinstance(got, BaseException):
-            got = [(got, [])] * len(share)
-        for i, (result, held) in zip(share, got):
-            outcomes[i] = result, held, w < workers - 1
-    return outcomes
 
 
 def _fork_join(tasks, own) -> list:
@@ -486,7 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vote-buckets", dest="vote_buckets",
                    help="comma-separated question-score bucket edges")
     p.add_argument("--tree-s", type=float, dest="tree_s",
-                   help="tree weight s of every internal node; g is 1 - s")
+                   help="tree weight s of every internal node; g is 1 - s, and as s + g = 1 "
+                        "every question row's penalty weight sums to 1, so s changes "
+                        "tree.txt and the manifest but not the fitted factors or "
+                        "objective_history.csv")
     p.add_argument("--config", help="JSON file with defaults for these flags")
     p.set_defaults(func=cmd_ingest)
 

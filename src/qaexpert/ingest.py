@@ -24,7 +24,9 @@ tree's preorder arrays from the sorted groups, each node id by counting
 the nodes before it, with no nested lists.  `parse_dump` reads one
 subsite and shares nothing with the parse of another, so the command
 line runs it in a separate worker process per share of the subsites and
-merges the results.
+merges the results.  It issues no warning: the rows it skips are counted
+in the dataset's ``skipped_posts`` and ``skipped_votes``, which the
+command line warns after the parse, in subsite order.
 """
 
 from __future__ import annotations
@@ -157,7 +159,12 @@ class QaDataset:
     any order, and validates referential integrity: answers need existing
     question parents, accepted ids must name answers of their question,
     tags appear on questions only, and votes point at existing posts.
+
+    ``skipped_posts`` and ``skipped_votes`` count the rows `parse_dump`
+    left out of the subsite it read; every other dataset holds 0.
     """
+
+    skipped_posts = skipped_votes = 0
 
     def __init__(self, users, posts: PostColumns, votes: VoteColumns):
         posts = posts.take(lex_order((posts.site, posts.id)))
@@ -288,9 +295,12 @@ def parse_dump(posts_file, votes_file, users_file, subsite_name: str) -> QaDatas
     """Parse one subsite's dump files into a validated dataset.
 
     Each file is streamed: every row's ids are appended to integer columns
-    as it is read.  Unknown vote kinds and non-question/answer post kinds
-    are skipped with a counted warning.  Posts whose owner cannot be
-    resolved against the users file are kept with no owner.
+    as it is read.  Posts of other kinds than question and answer, and
+    votes of an unknown kind or on a post the file does not hold, are
+    skipped and counted in the dataset's ``skipped_posts`` and
+    ``skipped_votes``; no warning is issued, and the command line warns the
+    counts after the parse.  Posts whose owner cannot be resolved against
+    the users file are kept with no owner.
     """
     local_to_canonical = {}
     users = array("q")
@@ -382,27 +392,20 @@ def parse_dump(posts_file, votes_file, users_file, subsite_name: str) -> QaDatas
     post_ids.update(posts[::5])
     _stream_rows(votes_file, vote_row)
 
-    if skipped_posts:
-        warnings.warn(
-            f"{subsite_name}: skipped {skipped_posts} posts of other kinds", stacklevel=2
-        )
-    if skipped_votes:
-        warnings.warn(
-            f"{subsite_name}: skipped {skipped_votes} votes (unknown kind or missing post)",
-            stacklevel=2,
-        )
     tags = sorted(tag_codes)
     recode = np.empty(len(tags), dtype=np.int64)
     recode[[tag_codes[t] for t in tags]] = np.arange(len(tags))
     posts = np.asarray(posts, dtype=np.int64).reshape(-1, 5).T
     votes = np.asarray(votes, dtype=np.int64).reshape(-1, 3).T
-    return QaDataset(
+    data = QaDataset(
         users,
         PostColumns((subsite_name,), tuple(tags), np.zeros(len(posts[0]), dtype=np.int64),
                     *posts[:4], np.concatenate(([0], posts[4])),
                     recode[np.asarray(tag_ids, dtype=np.int64)]),
         VoteColumns(np.zeros(len(votes[0]), dtype=np.int64), *votes),
     )
+    data.skipped_posts, data.skipped_votes = skipped_posts, skipped_votes
+    return data
 
 
 def merge_datasets(datasets) -> QaDataset:

@@ -58,9 +58,10 @@ def make_corpus(
 
     n_experts = n_subsites * topics_per_subsite
     experts = list(range(1, n_experts + 1))
-    background = list(range(n_experts + 1, n_experts + n_background + 1))
-    askers = list(range(n_experts + n_background + 1, n_experts + n_background + n_askers + 1))
-    all_users = experts + background + askers
+    # Arrays, so that rng.choice does not convert a list on every draw.
+    background = np.arange(n_experts + 1, n_experts + n_background + 1)
+    askers = np.arange(n_experts + n_background + 1, n_experts + n_background + n_askers + 1)
+    all_users = np.arange(1, n_experts + n_background + n_askers + 1)
 
     truth = {}
     os.makedirs(out_dir, exist_ok=True)

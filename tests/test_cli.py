@@ -732,8 +732,8 @@ class TestPooledIngest:
         assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_error_in_subsite_k_matches_plain_loop(self, tmp_path, monkeypatch, recwarn,
-                                                   capsys, workers):
+    def test_error_in_subsite_k_matches_plain_loop(self, tmp_path, monkeypatch, capsys,
+                                                   workers):
         if not hasattr(os, "fork"):
             pytest.skip("no os.fork")
         dirs = noisy_corpus(str(tmp_path / "dumps"), bad="s2")
@@ -741,9 +741,12 @@ class TestPooledIngest:
         results = []
         for count in (1, workers):
             with_workers(monkeypatch, count)
-            recwarn.clear()
-            code = main(argv)
-            results.append((code, capsys.readouterr().err, [str(w.message) for w in recwarn]))
+            # "always": under "default" the second run's identical texts,
+            # issued from the same line, would show no more
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            results.append((code, capsys.readouterr().err, [str(w.message) for w in caught]))
             assert_no_child_left()
         assert results[0] == results[1]
         code, err, messages = results[1]
@@ -802,7 +805,8 @@ class TestPooledIngest:
     def test_parent_failure_reaps_workers_blocked_on_full_pipes(self, monkeypatch):
         # each worker's result overflows its pipe buffer, so a worker can
         # only exit once every read end of its pipe is closed
-        monkeypatch.setattr(cli, "_parse_subsite", lambda job: ("x" * (1 << 20), []))
+        with_workers(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_parse_subsite", lambda job: "x" * (1 << 20))
 
         def interrupted(fh):
             raise KeyboardInterrupt
@@ -815,7 +819,7 @@ class TestPooledIngest:
         signal.alarm(20)
         try:
             with pytest.raises(KeyboardInterrupt):
-                cli._parse_in_workers([([], name) for name in "abcd"], 2)
+                cli._parse_subsites([([], name) for name in "abcd"])
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -830,8 +834,7 @@ class TestPooledIngest:
         argv = ["ingest", *dirs, "--out-dir", str(tmp_path / "snap")]
         with open(cli.__file__, encoding="utf-8") as fh:
             source = fh.read().splitlines()
-        lineno = 1 + next(i for i, text in enumerate(source)
-                          if "result = parse_dump(" in text)
+        lineno = 1 + next(i for i, text in enumerate(source) if "warnings.warn(" in text)
         shown = []
         for count in (1, workers):
             with_workers(monkeypatch, count)
@@ -918,6 +921,13 @@ class TestPooledIngest:
         assert type(b) is DataError and str(b) == "no result"
         assert type(c) is ChildProcessError
         assert str(c) == "ingest worker for c exited with code 4 without a result"
+
+    def test_fork_join_without_tasks_forks_no_child(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked a child")
+
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        assert cli._fork_join([], lambda: ("own", os.getpid())) == [("own", os.getpid())]
 
     def test_worker_count_rule(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)

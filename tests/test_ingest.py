@@ -1,6 +1,7 @@
 """Dump parsing, sampling, reputation arithmetic, and model-input assembly."""
 
 import os
+import pickle
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -102,28 +103,31 @@ class TestParseDump:
         assert rec.users(data) == (4242,)
         assert rec.questions(data)[0].owner == 4242
 
-    def test_unknown_post_kind_skipped_with_warning(self, tmp_path):
-        posts = [
-            {"Id": 1, "PostTypeId": 1, "OwnerUserId": 1, "Tags": "<a>"},
-            {"Id": 9, "PostTypeId": 4, "OwnerUserId": 1},
-        ]
-        site = os.path.join(tmp_path, "s")
-        write_subsite_dump(site, posts, [], [{"Id": 1}])
-        with pytest.warns(UserWarning, match="skipped 1 posts"):
-            data = parse_site(site, "s")
-        assert len(rec.posts(data)) == 1
-
-    def test_unknown_vote_kind_skipped_with_warning(self, tmp_path):
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_skipped_rows_counted_without_warning(self, tmp_path, noisy):
         posts = [{"Id": 1, "PostTypeId": 1, "OwnerUserId": 1, "Tags": "<a>"}]
-        votes = [
-            {"Id": 1, "PostId": 1, "VoteTypeId": 2},
-            {"Id": 2, "PostId": 1, "VoteTypeId": 8},
-        ]
+        votes = [{"Id": 1, "PostId": 1, "VoteTypeId": 2}]
+        if noisy:
+            posts.append({"Id": 9, "PostTypeId": 4, "OwnerUserId": 1})
+            votes.append({"Id": 2, "PostId": 1, "VoteTypeId": 8})
         site = os.path.join(tmp_path, "s")
         write_subsite_dump(site, posts, votes, [{"Id": 1}])
-        with pytest.warns(UserWarning, match="skipped 1 votes"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             data = parse_site(site, "s")
-        assert len(rec.votes(data)) == 1
+        assert (data.skipped_posts, data.skipped_votes) == ((1, 1) if noisy else (0, 0))
+        assert len(rec.posts(data)) == 1 and len(rec.votes(data)) == 1
+
+    def test_skipped_counts_survive_pickling(self, tmp_path):
+        # a forked parse worker sends its datasets back pickled
+        posts = [{"Id": 1, "PostTypeId": 1, "OwnerUserId": 1, "Tags": "<a>"},
+                 {"Id": 2, "PostTypeId": 5, "OwnerUserId": 1},
+                 {"Id": 3, "PostTypeId": 6, "OwnerUserId": 1}]
+        votes = [{"Id": 1, "PostId": 1, "VoteTypeId": 16}]
+        site = os.path.join(tmp_path, "s")
+        write_subsite_dump(site, posts, votes, [{"Id": 1}])
+        data = pickle.loads(pickle.dumps(parse_site(site, "s"), protocol=pickle.HIGHEST_PROTOCOL))
+        assert (data.skipped_posts, data.skipped_votes) == (2, 1)
 
     def test_repeated_tag_counts_once(self, tmp_path):
         posts = [
