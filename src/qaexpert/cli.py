@@ -14,7 +14,8 @@ sends what it parsed back over a pipe; with one usable CPU or no
 rows its parse skipped, and once every share is back ``ingest`` warns
 those counts and raises the first error, in subsite order.  The warnings
 come from one line of this module, so Python's filters show each text
-once per location there, whatever the process count.  After the merge
+once per location there, whatever the process count; `main` shows each
+one as a single ``<Category>: <message>`` line.  After the merge
 the ``ingest`` process builds the model inputs, then forks a child that
 builds the reputation ledger and the bytes of ``reputation.csv`` and
 their digest, while the ``ingest`` process renders the tensor, membership
@@ -493,8 +494,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI shows it: ``<Category>: <message>``, without the
+    source location and line of Python's default format."""
+    return f"{category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # only the text of a warning that Python's filters let through changes,
+    # and only until main returns
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line
     try:
         return args.func(args)
     except UsageError as exc:
@@ -503,6 +513,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
 """Topic-conditioned expert ranking and its evaluation against reputation.
 
-Rankings are total orders: score descending, ties broken by ascending
-user identifier, so equal inputs always produce identical output files.
+Rankings are total orders: score descending, then ascending user index
+(the factor row, which in a snapshot's manifest is ascending user id),
+so equal inputs always produce identical output files.  `_top_k` writes
+that rule once: one `np.partition` per row finds its k-th best score and
+one `np.lexsort` orders the entries at or above it, instead of a full
+sort of every user.  `evaluate` ranks its topics as rows of one score
+array, filled a block of topics at a time under `_BLOCK_CELLS` cells.
 """
 
 from __future__ import annotations
@@ -64,18 +69,35 @@ class RankingFactors(NamedTuple):
         return cls(cp.factors[1], cp.factors[3], cp.norms)
 
 
-def _order_scores(user_ids, scores):
-    order = np.lexsort((np.asarray(user_ids), -np.asarray(scores, dtype=np.float64)))
-    return order
+# Cells of one block of `evaluate`'s topic-by-user score array, 32 MiB of
+# float64: the fit-s4, s16 and s64 (320 topics, 9,920 users) tables each
+# fit in one block.
+_BLOCK_CELLS = 1 << 22
+
+
+def _top_k(scores, k):
+    """Column indices of each row's best ``k`` scores (the whole row when
+    it is shorter), best first: score descending, then column ascending.
+
+    One `np.partition` finds each row's k-th best score; one `np.lexsort`
+    orders the entries not below it by (row, -score, column), and each
+    row keeps its first k.  NaN scores rank last, as in a full sort.
+    """
+    rows, n = scores.shape
+    k = min(k, n)
+    if not k:
+        return np.empty((rows, 0), dtype=np.intp)
+    kth = np.partition(scores, n - k, axis=1)[:, n - k]
+    row, col = np.nonzero(~(scores < kth[:, None]))
+    order = np.lexsort((col, -scores[row, col], row))
+    # every row has at least k candidates, in one run of ``order``
+    first = np.searchsorted(row, np.arange(rows))
+    return col[order[first[:, None] + np.arange(k)]]
 
 
 def _topic_scores(f: RankingFactors, topic):
-    """Every user's score for a topic, or None when its factor row is all
-    zeros (no signal)."""
-    row = f.topic[topic]
-    if not row.any():
-        return None
-    return f.expert @ (f.norms * row)
+    """Every user's score for a topic."""
+    return f.expert @ (f.norms * f.topic[topic])
 
 
 def rank_experts(model, topic: int, k: int) -> RankedList:
@@ -92,11 +114,10 @@ def rank_experts(model, topic: int, k: int) -> RankedList:
     f = RankingFactors.of(model)
     if not 0 <= topic < f.topic.shape[0]:
         raise ContractViolation(f"topic {topic} out of range")
-    scores = _topic_scores(f, topic)
-    if scores is None:
+    if not f.topic[topic].any():
         return RankedList(topic, (), status="no-signal")
-    order = _order_scores(np.arange(scores.shape[0]), scores)[:k]
-    entries = tuple((int(l), float(scores[l])) for l in order)
+    scores = _topic_scores(f, topic)
+    entries = tuple((l, float(scores[l])) for l in _top_k(scores[None], k)[0].tolist())
     return RankedList(topic, entries)
 
 
@@ -145,18 +166,10 @@ def baseline_rank(data: QaDataset, topic: str, kind: str, k: int) -> RankedList:
     else:
         asked = per_candidate(known & (p.kind == QUESTION) & tagged)
         scores = [z_score(a, q) for a, q in zip(answers, asked)]
-    candidates = candidates.tolist()
-    order = _order_scores(candidates, scores)[:k]
+    candidates = candidates.tolist()  # ascending, so index order is id order
+    order = _top_k(np.array([scores], dtype=np.float64), k)[0].tolist()
     entries = tuple((candidates[i], float(scores[i])) for i in order)
     return RankedList(topic, entries)
-
-
-def _precision(top, n, relevant, k):
-    """Hits among the first k of ``top``, a best-first user list of
-    length ``n``, over min(k, n); 0 when the list is empty."""
-    if not n:
-        return 0.0
-    return sum(1 for u in top[:k] if u in relevant) / min(k, n)
 
 
 @dataclass
@@ -184,6 +197,9 @@ def evaluate(model, ledger: ReputationLedger, k_list, topics, users) -> EvalRepo
     ranks the ledger's top user (0 when the model gives the topic no
     ranking).  Topics absent from the ledger are skipped and counted.
     ``model`` is anything `rank_experts` takes; each k is evaluated once.
+
+    The live topics' score rows are ranked together, `_BLOCK_CELLS` cells
+    at a time: one `_top_k` per block, then array counts for both metrics.
     """
     k_list = [int(k) for k in k_list]
     if not k_list or any(k < 1 for k in k_list) or len(set(k_list)) < len(k_list):
@@ -194,47 +210,63 @@ def evaluate(model, ledger: ReputationLedger, k_list, topics, users) -> EvalRepo
             "model factor sizes do not match the dataset's topic/user tables"
         )
 
-    report = EvalReport()
-    per_k_precision = {k: [] for k in k_list}
-    reciprocals = []
+    k_max, n = max(k_list), len(users)
     index = {u: l for l, u in enumerate(users)}
-    k_max = max(k_list)
+    evaluated, leaders = [], []  # each evaluated topic's row and ledger top k_max
     for j, tag in enumerate(topics):
         ledger_order = ledger.top_users(tag, k_max)
-        if not ledger_order:
-            report.skipped_topics += 1
-            continue
-        scores = _topic_scores(f, j)
-        if scores is None:
-            n, top, reciprocal = 0, [], 0.0
-        else:
-            n = len(users)
-            order = _order_scores(np.arange(n), scores)[:k_max]
-            top = [users[l] for l in order.tolist()]
-            t = index.get(ledger_order[0])
-            reciprocal = 0.0 if t is None else 1.0 / _position(scores, t)
-        reciprocals.append(reciprocal)
-        for k in k_list:
-            prec = _precision(top, n, set(ledger_order[:k]), k)
-            per_k_precision[k].append(prec)
-            report.rows.append((tag, k, prec, reciprocal, n))
-        report.evaluated_topics += 1
+        if ledger_order:
+            evaluated.append(j)
+            leaders.append(ledger_order)
+    # an evaluated topic ranks no user when its factor row is all zeros
+    live = f.topic[evaluated].any(axis=1) & (n > 0)
+    precision = np.zeros((len(evaluated), len(k_list)))
+    reciprocal = np.zeros(len(evaluated))
+    live_rows = np.flatnonzero(live)
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for start in range(0, len(live_rows), step):
+        block = live_rows[start:start + step].tolist()
+        r = np.arange(len(block))
+        scores = np.empty((len(block), n))
+        for i, e in enumerate(block):
+            scores[i] = _topic_scores(f, evaluated[e])
+        top = _top_k(scores, k_max)
+        # the ledger's users, in its order, as user indices: -1 past a
+        # row's end or outside the table
+        lengths = np.array([len(leaders[e]) for e in block])
+        relevant = np.full((len(block), lengths.max()), -1)
+        relevant[np.arange(relevant.shape[1]) < lengths[:, None]] = [
+            index.get(u, -1) for e in block for u in leaders[e]]
+        # reciprocal rank: 1 + users above the leader, and tied with it at lower indices
+        t = relevant[:, 0]
+        s_t = scores[r, t][:, None]
+        ahead = (np.count_nonzero(scores > s_t, axis=1)
+                 + np.count_nonzero((scores == s_t) & (np.arange(n) < t[:, None]), axis=1))
+        reciprocal[block] = np.where(t >= 0, 1.0 / (1 + ahead), 0.0)
+        # precision@k: the ledger's first k users that the model places
+        # before k; a user off the top list places at its length, one
+        # outside the table at k_max
+        place = np.full(scores.shape, top.shape[1], dtype=np.int32)
+        place[r[:, None], top] = np.arange(top.shape[1])
+        place = np.where(relevant >= 0, place[r[:, None], relevant], k_max)
+        for c, k in enumerate(k_list):
+            precision[block, c] = np.count_nonzero(place[:, :k] < k, axis=1) / min(k, n)
 
-    if report.evaluated_topics:
-        for k in k_list:
+    report = EvalReport(evaluated_topics=len(evaluated),
+                        skipped_topics=len(topics) - len(evaluated))
+    per_k_precision = precision.T.tolist()
+    reciprocals = reciprocal.tolist()
+    for e, j in enumerate(evaluated):
+        listed = n if live[e] else 0
+        for c, k in enumerate(k_list):
+            report.rows.append((topics[j], k, per_k_precision[c][e], reciprocals[e], listed))
+    if evaluated:
+        for c, k in enumerate(k_list):
             report.summary.append((
                 "ALL",
                 k,
-                sum(per_k_precision[k]) / len(per_k_precision[k]),
+                sum(per_k_precision[c]) / len(per_k_precision[c]),
                 sum(reciprocals) / len(reciprocals),
                 report.evaluated_topics,
             ))
     return report
-
-
-def _position(scores, t):
-    """1-based place of user index ``t`` in the `_order_scores` order,
-    counted without sorting: higher scores, then equal scores at lower
-    indices, come first."""
-    s_t = scores[t]
-    return 1 + int(np.count_nonzero(scores > s_t)) + int(np.count_nonzero(scores[:t] == s_t))

@@ -25,8 +25,9 @@ header, in UTF-8 text with LF or CRLF lines, with a topic quoted as
 ``csv.writer`` quotes it when it holds a comma, a quote or a line break.
 The same pass and locator read it, with an LF inside a quoted field
 ending no line, so an error names the line on which the rejected record
-ends.  ``report.csv`` quotes its topics the same way and is written in
-one format pass.
+ends, or the line of a quote inside an unquoted field, which csv.writer
+never writes.  ``report.csv`` quotes its topics the same way and is
+written in one format pass.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -118,6 +120,24 @@ def _stray(line: bytes, csv=False):
             return f"the byte {ord(c) - 0xdc00:#04x}"
         if _barred(c.encode(), csv) or c == "\r" and text[at + 1:at + 2] != "\n" and not quoted:
             return repr(c)
+    return None
+
+
+# A CSV field as csv.reader reads it: an optional quoted part, where a
+# doubled quote stands for one, then unquoted characters up to a comma or
+# an LF.  A quote right after it is one inside an unquoted field.
+_CSV_FIELD = re.compile(rb'(?:"[^"]*(?:""[^"]*)*"?)?[^,\n"]*')
+
+
+def _stray_quote(record: bytes):
+    """Where the first quote inside an unquoted field of the CSV ``record``
+    is, one that csv.writer never writes; None if there is none."""
+    at = 0
+    while at < len(record):
+        at = _CSV_FIELD.match(record, at).end()
+        if record[at:at + 1] == b'"':
+            return at
+        at += 1  # past the comma or LF
     return None
 
 
@@ -219,7 +239,15 @@ def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first
     bounds = _line_bounds(data, csv)
     n = _first_rejected(len(bounds) - 1, lambda lo, hi: _rows(
         data[bounds[lo]:bounds[hi]], dtype, max(skip - lo, 0), csv=csv))
-    line, why = data[bounds[n - 1]:bounds[n]], ""
+    lo, hi = bounds[n - 1], bounds[n]
+    stray = None
+    # `_line_bounds` runs a record on to later lines past a quote inside an
+    # unquoted field, where np.loadtxt opens no quoted field: the line that
+    # holds the quote is to blame, alone
+    if csv and b"\n" in data[lo:hi - 1] and (at := _stray_quote(data[lo:hi])) is not None:
+        lo, hi = data.rfind(b"\n", lo, lo + at) + 1 or lo, data.find(b"\n", lo + at) + 1 or hi
+        stray = repr('"')
+    line, why = data[lo:hi], ""
     try:
         _rows(line, dtype, csv=csv)
     except ValueError as exc:
@@ -231,9 +259,9 @@ def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first
     else:
         text = line.decode("utf-8", "replace").rstrip("\r\n")
         why = f"expected {layout}, got {text!r}"
-        if stray := _stray(line, csv):
+        if stray := stray or _stray(line, csv):
             why += f", which holds {stray}"
-    last = first + data.count(b"\n", 0, bounds[n] - 1)
+    last = first + data.count(b"\n", 0, hi - 1)
     raise DataError(f"{path}:{last}: {why}")
 
 

@@ -23,7 +23,7 @@ from qaexpert.coupled import (
 )
 from qaexpert.errors import ContractViolation
 from qaexpert.hierarchy import HierarchyTree, TreePenalty, weight_penalty
-from qaexpert.ranking import RankedList, _precision
+from qaexpert.ranking import EvalReport, RankedList, RankingFactors
 from qaexpert.sparse_tensor import SparseTensor4, _check_factor, residual_norm
 
 
@@ -201,7 +201,10 @@ def precision_at_k(recommended: RankedList, relevant: set, k: int) -> float:
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
-    return _precision(recommended.users(), len(recommended.entries), relevant, k)
+    top = recommended.users()
+    if not top:
+        return 0.0
+    return sum(1 for u in top[:k] if u in relevant) / min(k, len(top))
 
 
 def mean_reciprocal_rank(per_query_ranks) -> float:
@@ -212,3 +215,44 @@ def mean_reciprocal_rank(per_query_ranks) -> float:
     if any(r < 1 for r in ranks):
         raise ContractViolation("ranks must be >= 1")
     return sum(1.0 / r for r in ranks) / len(ranks)
+
+
+def order_by_full_sort(model, topic):
+    """Every user index of a topic's ranking by one full `np.lexsort`
+    (score descending, then index), with the scores; None when the topic's
+    factor row is all zeros."""
+    f = RankingFactors.of(model)
+    if not f.topic[topic].any():
+        return None
+    scores = f.expert @ (f.norms * f.topic[topic])
+    return np.lexsort((np.arange(len(scores)), -scores)).tolist(), scores
+
+
+def evaluate_by_full_sort(model, ledger, k_list, topics, users) -> EvalReport:
+    """Reference `qaexpert.ranking.evaluate`: a full sort of every user per
+    topic, mapped to user ids and scanned for the ledger leader."""
+    report = EvalReport()
+    per_k_precision = {k: [] for k in k_list}
+    reciprocals = []
+    for j, tag in enumerate(topics):
+        ledger_order = ledger.top_users(tag)
+        if not ledger_order:
+            report.skipped_topics += 1
+            continue
+        ranked = order_by_full_sort(model, j)
+        order, scores = ranked or ([], None)
+        mapped = RankedList(tag, tuple((users[l], float(scores[l])) for l in order))
+        position = next((pos for pos, uid in enumerate(mapped.users(), start=1)
+                         if uid == ledger_order[0]), None)
+        reciprocal = 1.0 / position if position is not None else 0.0
+        reciprocals.append(reciprocal)
+        for k in k_list:
+            prec = precision_at_k(mapped, set(ledger_order[:k]), k)
+            per_k_precision[k].append(prec)
+            report.rows.append((tag, k, prec, reciprocal, len(mapped.entries)))
+        report.evaluated_topics += 1
+    if report.evaluated_topics:
+        for k in k_list:
+            report.summary.append(("ALL", k, sum(per_k_precision[k]) / len(per_k_precision[k]),
+                                   sum(reciprocals) / len(reciprocals), report.evaluated_topics))
+    return report

@@ -857,6 +857,39 @@ class TestPooledIngest:
             assert main(argv) == 0 and main(argv) == 0
         assert len(caught) == len(shown[1])
 
+    def test_each_shown_warning_is_one_stderr_line(self, tmp_path):
+        dirs = noisy_corpus(str(tmp_path / "dumps"), names=("s1", "s2"))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)), env.get("PYTHONPATH", "")])
+
+        def stderr(*options, **extra_env):  # of the entry point's call, main()
+            done = subprocess.run(
+                [sys.executable, *options, "-c",
+                 "import sys; from qaexpert.cli import main; sys.exit(main())",
+                 "ingest", *dirs, "--out-dir", str(tmp_path / "snap")],
+                capture_output=True, text=True, timeout=120, env={**env, **extra_env})
+            assert done.returncode == 0, done.stderr
+            return done.stderr
+
+        assert stderr().splitlines() == [f"UserWarning: {text}" for name in ("s1", "s2")
+                                         for text in skipped_messages(name)]
+        # Python's filters still decide what shows
+        assert stderr("-W", "ignore::UserWarning") == ""
+        assert stderr("-W", "ignore::UserWarning:qaexpert.cli") == ""
+        assert stderr(PYTHONWARNINGS="ignore") == ""
+        assert stderr("-W", "ignore:s1:UserWarning").splitlines() == [
+            f"UserWarning: {text}" for text in skipped_messages("s2")]
+
+    def test_warning_format_restored_when_main_returns(self, tmp_path, recwarn, capsys):
+        before = warnings.formatwarning
+        dirs = noisy_corpus(str(tmp_path / "dumps"))
+        assert main(["ingest", *dirs, "--out-dir", str(tmp_path / "snap")]) == 0
+        assert warnings.formatwarning is before and len(recwarn) == 8
+        assert main(["evaluate", "--model", str(tmp_path / "none.txt"), "--snapshot",
+                     str(tmp_path / "snap"), "--out-dir", str(tmp_path / "eval")]) == 1
+        assert warnings.formatwarning is before
+
     @pytest.mark.parametrize("n_subsites", [3, 5])
     def test_uneven_shares_write_identical_snapshots(self, tmp_path, monkeypatch, capsys,
                                                      n_subsites):

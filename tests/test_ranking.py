@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from qaexpert import ranking
 from qaexpert.coupled import CpModel
 from qaexpert.errors import ContractViolation
 from qaexpert.ranking import (
-    EvalReport,
     RankedList,
     RankingFactors,
     baseline_rank,
@@ -17,7 +17,9 @@ from qaexpert.ranking import (
 from qaexpert.serialize import save_report
 
 import records as rec
-from model_oracles import mean_reciprocal_rank, precision_at_k
+from model_oracles import (
+    evaluate_by_full_sort, mean_reciprocal_rank, order_by_full_sort, precision_at_k,
+)
 from records import Post, Vote
 
 
@@ -245,34 +247,12 @@ class TestEvaluate:
         assert prec == 0.0 and mrr == pytest.approx(1 / 3)
 
 
-def evaluate_by_full_sort(model, ledger, k_list, topics, users):
-    """Reference evaluate: a full rank_experts list per topic, mapped to
-    user ids and scanned for the ledger leader."""
-    report = EvalReport()
-    per_k_precision = {k: [] for k in k_list}
-    reciprocals = []
-    for j, tag in enumerate(topics):
-        ledger_order = ledger.top_users(tag)
-        if not ledger_order:
-            report.skipped_topics += 1
-            continue
-        ranked = rank_experts(model, j, k=len(users)) if users else RankedList(j, ())
-        mapped = RankedList(tag, tuple((users[l], score) for l, score in ranked.entries),
-                            ranked.status)
-        position = next((pos for pos, (uid, _) in enumerate(mapped.entries, start=1)
-                         if uid == ledger_order[0]), None)
-        reciprocal = 1.0 / position if position is not None else 0.0
-        reciprocals.append(reciprocal)
-        for k in k_list:
-            prec = precision_at_k(mapped, set(ledger_order[:k]), k)
-            per_k_precision[k].append(prec)
-            report.rows.append((tag, k, prec, reciprocal, len(mapped.entries)))
-        report.evaluated_topics += 1
-    if report.evaluated_topics:
-        for k in k_list:
-            report.summary.append(("ALL", k, sum(per_k_precision[k]) / len(per_k_precision[k]),
-                                   sum(reciprocals) / len(reciprocals), report.evaluated_topics))
-    return report
+def assert_report_as_full_sort(tmp_path, model, ledger, k_list, topics, users):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_report(evaluate(model, ledger, k_list, topics, users), got)
+    save_report(evaluate_by_full_sort(model, ledger, k_list, topics, users), want)
+    assert got.read_bytes() == want.read_bytes()
+    return got.read_text()
 
 
 class TestEvaluateMatchesFullSort:
@@ -294,12 +274,117 @@ class TestEvaluateMatchesFullSort:
                   for u in rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False)}
         ledger = rec.ledger(scores)
         k_list = sorted({1, 3, n_users, n_users + 5})  # each k once
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        save_report(evaluate(model, ledger, k_list, topics, users), got)
-        save_report(evaluate_by_full_sort(model, ledger, k_list, topics, users), want)
-        assert got.read_bytes() == want.read_bytes()
+        assert_report_as_full_sort(tmp_path, model, ledger, k_list, topics, users)
         factors = RankingFactors.of(model)
         assert (evaluate(factors, ledger, k_list, topics, users)
                 == evaluate(model, ledger, k_list, topics, users))
         assert all(rank_experts(factors, j, 4) == rank_experts(model, j, 4)
                    for j in range(n_topics))
+
+
+def tied_model(n_topics, n_users, seed):
+    """Rank-2 model with integer factors: most scores tie with others."""
+    rng = np.random.default_rng(seed)
+    U2 = rng.integers(0, 3, size=(n_topics, 2)).astype(float)
+    U4 = rng.integers(0, 2, size=(n_users, 2)).astype(float)
+    return CpModel([np.ones((1, 2)), U2, np.ones((1, 2)), U4], np.array([1.0, 2.0]))
+
+
+def full_ledger(topics, users, seed):
+    rng = np.random.default_rng(seed)
+    return rec.ledger({(u, t): int(rng.integers(1, 30)) for t in topics for u in users})
+
+
+class TestEvaluateCases:
+    """`evaluate` against the full-sort oracle on the cases its top-k
+    partition and topic blocks have to get right."""
+
+    def test_ties_across_the_k_max_place(self, tmp_path):
+        # the 2nd place ties with the 3rd and 4th: the lowest index wins it
+        model = model_from_scores([[3.0, 2.0, 2.0, 2.0, 1.0]])
+        users = [1, 2, 3, 4, 5]
+        ledger = rec.ledger({(3, "t"): 9, (2, "t"): 5})
+        text = assert_report_as_full_sort(tmp_path, model, ledger, [1, 2], ["t"], users)
+        assert "t,2,0.5,0.33333333333333331,5" in text  # user 3 places 3rd
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_factors_with_many_ties(self, tmp_path, seed):
+        topics, users = [f"s/t{j}" for j in range(6)], list(range(10, 40))
+        assert_report_as_full_sort(tmp_path, tied_model(6, 30, seed),
+                                   full_ledger(topics, users, seed), [1, 3, 5, 10], topics, users)
+
+    def test_k_above_the_user_count(self, tmp_path):
+        topics, users = ["s/a", "s/b"], [4, 5, 6]
+        text = assert_report_as_full_sort(tmp_path, tied_model(2, 3, 1),
+                                          full_ledger(topics, users, 1), [1, 3, 500], topics, users)
+        assert "s/a,500," in text
+
+    def test_unsorted_user_table(self, tmp_path):
+        topics, users = ["s/a", "s/b", "s/c"], [30, 10, 20, 50, 40]
+        assert_report_as_full_sort(tmp_path, tied_model(3, 5, 2),
+                                   full_ledger(topics, users, 2), [1, 2, 4], topics, users)
+
+    def test_ledger_leader_missing_from_users(self, tmp_path):
+        model = model_from_scores([[1.0, 2.0, 3.0]])
+        ledger = rec.ledger({(99, "t"): 50, (1, "t"): 10, (3, "t"): 5})
+        text = assert_report_as_full_sort(tmp_path, model, ledger, [1, 3], ["t"], [1, 2, 3])
+        assert "t,3,0.66666666666666663,0,3" in text  # users 1 and 3 hit; 99 is unranked
+
+    def test_live_no_signal_and_ledgerless_topics(self, tmp_path):
+        topics, users = ["s/a", "s/b", "s/c", "s/d"], [1, 2, 3, 4]
+        U2 = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+        U4 = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 3.0], [1.0, 1.0]])
+        model = CpModel([np.ones((1, 2)), U2, np.ones((1, 2)), U4], np.ones(2))
+        ledger = rec.ledger({(u, t): u for t in ("s/a", "s/b", "s/d") for u in users})
+        text = assert_report_as_full_sort(tmp_path, model, ledger, [1, 2], topics, users)
+        assert "s/b,1,0,0,0" in text and "s/c" not in text
+
+    def test_no_live_topic(self, tmp_path):
+        topics, users = ["s/a", "s/b"], [1, 2, 3]
+        model = CpModel([np.ones((1, 1)), np.zeros((2, 1)), np.ones((1, 1)), np.ones((3, 1))],
+                        np.ones(1))
+        text = assert_report_as_full_sort(tmp_path, model, full_ledger(topics, users, 3),
+                                          [1, 3], topics, users)
+        assert text.splitlines()[-1] == "ALL,3,0,0,2"
+
+    def test_empty_user_table(self, tmp_path):
+        topics = ["s/a", "s/b"]
+        model = CpModel([np.ones((1, 1)), np.ones((2, 1)), np.ones((1, 1)), np.ones((0, 1))],
+                        np.ones(1))
+        text = assert_report_as_full_sort(tmp_path, model, full_ledger(topics, [7, 8], 4),
+                                          [1, 3], topics, [])
+        assert "s/a,1,0,0,0" in text
+
+    @pytest.mark.parametrize("cells", [1, 30, 61])
+    def test_topics_in_several_blocks(self, tmp_path, monkeypatch, cells):
+        # 30 users: one topic per block, then one, then two
+        monkeypatch.setattr(ranking, "_BLOCK_CELLS", cells)
+        topics, users = [f"s/t{j}" for j in range(7)], list(range(30))
+        model = tied_model(7, 30, 5)
+        ledger = full_ledger(topics, users, 5)
+        text = assert_report_as_full_sort(tmp_path, model, ledger, [1, 3, 10], topics, users)
+        monkeypatch.undo()
+        assert text == assert_report_as_full_sort(tmp_path, model, ledger, [1, 3, 10],
+                                                  topics, users)
+
+
+class TestRankExpertsMatchesFullSort:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_and_every_place(self, seed):
+        model = tied_model(4, 12, seed)
+        for j in range(4):
+            full = order_by_full_sort(model, j)
+            for k in (1, 12):
+                ranked = rank_experts(model, j, k)
+                if full is None:
+                    assert ranked.status == "no-signal"
+                else:
+                    assert ranked.users() == full[0][:k]
+                    assert [s for _, s in ranked.entries] == full[1][full[0][:k]].tolist()
+
+    def test_tie_at_the_kth_place(self):
+        model = model_from_scores([[1.0, 4.0, 2.0, 4.0, 2.0, 2.0, 0.5]])
+        order, _ = order_by_full_sort(model, 0)
+        for k in (3, 4, 5):
+            assert rank_experts(model, 0, k).users() == order[:k]
+        assert rank_experts(model, 0, 3).users() == [1, 3, 2]

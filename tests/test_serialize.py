@@ -990,9 +990,10 @@ REPUTATION_FILES = [
     (REPUTATION_HEADER + '1,"s/c\r\nd",3\n1,"s/c\rd",2\n', None),
     (REPUTATION_HEADER + '1,"a\n",3\n1,"a\n\nb",2\n', None),
     (REPUTATION_HEADER + '1,"s/a"b,2\n2, "s/a",2\n3,"s/a" ,2\n', None),
-    # a quote inside an unquoted field, which csv.writer never writes, opens
-    # a quoted field that runs to the next quote or the end of the file
-    (REPUTATION_HEADER + '1,s/a,2\n3,s/a"b,2\n4,s/b,3\n', 4),
+    # a quote inside an unquoted field, which csv.writer never writes, is
+    # rejected on its own line, also after a quoted field over two lines
+    (REPUTATION_HEADER + '1,s/a,2\n3,s/a"b,2\n4,s/b,3\n', 3),
+    (REPUTATION_HEADER + '1,"a\nb"c"d,2\n5,s/x,1\n', 3),
     (REPUTATION_HEADER + '1,"a\n\nb",2\nx,s/a,3\n', 5),
     (REPUTATION_HEADER + '1,"a\nb",2\n1,"c\nd",3\n1,"b",4\n', 6),
     (REPUTATION_HEADER + '1,"s/a\n', 2),
@@ -1028,6 +1029,9 @@ REPUTATION_REJECTED = {
                                 "which holds '\\x00'"),
     "U+0085 after a user id": ((REPUTATION_HEADER + "1\x85,s/a,2\n").encode(), 2,
                                "could not convert string '1\\x85' to int64"),
+    "a quote inside an unquoted field": (
+        (REPUTATION_HEADER + '1,s/a,2\n3,s/a"b,2\n4,s/c,1\n5,s/d,1\n').encode(), 3,
+        "got '3,s/a\"b,2', which holds '\"'"),
 }
 
 # Topics that save_reputation quotes, or writes as they are, that must come back
