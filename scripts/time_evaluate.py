@@ -31,7 +31,7 @@ def main():
     parser.add_argument("--report", help="write the report CSV here")
     args = parser.parse_args()
 
-    manifest = serialize.load_manifest(os.path.join(args.snapshot, "manifest.json"))
+    manifest, _ = serialize.load_manifest(os.path.join(args.snapshot, "manifest.json"))
     ledger = serialize.load_reputation(os.path.join(args.snapshot, "reputation.csv"))
     topics, users = manifest["topics"], manifest["users"]
     rng = np.random.default_rng(args.seed)

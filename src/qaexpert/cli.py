@@ -334,7 +334,8 @@ def cmd_fit(args) -> int:
     except ValueError as exc:  # a flag or config value out of range
         raise UsageError(str(exc)) from None
     paths = _snapshot_paths(args.snapshot)
-    serialize.load_manifest(paths["manifest"])  # its shape, as recommend and evaluate read it
+    # its shape, as recommend and evaluate read it, and the digest the model records
+    _, manifest_hash = serialize.load_manifest(paths["manifest"])
     X = serialize.load_tensor(paths["tensor"])
     M = serialize.load_membership(paths["site"])
     N = serialize.load_membership(paths["topic"])
@@ -342,7 +343,6 @@ def cmd_fit(args) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     model_path = os.path.join(out, "model.txt")
-    manifest_hash = serialize.file_digest(paths["manifest"])
     try:
         model = fit_joint(X, M, N, tree, joint_cfg)
     except SolverDiverged as exc:
@@ -370,9 +370,8 @@ def cmd_fit(args) -> int:
 
 
 def _check_model_snapshot(meta: dict, manifest_path: str):
-    manifest = serialize.load_manifest(manifest_path)
+    manifest, actual = serialize.load_manifest(manifest_path)
     stored = meta.get("manifest")
-    actual = serialize.file_digest(manifest_path)
     if stored is None or stored != actual:
         raise VersionMismatchError(
             "model was fit against a different snapshot "

@@ -2,7 +2,15 @@
 
 
 class ContractViolation(ValueError):
-    """An argument broke a documented precondition (shape, range, rank)."""
+    """An argument broke a documented precondition (shape, range, rank).
+
+    ``node`` is the first tree node that breaks a per-node check of
+    `HierarchyTree`, and None on every other violation.
+    """
+
+    def __init__(self, message, node=None):
+        self.node = node
+        super().__init__(message)
 
 
 class DataError(ValueError):

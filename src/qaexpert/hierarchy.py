@@ -5,7 +5,11 @@ after its parent, and ``parent`` is -1 only at the root.  A leaf holds its
 question row in ``leaf_row`` (-1 elsewhere); an internal node holds a pair
 ``(s, g)`` summing to one (NaN at leaves).  The depth ``level`` and the
 ancestor table ``ancestors[d, v]``, the node at depth ``d`` above ``v``, are
-derived once; everything else is a pass over these arrays.
+derived once, at any depth; everything else is a pass over these arrays.
+``tree.txt`` holds just the four arrays, node n as the ``parent s g
+leaf_row`` line n + 1, and `HierarchyTree` is the one check of them: a
+node that breaks a per-node check is the ``node`` of the
+ContractViolation it raises, so that a loader can name its line.
 
 Every node defines a group: the question rows at the leaves beneath it.
 A node's weight is its ``g`` (one for leaves) times the product of ``s``
@@ -39,8 +43,10 @@ _SG_TOL = 1e-9
 
 
 def _check(bad, message):
+    """Raise naming the first node of ``bad``, if any, as its ``node``."""
     if bad.any():
-        raise ContractViolation(message.format(np.flatnonzero(bad)[0]))
+        node = int(np.flatnonzero(bad)[0])
+        raise ContractViolation(message.format(node), node=node)
 
 
 def _check_finite_nonnegative(owner, name: str):

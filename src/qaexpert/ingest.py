@@ -60,8 +60,6 @@ __all__ = [
 ]
 
 DEFAULT_BUCKET_EDGES = (0, 1, 3, 10)
-# The tree's question leaves sit below the root, a subsite and a topic.
-TREE_LEAF_LEVEL = 3
 
 # An absent owner, parent, accepted answer or voter in an integer column.
 # Not -1: Stack Exchange dumps give the Community user the id -1.
@@ -603,7 +601,6 @@ class BuildInputs:
     subsites: tuple
     bucket_edges: tuple
     tree_s: float
-    tree_g: float
 
 
 def question_scores(data: QaDataset) -> np.ndarray:
@@ -690,10 +687,9 @@ def build_inputs(
     parent[leaf], parent[group_node] = group_node, site_node
     leaf_row = np.full(len(parent), -1)
     leaf_row[leaf] = order
-    tree_g = 1.0 - tree_s
     internal = leaf_row < 0
     tree = HierarchyTree(parent, np.where(internal, tree_s, np.nan),
-                         np.where(internal, tree_g, np.nan), leaf_row)
+                         np.where(internal, 1.0 - tree_s, np.nan), leaf_row)
 
     return BuildInputs(
         tensor=tensor,
@@ -706,5 +702,4 @@ def build_inputs(
         subsites=subsites,
         bucket_edges=edges,
         tree_s=float(tree_s),
-        tree_g=float(tree_g),
     )

@@ -14,6 +14,12 @@ under test, and the character that breaks it where one does.  A line
 number counts LF-terminated lines, a CRLF counting as one LF; a number in
 a header line follows the same rule.
 
+``tree.txt`` holds the four arrays of a `HierarchyTree`, node n as the
+``parent s g leaf_row`` line n + 1, and the tree checks them itself: a
+node it rejects is named by its line.  ``manifest.json`` is format 2; a
+format-1 snapshot, whose tree lines were laid out otherwise, is refused
+and must be re-ingested.
+
 ``model.txt`` ends with a ``digest <sha256>`` line over every byte before
 it, so `load_model` can check the whole file yet parse only the blocks
 its caller reads: ranking reads the topic and expert factors and the
@@ -43,7 +49,7 @@ import numpy as np
 from .coupled import CpModel, JointModel, MembershipMatrix
 from .errors import ContractViolation, DataError
 from .hierarchy import HierarchyTree
-from .ingest import TREE_LEAF_LEVEL, ReputationLedger
+from .ingest import ReputationLedger
 from .ranking import RankingFactors
 from .sparse_tensor import SparseTensor4, row_increases
 
@@ -56,10 +62,6 @@ __all__ = [
     "save_report", "save_history",
     "encoded", "write_manifest", "load_manifest", "file_digest",
 ]
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _write_text(path, text: str):
@@ -283,11 +285,12 @@ def _numbers(fields, kind, path, line):
 
 def _build(path, make, *args, **kwargs):
     """``make(*args, **kwargs)``; a ContractViolation it raises is a
-    DataError naming ``path``."""
+    DataError naming ``path``, and the line of its ``node`` where it has one."""
     try:
         return make(*args, **kwargs)
     except ContractViolation as exc:
-        raise DataError(f"{path}: {exc}") from None
+        where = path if exc.node is None else f"{path}:{exc.node + 1}"
+        raise DataError(f"{where}: {exc}") from None
 
 
 def load_tensor(path) -> SparseTensor4:
@@ -322,14 +325,11 @@ def load_membership(path) -> MembershipMatrix:
 
 
 def tree_text(tree: HierarchyTree) -> str:
-    """One line per node in preorder, indented two spaces a level:
-    ``level id parent s g``, or ``level id parent leaf row`` at a leaf."""
-    level = tree.level.tolist()
-    tails = [f"leaf {row}" if row >= 0 else f"{_fmt(s)} {_fmt(g)}"
-             for row, s, g in zip(tree.leaf_row.tolist(), tree.s.tolist(), tree.g.tolist())]
-    columns = [["  " * lv for lv in level], level, list(range(len(level))),
-               tree.parent.tolist(), tails]
-    return _rows_text("%s%d %d %d %s\n", columns)
+    """The four arrays of ``tree``, node n as the ``parent s g leaf_row``
+    line n + 1: ``s g`` and -1 at an internal node, ``nan nan`` and the
+    question row at a leaf."""
+    columns = [tree.parent.tolist(), tree.s.tolist(), tree.g.tolist(), tree.leaf_row.tolist()]
+    return _rows_text("%d %.17g %.17g %d\n", columns)
 
 
 def save_tree(tree: HierarchyTree, path):
@@ -337,54 +337,15 @@ def save_tree(tree: HierarchyTree, path):
     _write_text(path, tree_text(tree))
 
 
-def _tree_faults(level, nid, parent):
-    """(bad rows, message) of each line-order check on the tree columns,
-    in the order they are reported; each needs the ones before it to pass."""
-    ids = np.arange(len(nid))
-    yield nid != ids, "ids must run 0, 1, ... in line order"
-    yield (np.where(ids == 0, parent != -1, (parent < 0) | (parent >= ids)),
-           "the parent must be -1 on the first line and an earlier id on every other")
-    yield level != np.where(ids == 0, 0, level[parent] + 1), "level must be the parent's plus one"
-    yield level > TREE_LEAF_LEVEL, f"level must be at most {TREE_LEAF_LEVEL}, the question leaves"
-
-
-def _cast(path, column, rows, kind):
-    """The bytes fields ``column[rows]`` cast to ``kind`` by ``astype``;
-    the first that does not cast is a DataError naming its line."""
-    at = np.flatnonzero(rows)
-    try:
-        return column[at].astype(kind)
-    except (ValueError, OverflowError):
-        r = at[_first_rejected(len(at), lambda lo, hi: column[at[lo:hi]].astype(kind)) - 1]
-        raise DataError(f"{path}:{r + 1}: could not convert string "
-                        f"{column[r].decode()!r} to {np.dtype(kind)}") from None
-
-
 def load_tree(path) -> HierarchyTree:
-    """Read a tree file into its preorder arrays, column by column.
-
-    One `_rows` pass reads the lines, a node each, with the ``s g`` or
-    ``leaf row`` fields as bytes as wide as the longest line, so none is
-    cut short, which ``astype`` then casts.  The lines must hold ids 0, 1,
-    ... in order, each parent before its children, each level its parent's
-    plus one and none below the question leaves that ingest writes; the
-    first line that breaks this, or whose field does not cast, is a
-    DataError naming it.
-    """
-    data = _read(path)
-    field = f"S{np.diff(_line_bounds(data)).max(initial=1)}"
-    table = _read_rows(path, data, [("level", np.int64), ("id", np.int64), ("parent", np.int64),
-                                    ("s", field), ("g", field)],
-                       "'level id parent s g' or '... leaf row'", source=path)
-    for bad, what in _tree_faults(table["level"], table["id"], table["parent"]):
-        if bad.any():
-            raise DataError(f"{path}:{np.argmax(bad) + 1}: {what}")
-    leaf, n = table["s"] == b"leaf", len(table)
-    s, g, leaf_row = np.full(n, np.nan), np.full(n, np.nan), np.full(n, -1)
-    s[~leaf] = _cast(path, table["s"], ~leaf, np.float64)
-    g[~leaf] = _cast(path, table["g"], ~leaf, np.float64)
-    leaf_row[leaf] = _cast(path, table["g"], leaf, np.int64)
-    return _build(path, HierarchyTree, table["parent"], s, g, leaf_row)
+    """Read a tree file into its four arrays by one `_rows` pass, and check
+    them by building the `HierarchyTree`: a node that breaks a per-node
+    check is a DataError naming its line, a whole-tree fault one naming
+    ``path``."""
+    table = _read_rows(path, _read(path), [("parent", np.int64), ("s", np.float64),
+                                           ("g", np.float64), ("leaf_row", np.int64)],
+                       "'parent s g leaf_row'", source=path)
+    return _build(path, HierarchyTree, table["parent"], table["s"], table["g"], table["leaf_row"])
 
 
 def _matrix_text(U) -> str:
@@ -425,7 +386,7 @@ def save_model(model, path, manifest_hash=None, config=None):
         for name, U in (("S", model.S), ("A", model.A), ("T", model.T)):
             out.write(f"{name} rows {U.shape[0]}\n")
             out.write(_matrix_text(U))
-        pairs = " ".join(f"{k} {_fmt(v)}" for k, v in sorted(model.lambdas.items()))
+        pairs = " ".join(f"{k} {float(v):.17g}" for k, v in sorted(model.lambdas.items()))
         out.write(f"lambdas {pairs}\n")
     if manifest_hash is not None:
         out.write(f"manifest {manifest_hash}\n")
@@ -613,25 +574,25 @@ def write_manifest(path, tables, config, digests):
     """Write the snapshot manifest: index tables, config echo, and
     ``digests``, the SHA-256 hex digest of each snapshot file by its name."""
     payload = {
-        "format": 1,
+        "format": 2,
         "subsites": list(tables.subsites),
         "questions": [f"{s}:{pid}" for s, pid in tables.questions],
         "topics": list(tables.topics),
         "users": [int(u) for u in tables.users],
         "bucket_edges": [int(e) for e in tables.bucket_edges],
         "tree_s": tables.tree_s,
-        "tree_g": tables.tree_g,
         "config": config,
         "files": digests,
     }
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def load_manifest(path) -> dict:
-    """A snapshot manifest: a format-1 JSON object with topics and users lists."""
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if not (isinstance(manifest, dict) and manifest.get("format") == 1
+def load_manifest(path) -> tuple[dict, str]:
+    """A snapshot manifest, a format-2 JSON object with topics and users
+    lists, and the SHA-256 hex digest of the bytes it was parsed from."""
+    data = _read(path)
+    manifest = json.loads(data.decode("utf-8"))
+    if not (isinstance(manifest, dict) and manifest.get("format") == 2
             and all(isinstance(manifest.get(k), list) for k in ("topics", "users"))):
-        raise DataError(f"{path}: not a format-1 manifest with topics and users lists")
-    return manifest
+        raise DataError(f"{path}: not a format-2 manifest with topics and users lists")
+    return manifest, hashlib.sha256(data).hexdigest()

@@ -183,9 +183,10 @@ class TestIngest:
         snap = str(tmp_path / "snap2")
         assert main(["ingest", *corpus, "--out-dir", snap, "--tree-s", "0.3"]) == 0
         root = open(os.path.join(snap, "tree.txt")).readline().split()
-        assert root[3:] == ["0.29999999999999999", "0.69999999999999996"]
+        assert root[1:3] == ["0.29999999999999999", "0.69999999999999996"]
         manifest = json.load(open(os.path.join(snap, "manifest.json")))
-        assert manifest["tree_g"] == 1 - 0.3 and "tree_g" not in manifest["config"]
+        assert manifest["tree_s"] == 0.3 and "tree_g" not in manifest
+        assert "tree_g" not in manifest["config"]
 
     @pytest.mark.parametrize("flags", [
         ["--sample-users", "0"], ["--tree-s", "1.5"], ["--tree-s", "-0.1"], ["--tree-s", "nan"],
@@ -588,9 +589,10 @@ class TestConfigTypes:
 
 class TestManifestShape:
     @pytest.mark.parametrize("command", ["recommend", "evaluate"])
-    @pytest.mark.parametrize("text", ["[]", '"x"', '{"format": 1}',
-                                      '{"format": 1, "topics": "t", "users": []}',
-                                      '{"format": 1, "topics": [], "users": {}}'])
+    @pytest.mark.parametrize("text", ["[]", '"x"', '{"format": 2}',
+                                      '{"format": 2, "topics": "t", "users": []}',
+                                      '{"format": 2, "topics": [], "users": {}}',
+                                      '{"format": 1, "topics": [], "users": []}'])
     def test_refit_on_a_broken_manifest_exits_1(self, fitted, snapshot, tmp_path, capsys,
                                                 command, text):
         broken = tmp_path / "broken"
@@ -714,7 +716,9 @@ class TestPooledIngest:
         snap = tmp_path / "snap"
         assert main(["ingest", *dirs, "--out-dir", str(snap)]) == 0
         assert_no_child_left()
-        files = serialize.load_manifest(snap / "manifest.json")["files"]
+        manifest, digest = serialize.load_manifest(snap / "manifest.json")
+        assert digest == serialize.file_digest(snap / "manifest.json")
+        files = manifest["files"]
         assert sorted(files) == sorted(SNAPSHOT_NAMES[:-1])
         for name, digest in files.items():
             assert digest == serialize.file_digest(snap / name)

@@ -15,8 +15,9 @@ import pytest
 from qaexpert import serialize
 from qaexpert.cli import main
 from qaexpert.coupled import CpModel, JointModel, MembershipMatrix
-from qaexpert.errors import DataError
+from qaexpert.errors import ContractViolation, DataError
 from qaexpert.hierarchy import HierarchyTree, compute_node_weights
+from qaexpert.ingest import build_inputs, merge_datasets, parse_dump
 from qaexpert.ranking import RankingFactors
 from qaexpert.serialize import (
     file_digest,
@@ -259,12 +260,12 @@ def per_line_rows(text):
 TREE_ARRAYS = ("parent", "s", "g", "leaf_row", "level")
 
 # A root over two topics, rows {0, 1} and {2}; the file save_tree writes.
-TREE_TEXT = """0 0 -1 0.5 0.5
-  1 1 0 0.25 0.75
-    2 2 1 leaf 0
-    2 3 1 leaf 1
-  1 4 0 0.25 0.75
-    2 5 4 leaf 2
+TREE_TEXT = """-1 0.5 0.5 -1
+0 0.25 0.75 -1
+1 nan nan 0
+1 nan nan 1
+0 0.25 0.75 -1
+4 nan nan 2
 """
 
 
@@ -283,23 +284,29 @@ def edited_tree(tmp_path, line, text):
 
 # Lines that break the format, each with the line the error names.
 MALFORMED_TREE_LINES = [
-    (3, "    2 2 4 leaf 0"),       # a forward parent
-    (1, "0 0 0 0.5 0.5"),         # a root with a parent
-    (4, "    2 3 x leaf 1"),       # a non-integer parent
-    (4, "    2 99999999999999999999 1 leaf 1"),  # an id past int64
-    (2, "  1 1 0 0.3 zero"),      # a non-numeric g
-    (5, "  1 4 0 0.3"),           # a short line
-    (6, "    2 5 4 leaf 2.0"),     # a non-integer leaf row
-    (6, "    2 5 4 leaf 9223372036854775808"),  # a leaf row past int64
-    (4, "    2 7 1 leaf 1"),       # an id out of line order
-    (5, "  2 4 0 0.3 0.7"),        # a level that disagrees with the parent
+    (4, "x nan nan 1"),            # a non-integer parent
+    (4, "99999999999999999999 nan nan 1"),  # a parent past int64
+    (2, "0 0.3 zero -1"),          # a non-numeric g
+    (5, "0 0.3 0.7"),              # a short line
+    (5, "0 0.3 0.7 -1 4"),         # a long line
+    (6, "4 nan nan 2.0"),          # a non-integer leaf row
+    (6, "4 nan nan 9223372036854775808"),  # a leaf row past int64
+    (3, "1 nan nan leaf"),         # a word as a leaf row
 ]
 
-# Lines that make a tree HierarchyTree rejects, named by path alone.
+# Lines that make a tree HierarchyTree rejects: the line, the node it names
+# (None for a fault of the whole tree, named by path alone) and its message.
 BROKEN_TREE_LINES = [
-    (2, "  1 1 0 0.9 0.7"),        # s + g != 1
-    (6, "    2 5 4 leaf 1"),       # a duplicate leaf row
-    (6, "    2 5 4 0.5 0.5"),      # an internal node without children
+    (3, "4 nan nan 0", 2, "node 2 must come after its parent"),
+    (4, "-2 nan nan 1", 3, "node 3 must come after its parent"),
+    (2, "0 nan nan 3", 1, "leaf node 1 has children"),
+    (6, "4 0.5 0.5 -1", 5, "internal node 5 has no children"),
+    (5, "0 1.5 -0.5 -1", 4, "(s, g) of node 4 must lie in [0, 1]"),
+    (2, "0 nan nan -1", 1, "(s, g) of node 1 must lie in [0, 1]"),
+    (2, "0 0.9 0.7 -1", 1, "(s, g) of node 1 must sum to 1"),
+    (1, "0 0.5 0.5 -1", None, "tree must have exactly one root, node 0, found 0"),
+    (5, "-1 0.25 0.75 -1", None, "tree must have exactly one root, node 0, found 2"),
+    (6, "4 nan nan 1", None, "leaf rows must be 0..n-1, each exactly once"),
 ]
 
 TREE_FILES = [
@@ -313,32 +320,25 @@ TREE_FILES = [
     (TREE_TEXT.replace("\n", "\x0c\n", 1), None),
     (TREE_TEXT.rstrip("\n"), None),
     *((edited_tree_text(line, text), line) for line, text in MALFORMED_TREE_LINES),
-    *((edited_tree_text(line, text), None) for line, text in BROKEN_TREE_LINES),
-    (edited_tree_text(6, "    2 5 4 0.5 0.5\n      3 6 5 0.5 0.5\n        4 7 6 leaf 2"), 8),
+    *((edited_tree_text(line, text), None) for line, text, _, _ in BROKEN_TREE_LINES),
+    # deeper than the trees ingest writes
+    (edited_tree_text(6, "4 0.5 0.5 -1\n5 0.5 0.5 -1\n6 nan nan 2"), None),
     # wider than any fixed field width a reader might pick
-    (edited_tree_text(2, "  1 1 0 " + "0" * 40 + ".25 0.75"), None),
-    (edited_tree_text(3, "    2 2 1 leaf " + "0" * 40), None),
-    (edited_tree_text(3, "    2 2 1 leaf " + "0" * 40 + "1"), None),
-    # leaf in the wrong column
-    (edited_tree_text(3, "    2 2 1 0 leaf"), 3),
-    (edited_tree_text(3, "    2 2 1 leaf leaf"), 3),
-    (edited_tree_text(3, "    leaf 2 1 0.5 0.5"), 3),
-    (edited_tree_text(3, "    2 2 1 leaf\x00 0"), 3),
-    (edited_tree_text(3, "    2 2 1 leaf \u0660"), 3),
-    (edited_tree_text(3, "    2 2 1 leaf 0\u01fe"), 3),
-    (edited_tree_text(2, "  1 1 0 1_0 -9"), 2),
-    (edited_tree_text(2, "  1 1 0 nan nan"), None),
+    (edited_tree_text(2, "0 " + "0" * 40 + ".25 0.75 -1"), None),
+    (edited_tree_text(3, "1 nan nan " + "0" * 40), None),
+    (edited_tree_text(3, "1 nan nan " + "0" * 40 + "1"), None),
+    (edited_tree_text(3, "1 nan nan 0\x00"), 3),
+    (edited_tree_text(3, "1 nan nan \u0660"), 3),
+    (edited_tree_text(3, "1 nan nan 0\u01fe"), 3),
+    (edited_tree_text(2, "0 1_0 -9 -1"), 2),
 ]
 
 
 def per_line_tree(rows):
     """The parent, s, g and leaf_row columns of the per-line reading
     ``rows`` of a tree file."""
-    leaf = [r[3] == "leaf" for r in rows]
-    return ([int(r[2]) for r in rows],
-            [np.nan if lf else float(r[3]) for lf, r in zip(leaf, rows)],
-            [np.nan if lf else float(r[4]) for lf, r in zip(leaf, rows)],
-            [int(r[4]) if lf else -1 for lf, r in zip(leaf, rows)])
+    return ([int(r[0]) for r in rows], [float(r[1]) for r in rows],
+            [float(r[2]) for r in rows], [int(r[3]) for r in rows])
 
 
 # Input that no save_* function writes but that a per-line reading by int()
@@ -348,16 +348,15 @@ NEWLY_REJECTED = {
     "underscore in an index": (load_tensor, "dims 20 2 2 2\n1_0 0 0 0 1\n", 2, "_"),
     "underscore in a value": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\n0 0 0 0 1_0\n", 3, "_"),
     "underscore in a pair": (load_membership, "11 4\n1_0 0\n", 2, "_"),
-    "underscore in s": (load_tree, edited_tree_text(2, "  1 1 0 1_0 -9"), 2, "_"),
-    "U+0660 as a leaf row": (load_tree, edited_tree_text(3, "    2 2 1 leaf \u0660"), 3, "\u0660"),
+    "underscore in s": (load_tree, edited_tree_text(2, "0 1_0 -9 -1"), 2, "_"),
+    "U+0660 as a leaf row": (load_tree, edited_tree_text(3, "1 nan nan \u0660"), 3, "\u0660"),
     "U+0661 in a pair": (load_membership, "11 4\n0 \u0661\n", 2, "\u0661"),
     "U+0663 in an index": (load_tensor, "dims 20 2 2 2\n\u0663 0 0 0 1\n", 2, "\u0663"),
     "blank tree line": (load_tree, TREE_TEXT.replace("\n", "\n\n", 2), 2, None),
     "whitespace-only tree line": (load_tree, TREE_TEXT + "  \n\n", 7, None),
     "U+0085 in a tensor line": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\x85\n", 2, "\x85"),
     "U+2028 in a membership line": (load_membership, "11 4\n0 1\n2 3\u2028\n", 3, "\u2028"),
-    "U+2029 in a tree line": (load_tree, edited_tree_text(4, "    2 3 1 leaf 1\u2029"), 4,
-                              "\u2029"),
+    "U+2029 in a tree line": (load_tree, edited_tree_text(4, "1 nan nan 1\u2029"), 4, "\u2029"),
     "NUL in a pair": (load_membership, "11 4\n0 1\x00\n", 2, "\x00"),
     "lone CR in a tensor line": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\r1 1 1 1 2\n", 2, "\r"),
 }
@@ -387,8 +386,8 @@ LOCATED_TABLES = {
                1, "'i j k l value'", "float64"),
     "membership": (load_membership, ["300 3"] + [f"{i} {i % 3}" for i in range(300)], 1,
                    "'row col'", "int64"),
-    "tree": (load_tree, ["0 0 -1 0.5 0.5"] + [f"  1 {i} 0 leaf {i - 1}" for i in range(1, 301)],
-             1, "'level id parent s g' or '... leaf row'", "int64"),
+    "tree": (load_tree, ["-1 0.5 0.5 -1"] + [f"0 nan nan {i}" for i in range(300)], 1,
+             "'parent s g leaf_row'", "int64"),
     "model block": (load_model, None, 2, "2 values", "float64"),
     "reputation": (load_reputation,
                    ["user_id,topic,score"] + [f"{i},s/a,{i}" for i in range(300)], 1,
@@ -504,8 +503,8 @@ class TestOneReader:
             load_tensor(p)
 
     @pytest.mark.parametrize("at", [0, 1, 499, 998, 999])
-    def test_bisection_names_the_one_tail_that_does_not_convert(self, tmp_path, at):
-        lines = ["0 0 -1 0.5 0.5"] + [f"  1 {i} 0 leaf {i - 1}" for i in range(1, 1000)]
+    def test_bisection_names_the_one_leaf_row_that_does_not_convert(self, tmp_path, at):
+        lines = ["-1 0.5 0.5 -1"] + [f"0 nan nan {i}" for i in range(999)]
         lines[at] = lines[at].rsplit(" ", 1)[0] + " y"
         p = tmp_path / "tree.txt"
         p.write_text("\n".join(lines) + "\n")
@@ -560,7 +559,7 @@ class TestTreeFormat:
         for name in TREE_ARRAYS:
             np.testing.assert_array_equal(getattr(back, name), getattr(tree, name))
 
-    def test_writes_the_indented_preorder_lines(self, tmp_path):
+    def test_writes_node_n_on_line_n_plus_one(self, tmp_path):
         tree = tree_from_nested([[0, 1], [2]], sg_by_level={1: (0.25, 0.75)})
         p = tmp_path / "tree.txt"
         save_tree(tree, p)
@@ -604,16 +603,40 @@ class TestTreeFormat:
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: "):
             load_tree(p)
 
-    def test_level_below_the_question_leaves_names_its_line(self, tmp_path):
-        p = edited_tree(tmp_path, 6, "    2 5 4 0.5 0.5\n      3 6 5 0.5 0.5\n        4 7 6 leaf 2")
-        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:8: level must be at most 3"):
-            load_tree(p)
+    def test_trees_of_any_depth_load(self, tmp_path):
+        tree = tree_from_nested([[[[[[0, 1]]]], 2], [[[3]]]])
+        p = tmp_path / "tree.txt"
+        save_tree(tree, p)
+        back = load_tree(p)
+        assert back.level.max() == 6
+        for name in TREE_ARRAYS:
+            np.testing.assert_array_equal(getattr(back, name), getattr(tree, name))
 
-    @pytest.mark.parametrize("line, text", BROKEN_TREE_LINES)
-    def test_broken_tree_names_path(self, tmp_path, line, text):
+    @pytest.mark.parametrize("line, text, node, message", BROKEN_TREE_LINES)
+    def test_hierarchy_tree_names_the_broken_node(self, line, text, node, message):
+        rows = per_line_rows(edited_tree_text(line, text))
+        with pytest.raises(ContractViolation) as caught:
+            HierarchyTree(*per_line_tree(rows))
+        assert (caught.value.node, str(caught.value)) == (node, message)
+
+    @pytest.mark.parametrize("line, text, node, message", BROKEN_TREE_LINES)
+    def test_broken_tree_names_the_line_of_its_node(self, tmp_path, line, text, node, message):
         p = edited_tree(tmp_path, line, text)
-        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: "):
+        where = p if node is None else f"{p}:{node + 1}"
+        with pytest.raises(DataError) as caught:
             load_tree(p)
+        assert str(caught.value) == f"{where}: {message}"
+
+    def test_ingest_written_tree_loads_as_build_inputs_makes_it(self, tmp_path):
+        make_corpus(str(tmp_path / "corpus"), seed=4)
+        sites = sorted(d for d in (tmp_path / "corpus").iterdir() if d.is_dir())
+        assert main(["ingest", *map(str, sites), "--out-dir", str(tmp_path / "snap")]) == 0
+        data = merge_datasets([parse_dump(*(str(d / f) for f in ("Posts.xml", "Votes.xml",
+                                                                 "Users.xml")),
+                                          subsite_name=d.name) for d in sites])
+        want, got = build_inputs(data).tree, load_tree(tmp_path / "snap" / "tree.txt")
+        for name in ("parent", "s", "g", "leaf_row"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def random_cp(rng, dims=(3, 2, 4, 2), rank=2):
@@ -885,8 +908,7 @@ class TestLineNumbers:
     @pytest.mark.parametrize("sep, line", SPLITLINES_BREAKS)
     def test_tree(self, tmp_path, sep, line):
         p = tmp_path / "tree.txt"
-        p.write_bytes(f"0 0 -1 0.5 0.5\n  1 1 0 0.5 0.5{sep}\n    2 2 1 leaf 0\n"
-                      f"    2 3 1 leaf x\n".encode())
+        p.write_bytes(f"-1 0.5 0.5 -1\n0 0.5 0.5 -1{sep}\n1 nan nan 0\n1 nan nan x\n".encode())
         want = ":2: expected " if line else ":4: .*'x'"
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}{want}"):
             load_tree(p)
@@ -1197,7 +1219,6 @@ def tables_fixture():
         users=(1, 2, 9),
         bucket_edges=(0, 1, 3, 10),
         tree_s=0.5,
-        tree_g=0.5,
     )
 
 
@@ -1208,22 +1229,23 @@ class TestManifest:
         extra.write_bytes(content)
         p = tmp_path / "manifest.json"
         write_manifest(p, tables_fixture(), {"rank": 6}, {"tensor.txt": digest})
-        back = load_manifest(p)
-        assert back["format"] == 1
+        back, manifest_digest = load_manifest(p)
+        assert manifest_digest == file_digest(p)
+        assert back["format"] == 2 and "tree_g" not in back
         assert back["users"] == [1, 2, 9]
         assert back["questions"] == ["alpha:1", "beta:4"]
         assert list(back["files"]) == ["tensor.txt"]
         assert back["files"]["tensor.txt"] == file_digest(extra)
 
-    def test_unsupported_format_rejected(self, tmp_path):
+    def test_format_1_rejected(self, tmp_path):
         p = tmp_path / "manifest.json"
-        p.write_text(json.dumps({"format": 2}))
-        with pytest.raises(DataError):
+        p.write_text(json.dumps({"format": 1, "topics": ["a/x"], "users": [1]}))
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not a format-2 manifest"):
             load_manifest(p)
 
-    @pytest.mark.parametrize("payload", [[], "x", 1, {"format": 1},
-                                         {"format": 1, "topics": [], "users": None},
-                                         {"format": 1, "topics": "ab", "users": [1]}])
+    @pytest.mark.parametrize("payload", [[], "x", 1, {"format": 2},
+                                         {"format": 2, "topics": [], "users": None},
+                                         {"format": 2, "topics": "ab", "users": [1]}])
     def test_manifest_without_its_tables_rejected(self, tmp_path, payload):
         p = tmp_path / "manifest.json"
         p.write_text(json.dumps(payload))
