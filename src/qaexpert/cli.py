@@ -347,16 +347,13 @@ def cmd_fit(args) -> int:
         model = fit_joint(X, M, N, tree, joint_cfg)
     except SolverDiverged as exc:
         if exc.last_state is not None:
-            serialize.save_model(
-                exc.last_state, model_path + ".diverged",
-                manifest_hash=manifest_hash, config=cfg,
-            )
+            serialize.save_model(exc.last_state, model_path + ".diverged", manifest_hash, cfg)
             print(f"solver diverged; last finite state saved to {model_path}.diverged",
                   file=sys.stderr)
         else:
             print("solver diverged before any finite sweep", file=sys.stderr)
         return 1
-    serialize.save_model(model, model_path, manifest_hash=manifest_hash, config=cfg)
+    serialize.save_model(model, model_path, manifest_hash, cfg)
     serialize.save_history(model.objective_history, os.path.join(out, "objective_history.csv"))
     live = int((model.cp.norms != 0).sum())
     if live < joint_cfg.rank:
@@ -369,10 +366,9 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _check_model_snapshot(meta: dict, manifest_path: str):
+def _check_model_snapshot(stored: str, manifest_path: str):
     manifest, actual = serialize.load_manifest(manifest_path)
-    stored = meta.get("manifest")
-    if stored is None or stored != actual:
+    if stored != actual:
         raise VersionMismatchError(
             "model was fit against a different snapshot "
             f"(model records {stored}, snapshot is {actual})"
@@ -399,8 +395,8 @@ def cmd_recommend(args) -> int:
     k = cfg["k"]
     if k < 1:
         raise UsageError("--k must be >= 1")
-    model, meta = serialize.load_model(args.model, ranking_only=True)
-    manifest = _check_model_snapshot(meta, os.path.join(args.snapshot, SNAPSHOT_FILES["manifest"]))
+    model, stored = serialize.load_model(args.model)
+    manifest = _check_model_snapshot(stored, os.path.join(args.snapshot, SNAPSHOT_FILES["manifest"]))
     topic = _resolve_topic(manifest, args.topic)
     ranked = rank_experts(model, topic, k)
     print("# config " + json.dumps({**cfg, "topic": manifest["topics"][topic]}, sort_keys=True))
@@ -420,9 +416,9 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--k-list values must be >= 1")
     if len(set(k_list)) < len(k_list):
         raise UsageError("--k-list values must be distinct")
-    model, meta = serialize.load_model(args.model, ranking_only=True)
+    model, stored = serialize.load_model(args.model)
     paths = _snapshot_paths(args.snapshot)
-    manifest = _check_model_snapshot(meta, paths["manifest"])
+    manifest = _check_model_snapshot(stored, paths["manifest"])
     ledger = serialize.load_reputation(paths["reputation"])
     report = evaluate(model, ledger, k_list, manifest["topics"], manifest["users"])
     out = args.out_dir
@@ -517,4 +513,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # run as ``python -m qaexpert.cli``, this file is ``__main__``: take main
+    # from qaexpert.cli, so warnings come from that module, as filters name it
+    from qaexpert.cli import main as cli_main
+    sys.exit(cli_main())

@@ -7,9 +7,10 @@ question row in ``leaf_row`` (-1 elsewhere); an internal node holds a pair
 ancestor table ``ancestors[d, v]``, the node at depth ``d`` above ``v``, are
 derived once, at any depth; everything else is a pass over these arrays.
 ``tree.txt`` holds just the four arrays, node n as the ``parent s g
-leaf_row`` line n + 1, and `HierarchyTree` is the one check of them: a
-node that breaks a per-node check is the ``node`` of the
-ContractViolation it raises, so that a loader can name its line.
+leaf_row`` line n + 1, and `HierarchyTree` is the one check of them.
+Each check but that of an empty tree is one of nodes: the first node that
+breaks it is the ``node`` of the ContractViolation it raises, so that a
+loader can name its line.
 
 Every node defines a group: the question rows at the leaves beneath it.
 A node's weight is its ``g`` (one for leaves) times the product of ``s``
@@ -70,11 +71,12 @@ class HierarchyTree:
         n = self.parent.size
         if {a.shape for a in (self.parent, self.s, self.g, self.leaf_row)} != {(n,)}:
             raise ContractViolation("parent, s, g and leaf_row must be 1-D and of equal length")
-        roots = np.count_nonzero(self.parent == -1)
-        if n == 0 or roots != 1 or self.parent[0] != -1:
-            raise ContractViolation(f"tree must have exactly one root, node 0, found {roots}")
+        if n == 0:
+            raise ContractViolation("tree must have a root, node 0")
         ids = np.arange(n)
+        # node 0, whose parent cannot come before it, is the root
         _check((self.parent >= ids) | (self.parent < -1), "node {} must come after its parent")
+        _check((ids > 0) & (self.parent == -1), "node {} is a second root; only node 0 is one")
         leaf = self.leaf_row >= 0
         has_children = np.bincount(self.parent[1:], minlength=n) > 0
         _check(leaf & has_children, "leaf node {} has children")
@@ -85,8 +87,16 @@ class HierarchyTree:
         _check(~leaf & (np.abs(s + g - 1.0) > _SG_TOL), "(s, g) of node {} must sum to 1")
         self.leaves = np.flatnonzero(leaf)
         self.n_rows = len(self.leaves)
-        if not np.array_equal(np.sort(self.leaf_row[self.leaves]), np.arange(self.n_rows)):
-            raise ContractViolation("leaf rows must be 0..n-1, each exactly once")
+        # n leaves hold the rows 0..n-1 just where none holds a row past n-1 or
+        # one an earlier leaf holds; a stable sort keeps equal rows in leaf order
+        rows = self.leaf_row[self.leaves]
+        order = np.argsort(rows, kind="stable")
+        repeated = np.empty(self.n_rows, dtype=bool)
+        repeated[order] = ~row_changes((rows[order],))
+        bad = np.zeros(n, dtype=bool)
+        bad[self.leaves] = (rows >= self.n_rows) | repeated
+        _check(bad, f"leaf node {{}} must hold a row below {self.n_rows}, the leaf count, "
+                    "that no earlier leaf holds")
 
         # up[k, v] is the k-th ancestor of v, -1 above the root.
         up = [ids]

@@ -20,10 +20,14 @@ node it rejects is named by its line.  ``manifest.json`` is format 2; a
 format-1 snapshot, whose tree lines were laid out otherwise, is refused
 and must be re-ingested.
 
-``model.txt`` ends with a ``digest <sha256>`` line over every byte before
-it, so `load_model` can check the whole file yet parse only the blocks
-its caller reads: ranking reads the topic and expert factors and the
-norms.  A model without the digest line is rejected and must be refit.
+``model.txt`` has one layout, the one `save_model` writes for a fitted
+`JointModel`: the header, the four factor blocks, the norms, the S, A and
+T blocks, then the ``lambdas``, ``manifest`` and ``config`` lines, and
+last a ``digest <sha256>`` line over every byte before it.  `load_model`
+walks that layout and checks the digest, so it parses only the blocks
+ranking reads, the topic and expert factors and the norms, and returns
+them with the manifest digest the model records.  A model without the
+digest line is rejected and must be refit.
 
 ``reputation.csv`` is the exception to the whitespace-separated layout:
 CSV rows ``user_id,topic,score`` in (user, topic) order under that
@@ -46,7 +50,7 @@ import warnings
 
 import numpy as np
 
-from .coupled import CpModel, JointModel, MembershipMatrix
+from .coupled import JointModel, MembershipMatrix
 from .errors import ContractViolation, DataError
 from .hierarchy import HierarchyTree
 from .ingest import ReputationLedger
@@ -339,9 +343,8 @@ def save_tree(tree: HierarchyTree, path):
 
 def load_tree(path) -> HierarchyTree:
     """Read a tree file into its four arrays by one `_rows` pass, and check
-    them by building the `HierarchyTree`: a node that breaks a per-node
-    check is a DataError naming its line, a whole-tree fault one naming
-    ``path``."""
+    them by building the `HierarchyTree`: a node it rejects is a DataError
+    naming its line, and a file without a node one naming ``path``."""
     table = _read_rows(path, _read(path), [("parent", np.int64), ("s", np.float64),
                                            ("g", np.float64), ("leaf_row", np.int64)],
                        "'parent s g leaf_row'", source=path)
@@ -365,44 +368,40 @@ def _block(count, start, rows, path):
     return (start, rows), start + rows
 
 
-def save_model(model, path, manifest_hash=None, config=None):
-    """Write a fitted model; joint models extend the tensor-model format.
-
-    ``manifest_hash`` and ``config`` are optional provenance lines tying
-    the model to the snapshot it was fit on.  The last line is the SHA-256
-    digest of every byte before it.
-    """
-    joint = isinstance(model, JointModel)
-    cp = model.cp if joint else model
+def save_model(model: JointModel, path, manifest_hash: str, config: dict):
+    """Write the fitted ``model`` in the one layout `load_model` walks,
+    with its provenance: the SHA-256 digest of the snapshot's manifest and
+    the ``config`` fit ran with.  The last line is the SHA-256 digest of
+    every byte before it."""
+    cp = model.cp
     out = io.StringIO()
-    kind = "joint-model" if joint else "cp-model"
-    dims = " ".join(str(d) for d in cp.dims)
-    out.write(f"{kind} rank {cp.rank} dims {dims}\n")
+    out.write(f"joint-model rank {cp.rank} dims {' '.join(str(d) for d in cp.dims)}\n")
     for mode, U in enumerate(cp.factors):
         out.write(f"mode {mode} rows {U.shape[0]}\n")
         out.write(_matrix_text(U))
     out.write("norms " + _matrix_text(cp.norms))
-    if joint:
-        for name, U in (("S", model.S), ("A", model.A), ("T", model.T)):
-            out.write(f"{name} rows {U.shape[0]}\n")
-            out.write(_matrix_text(U))
-        pairs = " ".join(f"{k} {float(v):.17g}" for k, v in sorted(model.lambdas.items()))
-        out.write(f"lambdas {pairs}\n")
-    if manifest_hash is not None:
-        out.write(f"manifest {manifest_hash}\n")
-    if config is not None:
-        out.write("config " + json.dumps(config, sort_keys=True) + "\n")
+    for name, U in (("S", model.S), ("A", model.A), ("T", model.T)):
+        out.write(f"{name} rows {U.shape[0]}\n")
+        out.write(_matrix_text(U))
+    pairs = " ".join(f"{k} {float(v):.17g}" for k, v in sorted(model.lambdas.items()))
+    out.write(f"lambdas {pairs}\n")
+    out.write(f"manifest {manifest_hash}\n")
+    out.write("config " + json.dumps(config, sort_keys=True) + "\n")
     text = out.getvalue()
     _write_text(path, f"{text}digest {hashlib.sha256(text.encode('utf-8')).hexdigest()}\n")
 
 
-def load_model(path, ranking_only=False):
-    """Read a model file; returns (model, meta) with provenance in meta.
+def load_model(path) -> tuple[RankingFactors, str]:
+    """The ranking blocks of a model file and the manifest digest it records.
 
-    Every block header, row count and trailing line is checked, then the
-    final digest line against the bytes before it.  With ``ranking_only``
-    just the blocks `ranking` reads are parsed, and the model returned is
-    their `RankingFactors` instead of a CpModel or JointModel.
+    The walk takes the one layout `save_model` writes, a line at a time:
+    the header, ``mode 0`` to ``mode 3`` with their row counts, ``norms``,
+    the ``S``, ``A`` and ``T`` blocks, then the ``lambdas``, ``manifest``,
+    ``config`` and ``digest`` lines, the digest last.  A line that is
+    missing or out of place, a row count that disagrees, or a digest that
+    is not that of every byte before it is a DataError naming its line.
+    Then only the blocks `ranking` reads are parsed: the topic factor
+    (mode 1), the expert factor (mode 3) and the norms.
     """
     data = _read(path)
     bounds = _line_bounds(data)
@@ -411,10 +410,15 @@ def load_model(path, ranking_only=False):
     def line(n):  # from 0
         return data[bounds[n]:bounds[n + 1]].decode("utf-8", "replace").rstrip("\r\n")
 
-    def fields(n, expected):
+    def fields(n, expected, words, size=None):
+        """Line n + 1 split at whitespace; a DataError unless it starts with
+        ``words`` and, where ``size`` is given, has that many fields."""
         if n >= count:
             raise DataError(f"{path}:{count}: file ends before {expected}")
-        return line(n).split()
+        parts = line(n).split()
+        if parts[:len(words)] != words or size is not None and len(parts) != size:
+            raise DataError(f"{path}:{n + 1}: expected {expected}, got {line(n)!r}")
+        return parts
 
     def matrix(block):
         start, rows = block
@@ -423,66 +427,32 @@ def load_model(path, ranking_only=False):
 
     if not count:
         raise DataError(f"{path}: empty model file")
-    head = line(0).split()
-    if len(head) != 8 or head[0] not in ("cp-model", "joint-model") or head[1] != "rank":
-        raise DataError(f"{path}: unrecognized model header")
+    head = fields(0, "a 'joint-model rank R dims I J K L' header", ["joint-model", "rank"], 8)
     rank, *dims = _numbers(head[2:3] + head[4:8], int, path, 1)
-    blocks = {}
-    pos = 1
+    blocks, pos = [], 1
     for mode in range(4):
-        parts = fields(pos, f"'mode {mode} rows N'")
-        if len(parts) != 4 or parts[:2] != ["mode", str(mode)]:
-            raise DataError(f"{path}:{pos + 1}: expected 'mode {mode} rows N'")
+        parts = fields(pos, f"'mode {mode} rows N'", ["mode", str(mode), "rows"], 4)
         if _numbers(parts[3:], int, path, pos + 1)[0] != dims[mode]:
             raise DataError(f"{path}:{pos + 1}: mode {mode} rows disagree with header")
-        blocks[mode], pos = _block(count, pos + 1, dims[mode], path)
-    parts = fields(pos, "the norms line")
-    if parts[:1] != ["norms"] or len(parts) != rank + 1:
-        raise DataError(f"{path}:{pos + 1}: expected a norms line with {rank} values")
+        block, pos = _block(count, pos + 1, dims[mode], path)
+        blocks.append(block)
+    norms = fields(pos, f"a norms line with {rank} values", ["norms"], rank + 1)[1:]
     norms_at, pos = pos, pos + 1
-    joint = head[0] == "joint-model"
-    if joint:
-        for name in ("S", "A", "T"):
-            parts = fields(pos, f"the {name} block")
-            if len(parts) != 3 or parts[0] != name:
-                raise DataError(f"{path}:{pos + 1}: expected the {name} block")
-            rows = _numbers(parts[2:], int, path, pos + 1)[0]
-            blocks[name], pos = _block(count, pos + 1, rows, path)
-        parts = fields(pos, "the lambdas line")
-        if parts[:1] != ["lambdas"] or len(parts) % 2 == 0:
-            raise DataError(f"{path}:{pos + 1}: expected the lambdas line")
-        lambdas_at, pos = pos, pos + 1
-
-    trailing = {}
-    for n in range(pos, count):
-        key = line(n).split(None, 1)[:1]
-        if not key:
-            continue
-        if key[0] not in ("manifest", "config", "digest"):
-            raise DataError(f"{path}: unexpected trailing line {line(n)!r}")
-        trailing[key[0]] = n
-    if trailing.get("digest") != count - 1:
-        raise DataError(f"{path}:{count}: expected a final 'digest <sha256>' line; "
-                        "a model written without one must be refit")
-    body = data[:bounds[count - 1]]  # every byte before the last line
-    if line(count - 1).split() != ["digest", hashlib.sha256(body).hexdigest()]:
+    for name in "SAT":
+        parts = fields(pos, f"'{name} rows N'", [name, "rows"], 3)
+        _, pos = _block(count, pos + 1, _numbers(parts[2:], int, path, pos + 1)[0], path)
+    fields(pos, "the lambdas line", ["lambdas"])
+    manifest = fields(pos + 1, "a 'manifest <sha256>' line", ["manifest"], 2)[1]
+    fields(pos + 2, "the config line", ["config"])
+    digest = fields(pos + 3, "a final 'digest <sha256>' line, without which a model must "
+                             "be refit", ["digest"], 2)[1]
+    if pos + 4 < count:
+        raise DataError(f"{path}:{pos + 5}: expected the end of the file after its digest "
+                        f"line, got {line(pos + 4)!r}")
+    if digest != hashlib.sha256(data[:bounds[pos + 3]]).hexdigest():
         raise DataError(f"{path}:{count}: digest does not match the file's contents")
-    meta = {}
-    if "manifest" in trailing:
-        meta["manifest"] = line(trailing["manifest"]).split(None, 1)[1].strip()
-    if "config" in trailing:
-        meta["config"] = json.loads(line(trailing["config"]).split(None, 1)[1])
-
-    norms = np.array(_numbers(line(norms_at).split()[1:], float, path, norms_at + 1))
-    if ranking_only:
-        return RankingFactors(matrix(blocks[1]), matrix(blocks[3]), norms), meta
-    cp = CpModel([matrix(blocks[m]) for m in range(4)], norms)
-    if not joint:
-        return cp, meta
-    parts = line(lambdas_at).split()
-    lambdas = dict(zip(parts[1::2], _numbers(parts[2::2], float, path, lambdas_at + 1)))
-    S, A, T = (matrix(blocks[name]) for name in "SAT")
-    return JointModel(cp, S, A, T, lambdas), meta
+    norms = np.array(_numbers(norms, float, path, norms_at + 1))
+    return RankingFactors(matrix(blocks[1]), matrix(blocks[3]), norms), manifest
 
 
 _REPUTATION_HEADER = "user_id,topic,score\n"
@@ -589,9 +559,15 @@ def write_manifest(path, tables, config, digests):
 
 def load_manifest(path) -> tuple[dict, str]:
     """A snapshot manifest, a format-2 JSON object with topics and users
-    lists, and the SHA-256 hex digest of the bytes it was parsed from."""
+    lists, and the SHA-256 hex digest of the bytes it was parsed from.  One
+    of another integer format is refused with its own message: its snapshot
+    must be re-ingested."""
     data = _read(path)
     manifest = json.loads(data.decode("utf-8"))
+    old = manifest.get("format") if isinstance(manifest, dict) else None
+    if type(old) is int and old != 2:
+        raise DataError(f"{path}: a format-{old} snapshot, which this version does not read; "
+                        "ingest the dumps again to write a format-2 one")
     if not (isinstance(manifest, dict) and manifest.get("format") == 2
             and all(isinstance(manifest.get(k), list) for k in ("topics", "users"))):
         raise DataError(f"{path}: not a format-2 manifest with topics and users lists")

@@ -325,7 +325,7 @@ class TestFit:
         out = tmp_path / "fp"
         assert main(["fit", snapshot, "--out-dir", str(out),
                      "--rank", "6", "--max-iters", "10", "--seed", "0"]) == 0
-        norms = serialize.load_model(str(out / "model.txt"))[0].cp.norms
+        norms = serialize.load_model(str(out / "model.txt"))[0].norms
         live = int(np.count_nonzero(norms))
         assert 0 < live < 6
         assert capsys.readouterr().err.splitlines() == [f"warning: {live} of 6 components are live"]
@@ -861,16 +861,20 @@ class TestPooledIngest:
             assert main(argv) == 0 and main(argv) == 0
         assert len(caught) == len(shown[1])
 
-    def test_each_shown_warning_is_one_stderr_line(self, tmp_path):
+    # the entry point's call of main(), and ``python -m qaexpert.cli``, where
+    # the module runs as __main__ yet a filter on qaexpert.cli still applies
+    @pytest.mark.parametrize("launch", [
+        ["-c", "import sys; from qaexpert.cli import main; sys.exit(main())"],
+        ["-m", "qaexpert.cli"]], ids=["entry point", "-m"])
+    def test_each_shown_warning_is_one_stderr_line(self, tmp_path, launch):
         dirs = noisy_corpus(str(tmp_path / "dumps"), names=("s1", "s2"))
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.dirname(os.path.dirname(cli.__file__)), env.get("PYTHONPATH", "")])
 
-        def stderr(*options, **extra_env):  # of the entry point's call, main()
+        def stderr(*options, **extra_env):
             done = subprocess.run(
-                [sys.executable, *options, "-c",
-                 "import sys; from qaexpert.cli import main; sys.exit(main())",
+                [sys.executable, *options, *launch,
                  "ingest", *dirs, "--out-dir", str(tmp_path / "snap")],
                 capture_output=True, text=True, timeout=120, env={**env, **extra_env})
             assert done.returncode == 0, done.stderr

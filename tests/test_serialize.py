@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import re
 import warnings
 from types import SimpleNamespace
@@ -295,7 +296,7 @@ MALFORMED_TREE_LINES = [
 ]
 
 # Lines that make a tree HierarchyTree rejects: the line, the node it names
-# (None for a fault of the whole tree, named by path alone) and its message.
+# and its message.
 BROKEN_TREE_LINES = [
     (3, "4 nan nan 0", 2, "node 2 must come after its parent"),
     (4, "-2 nan nan 1", 3, "node 3 must come after its parent"),
@@ -304,9 +305,12 @@ BROKEN_TREE_LINES = [
     (5, "0 1.5 -0.5 -1", 4, "(s, g) of node 4 must lie in [0, 1]"),
     (2, "0 nan nan -1", 1, "(s, g) of node 1 must lie in [0, 1]"),
     (2, "0 0.9 0.7 -1", 1, "(s, g) of node 1 must sum to 1"),
-    (1, "0 0.5 0.5 -1", None, "tree must have exactly one root, node 0, found 0"),
-    (5, "-1 0.25 0.75 -1", None, "tree must have exactly one root, node 0, found 2"),
-    (6, "4 nan nan 1", None, "leaf rows must be 0..n-1, each exactly once"),
+    (1, "0 0.5 0.5 -1", 0, "node 0 must come after its parent"),
+    (5, "-1 0.25 0.75 -1", 4, "node 4 is a second root; only node 0 is one"),
+    (6, "4 nan nan 1", 5, "leaf node 5 must hold a row below 3, the leaf count, "
+                          "that no earlier leaf holds"),
+    (3, "1 nan nan 3", 2, "leaf node 2 must hold a row below 3, the leaf count, "
+                          "that no earlier leaf holds"),
 ]
 
 TREE_FILES = [
@@ -368,7 +372,7 @@ HEADER_NUMBERS = {
     "membership header": (load_membership, "11 4\n0 1\n", 0),
 }
 MODEL_NUMBERS = {"model header": ("joint-model", 2), "block count": ("mode 1 rows", 3),
-                 "S block count": ("S rows", 2), "norms": ("norms", 1), "lambdas": ("lambdas", 2)}
+                 "S block count": ("S rows", 2), "norms": ("norms", 1)}
 
 
 def unruly(number, style):
@@ -388,7 +392,7 @@ LOCATED_TABLES = {
                    "'row col'", "int64"),
     "tree": (load_tree, ["-1 0.5 0.5 -1"] + [f"0 nan nan {i}" for i in range(300)], 1,
              "'parent s g leaf_row'", "int64"),
-    "model block": (load_model, None, 2, "2 values", "float64"),
+    "model block": (load_model, None, 5, "2 values", "float64"),
     "reputation": (load_reputation,
                    ["user_id,topic,score"] + [f"{i},s/a,{i}" for i in range(300)], 1,
                    "'user_id,topic,score' with int64 user and score", "int64"),
@@ -479,7 +483,7 @@ class TestOneReader:
     def test_model_numbers_follow_the_table_rule(self, tmp_path, name, style):
         start, field = MODEL_NUMBERS[name]
         p = tmp_path / "model.txt"
-        save_model(random_joint(np.random.default_rng(4)), p)
+        save_joint(random_joint(np.random.default_rng(4)), p)
         lines = p.read_text().splitlines(keepends=True)[:-1]
         at = next(n for n, line in enumerate(lines) if line.startswith(start))
         parts = lines[at].split()
@@ -519,8 +523,8 @@ class TestOneReader:
     def test_locator_names_the_broken_row(self, tmp_path, table, broken, at):
         load, lines, start, layout, kind = LOCATED_TABLES[table]
         edit, spans, message = BROKEN_ROWS[broken]
-        if lines is None:  # the first factor block of a model, its rows two values each
-            save_model(random_cp(np.random.default_rng(2), dims=(300, 2, 3, 2)), tmp_path / "m")
+        if lines is None:  # a model's topic factor, the first block it reads, two values a row
+            save_joint(random_joint(np.random.default_rng(2), dims=(2, 300, 3, 2)), tmp_path / "m")
             lines = (tmp_path / "m").read_text().splitlines()[:-1]
         lines = list(lines)
         lines[start + at] = edit(lines[start + at], "," if table == "reputation" else " ", kind)
@@ -538,7 +542,7 @@ class TestOneReader:
                  (save_membership, load_membership, MembershipMatrix(4, 3, [(0, 1), (3, 2)])),
                  (save_membership, load_membership, MembershipMatrix(4, 3, [])),
                  (save_tree, load_tree, tree_from_nested([[0, 1], [2, [3, 4]]])),
-                 (save_model, load_model, random_joint(rng)),
+                 (save_joint, load_model, random_joint(rng)),
                  (save_reputation, load_reputation, rec.ledger({(1, "s/a"): 2, (3, "s/b"): -1})),
                  (save_reputation, load_reputation,
                   rec.ledger({(1, t): n for n, t in enumerate(AWKWARD_TOPICS)})),
@@ -588,8 +592,9 @@ class TestTreeFormat:
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "tree.txt"
         p.write_text("")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as caught:
             load_tree(p)
+        assert str(caught.value) == f"{p}: tree must have a root, node 0"
 
     def test_blank_line_is_named(self, tmp_path):
         p = tmp_path / "tree.txt"
@@ -622,10 +627,9 @@ class TestTreeFormat:
     @pytest.mark.parametrize("line, text, node, message", BROKEN_TREE_LINES)
     def test_broken_tree_names_the_line_of_its_node(self, tmp_path, line, text, node, message):
         p = edited_tree(tmp_path, line, text)
-        where = p if node is None else f"{p}:{node + 1}"
         with pytest.raises(DataError) as caught:
             load_tree(p)
-        assert str(caught.value) == f"{where}: {message}"
+        assert str(caught.value) == f"{p}:{node + 1}: {message}"
 
     def test_ingest_written_tree_loads_as_build_inputs_makes_it(self, tmp_path):
         make_corpus(str(tmp_path / "corpus"), seed=4)
@@ -643,51 +647,110 @@ def random_cp(rng, dims=(3, 2, 4, 2), rank=2):
     return CpModel([rng.random((d, rank)) for d in dims], rng.random(rank) + 0.5)
 
 
+def random_joint(rng, dims=(3, 2, 3, 4), rank=2):
+    return JointModel(random_cp(rng, dims=dims, rank=rank), rng.random((2, rank)),
+                      rng.random((dims[3], rank)), rng.random((dims[1], rank)),
+                      {"lambda_x": 0.1, "lambda_s": 0.25})
+
+
+# The provenance every model carries: the manifest's digest and fit's config.
+MANIFEST_HASH = "5f" * 32
+CONFIG = {"rank": 2, "seed": 9}
+
+
+def save_joint(model, path):
+    save_model(model, path, MANIFEST_HASH, CONFIG)
+
+
+def seal(text):
+    return text + f"digest {hashlib.sha256(text.encode()).hexdigest()}\n"
+
+
+def per_line_ranking_blocks(path):
+    """The topic and expert factors and the norms of the model file at
+    ``path``, read a line at a time by str.split and float(): the oracle
+    `load_model` is held to."""
+    lines = path.read_text().splitlines()
+
+    def block(header):
+        at = lines.index(header)
+        rows = int(header.split()[-1])
+        return np.array([[float(t) for t in line.split()] for line in lines[at + 1:at + 1 + rows]],
+                        dtype=np.float64).reshape(rows, rank)
+    head = lines[0].split()
+    rank = int(head[2])
+    norms = next(line for line in lines if line.startswith("norms ")).split()[1:]
+    return RankingFactors(block(f"mode 1 rows {head[5]}"), block(f"mode 3 rows {head[7]}"),
+                          np.array([float(t) for t in norms]))
+
+
+def assert_blocks_bit_equal(got, want):
+    assert isinstance(got, RankingFactors)
+    for name in ("topic", "expert", "norms"):
+        assert getattr(got, name).shape == getattr(want, name).shape
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def fixture_block(rows, offset):
+    return (np.arange(rows * 2, dtype=np.float64).reshape(rows, 2) + 1) / offset
+
+
+def fixture_model():
+    """The model that ``tests/data/saved_model.txt`` holds, as the writer
+    that came before `save_model` lost its ``cp-model`` kind and optional
+    provenance wrote it."""
+    factors = [fixture_block(d, 7 + m) for m, d in enumerate((3, 2, 3, 4))]
+    factors[1][0] = [-0.0, 5e-324]
+    factors[3][1] = [1e300, np.pi]
+    cp = CpModel(factors, np.array([np.sqrt(2), 0.0]))
+    return JointModel(cp, fixture_block(2, 11), fixture_block(4, 13), fixture_block(2, 17),
+                      {f"lambda_{k}": 0.1 for k in ("x", "w", "s", "t", "site")})
+
+
+FIXTURE_CONFIG = {"lambda_s": 0.1, "lambda_site": None, "lambda_t": 0.1, "lambda_w": 0.1,
+                  "lambda_x": 0.1, "max_iters": 100, "rank": 2, "seed": 0, "tol": 1e-06}
+SAVED_MODEL = pathlib.Path(__file__).parent / "data" / "saved_model.txt"
+
+
 class TestModelFormat:
-    def test_cp_round_trip_bits(self, tmp_path):
-        rng = np.random.default_rng(3)
-        model = random_cp(rng)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_load_is_bit_equal_to_the_saved_ranking_blocks(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(1, 7, size=4))
+        model = random_joint(rng, dims, int(rng.integers(1, 5)))
+        model.cp.factors[3][0, 0] = -0.0
         p = tmp_path / "model.txt"
-        save_model(model, p)
-        back, meta = load_model(p)
-        assert isinstance(back, CpModel)
-        assert meta == {}
-        for U, V in zip(model.factors, back.factors):
-            assert np.array_equal(U, V)
-        assert np.array_equal(model.norms, back.norms)
+        save_joint(model, p)
+        got, manifest = load_model(p)
+        assert manifest == MANIFEST_HASH
+        assert_blocks_bit_equal(got, RankingFactors.of(model))
 
-    def test_joint_round_trip_with_provenance(self, tmp_path):
-        rng = np.random.default_rng(4)
-        cp = random_cp(rng, dims=(3, 2, 3, 4))
-        lambdas = {"x": 0.1, "w": 0.2, "s": 0.3, "t": 0.4, "site": 0.5}
-        model = JointModel(cp, rng.random((2, 2)), rng.random((4, 2)),
-                           rng.random((2, 2)), lambdas)
+    def test_load_of_a_fitted_corpus(self, tmp_path, capsys):
+        make_corpus(str(tmp_path / "corpus"), seed=3)
+        sites = sorted(str(tmp_path / "corpus" / d) for d in os.listdir(tmp_path / "corpus")
+                       if (tmp_path / "corpus" / d).is_dir())
+        snap, fit = str(tmp_path / "snap"), tmp_path / "fit"
+        assert main(["ingest", *sites, "--out-dir", snap]) == 0
+        assert main(["fit", snap, "--out-dir", str(fit), "--rank", "3", "--max-iters", "5"]) == 0
+        got, manifest = load_model(fit / "model.txt")
+        assert manifest == load_manifest(os.path.join(snap, "manifest.json"))[1]
+        assert_blocks_bit_equal(got, per_line_ranking_blocks(fit / "model.txt"))
+
+    def test_a_model_the_earlier_writer_saved_loads(self, tmp_path):
+        got, manifest = load_model(SAVED_MODEL)
+        assert manifest == "5f" * 32
+        assert_blocks_bit_equal(got, RankingFactors.of(fixture_model()))
+        assert_blocks_bit_equal(got, per_line_ranking_blocks(SAVED_MODEL))
+        # and the writer still writes those bytes
+        save_model(fixture_model(), tmp_path / "model.txt", "5f" * 32, FIXTURE_CONFIG)
+        assert read_bytes(tmp_path / "model.txt") == read_bytes(SAVED_MODEL)
+
+    @pytest.mark.parametrize("header", ["who-knows rank 2 dims 1 1 1 1",
+                                        "cp-model rank 2 dims 1 1 1 1"])
+    def test_bad_header_rejected(self, tmp_path, header):
         p = tmp_path / "model.txt"
-        cfg = {"rank": 2, "seed": 9}
-        save_model(model, p, manifest_hash="ab" * 32, config=cfg)
-        back, meta = load_model(p)
-        assert isinstance(back, JointModel)
-        assert meta["manifest"] == "ab" * 32
-        assert meta["config"] == cfg
-        assert back.lambdas == lambdas
-        for U, V in ((model.S, back.S), (model.A, back.A), (model.T, back.T)):
-            assert np.array_equal(U, V)
-
-    def test_save_load_save_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(5)
-        cp = random_cp(rng)
-        model = JointModel(cp, rng.random((2, 2)), rng.random((2, 2)),
-                           rng.random((4, 2)), {"x": 1.0})
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_model(model, a, manifest_hash="00" * 32, config={"rank": 2})
-        back, meta = load_model(a)
-        save_model(back, b, manifest_hash=meta["manifest"], config=meta["config"])
-        assert read_bytes(a) == read_bytes(b)
-
-    def test_bad_header_rejected(self, tmp_path):
-        p = tmp_path / "model.txt"
-        p.write_text("who-knows rank 2 dims 1 1 1 1\n")
-        with pytest.raises(DataError, match="header"):
+        p.write_text(header + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:1: expected a 'joint-model "):
             load_model(p)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -698,13 +761,12 @@ class TestModelFormat:
 
     @pytest.mark.parametrize("cut", [
         "after the header", "inside mode 0", "before norms", "inside S", "before lambdas",
+        "before manifest", "before config",
     ])
     def test_truncated_joint_model_rejected_at_its_last_line(self, tmp_path, cut):
         rng = np.random.default_rng(7)
-        model = JointModel(random_cp(rng, dims=(3, 2, 3, 4)), rng.random((2, 2)),
-                           rng.random((4, 2)), rng.random((2, 2)), {"x": 1.0})
         p = tmp_path / "model.txt"
-        save_model(model, p, manifest_hash="00" * 32, config={"rank": 2})
+        save_joint(random_joint(rng), p)
         lines = p.read_text().splitlines(keepends=True)
         starts = [line.split()[0] for line in lines]
         keep = {
@@ -713,6 +775,8 @@ class TestModelFormat:
             "before norms": starts.index("norms"),
             "inside S": starts.index("S") + 2,
             "before lambdas": starts.index("lambdas"),
+            "before manifest": starts.index("manifest"),
+            "before config": starts.index("config"),
         }[cut]
         p.write_text("".join(lines[:keep]))
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{keep}: file ends "):
@@ -720,11 +784,8 @@ class TestModelFormat:
 
     @pytest.mark.parametrize("header", ["mode 1 rows 2", "A rows 4"])
     def test_block_header_cut_before_its_row_count_rejected(self, tmp_path, header):
-        rng = np.random.default_rng(8)
-        model = JointModel(random_cp(rng, dims=(3, 2, 3, 4)), rng.random((2, 2)),
-                           rng.random((4, 2)), rng.random((2, 2)), {"x": 1.0})
         p = tmp_path / "model.txt"
-        save_model(model, p)
+        save_joint(random_joint(np.random.default_rng(8)), p)
         lines = p.read_text().splitlines(keepends=True)
         at = lines.index(header + "\n")
         p.write_text("".join(lines[:at]) + header.rsplit(" ", 1)[0])
@@ -732,149 +793,112 @@ class TestModelFormat:
             load_model(p)
 
     def test_trailing_garbage_rejected(self, tmp_path):
-        rng = np.random.default_rng(6)
         p = tmp_path / "model.txt"
-        save_model(random_cp(rng), p)
+        save_joint(random_joint(np.random.default_rng(6)), p)
+        lines = len(p.read_text().splitlines())
         with open(p, "a") as fh:
             fh.write("surprise\n")
-        with pytest.raises(DataError, match="surprise"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{lines + 1}: .*'surprise'"):
+            load_model(p)
+
+    # Edits of the lines from lambdas on, the file then resealed, each with
+    # the line the error names, counted from the lambdas line, and what it
+    # expected there
+    @pytest.mark.parametrize("edit, line, expected", [
+        (lambda t: [t[0], t[2]], 2, "a 'manifest <sha256>' line"),
+        (lambda t: [t[0], t[2], t[1]], 2, "a 'manifest <sha256>' line"),
+        (lambda t: [*t, "\n"], 4, "a final 'digest <sha256>' line"),
+        (lambda t: [*t, "extra\n"], 4, "a final 'digest <sha256>' line"),
+    ], ids=["no manifest line", "config before manifest", "blank line before digest",
+            "extra line after config"])
+    def test_line_out_of_the_layout_is_named(self, tmp_path, edit, line, expected):
+        p = tmp_path / "model.txt"
+        save_joint(random_joint(np.random.default_rng(5)), p)
+        lines = p.read_text().splitlines(keepends=True)[:-1]
+        at = next(n for n, text in enumerate(lines) if text.startswith("lambdas "))
+        lines[at:] = edit(lines[at:])
+        p.write_text(seal("".join(lines)))
+        got = re.escape(repr(lines[at + line - 1].rstrip("\n")))
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + line}: "
+                                            f"expected {re.escape(expected)}.*, got {got}$"):
             load_model(p)
 
 
-def per_float_model_text(model, manifest_hash=None, config=None):
+def per_float_model_text(model, manifest_hash, config):
     """Model text as the per-float f-string writer formatted it: the oracle
     for the body that save_model formats one block at a time."""
     f = lambda x: f"{float(x):.17g}"
-    cp = model.cp if isinstance(model, JointModel) else model
-    kind = "joint-model" if isinstance(model, JointModel) else "cp-model"
-    out = [f"{kind} rank {cp.rank} dims {' '.join(str(d) for d in cp.dims)}\n"]
+    cp = model.cp
+    out = [f"joint-model rank {cp.rank} dims {' '.join(str(d) for d in cp.dims)}\n"]
     blocks = [(f"mode {m} rows", U) for m, U in enumerate(cp.factors)]
-    tail = []
-    if isinstance(model, JointModel):
-        tail = [("S rows", model.S), ("A rows", model.A), ("T rows", model.T)]
+    tail = [("S rows", model.S), ("A rows", model.A), ("T rows", model.T)]
     for name, U in blocks + [("norms", None)] + tail:
         if U is None:
             out.append("norms " + " ".join(f(v) for v in cp.norms) + "\n")
             continue
         out.append(f"{name} {U.shape[0]}\n")
         out.extend(" ".join(f(v) for v in row) + "\n" for row in U)
-    if isinstance(model, JointModel):
-        pairs = " ".join(f"{k} {f(v)}" for k, v in sorted(model.lambdas.items()))
-        out.append(f"lambdas {pairs}\n")
-    if manifest_hash is not None:
-        out.append(f"manifest {manifest_hash}\n")
-    if config is not None:
-        out.append("config " + json.dumps(config, sort_keys=True) + "\n")
+    pairs = " ".join(f"{k} {f(v)}" for k, v in sorted(model.lambdas.items()))
+    out.append(f"lambdas {pairs}\n")
+    out.append(f"manifest {manifest_hash}\n")
+    out.append("config " + json.dumps(config, sort_keys=True) + "\n")
     return "".join(out)
-
-
-def random_joint(rng, dims=(3, 2, 3, 4), rank=2):
-    return JointModel(random_cp(rng, dims=dims, rank=rank), rng.random((2, rank)),
-                      rng.random((dims[3], rank)), rng.random((dims[1], rank)),
-                      {"lambda_x": 0.1, "lambda_s": 0.25})
-
-
-def seal(text):
-    return text + f"digest {hashlib.sha256(text.encode()).hexdigest()}\n"
-
-
-def assert_ranking_blocks_equal(path):
-    full, full_meta = load_model(path)
-    part, part_meta = load_model(path, ranking_only=True)
-    want = RankingFactors.of(full)
-    assert isinstance(part, RankingFactors)
-    for name in ("topic", "expert", "norms"):
-        assert getattr(part, name).tobytes() == getattr(want, name).tobytes()
-        assert getattr(part, name).shape == getattr(want, name).shape
-    assert part_meta == full_meta
 
 
 class TestModelDigest:
     @pytest.mark.parametrize("seed", range(4))
     def test_body_matches_per_float_writer(self, tmp_path, seed):
-        rng = np.random.default_rng(seed)
-        model = random_joint(rng, rank=3) if seed % 2 else random_cp(rng, rank=3)
-        cp = model.cp if seed % 2 else model
-        cp.factors[0][0] = [np.nan, np.inf, -0.0]
-        cp.factors[2][-1] = [-np.inf, 5e-324, 1e300]
+        model = random_joint(np.random.default_rng(seed), rank=3)
+        model.cp.factors[0][0] = [np.nan, np.inf, -0.0]
+        model.cp.factors[2][-1] = [-np.inf, 5e-324, 1e300]
         p = tmp_path / "model.txt"
-        save_model(model, p, manifest_hash="cd" * 32, config={"rank": 3})
+        save_model(model, p, "cd" * 32, {"rank": 3})
         assert p.read_text() == seal(per_float_model_text(model, "cd" * 32, {"rank": 3}))
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_ranking_only_load_is_bit_equal_to_full_parse(self, tmp_path, seed):
-        rng = np.random.default_rng(seed)
-        dims = tuple(int(d) for d in rng.integers(1, 7, size=4))
-        rank = int(rng.integers(1, 5))
-        model = (random_joint(rng, dims, rank) if seed % 2 else random_cp(rng, dims, rank))
-        cp = model.cp if seed % 2 else model
-        cp.factors[3][0, 0] = -0.0
+    @pytest.mark.parametrize("block", ["mode 0 rows", "mode 2 rows", "A rows", "norms", "lambdas",
+                                       "manifest", "config"])
+    def test_one_flipped_digit_rejected(self, tmp_path, block):
         p = tmp_path / "model.txt"
-        save_model(model, p, manifest_hash="ef" * 32)
-        assert_ranking_blocks_equal(p)
-        part, _ = load_model(p, ranking_only=True)
-        assert part.topic.tobytes() == cp.factors[1].tobytes()
-
-    def test_ranking_only_load_of_a_fitted_corpus(self, tmp_path, capsys):
-        make_corpus(str(tmp_path / "corpus"), seed=3)
-        sites = sorted(str(tmp_path / "corpus" / d) for d in os.listdir(tmp_path / "corpus")
-                       if (tmp_path / "corpus" / d).is_dir())
-        snap, fit = str(tmp_path / "snap"), str(tmp_path / "fit")
-        assert main(["ingest", *sites, "--out-dir", snap]) == 0
-        assert main(["fit", snap, "--out-dir", fit, "--rank", "3", "--max-iters", "5"]) == 0
-        assert_ranking_blocks_equal(os.path.join(fit, "model.txt"))
-
-    def test_meta_holds_only_provenance(self, tmp_path):
-        p = tmp_path / "model.txt"
-        save_model(random_joint(np.random.default_rng(1)), p, manifest_hash="aa", config={})
-        assert sorted(load_model(p)[1]) == ["config", "manifest"]
-
-    @pytest.mark.parametrize("ranking_only", [False, True])
-    @pytest.mark.parametrize("block", ["mode 0 rows", "mode 2 rows", "A rows", "norms", "lambdas"])
-    def test_one_flipped_digit_rejected(self, tmp_path, block, ranking_only):
-        p = tmp_path / "model.txt"
-        save_model(random_joint(np.random.default_rng(2)), p, manifest_hash="aa")
+        save_joint(random_joint(np.random.default_rng(2)), p)
         lines = p.read_text().splitlines(keepends=True)
         at = next(n for n, line in enumerate(lines) if line.startswith(block))
-        at += 0 if block in ("norms", "lambdas") else 1
-        lines[at] = re.sub(r"\d(?=\d*\s*$)", lambda d: str((int(d.group()) + 1) % 10),
-                           lines[at], count=1)
+        at += block.endswith("rows")
+        lines[at] = re.sub(r"\d(?=\D*$)", lambda d: str((int(d.group()) + 1) % 10), lines[at])
         p.write_text("".join(lines))
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{len(lines)}: digest "):
-            load_model(p, ranking_only=ranking_only)
+            load_model(p)
 
     def test_model_without_digest_rejected(self, tmp_path):
         p = tmp_path / "model.txt"
-        save_model(random_cp(np.random.default_rng(3)), p)
+        save_joint(random_joint(np.random.default_rng(3)), p)
         lines = p.read_text().splitlines(keepends=True)
         p.write_text("".join(lines[:-1]))
-        with pytest.raises(DataError, match="must be refit"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{len(lines) - 1}: .*must be refit"):
             load_model(p)
 
     def test_digest_must_be_the_last_line(self, tmp_path):
         p = tmp_path / "model.txt"
-        save_model(random_cp(np.random.default_rng(3)), p)
+        save_joint(random_joint(np.random.default_rng(3)), p)
+        lines = len(p.read_text().splitlines())
         with open(p, "a") as fh:
             fh.write("\n")
-        with pytest.raises(DataError, match="final 'digest"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{lines + 1}: expected the end "
+                                            "of the file after its digest line, got ''$"):
             load_model(p)
 
-    @pytest.mark.parametrize("target", ["mode 1 rows", "mode 3 rows", "norms", "lambdas", "S rows"])
+    @pytest.mark.parametrize("target", ["mode 1 rows", "mode 3 rows", "norms"])
     def test_non_numeric_value_names_its_line(self, tmp_path, target):
         p = tmp_path / "model.txt"
-        save_model(random_joint(np.random.default_rng(4)), p)
+        save_joint(random_joint(np.random.default_rng(4)), p)
         lines = p.read_text().splitlines(keepends=True)[:-1]
         at = next(n for n, line in enumerate(lines) if line.startswith(target))
         at += target.endswith("rows")
-        keep = {"norms": 1, "lambdas": 2}.get(target, 0)
+        keep = target == "norms"
         parts = lines[at].split(" ")
         lines[at] = " ".join(parts[:keep] + ["abc"] + parts[keep + 1:])
         p.write_text(seal("".join(lines)))
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 1}: .*'abc'"):
             load_model(p)
-        if target not in ("lambdas", "S rows"):
-            with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 1}: "):
-                load_model(p, ranking_only=True)
 
 
 # Characters at which str.splitlines breaks a line but a file's line count,
@@ -916,13 +940,15 @@ class TestLineNumbers:
     @pytest.mark.parametrize("sep, line", SPLITLINES_BREAKS)
     def test_model(self, tmp_path, sep, line):
         p = tmp_path / "model.txt"
-        save_model(random_joint(np.random.default_rng(4)), p)
+        save_joint(random_joint(np.random.default_rng(4)), p)
         lines = p.read_text().splitlines(keepends=True)[:-1]
-        lines[2] = lines[2].replace("\n", f"{sep}\n")
+        # the first row of the topic factor, the first block load_model reads
+        row = lines.index("mode 1 rows 2\n") + 1
+        lines[row] = lines[row].replace("\n", f"{sep}\n")
         at = next(n for n, line in enumerate(lines) if line.startswith("mode 3 rows")) + 1
         lines[at] = "abc" + lines[at][lines[at].index(" "):]
         p.write_bytes(seal("".join(lines)).encode())
-        want = ":3: expected " if line else f":{at + 1}: .*'abc'"
+        want = f":{row + 1}: expected " if line else f":{at + 1}: .*'abc'"
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}{want}"):
             load_model(p)
 
@@ -939,16 +965,14 @@ class TestLineNumbers:
             crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
             assert load_outcome(load, crlf) == load_outcome(load, lf)
         lf, crlf = tmp_path / "model.txt", tmp_path / "crlf_model.txt"
-        save_model(model, lf, manifest_hash="ab", config={"rank": 2})
+        save_joint(model, lf)
         body = lf.read_text().splitlines(keepends=True)[:-1]
         crlf_body = "".join(body).replace("\n", "\r\n")
         digest = hashlib.sha256(crlf_body.encode()).hexdigest()
         crlf.write_bytes(f"{crlf_body}digest {digest}\r\n".encode())
-        (a, a_meta), (b, b_meta) = load_model(lf), load_model(crlf)
-        assert a_meta == b_meta and a.lambdas == b.lambdas
-        for x, y in zip([*a.cp.factors, a.cp.norms, a.S, a.A, a.T],
-                        [*b.cp.factors, b.cp.norms, b.S, b.A, b.T]):
-            assert x.tobytes() == y.tobytes()
+        (a, a_manifest), (b, b_manifest) = load_model(lf), load_model(crlf)
+        assert a_manifest == b_manifest == MANIFEST_HASH
+        assert_blocks_bit_equal(b, a)
 
 
 REPUTATION_HEADER = "user_id,topic,score\n"
@@ -1240,16 +1264,21 @@ class TestManifest:
     def test_format_1_rejected(self, tmp_path):
         p = tmp_path / "manifest.json"
         p.write_text(json.dumps({"format": 1, "topics": ["a/x"], "users": [1]}))
-        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not a format-2 manifest"):
+        with pytest.raises(DataError) as caught:
             load_manifest(p)
+        assert str(caught.value) == (f"{p}: a format-1 snapshot, which this version does not "
+                                     "read; ingest the dumps again to write a format-2 one")
 
     @pytest.mark.parametrize("payload", [[], "x", 1, {"format": 2},
                                          {"format": 2, "topics": [], "users": None},
-                                         {"format": 2, "topics": "ab", "users": [1]}])
+                                         {"format": 2, "topics": "ab", "users": [1]},
+                                         {"format": True, "topics": [], "users": []},
+                                         {"format": "1", "topics": [], "users": []}])
     def test_manifest_without_its_tables_rejected(self, tmp_path, payload):
         p = tmp_path / "manifest.json"
         p.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match=re.escape(str(p))):
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not a format-2 manifest "
+                                            "with topics and users lists$"):
             load_manifest(p)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
