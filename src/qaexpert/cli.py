@@ -37,14 +37,13 @@ import warnings
 
 from . import serialize
 from .coupled import JointConfig, fit_joint
-from .errors import SolverDiverged, VersionMismatchError
+from .errors import DataError, SolverDiverged, VersionMismatchError
 from .ingest import build_inputs, merge_datasets, parse_dump, reputation_scores, sample_dataset
 from .ranking import evaluate, rank_experts
 
 _DEFAULTS = {
     "ingest": {
         "sample_users": None, "seed": 0, "vote_buckets": "0,1,3,10",
-        "tree_s": 0.5,
     },
     "fit": {
         "rank": 8, "lambda_x": 0.1, "lambda_w": 0.1, "lambda_s": 0.1,
@@ -79,7 +78,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or digits
                 raise UsageError(f"--config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError(f"--config must hold a JSON object, got {json.dumps(loaded)}")
@@ -87,7 +86,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {', '.join(unknown)}")
         for key, value in loaded.items():
-            # Any number for a float, an integer but no bool for an int.
+            # Any number for a float, taken as a float; an integer but no
+            # bool for an int.
             kind = _NULLABLE.get(key, type(merged[key]))
             if not ((value is None and key in _NULLABLE) or (
                     isinstance(value, (int, float) if kind is float else kind)
@@ -95,6 +95,12 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
                 null = " or null" if key in _NULLABLE else ""
                 raise UsageError(f"config {key} takes {kind.__name__}{null}, "
                                  f"not {json.dumps(value)}")
+            if kind is float and isinstance(value, int):
+                try:
+                    loaded[key] = float(value)
+                except OverflowError:
+                    raise UsageError(f"config {key} takes float, not an integer "
+                                     "beyond the float range") from None
         merged.update(loaded)
     for key in _DEFAULTS[command]:
         value = getattr(args, key, None)
@@ -244,11 +250,9 @@ def _fork_join(tasks, own) -> list:
 def cmd_ingest(args) -> int:
     cfg = _resolve_config("ingest", args)
     edges = _parse_int_list(cfg["vote_buckets"], "--vote-buckets")
-    sample_users, seed, tree_s = cfg["sample_users"], cfg["seed"], float(cfg["tree_s"])
+    sample_users, seed = cfg["sample_users"], cfg["seed"]
     if sample_users is not None and sample_users < 1:
         raise UsageError("--sample-users must be >= 1")
-    if not 0 <= tree_s <= 1:
-        raise UsageError("--tree-s must lie in [0, 1]")
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise UsageError("--vote-buckets must be strictly increasing")
     dirs = [d.rstrip("/") for d in args.dirs]
@@ -266,7 +270,7 @@ def cmd_ingest(args) -> int:
     data = merge_datasets(_parse_subsites(jobs))
     if sample_users is not None:
         data = sample_dataset(data, sample_users, seed)
-    tables = build_inputs(data, bucket_edges=edges, tree_s=tree_s)
+    tables = build_inputs(data, bucket_edges=edges)
 
     def render_tables():  # each table file's bytes and digest, by SNAPSHOT_FILES key
         return {"tensor": serialize.encoded(serialize.tensor_text(tables.tensor)),
@@ -319,24 +323,16 @@ def _snapshot_paths(snapshot_dir: str) -> dict:
 
 def cmd_fit(args) -> int:
     cfg = _resolve_config("fit", args)
+    rest = dict(cfg)
     try:
-        joint_cfg = JointConfig(
-            rank=int(cfg["rank"]),
-            max_iters=int(cfg["max_iters"]),
-            tolerance=float(cfg["tol"]),
-            lambda_x=float(cfg["lambda_x"]),
-            lambda_w=float(cfg["lambda_w"]),
-            lambda_s=float(cfg["lambda_s"]),
-            lambda_t=float(cfg["lambda_t"]),
-            lambda_site=None if cfg["lambda_site"] is None else float(cfg["lambda_site"]),
-            seed=int(cfg["seed"]),
-        )
+        joint_cfg = JointConfig(tolerance=rest.pop("tol"), **rest)
     except ValueError as exc:  # a flag or config value out of range
         raise UsageError(str(exc)) from None
     paths = _snapshot_paths(args.snapshot)
     # its shape, as recommend and evaluate read it, and the digest the model records
-    _, manifest_hash = serialize.load_manifest(paths["manifest"])
+    manifest, manifest_hash = serialize.load_manifest(paths["manifest"])
     X = serialize.load_tensor(paths["tensor"])
+    _check_manifest_rows(manifest, paths["manifest"], X.dims[1], X.dims[3], "tensor's dims")
     M = serialize.load_membership(paths["site"])
     N = serialize.load_membership(paths["topic"])
     tree = serialize.load_tree(paths["tree"])
@@ -366,13 +362,23 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _check_model_snapshot(stored: str, manifest_path: str):
+def _check_manifest_rows(manifest: dict, path: str, topics: int, users: int, what: str):
+    """Raise unless the manifest lists ``topics`` topics and ``users`` users."""
+    listed = len(manifest["topics"]), len(manifest["users"])
+    if listed != (topics, users):
+        raise DataError(f"{path}: lists {listed[0]} topics and {listed[1]} users, "
+                        f"but the {what} are {topics} and {users}")
+
+
+def _check_model_snapshot(model, stored: str, manifest_path: str):
     manifest, actual = serialize.load_manifest(manifest_path)
     if stored != actual:
         raise VersionMismatchError(
             "model was fit against a different snapshot "
             f"(model records {stored}, snapshot is {actual})"
         )
+    _check_manifest_rows(manifest, manifest_path, len(model.topic), len(model.expert),
+                         "model's topic and expert rows")
     return manifest
 
 
@@ -396,7 +402,8 @@ def cmd_recommend(args) -> int:
     if k < 1:
         raise UsageError("--k must be >= 1")
     model, stored = serialize.load_model(args.model)
-    manifest = _check_model_snapshot(stored, os.path.join(args.snapshot, SNAPSHOT_FILES["manifest"]))
+    manifest = _check_model_snapshot(model, stored,
+                                     os.path.join(args.snapshot, SNAPSHOT_FILES["manifest"]))
     topic = _resolve_topic(manifest, args.topic)
     ranked = rank_experts(model, topic, k)
     print("# config " + json.dumps({**cfg, "topic": manifest["topics"][topic]}, sort_keys=True))
@@ -418,7 +425,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--k-list values must be distinct")
     model, stored = serialize.load_model(args.model)
     paths = _snapshot_paths(args.snapshot)
-    manifest = _check_model_snapshot(stored, paths["manifest"])
+    manifest = _check_model_snapshot(model, stored, paths["manifest"])
     ledger = serialize.load_reputation(paths["reputation"])
     report = evaluate(model, ledger, k_list, manifest["topics"], manifest["users"])
     out = args.out_dir
@@ -449,11 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--vote-buckets", dest="vote_buckets",
                    help="comma-separated question-score bucket edges")
-    p.add_argument("--tree-s", type=float, dest="tree_s",
-                   help="tree weight s of every internal node; g is 1 - s, and as s + g = 1 "
-                        "every question row's penalty weight sums to 1, so s changes "
-                        "tree.txt and the manifest but not the fitted factors or "
-                        "objective_history.csv")
     p.add_argument("--config", help="JSON file with defaults for these flags")
     p.set_defaults(func=cmd_ingest)
 

@@ -240,9 +240,9 @@ class JointConfig(AlsConfig):
     """Settings for :func:`fit_joint`; the shared fields mean what they do in
     :class:`AlsConfig`.
 
-    ``lambda_site`` weights the subsite-to-question-mean coupling and
-    defaults to ``lambda_s`` when left unset, matching the shared symbol
-    in the objective.
+    ``lambda_site`` weights the subsite-to-question-mean coupling.  Left
+    as None it is set to ``lambda_s`` on construction, matching the shared
+    symbol in the objective, so every reader finds a number there.
     """
 
     max_iters: int = 100
@@ -253,14 +253,10 @@ class JointConfig(AlsConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("lambda_w", "lambda_s", "lambda_t"):
+        if self.lambda_site is None:
+            object.__setattr__(self, "lambda_site", self.lambda_s)
+        for name in ("lambda_w", "lambda_s", "lambda_t", "lambda_site"):
             _check_finite_nonnegative(self, name)
-        if self.lambda_site is not None:
-            _check_finite_nonnegative(self, "lambda_site")
-
-    @property
-    def effective_lambda_site(self) -> float:
-        return self.lambda_s if self.lambda_site is None else self.lambda_site
 
 
 @dataclass
@@ -357,7 +353,7 @@ class _Descent:
             self.S = rng.random((M.rows, R))
             self.A = rng.random((M.cols, R))
             self.T = rng.random((N.rows, R))
-            self.lam_site = config.effective_lambda_site
+            self.lam_site = config.lambda_site
             self.data_sq.update(network=float(M.nnz), topic=float(N.nnz))
             self.inner.update(
                 network=_inner(self.S, M.matmul(self.A)), topic=_inner(self.T, N.matmul(self.A))
@@ -615,7 +611,7 @@ def fit_joint(
         "lambda_w": config.lambda_w,
         "lambda_s": config.lambda_s,
         "lambda_t": config.lambda_t,
-        "lambda_site": config.effective_lambda_site,
+        "lambda_site": config.lambda_site,
     }
     R = config.rank
 

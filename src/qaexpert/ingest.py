@@ -588,7 +588,8 @@ class BuildInputs:
     ``questions[i]`` is the (subsite, post id) behind tensor row i,
     ``topics[j]`` the namespaced tag of tensor column j, ``users[l]`` the
     network-wide id of expert column l. ``subsites[x]`` names row x of the
-    site membership matrix and subsite group x of the tree.
+    site membership matrix and subsite group x of the tree, whose internal
+    nodes all weigh ``(s, g) = (0.5, 0.5)``.
     """
 
     tensor: SparseTensor4
@@ -600,7 +601,6 @@ class BuildInputs:
     users: tuple
     subsites: tuple
     bucket_edges: tuple
-    tree_s: float
 
 
 def question_scores(data: QaDataset) -> np.ndarray:
@@ -613,11 +613,7 @@ def question_scores(data: QaDataset) -> np.ndarray:
     return scores.astype(np.int64)
 
 
-def build_inputs(
-    data: QaDataset,
-    bucket_edges=DEFAULT_BUCKET_EDGES,
-    tree_s: float = 0.5,
-) -> BuildInputs:
+def build_inputs(data: QaDataset, bucket_edges=DEFAULT_BUCKET_EDGES) -> BuildInputs:
     """Assemble the evidence tensor, membership matrices, and tree.
 
     Tensor cell (i, j, k, l) counts answers by user l to question i under
@@ -625,8 +621,10 @@ def build_inputs(
     without tags are left out of the index tables; subsites with no
     tagged questions are dropped with a warning.  Each question's tree
     leaf sits under its first-listed tag so the topic groups partition
-    the questions.  Every internal tree node weighs ``(s, g)`` with
-    ``s = tree_s`` and ``g = 1 - tree_s``.
+    the questions.  Every internal tree node weighs ``s = g = 0.5``: with
+    ``s + g = 1`` at every node each question row's penalty weight sums to
+    1, up to rounding, whatever the split, so the tree penalty is
+    ``λ_w/2·‖U1‖²``.
     """
     edges = tuple(int(e) for e in bucket_edges)
     if list(edges) != sorted(set(edges)):
@@ -687,9 +685,8 @@ def build_inputs(
     parent[leaf], parent[group_node] = group_node, site_node
     leaf_row = np.full(len(parent), -1)
     leaf_row[leaf] = order
-    internal = leaf_row < 0
-    tree = HierarchyTree(parent, np.where(internal, tree_s, np.nan),
-                         np.where(internal, 1.0 - tree_s, np.nan), leaf_row)
+    weights = np.where(leaf_row < 0, 0.5, np.nan)
+    tree = HierarchyTree(parent, weights, weights, leaf_row)
 
     return BuildInputs(
         tensor=tensor,
@@ -701,5 +698,4 @@ def build_inputs(
         users=users,
         subsites=subsites,
         bucket_edges=edges,
-        tree_s=float(tree_s),
     )

@@ -550,7 +550,6 @@ def write_manifest(path, tables, config, digests):
         "topics": list(tables.topics),
         "users": [int(u) for u in tables.users],
         "bucket_edges": [int(e) for e in tables.bucket_edges],
-        "tree_s": tables.tree_s,
         "config": config,
         "files": digests,
     }
@@ -558,10 +557,10 @@ def write_manifest(path, tables, config, digests):
 
 
 def load_manifest(path) -> tuple[dict, str]:
-    """A snapshot manifest, a format-2 JSON object with topics and users
-    lists, and the SHA-256 hex digest of the bytes it was parsed from.  One
-    of another integer format is refused with its own message: its snapshot
-    must be re-ingested."""
+    """A snapshot manifest, a format-2 JSON object with a list of topic
+    strings and a list of integer user ids, and the SHA-256 hex digest of
+    the bytes it was parsed from.  One of another integer format is refused
+    with its own message: its snapshot must be re-ingested."""
     data = _read(path)
     manifest = json.loads(data.decode("utf-8"))
     old = manifest.get("format") if isinstance(manifest, dict) else None
@@ -569,6 +568,9 @@ def load_manifest(path) -> tuple[dict, str]:
         raise DataError(f"{path}: a format-{old} snapshot, which this version does not read; "
                         "ingest the dumps again to write a format-2 one")
     if not (isinstance(manifest, dict) and manifest.get("format") == 2
-            and all(isinstance(manifest.get(k), list) for k in ("topics", "users"))):
-        raise DataError(f"{path}: not a format-2 manifest with topics and users lists")
+            and all(isinstance(manifest.get(k), list)  # by type, as a bool is no user id
+                    and [*map(type, manifest[k])].count(kind) == len(manifest[k])
+                    for k, kind in (("topics", str), ("users", int)))):
+        raise DataError(f"{path}: not a format-2 manifest with a list of topic strings "
+                        "and a list of integer user ids")
     return manifest, hashlib.sha256(data).hexdigest()

@@ -84,7 +84,7 @@ def reputation_scores(data):
     return scores, skipped
 
 
-def build_inputs(data, bucket_edges=(0, 1, 3, 10), tree_s=0.5) -> dict:
+def build_inputs(data, bucket_edges=(0, 1, 3, 10)) -> dict:
     """The model inputs and index tables, by field name."""
     edges = tuple(bucket_edges)
     questions = [p for p in rec.posts(data) if p.kind == "question" and p.tags]
@@ -119,7 +119,6 @@ def build_inputs(data, bucket_edges=(0, 1, 3, 10), tree_s=0.5) -> dict:
     for i, q in enumerate(questions):
         primary[q.subsite].setdefault(q.tags[0], []).append(i)
     nested = [[groups[tag] for tag in sorted(groups)] for groups in primary.values()]
-    sg = {level: (tree_s, 1.0 - tree_s) for level in range(3)}
     return {
         "tensor": SparseTensor4(
             (len(questions), len(topics), len(edges) + 1, len(users)),
@@ -127,7 +126,7 @@ def build_inputs(data, bucket_edges=(0, 1, 3, 10), tree_s=0.5) -> dict:
         ),
         "site_matrix": MembershipMatrix(len(subsites), len(users), site_pairs),
         "topic_matrix": MembershipMatrix(len(topics), len(users), topic_pairs),
-        "tree": tree_from_nested(nested, sg_by_level=sg),
+        "tree": tree_from_nested(nested),
         "questions": tuple(q_keys),
         "topics": topics,
         "users": users,
@@ -135,7 +134,7 @@ def build_inputs(data, bucket_edges=(0, 1, 3, 10), tree_s=0.5) -> dict:
     }
 
 
-def nested_tree(data, tree_s=0.5):
+def nested_tree(data):
     """`build_inputs`' tree built the way it was before the arrays were
     computed directly: the (subsite, first tag) groups of the tagged
     questions, from one sort, as nested lists walked by `tree_from_nested`."""
@@ -147,8 +146,7 @@ def nested_tree(data, tree_s=0.5):
     nested = {}
     for group in np.split(order, starts[1:]):
         nested.setdefault(int(question_site[group[0]]), []).append(group.tolist())
-    sg = {level: (tree_s, 1.0 - tree_s) for level in range(3)}
-    return tree_from_nested(list(nested.values()), sg_by_level=sg)
+    return tree_from_nested(list(nested.values()))
 
 
 def sample_dataset(data, n_users, seed):

@@ -179,17 +179,23 @@ class TestIngest:
         dims = [int(t) for t in header.split()[1:]]
         assert dims[2] == 3
 
-    def test_tree_s_alone_sets_g_to_one_minus_s(self, corpus, tmp_path, capsys):
-        snap = str(tmp_path / "snap2")
-        assert main(["ingest", *corpus, "--out-dir", snap, "--tree-s", "0.3"]) == 0
-        root = open(os.path.join(snap, "tree.txt")).readline().split()
-        assert root[1:3] == ["0.29999999999999999", "0.69999999999999996"]
-        manifest = json.load(open(os.path.join(snap, "manifest.json")))
-        assert manifest["tree_s"] == 0.3 and "tree_g" not in manifest
-        assert "tree_g" not in manifest["config"]
+    def test_every_internal_node_weighs_a_half(self, snapshot, tmp_path, capsys):
+        tree = serialize.load_tree(os.path.join(snapshot, "tree.txt"))
+        internal = tree.leaf_row < 0
+        assert tree.s[internal].tolist() == tree.g[internal].tolist() == [0.5] * internal.sum()
+        assert open(os.path.join(snapshot, "tree.txt")).readline() == "-1 0.5 0.5 -1\n"
+        manifest = json.load(open(os.path.join(snapshot, "manifest.json")))
+        assert "tree_s" not in manifest and "tree_s" not in manifest["config"]
+        # no split of the weights changes a fit, so there is no flag to set one
+        with pytest.raises(SystemExit) as exited:
+            main(["ingest", str(tmp_path / "missing"), "--out-dir", str(tmp_path / "out"),
+                  "--tree-s", "0.3"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --tree-s 0.3" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("flags", [
-        ["--sample-users", "0"], ["--tree-s", "1.5"], ["--tree-s", "-0.1"], ["--tree-s", "nan"],
+        ["--sample-users", "0"],
         ["--seed", "-1"], ["--seed", "-1", "--sample-users", "5"],
         ["--vote-buckets", "3,1"], ["--vote-buckets", "0,1,1"],
     ])
@@ -202,7 +208,7 @@ class TestIngest:
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("entry", ['"sample_users": "ten"', '"seed": "x"',
-                                       '"tree_s": "half"'])
+                                       '"vote_buckets": "0,one"'])
     def test_non_numeric_config_value_exits_2(self, corpus, tmp_path, capsys, entry):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{" + entry + "}")
@@ -438,7 +444,7 @@ class TestRecommend:
     def test_snapshot_mismatch_exits_1(self, fitted, corpus, tmp_path, capsys):
         other = str(tmp_path / "resnap")
         assert main(["ingest", *corpus, "--out-dir", other,
-                     "--tree-s", "0.4"]) == 0
+                     "--vote-buckets", "0,2,5"]) == 0
         code = main(["recommend", "--model", fitted, "--snapshot", other,
                      "--topic", "alpha/tensor"])
         assert code == 1
@@ -544,10 +550,11 @@ class TestConfigTypes:
         ("fit", '{"lambda_x": "0.1"}'), ("fit", '{"lambda_site": false}'),
         ("ingest", '{"sample_users": 2.5}'), ("ingest", '{"sample_users": true}'),
         ("ingest", '{"seed": null}'), ("ingest", '{"vote_buckets": [0, 1]}'),
-        ("ingest", '{"tree_s": "0.5"}'), ("recommend", '{"k": 2.0}'),
+        ("ingest", '{"tree_s": 0.5}'), ("recommend", '{"k": 2.0}'),
         ("recommend", '{"k": null}'), ("evaluate", '{"k_list": 5}'),
         ("fit", '{"seed": -1}'), ("ingest", '{"seed": -1}'),
         ("ingest", '{"vote_buckets": "0,3,3"}'),
+        ("fit", '{"tol": 1%s}' % ("0" * 5000)),  # more digits than Python converts
     ])
     def test_mistyped_config_exits_2(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "cfg.json"
@@ -582,9 +589,54 @@ class TestConfigTypes:
         out = tmp_path / "fit"
         assert main(["fit", snapshot, "--out-dir", str(out), "--config", str(cfg)]) == 0
         assert (out / "model.txt").read_text().startswith("joint-model rank 2")
-        cfg.write_text('{"sample_users": null, "tree_s": 1}')
+        cfg.write_text('{"sample_users": null}')
         assert main(["ingest", *micro_corpus(str(tmp_path / "dumps")),
                      "--out-dir", str(tmp_path / "snap"), "--config", str(cfg)]) == 0
+
+    def test_integer_beyond_the_float_range_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lambda_w": 1%s}' % ("0" * 399))
+        argv, out = missing_inputs("fit", tmp_path)
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == ("usage error: config lambda_w takes float, not an "
+                                           "integer beyond the float range\n")
+        assert not os.path.exists(out)
+
+    def test_integer_for_a_float_key_fits_as_that_float(self, snapshot, tmp_path, capsys):
+        fits = []
+        for text in ('{"lambda_x": 1, "tol": 0}', '{"lambda_x": 1.0, "tol": 0.0}'):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(text)
+            out = tmp_path / f"fit{len(fits)}"
+            assert main(["fit", snapshot, "--out-dir", str(out), "--config", str(cfg),
+                         "--rank", "2", "--max-iters", "5"]) == 0
+            fits.append([(out / name).read_bytes()
+                         for name in ("objective_history.csv", "model.txt")])
+        # the config echo, in model.txt, shows the values as floats too
+        assert fits[0] == fits[1]
+        assert b'"lambda_x": 1.0' in fits[0][1] and b'"tol": 0.0' in fits[0][1]
+
+
+def resealed(fitted, path, manifest_digest):
+    """The fitted model, written to ``path``, recording ``manifest_digest``
+    under a digest line that matches: a model fit on that manifest by a
+    version that wrote the same factors."""
+    with open(fitted) as fh:
+        body = "".join(f"manifest {manifest_digest}\n" if line.startswith("manifest ") else line
+                       for line in fh.readlines()[:-1])
+    path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    return str(path)
+
+
+def rewritten_manifest(snapshot, copy, edit):
+    """A copy of ``snapshot`` whose manifest ``edit`` changed in place, written
+    as ingest writes one; returns the manifest's path."""
+    shutil.copytree(snapshot, copy)
+    manifest = copy / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    edit(payload)
+    manifest.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return manifest
 
 
 class TestManifestShape:
@@ -592,7 +644,10 @@ class TestManifestShape:
     @pytest.mark.parametrize("text", ["[]", '"x"', '{"format": 2}',
                                       '{"format": 2, "topics": "t", "users": []}',
                                       '{"format": 2, "topics": [], "users": {}}',
-                                      '{"format": 1, "topics": [], "users": []}'])
+                                      '{"format": 1, "topics": [], "users": []}',
+                                      '{"format": 2, "topics": [1, 2, 3, 4], "users": [8]}',
+                                      '{"format": 2, "topics": ["alpha/tensor"], '
+                                      '"users": [true]}'])
     def test_refit_on_a_broken_manifest_exits_1(self, fitted, snapshot, tmp_path, capsys,
                                                 command, text):
         broken = tmp_path / "broken"
@@ -611,6 +666,45 @@ class TestManifestShape:
         assert main([command, "--model", fitted, "--snapshot", str(broken), *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["recommend", "evaluate"])
+    @pytest.mark.parametrize("key", ["topics", "users"])
+    def test_a_list_one_entry_short_exits_1(self, fitted, snapshot, tmp_path, capsys,
+                                            command, key):
+        manifest = rewritten_manifest(snapshot, tmp_path / "short", lambda m: m[key].pop())
+        refit = tmp_path / "refit"
+        assert main(["fit", str(manifest.parent), "--out-dir", str(refit), "--rank", "2",
+                     "--max-iters", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: lists ") and "Traceback" not in err
+        assert "tensor's dims" in err and not refit.exists()
+        # a model that records this manifest, as one an earlier fit wrote
+        model = resealed(fitted, tmp_path / "model.txt", serialize.file_digest(manifest))
+        argv = {"recommend": ["--topic", "alpha/tensor"],
+                "evaluate": ["--out-dir", str(tmp_path / "eval")]}[command]
+        assert main([command, "--model", model, "--snapshot", str(manifest.parent), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: lists ") and "Traceback" not in err
+        assert "model's topic and expert rows" in err
+
+    def test_a_manifest_that_holds_tree_s_still_fits_and_serves(self, fitted, snapshot,
+                                                                tmp_path, capsys):
+        def old_layout(payload):  # as ingest wrote it when it took --tree-s
+            payload["tree_s"] = payload["config"]["tree_s"] = 0.5
+        manifest = rewritten_manifest(snapshot, tmp_path / "old", old_layout)
+        old = str(manifest.parent)
+        refit = tmp_path / "refit"
+        assert main(["fit", old, "--out-dir", str(refit),
+                     "--rank", "2", "--max-iters", "40", "--seed", "0"]) == 0
+        assert (refit / "model.txt").read_text() == open(resealed(
+            fitted, tmp_path / "model.txt", serialize.file_digest(manifest))).read()
+        capsys.readouterr()
+        outputs = []
+        for model, snap in ((fitted, snapshot), (str(tmp_path / "model.txt"), old)):
+            assert main(["recommend", "--model", model, "--snapshot", snap,
+                         "--topic", "alpha/tensor"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 def edited_model(fitted, tmp_path, block, edit):

@@ -246,9 +246,10 @@ class TestJointObjective:
 class TestJointConfig:
     def test_lambda_site_defaults_to_lambda_s(self):
         cfg = JointConfig(rank=2, lambda_s=0.7)
-        assert cfg.effective_lambda_site == 0.7
+        assert cfg.lambda_site == 0.7
         cfg = JointConfig(rank=2, lambda_s=0.7, lambda_site=0.01)
-        assert cfg.effective_lambda_site == 0.01
+        assert cfg.lambda_site == 0.01
+        assert not hasattr(cfg, "effective_lambda_site")
 
     def test_validation(self):
         with pytest.raises(ContractViolation):
@@ -426,7 +427,7 @@ class TestObjectiveTermCache:
                     if solver == "fit_joint":
                         fresh += networks_objective(S, A, M, cfg.lambda_s)
                         fresh += topic_objective(T, A, N, cfg.lambda_t)
-                        fresh += site_regularizer(S, f[0], tree, cfg.effective_lambda_site)
+                        fresh += site_regularizer(S, f[0], tree, cfg.lambda_site)
                     # The engine reads its loss terms off a difference of
                     # totals, so it rounds apart from the direct sum; the
                     # worst relative gap seen here is about 1.1e-15.
@@ -509,7 +510,7 @@ def _as_stored(state, cfg):
     scales, so ``joint_objective`` evaluates exactly what the engine holds."""
     cp = CpModel(list(state.factors), np.ones(cfg.rank))
     lambdas = {"lambda_x": cfg.lambda_x, "lambda_w": cfg.lambda_w, "lambda_s": cfg.lambda_s,
-               "lambda_t": cfg.lambda_t, "lambda_site": cfg.effective_lambda_site}
+               "lambda_t": cfg.lambda_t, "lambda_site": cfg.lambda_site}
     return JointModel(cp, state.S, state.A, state.T, lambdas)
 
 

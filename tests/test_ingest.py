@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qaexpert.errors import ContractViolation, DataError, DumpParseError, EmptyInputError
+from qaexpert.hierarchy import HierarchyTree, TreePenalty
 from qaexpert.ingest import (
     QaDataset,
     ReputationLedger,
@@ -724,10 +725,9 @@ class TestBuildInputs:
         assert tree.level.tolist() == [0, 1, 2, 3]
         assert [g.tolist() for g in tree.level_groups(1)] == [[0]]
 
-    @pytest.mark.parametrize("tree_s", [0, 0.3, 1])
     @pytest.mark.parametrize("n_sites", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(3))
-    def test_tree_arrays_equal_the_nested_list_tree(self, seed, n_sites, tree_s):
+    def test_tree_arrays_equal_the_nested_list_tree(self, seed, n_sites):
         rng = np.random.default_rng(seed)
         posts = []
         for site in ("sa", "sb", "sc")[:n_sites]:
@@ -742,12 +742,31 @@ class TestBuildInputs:
         posts = [posts[i] for i in rng.permutation(len(posts))]
         data = rec.dataset([1], posts, [])
         with pytest.warns(UserWarning, match="sd"):
-            tree = build_inputs(data, tree_s=tree_s).tree
-        want = oracles.nested_tree(data, tree_s)
+            tree = build_inputs(data).tree
+        want = oracles.nested_tree(data)
         for name in ("parent", "s", "g", "leaf_row"):
             got_a, want_a = getattr(tree, name), getattr(want, name)
             assert got_a.dtype == want_a.dtype
             np.testing.assert_array_equal(got_a, want_a, err_msg=name)
+
+    @pytest.mark.parametrize("s", [0, 0.3, 1 / 3, 0.5, 0.7, 1])
+    @pytest.mark.parametrize("n_subsites", [1, 2, 3])
+    def test_no_split_of_the_node_weights_changes_the_row_weights(self, tmp_path, n_subsites,
+                                                                  s):
+        # With s + g = 1 at every node a question row's weights telescope to
+        # 1, so the penalty is lambda_w/2 * ||U1||^2: build_inputs writes
+        # s = g = 1/2, and no other split would change a fit.
+        make_corpus(str(tmp_path), seed=n_subsites, n_subsites=n_subsites)
+        names = ("sitea", "siteb", "sitec")[:n_subsites]
+        tree = build_inputs(merge_datasets([parse_site(str(tmp_path / n), n)
+                                            for n in names])).tree
+        internal = tree.leaf_row < 0
+        assert tree.s[internal].tolist() == tree.g[internal].tolist() == [0.5] * internal.sum()
+        assert (TreePenalty(tree, 0.1).row_weights == 1.0).all()
+        split = HierarchyTree(tree.parent, np.where(internal, s, np.nan),
+                              np.where(internal, 1 - s, np.nan), tree.leaf_row)
+        # s = 0.3's products round to one ulp below 1; every other split sums to 1
+        assert (TreePenalty(split, 0.1).row_weights == (1 - 2**-53 if s == 0.3 else 1)).all()
 
     def test_vote_bucket_assignment(self, tmp_path):
         # scores 0, 1, 3, 10 and a downvoted question cover all five bands

@@ -1242,7 +1242,6 @@ def tables_fixture():
         topics=("alpha/x", "beta/y"),
         users=(1, 2, 9),
         bucket_edges=(0, 1, 3, 10),
-        tree_s=0.5,
     )
 
 
@@ -1255,7 +1254,7 @@ class TestManifest:
         write_manifest(p, tables_fixture(), {"rank": 6}, {"tensor.txt": digest})
         back, manifest_digest = load_manifest(p)
         assert manifest_digest == file_digest(p)
-        assert back["format"] == 2 and "tree_g" not in back
+        assert back["format"] == 2 and "tree_g" not in back and "tree_s" not in back
         assert back["users"] == [1, 2, 9]
         assert back["questions"] == ["alpha:1", "beta:4"]
         assert list(back["files"]) == ["tensor.txt"]
@@ -1273,12 +1272,18 @@ class TestManifest:
                                          {"format": 2, "topics": [], "users": None},
                                          {"format": 2, "topics": "ab", "users": [1]},
                                          {"format": True, "topics": [], "users": []},
-                                         {"format": "1", "topics": [], "users": []}])
+                                         {"format": "1", "topics": [], "users": []},
+                                         {"format": 2, "topics": ["a/x", 1], "users": [1]},
+                                         {"format": 2, "topics": [None], "users": [1]},
+                                         {"format": 2, "topics": ["a/x"], "users": ["1"]},
+                                         {"format": 2, "topics": ["a/x"], "users": [1.0]},
+                                         {"format": 2, "topics": ["a/x"], "users": [True]}])
     def test_manifest_without_its_tables_rejected(self, tmp_path, payload):
         p = tmp_path / "manifest.json"
         p.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not a format-2 manifest "
-                                            "with topics and users lists$"):
+                                            "with a list of topic strings and a list of "
+                                            "integer user ids$"):
             load_manifest(p)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
