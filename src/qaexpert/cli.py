@@ -72,6 +72,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, its subcommands' too, are
+    `UsageError`s, which `main` reports as it reports every other."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS[command])
     if getattr(args, "config", None):
@@ -343,13 +351,13 @@ def cmd_fit(args) -> int:
         model = fit_joint(X, M, N, tree, joint_cfg)
     except SolverDiverged as exc:
         if exc.last_state is not None:
-            serialize.save_model(exc.last_state, model_path + ".diverged", manifest_hash, cfg)
+            serialize.save_model(exc.last_state.cp, model_path + ".diverged", manifest_hash, cfg)
             print(f"solver diverged; last finite state saved to {model_path}.diverged",
                   file=sys.stderr)
         else:
             print("solver diverged before any finite sweep", file=sys.stderr)
         return 1
-    serialize.save_model(model, model_path, manifest_hash, cfg)
+    serialize.save_model(model.cp, model_path, manifest_hash, cfg)
     serialize.save_history(model.objective_history, os.path.join(out, "objective_history.csv"))
     live = int((model.cp.norms != 0).sum())
     if live < joint_cfg.rank:
@@ -443,7 +451,7 @@ def cmd_evaluate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; each `parse_args`
     call fills a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qaexpert",
         description="Find per-topic experts in multi-community Q&A dumps.",
     )
@@ -498,11 +506,11 @@ def _one_line(message, category, filename, lineno, line=None) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # only the text of a warning that Python's filters let through changes,
     # and only until main returns
     formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -267,14 +267,15 @@ class JointModel:
     sweep; ``block_history`` holds (block name, objective) after each
     individual block update.  Both are evaluated on the raw iterates; the
     stored factors are canonicalized afterwards, with S, A, T re-solved
-    once against the canonical question factor.
+    once against the canonical question factor.  ``config`` is the
+    :class:`JointConfig` the fit ran with.
     """
 
     cp: CpModel
     S: np.ndarray
     A: np.ndarray
     T: np.ndarray
-    lambdas: dict[str, float]
+    config: JointConfig
     objective_history: list[float] = field(default_factory=list)
     block_history: list[tuple[str, float]] = field(default_factory=list)
 
@@ -606,13 +607,6 @@ def fit_joint(
             f"subsite membership has {M.rows} rows but the tree has {len(groups)} subsite groups"
         )
 
-    lambdas = {
-        "lambda_x": config.lambda_x,
-        "lambda_w": config.lambda_w,
-        "lambda_s": config.lambda_s,
-        "lambda_t": config.lambda_t,
-        "lambda_site": config.lambda_site,
-    }
     R = config.rank
 
     if X.nnz == 0 and M.nnz == 0 and N.nnz == 0:
@@ -622,12 +616,12 @@ def fit_joint(
         zero = np.zeros
         return JointModel(
             cp, zero((M.rows, R)), zero((M.cols, R)), zero((N.rows, R)),
-            lambdas, [0.0], [],
+            config, [0.0], [],
         )
 
     def as_model(factors, S, A, T, history, block_history):
         cp = CpModel(*_normalize_columns(factors))
-        return JointModel(cp, S, A, T, dict(lambdas), history, block_history)
+        return JointModel(cp, S, A, T, config, history, block_history)
 
     state = _Descent(X, config, BLOCKS, TreePenalty(tree, config.lambda_w), M, N, groups)
     history, blocks = state.descend(as_model)
@@ -640,4 +634,4 @@ def fit_joint(
     state.mu = state._group_sums(cp.balanced_factors()[0]) / state.sizes
     for block in ("subsite", "answerer", "topicfactor"):
         state.update(block)
-    return JointModel(cp, state.S, state.A, state.T, lambdas, history, blocks)
+    return JointModel(cp, state.S, state.A, state.T, config, history, blocks)

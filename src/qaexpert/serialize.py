@@ -20,14 +20,17 @@ node it rejects is named by its line.  ``manifest.json`` is format 2; a
 format-1 snapshot, whose tree lines were laid out otherwise, is refused
 and must be re-ingested.
 
-``model.txt`` has one layout, the one `save_model` writes for a fitted
-`JointModel`: the header, the four factor blocks, the norms, the S, A and
-T blocks, then the ``lambdas``, ``manifest`` and ``config`` lines, and
-last a ``digest <sha256>`` line over every byte before it.  `load_model`
-walks that layout and checks the digest, so it parses only the blocks
-ranking reads, the topic and expert factors and the norms, and returns
-them with the manifest digest the model records.  A model without the
-digest line is rejected and must be refit.
+``model.txt`` holds what serving reads and its provenance, in the one
+layout `save_model` writes for a fitted `CpModel`: the header, the four
+factor blocks, the norms, then the ``manifest`` and ``config`` lines, and
+last a ``digest <sha256>`` line over every byte before it.  The question
+and voting blocks, which `load_model` does not parse, stay for the
+benchmark's independent reader.  `load_model` walks that layout, each
+line's place fixed by the header's dims, and checks the digest, so it
+parses only the blocks ranking reads, the topic and expert factors and
+the norms, and returns them with the manifest digest the model records.
+A model of an earlier layout, with S, A and T blocks after the norms or
+without the digest line, is rejected and must be refit.
 
 ``reputation.csv`` is the exception to the whitespace-separated layout:
 CSV rows ``user_id,topic,score`` in (user, topic) order under that
@@ -44,13 +47,14 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import re
 import warnings
 
 import numpy as np
 
-from .coupled import JointModel, MembershipMatrix
+from .coupled import CpModel, MembershipMatrix
 from .errors import ContractViolation, DataError
 from .hierarchy import HierarchyTree
 from .ingest import ReputationLedger
@@ -358,50 +362,31 @@ def _matrix_text(U) -> str:
     return (line * U.shape[0]) % tuple(U.ravel().tolist())
 
 
-def _block(count, start, rows, path):
-    """(start, rows) of a matrix block in a model of ``count`` lines, and
-    the line after it."""
-    if rows < 0:
-        raise DataError(f"{path}:{start}: negative row count")
-    if start + rows > count:
-        raise DataError(f"{path}:{count}: file ends inside a {rows}-row block")
-    return (start, rows), start + rows
-
-
-def save_model(model: JointModel, path, manifest_hash: str, config: dict):
-    """Write the fitted ``model`` in the one layout `load_model` walks,
-    with its provenance: the SHA-256 digest of the snapshot's manifest and
-    the ``config`` fit ran with.  The last line is the SHA-256 digest of
-    every byte before it."""
-    cp = model.cp
-    out = io.StringIO()
-    out.write(f"joint-model rank {cp.rank} dims {' '.join(str(d) for d in cp.dims)}\n")
-    for mode, U in enumerate(cp.factors):
-        out.write(f"mode {mode} rows {U.shape[0]}\n")
-        out.write(_matrix_text(U))
-    out.write("norms " + _matrix_text(cp.norms))
-    for name, U in (("S", model.S), ("A", model.A), ("T", model.T)):
-        out.write(f"{name} rows {U.shape[0]}\n")
-        out.write(_matrix_text(U))
-    pairs = " ".join(f"{k} {float(v):.17g}" for k, v in sorted(model.lambdas.items()))
-    out.write(f"lambdas {pairs}\n")
-    out.write(f"manifest {manifest_hash}\n")
-    out.write("config " + json.dumps(config, sort_keys=True) + "\n")
-    text = out.getvalue()
+def save_model(cp: CpModel, path, manifest_hash: str, config: dict):
+    """Write the fitted ``cp`` in the one layout `load_model` walks, with
+    its provenance: the SHA-256 digest of the snapshot's manifest and the
+    ``config`` fit ran with.  The last line is the SHA-256 digest of every
+    byte before it."""
+    text = (f"joint-model rank {cp.rank} dims {' '.join(str(d) for d in cp.dims)}\n"
+            + "".join(f"mode {mode} rows {U.shape[0]}\n" + _matrix_text(U)
+                      for mode, U in enumerate(cp.factors))
+            + "norms " + _matrix_text(cp.norms)
+            + f"manifest {manifest_hash}\n"
+            + "config " + json.dumps(config, sort_keys=True) + "\n")
     _write_text(path, f"{text}digest {hashlib.sha256(text.encode('utf-8')).hexdigest()}\n")
 
 
 def load_model(path) -> tuple[RankingFactors, str]:
     """The ranking blocks of a model file and the manifest digest it records.
 
-    The walk takes the one layout `save_model` writes, a line at a time:
-    the header, ``mode 0`` to ``mode 3`` with their row counts, ``norms``,
-    the ``S``, ``A`` and ``T`` blocks, then the ``lambdas``, ``manifest``,
-    ``config`` and ``digest`` lines, the digest last.  A line that is
-    missing or out of place, a row count that disagrees, or a digest that
-    is not that of every byte before it is a DataError naming its line.
-    Then only the blocks `ranking` reads are parsed: the topic factor
-    (mode 1), the expert factor (mode 3) and the norms.
+    The walk takes the one layout `save_model` writes: the header, ``mode
+    0`` to ``mode 3`` with the row counts the header gives, ``norms``, then
+    the ``manifest``, ``config`` and ``digest`` lines, the digest last, so
+    the header fixes the place of every line.  A line that is missing or
+    out of place, or a digest that is not that of every byte before it, is
+    a DataError naming its line.  Then only the blocks `ranking` reads are
+    parsed: the topic factor (mode 1), the expert factor (mode 3) and the
+    norms.
     """
     data = _read(path)
     bounds = _line_bounds(data)
@@ -420,39 +405,37 @@ def load_model(path) -> tuple[RankingFactors, str]:
             raise DataError(f"{path}:{n + 1}: expected {expected}, got {line(n)!r}")
         return parts
 
-    def matrix(block):
-        start, rows = block
-        return _read_rows(path, data[bounds[start]:bounds[start + rows]],
+    def matrix(mode):
+        start = at[mode] + 1
+        return _read_rows(path, data[bounds[start]:bounds[start + dims[mode]]],
                           [("row", np.float64, (rank,))], f"{rank} values", first=start + 1)["row"]
 
     if not count:
         raise DataError(f"{path}: empty model file")
-    head = fields(0, "a 'joint-model rank R dims I J K L' header", ["joint-model", "rank"], 8)
+    header = "a 'joint-model rank R dims I J K L' header"
+    head = fields(0, header, ["joint-model", "rank"], 8)
     rank, *dims = _numbers(head[2:3] + head[4:8], int, path, 1)
-    blocks, pos = [], 1
-    for mode in range(4):
-        parts = fields(pos, f"'mode {mode} rows N'", ["mode", str(mode), "rows"], 4)
-        if _numbers(parts[3:], int, path, pos + 1)[0] != dims[mode]:
-            raise DataError(f"{path}:{pos + 1}: mode {mode} rows disagree with header")
-        block, pos = _block(count, pos + 1, dims[mode], path)
-        blocks.append(block)
-    norms = fields(pos, f"a norms line with {rank} values", ["norms"], rank + 1)[1:]
-    norms_at, pos = pos, pos + 1
-    for name in "SAT":
-        parts = fields(pos, f"'{name} rows N'", [name, "rows"], 3)
-        _, pos = _block(count, pos + 1, _numbers(parts[2:], int, path, pos + 1)[0], path)
-    fields(pos, "the lambdas line", ["lambdas"])
-    manifest = fields(pos + 1, "a 'manifest <sha256>' line", ["manifest"], 2)[1]
-    fields(pos + 2, "the config line", ["config"])
-    digest = fields(pos + 3, "a final 'digest <sha256>' line, without which a model must "
-                             "be refit", ["digest"], 2)[1]
-    if pos + 4 < count:
-        raise DataError(f"{path}:{pos + 5}: expected the end of the file after its digest "
-                        f"line, got {line(pos + 4)!r}")
-    if digest != hashlib.sha256(data[:bounds[pos + 3]]).hexdigest():
+    if head[3] != "dims" or min(dims) < 0:
+        raise DataError(f"{path}:1: expected {header} without a negative dim, got {line(0)!r}")
+    # the line, from 0, of each mode's header, then of the norms
+    at = list(itertools.accumulate((d + 1 for d in dims), initial=1))
+    for mode, rows in enumerate(dims):
+        fields(at[mode], f"'mode {mode} rows {rows}'", ["mode", str(mode), "rows", str(rows)], 4)
+    norms = fields(at[4], f"a norms line with {rank} values", ["norms"], rank + 1)[1:]
+    manifest = fields(at[4] + 1, "a 'manifest <sha256>' line (a model with S, A and T blocks "
+                                 "there is of an earlier layout and must be refit)",
+                      ["manifest"], 2)[1]
+    fields(at[4] + 2, "the config line", ["config"])
+    end = at[4] + 3
+    digest = fields(end, "a final 'digest <sha256>' line, without which a model must be refit",
+                    ["digest"], 2)[1]
+    if end + 1 < count:
+        raise DataError(f"{path}:{end + 2}: expected the end of the file after its digest "
+                        f"line, got {line(end + 1)!r}")
+    if digest != hashlib.sha256(data[:bounds[end]]).hexdigest():
         raise DataError(f"{path}:{count}: digest does not match the file's contents")
-    norms = np.array(_numbers(norms, float, path, norms_at + 1))
-    return RankingFactors(matrix(blocks[1]), matrix(blocks[3]), norms), manifest
+    norms = np.array(_numbers(norms, float, path, at[4] + 1))
+    return RankingFactors(matrix(1), matrix(3), norms), manifest
 
 
 _REPUTATION_HEADER = "user_id,topic,score\n"
@@ -553,7 +536,7 @@ def write_manifest(path, tables, config, digests):
         "config": config,
         "files": digests,
     }
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_manifest(path) -> tuple[dict, str]:
@@ -562,7 +545,10 @@ def load_manifest(path) -> tuple[dict, str]:
     the bytes it was parsed from.  One of another integer format is refused
     with its own message: its snapshot must be re-ingested."""
     data = _read(path)
-    manifest = json.loads(data.decode("utf-8"))
+    try:
+        manifest = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
+        raise DataError(f"{path}: {exc}") from None
     old = manifest.get("format") if isinstance(manifest, dict) else None
     if type(old) is int and old != 2:
         raise DataError(f"{path}: a format-{old} snapshot, which this version does not read; "

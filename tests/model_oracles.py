@@ -181,13 +181,13 @@ def joint_objective(
     component operations see individually, so this equals their sum
     exactly.
     """
-    lam = model.lambdas
+    cfg = model.config
     balanced = model.cp.balanced_factors()
-    value = tensor_objective(X, model.cp, lam["lambda_x"])
+    value = tensor_objective(X, model.cp, cfg.lambda_x)
     value += weight_penalty(balanced[0], penalty)
-    value += networks_objective(model.S, model.A, M, lam["lambda_s"])
-    value += topic_objective(model.T, model.A, N, lam["lambda_t"])
-    value += site_regularizer(model.S, balanced[0], penalty.tree, lam["lambda_site"])
+    value += networks_objective(model.S, model.A, M, cfg.lambda_s)
+    value += topic_objective(model.T, model.A, N, cfg.lambda_t)
+    value += site_regularizer(model.S, balanced[0], penalty.tree, cfg.lambda_site)
     return value
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from qaexpert import cli, serialize
 from qaexpert.cli import main
+from qaexpert.coupled import fit_joint
 from qaexpert.errors import DataError, DumpParseError, SolverDiverged
 from qaexpert.ranking import RankedList
 from qaexpert.synthetic import make_corpus, write_subsite_dump
@@ -187,11 +188,9 @@ class TestIngest:
         manifest = json.load(open(os.path.join(snapshot, "manifest.json")))
         assert "tree_s" not in manifest and "tree_s" not in manifest["config"]
         # no split of the weights changes a fit, so there is no flag to set one
-        with pytest.raises(SystemExit) as exited:
-            main(["ingest", str(tmp_path / "missing"), "--out-dir", str(tmp_path / "out"),
-                  "--tree-s", "0.3"])
-        assert exited.value.code == 2
-        assert "unrecognized arguments: --tree-s 0.3" in capsys.readouterr().err
+        assert main(["ingest", str(tmp_path / "missing"), "--out-dir", str(tmp_path / "out"),
+                     "--tree-s", "0.3"]) == 2
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --tree-s 0.3\n"
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("flags", [
@@ -349,20 +348,30 @@ class TestFit:
         assert open(os.path.join(out2, "model.txt")).readline().startswith(
             "joint-model rank 2")
 
-    def test_lambda_site_only_via_config(self, snapshot, tmp_path, capsys):
+    def test_lambda_site_only_via_config(self, snapshot, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "fit.json"
         cfg.write_text('{"lambda_site": 5.0, "max_iters": 10, "rank": 2}')
         out = str(tmp_path / "fs")
+        fits = []
+
+        def recording(*args):
+            fits.append(fit_joint(*args))
+            return fits[-1]
+
+        monkeypatch.setattr("qaexpert.cli.fit_joint", recording)
         assert main(["fit", snapshot, "--out-dir", out, "--config", str(cfg)]) == 0
+        assert fits[0].config.lambda_site == 5.0
         text = open(os.path.join(out, "model.txt")).read()
-        assert "site 5" in text
+        assert '"lambda_site": 5.0' in text
 
     def test_diverged_state_saved(self, snapshot, tmp_path, monkeypatch, capsys):
-        from qaexpert.coupled import CpModel, JointModel
+        from qaexpert.coupled import CpModel, JointConfig, JointModel
 
-        cp = CpModel([np.ones((1, 1))] * 4, np.ones(1))
-        stale = JointModel(cp, np.ones((1, 1)), np.ones((1, 1)),
-                           np.ones((1, 1)), {"x": 0.1})
+        # a stale state with the snapshot's dims, so the saved file serves
+        dims = serialize.load_tensor(os.path.join(snapshot, "tensor.txt")).dims
+        cp = CpModel([np.ones((d, 1)) for d in dims], np.ones(1))
+        stale = JointModel(cp, np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
+                           JointConfig(rank=1))
 
         def explode(*a, **kw):
             raise SolverDiverged("went non-finite", last_state=stale)
@@ -371,9 +380,15 @@ class TestFit:
         out = str(tmp_path / "fd")
         code = main(["fit", snapshot, "--out-dir", out])
         assert code == 1
-        assert os.path.exists(os.path.join(out, "model.txt.diverged"))
+        diverged = os.path.join(out, "model.txt.diverged")
         assert not os.path.exists(os.path.join(out, "model.txt"))
         assert "diverged" in capsys.readouterr().err
+        got, manifest = serialize.load_model(diverged)
+        assert manifest == serialize.file_digest(os.path.join(snapshot, "manifest.json"))
+        assert got.topic.tolist() == cp.factors[1].tolist()
+        assert main(["recommend", "--model", diverged, "--snapshot", snapshot,
+                     "--topic", "alpha/tensor", "--k", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2
 
 
 class TestRecommend:
@@ -539,6 +554,18 @@ def missing_inputs(command, tmp_path):
     return argv, out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "snap", "--out-dir", "out", "--bogus"], "unrecognized arguments: --bogus"),
+    (["fit", "snap", "--out-dir", "out", "--rank", "x"], "argument --rank: invalid int value: 'x'"),
+    (["recommend", "--model", "m"], "the following arguments are required: --snapshot, --topic"),
+], ids=["unknown flag", "flag value of the wrong type", "missing flags"])
+def test_argument_parser_errors_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
 class TestConfigTypes:
     """A config value has its key's type, and a seed is not negative,
     checked before any input is read."""
@@ -647,13 +674,16 @@ class TestManifestShape:
                                       '{"format": 1, "topics": [], "users": []}',
                                       '{"format": 2, "topics": [1, 2, 3, 4], "users": [8]}',
                                       '{"format": 2, "topics": ["alpha/tensor"], '
-                                      '"users": [true]}'])
+                                      '"users": [true]}',
+                                      pytest.param('{"format": 2, "topics": ["a', id="not-JSON"),
+                                      pytest.param('{"topics": ["\xff"]}', id="not-UTF-8"),
+                                      pytest.param("[" * 100000, id="nested-too-deep")])
     def test_refit_on_a_broken_manifest_exits_1(self, fitted, snapshot, tmp_path, capsys,
                                                 command, text):
         broken = tmp_path / "broken"
         shutil.copytree(snapshot, broken)
         manifest = broken / "manifest.json"
-        manifest.write_text(text)
+        manifest.write_bytes(text.encode("latin-1"))  # "\xff" as the byte 0xff
         refit = tmp_path / "refit"
         assert main(["fit", str(broken), "--out-dir", str(refit), "--rank", "2",
                      "--max-iters", "2"]) == 1
@@ -725,7 +755,7 @@ def flip_last_digit(line):
 
 class TestModelDigest:
     @pytest.mark.parametrize("command", ["recommend", "evaluate"])
-    @pytest.mark.parametrize("block", ["mode 0 rows", "A rows", "norms"])
+    @pytest.mark.parametrize("block", ["mode 0 rows", "mode 3 rows", "norms"])
     def test_flipped_digit_exits_1(self, fitted, snapshot, tmp_path, capsys, block, command):
         path, _ = edited_model(fitted, tmp_path, block, flip_last_digit)
         extra = (["--topic", "alpha/tensor"] if command == "recommend"

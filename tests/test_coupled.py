@@ -178,13 +178,9 @@ class TestSiteRegularizer:
 
 def _zero_model(dims, R, m_rows, n_rows, lam=0.1):
     cp = CpModel([np.zeros((d, R)) for d in dims], np.zeros(R))
-    lambdas = {
-        "lambda_x": lam, "lambda_w": lam, "lambda_s": lam,
-        "lambda_t": lam, "lambda_site": lam,
-    }
+    cfg = JointConfig(rank=R, lambda_x=lam, lambda_w=lam, lambda_s=lam, lambda_t=lam)
     return JointModel(
-        cp, np.zeros((m_rows, R)), np.zeros((dims[3], R)), np.zeros((n_rows, R)),
-        lambdas,
+        cp, np.zeros((m_rows, R)), np.zeros((dims[3], R)), np.zeros((n_rows, R)), cfg,
     )
 
 
@@ -209,20 +205,18 @@ class TestJointObjective:
         factors = [rng.random((d, 2)) for d in dims]
         normalized, norms = _normalize_columns(factors)
         cp = CpModel(normalized, norms)
-        lambdas = {
-            "lambda_x": 0.1, "lambda_w": 0.25, "lambda_s": 0.3,
-            "lambda_t": 0.4, "lambda_site": 0.5,
-        }
+        cfg = JointConfig(rank=2, lambda_x=0.1, lambda_w=0.25, lambda_s=0.3, lambda_t=0.4,
+                          lambda_site=0.5)
         model = JointModel(
-            cp, rng.random((2, 2)), rng.random((3, 2)), rng.random((3, 2)), lambdas,
+            cp, rng.random((2, 2)), rng.random((3, 2)), rng.random((3, 2)), cfg,
         )
         balanced = cp.balanced_factors()
         parts = (
-            tensor_objective(X, cp, lambdas["lambda_x"])
+            tensor_objective(X, cp, 0.1)
             + weight_penalty(balanced[0], penalty)
-            + networks_objective(model.S, model.A, M, lambdas["lambda_s"])
-            + topic_objective(model.T, model.A, N, lambdas["lambda_t"])
-            + site_regularizer(model.S, balanced[0], tree, lambdas["lambda_site"])
+            + networks_objective(model.S, model.A, M, 0.3)
+            + topic_objective(model.T, model.A, N, 0.4)
+            + site_regularizer(model.S, balanced[0], tree, 0.5)
         )
         assert joint_objective(X, M, N, model, penalty) == parts
 
@@ -291,10 +285,19 @@ class TestFitJoint:
         M = MembershipMatrix(2, 3, [])
         N = MembershipMatrix(2, 3, [])
         tree = tree_from_nested([[0, 1], [2, 3]])
-        model = fit_joint(X, M, N, tree, JointConfig(rank=2, seed=5))
+        cfg = JointConfig(rank=2, seed=5)
+        model = fit_joint(X, M, N, tree, cfg)
+        assert model.config is cfg
         assert not model.cp.norms.any()
         assert not model.S.any() and not model.A.any() and not model.T.any()
         assert model.objective_history == [0.0]
+
+    def test_model_keeps_the_config_it_was_fit_with(self):
+        X, M, N, tree = make_micro_joint(np.random.default_rng(0))
+        cfg = JointConfig(rank=2, max_iters=2, lambda_s=0.3)
+        model = fit_joint(X, M, N, tree, cfg)
+        assert model.config is cfg and model.config.lambda_site == 0.3
+        assert not hasattr(model, "lambdas")
 
     def test_sweep_history_non_increasing(self):
         rng = np.random.default_rng(31)
@@ -348,11 +351,9 @@ class TestFitJoint:
 
         lam = 0.05
         normalized, norms = _normalize_columns([U.copy() for U in gen])
-        lambdas = {
-            "lambda_x": lam, "lambda_w": lam, "lambda_s": lam,
-            "lambda_t": lam, "lambda_site": lam,
-        }
-        planted = JointModel(CpModel(normalized, norms), S, A, T, lambdas)
+        planted = JointModel(CpModel(normalized, norms), S, A, T,
+                             JointConfig(rank=R, lambda_x=lam, lambda_w=lam, lambda_s=lam,
+                                         lambda_t=lam))
         planted_value = joint_objective(X, M, N, planted, TreePenalty(tree, lam))
         for seed in (0, 2):
             cfg = JointConfig(
@@ -509,9 +510,7 @@ def _as_stored(state, cfg):
     """The joint working iterate as a stored model: raw factors at unit
     scales, so ``joint_objective`` evaluates exactly what the engine holds."""
     cp = CpModel(list(state.factors), np.ones(cfg.rank))
-    lambdas = {"lambda_x": cfg.lambda_x, "lambda_w": cfg.lambda_w, "lambda_s": cfg.lambda_s,
-               "lambda_t": cfg.lambda_t, "lambda_site": cfg.lambda_site}
-    return JointModel(cp, state.S, state.A, state.T, lambdas)
+    return JointModel(cp, state.S, state.A, state.T, cfg)
 
 
 class TestFitIdentity:

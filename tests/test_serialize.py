@@ -15,7 +15,7 @@ import pytest
 
 from qaexpert import serialize
 from qaexpert.cli import main
-from qaexpert.coupled import CpModel, JointModel, MembershipMatrix
+from qaexpert.coupled import CpModel, MembershipMatrix
 from qaexpert.errors import ContractViolation, DataError
 from qaexpert.hierarchy import HierarchyTree, compute_node_weights
 from qaexpert.ingest import build_inputs, merge_datasets, parse_dump
@@ -371,8 +371,7 @@ HEADER_NUMBERS = {
     "tensor header": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\n", 1),
     "membership header": (load_membership, "11 4\n0 1\n", 0),
 }
-MODEL_NUMBERS = {"model header": ("joint-model", 2), "block count": ("mode 1 rows", 3),
-                 "S block count": ("S rows", 2), "norms": ("norms", 1)}
+MODEL_NUMBERS = {"model header": ("joint-model", 2), "norms": ("norms", 1)}
 
 
 def unruly(number, style):
@@ -483,7 +482,7 @@ class TestOneReader:
     def test_model_numbers_follow_the_table_rule(self, tmp_path, name, style):
         start, field = MODEL_NUMBERS[name]
         p = tmp_path / "model.txt"
-        save_joint(random_joint(np.random.default_rng(4)), p)
+        save_cp(random_cp(np.random.default_rng(4)), p)
         lines = p.read_text().splitlines(keepends=True)[:-1]
         at = next(n for n, line in enumerate(lines) if line.startswith(start))
         parts = lines[at].split()
@@ -524,7 +523,7 @@ class TestOneReader:
         load, lines, start, layout, kind = LOCATED_TABLES[table]
         edit, spans, message = BROKEN_ROWS[broken]
         if lines is None:  # a model's topic factor, the first block it reads, two values a row
-            save_joint(random_joint(np.random.default_rng(2), dims=(2, 300, 3, 2)), tmp_path / "m")
+            save_cp(random_cp(np.random.default_rng(2), dims=(2, 300, 3, 2)), tmp_path / "m")
             lines = (tmp_path / "m").read_text().splitlines()[:-1]
         lines = list(lines)
         lines[start + at] = edit(lines[start + at], "," if table == "reputation" else " ", kind)
@@ -542,7 +541,7 @@ class TestOneReader:
                  (save_membership, load_membership, MembershipMatrix(4, 3, [(0, 1), (3, 2)])),
                  (save_membership, load_membership, MembershipMatrix(4, 3, [])),
                  (save_tree, load_tree, tree_from_nested([[0, 1], [2, [3, 4]]])),
-                 (save_joint, load_model, random_joint(rng)),
+                 (save_cp, load_model, random_cp(rng)),
                  (save_reputation, load_reputation, rec.ledger({(1, "s/a"): 2, (3, "s/b"): -1})),
                  (save_reputation, load_reputation,
                   rec.ledger({(1, t): n for n, t in enumerate(AWKWARD_TOPICS)})),
@@ -643,14 +642,8 @@ class TestTreeFormat:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
-def random_cp(rng, dims=(3, 2, 4, 2), rank=2):
+def random_cp(rng, dims=(3, 2, 3, 4), rank=2):
     return CpModel([rng.random((d, rank)) for d in dims], rng.random(rank) + 0.5)
-
-
-def random_joint(rng, dims=(3, 2, 3, 4), rank=2):
-    return JointModel(random_cp(rng, dims=dims, rank=rank), rng.random((2, rank)),
-                      rng.random((dims[3], rank)), rng.random((dims[1], rank)),
-                      {"lambda_x": 0.1, "lambda_s": 0.25})
 
 
 # The provenance every model carries: the manifest's digest and fit's config.
@@ -658,8 +651,8 @@ MANIFEST_HASH = "5f" * 32
 CONFIG = {"rank": 2, "seed": 9}
 
 
-def save_joint(model, path):
-    save_model(model, path, MANIFEST_HASH, CONFIG)
+def save_cp(cp, path):
+    save_model(cp, path, MANIFEST_HASH, CONFIG)
 
 
 def seal(text):
@@ -695,16 +688,14 @@ def fixture_block(rows, offset):
     return (np.arange(rows * 2, dtype=np.float64).reshape(rows, 2) + 1) / offset
 
 
-def fixture_model():
-    """The model that ``tests/data/saved_model.txt`` holds, as the writer
-    that came before `save_model` lost its ``cp-model`` kind and optional
-    provenance wrote it."""
+def fixture_cp():
+    """The CP part of the model that ``tests/data/saved_model.txt`` holds,
+    in the earlier layout, with S, A and T blocks and a ``lambdas`` line
+    after the norms."""
     factors = [fixture_block(d, 7 + m) for m, d in enumerate((3, 2, 3, 4))]
     factors[1][0] = [-0.0, 5e-324]
     factors[3][1] = [1e300, np.pi]
-    cp = CpModel(factors, np.array([np.sqrt(2), 0.0]))
-    return JointModel(cp, fixture_block(2, 11), fixture_block(4, 13), fixture_block(2, 17),
-                      {f"lambda_{k}": 0.1 for k in ("x", "w", "s", "t", "site")})
+    return CpModel(factors, np.array([np.sqrt(2), 0.0]))
 
 
 FIXTURE_CONFIG = {"lambda_s": 0.1, "lambda_site": None, "lambda_t": 0.1, "lambda_w": 0.1,
@@ -717,10 +708,10 @@ class TestModelFormat:
     def test_load_is_bit_equal_to_the_saved_ranking_blocks(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
         dims = tuple(int(d) for d in rng.integers(1, 7, size=4))
-        model = random_joint(rng, dims, int(rng.integers(1, 5)))
-        model.cp.factors[3][0, 0] = -0.0
+        model = random_cp(rng, dims, int(rng.integers(1, 5)))
+        model.factors[3][0, 0] = -0.0
         p = tmp_path / "model.txt"
-        save_joint(model, p)
+        save_cp(model, p)
         got, manifest = load_model(p)
         assert manifest == MANIFEST_HASH
         assert_blocks_bit_equal(got, RankingFactors.of(model))
@@ -736,14 +727,25 @@ class TestModelFormat:
         assert manifest == load_manifest(os.path.join(snap, "manifest.json"))[1]
         assert_blocks_bit_equal(got, per_line_ranking_blocks(fit / "model.txt"))
 
-    def test_a_model_the_earlier_writer_saved_loads(self, tmp_path):
-        got, manifest = load_model(SAVED_MODEL)
+    def test_a_model_of_the_earlier_layout_must_be_refit(self):
+        with pytest.raises(DataError) as caught:
+            load_model(SAVED_MODEL)
+        assert str(caught.value) == (
+            f"{SAVED_MODEL}:19: expected a 'manifest <sha256>' line (a model with S, A and T "
+            "blocks there is of an earlier layout and must be refit), got 'S rows 2'")
+
+    def test_the_writer_drops_only_the_earlier_layouts_s_a_t_and_lambdas(self, tmp_path):
+        lines = SAVED_MODEL.read_text().splitlines(keepends=True)[:-1]
+        cut = slice(lines.index("S rows 2\n"),
+                    next(n for n, line in enumerate(lines) if line.startswith("lambdas ")) + 1)
+        del lines[cut]
+        p = tmp_path / "model.txt"
+        save_model(fixture_cp(), p, "5f" * 32, FIXTURE_CONFIG)
+        assert p.read_text() == seal("".join(lines))
+        got, manifest = load_model(p)
         assert manifest == "5f" * 32
-        assert_blocks_bit_equal(got, RankingFactors.of(fixture_model()))
-        assert_blocks_bit_equal(got, per_line_ranking_blocks(SAVED_MODEL))
-        # and the writer still writes those bytes
-        save_model(fixture_model(), tmp_path / "model.txt", "5f" * 32, FIXTURE_CONFIG)
-        assert read_bytes(tmp_path / "model.txt") == read_bytes(SAVED_MODEL)
+        assert_blocks_bit_equal(got, RankingFactors.of(fixture_cp()))
+        assert_blocks_bit_equal(got, per_line_ranking_blocks(p))
 
     @pytest.mark.parametrize("header", ["who-knows rank 2 dims 1 1 1 1",
                                         "cp-model rank 2 dims 1 1 1 1"])
@@ -760,21 +762,20 @@ class TestModelFormat:
             load_model(p)
 
     @pytest.mark.parametrize("cut", [
-        "after the header", "inside mode 0", "before norms", "inside S", "before lambdas",
-        "before manifest", "before config",
+        "after the header", "inside mode 0", "inside mode 3", "before norms", "before manifest",
+        "before config",
     ])
     def test_truncated_joint_model_rejected_at_its_last_line(self, tmp_path, cut):
         rng = np.random.default_rng(7)
         p = tmp_path / "model.txt"
-        save_joint(random_joint(rng), p)
+        save_cp(random_cp(rng), p)
         lines = p.read_text().splitlines(keepends=True)
         starts = [line.split()[0] for line in lines]
         keep = {
             "after the header": 1,
             "inside mode 0": lines.index("mode 0 rows 3\n") + 2,
+            "inside mode 3": lines.index("mode 3 rows 4\n") + 2,
             "before norms": starts.index("norms"),
-            "inside S": starts.index("S") + 2,
-            "before lambdas": starts.index("lambdas"),
             "before manifest": starts.index("manifest"),
             "before config": starts.index("config"),
         }[cut]
@@ -782,10 +783,37 @@ class TestModelFormat:
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{keep}: file ends "):
             load_model(p)
 
-    @pytest.mark.parametrize("header", ["mode 1 rows 2", "A rows 4"])
+    @pytest.mark.parametrize("count", ["3", "1", "02", "0_2", "\u0662"])
+    def test_block_count_other_than_the_headers_is_named(self, tmp_path, count):
+        p = tmp_path / "model.txt"
+        save_cp(random_cp(np.random.default_rng(8)), p)
+        lines = p.read_text().splitlines(keepends=True)[:-1]
+        at = lines.index("mode 1 rows 2\n")
+        lines[at] = f"mode 1 rows {count}\n"
+        p.write_text(seal("".join(lines)))
+        with pytest.raises(DataError) as caught:
+            load_model(p)
+        assert str(caught.value) == (f"{p}:{at + 1}: expected 'mode 1 rows 2', "
+                                     f"got 'mode 1 rows {count}'")
+
+    @pytest.mark.parametrize("header", ["joint-model rank 2 dims 3 -1 3 4",
+                                        "joint-model rank 2 dims 3 2 3 -9",
+                                        "joint-model rank 2 sdim 3 2 3 4"])
+    def test_header_without_its_dims_rejected(self, tmp_path, header):
+        p = tmp_path / "model.txt"
+        save_cp(random_cp(np.random.default_rng(8)), p)
+        lines = p.read_text().splitlines(keepends=True)[:-1]
+        lines[0] = header + "\n"
+        p.write_text(seal("".join(lines)))
+        with pytest.raises(DataError) as caught:
+            load_model(p)
+        assert str(caught.value) == (f"{p}:1: expected a 'joint-model rank R dims I J K L' "
+                                     f"header without a negative dim, got {header!r}")
+
+    @pytest.mark.parametrize("header", ["mode 1 rows 2", "mode 3 rows 4"])
     def test_block_header_cut_before_its_row_count_rejected(self, tmp_path, header):
         p = tmp_path / "model.txt"
-        save_joint(random_joint(np.random.default_rng(8)), p)
+        save_cp(random_cp(np.random.default_rng(8)), p)
         lines = p.read_text().splitlines(keepends=True)
         at = lines.index(header + "\n")
         p.write_text("".join(lines[:at]) + header.rsplit(" ", 1)[0])
@@ -794,28 +822,29 @@ class TestModelFormat:
 
     def test_trailing_garbage_rejected(self, tmp_path):
         p = tmp_path / "model.txt"
-        save_joint(random_joint(np.random.default_rng(6)), p)
+        save_cp(random_cp(np.random.default_rng(6)), p)
         lines = len(p.read_text().splitlines())
         with open(p, "a") as fh:
             fh.write("surprise\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{lines + 1}: .*'surprise'"):
             load_model(p)
 
-    # Edits of the lines from lambdas on, the file then resealed, each with
-    # the line the error names, counted from the lambdas line, and what it
+    # Edits of the lines from manifest on, the file then resealed, each with
+    # the line the error names, counted from the manifest line, and what it
     # expected there
     @pytest.mark.parametrize("edit, line, expected", [
-        (lambda t: [t[0], t[2]], 2, "a 'manifest <sha256>' line"),
-        (lambda t: [t[0], t[2], t[1]], 2, "a 'manifest <sha256>' line"),
-        (lambda t: [*t, "\n"], 4, "a final 'digest <sha256>' line"),
-        (lambda t: [*t, "extra\n"], 4, "a final 'digest <sha256>' line"),
-    ], ids=["no manifest line", "config before manifest", "blank line before digest",
-            "extra line after config"])
+        (lambda t: [t[1]], 1, "a 'manifest <sha256>' line"),
+        (lambda t: [t[1], t[0]], 1, "a 'manifest <sha256>' line"),
+        (lambda t: ["lambdas lambda_x 0.1\n", *t], 1, "a 'manifest <sha256>' line"),
+        (lambda t: [*t, "\n"], 3, "a final 'digest <sha256>' line"),
+        (lambda t: [*t, "extra\n"], 3, "a final 'digest <sha256>' line"),
+    ], ids=["no manifest line", "config before manifest", "lambdas line before manifest",
+            "blank line before digest", "extra line after config"])
     def test_line_out_of_the_layout_is_named(self, tmp_path, edit, line, expected):
         p = tmp_path / "model.txt"
-        save_joint(random_joint(np.random.default_rng(5)), p)
+        save_cp(random_cp(np.random.default_rng(5)), p)
         lines = p.read_text().splitlines(keepends=True)[:-1]
-        at = next(n for n, text in enumerate(lines) if text.startswith("lambdas "))
+        at = next(n for n, text in enumerate(lines) if text.startswith("manifest "))
         lines[at:] = edit(lines[at:])
         p.write_text(seal("".join(lines)))
         got = re.escape(repr(lines[at + line - 1].rstrip("\n")))
@@ -824,22 +853,15 @@ class TestModelFormat:
             load_model(p)
 
 
-def per_float_model_text(model, manifest_hash, config):
-    """Model text as the per-float f-string writer formatted it: the oracle
-    for the body that save_model formats one block at a time."""
+def per_float_model_text(cp, manifest_hash, config):
+    """Model text as a per-float f-string writer formats it: the oracle for
+    the body that save_model formats one block at a time."""
     f = lambda x: f"{float(x):.17g}"
-    cp = model.cp
     out = [f"joint-model rank {cp.rank} dims {' '.join(str(d) for d in cp.dims)}\n"]
-    blocks = [(f"mode {m} rows", U) for m, U in enumerate(cp.factors)]
-    tail = [("S rows", model.S), ("A rows", model.A), ("T rows", model.T)]
-    for name, U in blocks + [("norms", None)] + tail:
-        if U is None:
-            out.append("norms " + " ".join(f(v) for v in cp.norms) + "\n")
-            continue
-        out.append(f"{name} {U.shape[0]}\n")
+    for m, U in enumerate(cp.factors):
+        out.append(f"mode {m} rows {U.shape[0]}\n")
         out.extend(" ".join(f(v) for v in row) + "\n" for row in U)
-    pairs = " ".join(f"{k} {f(v)}" for k, v in sorted(model.lambdas.items()))
-    out.append(f"lambdas {pairs}\n")
+    out.append("norms " + " ".join(f(v) for v in cp.norms) + "\n")
     out.append(f"manifest {manifest_hash}\n")
     out.append("config " + json.dumps(config, sort_keys=True) + "\n")
     return "".join(out)
@@ -848,18 +870,18 @@ def per_float_model_text(model, manifest_hash, config):
 class TestModelDigest:
     @pytest.mark.parametrize("seed", range(4))
     def test_body_matches_per_float_writer(self, tmp_path, seed):
-        model = random_joint(np.random.default_rng(seed), rank=3)
-        model.cp.factors[0][0] = [np.nan, np.inf, -0.0]
-        model.cp.factors[2][-1] = [-np.inf, 5e-324, 1e300]
+        model = random_cp(np.random.default_rng(seed), rank=3)
+        model.factors[0][0] = [np.nan, np.inf, -0.0]
+        model.factors[2][-1] = [-np.inf, 5e-324, 1e300]
         p = tmp_path / "model.txt"
         save_model(model, p, "cd" * 32, {"rank": 3})
         assert p.read_text() == seal(per_float_model_text(model, "cd" * 32, {"rank": 3}))
 
-    @pytest.mark.parametrize("block", ["mode 0 rows", "mode 2 rows", "A rows", "norms", "lambdas",
+    @pytest.mark.parametrize("block", ["mode 0 rows", "mode 2 rows", "mode 3 rows", "norms",
                                        "manifest", "config"])
     def test_one_flipped_digit_rejected(self, tmp_path, block):
         p = tmp_path / "model.txt"
-        save_joint(random_joint(np.random.default_rng(2)), p)
+        save_cp(random_cp(np.random.default_rng(2)), p)
         lines = p.read_text().splitlines(keepends=True)
         at = next(n for n, line in enumerate(lines) if line.startswith(block))
         at += block.endswith("rows")
@@ -870,7 +892,7 @@ class TestModelDigest:
 
     def test_model_without_digest_rejected(self, tmp_path):
         p = tmp_path / "model.txt"
-        save_joint(random_joint(np.random.default_rng(3)), p)
+        save_cp(random_cp(np.random.default_rng(3)), p)
         lines = p.read_text().splitlines(keepends=True)
         p.write_text("".join(lines[:-1]))
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{len(lines) - 1}: .*must be refit"):
@@ -878,7 +900,7 @@ class TestModelDigest:
 
     def test_digest_must_be_the_last_line(self, tmp_path):
         p = tmp_path / "model.txt"
-        save_joint(random_joint(np.random.default_rng(3)), p)
+        save_cp(random_cp(np.random.default_rng(3)), p)
         lines = len(p.read_text().splitlines())
         with open(p, "a") as fh:
             fh.write("\n")
@@ -889,7 +911,7 @@ class TestModelDigest:
     @pytest.mark.parametrize("target", ["mode 1 rows", "mode 3 rows", "norms"])
     def test_non_numeric_value_names_its_line(self, tmp_path, target):
         p = tmp_path / "model.txt"
-        save_joint(random_joint(np.random.default_rng(4)), p)
+        save_cp(random_cp(np.random.default_rng(4)), p)
         lines = p.read_text().splitlines(keepends=True)[:-1]
         at = next(n for n, line in enumerate(lines) if line.startswith(target))
         at += target.endswith("rows")
@@ -940,7 +962,7 @@ class TestLineNumbers:
     @pytest.mark.parametrize("sep, line", SPLITLINES_BREAKS)
     def test_model(self, tmp_path, sep, line):
         p = tmp_path / "model.txt"
-        save_joint(random_joint(np.random.default_rng(4)), p)
+        save_cp(random_cp(np.random.default_rng(4)), p)
         lines = p.read_text().splitlines(keepends=True)[:-1]
         # the first row of the topic factor, the first block load_model reads
         row = lines.index("mode 1 rows 2\n") + 1
@@ -956,7 +978,7 @@ class TestLineNumbers:
         X = random_sparse(np.random.default_rng(5), (4, 3, 5, 2))
         M = MembershipMatrix(4, 3, [(0, 1), (2, 0), (3, 2)])
         tree = tree_from_nested([[0, 1], [2, [3, 4]]])
-        model = random_joint(np.random.default_rng(6))
+        model = random_cp(np.random.default_rng(6))
         cases = [(save_tensor, load_tensor, X), (save_membership, load_membership, M),
                  (save_tree, load_tree, tree)]
         for n, (save, load, obj) in enumerate(cases):
@@ -965,7 +987,7 @@ class TestLineNumbers:
             crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
             assert load_outcome(load, crlf) == load_outcome(load, lf)
         lf, crlf = tmp_path / "model.txt", tmp_path / "crlf_model.txt"
-        save_joint(model, lf)
+        save_cp(model, lf)
         body = lf.read_text().splitlines(keepends=True)[:-1]
         crlf_body = "".join(body).replace("\n", "\r\n")
         digest = hashlib.sha256(crlf_body.encode()).hexdigest()
@@ -1285,6 +1307,13 @@ class TestManifest:
                                             "with a list of topic strings and a list of "
                                             "integer user ids$"):
             load_manifest(p)
+
+    def test_written_as_one_compact_line(self, tmp_path):
+        p = tmp_path / "manifest.json"
+        write_manifest(p, tables_fixture(), {"rank": 6}, {})
+        text = p.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert text.count("\n") == 1
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         digests = {"tensor.txt": serialize.encoded("dims 1 1 1 1\n")[1]}
