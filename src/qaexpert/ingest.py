@@ -16,7 +16,7 @@ sorting, validation, merging, sampling, vote scores, reputation and
 tensor assembly are array passes over them.  Posts, votes and tree
 groups are sorted by ``sparse_tensor.lex_order``, which takes any int64
 ids.  The reputation ledger is columns too, user id, topic and score in
-(user, topic) order, ranked per topic by one ``lex_order`` of its rows.
+(topic, user) order, ranked per topic by one ``lex_order`` of its rows.
 Each subsite is validated once, when it is parsed; `merge_datasets`
 joins validated subsites without checking them again, and sorts them
 only when they do not come in subsite order.  `build_inputs` computes the
@@ -487,8 +487,11 @@ class ReputationLedger:
     counter.
 
     Row r credits ``score[r]`` to user id ``user[r]`` on the topic named
-    ``topic_names[topic[r]]``.  Ingest writes the rows in (user, topic) order,
-    and a loaded ledger keeps the order of its file.
+    ``topic_names[topic[r]]``.  ``topic_names`` ascend, so topic codes sort
+    as names, and each (user, topic) pair has one row at most.  Ingest
+    writes the rows in (topic, user) order, each topic's rows one run, and
+    a loaded ledger keeps the order of its file; ranking takes rows in any
+    order.
     """
 
     topic_names: tuple
@@ -540,7 +543,8 @@ def reputation_scores(data: QaDataset) -> ReputationLedger:
     event credits the full amount on each of the governing question's
     topics.  Only users present in the users table gain or lose score;
     answer-downvote events without a resolvable voter are counted.
-    The ledger's rows come in (user, topic) order, one per pair credited.
+    The ledger's rows come in (topic, user) order, one per pair credited,
+    so each topic's rows are one run.
     """
     p, v, row = data.posts, data.votes, data.vote_row
     answer = p.kind[row] == ANSWER
@@ -561,15 +565,16 @@ def reputation_scores(data: QaDataset) -> ReputationLedger:
     del answer, question, up, down, voted, owner, voter, debited, accepted
     known = l >= 0
     l, questions, deltas = l[known], questions[known], deltas[known]
-    # ... credited on each of the question's tags, then summed per (user, tag)
+    # ... credited on each of the question's tags, then summed per (tag, user)
     # key over one sort, each array freed once it has gone into the keys.
     start = p.tag_start[questions]
     count = p.tag_start[questions + 1] - start
     del questions, known
-    n_tags = max(len(p.tags), 1)
-    keys = np.repeat(l * n_tags, count)
+    n_users = max(len(data.users), 1)
+    keys = p.tag[_segments(start, count)]
+    keys *= n_users
+    keys += np.repeat(l, count)
     del l
-    keys += p.tag[_segments(start, count)]
     deltas = np.repeat(deltas, count)
     del start, count
     order = np.argsort(keys)
@@ -577,7 +582,7 @@ def reputation_scores(data: QaDataset) -> ReputationLedger:
     del order
     first = np.flatnonzero(row_changes((keys,)))
     totals = np.add.reduceat(deltas, first) if len(first) else deltas
-    user, tag = np.divmod(keys[first], n_tags)
+    tag, user = np.divmod(keys[first], n_users)
     return ReputationLedger(p.tags, data.users[user], tag, totals, skipped)
 
 

@@ -16,9 +16,9 @@ a header line follows the same rule.
 
 ``tree.txt`` holds the four arrays of a `HierarchyTree`, node n as the
 ``parent s g leaf_row`` line n + 1, and the tree checks them itself: a
-node it rejects is named by its line.  ``manifest.json`` is format 2; a
-format-1 snapshot, whose tree lines were laid out otherwise, is refused
-and must be re-ingested.
+node it rejects is named by its line.  ``manifest.json`` is format 3; a
+snapshot of an earlier format, whose tree lines (format 1) or ledger rows
+(format 2) were laid out otherwise, is refused and must be re-ingested.
 
 ``model.txt`` holds what serving reads and its provenance, in the one
 layout `save_model` writes for a fitted `CpModel`: the header, the four
@@ -33,14 +33,15 @@ A model of an earlier layout, with S, A and T blocks after the norms or
 without the digest line, is rejected and must be refit.
 
 ``reputation.csv`` is the exception to the whitespace-separated layout:
-CSV rows ``user_id,topic,score`` in (user, topic) order under that
-header, in UTF-8 text with LF or CRLF lines, with a topic quoted as
-``csv.writer`` quotes it when it holds a comma, a quote or a line break.
-The same pass and locator read it, with an LF inside a quoted field
-ending no line, so an error names the line on which the rejected record
-ends, or the line of a quote inside an unquoted field, which csv.writer
-never writes.  ``report.csv`` quotes its topics the same way and is
-written in one format pass.
+CSV rows ``user_id,topic,score`` under that header, in UTF-8 text with LF
+or CRLF lines, with a topic quoted as ``csv.writer`` quotes it when it
+holds a comma, a quote or a line break, in strictly ascending (topic,
+user) order, a topic by its name, not its quoted text.  The same pass
+and locator read it, with an LF inside a quoted field ending no line, so
+an error names the line on which the rejected record ends, or the line
+of a quote inside an unquoted field, which csv.writer never writes.
+``report.csv`` quotes its topics the same way and is written in one
+format pass.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .errors import ContractViolation, DataError
 from .hierarchy import HierarchyTree
 from .ingest import ReputationLedger
 from .ranking import RankingFactors
-from .sparse_tensor import SparseTensor4, row_increases
+from .sparse_tensor import SparseTensor4, lex_order, row_changes, row_increases
 
 __all__ = [
     "tensor_text", "save_tensor", "load_tensor",
@@ -452,9 +453,14 @@ def _csv_field(text: str) -> str:
 
 def reputation_text(ledger: ReputationLedger) -> str:
     """The header, then one ``user_id,topic,score`` row per ledger row, in
-    the ledger's order."""
+    (topic, user) order: the ledger's own where it is that, as ingest's is,
+    and its rows sorted by one `lex_order` otherwise."""
+    user, topic, score = ledger.user, ledger.topic, ledger.score
+    if not row_increases((topic, user)).all():
+        order = lex_order((topic, user))
+        user, topic, score = user[order], topic[order], score[order]
     names = [_csv_field(t) for t in ledger.topic_names]
-    rows = ledger.user.tolist(), [names[c] for c in ledger.topic.tolist()], ledger.score.tolist()
+    rows = user.tolist(), [names[c] for c in topic.tolist()], score.tolist()
     return _REPUTATION_HEADER + _rows_text("%d,%s,%d\n", rows)
 
 
@@ -467,11 +473,12 @@ def load_reputation(path) -> ReputationLedger:
     """Read a reputation file into ledger columns.
 
     After the header line, one `_rows` pass reads the CSV records, the
-    topic as bytes as wide as the longest record, so none is cut short;
-    only the distinct topic names are decoded.  Rows must come in
-    ascending (user, topic) order, each pair once, as ingest writes them;
-    a record that breaks this, or that the pass rejects, is a DataError
-    naming the line it ends on.
+    topic as bytes as wide as the longest record, so none is cut short.
+    Rows must come in strictly ascending (topic, user) order, a topic by
+    its decoded name, so each topic's rows are one run and its code is the
+    run's number: one `row_changes` pass finds the runs, and only the name
+    at each run's start is decoded.  A record that breaks the order, or
+    that the pass rejects, is a DataError naming the line it ends on.
     """
     data = _read(path)
     head = data.partition(b"\n")[0]
@@ -483,17 +490,34 @@ def load_reputation(path) -> ReputationLedger:
                                     ("score", np.int64)],
                        "'user_id,topic,score' with int64 user and score", skip=1, source=path,
                        csv=True)
-    topics = table["topic"].tolist()
-    names = sorted(set(topics))
-    code = dict(zip(names, range(len(names))))
-    topic = np.fromiter(map(code.__getitem__, topics), dtype=np.int64, count=len(topics))
+    new = row_changes((table["topic"],))
+    runs = table["topic"][new]  # UTF-8 bytes, which sort as their text does
+    topic = np.cumsum(new, dtype=np.int64)
+    topic -= 1
     user, score = np.ascontiguousarray(table["user"]), np.ascontiguousarray(table["score"])
-    bad = ~row_increases((user, topic))
-    if bad.any():
-        line = data.count(b"\n", 0, bounds[np.argmax(bad) + 3] - 1) + 1
-        raise DataError(f"{path}:{line}: rows must be in ascending (user, topic) order, "
-                        "each pair once")
-    return ReputationLedger(tuple(name.decode() for name in names), user, topic, score)
+    names = [name.decode() for name in runs.tolist()]
+    if not ((runs[1:] > runs[:-1]).all() and row_increases((topic, user)).all()):
+        row, why = _out_of_order(names, np.flatnonzero(new), user, topic)
+        line = data.count(b"\n", 0, bounds[row + 2] - 1) + 1
+        raise DataError(f"{path}:{line}: {why}; rows must be in ascending (topic, user) "
+                        "order, each pair once")
+    return ReputationLedger(tuple(names), user, topic, score)
+
+
+def _out_of_order(names, starts, user, topic):
+    """The first row that breaks a reputation table's (topic, user) order,
+    and how; ``names`` are the runs' decoded names, ``starts`` their first
+    rows, and ``topic`` numbers each row's run."""
+    late = ~row_increases((topic, user))
+    row = int(np.argmax(late)) + 1 if late.any() else len(user)
+    r = next((r for r in range(1, len(names)) if names[r] <= names[r - 1]), None)
+    if r is not None and starts[r] < row:
+        how = ("comes again after other topics" if names[r] in names[:r]
+               else f"sorts below {names[r - 1]!r}, the topic before it")
+        return starts[r], f"topic {names[r]!r} {how}"
+    u, before = int(user[row]), int(user[row - 1])
+    how = "twice" if u == before else f"after user {before}"
+    return row, f"user {u} comes {how} in topic {names[topic[row]]!r}"
 
 
 def save_report(report, path, config=None):
@@ -523,11 +547,14 @@ def file_digest(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+_FORMAT = 3  # of manifest.json, raised whenever a snapshot file's layout changes
+
+
 def write_manifest(path, tables, config, digests):
     """Write the snapshot manifest: index tables, config echo, and
     ``digests``, the SHA-256 hex digest of each snapshot file by its name."""
     payload = {
-        "format": 2,
+        "format": _FORMAT,
         "subsites": list(tables.subsites),
         "questions": [f"{s}:{pid}" for s, pid in tables.questions],
         "topics": list(tables.topics),
@@ -540,7 +567,7 @@ def write_manifest(path, tables, config, digests):
 
 
 def load_manifest(path) -> tuple[dict, str]:
-    """A snapshot manifest, a format-2 JSON object with a list of topic
+    """A snapshot manifest, a format-3 JSON object with a list of topic
     strings and a list of integer user ids, and the SHA-256 hex digest of
     the bytes it was parsed from.  One of another integer format is refused
     with its own message: its snapshot must be re-ingested."""
@@ -550,13 +577,13 @@ def load_manifest(path) -> tuple[dict, str]:
     except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise DataError(f"{path}: {exc}") from None
     old = manifest.get("format") if isinstance(manifest, dict) else None
-    if type(old) is int and old != 2:
+    if type(old) is int and old != _FORMAT:
         raise DataError(f"{path}: a format-{old} snapshot, which this version does not read; "
-                        "ingest the dumps again to write a format-2 one")
-    if not (isinstance(manifest, dict) and manifest.get("format") == 2
+                        f"ingest the dumps again to write a format-{_FORMAT} one")
+    if not (isinstance(manifest, dict) and old == _FORMAT
             and all(isinstance(manifest.get(k), list)  # by type, as a bool is no user id
                     and [*map(type, manifest[k])].count(kind) == len(manifest[k])
                     for k, kind in (("topics", str), ("users", int)))):
-        raise DataError(f"{path}: not a format-2 manifest with a list of topic strings "
+        raise DataError(f"{path}: not a format-{_FORMAT} manifest with a list of topic strings "
                         "and a list of integer user ids")
     return manifest, hashlib.sha256(data).hexdigest()

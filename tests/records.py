@@ -116,9 +116,9 @@ def post(data, subsite, post_id) -> Post:
 
 
 def ledger(scores: dict) -> ReputationLedger:
-    """The ledger of ``{(user, topic): score}`` totals, rows in (user, topic)
-    order."""
-    keys = sorted(scores)
+    """The ledger of ``{(user, topic): score}`` totals, rows in (topic, user)
+    order, as ingest writes them."""
+    keys = sorted(scores, key=lambda key: key[::-1])
     names = sorted({t for _, t in keys})
     return ReputationLedger(
         tuple(names), np.array([u for u, _ in keys], dtype=np.int64),

@@ -668,14 +668,14 @@ def rewritten_manifest(snapshot, copy, edit):
 
 class TestManifestShape:
     @pytest.mark.parametrize("command", ["recommend", "evaluate"])
-    @pytest.mark.parametrize("text", ["[]", '"x"', '{"format": 2}',
-                                      '{"format": 2, "topics": "t", "users": []}',
-                                      '{"format": 2, "topics": [], "users": {}}',
+    @pytest.mark.parametrize("text", ["[]", '"x"', '{"format": 3}',
+                                      '{"format": 3, "topics": "t", "users": []}',
+                                      '{"format": 3, "topics": [], "users": {}}',
                                       '{"format": 1, "topics": [], "users": []}',
-                                      '{"format": 2, "topics": [1, 2, 3, 4], "users": [8]}',
-                                      '{"format": 2, "topics": ["alpha/tensor"], '
+                                      '{"format": 3, "topics": [1, 2, 3, 4], "users": [8]}',
+                                      '{"format": 3, "topics": ["alpha/tensor"], '
                                       '"users": [true]}',
-                                      pytest.param('{"format": 2, "topics": ["a', id="not-JSON"),
+                                      pytest.param('{"format": 3, "topics": ["a', id="not-JSON"),
                                       pytest.param('{"topics": ["\xff"]}', id="not-UTF-8"),
                                       pytest.param("[" * 100000, id="nested-too-deep")])
     def test_refit_on_a_broken_manifest_exits_1(self, fitted, snapshot, tmp_path, capsys,
@@ -696,6 +696,26 @@ class TestManifestShape:
         assert main([command, "--model", fitted, "--snapshot", str(broken), *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("old", [1, 2])
+    def test_a_snapshot_of_an_earlier_format_must_be_ingested_again(self, fitted, snapshot,
+                                                                     tmp_path, capsys, old):
+        manifest = rewritten_manifest(snapshot, tmp_path / "old",
+                                      lambda payload: payload.update(format=old))
+        want = (f"error: {manifest}: a format-{old} snapshot, which this version does not "
+                "read; ingest the dumps again to write a format-3 one\n")
+        refit = tmp_path / "refit"
+        assert main(["fit", str(manifest.parent), "--out-dir", str(refit), "--rank", "2",
+                     "--max-iters", "2"]) == 1
+        assert capsys.readouterr().err == want and not refit.exists()
+        # a model that records this manifest, as one an earlier version fit
+        model = resealed(fitted, tmp_path / "model.txt", serialize.file_digest(manifest))
+        for command, argv in (("recommend", ["--topic", "alpha/tensor"]),
+                              ("evaluate", ["--out-dir", str(tmp_path / "eval")])):
+            assert main([command, "--model", model, "--snapshot", str(manifest.parent),
+                         *argv]) == 1
+            assert capsys.readouterr().err == want
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("command", ["recommend", "evaluate"])
     @pytest.mark.parametrize("key", ["topics", "users"])

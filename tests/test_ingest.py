@@ -21,7 +21,7 @@ from qaexpert.ingest import (
     reputation_scores,
     sample_dataset,
 )
-from qaexpert.serialize import save_reputation
+from qaexpert.serialize import load_reputation, reputation_text, save_reputation
 from qaexpert.synthetic import make_corpus, write_subsite_dump
 
 import ingest_oracles as oracles
@@ -660,9 +660,10 @@ class TestReputation:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("order", ["shuffled", "reversed", "by topic, users descending"])
-    def test_top_users_matches_oracle_on_rows_in_any_order(self, seed, order):
+    def test_top_users_matches_oracle_on_rows_in_any_order(self, tmp_path, seed, order):
         """Ties go to the lower user id however the ledger's rows are ordered,
-        also where the flat sort key would pass int64."""
+        also where the flat sort key would pass int64; saved, the rows come
+        back in (topic, user) order."""
         rng = np.random.default_rng(seed)
         info = np.iinfo(np.int64)
         scores = {}
@@ -679,6 +680,10 @@ class TestReputation:
             want = sorted((u for u, t in scores if t == topic), key=lambda u: (-scores[u, topic], u))
             assert ledger.top_users(topic) == want
             assert ledger.top_users(topic, 2) == want[:2]
+        path = tmp_path / "reputation.csv"
+        save_reputation(ledger, path)
+        assert path.read_text() == reputation_text(ranked)
+        assert rec.ledger_rows(load_reputation(path)) == rec.ledger_rows(ranked)
 
     def test_top_users_skips_names_without_rows(self):
         ledger = ReputationLedger(("s/a", "s/b", "s/c"), np.array([1, 1, 2]), np.array([2, 0, 2]),
@@ -946,7 +951,8 @@ def assert_matches_oracles(data, reference=None):
 
     ledger = reputation_scores(data)
     scores, skipped = oracles.reputation_scores(reference)
-    assert rec.ledger_rows(ledger) == [(u, t, v) for (u, t), v in sorted(scores.items())]
+    want = sorted(scores.items(), key=lambda item: item[0][::-1])
+    assert rec.ledger_rows(ledger) == [(u, t, v) for (u, t), v in want]
     assert ledger.skipped_voter_events == skipped
 
     try:
@@ -1009,6 +1015,29 @@ class TestColumnarAgainstOracles:
                 assert read(got) == read(want)
             assert got.subsites == want.subsites
             assert_matches_oracles(got)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ledger_is_grouped_by_topic_and_round_trips(self, tmp_path, seed):
+        """Ingest's ledger rows strictly ascend by (topic name, user id), load
+        back from the file it writes as the same columns, and rank each topic
+        as a full scan of its rows does."""
+        ledger = reputation_scores(random_dataset(seed))
+        keys = [(t, u) for u, t, _ in rec.ledger_rows(ledger)]
+        assert len(keys) > 10 and all(a < b for a, b in zip(keys, keys[1:]))
+        path = tmp_path / "reputation.csv"
+        save_reputation(ledger, path)
+        back = load_reputation(path)
+        assert back.topic_names == tuple(ledger.topics())
+        assert [ledger.topic_names[c] for c in ledger.topic.tolist()] == \
+            [back.topic_names[c] for c in back.topic.tolist()]
+        for name in ("user", "score"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(ledger, name))
+        scores = rec.ledger_scores(ledger)
+        for topic in ledger.topic_names + ("missing",):
+            scan = sorted((u for u, t in scores if t == topic),
+                          key=lambda u: (-scores[u, topic], u))
+            for k in (None, 0, 1, 2, len(scan) + 1):
+                assert back.top_users(topic, k) == ledger.top_users(topic, k) == scan[:k]
 
     def test_zero_sum_credit_keeps_its_row(self, tmp_path):
         ledger = reputation_scores(random_dataset(0))

@@ -547,6 +547,7 @@ class TestOneReader:
                   rec.ledger({(1, t): n for n, t in enumerate(AWKWARD_TOPICS)})),
                  (save_reputation, load_reputation, rec.ledger({}))]
         monkeypatch.setattr(serialize, "_first_rejected", None)
+        monkeypatch.setattr(serialize, "_out_of_order", None)
         for n, (save, load, obj) in enumerate(files):
             save(obj, tmp_path / f"{n}.txt")
             load(tmp_path / f"{n}.txt")
@@ -1013,7 +1014,7 @@ def csv_reader_rows(path):
 # Each file with the line its error names, or None where it loads to the rows
 # `csv_reader_rows` reads from it.
 REPUTATION_FILES = [
-    (REPUTATION_HEADER + "1,s/a,2\n1,s/b,-3\n2,s/a,0\n", None),
+    (REPUTATION_HEADER + "1,s/a,2\n2,s/a,0\n1,s/b,-3\n", None),
     (REPUTATION_HEADER + "1,s/a,2\n\n2,s/a,3\n", 3),
     (REPUTATION_HEADER + "1,s/a,2\n2,s/a,3\n\n", 4),
     (REPUTATION_HEADER + "1,s/a,2\n\r\n2,s/a,3\n", 3),
@@ -1043,21 +1044,26 @@ REPUTATION_FILES = [
     (REPUTATION_HEADER + "1,2\n3,4,5,6\n", 2),
     (REPUTATION_HEADER + "1,,2\n2,s/a,3\n", None),
     (REPUTATION_HEADER + "1,#a,2\n", None),
-    (REPUTATION_HEADER + "1,s/a,1\n1,s/" + "w" * 200 + ",2\n2,s/b,3\n", None),
+    (REPUTATION_HEADER + "1,s/a,1\n2,s/b,3\n1,s/" + "w" * 200 + ",2\n", None),
     (REPUTATION_HEADER + "1, s/a,1\n1,\ts/b,2\n1,s/c ,3\n1,s/d\t,4\n", 3),
     (REPUTATION_HEADER + "1,s/a b,2\n1,s/\u00e9,2\n", None),
     (REPUTATION_HEADER + "1,s/a,2\n1,s/\u00e9t\u00e9,3\n", None),
     (REPUTATION_HEADER + "1,s/\x85,2\n", None),
+    # rows in strictly ascending (topic, user) order, a quoted topic by its name
     (REPUTATION_HEADER + "1,s/b,1\n1,s/a,1\n", 3),
     (REPUTATION_HEADER + "1,s/a,1\n1,s/a,2\n", 3),
-    (REPUTATION_HEADER + "2,s/a,1\n1,s/b,1\n", 3),
+    (REPUTATION_HEADER + "2,s/a,1\n1,s/a,1\n", 3),
+    (REPUTATION_HEADER + "2,s/a,1\n1,s/b,1\n", None),
+    (REPUTATION_HEADER + "1,s/a,1\n2,s/b,1\n3,s/a,1\n", 4),
+    (REPUTATION_HEADER + '1,s/a,1\n1,"s/a,b",1\n1,s/a-,1\n', None),
+    (REPUTATION_HEADER + '1,s/a,1\n1,s/a-,1\n1,"s/a,b",1\n', 4),
     # quoted fields, as csv.reader reads them
-    (REPUTATION_HEADER + '1,"s/c\nd",3\n1,"s/c,d",2\n2,"s/a""b",4\n', None),
+    (REPUTATION_HEADER + '2,"s/a""b",4\n1,"s/c\nd",3\n1,"s/c,d",2\n', None),
     (REPUTATION_HEADER + '1,"s/a",3\n', None),
     (REPUTATION_HEADER + '1,"",2\n', None),
     (REPUTATION_HEADER + '1,"s/c\r\nd",3\n1,"s/c\rd",2\n', None),
     (REPUTATION_HEADER + '1,"a\n",3\n1,"a\n\nb",2\n', None),
-    (REPUTATION_HEADER + '1,"s/a"b,2\n2, "s/a",2\n3,"s/a" ,2\n', None),
+    (REPUTATION_HEADER + '2, "s/a",2\n3,"s/a" ,2\n1,"s/a"b,2\n', None),
     # a quote inside an unquoted field, which csv.writer never writes, is
     # rejected on its own line, also after a quoted field over two lines
     (REPUTATION_HEADER + '1,s/a,2\n3,s/a"b,2\n4,s/b,3\n', 3),
@@ -1100,6 +1106,25 @@ REPUTATION_REJECTED = {
     "a quote inside an unquoted field": (
         (REPUTATION_HEADER + '1,s/a,2\n3,s/a"b,2\n4,s/c,1\n5,s/d,1\n').encode(), 3,
         "got '3,s/a\"b,2', which holds '\"'"),
+}
+
+# Rows out of (topic, user) order, each with the line its error names and how
+# the row breaks the order; the earlier of two breaches is the one named.
+REPUTATION_OUT_OF_ORDER = {
+    "a topic that comes again": ("1,s/a,1\n1,s/b,2\n2,s/b,2\n2,s/a,5\n", 5,
+                                 "topic 's/a' comes again after other topics"),
+    "a user twice in a topic": ("1,s/a,1\n1,s/b,2\n2,s/b,2\n2,s/b,5\n", 5,
+                                "user 2 comes twice in topic 's/b'"),
+    "a user out of order": ("1,s/a,1\n3,s/b,2\n2,s/b,2\n", 4,
+                            "user 2 comes after user 3 in topic 's/b'"),
+    "a topic below the one before": ('1,"s/b\nx",1\n1,"s/a,b",2\n', 4,
+                                     "topic 's/a,b' sorts below 's/b\\nx', the topic before it"),
+    "a quoted topic by its name": ('1,s/a-,1\n1,"s/a,b",1\n', 3,
+                                   "topic 's/a,b' sorts below 's/a-', the topic before it"),
+    "a user twice before a topic again": ("1,s/a,1\n1,s/a,1\n1,s/b,1\n1,s/a,1\n", 3,
+                                          "user 1 comes twice in topic 's/a'"),
+    "a topic again before a user twice": ("1,s/a,1\n1,s/b,1\n1,s/a,1\n1,s/a,1\n", 4,
+                                          "topic 's/a' comes again after other topics"),
 }
 
 # Topics that save_reputation quotes, or writes as they are, that must come back
@@ -1153,7 +1178,7 @@ class TestReputationFormat:
 
     @pytest.mark.parametrize("row", ["2,s/a", "x,s/a,3", "2,s/a,3.5", "2,s/a,3,4",
                                      "9223372036854775808,s/a,3", "2,s/a,-9223372036854775809",
-                                     "0,s/b,3", "1,s/a,3"])
+                                     "0,s/a,3", "1,s/a,3", "1,s/0,3"])
     def test_malformed_row_names_path_and_line(self, tmp_path, row):
         p = tmp_path / "rep.csv"
         p.write_text(f"user_id,topic,score\n1,s/a,2\n{row}\n")
@@ -1189,6 +1214,16 @@ class TestReputationFormat:
         p.write_bytes(data)
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{line}: .*{re.escape(tail)}$"):
             load_reputation(p)
+
+    @pytest.mark.parametrize("name", REPUTATION_OUT_OF_ORDER)
+    def test_row_out_of_order_names_its_line(self, tmp_path, name):
+        body, line, why = REPUTATION_OUT_OF_ORDER[name]
+        p = tmp_path / "rep.csv"
+        p.write_text(REPUTATION_HEADER + body)
+        with pytest.raises(DataError) as caught:
+            load_reputation(p)
+        assert str(caught.value) == (f"{p}:{line}: {why}; rows must be in ascending "
+                                     "(topic, user) order, each pair once")
 
     @pytest.mark.parametrize("at", [0, 1, 499, 998, 999])
     @pytest.mark.parametrize("bad", ["x,s/a,1", "", "7,s/a,1\r8,s/b,2", "7,s/\x00,1", "7,s/a"],
@@ -1276,34 +1311,35 @@ class TestManifest:
         write_manifest(p, tables_fixture(), {"rank": 6}, {"tensor.txt": digest})
         back, manifest_digest = load_manifest(p)
         assert manifest_digest == file_digest(p)
-        assert back["format"] == 2 and "tree_g" not in back and "tree_s" not in back
+        assert back["format"] == 3 and "tree_g" not in back and "tree_s" not in back
         assert back["users"] == [1, 2, 9]
         assert back["questions"] == ["alpha:1", "beta:4"]
         assert list(back["files"]) == ["tensor.txt"]
         assert back["files"]["tensor.txt"] == file_digest(extra)
 
-    def test_format_1_rejected(self, tmp_path):
+    @pytest.mark.parametrize("old", [1, 2, 4])
+    def test_other_formats_rejected(self, tmp_path, old):
         p = tmp_path / "manifest.json"
-        p.write_text(json.dumps({"format": 1, "topics": ["a/x"], "users": [1]}))
+        p.write_text(json.dumps({"format": old, "topics": ["a/x"], "users": [1]}))
         with pytest.raises(DataError) as caught:
             load_manifest(p)
-        assert str(caught.value) == (f"{p}: a format-1 snapshot, which this version does not "
-                                     "read; ingest the dumps again to write a format-2 one")
+        assert str(caught.value) == (f"{p}: a format-{old} snapshot, which this version does "
+                                     "not read; ingest the dumps again to write a format-3 one")
 
-    @pytest.mark.parametrize("payload", [[], "x", 1, {"format": 2},
-                                         {"format": 2, "topics": [], "users": None},
-                                         {"format": 2, "topics": "ab", "users": [1]},
+    @pytest.mark.parametrize("payload", [[], "x", 1, {"format": 3},
+                                         {"format": 3, "topics": [], "users": None},
+                                         {"format": 3, "topics": "ab", "users": [1]},
                                          {"format": True, "topics": [], "users": []},
                                          {"format": "1", "topics": [], "users": []},
-                                         {"format": 2, "topics": ["a/x", 1], "users": [1]},
-                                         {"format": 2, "topics": [None], "users": [1]},
-                                         {"format": 2, "topics": ["a/x"], "users": ["1"]},
-                                         {"format": 2, "topics": ["a/x"], "users": [1.0]},
-                                         {"format": 2, "topics": ["a/x"], "users": [True]}])
+                                         {"format": 3, "topics": ["a/x", 1], "users": [1]},
+                                         {"format": 3, "topics": [None], "users": [1]},
+                                         {"format": 3, "topics": ["a/x"], "users": ["1"]},
+                                         {"format": 3, "topics": ["a/x"], "users": [1.0]},
+                                         {"format": 3, "topics": ["a/x"], "users": [True]}])
     def test_manifest_without_its_tables_rejected(self, tmp_path, payload):
         p = tmp_path / "manifest.json"
         p.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not a format-2 manifest "
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not a format-3 manifest "
                                             "with a list of topic strings and a list of "
                                             "integer user ids$"):
             load_manifest(p)
