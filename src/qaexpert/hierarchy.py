@@ -6,11 +6,9 @@ question row in ``leaf_row`` (-1 elsewhere); an internal node holds a pair
 ``(s, g)`` summing to one (NaN at leaves).  The depth ``level`` and the
 ancestor table ``ancestors[d, v]``, the node at depth ``d`` above ``v``, are
 derived once, at any depth; everything else is a pass over these arrays.
-``tree.txt`` holds just the four arrays, node n as the ``parent s g
-leaf_row`` line n + 1, and `HierarchyTree` is the one check of them.
-Each check but that of an empty tree is one of nodes: the first node that
-breaks it is the ``node`` of the ContractViolation it raises, so that a
-loader can name its line.
+`HierarchyTree` is the one check of them.  Each check but that of an
+empty tree is one of nodes: the first node that breaks it is the ``node``
+of the ContractViolation it raises, so that a loader can name its line.
 
 Every node defines a group: the question rows at the leaves beneath it.
 A node's weight is its ``g`` (one for leaves) times the product of ``s``
@@ -41,6 +39,7 @@ __all__ = [
 ]
 
 _SG_TOL = 1e-9
+_HALF = 0.5  # s and g at every internal node of a `HierarchyTree.halved` tree
 
 
 def _check(bad, message):
@@ -108,6 +107,17 @@ class HierarchyTree:
         self.ancestors = np.where(d <= self.level, up[np.maximum(self.level - d, 0), ids], -1)
         for a in (self.parent, self.s, self.g, self.leaf_row, self.level, self.ancestors):
             a.setflags(write=False)
+
+    @classmethod
+    def halved(cls, parent, leaf_row) -> HierarchyTree:
+        """The tree of ``parent`` and ``leaf_row`` with s = g = ½ at each internal node."""
+        weights = np.where(np.asarray(leaf_row) < 0, _HALF, np.nan)
+        return cls(parent, weights, weights, leaf_row)
+
+    def check_halved(self):
+        """Raise naming the first internal node that does not weigh s = g = ½."""
+        _check((self.leaf_row < 0) & ((self.s != _HALF) | (self.g != _HALF)),
+               "internal node {} does not weigh s = g = 1/2")
 
     def level_groups(self, level: int) -> list[np.ndarray]:
         """Ascending leaf-row groups of the nodes at a depth, in node-id order."""

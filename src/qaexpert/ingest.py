@@ -593,8 +593,7 @@ class BuildInputs:
     ``questions[i]`` is the (subsite, post id) behind tensor row i,
     ``topics[j]`` the namespaced tag of tensor column j, ``users[l]`` the
     network-wide id of expert column l. ``subsites[x]`` names row x of the
-    site membership matrix and subsite group x of the tree, whose internal
-    nodes all weigh ``(s, g) = (0.5, 0.5)``.
+    site membership matrix and subsite group x of the tree.
     """
 
     tensor: SparseTensor4
@@ -626,10 +625,7 @@ def build_inputs(data: QaDataset, bucket_edges=DEFAULT_BUCKET_EDGES) -> BuildInp
     without tags are left out of the index tables; subsites with no
     tagged questions are dropped with a warning.  Each question's tree
     leaf sits under its first-listed tag so the topic groups partition
-    the questions.  Every internal tree node weighs ``s = g = 0.5``: with
-    ``s + g = 1`` at every node each question row's penalty weight sums to
-    1, up to rounding, whatever the split, so the tree penalty is
-    ``λ_w/2·‖U1‖²``.
+    the questions.  The tree is `HierarchyTree.halved`.
     """
     edges = tuple(int(e) for e in bucket_edges)
     if list(edges) != sorted(set(edges)):
@@ -690,14 +686,12 @@ def build_inputs(data: QaDataset, bucket_edges=DEFAULT_BUCKET_EDGES) -> BuildInp
     parent[leaf], parent[group_node] = group_node, site_node
     leaf_row = np.full(len(parent), -1)
     leaf_row[leaf] = order
-    weights = np.where(leaf_row < 0, 0.5, np.nan)
-    tree = HierarchyTree(parent, weights, weights, leaf_row)
 
     return BuildInputs(
         tensor=tensor,
         site_matrix=site_matrix,
         topic_matrix=topic_matrix,
-        tree=tree,
+        tree=HierarchyTree.halved(parent, leaf_row),
         questions=tuple(data.post_keys(questions)),
         topics=topics,
         users=users,

@@ -14,11 +14,11 @@ under test, and the character that breaks it where one does.  A line
 number counts LF-terminated lines, a CRLF counting as one LF; a number in
 a header line follows the same rule.
 
-``tree.txt`` holds the four arrays of a `HierarchyTree`, node n as the
-``parent s g leaf_row`` line n + 1, and the tree checks them itself: a
-node it rejects is named by its line.  ``manifest.json`` is format 3; a
-snapshot of an earlier format, whose tree lines (format 1) or ledger rows
-(format 2) were laid out otherwise, is refused and must be re-ingested.
+``tree.txt`` holds the shape of a `HierarchyTree.halved`, node n as the
+``parent leaf_row`` line n + 1, and the tree checks it: a node it rejects
+is named by its line.  ``manifest.json`` is format 4; a snapshot of format
+3 (``parent s g leaf_row`` tree lines), 2 (ledger rows in (user, topic)
+order), 1 or another is refused and must be re-ingested.
 
 ``model.txt`` holds what serving reads and its provenance, in the one
 layout `save_model` writes for a fitted `CpModel`: the header, the four
@@ -334,11 +334,10 @@ def load_membership(path) -> MembershipMatrix:
 
 
 def tree_text(tree: HierarchyTree) -> str:
-    """The four arrays of ``tree``, node n as the ``parent s g leaf_row``
-    line n + 1: ``s g`` and -1 at an internal node, ``nan nan`` and the
-    question row at a leaf."""
-    columns = [tree.parent.tolist(), tree.s.tolist(), tree.g.tolist(), tree.leaf_row.tolist()]
-    return _rows_text("%d %.17g %.17g %d\n", columns)
+    """Node n of ``tree`` as the ``parent leaf_row`` line n + 1, -1 the leaf
+    row of an internal node; a ContractViolation unless `check_halved` passes."""
+    tree.check_halved()
+    return _rows_text("%d %d\n", [tree.parent.tolist(), tree.leaf_row.tolist()])
 
 
 def save_tree(tree: HierarchyTree, path):
@@ -347,13 +346,12 @@ def save_tree(tree: HierarchyTree, path):
 
 
 def load_tree(path) -> HierarchyTree:
-    """Read a tree file into its four arrays by one `_rows` pass, and check
-    them by building the `HierarchyTree`: a node it rejects is a DataError
+    """Read a tree file's two columns by one `_rows` pass, and check them by
+    building the `HierarchyTree.halved`: a node it rejects is a DataError
     naming its line, and a file without a node one naming ``path``."""
-    table = _read_rows(path, _read(path), [("parent", np.int64), ("s", np.float64),
-                                           ("g", np.float64), ("leaf_row", np.int64)],
-                       "'parent s g leaf_row'", source=path)
-    return _build(path, HierarchyTree, table["parent"], table["s"], table["g"], table["leaf_row"])
+    table = _read_rows(path, _read(path), [("parent", np.int64), ("leaf_row", np.int64)],
+                       "'parent leaf_row'", source=path)
+    return _build(path, HierarchyTree.halved, table["parent"], table["leaf_row"])
 
 
 def _matrix_text(U) -> str:
@@ -547,7 +545,7 @@ def file_digest(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-_FORMAT = 3  # of manifest.json, raised whenever a snapshot file's layout changes
+_FORMAT = 4  # of manifest.json, raised whenever a snapshot file's layout changes
 
 
 def write_manifest(path, tables, config, digests):
@@ -567,7 +565,7 @@ def write_manifest(path, tables, config, digests):
 
 
 def load_manifest(path) -> tuple[dict, str]:
-    """A snapshot manifest, a format-3 JSON object with a list of topic
+    """A snapshot manifest, a format-4 JSON object with a list of topic
     strings and a list of integer user ids, and the SHA-256 hex digest of
     the bytes it was parsed from.  One of another integer format is refused
     with its own message: its snapshot must be re-ingested."""

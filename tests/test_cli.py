@@ -184,7 +184,7 @@ class TestIngest:
         tree = serialize.load_tree(os.path.join(snapshot, "tree.txt"))
         internal = tree.leaf_row < 0
         assert tree.s[internal].tolist() == tree.g[internal].tolist() == [0.5] * internal.sum()
-        assert open(os.path.join(snapshot, "tree.txt")).readline() == "-1 0.5 0.5 -1\n"
+        assert open(os.path.join(snapshot, "tree.txt")).readline() == "-1 -1\n"
         manifest = json.load(open(os.path.join(snapshot, "manifest.json")))
         assert "tree_s" not in manifest and "tree_s" not in manifest["config"]
         # no split of the weights changes a fit, so there is no flag to set one
@@ -668,14 +668,14 @@ def rewritten_manifest(snapshot, copy, edit):
 
 class TestManifestShape:
     @pytest.mark.parametrize("command", ["recommend", "evaluate"])
-    @pytest.mark.parametrize("text", ["[]", '"x"', '{"format": 3}',
-                                      '{"format": 3, "topics": "t", "users": []}',
-                                      '{"format": 3, "topics": [], "users": {}}',
+    @pytest.mark.parametrize("text", ["[]", '"x"', '{"format": 4}',
+                                      '{"format": 4, "topics": "t", "users": []}',
+                                      '{"format": 4, "topics": [], "users": {}}',
                                       '{"format": 1, "topics": [], "users": []}',
-                                      '{"format": 3, "topics": [1, 2, 3, 4], "users": [8]}',
-                                      '{"format": 3, "topics": ["alpha/tensor"], '
+                                      '{"format": 4, "topics": [1, 2, 3, 4], "users": [8]}',
+                                      '{"format": 4, "topics": ["alpha/tensor"], '
                                       '"users": [true]}',
-                                      pytest.param('{"format": 3, "topics": ["a', id="not-JSON"),
+                                      pytest.param('{"format": 4, "topics": ["a', id="not-JSON"),
                                       pytest.param('{"topics": ["\xff"]}', id="not-UTF-8"),
                                       pytest.param("[" * 100000, id="nested-too-deep")])
     def test_refit_on_a_broken_manifest_exits_1(self, fitted, snapshot, tmp_path, capsys,
@@ -697,13 +697,13 @@ class TestManifestShape:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("old", [1, 2])
+    @pytest.mark.parametrize("old", [1, 2, 3])
     def test_a_snapshot_of_an_earlier_format_must_be_ingested_again(self, fitted, snapshot,
                                                                      tmp_path, capsys, old):
         manifest = rewritten_manifest(snapshot, tmp_path / "old",
                                       lambda payload: payload.update(format=old))
         want = (f"error: {manifest}: a format-{old} snapshot, which this version does not "
-                "read; ingest the dumps again to write a format-3 one\n")
+                "read; ingest the dumps again to write a format-4 one\n")
         refit = tmp_path / "refit"
         assert main(["fit", str(manifest.parent), "--out-dir", str(refit), "--rank", "2",
                      "--max-iters", "2"]) == 1

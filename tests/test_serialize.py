@@ -17,7 +17,7 @@ from qaexpert import serialize
 from qaexpert.cli import main
 from qaexpert.coupled import CpModel, MembershipMatrix
 from qaexpert.errors import ContractViolation, DataError
-from qaexpert.hierarchy import HierarchyTree, compute_node_weights
+from qaexpert.hierarchy import HierarchyTree
 from qaexpert.ingest import build_inputs, merge_datasets, parse_dump
 from qaexpert.ranking import RankingFactors
 from qaexpert.serialize import (
@@ -261,12 +261,12 @@ def per_line_rows(text):
 TREE_ARRAYS = ("parent", "s", "g", "leaf_row", "level")
 
 # A root over two topics, rows {0, 1} and {2}; the file save_tree writes.
-TREE_TEXT = """-1 0.5 0.5 -1
-0 0.25 0.75 -1
-1 nan nan 0
-1 nan nan 1
-0 0.25 0.75 -1
-4 nan nan 2
+TREE_TEXT = """-1 -1
+0 -1
+1 0
+1 1
+0 -1
+4 2
 """
 
 
@@ -285,32 +285,38 @@ def edited_tree(tmp_path, line, text):
 
 # Lines that break the format, each with the line the error names.
 MALFORMED_TREE_LINES = [
-    (4, "x nan nan 1"),            # a non-integer parent
-    (4, "99999999999999999999 nan nan 1"),  # a parent past int64
-    (2, "0 0.3 zero -1"),          # a non-numeric g
-    (5, "0 0.3 0.7"),              # a short line
-    (5, "0 0.3 0.7 -1 4"),         # a long line
-    (6, "4 nan nan 2.0"),          # a non-integer leaf row
-    (6, "4 nan nan 9223372036854775808"),  # a leaf row past int64
-    (3, "1 nan nan leaf"),         # a word as a leaf row
+    (4, "x 1"),                    # a non-integer parent
+    (4, "99999999999999999999 1"),  # a parent past int64
+    (2, "0.0 -1"),                 # a parent written as a float
+    (5, "0"),                      # a short line
+    (5, "0 -1 4"),                 # a long line
+    (2, "0 0.5 0.5 -1"),           # a line of format 3, with s and g
+    (6, "4 2.0"),                  # a non-integer leaf row
+    (6, "4 9223372036854775808"),  # a leaf row past int64
+    (3, "1 leaf"),                 # a word as a leaf row
 ]
 
 # Lines that make a tree HierarchyTree rejects: the line, the node it names
 # and its message.
 BROKEN_TREE_LINES = [
-    (3, "4 nan nan 0", 2, "node 2 must come after its parent"),
-    (4, "-2 nan nan 1", 3, "node 3 must come after its parent"),
-    (2, "0 nan nan 3", 1, "leaf node 1 has children"),
-    (6, "4 0.5 0.5 -1", 5, "internal node 5 has no children"),
-    (5, "0 1.5 -0.5 -1", 4, "(s, g) of node 4 must lie in [0, 1]"),
-    (2, "0 nan nan -1", 1, "(s, g) of node 1 must lie in [0, 1]"),
-    (2, "0 0.9 0.7 -1", 1, "(s, g) of node 1 must sum to 1"),
-    (1, "0 0.5 0.5 -1", 0, "node 0 must come after its parent"),
-    (5, "-1 0.25 0.75 -1", 4, "node 4 is a second root; only node 0 is one"),
-    (6, "4 nan nan 1", 5, "leaf node 5 must hold a row below 3, the leaf count, "
-                          "that no earlier leaf holds"),
-    (3, "1 nan nan 3", 2, "leaf node 2 must hold a row below 3, the leaf count, "
-                          "that no earlier leaf holds"),
+    (3, "4 0", 2, "node 2 must come after its parent"),
+    (4, "-2 1", 3, "node 3 must come after its parent"),
+    (2, "0 3", 1, "leaf node 1 has children"),
+    (6, "4 -1", 5, "internal node 5 has no children"),
+    (1, "0 -1", 0, "node 0 must come after its parent"),
+    (5, "-1 -1", 4, "node 4 is a second root; only node 0 is one"),
+    (6, "4 1", 5, "leaf node 5 must hold a row below 3, the leaf count, "
+                  "that no earlier leaf holds"),
+    (3, "1 3", 2, "leaf node 2 must hold a row below 3, the leaf count, "
+                  "that no earlier leaf holds"),
+]
+
+# Weights of TREE_TEXT's tree that HierarchyTree rejects, which no tree file
+# holds: the node, its (s, g) and the message.
+BROKEN_TREE_WEIGHTS = [
+    (4, (1.5, -0.5), "(s, g) of node 4 must lie in [0, 1]"),
+    (1, (np.nan, np.nan), "(s, g) of node 1 must lie in [0, 1]"),
+    (1, (0.9, 0.7), "(s, g) of node 1 must sum to 1"),
 ]
 
 TREE_FILES = [
@@ -326,23 +332,22 @@ TREE_FILES = [
     *((edited_tree_text(line, text), line) for line, text in MALFORMED_TREE_LINES),
     *((edited_tree_text(line, text), None) for line, text, _, _ in BROKEN_TREE_LINES),
     # deeper than the trees ingest writes
-    (edited_tree_text(6, "4 0.5 0.5 -1\n5 0.5 0.5 -1\n6 nan nan 2"), None),
+    (edited_tree_text(6, "4 -1\n5 -1\n6 2"), None),
     # wider than any fixed field width a reader might pick
-    (edited_tree_text(2, "0 " + "0" * 40 + ".25 0.75 -1"), None),
-    (edited_tree_text(3, "1 nan nan " + "0" * 40), None),
-    (edited_tree_text(3, "1 nan nan " + "0" * 40 + "1"), None),
-    (edited_tree_text(3, "1 nan nan 0\x00"), 3),
-    (edited_tree_text(3, "1 nan nan \u0660"), 3),
-    (edited_tree_text(3, "1 nan nan 0\u01fe"), 3),
-    (edited_tree_text(2, "0 1_0 -9 -1"), 2),
+    (edited_tree_text(2, "0" * 40 + " -1"), None),
+    (edited_tree_text(3, "1 " + "0" * 40), None),
+    (edited_tree_text(3, "1 " + "0" * 40 + "1"), None),
+    (edited_tree_text(3, "1 0\x00"), 3),
+    (edited_tree_text(3, "1 \u0660"), 3),
+    (edited_tree_text(3, "1 0\u01fe"), 3),
+    (edited_tree_text(4, "0_1 1"), 4),
 ]
 
 
 def per_line_tree(rows):
-    """The parent, s, g and leaf_row columns of the per-line reading
-    ``rows`` of a tree file."""
-    return ([int(r[0]) for r in rows], [float(r[1]) for r in rows],
-            [float(r[2]) for r in rows], [int(r[3]) for r in rows])
+    """The parent and leaf_row columns of the per-line reading ``rows`` of a
+    tree file."""
+    return [int(r[0]) for r in rows], [int(r[1]) for r in rows]
 
 
 # Input that no save_* function writes but that a per-line reading by int()
@@ -352,15 +357,15 @@ NEWLY_REJECTED = {
     "underscore in an index": (load_tensor, "dims 20 2 2 2\n1_0 0 0 0 1\n", 2, "_"),
     "underscore in a value": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\n0 0 0 0 1_0\n", 3, "_"),
     "underscore in a pair": (load_membership, "11 4\n1_0 0\n", 2, "_"),
-    "underscore in s": (load_tree, edited_tree_text(2, "0 1_0 -9 -1"), 2, "_"),
-    "U+0660 as a leaf row": (load_tree, edited_tree_text(3, "1 nan nan \u0660"), 3, "\u0660"),
+    "underscore in parent": (load_tree, edited_tree_text(4, "0_1 1"), 4, "_"),
+    "U+0660 as a leaf row": (load_tree, edited_tree_text(3, "1 \u0660"), 3, "\u0660"),
     "U+0661 in a pair": (load_membership, "11 4\n0 \u0661\n", 2, "\u0661"),
     "U+0663 in an index": (load_tensor, "dims 20 2 2 2\n\u0663 0 0 0 1\n", 2, "\u0663"),
     "blank tree line": (load_tree, TREE_TEXT.replace("\n", "\n\n", 2), 2, None),
     "whitespace-only tree line": (load_tree, TREE_TEXT + "  \n\n", 7, None),
     "U+0085 in a tensor line": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\x85\n", 2, "\x85"),
     "U+2028 in a membership line": (load_membership, "11 4\n0 1\n2 3\u2028\n", 3, "\u2028"),
-    "U+2029 in a tree line": (load_tree, edited_tree_text(4, "1 nan nan 1\u2029"), 4, "\u2029"),
+    "U+2029 in a tree line": (load_tree, edited_tree_text(4, "1 1\u2029"), 4, "\u2029"),
     "NUL in a pair": (load_membership, "11 4\n0 1\x00\n", 2, "\x00"),
     "lone CR in a tensor line": (load_tensor, "dims 20 2 2 2\n0 0 0 0 1\r1 1 1 1 2\n", 2, "\r"),
 }
@@ -389,8 +394,8 @@ LOCATED_TABLES = {
                1, "'i j k l value'", "float64"),
     "membership": (load_membership, ["300 3"] + [f"{i} {i % 3}" for i in range(300)], 1,
                    "'row col'", "int64"),
-    "tree": (load_tree, ["-1 0.5 0.5 -1"] + [f"0 nan nan {i}" for i in range(300)], 1,
-             "'parent s g leaf_row'", "int64"),
+    "tree": (load_tree, ["-1 -1"] + [f"0 {i}" for i in range(300)], 1, "'parent leaf_row'",
+             "int64"),
     "model block": (load_model, None, 5, "2 values", "float64"),
     "reputation": (load_reputation,
                    ["user_id,topic,score"] + [f"{i},s/a,{i}" for i in range(300)], 1,
@@ -451,7 +456,7 @@ class TestOneReader:
         p = tmp_path / "tree.txt"
         p.write_bytes(text.encode("utf-8"))
         self.check(load_tree, p, line, lambda: serialize._build(
-            p, HierarchyTree, *per_line_tree(per_line_rows(text))))
+            p, HierarchyTree.halved, *per_line_tree(per_line_rows(text))))
 
     @pytest.mark.parametrize("name", NEWLY_REJECTED)
     def test_newly_rejected_input_names_its_line(self, tmp_path, name):
@@ -507,7 +512,7 @@ class TestOneReader:
 
     @pytest.mark.parametrize("at", [0, 1, 499, 998, 999])
     def test_bisection_names_the_one_leaf_row_that_does_not_convert(self, tmp_path, at):
-        lines = ["-1 0.5 0.5 -1"] + [f"0 nan nan {i}" for i in range(999)]
+        lines = ["-1 -1"] + [f"0 {i}" for i in range(999)]
         lines[at] = lines[at].rsplit(" ", 1)[0] + " y"
         p = tmp_path / "tree.txt"
         p.write_text("\n".join(lines) + "\n")
@@ -555,32 +560,39 @@ class TestOneReader:
 
 class TestTreeFormat:
     def test_round_trip_three_levels(self, tmp_path):
-        tree = tree_from_nested([[0, 1], [2, [3, 4]]],
-                                sg_by_level={0: (0.5, 0.5), 1: (0.3, 0.7)})
+        tree = tree_from_nested([[0, 1], [2, [3, 4]]])
         p = tmp_path / "tree.txt"
         save_tree(tree, p)
         back = load_tree(p)
         for name in TREE_ARRAYS:
-            np.testing.assert_array_equal(getattr(back, name), getattr(tree, name))
+            assert getattr(back, name).tobytes() == getattr(tree, name).tobytes()
 
     def test_writes_node_n_on_line_n_plus_one(self, tmp_path):
-        tree = tree_from_nested([[0, 1], [2]], sg_by_level={1: (0.25, 0.75)})
         p = tmp_path / "tree.txt"
-        save_tree(tree, p)
+        save_tree(tree_from_nested([[0, 1], [2]]), p)
         assert p.read_text() == TREE_TEXT
 
-    def test_random_trees_keep_weights(self, tmp_path):
+    def test_random_trees_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         for trial in range(20):
-            levels = {}
-            for lv in range(4):
-                s = float(rng.random())
-                levels[lv] = (s, 1.0 - s)
-            tree = tree_from_nested(random_nested(rng), sg_by_level=levels)
+            tree = tree_from_nested(random_nested(rng))
             p = tmp_path / f"tree{trial}.txt"
             save_tree(tree, p)
-            got = compute_node_weights(load_tree(p))
-            assert got.tobytes() == compute_node_weights(tree).tobytes()
+            back = load_tree(p)
+            for name in TREE_ARRAYS:
+                assert getattr(back, name).tobytes() == getattr(tree, name).tobytes()
+
+    @pytest.mark.parametrize("level, sg", [(0, (0.3, 0.7)), (1, (0.3, 0.7)),
+                                           (1, (0.5 - 1e-12, 0.5 + 1e-12))])
+    def test_tree_whose_weights_the_file_would_lose_is_refused(self, tmp_path, level, sg):
+        tree = tree_from_nested([[0, 1], [2]], sg_by_level={level: sg})
+        p = tmp_path / "tree.txt"
+        with pytest.raises(ContractViolation) as caught:
+            save_tree(tree, p)
+        node = 0 if level == 0 else 1
+        assert (caught.value.node, str(caught.value)) == (
+            node, f"internal node {node} does not weigh s = g = 1/2")
+        assert not p.exists()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         tree = tree_from_nested([[0], [1, 2]])
@@ -621,7 +633,16 @@ class TestTreeFormat:
     def test_hierarchy_tree_names_the_broken_node(self, line, text, node, message):
         rows = per_line_rows(edited_tree_text(line, text))
         with pytest.raises(ContractViolation) as caught:
-            HierarchyTree(*per_line_tree(rows))
+            HierarchyTree.halved(*per_line_tree(rows))
+        assert (caught.value.node, str(caught.value)) == (node, message)
+
+    @pytest.mark.parametrize("node, sg, message", BROKEN_TREE_WEIGHTS)
+    def test_hierarchy_tree_names_the_node_of_broken_weights(self, node, sg, message):
+        tree = tree_from_nested([[0, 1], [2]])
+        s, g = tree.s.copy(), tree.g.copy()
+        s[node], g[node] = sg
+        with pytest.raises(ContractViolation) as caught:
+            HierarchyTree(tree.parent, s, g, tree.leaf_row)
         assert (caught.value.node, str(caught.value)) == (node, message)
 
     @pytest.mark.parametrize("line, text, node, message", BROKEN_TREE_LINES)
@@ -639,8 +660,12 @@ class TestTreeFormat:
                                                                  "Users.xml")),
                                           subsite_name=d.name) for d in sites])
         want, got = build_inputs(data).tree, load_tree(tmp_path / "snap" / "tree.txt")
-        for name in ("parent", "s", "g", "leaf_row"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        for name in TREE_ARRAYS:
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        leaf = got.leaf_row >= 0
+        assert np.isnan(got.s[leaf]).all() and np.isnan(got.g[leaf]).all()
+        assert (got.s[~leaf] == 0.5).all() and (got.g[~leaf] == 0.5).all()
 
 
 def random_cp(rng, dims=(3, 2, 3, 4), rank=2):
@@ -955,7 +980,7 @@ class TestLineNumbers:
     @pytest.mark.parametrize("sep, line", SPLITLINES_BREAKS)
     def test_tree(self, tmp_path, sep, line):
         p = tmp_path / "tree.txt"
-        p.write_bytes(f"-1 0.5 0.5 -1\n0 0.5 0.5 -1{sep}\n1 nan nan 0\n1 nan nan x\n".encode())
+        p.write_bytes(f"-1 -1\n0 -1{sep}\n1 0\n1 x\n".encode())
         want = ":2: expected " if line else ":4: .*'x'"
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}{want}"):
             load_tree(p)
@@ -1311,35 +1336,35 @@ class TestManifest:
         write_manifest(p, tables_fixture(), {"rank": 6}, {"tensor.txt": digest})
         back, manifest_digest = load_manifest(p)
         assert manifest_digest == file_digest(p)
-        assert back["format"] == 3 and "tree_g" not in back and "tree_s" not in back
+        assert back["format"] == 4 and "tree_g" not in back and "tree_s" not in back
         assert back["users"] == [1, 2, 9]
         assert back["questions"] == ["alpha:1", "beta:4"]
         assert list(back["files"]) == ["tensor.txt"]
         assert back["files"]["tensor.txt"] == file_digest(extra)
 
-    @pytest.mark.parametrize("old", [1, 2, 4])
+    @pytest.mark.parametrize("old", [1, 2, 3, 5])
     def test_other_formats_rejected(self, tmp_path, old):
         p = tmp_path / "manifest.json"
         p.write_text(json.dumps({"format": old, "topics": ["a/x"], "users": [1]}))
         with pytest.raises(DataError) as caught:
             load_manifest(p)
         assert str(caught.value) == (f"{p}: a format-{old} snapshot, which this version does "
-                                     "not read; ingest the dumps again to write a format-3 one")
+                                     "not read; ingest the dumps again to write a format-4 one")
 
-    @pytest.mark.parametrize("payload", [[], "x", 1, {"format": 3},
-                                         {"format": 3, "topics": [], "users": None},
-                                         {"format": 3, "topics": "ab", "users": [1]},
+    @pytest.mark.parametrize("payload", [[], "x", 1, {"format": 4},
+                                         {"format": 4, "topics": [], "users": None},
+                                         {"format": 4, "topics": "ab", "users": [1]},
                                          {"format": True, "topics": [], "users": []},
                                          {"format": "1", "topics": [], "users": []},
-                                         {"format": 3, "topics": ["a/x", 1], "users": [1]},
-                                         {"format": 3, "topics": [None], "users": [1]},
-                                         {"format": 3, "topics": ["a/x"], "users": ["1"]},
-                                         {"format": 3, "topics": ["a/x"], "users": [1.0]},
-                                         {"format": 3, "topics": ["a/x"], "users": [True]}])
+                                         {"format": 4, "topics": ["a/x", 1], "users": [1]},
+                                         {"format": 4, "topics": [None], "users": [1]},
+                                         {"format": 4, "topics": ["a/x"], "users": ["1"]},
+                                         {"format": 4, "topics": ["a/x"], "users": [1.0]},
+                                         {"format": 4, "topics": ["a/x"], "users": [True]}])
     def test_manifest_without_its_tables_rejected(self, tmp_path, payload):
         p = tmp_path / "manifest.json"
         p.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not a format-3 manifest "
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not a format-4 manifest "
                                             "with a list of topic strings and a list of "
                                             "integer user ids$"):
             load_manifest(p)
