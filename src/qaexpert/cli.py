@@ -337,10 +337,13 @@ def cmd_fit(args) -> int:
     except ValueError as exc:  # a flag or config value out of range
         raise UsageError(str(exc)) from None
     paths = _snapshot_paths(args.snapshot)
-    # its shape, as recommend and evaluate read it, and the digest the model records
+    # the labels and digest the model records, which recommend and evaluate read
     manifest, manifest_hash = serialize.load_manifest(paths["manifest"])
+    topics, users = manifest["topics"], manifest["users"]
     X = serialize.load_tensor(paths["tensor"])
-    _check_manifest_rows(manifest, paths["manifest"], X.dims[1], X.dims[3], "tensor's dims")
+    if (len(topics), len(users)) != (X.dims[1], X.dims[3]):
+        raise DataError(f"{paths['manifest']}: lists {len(topics)} topics and {len(users)} "
+                        f"users, but the tensor's dims are {X.dims[1]} and {X.dims[3]}")
     M = serialize.load_membership(paths["site"])
     N = serialize.load_membership(paths["topic"])
     tree = serialize.load_tree(paths["tree"])
@@ -351,13 +354,14 @@ def cmd_fit(args) -> int:
         model = fit_joint(X, M, N, tree, joint_cfg)
     except SolverDiverged as exc:
         if exc.last_state is not None:
-            serialize.save_model(exc.last_state.cp, model_path + ".diverged", manifest_hash, cfg)
+            serialize.save_model(exc.last_state.cp, model_path + ".diverged", topics, users,
+                                 manifest_hash, cfg)
             print(f"solver diverged; last finite state saved to {model_path}.diverged",
                   file=sys.stderr)
         else:
             print("solver diverged before any finite sweep", file=sys.stderr)
         return 1
-    serialize.save_model(model.cp, model_path, manifest_hash, cfg)
+    serialize.save_model(model.cp, model_path, topics, users, manifest_hash, cfg)
     serialize.save_history(model.objective_history, os.path.join(out, "objective_history.csv"))
     live = int((model.cp.norms != 0).sum())
     if live < joint_cfg.rank:
@@ -370,28 +374,19 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _check_manifest_rows(manifest: dict, path: str, topics: int, users: int, what: str):
-    """Raise unless the manifest lists ``topics`` topics and ``users`` users."""
-    listed = len(manifest["topics"]), len(manifest["users"])
-    if listed != (topics, users):
-        raise DataError(f"{path}: lists {listed[0]} topics and {listed[1]} users, "
-                        f"but the {what} are {topics} and {users}")
-
-
-def _check_model_snapshot(model, stored: str, manifest_path: str):
-    manifest, actual = serialize.load_manifest(manifest_path)
+def _check_model_snapshot(stored: str, manifest_path: str):
+    """Raise unless ``manifest_path`` holds the bytes whose digest the model
+    records, ``stored``: the manifest the model was fit on, whose topics and
+    users the model carries, so serving never parses it."""
+    actual = serialize.file_digest(manifest_path)
     if stored != actual:
         raise VersionMismatchError(
             "model was fit against a different snapshot "
             f"(model records {stored}, snapshot is {actual})"
         )
-    _check_manifest_rows(manifest, manifest_path, len(model.topic), len(model.expert),
-                         "model's topic and expert rows")
-    return manifest
 
 
-def _resolve_topic(manifest: dict, query: str) -> int:
-    topics = manifest["topics"]
+def _resolve_topic(topics: list, query: str) -> int:
     if query in topics:
         return topics.index(query)
     suffix = [t for t in topics if t.split("/", 1)[-1] == query]
@@ -409,16 +404,14 @@ def cmd_recommend(args) -> int:
     k = cfg["k"]
     if k < 1:
         raise UsageError("--k must be >= 1")
-    model, stored = serialize.load_model(args.model)
-    manifest = _check_model_snapshot(model, stored,
-                                     os.path.join(args.snapshot, SNAPSHOT_FILES["manifest"]))
-    topic = _resolve_topic(manifest, args.topic)
+    model, topics, users, stored = serialize.load_model(args.model)
+    _check_model_snapshot(stored, os.path.join(args.snapshot, SNAPSHOT_FILES["manifest"]))
+    topic = _resolve_topic(topics, args.topic)
     ranked = rank_experts(model, topic, k)
-    print("# config " + json.dumps({**cfg, "topic": manifest["topics"][topic]}, sort_keys=True))
+    print("# config " + json.dumps({**cfg, "topic": topics[topic]}, sort_keys=True))
     if ranked.status != "ok":
         print(f"# status {ranked.status}")
         return 0
-    users = manifest["users"]
     for position, (l, score) in enumerate(ranked.entries, start=1):
         print(f"{position},{users[l]},{score:.17g}")
     return 0
@@ -431,11 +424,11 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--k-list values must be >= 1")
     if len(set(k_list)) < len(k_list):
         raise UsageError("--k-list values must be distinct")
-    model, stored = serialize.load_model(args.model)
+    model, topics, users, stored = serialize.load_model(args.model)
     paths = _snapshot_paths(args.snapshot)
-    manifest = _check_model_snapshot(model, stored, paths["manifest"])
+    _check_model_snapshot(stored, paths["manifest"])
     ledger = serialize.load_reputation(paths["reputation"])
-    report = evaluate(model, ledger, k_list, manifest["topics"], manifest["users"])
+    report = evaluate(model, ledger, k_list, topics, users)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, "report.csv")

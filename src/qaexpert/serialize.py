@@ -20,17 +20,21 @@ is named by its line.  ``manifest.json`` is format 4; a snapshot of format
 3 (``parent s g leaf_row`` tree lines), 2 (ledger rows in (user, topic)
 order), 1 or another is refused and must be re-ingested.
 
-``model.txt`` holds what serving reads and its provenance, in the one
+``model.txt`` holds all that serving reads and its provenance, in the one
 layout `save_model` writes for a fitted `CpModel`: the header, the four
-factor blocks, the norms, then the ``manifest`` and ``config`` lines, and
-last a ``digest <sha256>`` line over every byte before it.  The question
-and voting blocks, which `load_model` does not parse, stay for the
-benchmark's independent reader.  `load_model` walks that layout, each
-line's place fixed by the header's dims, and checks the digest, so it
-parses only the blocks ranking reads, the topic and expert factors and
-the norms, and returns them with the manifest digest the model records.
-A model of an earlier layout, with S, A and T blocks after the norms or
-without the digest line, is rejected and must be refit.
+factor blocks, the norms, the ``topics`` and ``users`` lines, each a JSON
+list copied from the manifest that labels the topic or expert rows, then
+the ``manifest`` and ``config`` lines, and last a ``digest <sha256>`` line
+over every byte before it.  The question and voting blocks, which
+`load_model` does not parse, stay for the benchmark's independent reader.
+`load_model` walks that layout, each line's place fixed by the header's
+dims, checks the label lines against those dims and the digest, so it
+parses only what ranking reads, the topic and expert factors, the norms
+and the labels, and returns them with the manifest digest the model
+records: serving hashes ``manifest.json`` to compare that digest, and
+parses none of it.  A model of an earlier layout, without the label
+lines, with S, A and T blocks after the norms or without the digest
+line, is rejected and must be refit.
 
 ``reputation.csv`` is the exception to the whitespace-separated layout:
 CSV rows ``user_id,topic,score`` under that header, in UTF-8 text with LF
@@ -167,7 +171,7 @@ def _line_bounds(data: bytes, csv=False) -> np.ndarray:
     return bounds if bounds[-1] == len(data) else np.append(bounds, len(data))
 
 
-def _rows(data: bytes, dtype, skip=0, source=None, csv=False):
+def _rows(data: bytes, dtype, skip=0, source=None, csv=False, lines=None):
     """The lines of ``data`` after its first ``skip``, a row of ``dtype``
     each, as a structured array read by one ``np.loadtxt`` pass from
     ``source`` (a file reads faster by its path) or, where ``data`` holds a
@@ -179,14 +183,15 @@ def _rows(data: bytes, dtype, skip=0, source=None, csv=False):
     ASCII text (UTF-8 in CSV) without a `_barred` byte, and the pass takes
     it without a warning (on empty input, or where NumPy would cast an
     integer through a float) as one row a line: ``np.loadtxt`` drops blank
-    lines, and rejects a CR that is neither in a CRLF nor in a quoted field."""
+    lines, and rejects a CR that is neither in a CRLF nor in a quoted field.
+    ``lines``, where the caller has it, is the count of `_line_bounds`' lines."""
     if _barred(data, csv):
         raise ValueError("holds a barred byte")
     if csv:
         data.decode("utf-8")  # a UnicodeDecodeError, a ValueError, unless UTF-8
-    if csv and b'"' in data:
+    if lines is None and csv and b'"' in data:
         lines = len(_line_bounds(data, csv)) - 1
-    else:
+    elif lines is None:
         lines = (np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
                  + (data[-1:] not in (b"", b"\n")))
     if lines <= skip:
@@ -233,21 +238,24 @@ def _fields(line: bytes, dtype, csv=False) -> list:
     return [field for name in spec.names for field in np.ravel(row[name])]
 
 
-def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first=1, csv=False):
-    """`_rows` of ``data``, the text of ``path`` from its line ``first`` on.
+def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first=1, csv=False,
+               bounds=None):
+    """`_rows` of ``data``, the text of ``path`` from its line ``first`` on,
+    whose `_line_bounds` are ``bounds`` where the caller has them.
     Where they are rejected, the first line whose prefix `_rows` rejects is
     a DataError naming the line it ends on, and quoting the field that
     ``np.loadtxt`` does not convert in it, decoded from the line's own UTF-8
     bytes, or else the line, which does not follow ``layout``, with the
     character `_stray` names in it."""
     try:
-        return _rows(data, dtype, skip, source, csv)
+        return _rows(data, dtype, skip, source, csv, None if bounds is None else len(bounds) - 1)
     except ValueError:
         pass
     # `_rows` rejects a run of whole lines just where it rejects one of them,
     # so the locator reads runs of them, skipping lines only in a run from
     # the first line
-    bounds = _line_bounds(data, csv)
+    if bounds is None:
+        bounds = _line_bounds(data, csv)
     n = _first_rejected(len(bounds) - 1, lambda lo, hi: _rows(
         data[bounds[lo]:bounds[hi]], dtype, max(skip - lo, 0), csv=csv))
     lo, hi = bounds[n - 1], bounds[n]
@@ -361,31 +369,39 @@ def _matrix_text(U) -> str:
     return (line * U.shape[0]) % tuple(U.ravel().tolist())
 
 
-def save_model(cp: CpModel, path, manifest_hash: str, config: dict):
+def save_model(cp: CpModel, path, topics, users, manifest_hash: str, config: dict):
     """Write the fitted ``cp`` in the one layout `load_model` walks, with
+    the labels of its topic and expert rows, ``topics`` and ``users``, and
     its provenance: the SHA-256 digest of the snapshot's manifest and the
     ``config`` fit ran with.  The last line is the SHA-256 digest of every
-    byte before it."""
+    byte before it.  A ContractViolation unless there is a label a row."""
+    if (len(topics), len(users)) != (cp.dims[1], cp.dims[3]):
+        raise ContractViolation(f"{len(topics)} topics and {len(users)} users label "
+                                f"{cp.dims[1]} topic and {cp.dims[3]} expert rows")
     text = (f"joint-model rank {cp.rank} dims {' '.join(str(d) for d in cp.dims)}\n"
             + "".join(f"mode {mode} rows {U.shape[0]}\n" + _matrix_text(U)
                       for mode, U in enumerate(cp.factors))
             + "norms " + _matrix_text(cp.norms)
+            + f"topics {json.dumps(topics)}\nusers {json.dumps(users)}\n"
             + f"manifest {manifest_hash}\n"
             + "config " + json.dumps(config, sort_keys=True) + "\n")
     _write_text(path, f"{text}digest {hashlib.sha256(text.encode('utf-8')).hexdigest()}\n")
 
 
-def load_model(path) -> tuple[RankingFactors, str]:
-    """The ranking blocks of a model file and the manifest digest it records.
+def load_model(path) -> tuple[RankingFactors, list, list, str]:
+    """The ranking blocks of a model file, the topic and user labels of
+    their rows, and the manifest digest the model records.
 
     The walk takes the one layout `save_model` writes: the header, ``mode
-    0`` to ``mode 3`` with the row counts the header gives, ``norms``, then
-    the ``manifest``, ``config`` and ``digest`` lines, the digest last, so
-    the header fixes the place of every line.  A line that is missing or
-    out of place, or a digest that is not that of every byte before it, is
-    a DataError naming its line.  Then only the blocks `ranking` reads are
-    parsed: the topic factor (mode 1), the expert factor (mode 3) and the
-    norms.
+    0`` to ``mode 3`` with the row counts the header gives, ``norms``, the
+    ``topics`` and ``users`` lines, then the ``manifest``, ``config`` and
+    ``digest`` lines, the digest last, so the header fixes the place of
+    every line.  A line that is missing or out of place, a label line that
+    is not a JSON list of as many strings (topics) or integers (users) as
+    the header has topic or expert rows, or a digest that is not that of
+    every byte before it, is a DataError naming its line.  Then only the
+    blocks `ranking` reads are parsed: the topic factor (mode 1), the
+    expert factor (mode 3) and the norms.
     """
     data = _read(path)
     bounds = _line_bounds(data)
@@ -404,6 +420,27 @@ def load_model(path) -> tuple[RankingFactors, str]:
             raise DataError(f"{path}:{n + 1}: expected {expected}, got {line(n)!r}")
         return parts
 
+    def labels(n, word, size, kind, what):
+        """The JSON list after ``word`` and a space on line n + 1, parsed
+        once from the line's bytes; a DataError unless the line starts so
+        and the list holds ``size`` values, each of type ``kind``."""
+        expected = (f"a '{word} <JSON list>' line (a model without its topics and users "
+                    "lines there is of an earlier layout and must be refit)")
+        if n >= count:
+            raise DataError(f"{path}:{count}: file ends before {expected}")
+        raw = data[bounds[n]:bounds[n + 1]]
+        if not raw.startswith(word.encode() + b" "):
+            raise DataError(f"{path}:{n + 1}: expected {expected}, got {line(n)!r}")
+        try:
+            values = json.loads(raw[len(word) + 1:])
+        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
+            raise DataError(f"{path}:{n + 1}: {word} line: {exc}") from None
+        if not (type(values) is list and len(values) == size  # by type: a bool is no user
+                and [*map(type, values)].count(kind) == size):
+            raise DataError(f"{path}:{n + 1}: expected a JSON list of {size} {what}, "
+                            "as the header's dims give")
+        return values
+
     def matrix(mode):
         start = at[mode] + 1
         return _read_rows(path, data[bounds[start]:bounds[start + dims[mode]]],
@@ -421,20 +458,20 @@ def load_model(path) -> tuple[RankingFactors, str]:
     for mode, rows in enumerate(dims):
         fields(at[mode], f"'mode {mode} rows {rows}'", ["mode", str(mode), "rows", str(rows)], 4)
     norms = fields(at[4], f"a norms line with {rank} values", ["norms"], rank + 1)[1:]
-    manifest = fields(at[4] + 1, "a 'manifest <sha256>' line (a model with S, A and T blocks "
-                                 "there is of an earlier layout and must be refit)",
-                      ["manifest"], 2)[1]
-    fields(at[4] + 2, "the config line", ["config"])
-    end = at[4] + 3
+    topics = labels(at[4] + 1, "topics", dims[1], str, "topic strings")
+    users = labels(at[4] + 2, "users", dims[3], int, "integer user ids")
+    manifest = fields(at[4] + 3, "a 'manifest <sha256>' line", ["manifest"], 2)[1]
+    fields(at[4] + 4, "the config line", ["config"])
+    end = at[4] + 5
     digest = fields(end, "a final 'digest <sha256>' line, without which a model must be refit",
                     ["digest"], 2)[1]
     if end + 1 < count:
         raise DataError(f"{path}:{end + 2}: expected the end of the file after its digest "
                         f"line, got {line(end + 1)!r}")
-    if digest != hashlib.sha256(data[:bounds[end]]).hexdigest():
+    if digest != hashlib.sha256(memoryview(data)[:bounds[end]]).hexdigest():
         raise DataError(f"{path}:{count}: digest does not match the file's contents")
     norms = np.array(_numbers(norms, float, path, at[4] + 1))
-    return RankingFactors(matrix(1), matrix(3), norms), manifest
+    return RankingFactors(matrix(1), matrix(3), norms), topics, users, manifest
 
 
 _REPUTATION_HEADER = "user_id,topic,score\n"
@@ -479,7 +516,7 @@ def load_reputation(path) -> ReputationLedger:
     that the pass rejects, is a DataError naming the line it ends on.
     """
     data = _read(path)
-    head = data.partition(b"\n")[0]
+    head = data[:data.find(b"\n")] if b"\n" in data else data
     if head.removesuffix(b"\r") != _REPUTATION_HEADER.strip().encode():
         raise DataError(f"{path}:1: expected the header {_REPUTATION_HEADER.strip()!r}, "
                         f"got {head.decode('utf-8', 'replace')!r}")
@@ -487,7 +524,7 @@ def load_reputation(path) -> ReputationLedger:
     table = _read_rows(path, data, [("user", np.int64), ("topic", f"S{np.diff(bounds).max()}"),
                                     ("score", np.int64)],
                        "'user_id,topic,score' with int64 user and score", skip=1, source=path,
-                       csv=True)
+                       csv=True, bounds=bounds)
     new = row_changes((table["topic"],))
     runs = table["topic"][new]  # UTF-8 bytes, which sort as their text does
     topic = np.cumsum(new, dtype=np.int64)

@@ -383,8 +383,9 @@ class TestFit:
         diverged = os.path.join(out, "model.txt.diverged")
         assert not os.path.exists(os.path.join(out, "model.txt"))
         assert "diverged" in capsys.readouterr().err
-        got, manifest = serialize.load_model(diverged)
-        assert manifest == serialize.file_digest(os.path.join(snapshot, "manifest.json"))
+        got, topics, users, manifest = serialize.load_model(diverged)
+        listed, digest = serialize.load_manifest(os.path.join(snapshot, "manifest.json"))
+        assert (topics, users, manifest) == (listed["topics"], listed["users"], digest)
         assert got.topic.tolist() == cp.factors[1].tolist()
         assert main(["recommend", "--model", diverged, "--snapshot", snapshot,
                      "--topic", "alpha/tensor", "--k", "2"]) == 0
@@ -644,13 +645,15 @@ class TestConfigTypes:
         assert b'"lambda_x": 1.0' in fits[0][1] and b'"tol": 0.0' in fits[0][1]
 
 
-def resealed(fitted, path, manifest_digest):
+def resealed(fitted, path, manifest_digest, earlier=False):
     """The fitted model, written to ``path``, recording ``manifest_digest``
     under a digest line that matches: a model fit on that manifest by a
-    version that wrote the same factors."""
+    version that wrote the same factors, and, where ``earlier``, no topics
+    and users lines, as a version before them wrote it."""
     with open(fitted) as fh:
         body = "".join(f"manifest {manifest_digest}\n" if line.startswith("manifest ") else line
-                       for line in fh.readlines()[:-1])
+                       for line in fh.readlines()[:-1]
+                       if not (earlier and line.startswith(("topics ", "users "))))
     path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
     return str(path)
 
@@ -664,6 +667,11 @@ def rewritten_manifest(snapshot, copy, edit):
     edit(payload)
     manifest.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return manifest
+
+
+DIFFERENT_SNAPSHOT = "error: model was fit against a different snapshot (model records "
+REFIT = ("(a model without its topics and users lines there is of an earlier layout and "
+         "must be refit)")
 
 
 class TestManifestShape:
@@ -690,12 +698,12 @@ class TestManifestShape:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: ") and "Traceback" not in err
         assert not refit.exists()
-        # recommend and evaluate read the manifest before they compare its digest
+        # recommend and evaluate parse no manifest: its digest is not the model's
         argv = {"recommend": ["--topic", "alpha/tensor"],
                 "evaluate": ["--out-dir", str(tmp_path / "eval")]}[command]
         assert main([command, "--model", fitted, "--snapshot", str(broken), *argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {manifest}: ") and "Traceback" not in err
+        assert capsys.readouterr().err.startswith(DIFFERENT_SNAPSHOT)
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("old", [1, 2, 3])
     def test_a_snapshot_of_an_earlier_format_must_be_ingested_again(self, fitted, snapshot,
@@ -708,13 +716,22 @@ class TestManifestShape:
         assert main(["fit", str(manifest.parent), "--out-dir", str(refit), "--rank", "2",
                      "--max-iters", "2"]) == 1
         assert capsys.readouterr().err == want and not refit.exists()
-        # a model that records this manifest, as one an earlier version fit
-        model = resealed(fitted, tmp_path / "model.txt", serialize.file_digest(manifest))
+        # recommend and evaluate parse no manifest: a model fit on another one
+        # is refused at its digest, one that records this manifest, as an
+        # earlier version fit it, at its layout
+        digest = serialize.file_digest(manifest)
+        model = resealed(fitted, tmp_path / "model.txt", digest, earlier=True)
+        line = open(model).read().splitlines().index(f"manifest {digest}") + 1
         for command, argv in (("recommend", ["--topic", "alpha/tensor"]),
                               ("evaluate", ["--out-dir", str(tmp_path / "eval")])):
+            assert main([command, "--model", fitted, "--snapshot", str(manifest.parent),
+                         *argv]) == 1
+            assert capsys.readouterr().err.startswith(DIFFERENT_SNAPSHOT)
             assert main([command, "--model", model, "--snapshot", str(manifest.parent),
                          *argv]) == 1
-            assert capsys.readouterr().err == want
+            assert capsys.readouterr().err == (
+                f"error: {model}:{line}: expected a 'topics <JSON list>' line {REFIT}, "
+                f"got 'manifest {digest}'\n")
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("command", ["recommend", "evaluate"])
@@ -728,14 +745,13 @@ class TestManifestShape:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: lists ") and "Traceback" not in err
         assert "tensor's dims" in err and not refit.exists()
-        # a model that records this manifest, as one an earlier fit wrote
-        model = resealed(fitted, tmp_path / "model.txt", serialize.file_digest(manifest))
+        # recommend and evaluate read their lists from the model, and refuse
+        # the edited manifest by its digest
         argv = {"recommend": ["--topic", "alpha/tensor"],
                 "evaluate": ["--out-dir", str(tmp_path / "eval")]}[command]
-        assert main([command, "--model", model, "--snapshot", str(manifest.parent), *argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {manifest}: lists ") and "Traceback" not in err
-        assert "model's topic and expert rows" in err
+        assert main([command, "--model", fitted, "--snapshot", str(manifest.parent), *argv]) == 1
+        assert capsys.readouterr().err.startswith(DIFFERENT_SNAPSHOT)
+        assert not (tmp_path / "eval").exists()
 
     def test_a_manifest_that_holds_tree_s_still_fits_and_serves(self, fitted, snapshot,
                                                                 tmp_path, capsys):
@@ -795,6 +811,64 @@ class TestModelDigest:
                      "--topic", "alpha/tensor"])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+
+
+class TestServingFromTheModel:
+    """recommend and evaluate take the topic and user labels from the model
+    and only hash the manifest, which the model's digest line seals."""
+
+    @staticmethod
+    def serve(fitted, snapshot, out, capsys):
+        """What three recommend calls and an evaluate print, and its report."""
+        for topic in ("alpha/tensor", "trees", "beta/common"):
+            assert main(["recommend", "--model", fitted, "--snapshot", snapshot,
+                         "--topic", topic, "--k", "4"]) == 0
+        assert main(["evaluate", "--model", fitted, "--snapshot", snapshot,
+                     "--out-dir", str(out)]) == 0
+        return capsys.readouterr(), (out / "report.csv").read_bytes()
+
+    def test_no_serving_call_parses_the_manifest(self, fitted, snapshot, tmp_path,
+                                                 monkeypatch, capsys):
+        want = self.serve(fitted, snapshot, tmp_path / "eval", capsys)
+
+        def refuse(path):
+            raise AssertionError(f"parsed {path}")
+
+        monkeypatch.setattr(serialize, "load_manifest", refuse)
+        assert self.serve(fitted, snapshot, tmp_path / "eval", capsys) == want
+
+    def test_a_model_of_the_previous_layout_must_be_refit(self, fitted, snapshot, tmp_path,
+                                                          capsys):
+        digest = serialize.file_digest(os.path.join(snapshot, "manifest.json"))
+        model = resealed(fitted, tmp_path / "model.txt", digest, earlier=True)
+        line = open(model).read().splitlines().index(f"manifest {digest}") + 1
+        for command, argv in (("recommend", ["--topic", "alpha/tensor"]),
+                              ("evaluate", ["--out-dir", str(tmp_path / "eval")])):
+            assert main([command, "--model", model, "--snapshot", snapshot, *argv]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {model}:{line}: expected a 'topics <JSON list>' line {REFIT}, "
+                f"got 'manifest {digest}'\n")
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("word, edit, why", [
+        ("topics", lambda labels: labels[:-1], "expected a JSON list of 4 topic strings"),
+        ("users", lambda labels: [*labels, 1], "expected a JSON list of 6 integer user ids"),
+        ("users", lambda labels: [str(u) for u in labels],
+         "expected a JSON list of 6 integer user ids"),
+    ], ids=["one topic short", "one user over", "user ids as strings"])
+    def test_labels_that_disagree_with_the_header_exit_1(self, fitted, snapshot, tmp_path,
+                                                         capsys, word, edit, why):
+        lines = open(fitted).read().splitlines(keepends=True)[:-1]
+        at = next(n for n, line in enumerate(lines) if line.startswith(word + " "))
+        lines[at] = f"{word} {json.dumps(edit(json.loads(lines[at].split(' ', 1)[1])))}\n"
+        model = tmp_path / "model.txt"
+        body = "".join(lines)
+        model.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+        for command, argv in (("recommend", ["--topic", "alpha/tensor"]),
+                              ("evaluate", ["--out-dir", str(tmp_path / "eval")])):
+            assert main([command, "--model", str(model), "--snapshot", snapshot, *argv]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {model}:{at + 1}: {why}")
+        assert not (tmp_path / "eval").exists()
 
 
 SNAPSHOT_NAMES = ("tensor.txt", "site_matrix.txt", "topic_matrix.txt",

@@ -677,8 +677,13 @@ MANIFEST_HASH = "5f" * 32
 CONFIG = {"rank": 2, "seed": 9}
 
 
+def labels(cp):
+    """Topic and user labels for the rows of ``cp``, as a manifest lists them."""
+    return [f"s/t{j}" for j in range(cp.dims[1])], list(range(100, 100 + cp.dims[3]))
+
+
 def save_cp(cp, path):
-    save_model(cp, path, MANIFEST_HASH, CONFIG)
+    save_model(cp, path, *labels(cp), MANIFEST_HASH, CONFIG)
 
 
 def seal(text):
@@ -715,15 +720,17 @@ def fixture_block(rows, offset):
 
 
 def fixture_cp():
-    """The CP part of the model that ``tests/data/saved_model.txt`` holds,
-    in the earlier layout, with S, A and T blocks and a ``lambdas`` line
-    after the norms."""
+    """The CP part of the model that ``tests/data/saved_model.txt`` holds."""
     factors = [fixture_block(d, 7 + m) for m, d in enumerate((3, 2, 3, 4))]
     factors[1][0] = [-0.0, 5e-324]
     factors[3][1] = [1e300, np.pi]
     return CpModel(factors, np.array([np.sqrt(2), 0.0]))
 
 
+# The labels it holds: a topic that JSON escapes, and a user id past float's
+# exact integers.
+FIXTURE_TOPICS = ["a/tensor", 'b/"\u00e9"']
+FIXTURE_USERS = [7, 11, 101, 2**53 + 1]
 FIXTURE_CONFIG = {"lambda_s": 0.1, "lambda_site": None, "lambda_t": 0.1, "lambda_w": 0.1,
                   "lambda_x": 0.1, "max_iters": 100, "rank": 2, "seed": 0, "tol": 1e-06}
 SAVED_MODEL = pathlib.Path(__file__).parent / "data" / "saved_model.txt"
@@ -738,8 +745,8 @@ class TestModelFormat:
         model.factors[3][0, 0] = -0.0
         p = tmp_path / "model.txt"
         save_cp(model, p)
-        got, manifest = load_model(p)
-        assert manifest == MANIFEST_HASH
+        got, topics, users, manifest = load_model(p)
+        assert (topics, users, manifest) == (*labels(model), MANIFEST_HASH)
         assert_blocks_bit_equal(got, RankingFactors.of(model))
 
     def test_load_of_a_fitted_corpus(self, tmp_path, capsys):
@@ -749,29 +756,47 @@ class TestModelFormat:
         snap, fit = str(tmp_path / "snap"), tmp_path / "fit"
         assert main(["ingest", *sites, "--out-dir", snap]) == 0
         assert main(["fit", snap, "--out-dir", str(fit), "--rank", "3", "--max-iters", "5"]) == 0
-        got, manifest = load_model(fit / "model.txt")
-        assert manifest == load_manifest(os.path.join(snap, "manifest.json"))[1]
+        got, topics, users, manifest = load_model(fit / "model.txt")
+        snapshot, digest = load_manifest(os.path.join(snap, "manifest.json"))
+        assert (topics, users, manifest) == (snapshot["topics"], snapshot["users"], digest)
         assert_blocks_bit_equal(got, per_line_ranking_blocks(fit / "model.txt"))
 
-    def test_a_model_of_the_earlier_layout_must_be_refit(self):
-        with pytest.raises(DataError) as caught:
-            load_model(SAVED_MODEL)
-        assert str(caught.value) == (
-            f"{SAVED_MODEL}:19: expected a 'manifest <sha256>' line (a model with S, A and T "
-            "blocks there is of an earlier layout and must be refit), got 'S rows 2'")
-
-    def test_the_writer_drops_only_the_earlier_layouts_s_a_t_and_lambdas(self, tmp_path):
+    # The saved model's lines after its norms as an earlier layout had them,
+    # and the line in the topics line's place
+    @pytest.mark.parametrize("earlier, got", [
+        (lambda rest: rest[2:], "manifest " + "5f" * 32),
+        (lambda rest: ["S rows 2\n", "0.5 0.5\n", "0.5 0.5\n", *rest[2:]], "S rows 2"),
+    ], ids=["norms then manifest", "S, A and T blocks after the norms"])
+    def test_a_model_of_an_earlier_layout_must_be_refit(self, tmp_path, earlier, got):
         lines = SAVED_MODEL.read_text().splitlines(keepends=True)[:-1]
-        cut = slice(lines.index("S rows 2\n"),
-                    next(n for n, line in enumerate(lines) if line.startswith("lambdas ")) + 1)
-        del lines[cut]
+        at = next(n for n, line in enumerate(lines) if line.startswith("norms ")) + 1
         p = tmp_path / "model.txt"
-        save_model(fixture_cp(), p, "5f" * 32, FIXTURE_CONFIG)
-        assert p.read_text() == seal("".join(lines))
-        got, manifest = load_model(p)
-        assert manifest == "5f" * 32
+        p.write_text(seal("".join(lines[:at] + earlier(lines[at:]))))
+        with pytest.raises(DataError) as caught:
+            load_model(p)
+        assert str(caught.value) == (
+            f"{p}:{at + 1}: expected a 'topics <JSON list>' line (a model without its topics "
+            f"and users lines there is of an earlier layout and must be refit), got {got!r}")
+
+    def test_the_writer_writes_the_saved_model(self, tmp_path):
+        p = tmp_path / "model.txt"
+        save_model(fixture_cp(), p, FIXTURE_TOPICS, FIXTURE_USERS, "5f" * 32, FIXTURE_CONFIG)
+        assert p.read_bytes() == SAVED_MODEL.read_bytes()
+        got, topics, users, manifest = load_model(p)
+        assert (topics, users, manifest) == (FIXTURE_TOPICS, FIXTURE_USERS, "5f" * 32)
         assert_blocks_bit_equal(got, RankingFactors.of(fixture_cp()))
         assert_blocks_bit_equal(got, per_line_ranking_blocks(p))
+
+    @pytest.mark.parametrize("topics, users", [
+        (["s/t0"], list(range(4))), (["s/t0", "s/t1"], list(range(5))),
+    ])
+    def test_the_writer_takes_a_label_a_row(self, tmp_path, topics, users):
+        p = tmp_path / "model.txt"
+        with pytest.raises(ContractViolation, match=f"^{len(topics)} topics and {len(users)} "
+                                                    "users label 2 topic and 4 expert rows$"):
+            save_model(random_cp(np.random.default_rng(1)), p, topics, users, MANIFEST_HASH,
+                       CONFIG)
+        assert not p.exists()
 
     @pytest.mark.parametrize("header", ["who-knows rank 2 dims 1 1 1 1",
                                         "cp-model rank 2 dims 1 1 1 1"])
@@ -788,8 +813,8 @@ class TestModelFormat:
             load_model(p)
 
     @pytest.mark.parametrize("cut", [
-        "after the header", "inside mode 0", "inside mode 3", "before norms", "before manifest",
-        "before config",
+        "after the header", "inside mode 0", "inside mode 3", "before norms", "before topics",
+        "before users", "before manifest", "before config",
     ])
     def test_truncated_joint_model_rejected_at_its_last_line(self, tmp_path, cut):
         rng = np.random.default_rng(7)
@@ -802,6 +827,8 @@ class TestModelFormat:
             "inside mode 0": lines.index("mode 0 rows 3\n") + 2,
             "inside mode 3": lines.index("mode 3 rows 4\n") + 2,
             "before norms": starts.index("norms"),
+            "before topics": starts.index("topics"),
+            "before users": starts.index("users"),
             "before manifest": starts.index("manifest"),
             "before config": starts.index("config"),
         }[cut]
@@ -855,22 +882,27 @@ class TestModelFormat:
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{lines + 1}: .*'surprise'"):
             load_model(p)
 
-    # Edits of the lines from manifest on, the file then resealed, each with
-    # the line the error names, counted from the manifest line, and what it
+    # Edits of the lines from topics on, the file then resealed, each with
+    # the line the error names, counted from the topics line, and what it
     # expected there
     @pytest.mark.parametrize("edit, line, expected", [
-        (lambda t: [t[1]], 1, "a 'manifest <sha256>' line"),
-        (lambda t: [t[1], t[0]], 1, "a 'manifest <sha256>' line"),
-        (lambda t: ["lambdas lambda_x 0.1\n", *t], 1, "a 'manifest <sha256>' line"),
-        (lambda t: [*t, "\n"], 3, "a final 'digest <sha256>' line"),
-        (lambda t: [*t, "extra\n"], 3, "a final 'digest <sha256>' line"),
-    ], ids=["no manifest line", "config before manifest", "lambdas line before manifest",
+        (lambda t: t[1:], 1, "a 'topics <JSON list>' line"),
+        (lambda t: [t[0], *t[2:]], 2, "a 'users <JSON list>' line"),
+        (lambda t: [t[1], t[0], *t[2:]], 1, "a 'topics <JSON list>' line"),
+        (lambda t: [t[0].replace(" ", "\t", 1), *t[1:]], 1, "a 'topics <JSON list>' line"),
+        (lambda t: [*t[:2], t[3]], 3, "a 'manifest <sha256>' line"),
+        (lambda t: [*t[:2], t[3], t[2]], 3, "a 'manifest <sha256>' line"),
+        (lambda t: [*t[:2], "lambdas lambda_x 0.1\n", *t[2:]], 3, "a 'manifest <sha256>' line"),
+        (lambda t: [*t, "\n"], 5, "a final 'digest <sha256>' line"),
+        (lambda t: [*t, "extra\n"], 5, "a final 'digest <sha256>' line"),
+    ], ids=["no topics line", "no users line", "users before topics", "tab after topics",
+            "no manifest line", "config before manifest", "lambdas line before manifest",
             "blank line before digest", "extra line after config"])
     def test_line_out_of_the_layout_is_named(self, tmp_path, edit, line, expected):
         p = tmp_path / "model.txt"
         save_cp(random_cp(np.random.default_rng(5)), p)
         lines = p.read_text().splitlines(keepends=True)[:-1]
-        at = next(n for n, text in enumerate(lines) if text.startswith("manifest "))
+        at = next(n for n, text in enumerate(lines) if text.startswith("topics "))
         lines[at:] = edit(lines[at:])
         p.write_text(seal("".join(lines)))
         got = re.escape(repr(lines[at + line - 1].rstrip("\n")))
@@ -878,8 +910,43 @@ class TestModelFormat:
                                             f"expected {re.escape(expected)}.*, got {got}$"):
             load_model(p)
 
+    # A label line's text after its word, for the random_cp dims (two topic
+    # rows, four expert rows), and the end of the error naming it
+    @pytest.mark.parametrize("word, text, why", [
+        ("topics", '["s/t0", "s/t1"', "topics line: Expecting ',' delimiter"),
+        ("topics", "", "topics line: Expecting value"),
+        ("topics", "[" * 100000, "topics line: maximum recursion depth exceeded"),
+        ("topics", '["s/t0", "\xff"]', "topics line: 'utf-8' codec can't decode byte 0xff"),
+        ("topics", '["s/t0"]', "expected a JSON list of 2 topic strings"),
+        ("topics", '["s/t0", "s/t1", "s/t2"]', "expected a JSON list of 2 topic strings"),
+        ("topics", "[0, 1]", "expected a JSON list of 2 topic strings"),
+        ("topics", '"s/t0 s/t1"', "expected a JSON list of 2 topic strings"),
+        ("topics", '{"s/t0": 0, "s/t1": 1}', "expected a JSON list of 2 topic strings"),
+        ("users", "[100, 101, 102", "users line: Expecting ',' delimiter"),
+        ("users", "[100, 101, 102]", "expected a JSON list of 4 integer user ids"),
+        ("users", "[100, 101, 102, 103, 104]", "expected a JSON list of 4 integer user ids"),
+        ("users", "[100, 101, 102, true]", "expected a JSON list of 4 integer user ids"),
+        ("users", "[100, 101, 102, 103.0]", "expected a JSON list of 4 integer user ids"),
+        ("users", '[100, 101, 102, "103"]', "expected a JSON list of 4 integer user ids"),
+        ("users", "[100, 101, 102, null]", "expected a JSON list of 4 integer user ids"),
+    ], ids=["topics not JSON", "topics empty", "topics nested too deep", "topics not UTF-8",
+            "one topic short", "one topic over", "topics of ints", "topics a string",
+            "topics an object", "users not JSON", "one user short", "one user over",
+            "a bool user", "a float user", "a string user", "a null user"])
+    def test_label_line_that_does_not_fit_the_header_is_named(self, tmp_path, word, text, why):
+        p = tmp_path / "model.txt"
+        save_cp(random_cp(np.random.default_rng(5)), p)
+        lines = p.read_bytes().splitlines(keepends=True)[:-1]
+        at = next(n for n, line in enumerate(lines) if line.startswith(word.encode() + b" "))
+        lines[at] = f"{word} {text}\n".encode("latin-1")  # "\xff" as the byte 0xff
+        body = b"".join(lines)
+        p.write_bytes(body + f"digest {hashlib.sha256(body).hexdigest()}\n".encode())
+        with pytest.raises(DataError) as caught:
+            load_model(p)
+        assert str(caught.value).startswith(f"{p}:{at + 1}: {why}")
 
-def per_float_model_text(cp, manifest_hash, config):
+
+def per_float_model_text(cp, topics, users, manifest_hash, config):
     """Model text as a per-float f-string writer formats it: the oracle for
     the body that save_model formats one block at a time."""
     f = lambda x: f"{float(x):.17g}"
@@ -888,6 +955,7 @@ def per_float_model_text(cp, manifest_hash, config):
         out.append(f"mode {m} rows {U.shape[0]}\n")
         out.extend(" ".join(f(v) for v in row) + "\n" for row in U)
     out.append("norms " + " ".join(f(v) for v in cp.norms) + "\n")
+    out.append(f"topics {json.dumps(topics)}\nusers {json.dumps(users)}\n")
     out.append(f"manifest {manifest_hash}\n")
     out.append("config " + json.dumps(config, sort_keys=True) + "\n")
     return "".join(out)
@@ -900,11 +968,12 @@ class TestModelDigest:
         model.factors[0][0] = [np.nan, np.inf, -0.0]
         model.factors[2][-1] = [-np.inf, 5e-324, 1e300]
         p = tmp_path / "model.txt"
-        save_model(model, p, "cd" * 32, {"rank": 3})
-        assert p.read_text() == seal(per_float_model_text(model, "cd" * 32, {"rank": 3}))
+        save_model(model, p, *labels(model), "cd" * 32, {"rank": 3})
+        assert p.read_text() == seal(per_float_model_text(model, *labels(model), "cd" * 32,
+                                                          {"rank": 3}))
 
     @pytest.mark.parametrize("block", ["mode 0 rows", "mode 2 rows", "mode 3 rows", "norms",
-                                       "manifest", "config"])
+                                       "topics", "users", "manifest", "config"])
     def test_one_flipped_digit_rejected(self, tmp_path, block):
         p = tmp_path / "model.txt"
         save_cp(random_cp(np.random.default_rng(2)), p)
@@ -1018,8 +1087,8 @@ class TestLineNumbers:
         crlf_body = "".join(body).replace("\n", "\r\n")
         digest = hashlib.sha256(crlf_body.encode()).hexdigest()
         crlf.write_bytes(f"{crlf_body}digest {digest}\r\n".encode())
-        (a, a_manifest), (b, b_manifest) = load_model(lf), load_model(crlf)
-        assert a_manifest == b_manifest == MANIFEST_HASH
+        (a, *a_rest), (b, *b_rest) = load_model(lf), load_model(crlf)
+        assert a_rest == b_rest == [*labels(model), MANIFEST_HASH]
         assert_blocks_bit_equal(b, a)
 
 
