@@ -1,18 +1,20 @@
-"""Line-oriented text formats for tensors, matrices, trees, and models.
+"""File formats for snapshots, models and reports.
 
-Every format is UTF-8 with LF endings and writes floats as ``%.17g``, so
-a save/load round trip reproduces float64 values bit for bit and repeated
-runs with equal inputs produce byte-identical files.
+Every text format is UTF-8 with LF endings and writes floats as ``%.17g``,
+so a save/load round trip reproduces float64 values bit for bit, and
+repeated runs with equal inputs produce byte-identical files.  The one
+binary format, a model's ranking file, holds the same float64 values in
+their own bytes.
 
 Every table has one reader: one ``np.loadtxt`` pass, a row a line, none
 of them blank.  A snapshot table (``tensor.txt``, the two membership
-files, ``tree.txt``) or a matrix block of ``model.txt`` is ASCII text in
-LF or CRLF lines, split at whitespace.  Input that pass rejects is a
-DataError naming the first line it rejects, found by bisecting the lines
-with the same pass, each step reading the first half of the lines still
-under test, and the character that breaks it where one does.  A line
-number counts LF-terminated lines, a CRLF counting as one LF; a number in
-a header line follows the same rule.
+files, ``tree.txt``) is ASCII text in LF or CRLF lines, split at
+whitespace.  Input that pass rejects is a DataError naming the first line
+it rejects, found by bisecting the lines with the same pass, each step
+reading the first half of the lines still under test, and the character
+that breaks it where one does.  A line number counts LF-terminated
+lines, a CRLF counting as one LF; a number in a header line follows the
+same rule.
 
 ``tree.txt`` holds the shape of a `HierarchyTree.halved`, node n as the
 ``parent leaf_row`` line n + 1, and the tree checks it: a node it rejects
@@ -20,21 +22,23 @@ is named by its line.  ``manifest.json`` is format 4; a snapshot of format
 3 (``parent s g leaf_row`` tree lines), 2 (ledger rows in (user, topic)
 order), 1 or another is refused and must be re-ingested.
 
-``model.txt`` holds all that serving reads and its provenance, in the one
-layout `save_model` writes for a fitted `CpModel`: the header, the four
-factor blocks, the norms, the ``topics`` and ``users`` lines, each a JSON
-list copied from the manifest that labels the topic or expert rows, then
-the ``manifest`` and ``config`` lines, and last a ``digest <sha256>`` line
-over every byte before it.  The question and voting blocks, which
-`load_model` does not parse, stay for the benchmark's independent reader.
-`load_model` walks that layout, each line's place fixed by the header's
-dims, checks the label lines against those dims and the digest, so it
-parses only what ranking reads, the topic and expert factors, the norms
-and the labels, and returns them with the manifest digest the model
-records: serving hashes ``manifest.json`` to compare that digest, and
-parses none of it.  A model of an earlier layout, without the label
-lines, with S, A and T blocks after the norms or without the digest
-line, is rejected and must be refit.
+`save_model` writes a fitted `CpModel` twice.  ``model.txt`` is text: the
+header, the four factor blocks, the norms, the ``topics`` and ``users``
+lines, each a JSON list copied from the manifest that labels the topic or
+expert rows, then the ``manifest`` and ``config`` lines, and last a
+``digest <sha256>`` line over every byte before it.  No stage reads it
+back; the benchmark's independent reader does.  Beside it, at
+`ranking_path`, the ranking file holds all that serving reads: a text
+header (kind and version, rank, topic and user counts, dtypes, manifest
+digest), the JSON ``topics`` line padded with spaces to end at an 8-byte
+offset, the topic factor, the expert factor and the norms as ``<f8`` and
+the user ids as ``<i8``, each block at an 8-byte offset, and last a
+``digest <sha256>`` line over every byte before it.  `load_model` checks
+that digest, the header and each block's exact length, and takes the
+blocks by ``np.frombuffer``; any fault is a DataError naming the file and
+the block.  Serving hashes ``manifest.json`` to compare the digest the
+model records, and parses none of it.  A model of an earlier version,
+without a ranking file, must be refit.
 
 ``reputation.csv`` is the exception to the whitespace-separated layout:
 CSV rows ``user_id,topic,score`` under that header, in UTF-8 text with LF
@@ -52,8 +56,8 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import json
+import os
 import re
 import warnings
 
@@ -70,7 +74,7 @@ __all__ = [
     "tensor_text", "save_tensor", "load_tensor",
     "membership_text", "save_membership", "load_membership",
     "tree_text", "save_tree", "load_tree",
-    "save_model", "load_model",
+    "save_model", "load_model", "ranking_path",
     "save_reputation", "reputation_text", "load_reputation",
     "save_report", "save_history",
     "encoded", "write_manifest", "load_manifest", "file_digest",
@@ -238,10 +242,10 @@ def _fields(line: bytes, dtype, csv=False) -> list:
     return [field for name in spec.names for field in np.ravel(row[name])]
 
 
-def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first=1, csv=False,
+def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, csv=False,
                bounds=None):
-    """`_rows` of ``data``, the text of ``path`` from its line ``first`` on,
-    whose `_line_bounds` are ``bounds`` where the caller has them.
+    """`_rows` of ``data``, the text of ``path``, whose `_line_bounds` are
+    ``bounds`` where the caller has them.
     Where they are rejected, the first line whose prefix `_rows` rejects is
     a DataError naming the line it ends on, and quoting the field that
     ``np.loadtxt`` does not convert in it, decoded from the line's own UTF-8
@@ -280,7 +284,7 @@ def _read_rows(path, data: bytes, dtype, layout: str, skip=0, source=None, first
         why = f"expected {layout}, got {text!r}"
         if stray := stray or _stray(line, csv):
             why += f", which holds {stray}"
-    last = first + data.count(b"\n", 0, hi - 1)
+    last = 1 + data.count(b"\n", 0, hi - 1)
     raise DataError(f"{path}:{last}: {why}")
 
 
@@ -369,109 +373,131 @@ def _matrix_text(U) -> str:
     return (line * U.shape[0]) % tuple(U.ravel().tolist())
 
 
+def ranking_path(model_path) -> str:
+    """The ranking file `save_model` writes beside the model at ``model_path``,
+    which `load_model` reads: the model's path with ``.bin`` appended."""
+    return f"{model_path}.bin"
+
+
+# The ranking file's header up to its topics list, as `save_model` formats it
+# and `load_model` matches it: counts of at most 18 digits, as int64 holds.
+_RANKING_HEADER = ("qaexpert-ranking 1\nrank {} topics {} users {}\n"
+                   "dtypes topic <f8 expert <f8 norms <f8 users <i8\nmanifest {}\ntopics ")
+_RANKING_HEAD = re.compile(rb"qaexpert-ranking 1\nrank (\d{1,18}) topics (\d{1,18}) "
+                           rb"users (\d{1,18})\ndtypes topic <f8 expert <f8 norms <f8 "
+                           rb"users <i8\nmanifest ([0-9a-f]{64})\ntopics ")
+_DIGEST_LINE = re.compile(rb"digest ([0-9a-f]{64})\n")
+_DIGEST_SIZE = len("digest \n") + 64
+
+
+def _ranking_bytes(cp: CpModel, topics_json: str, users, manifest_hash: str) -> bytes:
+    """The ranking file of ``cp``: the text header, the JSON ``topics`` line
+    padded with spaces so that it ends at an 8-byte offset, the topic
+    factor, the expert factor and the norms as ``<f8`` and the user ids as
+    ``<i8``, then the ``digest`` line of every byte before it."""
+    try:
+        user_ids = np.asarray(users, dtype="<i8")
+    except OverflowError:
+        raise ContractViolation("a user id lies outside int64") from None
+    head = (_RANKING_HEADER.format(cp.rank, cp.dims[1], cp.dims[3], manifest_hash)
+            + topics_json).encode()
+    body = b"".join([head, b" " * (-(len(head) + 1) % 8), b"\n",
+                     *(np.asarray(U, dtype="<f8").tobytes()
+                       for U in (cp.factors[1], cp.factors[3], cp.norms)),
+                     user_ids.tobytes()])
+    return body + b"digest %s\n" % hashlib.sha256(body).hexdigest().encode()
+
+
 def save_model(cp: CpModel, path, topics, users, manifest_hash: str, config: dict):
-    """Write the fitted ``cp`` in the one layout `load_model` walks, with
-    the labels of its topic and expert rows, ``topics`` and ``users``, and
-    its provenance: the SHA-256 digest of the snapshot's manifest and the
-    ``config`` fit ran with.  The last line is the SHA-256 digest of every
-    byte before it.  A ContractViolation unless there is a label a row."""
+    """Write the fitted ``cp`` twice: in binary to `ranking_path` of
+    ``path``, all that `load_model` reads, then as ``model.txt`` text at
+    ``path``, with the labels of its topic and expert rows, ``topics`` and
+    ``users``, and its provenance: the SHA-256 digest of the snapshot's
+    manifest and the ``config`` fit ran with.  Each file's last line is the
+    SHA-256 digest of every byte before it.  A ContractViolation unless
+    there is a label a row, the digest is SHA-256 hex and each user id fits
+    int64."""
     if (len(topics), len(users)) != (cp.dims[1], cp.dims[3]):
         raise ContractViolation(f"{len(topics)} topics and {len(users)} users label "
                                 f"{cp.dims[1]} topic and {cp.dims[3]} expert rows")
-    text = (f"joint-model rank {cp.rank} dims {' '.join(str(d) for d in cp.dims)}\n"
+    if not re.fullmatch("[0-9a-f]{64}", manifest_hash):
+        raise ContractViolation(f"{manifest_hash!r} is not a SHA-256 hex digest")
+    topics_json = json.dumps(topics)
+    ranking = _ranking_bytes(cp, topics_json, users, manifest_hash)
+    data = (f"joint-model rank {cp.rank} dims {' '.join(str(d) for d in cp.dims)}\n"
             + "".join(f"mode {mode} rows {U.shape[0]}\n" + _matrix_text(U)
                       for mode, U in enumerate(cp.factors))
             + "norms " + _matrix_text(cp.norms)
-            + f"topics {json.dumps(topics)}\nusers {json.dumps(users)}\n"
+            + f"topics {topics_json}\nusers {json.dumps(users)}\n"
             + f"manifest {manifest_hash}\n"
-            + "config " + json.dumps(config, sort_keys=True) + "\n")
-    _write_text(path, f"{text}digest {hashlib.sha256(text.encode('utf-8')).hexdigest()}\n")
+            + "config " + json.dumps(config, sort_keys=True) + "\n").encode("utf-8")
+    # the file serving reads first: a write cut short after it leaves a stale
+    # model.txt, which no stage reads, not a stale ranking file
+    with open(ranking_path(path), "wb") as fh:
+        fh.write(ranking)
+    with open(path, "wb") as fh:
+        fh.write(data)
+        fh.write(b"digest %s\n" % hashlib.sha256(data).hexdigest().encode())
 
 
 def load_model(path) -> tuple[RankingFactors, list, list, str]:
-    """The ranking blocks of a model file, the topic and user labels of
-    their rows, and the manifest digest the model records.
+    """The ranking blocks of the model at ``path``, the topic and user labels
+    of their rows, and the manifest digest the model records, all read from
+    its `ranking_path` alone.
 
-    The walk takes the one layout `save_model` writes: the header, ``mode
-    0`` to ``mode 3`` with the row counts the header gives, ``norms``, the
-    ``topics`` and ``users`` lines, then the ``manifest``, ``config`` and
-    ``digest`` lines, the digest last, so the header fixes the place of
-    every line.  A line that is missing or out of place, a label line that
-    is not a JSON list of as many strings (topics) or integers (users) as
-    the header has topic or expert rows, or a digest that is not that of
-    every byte before it, is a DataError naming its line.  Then only the
-    blocks `ranking` reads are parsed: the topic factor (mode 1), the
-    expert factor (mode 3) and the norms.
+    The file's digest line is checked first, then its header, its topics
+    line, and each block's exact byte length, which the header's counts
+    give; the blocks are then taken by ``np.frombuffer``.  Any fault is a
+    DataError naming the ranking file and the block; a missing ranking file
+    beside an existing ``path`` is a model of an earlier version, which must
+    be refit.
     """
-    data = _read(path)
-    bounds = _line_bounds(data)
-    count = len(bounds) - 1
-
-    def line(n):  # from 0
-        return data[bounds[n]:bounds[n + 1]].decode("utf-8", "replace").rstrip("\r\n")
-
-    def fields(n, expected, words, size=None):
-        """Line n + 1 split at whitespace; a DataError unless it starts with
-        ``words`` and, where ``size`` is given, has that many fields."""
-        if n >= count:
-            raise DataError(f"{path}:{count}: file ends before {expected}")
-        parts = line(n).split()
-        if parts[:len(words)] != words or size is not None and len(parts) != size:
-            raise DataError(f"{path}:{n + 1}: expected {expected}, got {line(n)!r}")
-        return parts
-
-    def labels(n, word, size, kind, what):
-        """The JSON list after ``word`` and a space on line n + 1, parsed
-        once from the line's bytes; a DataError unless the line starts so
-        and the list holds ``size`` values, each of type ``kind``."""
-        expected = (f"a '{word} <JSON list>' line (a model without its topics and users "
-                    "lines there is of an earlier layout and must be refit)")
-        if n >= count:
-            raise DataError(f"{path}:{count}: file ends before {expected}")
-        raw = data[bounds[n]:bounds[n + 1]]
-        if not raw.startswith(word.encode() + b" "):
-            raise DataError(f"{path}:{n + 1}: expected {expected}, got {line(n)!r}")
-        try:
-            values = json.loads(raw[len(word) + 1:])
-        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
-            raise DataError(f"{path}:{n + 1}: {word} line: {exc}") from None
-        if not (type(values) is list and len(values) == size  # by type: a bool is no user
-                and [*map(type, values)].count(kind) == size):
-            raise DataError(f"{path}:{n + 1}: expected a JSON list of {size} {what}, "
-                            "as the header's dims give")
-        return values
-
-    def matrix(mode):
-        start = at[mode] + 1
-        return _read_rows(path, data[bounds[start]:bounds[start + dims[mode]]],
-                          [("row", np.float64, (rank,))], f"{rank} values", first=start + 1)["row"]
-
-    if not count:
-        raise DataError(f"{path}: empty model file")
-    header = "a 'joint-model rank R dims I J K L' header"
-    head = fields(0, header, ["joint-model", "rank"], 8)
-    rank, *dims = _numbers(head[2:3] + head[4:8], int, path, 1)
-    if head[3] != "dims" or min(dims) < 0:
-        raise DataError(f"{path}:1: expected {header} without a negative dim, got {line(0)!r}")
-    # the line, from 0, of each mode's header, then of the norms
-    at = list(itertools.accumulate((d + 1 for d in dims), initial=1))
-    for mode, rows in enumerate(dims):
-        fields(at[mode], f"'mode {mode} rows {rows}'", ["mode", str(mode), "rows", str(rows)], 4)
-    norms = fields(at[4], f"a norms line with {rank} values", ["norms"], rank + 1)[1:]
-    topics = labels(at[4] + 1, "topics", dims[1], str, "topic strings")
-    users = labels(at[4] + 2, "users", dims[3], int, "integer user ids")
-    manifest = fields(at[4] + 3, "a 'manifest <sha256>' line", ["manifest"], 2)[1]
-    fields(at[4] + 4, "the config line", ["config"])
-    end = at[4] + 5
-    digest = fields(end, "a final 'digest <sha256>' line, without which a model must be refit",
-                    ["digest"], 2)[1]
-    if end + 1 < count:
-        raise DataError(f"{path}:{end + 2}: expected the end of the file after its digest "
-                        f"line, got {line(end + 1)!r}")
-    if digest != hashlib.sha256(memoryview(data)[:bounds[end]]).hexdigest():
-        raise DataError(f"{path}:{count}: digest does not match the file's contents")
-    norms = np.array(_numbers(norms, float, path, at[4] + 1))
-    return RankingFactors(matrix(1), matrix(3), norms), topics, users, manifest
+    source = ranking_path(path)
+    try:
+        data = _read(source)
+    except FileNotFoundError:
+        if not os.path.exists(path):
+            raise
+        raise DataError(f"{path}: no ranking file {source} beside it; a model fit by an "
+                        "earlier version must be refit") from None
+    stop = len(data) - _DIGEST_SIZE
+    sealed = _DIGEST_LINE.fullmatch(data, max(stop, 0))
+    if stop < 0 or sealed is None:
+        raise DataError(f"{source}: digest: expected a final 'digest <sha256>' line")
+    if sealed[1].decode() != hashlib.sha256(memoryview(data)[:stop]).hexdigest():
+        raise DataError(f"{source}: digest: does not match the file's contents")
+    head = _RANKING_HEAD.match(data, 0, stop)
+    if head is None:
+        raise DataError(f"{source}: header: not that of a version-1 ranking file; its "
+                        "model must be refit")
+    rank, n_topics, n_users = map(int, head.group(1, 2, 3))
+    at = data.find(b"\n", head.end(), stop) + 1
+    if not at or at % 8:
+        raise DataError(f"{source}: topics: expected a line that ends at an 8-byte offset")
+    try:
+        topics = json.loads(data[head.end():at])
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
+        raise DataError(f"{source}: topics: {exc}") from None
+    if not (type(topics) is list and len(topics) == n_topics
+            and [*map(type, topics)].count(str) == n_topics):
+        raise DataError(f"{source}: topics: expected a JSON list of {n_topics} topic "
+                        "strings, as the header's count gives")
+    blocks = {}
+    for name, count, dtype in (("topic", n_topics * rank, "<f8"),
+                               ("expert", n_users * rank, "<f8"),
+                               ("norms", rank, "<f8"), ("users", n_users, "<i8")):
+        size = 8 * count
+        if at + size > stop:
+            raise DataError(f"{source}: {name} block: the file holds {stop - at} of its "
+                            f"{size} bytes before the digest line")
+        blocks[name] = np.frombuffer(data, dtype, count, at)
+        at += size
+    if at != stop:
+        raise DataError(f"{source}: users block: {stop - at} bytes follow it before the "
+                        "digest line")
+    factors = RankingFactors(blocks["topic"].reshape(n_topics, rank),
+                             blocks["expert"].reshape(n_users, rank), blocks["norms"])
+    return factors, topics, blocks["users"].tolist(), head[4].decode()
 
 
 _REPUTATION_HEADER = "user_id,topic,score\n"
@@ -508,12 +534,13 @@ def load_reputation(path) -> ReputationLedger:
     """Read a reputation file into ledger columns.
 
     After the header line, one `_rows` pass reads the CSV records, the
-    topic as bytes as wide as the longest record, so none is cut short.
-    Rows must come in strictly ascending (topic, user) order, a topic by
-    its decoded name, so each topic's rows are one run and its code is the
-    run's number: one `row_changes` pass finds the runs, and only the name
-    at each run's start is decoded.  A record that breaks the order, or
-    that the pass rejects, is a DataError naming the line it ends on.
+    topic as bytes as wide as the longest record rounded up to 8 bytes, so
+    none is cut short.  Rows must come in strictly ascending (topic, user)
+    order, a topic by its decoded name, so each topic's rows are one run and
+    its code is the run's number: one `row_changes` pass over the topic's
+    8-byte words finds the runs, and only the name at each run's start is
+    decoded.  A record that breaks the order, or that the pass rejects, is
+    a DataError naming the line it ends on.
     """
     data = _read(path)
     head = data[:data.find(b"\n")] if b"\n" in data else data
@@ -521,11 +548,15 @@ def load_reputation(path) -> ReputationLedger:
         raise DataError(f"{path}:1: expected the header {_REPUTATION_HEADER.strip()!r}, "
                         f"got {head.decode('utf-8', 'replace')!r}")
     bounds = _line_bounds(data, csv=True)
-    table = _read_rows(path, data, [("user", np.int64), ("topic", f"S{np.diff(bounds).max()}"),
+    width = -(-int(np.diff(bounds).max()) // 8) * 8
+    table = _read_rows(path, data, [("user", np.int64), ("topic", f"S{width}"),
                                     ("score", np.int64)],
                        "'user_id,topic,score' with int64 user and score", skip=1, source=path,
                        csv=True, bounds=bounds)
-    new = row_changes((table["topic"],))
+    # each row as 8-byte words, the topic's NUL-padded ones between the user's
+    # and the score's: they compare as the names do, as a table holds no NUL
+    words = table.view(np.uint64).reshape(len(table), table.itemsize // 8)
+    new = row_changes(words[:, 1:-1].T)
     runs = table["topic"][new]  # UTF-8 bytes, which sort as their text does
     topic = np.cumsum(new, dtype=np.int64)
     topic -= 1
@@ -603,7 +634,7 @@ def write_manifest(path, tables, config, digests):
 
 def load_manifest(path) -> tuple[dict, str]:
     """A snapshot manifest, a format-4 JSON object with a list of topic
-    strings and a list of integer user ids, and the SHA-256 hex digest of
+    strings and a list of int64 user ids, and the SHA-256 hex digest of
     the bytes it was parsed from.  One of another integer format is refused
     with its own message: its snapshot must be re-ingested."""
     data = _read(path)
@@ -621,4 +652,8 @@ def load_manifest(path) -> tuple[dict, str]:
                     for k, kind in (("topics", str), ("users", int)))):
         raise DataError(f"{path}: not a format-{_FORMAT} manifest with a list of topic strings "
                         "and a list of integer user ids")
+    try:
+        np.asarray(manifest["users"], dtype=np.int64)  # a model stores its user ids as int64
+    except OverflowError:
+        raise DataError(f"{path}: a user id lies outside int64") from None
     return manifest, hashlib.sha256(data).hexdigest()

@@ -274,9 +274,10 @@ def test_criterion_9_pipeline_is_byte_deterministic(tmp_path, capsys):
                      "--snapshot", snap, "--out-dir", ev]) == 0
         outputs.append({
             "model": open(os.path.join(fit, "model.txt"), "rb").read(),
+            "ranking": open(os.path.join(fit, "model.txt.bin"), "rb").read(),
             "report": open(os.path.join(ev, "report.csv"), "rb").read(),
         })
     same = outputs[0] == outputs[1]
     with capsys.disabled():
         _check(9, "repeated runs with one seed produce byte-identical "
-                  "model and report files", same)
+                  "model, ranking and report files", same)

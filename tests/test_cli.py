@@ -298,7 +298,7 @@ class TestFit:
             assert main(["fit", snapshot, "--out-dir", out,
                          "--rank", "2", "--max-iters", "25", "--seed", "3"]) == 0
             outs.append(out)
-        for name in ("model.txt", "objective_history.csv"):
+        for name in ("model.txt", "model.txt.bin", "objective_history.csv"):
             a = open(os.path.join(outs[0], name), "rb").read()
             b = open(os.path.join(outs[1], name), "rb").read()
             assert a == b, name
@@ -381,7 +381,9 @@ class TestFit:
         code = main(["fit", snapshot, "--out-dir", out])
         assert code == 1
         diverged = os.path.join(out, "model.txt.diverged")
+        assert os.path.exists(diverged + ".bin")
         assert not os.path.exists(os.path.join(out, "model.txt"))
+        assert not os.path.exists(os.path.join(out, "model.txt.bin"))
         assert "diverged" in capsys.readouterr().err
         got, topics, users, manifest = serialize.load_model(diverged)
         listed, digest = serialize.load_manifest(os.path.join(snapshot, "manifest.json"))
@@ -466,14 +468,16 @@ class TestRecommend:
         assert code == 1
         assert "different snapshot" in capsys.readouterr().err
 
-    def test_truncated_model_exits_1(self, fitted, snapshot, tmp_path, capsys):
+    def test_truncated_ranking_file_exits_1(self, fitted, snapshot, tmp_path, capsys):
         cut = tmp_path / "cut.txt"
-        with open(fitted) as fh:
-            cut.write_text("".join(fh.readlines()[:3]))
+        with open(serialize.ranking_path(fitted), "rb") as fh, \
+                open(serialize.ranking_path(cut), "wb") as out:
+            out.write(fh.read()[:300])
         code = main(["recommend", "--model", str(cut), "--snapshot", snapshot,
                      "--topic", "alpha/tensor"])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {cut}:3: file ends ")
+        assert capsys.readouterr().err == (f"error: {cut}.bin: digest: expected a final "
+                                           "'digest <sha256>' line\n")
 
     def test_no_signal_topic_reports_status(self, fitted, snapshot,
                                             monkeypatch, capsys):
@@ -645,16 +649,32 @@ class TestConfigTypes:
         assert b'"lambda_x": 1.0' in fits[0][1] and b'"tol": 0.0' in fits[0][1]
 
 
+def resealed_ranking(fitted, path, edit):
+    """The fitted model's ranking file, with ``edit`` applied to its bytes
+    before the digest line, sealed by a matching one and written beside
+    ``path``; returns (``path``, the ranking file's path)."""
+    with open(serialize.ranking_path(fitted), "rb") as fh:
+        body = edit(fh.read()[:-72])
+    ranking = serialize.ranking_path(path)
+    with open(ranking, "wb") as fh:
+        fh.write(body + f"digest {hashlib.sha256(body).hexdigest()}\n".encode())
+    return str(path), ranking
+
+
 def resealed(fitted, path, manifest_digest, earlier=False):
-    """The fitted model, written to ``path``, recording ``manifest_digest``
-    under a digest line that matches: a model fit on that manifest by a
-    version that wrote the same factors, and, where ``earlier``, no topics
-    and users lines, as a version before them wrote it."""
+    """The fitted model, written to ``path`` with its ranking file beside it,
+    each recording ``manifest_digest`` under a digest line that matches: a
+    model fit on that manifest by a version that wrote the same factors,
+    and, where ``earlier``, model.txt alone, as a version before the ranking
+    file wrote it."""
     with open(fitted) as fh:
         body = "".join(f"manifest {manifest_digest}\n" if line.startswith("manifest ") else line
-                       for line in fh.readlines()[:-1]
-                       if not (earlier and line.startswith(("topics ", "users "))))
+                       for line in fh.readlines()[:-1])
     path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    if not earlier:
+        resealed_ranking(fitted, path, lambda ranking: re.sub(
+            rb"\nmanifest [0-9a-f]{64}\n", f"\nmanifest {manifest_digest}\n".encode(), ranking,
+            count=1))
     return str(path)
 
 
@@ -670,8 +690,13 @@ def rewritten_manifest(snapshot, copy, edit):
 
 
 DIFFERENT_SNAPSHOT = "error: model was fit against a different snapshot (model records "
-REFIT = ("(a model without its topics and users lines there is of an earlier layout and "
-         "must be refit)")
+
+
+def refit_error(model):
+    """What recommend and evaluate print for a model without its ranking
+    file, as a version before that file wrote it."""
+    return (f"error: {model}: no ranking file {model}.bin beside it; a model fit by an "
+            "earlier version must be refit\n")
 
 
 class TestManifestShape:
@@ -718,10 +743,9 @@ class TestManifestShape:
         assert capsys.readouterr().err == want and not refit.exists()
         # recommend and evaluate parse no manifest: a model fit on another one
         # is refused at its digest, one that records this manifest, as an
-        # earlier version fit it, at its layout
+        # earlier version fit it, for want of its ranking file
         digest = serialize.file_digest(manifest)
         model = resealed(fitted, tmp_path / "model.txt", digest, earlier=True)
-        line = open(model).read().splitlines().index(f"manifest {digest}") + 1
         for command, argv in (("recommend", ["--topic", "alpha/tensor"]),
                               ("evaluate", ["--out-dir", str(tmp_path / "eval")])):
             assert main([command, "--model", fitted, "--snapshot", str(manifest.parent),
@@ -729,9 +753,7 @@ class TestManifestShape:
             assert capsys.readouterr().err.startswith(DIFFERENT_SNAPSHOT)
             assert main([command, "--model", model, "--snapshot", str(manifest.parent),
                          *argv]) == 1
-            assert capsys.readouterr().err == (
-                f"error: {model}:{line}: expected a 'topics <JSON list>' line {REFIT}, "
-                f"got 'manifest {digest}'\n")
+            assert capsys.readouterr().err == refit_error(model)
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("command", ["recommend", "evaluate"])
@@ -762,8 +784,9 @@ class TestManifestShape:
         refit = tmp_path / "refit"
         assert main(["fit", old, "--out-dir", str(refit),
                      "--rank", "2", "--max-iters", "40", "--seed", "0"]) == 0
-        assert (refit / "model.txt").read_text() == open(resealed(
-            fitted, tmp_path / "model.txt", serialize.file_digest(manifest))).read()
+        model = resealed(fitted, tmp_path / "model.txt", serialize.file_digest(manifest))
+        assert (refit / "model.txt").read_bytes() == open(model, "rb").read()
+        assert (refit / "model.txt.bin").read_bytes() == open(f"{model}.bin", "rb").read()
         capsys.readouterr()
         outputs = []
         for model, snap in ((fitted, snapshot), (str(tmp_path / "model.txt"), old)):
@@ -773,44 +796,61 @@ class TestManifestShape:
         assert outputs[0] == outputs[1]
 
 
-def edited_model(fitted, tmp_path, block, edit):
-    """Copy of the fitted model with ``edit`` applied to the first row of
-    ``block`` (the line itself for norms); returns (path, 1-based line)."""
-    lines = open(fitted).read().splitlines(keepends=True)
-    at = next(n for n, line in enumerate(lines) if line.startswith(block))
-    at += block != "norms"
-    lines[at] = edit(lines[at])
-    path = tmp_path / "edited.txt"
-    path.write_text("".join(lines))
-    return str(path), at + 1
-
-
 def flip_last_digit(line):
     return re.sub(r"\d(?=\D*$)", lambda d: str((int(d.group()) + 1) % 10), line, count=1)
 
 
-class TestModelDigest:
-    @pytest.mark.parametrize("command", ["recommend", "evaluate"])
-    @pytest.mark.parametrize("block", ["mode 0 rows", "mode 3 rows", "norms"])
-    def test_flipped_digit_exits_1(self, fitted, snapshot, tmp_path, capsys, block, command):
-        path, _ = edited_model(fitted, tmp_path, block, flip_last_digit)
-        extra = (["--topic", "alpha/tensor"] if command == "recommend"
-                 else ["--out-dir", str(tmp_path / "e")])
-        code = main([command, "--model", path, "--snapshot", snapshot, *extra])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}:")
+def serve_argv(command, tmp_path):
+    return (["--topic", "alpha/tensor"] if command == "recommend"
+            else ["--out-dir", str(tmp_path / "e")])
 
-    def test_non_numeric_value_names_path_and_line(self, fitted, snapshot, tmp_path, capsys):
-        path, line = edited_model(fitted, tmp_path, "mode 1 rows",
-                                  lambda row: "abc " + row.split(" ", 1)[1])
-        with open(path) as fh:
-            body = "".join(fh.readlines()[:-1])
-        with open(path, "w") as fh:
-            fh.write(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
-        code = main(["recommend", "--model", path, "--snapshot", snapshot,
-                     "--topic", "alpha/tensor"])
+
+class TestModelDigest:
+    # a byte in the header, the topics line, the topic factor and the users
+    @pytest.mark.parametrize("command", ["recommend", "evaluate"])
+    @pytest.mark.parametrize("at", [5, 150, -100, -73])
+    def test_flipped_byte_exits_1(self, fitted, snapshot, tmp_path, capsys, at, command):
+        model = tmp_path / "model.txt"
+        shutil.copy(fitted, model)
+        data = bytearray(open(serialize.ranking_path(fitted), "rb").read())
+        data[at] ^= 0x10
+        ranking = serialize.ranking_path(model)
+        with open(ranking, "wb") as fh:
+            fh.write(bytes(data))
+        code = main([command, "--model", str(model), "--snapshot", snapshot,
+                     *serve_argv(command, tmp_path)])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+        assert capsys.readouterr().err == (f"error: {ranking}: digest: does not match the "
+                                           "file's contents\n")
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("command", ["recommend", "evaluate"])
+    def test_a_resealed_header_that_lies_names_its_block(self, fitted, snapshot, tmp_path,
+                                                         capsys, command):
+        model, ranking = resealed_ranking(
+            fitted, tmp_path / "model.txt",
+            lambda body: re.sub(rb"\nrank 2 ", b"\nrank 1 ", body, count=1))
+        assert main([command, "--model", model, "--snapshot", snapshot,
+                     *serve_argv(command, tmp_path)]) == 1
+        # rank 1: 4 topic, 6 expert and 1 norms values and the 6 user ids, 17
+        # words, where the file holds 8 + 12 + 2 values and the 6 ids, 28
+        assert capsys.readouterr().err == (f"error: {ranking}: users block: 88 bytes follow "
+                                           "it before the digest line\n")
+
+    def test_an_edit_of_model_txt_does_not_reach_serving(self, fitted, snapshot, tmp_path,
+                                                         capsys):
+        assert main(["recommend", "--model", fitted, "--snapshot", snapshot,
+                     "--topic", "alpha/tensor"]) == 0
+        want = capsys.readouterr().out
+        with open(fitted) as fh:
+            lines = fh.readlines()
+        at = next(n for n, line in enumerate(lines) if line.startswith("mode 1 rows")) + 1
+        lines[at] = flip_last_digit(lines[at])
+        with open(fitted, "w") as fh:
+            fh.write("".join(lines))
+        assert main(["recommend", "--model", fitted, "--snapshot", snapshot,
+                     "--topic", "alpha/tensor"]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestServingFromTheModel:
@@ -837,37 +877,46 @@ class TestServingFromTheModel:
         monkeypatch.setattr(serialize, "load_manifest", refuse)
         assert self.serve(fitted, snapshot, tmp_path / "eval", capsys) == want
 
-    def test_a_model_of_the_previous_layout_must_be_refit(self, fitted, snapshot, tmp_path,
-                                                          capsys):
+    def test_serving_reads_no_model_txt(self, fitted, snapshot, tmp_path, capsys):
+        want = self.serve(fitted, snapshot, tmp_path / "eval", capsys)
+        os.remove(fitted)
+        assert self.serve(fitted, snapshot, tmp_path / "eval", capsys) == want
+
+    def test_a_model_without_its_ranking_file_must_be_refit(self, fitted, snapshot, tmp_path,
+                                                            capsys):
         digest = serialize.file_digest(os.path.join(snapshot, "manifest.json"))
         model = resealed(fitted, tmp_path / "model.txt", digest, earlier=True)
-        line = open(model).read().splitlines().index(f"manifest {digest}") + 1
         for command, argv in (("recommend", ["--topic", "alpha/tensor"]),
                               ("evaluate", ["--out-dir", str(tmp_path / "eval")])):
             assert main([command, "--model", model, "--snapshot", snapshot, *argv]) == 1
-            assert capsys.readouterr().err == (
-                f"error: {model}:{line}: expected a 'topics <JSON list>' line {REFIT}, "
-                f"got 'manifest {digest}'\n")
+            assert capsys.readouterr().err == refit_error(model)
         assert not (tmp_path / "eval").exists()
 
-    @pytest.mark.parametrize("word, edit, why", [
-        ("topics", lambda labels: labels[:-1], "expected a JSON list of 4 topic strings"),
-        ("users", lambda labels: [*labels, 1], "expected a JSON list of 6 integer user ids"),
-        ("users", lambda labels: [str(u) for u in labels],
-         "expected a JSON list of 6 integer user ids"),
-    ], ids=["one topic short", "one user over", "user ids as strings"])
-    def test_labels_that_disagree_with_the_header_exit_1(self, fitted, snapshot, tmp_path,
-                                                         capsys, word, edit, why):
-        lines = open(fitted).read().splitlines(keepends=True)[:-1]
-        at = next(n for n, line in enumerate(lines) if line.startswith(word + " "))
-        lines[at] = f"{word} {json.dumps(edit(json.loads(lines[at].split(' ', 1)[1])))}\n"
+    def test_a_missing_model_is_an_os_error(self, snapshot, tmp_path, capsys):
         model = tmp_path / "model.txt"
-        body = "".join(lines)
-        model.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+        assert main(["recommend", "--model", str(model), "--snapshot", snapshot,
+                     "--topic", "alpha/tensor"]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+    # an edit of the ranking file's topics list, its line padded as the writer
+    # pads it, and the error's text after the block's name
+    @pytest.mark.parametrize("edit, why", [
+        (lambda labels: labels[:-1], "expected a JSON list of 4 topic strings"),
+        (lambda labels: [*labels, "gamma/x"], "expected a JSON list of 4 topic strings"),
+        (lambda labels: [*labels[:-1], 1], "expected a JSON list of 4 topic strings"),
+    ], ids=["one topic short", "one topic over", "an int topic"])
+    def test_topics_that_disagree_with_the_header_exit_1(self, fitted, snapshot, tmp_path,
+                                                         capsys, edit, why):
+        def edited(body):
+            start = body.index(b"\ntopics ") + len(b"\ntopics ")
+            end = body.index(b"\n", start) + 1
+            line = json.dumps(edit(json.loads(body[start:end]))).encode()
+            return body[:start] + line + b" " * (-(start + len(line) + 1) % 8) + b"\n" + body[end:]
+        model, ranking = resealed_ranking(fitted, tmp_path / "model.txt", edited)
         for command, argv in (("recommend", ["--topic", "alpha/tensor"]),
                               ("evaluate", ["--out-dir", str(tmp_path / "eval")])):
-            assert main([command, "--model", str(model), "--snapshot", snapshot, *argv]) == 1
-            assert capsys.readouterr().err.startswith(f"error: {model}:{at + 1}: {why}")
+            assert main([command, "--model", model, "--snapshot", snapshot, *argv]) == 1
+            assert capsys.readouterr().err == f"error: {ranking}: topics: {why}, as the header's count gives\n"
         assert not (tmp_path / "eval").exists()
 
 
@@ -1241,6 +1290,7 @@ class TestPipeline:
                          "--snapshot", snap, "--out-dir", ev]) == 0
             reports.append({
                 "model": open(os.path.join(fit, "model.txt"), "rb").read(),
+                "ranking": open(os.path.join(fit, "model.txt.bin"), "rb").read(),
                 "report": open(os.path.join(ev, "report.csv"), "rb").read(),
             })
         assert reports[0] == reports[1]
